@@ -17,7 +17,12 @@ policies the fabrics share:
   (UDP, where it travels in the datagram) verify each entry, drop the
   ones that fail, and report per-verdict counts so the fabrics can
   surface ``dropped_bad_signature`` / ``dropped_unknown_key`` /
-  ``dropped_unsigned``.
+  ``dropped_unsigned``. On UDP the receiving node's table of admitted
+  entries (:class:`repro.runtime.codec.AdmittedEntries`) rides along:
+  an entry it vouches for is a byte-identical repeat of one this guard
+  already verified for that node, so only the key's standing is
+  re-checked; and it is where a relay's :meth:`attach` finds the MACs
+  of the events it forwards.
 
 The cache doubles as a **sign-once oracle**: the first seal of a given
 event id pins the canonical bytes that were MACed. The simulator's
@@ -94,15 +99,21 @@ class BallGuard:
             if event.id not in self._signatures:
                 self._remember(event.id, self.authenticator.sign(event))
 
-    def attach(self, ball: Ball) -> SignedBall:
-        """Wire form of *ball*: each entry paired with its cached
-        signature (``None`` when the guard has never sealed that id)."""
-        return SignedBall(
-            entries=ball,
-            signatures=tuple(
-                self._signatures.get(entry.event.id) for entry in ball
-            ),
-        )
+    def attach(self, ball: Ball, table=None) -> SignedBall:
+        """Wire form of *ball*: each entry paired with the signature
+        this guard sealed it with or, for a relayed entry, the one
+        *table* (the relaying node's admitted entries) remembers
+        verifying; ``None`` when neither knows the id."""
+        sealed = self._signatures.get
+        if table is None:
+            signatures = tuple(sealed(entry.event.id) for entry in ball)
+        else:
+            relayed = table.signature_of
+            signatures = tuple(
+                sealed(entry.event.id) or relayed(entry.event.id)
+                for entry in ball
+            )
+        return SignedBall(entries=ball, signatures=signatures)
 
     # ------------------------------------------------------------------
     # Incoming
@@ -117,34 +128,50 @@ class BallGuard:
         signatures = tuple(
             self._signatures.get(entry.event.id) for entry in ball
         )
-        return self._admit(ball, signatures, cache_verified=False)
+        return self._admit(ball, signatures)
 
-    def admit_signed(self, signed: SignedBall) -> Tuple[Ball, AdmitCounts]:
+    def admit_signed(
+        self, signed: SignedBall, table=None
+    ) -> Tuple[Ball, AdmitCounts]:
         """Verify a decoded :class:`SignedBall` (datagram fabrics).
 
-        Verified signatures are cached so this receiver can later relay
-        the entries onward with their MACs attached.
+        *table* is the receiving node's
+        :class:`~repro.runtime.codec.AdmittedEntries`, through which
+        *signed* was decoded. An entry it :meth:`holds` skips the HMAC
+        — never the key-epoch acceptance check, so a key revoked or
+        rotated out since still rejects it — and a first sight that
+        verifies is remembered there, for later copies and for relaying
+        the entry onward with its MAC.
         """
-        return self._admit(
-            signed.entries, signed.signatures, cache_verified=True
-        )
+        return self._admit(signed.entries, signed.signatures, table)
 
     def _admit(
         self,
         ball: Ball,
         signatures: Tuple[Optional[EventSignature], ...],
-        cache_verified: bool,
+        table=None,
     ) -> Tuple[Ball, AdmitCounts]:
         counts = AdmitCounts()
         admitted: List[BallEntry] = []
+        authenticator = self.authenticator
         for entry, signature in zip(ball, signatures):
             if signature is None:
                 counts.unsigned += 1
                 continue
-            verdict = self.authenticator.verify(entry.event, signature)
+            event = entry.event
+            if table is not None and table.holds(event, signature):
+                verdict = (
+                    VERDICT_OK
+                    if authenticator.keyring.accepts(
+                        event.source_id, signature.epoch
+                    )
+                    else VERDICT_UNKNOWN_KEY
+                )
+            else:
+                verdict = authenticator.verify(event, signature)
+                if verdict == VERDICT_OK and table is not None:
+                    table.remember(event)
             if verdict == VERDICT_OK:
-                if cache_verified and entry.event.id not in self._signatures:
-                    self._remember(entry.event.id, signature)
                 admitted.append(entry)
             elif verdict == VERDICT_UNKNOWN_KEY:
                 counts.unknown_key += 1

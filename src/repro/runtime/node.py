@@ -24,6 +24,9 @@ from ..core.config import EpToConfig
 from ..core.event import Event
 from ..core.interfaces import PeerSampler
 from ..core.process import EpToProcess
+from ..lazy.protocol import LAZY_MESSAGE_TYPES
+from ..pss import OVERLAY_MESSAGE_TYPES
+from ..pss.cyclon import CyclonRequest, CyclonResponse
 from ..sync.config import SyncConfig
 from ..sync.manager import SyncManager, epto_chunk_applier
 from ..sync.protocol import SYNC_MESSAGE_TYPES
@@ -245,15 +248,14 @@ class AsyncEpToNode:
     # ------------------------------------------------------------------
 
     def _handle_message(self, src: int, message: Any) -> None:
-        # Cyclon traffic (when the PSS is a CyclonPss), overlay
-        # maintenance (HyParView/Brahms), lazy-push traffic (when the
-        # process is lazy), anti-entropy traffic (when a SyncManager
-        # runs), or a ball.
-        from ..lazy.protocol import LAZY_MESSAGE_TYPES
-        from ..pss import OVERLAY_MESSAGE_TYPES
-        from ..pss.cyclon import CyclonRequest, CyclonResponse
-
-        if isinstance(message, CyclonRequest):
+        # A ball, nearly always (K of them every round), so it is tested
+        # first; otherwise Cyclon traffic (when the PSS is a CyclonPss),
+        # overlay maintenance (HyParView/Brahms), lazy-push traffic
+        # (when the process is lazy) or anti-entropy traffic (when a
+        # SyncManager runs).
+        if type(message) is tuple:
+            self.process.on_ball(message)
+        elif isinstance(message, CyclonRequest):
             self._pss.handle_request(src, message)  # type: ignore[attr-defined]
         elif isinstance(message, CyclonResponse):
             self._pss.handle_response(src, message)  # type: ignore[attr-defined]

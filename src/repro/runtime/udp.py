@@ -68,6 +68,7 @@ from ..auth.guard import BallGuard
 from ..core.errors import MembershipError
 from . import batchio, fastloop
 from .codec import (
+    AdmittedEntries,
     CodecError,
     CodecVersionError,
     decode,
@@ -253,14 +254,18 @@ class _RawEndpoint:
             syscalls_before = receiver.syscalls
             views = receiver.receive(self._sock)
             stats.syscalls_recv += receiver.syscalls - syscalls_before
-            if not views:
-                return
             for view in views:
                 # The view dies with this call: _on_datagram's codec
                 # materializes everything that escapes the handler.
                 self._network._on_datagram(self._node_id, view)
                 if self._closed:
                     return
+            if len(views) < receiver.max_batch:
+                # A short batch emptied the socket; asking again only
+                # to read EAGAIN would double the syscalls of a quiet
+                # node. Readiness is level-triggered, so whatever
+                # arrived meanwhile wakes this callback again.
+                return
 
     def is_closing(self) -> bool:
         return self._closed
@@ -350,6 +355,13 @@ class UdpNetwork:
         self._guard = BallGuard(authenticator) if authenticator else None
         self._adversary = None
         self._handlers: Dict[int, UdpMessageHandler] = {}
+        # What each registered node has admitted so far: decode reuses
+        # the objects of a byte-identical repeat and the guard skips its
+        # HMAC. One table per *node*, living exactly as long as its
+        # inbox — a respawned node starts cold, and nodes sharing this
+        # fabric in one process share nothing a deployment of one node
+        # per process would not.
+        self._admitted: Dict[int, AdmittedEntries] = {}
         # Callbacks run at the top of close(), before any socket dies:
         # layers stacked on the fabric (the multi-topic service demux)
         # use this to cancel their periodic tasks while the loop can
@@ -398,10 +410,12 @@ class UdpNetwork:
         if node_id in self._handlers:
             raise MembershipError(f"node {node_id} is already registered")
         self._handlers[node_id] = handler
+        self._admitted[node_id] = AdmittedEntries()
 
     def unregister(self, node_id: int) -> None:
         """Forget *node_id* and close its socket if open."""
         self._handlers.pop(node_id, None)
+        self._admitted.pop(node_id, None)
         transport = self._transports.pop(node_id, None)
         self._addresses.pop(node_id, None)
         if transport is not None:
@@ -550,7 +564,7 @@ class UdpNetwork:
         if self._guard is None:
             return ball
         self._guard.seal(src, ball)
-        return self._guard.attach(ball)
+        return self._guard.attach(ball, self._admitted.get(src))
 
     def _account_split(self, datagram_len: int, copies: int) -> None:
         """Record the metadata/payload byte split of the last encode,
@@ -876,6 +890,7 @@ class UdpNetwork:
             self._transports.pop(node_id).close()
         self._addresses.clear()
         self._handlers.clear()
+        self._admitted.clear()
         # Give the loop one tick to process the closes.
         await asyncio.sleep(0)
 
@@ -905,21 +920,22 @@ class UdpNetwork:
         handler = self._handlers.get(node_id)
         if handler is None:
             return
+        table = self._admitted[node_id]
         try:
-            sender, message = decode(data)
+            sender, message = decode(data, table)
         except CodecVersionError:
             self.stats.dropped_bad_version += 1
             return
         except CodecError:
             self.stats.dropped_malformed += 1
             return
-        message = self._admit(message)
+        message = self._admit(message, table)
         if message is _REJECTED:
             return
         self.stats.delivered += 1
         handler(sender, message)
 
-    def _admit(self, message: Any) -> Any:
+    def _admit(self, message: Any, table: AdmittedEntries) -> Any:
         """Authentication gate between decode and the node's inbox.
 
         Signed balls are verified entry by entry (the admitted
@@ -927,16 +943,25 @@ class UdpNetwork:
         with no authenticator configured — accepted with signatures
         stripped. A *plain* ball on an authenticating fabric is
         rejected wholesale: an honest authenticating peer always signs.
+
+        The gate also decides which of the datagram's first sights
+        *table* keeps. With no authenticator nothing is verified, so
+        all of them; with one, only what the guard verified — a forger
+        can neither take a genuine event's slot nor push verified
+        records out.
         """
+        guard = self._guard
+        if guard is None:
+            if table.pending:
+                table.admit_pending()
+            return message.entries if isinstance(message, SignedBall) else message
         if isinstance(message, SignedBall):
-            if self._guard is None:
-                return message.entries
-            ball, counts = self._guard.admit_signed(message)
+            ball, counts = guard.admit_signed(message, table)
             self.stats.dropped_bad_signature += counts.bad_signature
             self.stats.dropped_unknown_key += counts.unknown_key
             self.stats.dropped_unsigned += counts.unsigned
             return ball
-        if self._guard is not None and isinstance(message, tuple):
+        if isinstance(message, tuple):
             self.stats.dropped_unsigned += 1
             return _REJECTED
         return message

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import collections
+import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
@@ -226,6 +227,12 @@ class BroadcastService:
         self.stats = ServiceStats()
         self.topics: Dict[int, TopicState] = {}
         self.demux = TopicDemux(network, host_id, seed=seed)
+        # Where in a round interval this host's rounds fall, as a
+        # fraction: hosts started in one instant (start_all) would
+        # otherwise share a phase, and how they then interleave would
+        # be set by how fast each tick runs — latency as a function of
+        # CPU speed. Seeded per host, so a respawn keeps it.
+        self._phase = random.Random(f"{seed}:phase:{host_id}").random()
         self._round_task: Optional[asyncio.Task] = None
         self._crashed = False
         # A fabric teardown (UdpNetwork.close()) aborts the round task
@@ -312,13 +319,11 @@ class BroadcastService:
     ) -> TopicState:
         """Build a topic engine (fresh subscribe or respawn) over the
         topic's channel; ``state`` is reused across respawns."""
-        import random as _random
-
         channel = self.demux.channel(topic)
         pss = UniformViewPss(
             self.host_id,
             directory,
-            rng=_random.Random(f"{self.seed}:service-pss:{self.host_id}:{topic}"),
+            rng=random.Random(f"{self.seed}:service-pss:{self.host_id}:{topic}"),
         )
 
         def record(event: Event) -> None:
@@ -445,7 +450,11 @@ class BroadcastService:
         # Per-topic absolute due times: topics on the default interval
         # (scheduled in the same loop iteration) share due times and
         # keep ticking together — cross-topic envelope batching stays
-        # intact — while an overridden topic runs its own cadence.
+        # intact — while an overridden topic runs its own cadence. A
+        # due time advances from the previous *due* time, not from when
+        # the tick happened to run, so neither a slow tick nor a late
+        # wake-up stretches the period (the paper assumes rounds of
+        # equal duration; Lemma 5 charges any spread to TTL).
         loop = asyncio.get_running_loop()
         default_s = self.config.round_interval / 1000.0
         next_due: Dict[int, float] = {}
@@ -456,7 +465,7 @@ class BroadcastService:
                     del next_due[topic]
             for topic, state in self.topics.items():
                 if topic not in next_due:
-                    next_due[topic] = now + self._interval_s(state)
+                    next_due[topic] = now + self._phase * self._interval_s(state)
             if not next_due:
                 await asyncio.sleep(default_s)
                 continue
@@ -470,8 +479,18 @@ class BroadcastService:
                 state = self.topics.get(topic)
                 if state is None:
                     next_due.pop(topic, None)
-                else:
-                    next_due[topic] = now + self._interval_s(state)
+                    continue
+                interval = self._interval_s(state)
+                at = next_due[topic] + interval
+                if at <= now:
+                    # A stall of a whole interval or more: the rounds it
+                    # swallowed are skipped, not fired back to back —
+                    # in whole intervals, so the host keeps its phase.
+                    # Hosts of one process all wake from one stall in
+                    # the same instant; re-anchoring at "now" would
+                    # hand every one of them the same phase.
+                    at += interval * ((now - at) // interval + 1)
+                next_due[topic] = at
 
     def tick(self) -> None:
         """One service round: every topic's EpTO round plus its sync

@@ -8,6 +8,8 @@ import pytest
 
 from repro.auth import BallGuard, HmacAuthenticator, KeyRing
 from repro.core.event import BallEntry, Event, make_ball
+from repro.runtime import codec
+from repro.runtime.codec import AdmittedEntries
 
 
 def _event(src=1, seq=0, ts=10, payload=None):
@@ -90,13 +92,31 @@ class TestAdmit:
         own = _event(src=1, seq=0)
         ball = _ball(own)
         origin.seal(1, ball)
-        wire = origin.attach(ball)
+        # The receiving node's table is the relay cache: the datagram is
+        # decoded through it and the guard remembers what it verified.
+        table = AdmittedEntries()
+        _, wire = codec.decode(codec.encode(1, origin.attach(ball)), table)
 
-        admitted, counts = guard.admit_signed(wire)
+        admitted, counts = guard.admit_signed(wire, table)
         assert counts.rejected == 0 and len(admitted) == 1
         # The receiver can now relay the entry onward with the MAC.
-        relayed = guard.attach(ball)
+        relayed = guard.attach(admitted, table)
         assert relayed.signatures[0] == wire.signatures[0]
+        # Without the node's table the guard knows only its own seals.
+        assert guard.attach(admitted).signatures[0] is None
+
+    def test_rejected_entry_is_not_cached_for_relay(self, guard):
+        origin = BallGuard(guard.authenticator)
+        own = _event(src=1, seq=0)
+        origin.seal(1, _ball(own))
+        forged = _ball(dataclasses.replace(own, payload={"v": "evil"}))
+        table = AdmittedEntries()
+        _, wire = codec.decode(codec.encode(1, origin.attach(forged)), table)
+
+        admitted, counts = guard.admit_signed(wire, table)
+        assert admitted == () and counts.bad_signature == 1
+        assert len(table) == 0
+        assert guard.attach(forged, table).signatures[0] is None
 
     def test_unknown_key_verdict_counted(self, guard):
         ring = guard.authenticator.keyring

@@ -25,6 +25,8 @@ from repro.sync.protocol import (
     events_checksum,
 )
 
+from .warm_table import checked_decode, warm_table
+
 
 def _event(src=1, seq=0, ts=10, payload=None):
     return Event(
@@ -92,25 +94,29 @@ class TestVersionGate:
 
 
 class TestHostileBytes:
+    #: What the hostile bytes are thrown at; the warm-table rerun below
+    #: swaps in a receiver that already admitted the genuine ball.
+    decode = staticmethod(codec.decode)
+
     def test_every_truncation_rejected_cleanly(self):
         wire = codec.encode(7, _signed_ball())
         for cut in range(len(wire)):
             with pytest.raises(CodecError):
-                codec.decode(wire[:cut])
+                self.decode(wire[:cut])
 
     def test_trailing_garbage_rejected(self):
         wire = codec.encode(7, _signed_ball())
         with pytest.raises(CodecError):
-            codec.decode(wire + b"\x00")
+            self.decode(wire + b"\x00")
         with pytest.raises(CodecError):
-            codec.decode(wire + wire)
+            self.decode(wire + wire)
 
     def test_oversized_entry_count_rejected(self):
         # Claim far more entries than the datagram carries.
         wire = bytearray(codec.encode(7, _signed_ball()))
         wire[12:16] = (2**31).to_bytes(4, "big")
         with pytest.raises(CodecError):
-            codec.decode(bytes(wire))
+            self.decode(bytes(wire))
 
     def test_negative_ttl_rejected(self):
         event = _event()
@@ -128,7 +134,7 @@ class TestHostileBytes:
         assert wire[ttl_offset : ttl_offset + 4] == (0).to_bytes(4, "big")
         wire[ttl_offset : ttl_offset + 4] = (-1).to_bytes(4, "big", signed=True)
         with pytest.raises(CodecError):
-            codec.decode(bytes(wire))
+            self.decode(bytes(wire))
 
     def test_bit_flip_fuzz_never_escapes_codec_error(self):
         wire = codec.encode(7, _signed_ball(entries=6))
@@ -140,7 +146,7 @@ class TestHostileBytes:
                 position = rng.randrange(len(mutated))
                 mutated[position] ^= 1 << rng.randrange(8)
             try:
-                codec.decode(bytes(mutated))
+                self.decode(bytes(mutated))
             except CodecError:
                 outcomes["rejected"] += 1
             else:
@@ -152,6 +158,19 @@ class TestHostileBytes:
 
     def test_mac_length_is_bounded(self):
         assert codec.MAX_MAC_LEN == 255
+
+
+class TestHostileBytesWarmTable(TestHostileBytes):
+    """The same hostility against a receiver whose table already holds
+    every entry of the genuine ball: each mutated datagram now races a
+    byte-compare against remembered content, and must still decode —
+    or fail — exactly as it does without a table."""
+
+    def setup_method(self):
+        self.table = warm_table(codec.encode(7, _signed_ball(entries=6)))
+
+    def decode(self, data):
+        return checked_decode(data, self.table)
 
 
 def _sync_digest_message():

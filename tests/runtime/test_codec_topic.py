@@ -29,6 +29,8 @@ from repro.sync.protocol import (
     events_checksum,
 )
 
+from .warm_table import checked_decode, warm_table
+
 
 def _event(src=1, seq=0, ts=10, payload=None):
     return Event(
@@ -187,31 +189,35 @@ class TestVersionGate:
 
 
 class TestHostileBytes:
+    #: What the hostile bytes are thrown at; the warm-table rerun below
+    #: swaps in a receiver that already admitted the genuine envelope.
+    decode = staticmethod(codec.decode)
+
     def test_every_truncation_rejected_cleanly(self):
         wire = codec.encode(7, _mixed_envelope())
         for cut in range(len(wire)):
             with pytest.raises(CodecError):
-                codec.decode(wire[:cut])
+                self.decode(wire[:cut])
 
     def test_trailing_garbage_rejected(self):
         wire = codec.encode(7, _mixed_envelope())
         with pytest.raises(CodecError):
-            codec.decode(wire + b"\x00")
+            self.decode(wire + b"\x00")
         with pytest.raises(CodecError):
-            codec.decode(wire + wire)
+            self.decode(wire + wire)
 
     def test_oversized_frame_count_rejected(self):
         wire = bytearray(codec.encode(7, _mixed_envelope()))
         wire[12:16] = (2**31).to_bytes(4, "big")
         with pytest.raises(CodecError):
-            codec.decode(bytes(wire))
+            self.decode(bytes(wire))
 
     def test_corrupt_inner_frame_rejected(self):
         wire = bytearray(codec.encode(7, TopicEnvelope(frames=((1, 1, _ball()),))))
         # Garble the inner frame's magic (header 16 + frame head 8).
         wire[24:26] = b"XX"
         with pytest.raises(CodecError):
-            codec.decode(bytes(wire))
+            self.decode(bytes(wire))
 
     def test_bit_flip_fuzz_never_escapes_codec_error(self):
         wire = codec.encode(7, _mixed_envelope())
@@ -223,7 +229,7 @@ class TestHostileBytes:
                 position = rng.randrange(len(mutated))
                 mutated[position] ^= 1 << rng.randrange(8)
             try:
-                codec.decode(bytes(mutated))
+                self.decode(bytes(mutated))
             except CodecError:
                 outcomes["rejected"] += 1
             else:
@@ -232,6 +238,20 @@ class TestHostileBytes:
                 # CodecError may escape here.
                 outcomes["ok"] += 1
         assert outcomes["rejected"] > 0
+
+
+class TestHostileBytesWarmTable(TestHostileBytes):
+    """The same hostility against a host whose table already holds the
+    entries of every ball frame of the genuine envelope, per topic."""
+
+    def setup_method(self):
+        self.table = warm_table(
+            codec.encode(7, _mixed_envelope()),
+            codec.encode(7, TopicEnvelope(frames=((1, 1, _ball()),))),
+        )
+
+    def decode(self, data):
+        return checked_decode(data, self.table)
 
 
 class TestV2V3Differential:

@@ -26,6 +26,8 @@ from repro.runtime import codec
 from repro.runtime.codec import CodecError, CodecVersionError, decode
 from repro.runtime.udp import UdpNetwork
 
+from .warm_table import checked_decode, warm_table
+
 
 def run(coro):
     return asyncio.run(coro)
@@ -65,16 +67,20 @@ def _walk(obj):
 class TestCodecFuzz:
     """Direct fuzz of ``decode`` over memoryview slices (no sockets)."""
 
+    #: What the hostile views are thrown at; the warm-table rerun below
+    #: swaps in a receiver that already admitted both genuine balls.
+    decode = staticmethod(decode)
+
     @pytest.mark.parametrize("wire", [_plain_wire(), _signed_wire()])
     def test_truncation_at_every_boundary_is_rejected(self, wire):
         for cut in range(len(wire)):
             with pytest.raises((CodecError, CodecVersionError)):
-                decode(memoryview(wire)[:cut])
+                self.decode(memoryview(wire)[:cut])
 
     @pytest.mark.parametrize("wire", [_plain_wire(), _signed_wire()])
     def test_oversized_datagram_is_rejected(self, wire):
         with pytest.raises(CodecError):
-            decode(memoryview(wire + b"\x00junk"))
+            self.decode(memoryview(wire + b"\x00junk"))
 
     @pytest.mark.parametrize("wire", [_plain_wire(), _signed_wire()])
     def test_bit_flip_fuzz_never_crashes(self, wire):
@@ -87,7 +93,7 @@ class TestCodecFuzz:
             mutated[rng.randrange(len(mutated))] ^= 1 << rng.randrange(8)
             view = memoryview(mutated)
             try:
-                sender, message = decode(view)
+                sender, message = self.decode(view)
             except (CodecError, CodecVersionError):
                 continue
             assert isinstance(sender, int)
@@ -98,13 +104,13 @@ class TestCodecFuzz:
         wire = bytearray(_plain_wire())
         wire[2] = 9  # future header version
         with pytest.raises(CodecVersionError):
-            decode(memoryview(wire))
+            self.decode(memoryview(wire))
 
     def test_signed_kind_under_v1_header_is_malformed(self):
         wire = bytearray(_signed_wire())
         wire[2] = 1  # kind 7 requires header version 2
         with pytest.raises(CodecError):
-            decode(memoryview(wire))
+            self.decode(memoryview(wire))
 
     def test_decode_from_offset_view_into_larger_buffer(self):
         """Memoryview boundary check: the wire embedded mid-buffer
@@ -112,18 +118,45 @@ class TestCodecFuzz:
         wire = _plain_wire("embedded")
         arena = bytearray(b"\xaa" * 37) + wire + bytearray(b"\xbb" * 53)
         view = memoryview(arena)[37 : 37 + len(wire)]
-        assert decode(view) == decode(wire)
+        assert self.decode(view) == self.decode(wire)
 
     def test_decoded_message_survives_buffer_scribble(self):
         """Everything decode returns is owned: zeroing the source
         buffer afterwards must not disturb the message."""
         wire = bytearray(_signed_wire("keepsake"))
-        sender, message = decode(memoryview(wire))
+        sender, message = self.decode(memoryview(wire))
         wire[:] = bytes(len(wire))
         assert sender == 9
         assert message.entries[0].event.payload == "keepsake"
         mac = message.signatures[0].mac
         assert isinstance(mac, bytes) and any(mac)
+
+
+class TestCodecFuzzWarmTable(TestCodecFuzz):
+    """The same fuzz against a receiver whose table already holds the
+    genuine entries: every mutated view is compared against remembered
+    bytes first, and still nothing of the receive buffer may escape —
+    the table owns a copy of whatever it keeps."""
+
+    def setup_method(self):
+        self.table = warm_table(
+            _plain_wire(), _signed_wire(), _plain_wire("embedded"),
+            _signed_wire("keepsake"),
+        )
+
+    def decode(self, data):
+        return checked_decode(data, self.table)
+
+    def test_remembered_bytes_survive_buffer_scribble(self):
+        """What the table keeps of a first sight is owned too: zeroing
+        the receive buffer must not turn later copies into misses."""
+        wire = _signed_wire("first sight")
+        buffer = bytearray(wire)
+        table = warm_table(memoryview(buffer))
+        buffer[:] = bytes(len(buffer))
+        _, message = checked_decode(memoryview(bytearray(wire)), table)
+        assert message.entries[0].event.payload == "first sight"
+        assert table.hits == len(message.entries)
 
 
 class TestFabricHostility:
