@@ -19,8 +19,19 @@ This module re-hosts the *same algorithm* in flat per-node state:
   ball deliveries due at that time — without constructing
   ``ScheduledEvent`` / ``Handle`` / lambda objects per message;
 * the dissemination + ordering round body is inlined into two methods
-  (:meth:`FlatCluster._run_round`, :meth:`FlatCluster._receive_ball`)
-  with hot values hoisted into locals.
+  (:meth:`FlatCluster._run_round_batch`,
+  :meth:`FlatCluster._receive_ball_batch`) with hot values hoisted
+  into locals once per run of like calendar entries;
+* nothing is allocated per *copy* of an event. A push epidemic hands
+  every node each event about K*TTL times, so the engine's cost is its
+  cost per copy. Event content (key, payload) lives once, in the
+  cluster's broadcast table; a pending ball and every ball in flight
+  is a plain ``{event id: ttl}`` dict, built once per node-round,
+  shared by all its receivers and never mutated; a copy that teaches
+  its receiver nothing — in lockstep rounds every copy after the first
+  — is recognised by one C-level dict-view subset test; and the K
+  sends of a node-round are one calendar entry carrying the
+  destination list.
 
 **Bit-for-bit equivalence with the object engine is a hard contract**,
 enforced by ``tests/sim/test_flat_equivalence.py`` through
@@ -63,7 +74,7 @@ __all__ = ["FlatEngine", "FlatHandle", "FlatCluster", "FlatNetwork"]
 # allocation beyond the tuple itself, and dispatch is one int compare.
 _OP_CALL = 0  # (_OP_CALL, [action-or-None])
 _OP_ROUND = 1  # (_OP_ROUND, node_id, incarnation)
-_OP_BALL = 2  # (_OP_BALL, src, dst, ball)
+_OP_BALL = 2  # (_OP_BALL, src, [dst, ...], live, max_ts)
 
 #: Order key smaller than every real key (mirrors ordering.py).
 _MINUS_INFINITY_KEY: OrderKey = (-1, -1, -1)
@@ -144,7 +155,12 @@ class FlatEngine:
 
     @property
     def executed_count(self) -> int:
-        """Number of calendar entries processed so far."""
+        """Actions, round fires and ball copies processed so far.
+
+        A ball entry carries every destination of one node-round's
+        fan-out; it counts once per destination, so the figure compares
+        with :attr:`Simulator.executed` (one action per message).
+        """
         return self._executed
 
     def fork_rng(self, label: str) -> random.Random:
@@ -182,6 +198,13 @@ class FlatEngine:
 
         With ``until`` the clock always advances to exactly ``until``
         (Simulator parity), even when the calendar drains early.
+        ``max_events`` is the safety bound of
+        :meth:`Simulator.run <repro.sim.engine.Simulator.run>`: once
+        this call has executed that many entries and more are due,
+        :class:`~repro.core.errors.SimulationError` is raised and what
+        has not run stays in the calendar. The bound is tested before
+        each entry; a run of round fires or of ball entries is one
+        batch and runs whole, so the count may overshoot by one batch.
         """
         if self._running:
             raise SimulationError("engine is already running")
@@ -191,99 +214,55 @@ class FlatEngine:
         ticks = self._ticks
         cluster = self._cluster
         if cluster is not None:
-            # Hot references for the inlined ball-delivery path below.
-            # All of these are stable objects mutated in place for the
-            # cluster's lifetime (lists indexed per node, the shared
-            # partition dict, the stats record) — never rebound.
-            run_round = cluster._run_round
-            run_round_batch = cluster._run_round_batch
-            alive = cluster._alive
-            next_ball = cluster._next_ball
-            clock_value = cluster._clock_value
-            ttl_bound = cluster._ttl
-            logical = cluster._logical
-            net = cluster.network
-            stats = net.stats
-            partition = net._partition
-        else:
-            run_round = None
+            run_rounds = cluster._run_round_batch
+            receive_balls = cluster._receive_ball_batch
+        bucket: list = []
+        index = 0
         try:
             while ticks:
                 tick = ticks[0]
                 if until is not None and tick > until:
                     break
-                heappop(ticks)
-                bucket = calendar.pop(tick, None)
-                if bucket is None:
-                    # Stale heap key: the tick's bucket was recreated
-                    # and re-pushed while being processed.
-                    continue
-                self._time = tick
+                # The bucket stays in the calendar while it runs, so an
+                # action scheduling at the current tick appends to this
+                # very list — after the tick's remaining entries, as a
+                # higher ``seq`` would — and the index loop picks it up.
+                bucket = calendar[tick]
                 index = 0
-                # Index loop, not iteration: actions may append more
-                # same-tick entries to this very bucket.
+                self._time = tick
                 while index < len(bucket):
                     entry = bucket[index]
-                    index += 1
                     op = entry[0]
-                    if op == _OP_ROUND:
-                        if max_events is None:
-                            # Whole-bucket fast path: consume the run of
-                            # consecutive round entries in one call.
-                            consumed = run_round_batch(bucket, index - 1)
-                            index += consumed - 1
-                            processed += consumed
-                            continue
-                        run_round(entry[1], entry[2])
-                    elif op == _OP_BALL:
-                        # FlatCluster._receive_ball, inlined (keep the
-                        # two in sync — the method remains the reference
-                        # implementation and is what shard.py calls).
-                        dst = entry[2]
-                        if not alive[dst]:
-                            stats.dropped_dead += 1
-                        elif net._partitioned and partition.get(
-                            entry[1]
-                        ) != partition.get(dst):
-                            stats.dropped_partition += 1
-                        else:
-                            stats.delivered += 1
-                            nb = next_ball[dst]
-                            nb_get = nb.get
-                            if logical:
-                                clock = clock_value[dst]
-                                for e in entry[3]:
-                                    if e[3] < ttl_bound:
-                                        eid = e[0]
-                                        record = nb_get(eid)
-                                        if record is None:
-                                            nb[eid] = [eid, e[1], e[2], e[3]]
-                                        elif e[3] > record[3]:
-                                            record[3] = e[3]
-                                    ts = e[1][0]
-                                    if ts > clock:
-                                        clock = ts
-                                clock_value[dst] = clock
-                            else:
-                                for e in entry[3]:
-                                    if e[3] < ttl_bound:
-                                        eid = e[0]
-                                        record = nb_get(eid)
-                                        if record is None:
-                                            nb[eid] = [eid, e[1], e[2], e[3]]
-                                        elif e[3] > record[3]:
-                                            record[3] = e[3]
+                    if op == _OP_CALL and entry[1][0] is None:
+                        index += 1  # cancelled
+                        continue
+                    if max_events is not None and processed >= max_events:
+                        raise SimulationError(
+                            f"exceeded max_events={max_events} at tick {tick}"
+                        )
+                    if op == _OP_BALL:
+                        # A run of consecutive ball entries, or of round
+                        # fires, is consumed in one call.
+                        consumed, copies = receive_balls(bucket, index)
+                        index += consumed
+                        processed += copies
+                    elif op == _OP_ROUND:
+                        consumed = run_rounds(bucket, index)
+                        index += consumed
+                        processed += consumed
                     else:
+                        index += 1
                         cell = entry[1]
                         action = cell[0]
-                        if action is None:
-                            continue
                         cell[0] = None
                         action()
-                    processed += 1
-                    if max_events is not None and processed >= max_events:
-                        return processed
+                        processed += 1
+                heappop(ticks)
+                del calendar[tick]
         finally:
+            # A tick cut short (max_events, a raising action) keeps its
+            # unprocessed remainder; a finished bucket is garbage.
+            del bucket[:index]
             self._executed += processed
             self._running = False
         if until is not None and self._time < until:
@@ -358,11 +337,7 @@ class FlatNetwork:
         self._partitioned = False
 
     def set_partition(self, groups: Dict[int, object]) -> None:
-        """Partition the network: only same-group nodes can talk.
-
-        Mutates the partition dict in place — the engine's run loop
-        holds a reference to it across an entire ``run()`` call.
-        """
+        """Partition the network: only same-group nodes can talk."""
         self._partition.clear()
         self._partition.update(groups)
         self._partitioned = True
@@ -463,9 +438,9 @@ class FlatCluster:
         self._node_rng: List[Optional[random.Random]] = []
         self._issued: List[int] = []  # broadcast sequence counter
         self._clock_value: List[int] = []  # logical clock (Alg. 4)
-        self._next_ball: List[Optional[dict]] = []  # eid -> [eid, key, payload, ttl]
+        self._next_ball: List[Optional[dict]] = []  # eid -> ttl
         self._ord_rounds: List[int] = []
-        self._received: List[Optional[dict]] = []  # eid -> [key, payload, ttl, round]
+        self._received: List[Optional[dict]] = []  # eid -> [key, ttl, round]
         self._frontier: List[Optional[dict]] = []  # due round -> [eid, ...]
         self._queued: List[Optional[list]] = []  # min-heap of (key, eid)
         self._ready: List[Optional[list]] = []  # min-heap of (key, eid)
@@ -482,7 +457,8 @@ class FlatCluster:
 
         # -- delivery recording ----------------------------------------
         self._record_sequences = record == "sequences"
-        #: eid -> (order key, broadcast tick, payload)
+        #: eid -> (order key, broadcast tick, payload): the one place an
+        #: event's content lives; balls carry ids and TTLs only.
         self._broadcasts: Dict[Tuple[int, int], tuple] = {}
         self._membership_log: List[tuple] = []
         self._sequences: Dict[int, List[OrderKey]] = {}
@@ -586,7 +562,7 @@ class FlatCluster:
         self._issued[node_id] = seq + 1
         eid = (node_id, seq)
         key = (ts, node_id, seq)
-        self._next_ball[node_id][eid] = [eid, key, payload, 0]
+        self._next_ball[node_id][eid] = 0
         self._broadcasts[eid] = (key, self.sim._time, payload)
         return Event(id=eid, ts=ts, source_id=node_id, payload=payload)
 
@@ -657,14 +633,6 @@ class FlatCluster:
     # Hot path: one node-round (Algorithms 1 + 2, inlined)
     # ------------------------------------------------------------------
 
-    def _run_round(self, node: int, incarnation: int) -> None:
-        """One node-round; thin wrapper over :meth:`_run_round_batch`.
-
-        The sharded driver calls this per node; the engine's run loop
-        calls the batch form directly over whole calendar buckets.
-        """
-        self._run_round_batch(((_OP_ROUND, node, incarnation),), 0)
-
     def _run_round_batch(self, bucket: Sequence[tuple], start: int) -> int:
         """Execute a maximal run of consecutive ``_OP_ROUND`` entries.
 
@@ -677,7 +645,9 @@ class FlatCluster:
         batch. Under synchronized rounds one tick holds a round entry
         for every node, so hoisting engine/network state once per batch
         instead of once per node is a large share of the flat engine's
-        advantage at n >= 4k.
+        advantage at n >= 4k. The network counters are kept in locals
+        and written back when the batch ends, which is before any
+        action can read them.
         """
         sim = self.sim
         now_tick = sim._time
@@ -699,23 +669,32 @@ class FlatCluster:
         alive = self._alive
         directory = self.directory
         population = directory._alive
+        ttl_bound = self._ttl
+        logical = self._logical
+        broadcasts = self._broadcasts
         net = self.network
-        stats = net.stats
         loss_rate = net.loss_rate
         duplicate_rate = net.duplicate_rate
         loss_random = net._loss_rng.random
         latency = net.latency
-        # FixedLatency draws nothing from the latency RNG, so its
-        # constant can be hoisted out of the send loops entirely.
+        # FixedLatency draws nothing from the latency RNG, so all sends
+        # of a node-round share one arrival tick and one calendar entry.
         if type(latency) is FixedLatency:
             latency_sample = None
-            fixed_delay = now_tick + int(latency.ticks)
+            fixed_tick = now_tick + int(latency.ticks)
         else:
             latency_sample = latency.sample
-            fixed_delay = 0
+            fixed_tick = 0
         latency_rng = net._latency_rng
-        partition = net._partition
+        partition_get = net._partition.get
         partitioned = net._partitioned
+        # With no partition, loss or duplication every sampled peer gets
+        # exactly one copy (peers come from the live directory, so the
+        # send-time ``alive`` check cannot fire): the per-destination
+        # filter below is skipped and the peer list itself is the
+        # destination list.
+        filtered = partitioned or loss_rate > 0.0 or duplicate_rate > 0.0
+        sent = cut = lost = dead = duplicated = 0
         # Peer-sampling constants: membership is fixed for the batch.
         fanout = self._fanout
         pool_n = len(population)
@@ -738,19 +717,31 @@ class FlatCluster:
             node_rng = node_rngs[node]
             nb = next_balls[node]
             if nb:
-                # Age every pending record and relay the ball to K
-                # peers. One ball list is shared by all K sends (and
-                # any duplicates) — never copied, matching send_many.
-                ball = [
-                    (rec[0], rec[1], rec[2], rec[3] + 1) for rec in nb.values()
-                ]
+                # Age the pending ball. ``ball`` (every entry) is what
+                # this node's own ordering round merges; ``live`` (the
+                # entries still below the TTL — the same object when
+                # none expired) is what receivers merge. Both are built
+                # here, shared by all K sends and any duplicates, and
+                # never mutated afterwards.
+                ball = {eid: ttl + 1 for eid, ttl in nb.items()}
                 nb.clear()
+                if max(ball.values()) < ttl_bound:
+                    live = ball
+                else:
+                    live = {
+                        eid: ttl for eid, ttl in ball.items() if ttl < ttl_bound
+                    }
+                # The logical clock (Alg. 4) max-merges every entry's
+                # timestamp, expired ones included: taken once per ball.
+                max_ts = None
+                if logical:
+                    max_ts = max([broadcasts[eid][0][0] for eid in ball])
                 # Peer sampling, inlined from MembershipDirectory.sample
                 # for the sparse rejection branch. The getrandbits loop
                 # is byte-for-byte CPython's Random._randbelow, so it
                 # consumes the identical bit stream randrange() would.
                 if k <= 0:
-                    peers: Sequence[int] = ()
+                    peers: List[int] = []
                 elif sparse:
                     getrandbits = node_rng.getrandbits
                     peers = []
@@ -769,45 +760,59 @@ class FlatCluster:
                             count += 1
                 else:
                     peers = directory.sample(node_rng, fanout, exclude=node)
-                for dst in peers:
-                    stats.sent += 1
-                    if partitioned and partition.get(node) != partition.get(dst):
-                        stats.dropped_partition += 1
-                        continue
-                    if loss_rate > 0.0 and loss_random() < loss_rate:
-                        stats.dropped_loss += 1
-                        continue
-                    if not alive[dst]:
-                        stats.dropped_dead += 1
-                        continue
-                    if latency_sample is None:
-                        tick = fixed_delay
-                    else:
+                sent += len(peers)
+                if filtered:
+                    # SimNetwork.send's checks and draws, in its order;
+                    # a duplicate is a second copy to the same peer.
+                    group = partition_get(node)
+                    dsts = []
+                    for dst in peers:
+                        if partitioned and group != partition_get(dst):
+                            cut += 1
+                        elif loss_rate > 0.0 and loss_random() < loss_rate:
+                            lost += 1
+                        elif not alive[dst]:
+                            dead += 1
+                        else:
+                            dsts.append(dst)
+                            if (
+                                duplicate_rate > 0.0
+                                and loss_random() < duplicate_rate
+                            ):
+                                duplicated += 1
+                                dsts.append(dst)
+                else:
+                    dsts = peers
+                # One calendar entry per (ball, arrival tick). sim._push,
+                # inlined: the heap only grows on fresh ticks.
+                if latency_sample is not None:
+                    for dst in dsts:
                         tick = now_tick + int(
                             latency_sample(latency_rng, node, dst)
                         )
-                    # sim._push, inlined: one dict probe per message
-                    # (the heap only grows on fresh ticks).
-                    slot = calendar_get(tick)
-                    if slot is None:
-                        calendar[tick] = [(_OP_BALL, node, dst, ball)]
-                        heappush(ticks, tick)
-                    else:
-                        slot.append((_OP_BALL, node, dst, ball))
-                    if duplicate_rate > 0.0 and loss_random() < duplicate_rate:
-                        stats.duplicated += 1
-                        if latency_sample is None:
-                            tick = fixed_delay
-                        else:
-                            tick = now_tick + int(
-                                latency_sample(latency_rng, node, dst)
-                            )
                         slot = calendar_get(tick)
                         if slot is None:
-                            calendar[tick] = [(_OP_BALL, node, dst, ball)]
+                            calendar[tick] = [
+                                (_OP_BALL, node, [dst], live, max_ts)
+                            ]
                             heappush(ticks, tick)
+                            continue
+                        # A round body is atomic: if this ball already
+                        # has an entry at that tick, it is the last one.
+                        last = slot[-1]
+                        if last[0] == _OP_BALL and last[3] is live:
+                            last[2].append(dst)
                         else:
-                            slot.append((_OP_BALL, node, dst, ball))
+                            slot.append((_OP_BALL, node, [dst], live, max_ts))
+                elif dsts:
+                    slot = calendar_get(fixed_tick)
+                    if slot is None:
+                        calendar[fixed_tick] = [
+                            (_OP_BALL, node, dsts, live, max_ts)
+                        ]
+                        heappush(ticks, fixed_tick)
+                    else:
+                        slot.append((_OP_BALL, node, dsts, live, max_ts))
             else:
                 ball = None
 
@@ -852,79 +857,99 @@ class FlatCluster:
                 heappush(ticks, tick)
             else:
                 slot.append((_OP_ROUND, node, incarnation))
+        stats = net.stats
+        stats.sent += sent
+        stats.dropped_partition += cut
+        stats.dropped_loss += lost
+        stats.dropped_dead += dead
+        stats.duplicated += duplicated
         return index - start
 
-    def _receive_ball(self, src: int, dst: int, ball: list) -> None:
-        """Deliver one ball: fabric checks + Algorithm 1 receive merge.
+    def _receive_ball_batch(
+        self, bucket: Sequence[tuple], start: int
+    ) -> Tuple[int, int]:
+        """Deliver a maximal run of consecutive ``_OP_BALL`` entries.
 
-        Reference implementation of the ``_OP_BALL`` handling that
-        :meth:`FlatEngine.run` inlines for speed (keep the two in
-        sync). The sharded driver calls this method directly when
-        routing cross-shard balls.
+        Fabric checks + the Algorithm 1 receive merge, once per
+        destination of every entry in ``bucket[start:]`` up to the
+        first non-ball entry; returns ``(entries consumed, copies)``.
+        A merge neither schedules work nor touches membership or the
+        partition, so the run is a batch for the same reason a run of
+        round fires is. A copy is merged into the receiver's pending
+        ball by max-TTL per event, and the common cases cost no
+        Python-level loop: an empty pending ball takes the whole of
+        ``live`` in its order, and a copy whose every ``(event, ttl)``
+        the receiver already holds is skipped by the dict-view subset
+        test, which reads exactly the state the merge would have
+        written — there is no memo to invalidate.
         """
+        alive = self._alive
+        next_ball = self._next_ball
+        clock_value = self._clock_value
         net = self.network
+        partitioned = net._partitioned
+        partition_get = net._partition.get
+        copies = dead = cut = 0
+        index = start
+        end = len(bucket)
+        while index < end:
+            entry = bucket[index]
+            if entry[0] != _OP_BALL:
+                break
+            index += 1
+            _op, src, dsts, live, max_ts = entry
+            copies += len(dsts)
+            live_items = live.items()
+            for dst in dsts:
+                if not alive[dst]:
+                    dead += 1  # died while the ball was in flight
+                    continue
+                if partitioned and partition_get(src) != partition_get(dst):
+                    cut += 1
+                    continue
+                nb = next_ball[dst]
+                if not nb:
+                    nb.update(live)
+                elif not live_items <= nb.items():
+                    nb_get = nb.get
+                    for eid, ttl in live_items:
+                        old = nb_get(eid)
+                        if old is None or ttl > old:
+                            nb[eid] = ttl
+                if max_ts is not None and max_ts > clock_value[dst]:
+                    clock_value[dst] = max_ts
         stats = net.stats
-        if not self._alive[dst]:
-            # Destination died while the ball was in flight.
-            stats.dropped_dead += 1
-            return
-        if net._partitioned and net._partition.get(src) != net._partition.get(dst):
-            stats.dropped_partition += 1
-            return
-        stats.delivered += 1
-        nb = self._next_ball[dst]
-        ttl_bound = self._ttl
-        if self._logical:
-            # The logical clock (Alg. 4) max-merges every entry's
-            # timestamp, including expired ones.
-            clock = self._clock_value[dst]
-            for entry in ball:
-                if entry[3] < ttl_bound:
-                    eid = entry[0]
-                    record = nb.get(eid)
-                    if record is None:
-                        nb[eid] = [eid, entry[1], entry[2], entry[3]]
-                    elif entry[3] > record[3]:
-                        record[3] = entry[3]
-                ts = entry[1][0]
-                if ts > clock:
-                    clock = ts
-            self._clock_value[dst] = clock
-        else:
-            for entry in ball:
-                if entry[3] < ttl_bound:
-                    eid = entry[0]
-                    record = nb.get(eid)
-                    if record is None:
-                        nb[eid] = [eid, entry[1], entry[2], entry[3]]
-                    elif entry[3] > record[3]:
-                        record[3] = entry[3]
+        stats.delivered += copies - dead - cut
+        stats.dropped_dead += dead
+        stats.dropped_partition += cut
+        return index - start, copies
 
     # ------------------------------------------------------------------
     # Ordering internals (flat port of core/ordering.py)
     # ------------------------------------------------------------------
 
-    def _merge_ball(self, node: int, ball: list, now: int) -> None:
+    def _merge_ball(self, node: int, ball: dict, now: int) -> None:
         received = self._received[node]
         delivered_ids = self._delivered_ids[node]
         ready_ids = self._ready_ids[node]
         frontier = self._frontier[node]
         queued = self._queued[node]
+        broadcasts = self._broadcasts
         ttl_bound = self._ttl
         last_key = self._last_key[node]
-        for entry in ball:
-            eid = entry[0]
+        for eid, ttl in ball.items():
             if eid in delivered_ids:
                 self.discarded_duplicates += 1
                 continue
-            key = entry[1]
+            # The order key comes from this node's own record; the
+            # broadcast table is read on first sight only.
+            record = received.get(eid)
+            key = broadcasts[eid][0] if record is None else record[0]
             if key <= last_key:
                 self.discarded_late += 1
                 continue
-            record = received.get(eid)
-            ttl = entry[3]
             if record is None:
-                received[eid] = [key, entry[2], ttl, now]
+                received[eid] = [key, ttl, now]
                 due = now + ttl_bound - ttl + 1
                 if due <= now:
                     self._promote(node, (eid,), now)
@@ -937,15 +962,15 @@ class FlatCluster:
                     heappush(queued, (key, eid))
             else:
                 # Rebase the stored TTL to this round, then max-merge.
-                aged = record[2] + (now - record[3])
+                aged = record[1] + (now - record[2])
                 if eid in ready_ids:
-                    record[2] = aged if aged >= ttl else ttl
-                    record[3] = now
+                    record[1] = aged if aged >= ttl else ttl
+                    record[2] = now
                     continue
                 old_due = now + ttl_bound - aged + 1
                 merged = aged if aged >= ttl else ttl
-                record[2] = merged
-                record[3] = now
+                record[1] = merged
+                record[2] = now
                 new_due = now + ttl_bound - merged + 1
                 if new_due < old_due:
                     target = new_due if new_due > now else now
@@ -964,9 +989,9 @@ class FlatCluster:
             record = received.get(eid)
             if record is None or eid in ready_ids:
                 continue
-            aged = record[2] + (now - record[3])
-            record[2] = aged
-            record[3] = now
+            aged = record[1] + (now - record[2])
+            record[1] = aged
+            record[2] = now
             if aged > ttl_bound:
                 ready_ids.add(eid)
                 heappush(ready, (record[0], eid))

@@ -1,23 +1,31 @@
-"""Unit tests for the flat engine, its recording modes, and sharding.
+"""Unit tests for the flat engine and its recording modes.
 
 Equivalence with the object engine lives in
 ``tests/sim/test_flat_equivalence.py``; this file pins down the flat
 stack's own contracts — calendar semantics, the explicit feature
 restrictions, the two recording modes, ``as_collector`` parity with the
-metrics checkers, and the lockstep sharded driver (in-process and via
-``multiprocessing``).
+metrics checkers, and the ball representation (shared, never mutated,
+one calendar entry per node-round's fan-out).
 """
 
 from __future__ import annotations
+
+import math
 
 import pytest
 
 from repro.core.config import EpToConfig
 from repro.core.errors import MembershipError, SimulationError
 from repro.metrics import check_run
-from repro.sim import ClusterConfig, FixedLatency, NoDrift, UniformDrift
-from repro.sim.flat import FlatCluster, FlatEngine, FlatNetwork
-from repro.sim.shard import ShardedSimulation
+from repro.sim import (
+    ClusterConfig,
+    FixedLatency,
+    NoDrift,
+    Simulator,
+    UniformDrift,
+    UniformLatency,
+)
+from repro.sim.flat import _OP_BALL, FlatCluster, FlatEngine, FlatNetwork
 
 
 def _config(
@@ -82,6 +90,37 @@ def test_engine_run_until_advances_clock_even_when_drained():
     sim.run(until=50)
     assert sim.now() == 50
     assert sim.executed_count == 1
+
+
+@pytest.mark.parametrize("engine", [Simulator, FlatEngine])
+def test_max_events_raises_and_loses_nothing(engine):
+    """``max_events`` is a safety bound, the same on both engines.
+
+    Exceeding it raises; whatever had not run — the rest of the tick
+    included — is still scheduled and runs on the next call.
+    """
+    sim = engine(seed=1)
+    trace = []
+    for i in range(5):
+        sim.schedule(3, lambda i=i: trace.append(i))
+    sim.schedule(4, lambda: trace.append("next tick"))
+    with pytest.raises(SimulationError):
+        sim.run(max_events=2)
+    assert trace == [0, 1]
+    sim.run()
+    assert trace == [0, 1, 2, 3, 4, "next tick"]
+
+
+@pytest.mark.parametrize("engine", [Simulator, FlatEngine])
+def test_max_events_equal_to_the_work_does_not_raise(engine):
+    sim = engine(seed=1)
+    trace = []
+    cancelled = sim.schedule(2, lambda: trace.append("cancelled"))
+    for i in range(3):
+        sim.schedule(2, lambda i=i: trace.append(i))
+    cancelled.cancel()
+    sim.run(max_events=3)
+    assert trace == [0, 1, 2]
 
 
 def test_engine_fork_rng_is_deterministic_per_label():
@@ -196,104 +235,112 @@ def test_as_collector_passes_table1_checks():
 
 
 # ----------------------------------------------------------------------
-# Sharded lockstep driver
+# Ball representation: {event id: ttl}, shared and never mutated, one
+# calendar entry per node-round's fan-out
 # ----------------------------------------------------------------------
 
-_SHARD_N = 48
-_SHARD_ROUNDS = 30
-_SHARD_PLAN = [
-    (1, 0, "a"),
-    (1, 17, "b"),
-    (2, 40, "c"),
-    (3, 17, "d"),
-    (4, 5, None),
-    (5, 33, "e"),
-]
+
+def _ball_entries(sim: FlatEngine) -> list:
+    return [
+        entry
+        for bucket in sim._calendar.values()
+        for entry in bucket
+        if entry[0] == _OP_BALL
+    ]
 
 
-def _shard_config(clock: str = "global") -> ClusterConfig:
-    return ClusterConfig(
-        epto=EpToConfig(fanout=5, ttl=7, round_interval=20, clock=clock),
-        drift=NoDrift(),
-    )
+def test_ball_in_flight_is_never_mutated():
+    """What a late receiver sees is what was sent.
 
-
-def _reference_flat(clock: str = "global"):
-    config = _shard_config(clock)
-    sim = FlatEngine(seed=5)
-    net = FlatNetwork(sim, latency=FixedLatency(3))
+    Copies of one ball arrive up to 15 ticks apart; in between, earlier
+    receivers merged it, re-aged it and cleared their pending balls,
+    and the sender's own ordering round consumed it. TTL 3 makes
+    entries expire, so the filtered ``live`` dict is covered as well as
+    the shared ``ball``.
+    """
+    config = _config(fanout=3, ttl=3, interval=20)
+    ttl = config.epto.ttl
+    sim = FlatEngine(seed=9)
+    net = FlatNetwork(sim, latency=UniformLatency(1, 15))
     cluster = FlatCluster(sim, net, config)
-    interval = config.epto.round_interval
-    for r, node, payload in _SHARD_PLAN:
-        sim.schedule_at(
-            r * interval,
-            lambda nd=node, p=payload: cluster.broadcast_from(nd, p),
+    cluster.add_nodes(8)
+    for node in range(4):
+        sim.schedule_at(5 + node, lambda nd=node: cluster.broadcast_from(nd, nd))
+    sent = []  # (the dict in flight, its entries as sent)
+    seen = set()
+    expired = 0
+    for r in range(1, 9):
+        sim.run(until=r * 20 - 1)  # every ball of round r-1 has landed
+        pending = {
+            node: dict(cluster._next_ball[node]) for node in cluster.alive_ids()
+        }
+        sim.run(until=r * 20)  # round r: every node ages, sends, orders
+        for _op, src, _dsts, live, _max_ts in _ball_entries(sim):
+            if id(live) in seen:
+                continue
+            seen.add(id(live))
+            expected = [
+                (eid, t + 1) for eid, t in pending[src].items() if t + 1 < ttl
+            ]
+            assert list(live.items()) == expected
+            sent.append((live, expected))
+            expired += len(pending[src]) - len(expected)
+    sim.run(until=10 * 20)
+    assert len(sent) > 8 and expired > 0
+    for live, expected in sent:
+        assert list(live.items()) == expected
+
+
+def test_one_calendar_entry_per_node_round_counts_every_copy():
+    n = 64
+    config = _config(fanout=5, ttl=8, interval=20)
+    sim = FlatEngine(seed=3)
+    net = FlatNetwork(sim, latency=FixedLatency(1))
+    cluster = FlatCluster(sim, net, config)
+    cluster.add_nodes(n)
+    for node in range(n):
+        cluster.broadcast_from(node)
+    sim.run(until=20)  # one synchronized round: every node relays
+    bucket = sim._calendar[21]
+    assert len(bucket) <= n
+    assert all(entry[0] == _OP_BALL for entry in bucket)
+    assert net.stats.sent == n * 5
+    before = sim.executed_count
+    sim.run(until=21)
+    assert sim.executed_count - before == n * 5
+    assert net.stats.delivered == n * 5
+
+
+@pytest.mark.parametrize("latency", [FixedLatency(3), UniformLatency(1, 25)])
+def test_unfiltered_send_path_equals_filtered_path(latency):
+    """The no-fault send path skips the per-destination filter.
+
+    A ``duplicate_rate`` of the smallest positive float never fires and
+    draws only from the separate ``network.loss`` stream, but forces
+    every send through the filter: both runs must agree exactly.
+    """
+
+    def run(duplicate_rate: float):
+        config = _config(
+            fanout=4, ttl=6, clock="logical", drift=UniformDrift(0.05)
         )
-    cluster.add_nodes(_SHARD_N)
-    sim.run(until=_SHARD_ROUNDS * interval)
-    return cluster
+        sim = FlatEngine(seed=21)
+        net = FlatNetwork(sim, latency=latency, duplicate_rate=duplicate_rate)
+        cluster = FlatCluster(sim, net, config)
+        cluster.add_nodes(20)
+        for r in range(1, 9):
+            sim.schedule_at(
+                r * 20 + 7, lambda nd=r % 20: cluster.broadcast_from(nd, nd)
+            )
+        sim.schedule_at(102, lambda: cluster.remove_node(13))
+        sim.run(until=24 * 20)
+        return cluster
 
-
-@pytest.mark.parametrize("clock", ["global", "logical"])
-@pytest.mark.parametrize("shards", [1, 3])
-def test_sharded_inline_matches_flat_reference(clock, shards):
-    reference = _reference_flat(clock)
-    sharded = ShardedSimulation(
-        _SHARD_N, _shard_config(clock), seed=5, latency=3, shards=shards
-    )
-    result = sharded.run(_SHARD_ROUNDS, _SHARD_PLAN)
-    assert result.sequences == reference.sequences()
-    assert sorted(result.delays) == sorted(reference.delivery_delays())
-    assert result.sent == reference.network.stats.sent
-    assert result.delivered == reference.network.stats.delivered
-
-
-def test_sharded_processes_matches_inline():
-    inline = ShardedSimulation(
-        _SHARD_N, _shard_config(), seed=5, latency=3, shards=4
-    ).run(_SHARD_ROUNDS, _SHARD_PLAN, processes=0)
-    procs = ShardedSimulation(
-        _SHARD_N, _shard_config(), seed=5, latency=3, shards=4
-    ).run(_SHARD_ROUNDS, _SHARD_PLAN, processes=2)
-    assert procs.sequences == inline.sequences
-    assert (procs.sent, procs.delivered) == (inline.sent, inline.delivered)
-
-
-def test_sharded_stats_mode_merges_counts_and_hashes():
-    full = ShardedSimulation(
-        _SHARD_N, _shard_config(), seed=5, latency=3, shards=3
-    ).run(_SHARD_ROUNDS, _SHARD_PLAN)
-    stats = ShardedSimulation(
-        _SHARD_N, _shard_config(), seed=5, latency=3, shards=3, record="stats"
-    ).run(_SHARD_ROUNDS, _SHARD_PLAN)
-    assert stats.counts == {n: len(s) for n, s in full.sequences.items()}
-    assert sorted(stats.delays) == sorted(full.delays)
-
-
-def test_sharded_rejects_lockstep_unsafe_configs():
-    good = _shard_config()
-    with pytest.raises(MembershipError):
-        ShardedSimulation(
-            16,
-            ClusterConfig(
-                epto=good.epto, drift=NoDrift(), round_phase="staggered"
-            ),
-        )
-    with pytest.raises(MembershipError):
-        ShardedSimulation(
-            16, ClusterConfig(epto=good.epto, drift=UniformDrift(0.01))
-        )
-    with pytest.raises(MembershipError):
-        ShardedSimulation(16, good, latency=good.epto.round_interval)
-    with pytest.raises(MembershipError):
-        ShardedSimulation(16, good, latency=0)
-    with pytest.raises(MembershipError):
-        ShardedSimulation(16, good, shards=17)
-
-
-def test_sharded_rejects_out_of_window_broadcasts():
-    sharded = ShardedSimulation(16, _shard_config(), shards=2)
-    with pytest.raises(MembershipError):
-        sharded.run(5, [(0, 3, None)])
-    with pytest.raises(MembershipError):
-        sharded.run(5, [(6, 3, None)])
+    plain = run(0.0)
+    filtered = run(math.ulp(0.0))
+    assert filtered.network.stats.duplicated == 0
+    assert filtered.sequences() == plain.sequences()
+    assert filtered.deliveries() == plain.deliveries()
+    assert filtered.network.stats == plain.network.stats
+    assert plain.network.stats.dropped_dead > 0
+    assert plain.delivered_total >= 8 * 19
