@@ -30,6 +30,7 @@ from .event import (
     EventIdGenerator,
     EventRecord,
     OrderKey,
+    SharedBall,
     ball_event_ids,
     make_ball,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "OrderingStats",
     "PeerSampler",
     "ReproError",
+    "SharedBall",
     "SimulationError",
     "StabilityEstimate",
     "StabilityEstimator",

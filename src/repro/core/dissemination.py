@@ -38,8 +38,7 @@ from .event import (
     Event,
     EventId,
     EventIdGenerator,
-    EventRecord,
-    make_ball,
+    SharedBall,
 )
 from .interfaces import PeerSampler, Transport
 
@@ -60,6 +59,17 @@ def payload_nbytes(payload: Any) -> int:
         return len(json.dumps(payload).encode())
     except (TypeError, ValueError):
         return len(repr(payload).encode())
+
+
+def event_payload_nbytes(event: Event) -> int:
+    """:func:`payload_nbytes` of *event*'s payload, measured once per
+    :class:`~repro.core.event.Event` object and kept on it: an event is
+    relayed by every node for TTL rounds, its payload never changes."""
+    size = event._payload_nbytes
+    if size < 0:
+        size = payload_nbytes(event.payload)
+        object.__setattr__(event, "_payload_nbytes", size)
+    return size
 
 
 @dataclass(slots=True)
@@ -124,8 +134,12 @@ class DisseminationComponent:
         self.rng = rng if rng is not None else random.Random()
         self.stats = DisseminationStats()
         self._id_generator = EventIdGenerator(node_id)
-        # nextBall: events to relay next round, keyed by event id.
-        self._next_ball: dict[EventId, EventRecord] = {}
+        # nextBall: events to relay next round and the TTL of each, two
+        # dicts with the same keys in the same insertion order. The TTLs
+        # are a plain ``{event id: ttl}`` so that a received
+        # :class:`SharedBall` can be tested against them in C.
+        self._next_events: dict[EventId, Event] = {}
+        self._next_ttls: dict[EventId, int] = {}
         # Only logical clocks react to update_clock; skip the per-entry
         # call entirely for global clocks (hot path at scale).
         self._clock_needs_updates = config.clock == "logical"
@@ -137,7 +151,7 @@ class DisseminationComponent:
     @property
     def next_ball_size(self) -> int:
         """Number of events queued for relay next round."""
-        return len(self._next_ball)
+        return len(self._next_ttls)
 
     def broadcast(self, payload: Any = None) -> Event:
         """EpTO-broadcast a new event (Algorithm 1 lines 6–10).
@@ -155,7 +169,8 @@ class DisseminationComponent:
             source_id=self.node_id,
             payload=payload,
         )
-        self._next_ball[event.id] = EventRecord(event, ttl=0)
+        self._next_events[event.id] = event
+        self._next_ttls[event.id] = 0
         self.stats.events_broadcast += 1
         return event
 
@@ -171,22 +186,50 @@ class DisseminationComponent:
         Note the expired events are dropped entirely: they do not reach
         the ordering component either, exactly as in the pseudocode
         where ``orderEvents`` only ever sees ``nextBall``.
+
+        A push epidemic hands a node each event about ``K * TTL``
+        times, so most balls teach their receiver nothing. A
+        :class:`~repro.core.event.SharedBall` carries the ``{event id:
+        ttl}`` map its sender built; when every live entry of it is
+        already pending here *at that very TTL* the max-merge below
+        would change nothing, and one C-level dict-view subset test
+        says so. The test reads the state the merge would have written,
+        so nothing is memoised per receiver and nothing needs
+        invalidating. Any other ball — one that adds or raises
+        something, or a plain tuple off the wire — is merged entry by
+        entry.
         """
-        self.stats.balls_received += 1
+        stats = self.stats
+        stats.balls_received += 1
+        stats.entries_received += len(ball)
         ttl_bound = self.config.ttl
-        next_ball = self._next_ball
+        next_ttls = self._next_ttls
+        if isinstance(ball, SharedBall):
+            live, expired = ball.split(ttl_bound)
+            if live.items() <= next_ttls.items():
+                stats.entries_expired += expired
+                if self._clock_needs_updates and ball:
+                    # Algorithm 4 is a max-merge: one update with the
+                    # largest timestamp leaves what one per entry does.
+                    self.oracle.update_clock(ball.max_ts)
+                return
+        next_events = self._next_events
+        update_clock = self.oracle.update_clock if self._clock_needs_updates else None
         for entry in ball:
-            self.stats.entries_received += 1
-            if entry.ttl >= ttl_bound:
-                self.stats.entries_expired += 1
+            event = entry.event
+            ttl = entry.ttl
+            if ttl >= ttl_bound:
+                stats.entries_expired += 1
             else:
-                record = next_ball.get(entry.event.id)
-                if record is not None:
-                    record.merge_ttl(entry.ttl)
-                else:
-                    next_ball[entry.event.id] = EventRecord(entry.event, entry.ttl)
-            if self._clock_needs_updates:
-                self.oracle.update_clock(entry.event.ts)
+                event_id = event.id
+                known = next_ttls.get(event_id)
+                if known is None:
+                    next_events[event_id] = event
+                    next_ttls[event_id] = ttl
+                elif ttl > known:
+                    next_ttls[event_id] = ttl
+            if update_clock is not None:
+                update_clock(event.ts)
 
     def round_tick(self) -> None:
         """Execute one relay round (Algorithm 1 lines 20–28).
@@ -194,18 +237,18 @@ class DisseminationComponent:
         Ages every queued event, ships the resulting ball to ``K``
         random peers, feeds it to the ordering component, and resets
         ``nextBall``. The ball object is immutable, so a single
-        instance is shared among all ``K`` receivers.
+        instance — entries and ``{event id: ttl}`` map, each built once
+        — is shared among all ``K`` receivers.
         """
         self.stats.rounds += 1
-        next_ball = self._next_ball
-        if next_ball:
-            # Age + snapshot fused: a nextBall record lives exactly one
-            # round, so ``ttl + 1`` lands directly in the shipped entry
-            # instead of mutating records that are discarded below.
-            ball = make_ball(
-                BallEntry(record.event, record.ttl + 1)
-                for record in next_ball.values()
-            )
+        next_ttls = self._next_ttls
+        if next_ttls:
+            # Age + snapshot fused: nextBall lives exactly one round, so
+            # ``ttl + 1`` lands directly in the shipped map and entries
+            # instead of mutating state that is discarded below.
+            events = self._next_events.values()
+            ttls = {event_id: ttl + 1 for event_id, ttl in next_ttls.items()}
+            ball = SharedBall(map(BallEntry, events, ttls.values()), ttls)
             peers = self.peer_sampler.sample(self.config.fanout)
             if self._send_many is not None:
                 self._send_many(self.node_id, peers, ball)
@@ -216,15 +259,14 @@ class DisseminationComponent:
             self.stats.entries_relayed += len(ball) * len(peers)
             fan = len(peers)
             self.stats.metadata_bytes += ENTRY_METADATA_BYTES * len(ball) * fan
-            self.stats.payload_bytes += fan * sum(
-                payload_nbytes(entry.event.payload) for entry in ball
-            )
+            self.stats.payload_bytes += fan * sum(map(event_payload_nbytes, events))
         else:
             ball = ()
         # Refinement: order/age every round, not only on non-empty
         # balls (see module docstring).
         self.order_events(ball)
-        self._next_ball = {}
+        self._next_events = {}
+        self._next_ttls = {}
 
     def resume_sequence(self, next_seq: int) -> None:
         """Fast-forward the event-id sequence (same-identity restart)."""
@@ -238,5 +280,5 @@ class DisseminationComponent:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"DisseminationComponent(node={self.node_id}, "
-            f"queued={len(self._next_ball)}, rounds={self.stats.rounds})"
+            f"queued={len(self._next_ttls)}, rounds={self.stats.rounds})"
         )

@@ -3,7 +3,7 @@
 from .churn import ChurnDriver, ChurnStats
 from .cluster import ClusterConfig, GossipProcess, SimCluster
 from .drift import BoundedDrift, DriftModel, NoDrift, UniformDrift
-from .engine import Handle, PeriodicTask, ScheduledEvent, Simulator
+from .engine import Handle, PeriodicTask, Simulator
 from .flat import FlatCluster, FlatEngine, FlatHandle, FlatNetwork
 from .latency import (
     EmpiricalLatency,
@@ -37,7 +37,6 @@ __all__ = [
     "NoDrift",
     "PeriodicTask",
     "PlanetLabLatency",
-    "ScheduledEvent",
     "SimCluster",
     "SimNetwork",
     "Simulator",

@@ -345,7 +345,11 @@ class SimCluster:
             self.sync_managers[node_id] = sync_manager
 
         def handle_message(src: int, message: Any) -> None:
-            if isinstance(message, CyclonRequest):
+            # A ball, nearly always (K of them every node-round), so it
+            # is tested first — the order of AsyncEpToNode's inbox.
+            if isinstance(message, tuple):
+                process.on_ball(message)
+            elif isinstance(message, CyclonRequest):
                 pss.handle_request(src, message)  # type: ignore[union-attr]
             elif isinstance(message, CyclonResponse):
                 pss.handle_response(src, message)  # type: ignore[union-attr]

@@ -18,8 +18,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable, List, Optional
+from typing import Callable, List
 
 from ..core.errors import SimulationError
 
@@ -27,16 +26,11 @@ from ..core.errors import SimulationError
 Action = Callable[[], None]
 
 
-@dataclass(slots=True)
-class ScheduledEvent:
-    """Internal heap entry; exposed only through :class:`Handle`."""
-
-    time: int
-    seq: int
-    action: Optional[Action]
-
-    def __lt__(self, other: "ScheduledEvent") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
+#: Heap entry ``[time, seq, action]``, exposed only through
+#: :class:`Handle`. A plain list, so ``heapq`` compares entries in C;
+#: ``seq`` is unique, so a comparison never reaches the action. Slot 2
+#: is ``None`` once the action was cancelled or has run.
+_Entry = list
 
 
 class Handle:
@@ -44,22 +38,22 @@ class Handle:
 
     __slots__ = ("_entry",)
 
-    def __init__(self, entry: ScheduledEvent) -> None:
+    def __init__(self, entry: _Entry) -> None:
         self._entry = entry
 
     def cancel(self) -> None:
         """Prevent the action from running (idempotent)."""
-        self._entry.action = None
+        self._entry[2] = None
 
     @property
     def cancelled(self) -> bool:
         """Whether the action was cancelled or already executed."""
-        return self._entry.action is None
+        return self._entry[2] is None
 
     @property
     def time(self) -> int:
         """Tick at which the action is (was) due."""
-        return self._entry.time
+        return self._entry[0]
 
 
 class Simulator:
@@ -82,7 +76,7 @@ class Simulator:
     def __init__(self, seed: int = 0) -> None:
         self.rng = random.Random(seed)
         self._seed = seed
-        self._queue: List[ScheduledEvent] = []
+        self._queue: List[_Entry] = []
         self._time = 0
         self._seq = itertools.count()
         self._executed = 0
@@ -122,7 +116,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time}, current time is {self._time}"
             )
-        entry = ScheduledEvent(time=int(time), seq=next(self._seq), action=action)
+        entry = [int(time), next(self._seq), action]
         heapq.heappush(self._queue, entry)
         return Handle(entry)
 
@@ -149,10 +143,11 @@ class Simulator:
         """
         while self._queue:
             entry = heapq.heappop(self._queue)
-            if entry.action is None:
+            action = entry[2]
+            if action is None:
                 continue  # cancelled
-            self._time = entry.time
-            action, entry.action = entry.action, None
+            self._time = entry[0]
+            entry[2] = None
             self._executed += 1
             action()
             return True
@@ -176,10 +171,10 @@ class Simulator:
         try:
             while self._queue:
                 entry = self._queue[0]
-                if entry.action is None:
+                if entry[2] is None:
                     heapq.heappop(self._queue)
                     continue
-                if until is not None and entry.time > until:
+                if until is not None and entry[0] > until:
                     break
                 if max_events is not None and executed_here >= max_events:
                     raise SimulationError(

@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Optional
+from functools import partial
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..auth.guard import BallGuard
 from ..core.errors import MembershipError
@@ -185,68 +186,90 @@ class SimNetwork:
 
     def send(self, src: int, dst: int, message: Any) -> None:
         """Best-effort send; never raises on loss or dead destinations."""
-        message = self._outbound(src, dst, message)
-        self.stats.sent += 1
-        if self._crosses_partition(src, dst):
-            self.stats.dropped_partition += 1
-            return
-        if self.loss_rate > 0.0 and self._loss_rng.random() < self.loss_rate:
-            self.stats.dropped_loss += 1
-            return
-        if dst not in self._handlers:
-            self.stats.dropped_dead += 1
-            return
-        delay = self.latency.sample(self._latency_rng, src, dst)
-        self.sim.schedule(delay, lambda: self._deliver(src, dst, message))
-        if self.duplicate_rate > 0.0 and self._loss_rng.random() < self.duplicate_rate:
-            self.stats.duplicated += 1
-            extra = self.latency.sample(self._latency_rng, src, dst)
-            self.sim.schedule(extra, lambda: self._deliver(src, dst, message))
+        self.send_many(src, (dst,), message)
 
-    def send_many(self, src: int, dsts, message: Any) -> None:
+    def send_many(self, src: int, dsts: Sequence[int], message: Any) -> None:
         """Fan one message out to every id in *dsts*.
 
-        Loss, partition and duplication decisions stay independent per
-        destination (identical randomness consumption to *dsts*
-        sequential :meth:`send` calls, keeping seeded runs bit-stable);
-        the message object itself is shared, never copied.
+        Every decision is taken per destination, in *dsts* order and
+        from the same random streams as that many one-destination
+        calls: partition, loss draw, registered-at-send, latency draw,
+        duplicate draw and the duplicate's own latency draw. What is
+        shared is the calendar: the copies that arrive at one tick are
+        **one** scheduled action carrying their destinations in send
+        order — one per fan-out under :class:`FixedLatency` instead of
+        one per copy. A round body is atomic, so per-copy actions
+        would have taken consecutive sequence numbers and run
+        back-to-back within their tick in exactly that order. The
+        message object itself is shared, never copied.
         """
+        if not dsts:
+            return
+        hostile = None
+        if isinstance(message, tuple):
+            # Sealing runs on the genuine ball *before* any adversary
+            # transform, so the guard's signature cache always pins the
+            # original canonical bytes — a mutated relay copy under the
+            # same event id fails verification at delivery. It signs
+            # what *src* originated and skips an id it already holds,
+            # so once per fan-out leaves what once per copy left.
+            if self._guard is not None:
+                self._guard.seal(src, message)
+            if self._adversary is not None and self._adversary.is_hostile(src):
+                hostile = self._adversary
+        stats = self.stats
+        handlers = self._handlers
+        partitioned = self._partitioned
+        loss_rate, duplicate_rate = self.loss_rate, self.duplicate_rate
+        draw = self._loss_rng.random
+        sample, latency_rng = self.latency.sample, self._latency_rng
+        # delay -> (destinations, their messages), both in send order.
+        arrivals: Dict[int, Tuple[list, list]] = {}
         for dst in dsts:
-            self.send(src, dst, message)
+            out = message if hostile is None else hostile.transform(src, dst, message)
+            stats.sent += 1
+            if partitioned and self._crosses_partition(src, dst):
+                stats.dropped_partition += 1
+                continue
+            if loss_rate > 0.0 and draw() < loss_rate:
+                stats.dropped_loss += 1
+                continue
+            if dst not in handlers:
+                stats.dropped_dead += 1
+                continue
+            delays = (sample(latency_rng, src, dst),)
+            if duplicate_rate > 0.0 and draw() < duplicate_rate:
+                stats.duplicated += 1
+                delays += (sample(latency_rng, src, dst),)
+            for delay in delays:
+                arrival = arrivals.get(delay)
+                if arrival is None:
+                    arrival = arrivals[delay] = ([], [])
+                arrival[0].append(dst)
+                arrival[1].append(out)
+        for delay, (arrived, outs) in arrivals.items():
+            self.sim.schedule(delay, partial(self._deliver, src, arrived, outs))
 
-    def _outbound(self, src: int, dst: int, message: Any) -> Any:
-        """Seal and (for hostile senders) transform an outgoing ball.
-
-        Sealing runs on the genuine ball *before* any adversary
-        transform, so the guard's signature cache always pins the
-        original canonical bytes — a mutated relay copy under the same
-        event id fails verification at delivery.
-        """
-        if not isinstance(message, tuple):
-            return message
-        ball = message
-        if self._guard is not None:
-            self._guard.seal(src, ball)
-        if self._adversary is not None and self._adversary.is_hostile(src):
-            ball = self._adversary.transform(src, dst, ball)
-        return ball
-
-    def _deliver(self, src: int, dst: int, message: Any) -> None:
-        handler = self._handlers.get(dst)
-        if handler is None:
-            # Destination died while the message was in flight.
-            self.stats.dropped_dead += 1
-            return
-        if self._crosses_partition(src, dst):
-            self.stats.dropped_partition += 1
-            return
-        if self._guard is not None and isinstance(message, tuple):
-            message, counts = self._guard.admit_ball(message)
-            self.stats.dropped_bad_signature += counts.bad_signature
-            self.stats.dropped_unknown_key += counts.unknown_key
-            self.stats.dropped_unsigned += counts.unsigned
-        self.stats.delivered += 1
-        handler(src, message)
+    def _deliver(self, src: int, dsts: list, messages: list) -> None:
+        """One arrival tick of one fan-out, handed over in send order."""
+        handlers = self._handlers
+        stats = self.stats
+        for dst, message in zip(dsts, messages):
+            handler = handlers.get(dst)
+            if handler is None:
+                # Destination died while the message was in flight.
+                stats.dropped_dead += 1
+                continue
+            if self._partitioned and self._crosses_partition(src, dst):
+                stats.dropped_partition += 1
+                continue
+            if self._guard is not None and isinstance(message, tuple):
+                message, counts = self._guard.admit_ball(message)
+                stats.dropped_bad_signature += counts.bad_signature
+                stats.dropped_unknown_key += counts.unknown_key
+                stats.dropped_unsigned += counts.unsigned
+            stats.delivered += 1
+            handler(src, message)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -48,6 +48,24 @@ class TestSeal:
         guard.seal(1, _ball(mutated))
         assert guard.cached_signature(own.id) == original
 
+    def test_repeated_seal_of_the_same_ball_changes_nothing(self, guard):
+        # SimNetwork.send_many seals once per fan-out where K sends
+        # sealed K times: the K-1 repeats must have been no-ops — no
+        # new signature, none replaced, cache order (FIFO eviction
+        # order) untouched, even across a key rotation.
+        ball = _ball(_event(src=1, seq=0), _event(src=2, seq=0), _event(src=1, seq=1))
+        signed = []
+        sign = guard.authenticator.sign
+        guard.authenticator.sign = lambda event: signed.append(event.id) or sign(event)
+        guard.seal(1, ball)
+        once = list(guard._signatures.items())
+        assert signed == [(1, 0), (1, 1)]
+        guard.authenticator.keyring.rotate(1)
+        for _ in range(3):
+            guard.seal(1, ball)
+        assert signed == [(1, 0), (1, 1)]
+        assert list(guard._signatures.items()) == once
+
     def test_attach_pairs_cached_signatures(self, guard):
         own, relayed = _event(src=1, seq=0), _event(src=2, seq=0)
         ball = _ball(own, relayed)

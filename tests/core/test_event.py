@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
+
 import pytest
 
+from repro.core.dissemination import event_payload_nbytes, payload_nbytes
 from repro.core.event import (
     BallEntry,
     Event,
     EventIdGenerator,
     EventRecord,
+    SharedBall,
     ball_event_ids,
     make_ball,
 )
@@ -56,6 +61,18 @@ class TestEvent:
         assert make_event(src=1, seq=2, ts=3) == make_event(src=1, seq=2, ts=3)
         assert make_event(src=1, seq=2, ts=3) != make_event(src=1, seq=2, ts=4)
 
+    def test_measured_payload_size_is_not_part_of_the_value(self):
+        measured = Event(id=(3, 1), ts=42, source_id=3, payload="payload")
+        fresh = Event(id=(3, 1), ts=42, source_id=3, payload="payload")
+        for _ in range(2):  # measured, then read back
+            assert event_payload_nbytes(measured) == payload_nbytes("payload")
+        assert measured == fresh and hash(measured) == hash(fresh)
+        assert repr(measured) == repr(fresh)
+        assert copy.copy(measured) == measured
+        # A changed payload is a new event and is measured afresh.
+        other = dataclasses.replace(measured, payload="longer than before")
+        assert event_payload_nbytes(other) == payload_nbytes("longer than before")
+
 
 class TestBallEntry:
     def test_negative_ttl_rejected(self):
@@ -67,6 +84,17 @@ class TestBallEntry:
         assert isinstance(ball, tuple)
         with pytest.raises(TypeError):
             ball[0] = None  # type: ignore[index]
+
+    def test_shared_ball_is_the_tuple_of_its_entries(self):
+        entries = [BallEntry(make_event(src=1), 0), BallEntry(make_event(src=2), 1)]
+        shared = SharedBall(entries, {(1, 0): 0, (2, 0): 1})
+        plain = make_ball(entries)
+        assert isinstance(shared, tuple) and type(plain) is tuple
+        assert shared == plain and hash(shared) == hash(plain)
+        assert len(shared) == 2 and shared[1] is entries[1]
+        assert list(ball_event_ids(shared)) == list(shared.ttls)
+        with pytest.raises(TypeError):
+            shared[0] = None  # type: ignore[index]
 
     def test_ball_event_ids(self):
         ball = make_ball(

@@ -1,0 +1,283 @@
+"""``receive_ball``'s shortcut against a plain Algorithm 1 merge.
+
+A :class:`~repro.core.event.SharedBall` whose live entries are all
+pending at its receiver *at the same TTL* is skipped with one dict-view
+subset test; every other ball is merged entry by entry. Whatever the
+sequence of balls — with and without a map, equal, lower, higher and
+expired TTLs, an empty pending ball, a broadcast in between, one ball
+shared by two receivers whose TTL bounds differ — the component must
+end in the state of the per-entry merge written out below: the same
+pending ``{event id: ttl}`` in the same insertion order (it is the next
+ball's entry order), the same next ball, the same logical clock and the
+same :class:`DisseminationStats`.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import random
+from typing import Dict, List, Tuple
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core import EpToConfig
+from repro.core.clock import GlobalClockOracle, LogicalClockOracle
+from repro.core.dissemination import (
+    ENTRY_METADATA_BYTES,
+    DisseminationComponent,
+    DisseminationStats,
+    payload_nbytes,
+)
+from repro.core.event import BallEntry, Event, SharedBall, make_ball
+
+from ..conftest import ManualOracle, RecordingTransport, StaticPeerSampler
+
+#: Two receivers that do not agree on the TTL bound.
+TTL_BOUNDS = (3, 5)
+FANOUT = 2
+PEERS = [7, 8, 9]
+
+#: Foreign events the generated balls draw from.
+POOL = [
+    Event(id=(src, seq), ts=3 * src + 5 * seq + 1, source_id=src, payload=f"p{src}{seq}")
+    for src in (10, 11, 12)
+    for seq in (0, 1)
+]
+
+
+class Model:
+    """Algorithm 1 lines 6–28, entry by entry, nothing clever."""
+
+    def __init__(self, node_id: int, ttl_bound: int, logical: bool) -> None:
+        self.node_id = node_id
+        self.ttl_bound = ttl_bound
+        self.logical = logical
+        self.clock = 0
+        self.seq = 0
+        self.pending: Dict[tuple, int] = {}
+        self.events: Dict[tuple, Event] = {}
+        self.stats = DisseminationStats()
+
+    def broadcast(self, payload, now: int) -> Event:
+        if self.logical:
+            self.clock += 1
+        event = Event(
+            id=(self.node_id, self.seq),
+            ts=self.clock if self.logical else now,
+            source_id=self.node_id,
+            payload=payload,
+        )
+        self.seq += 1
+        self.pending[event.id] = 0
+        self.events[event.id] = event
+        self.stats.events_broadcast += 1
+        return event
+
+    def receive(self, ball) -> None:
+        self.stats.balls_received += 1
+        for entry in ball:
+            self.stats.entries_received += 1
+            if entry.ttl >= self.ttl_bound:
+                self.stats.entries_expired += 1
+            elif entry.event.id in self.pending:
+                self.pending[entry.event.id] = max(
+                    self.pending[entry.event.id], entry.ttl
+                )
+            else:
+                self.pending[entry.event.id] = entry.ttl
+                self.events[entry.event.id] = entry.event
+            if self.logical:
+                self.clock = max(self.clock, entry.event.ts)
+
+    def round(self) -> List[Tuple[tuple, int]]:
+        self.stats.rounds += 1
+        ball = [(eid, ttl + 1) for eid, ttl in self.pending.items()]
+        if ball:
+            self.stats.balls_sent += FANOUT
+            self.stats.entries_relayed += FANOUT * len(ball)
+            self.stats.metadata_bytes += ENTRY_METADATA_BYTES * FANOUT * len(ball)
+            self.stats.payload_bytes += FANOUT * sum(
+                payload_nbytes(self.events[eid].payload) for eid, _ in ball
+            )
+        self.pending, self.events = {}, {}
+        return ball
+
+
+def _component(node_id: int, ttl_bound: int, clock: str, oracle):
+    transport = RecordingTransport()  # send only: FANOUT sends of one ball
+    component = DisseminationComponent(
+        node_id=node_id,
+        config=EpToConfig(fanout=FANOUT, ttl=ttl_bound, clock=clock),
+        oracle=oracle,
+        peer_sampler=StaticPeerSampler(PEERS),
+        transport=transport,
+        order_events=lambda ball: None,
+        rng=random.Random(0),
+    )
+    return component, transport
+
+
+def _build(node_id: int, ttl_bound: int, clock: str, now: List[int]):
+    oracle = (
+        LogicalClockOracle(ttl_bound)
+        if clock == "logical"
+        else GlobalClockOracle(ttl_bound, lambda: now[0])
+    )
+    component, transport = _component(node_id, ttl_bound, clock, oracle)
+    return component, transport, Model(node_id, ttl_bound, clock == "logical")
+
+
+def _agree(component: DisseminationComponent, model: Model) -> None:
+    assert list(component._next_ttls.items()) == list(model.pending.items())
+    assert list(component._next_events.items()) == list(model.events.items())
+    assert component.next_ball_size == len(model.pending)
+    assert dataclasses.asdict(component.stats) == dataclasses.asdict(model.stats)
+    if model.logical:
+        assert component.oracle.logical_clock == model.clock
+
+
+def _shared(entries: List[Tuple[Event, int]]) -> SharedBall:
+    """What a sender's round would have built: unique ids, one map."""
+    unique = {event.id: (event, ttl) for event, ttl in entries}
+    return SharedBall(
+        (BallEntry(event, ttl) for event, ttl in unique.values()),
+        {eid: ttl for eid, (_, ttl) in unique.items()},
+    )
+
+
+entry_lists = st.lists(
+    st.tuples(st.sampled_from(POOL), st.integers(min_value=0, max_value=6)),
+    max_size=8,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(clock=st.sampled_from(["global", "logical"]), data=st.data())
+def test_receive_ball_equals_per_entry_merge(clock, data):
+    now = [0]
+    nodes = [
+        _build(node_id, bound, clock, now)
+        for node_id, bound in enumerate(TTL_BOUNDS)
+    ]
+    in_flight: List[tuple] = []  # balls that can arrive again, late
+
+    def deliver(ball, receivers) -> None:
+        for index in receivers:
+            component, _, model = nodes[index]
+            component.receive_ball(ball)
+            model.receive(ball)
+            _agree(component, model)
+
+    receivers = st.sampled_from([(), (0,), (1,), (0, 1), (1, 0)])
+    steps = data.draw(st.integers(min_value=1, max_value=25), label="steps")
+    for _ in range(steps):
+        now[0] += 1
+        kind = data.draw(
+            st.sampled_from(["shared", "plain", "echo", "again", "broadcast", "round"]),
+            label="step",
+        )
+        index = data.draw(st.sampled_from([0, 1]), label="node")
+        component, transport, model = nodes[index]
+        if kind == "broadcast":
+            payload = data.draw(st.sampled_from(["x", None, {"k": 1}]), label="payload")
+            assert component.broadcast(payload) == model.broadcast(payload, now[0])
+            _agree(component, model)
+            continue
+        if kind == "round":
+            # The ball this round built may reach the other node, now
+            # or (from ``in_flight``) any number of steps later.
+            component.round_tick()
+            expected = model.round()
+            _agree(component, model)
+            if not expected:
+                assert not transport.sent
+                continue
+            ball = transport.sent[0][2]
+            assert all(message is ball for _, _, message in transport.sent)
+            transport.clear()
+            assert [(e.event.id, e.ttl) for e in ball] == expected
+            assert list(ball.ttls.items()) == expected
+            to = data.draw(st.sampled_from([(), (1 - index,)]), label="to")
+        else:
+            if kind == "shared":
+                ball = _shared(data.draw(entry_lists, label="entries"))
+            elif kind == "plain":
+                # Off the wire: a tuple, possibly naming an id twice.
+                ball = make_ball(
+                    BallEntry(event, ttl)
+                    for event, ttl in data.draw(entry_lists, label="entries")
+                )
+            elif kind == "echo":
+                # What the node already holds, each TTL nudged by
+                # -1/0/+1 and some entries left out: the shortcut's
+                # home ground.
+                nudges = st.sampled_from([0, 0, 0, -1, 1, None])
+                entries = []
+                for eid, ttl in component._next_ttls.items():
+                    nudge = data.draw(nudges, label="nudge")
+                    if nudge is not None:
+                        entries.append((component._next_events[eid], max(0, ttl + nudge)))
+                ball = _shared(entries)
+            elif in_flight:  # "again"
+                ball = data.draw(st.sampled_from(in_flight), label="which")
+            else:
+                continue
+            to = data.draw(receivers, label="to")
+        in_flight.append(ball)
+        deliver(ball, to)
+
+
+class TestShortcutIsTaken:
+    """The property above cannot see *which* path ran; a recording
+    oracle can: the shortcut updates the clock once, with the ball's
+    largest timestamp, the per-entry merge once per entry."""
+
+    def _component(self, ttl: int = 5):
+        oracle = ManualOracle(ttl=ttl)
+        return _component(0, ttl, "logical", oracle)[0], oracle
+
+    def test_copy_that_teaches_nothing_is_one_clock_update(self):
+        component, oracle = self._component()
+        ball = _shared([(POOL[0], 1), (POOL[3], 2), (POOL[5], 5)])  # last: expired
+        component.receive_ball(ball)
+        assert oracle.updates == [POOL[0].ts, POOL[3].ts, POOL[5].ts]
+        oracle.updates.clear()
+        component.receive_ball(ball)
+        assert oracle.updates == [max(POOL[0].ts, POOL[3].ts, POOL[5].ts)]
+        assert component.stats.entries_received == 6
+        assert component.stats.entries_expired == 2
+
+    @pytest.mark.parametrize("ttl, merged", [(0, 1), (2, 2)])
+    def test_lower_or_higher_ttl_is_merged_per_entry(self, ttl, merged):
+        component, oracle = self._component()
+        component.receive_ball(_shared([(POOL[0], 1)]))
+        oracle.updates.clear()
+        component.receive_ball(_shared([(POOL[0], ttl)]))
+        assert oracle.updates == [POOL[0].ts]
+        assert component._next_ttls == {POOL[0].id: merged}
+
+    def test_plain_tuple_is_merged_per_entry(self):
+        component, oracle = self._component()
+        ball = make_ball([BallEntry(POOL[0], 1), BallEntry(POOL[1], 1)])
+        component.receive_ball(ball)
+        component.receive_ball(ball)
+        assert oracle.updates == [POOL[0].ts, POOL[1].ts] * 2
+
+    def test_empty_shared_ball_touches_nothing(self):
+        component, oracle = self._component()
+        component.receive_ball(_shared([]))
+        assert oracle.updates == []
+        assert component.stats.balls_received == 1
+        assert component.stats.entries_received == 0
+
+    def test_split_is_taken_once_per_bound_and_shared(self):
+        ball = _shared([(POOL[0], 1), (POOL[1], 4), (POOL[2], 6)])
+        live_3, expired_3 = ball.split(3)
+        live_5, expired_5 = ball.split(5)
+        assert (live_3, expired_3) == ({POOL[0].id: 1}, 2)
+        assert (live_5, expired_5) == ({POOL[0].id: 1, POOL[1].id: 4}, 1)
+        assert ball.split(3)[0] is live_3 and ball.split(5)[0] is live_5
+        # Nothing at or above the bound: the map itself, not a copy.
+        assert ball.split(7) == (ball.ttls, 0) and ball.split(7)[0] is ball.ttls
+        assert ball.max_ts == max(POOL[0].ts, POOL[1].ts, POOL[2].ts)

@@ -4,11 +4,16 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import EpToConfig
+from repro.core import EpToConfig, dissemination
 from repro.core.errors import MembershipError
-from repro.pss.cyclon import CyclonPss
+from repro.core.event import BallEntry, Event, SharedBall, make_ball
+from repro.lazy.protocol import IdBall, PayloadRequest, PayloadResponse
+from repro.pss import BrahmsPush, JoinRequest
+from repro.pss.cyclon import CyclonPss, CyclonRequest, CyclonResponse
 from repro.pss.uniform import UniformViewPss
 from repro.sim import ClusterConfig, FixedLatency, SimCluster, SimNetwork, Simulator
+from repro.sync import SyncConfig
+from repro.sync.protocol import DeliveryDigest, SyncChunk, SyncDigest, SyncRequest
 
 from ..conftest import build_small_world
 
@@ -152,3 +157,129 @@ class TestEndToEnd:
             ]
 
         assert run() == run()
+
+
+class TestInboxDispatch:
+    """One message of every kind through one node's inbox: each reaches
+    its handler exactly once, and a ball — nearly all the traffic — is
+    recognised first, whether plain tuple or :class:`SharedBall`."""
+
+    EVENT = Event(id=(1, 0), ts=3, source_id=1, payload="x")
+    BALL = make_ball([BallEntry(EVENT, 1)])
+    SHARED = SharedBall([BallEntry(EVENT, 1)], {EVENT.id: 1})
+    MESSAGES = [
+        ("ball", BALL),
+        ("ball", SHARED),
+        ("cyclon_request", CyclonRequest(entries=())),
+        ("cyclon_response", CyclonResponse(entries=())),
+        ("overlay", JoinRequest()),
+        ("overlay", BrahmsPush()),
+        ("lazy", IdBall(entries=())),
+        ("lazy", PayloadRequest(req_id=1, ids=())),
+        ("lazy", PayloadResponse(req_id=1, events=())),
+        ("sync", SyncDigest(DeliveryDigest(last_key=None))),
+        ("sync", SyncRequest(req_id=1, after=None)),
+        ("sync", SyncChunk(req_id=1, events=(), checksum=0)),
+    ]
+
+    def test_every_kind_reaches_its_handler_exactly_once(self, tmp_path):
+        sim = Simulator(seed=11)
+        network = SimNetwork(sim, latency=FixedLatency(5))
+        config = ClusterConfig(
+            epto=EpToConfig(fanout=2, ttl=4, round_interval=100), pss="cyclon"
+        )
+        cluster = SimCluster(
+            sim, network, config, storage_dir=tmp_path, sync=SyncConfig()
+        )
+        cluster.add_nodes(3)
+        calls = []
+
+        def recorder(kind):
+            return lambda *args: calls.append((kind, args))
+
+        # The inbox closes over these objects and looks the handler up
+        # on each call, so a recorder set on the instance is what runs.
+        process, pss = cluster.node(0), cluster.pss_of(0)
+        process.on_ball = recorder("ball")
+        process.on_lazy_message = recorder("lazy")
+        pss.handle_request = recorder("cyclon_request")
+        pss.handle_response = recorder("cyclon_response")
+        pss.handle_message = recorder("overlay")
+        cluster.sync_managers[0].on_message = recorder("sync")
+        for _, message in self.MESSAGES:
+            network.send(1, 0, message)
+        sim.run(until=5)  # FixedLatency(5): all twelve have landed, no round yet
+        assert len(calls) == len(self.MESSAGES)
+        for (kind, args), (expected, sent) in zip(calls, self.MESSAGES):
+            assert kind == expected
+            assert args[-1] is sent
+            assert args[:-1] == (() if kind == "ball" else (1,))
+
+    def test_stray_traffic_is_dropped_not_taken_for_a_ball(self):
+        # Uniform PSS, eager, no sync: nobody here speaks overlay, lazy
+        # or anti-entropy, and none of it may fall through to on_ball.
+        sim, network, cluster = build_cluster(3)
+        balls = []
+        cluster.node(0).on_ball = balls.append
+        strays = [
+            message
+            for kind, message in self.MESSAGES
+            if kind in ("overlay", "lazy", "sync")
+        ]
+        for message in strays + [self.BALL, self.SHARED]:
+            network.send(1, 0, message)
+        sim.run(until=5)
+        assert len(balls) == 2
+        assert balls[0] is self.BALL and balls[1] is self.SHARED
+        assert network.stats.delivered == len(strays) + 2
+
+
+class TestByteAccounting:
+    """``payload_bytes`` / ``metadata_bytes`` are what they were when
+    every payload was serialised once per entry per round per node
+    (totals pinned from that code on this exact run); now the
+    serialisation behind them runs once per event."""
+
+    PAYLOADS = [
+        "sixteen-byte-str",
+        {"op": "set", "key": "k", "value": [1, 2.5, None]},
+        None,
+        frozenset({3}),  # not JSON: the ``repr`` fallback
+        "\u00e9\u2713",
+    ]
+
+    def _run(self):
+        sim = Simulator(seed=23)
+        network = SimNetwork(sim, latency=FixedLatency(5))
+        config = ClusterConfig(epto=EpToConfig(fanout=5, ttl=6, round_interval=100))
+        cluster = SimCluster(sim, network, config)
+        cluster.add_nodes(16)
+        for index, payload in enumerate(self.PAYLOADS):
+            sim.schedule_at(
+                150 + 100 * index,
+                lambda node=3 * index, payload=payload: cluster.broadcast_from(
+                    node, payload
+                ),
+            )
+        sim.run(until=20 * 100 + 50)
+        assert cluster.collector.delivery_count == len(self.PAYLOADS) * 16
+        return [cluster.node(node).dissemination.stats for node in range(16)]
+
+    def test_totals_of_a_seeded_twenty_round_run_are_pinned(self):
+        stats = self._run()
+        assert sum(s.entries_relayed for s in stats) == 1520
+        assert sum(s.metadata_bytes for s in stats) == 48640
+        assert sum(s.payload_bytes for s in stats) == 31040
+
+    def test_a_payload_is_measured_once_per_event(self, monkeypatch):
+        measured = []
+        payload_nbytes = dissemination.payload_nbytes
+
+        def counting(payload):
+            measured.append(payload)
+            return payload_nbytes(payload)
+
+        monkeypatch.setattr(dissemination, "payload_nbytes", counting)
+        stats = self._run()
+        assert sum(s.payload_bytes for s in stats) == 31040
+        assert measured == self.PAYLOADS

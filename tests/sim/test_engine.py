@@ -26,6 +26,31 @@ class TestScheduling:
         sim.run()
         assert fired == ["a", "b", "c"]
 
+    def test_tie_never_compares_the_actions(self):
+        # Heap entries are ``[time, seq, action]`` lists compared in C;
+        # ``seq`` is unique, so two actions due at one tick are never
+        # compared with each other (most callables cannot be).
+        class Uncomparable:
+            def __init__(self, label):
+                self.label = label
+
+            def __call__(self):
+                fired.append(self.label)
+
+            def __lt__(self, other):  # pragma: no cover - must not run
+                raise AssertionError("actions were compared")
+
+            __gt__ = __le__ = __ge__ = __eq__ = __lt__
+            __hash__ = object.__hash__
+
+        sim = Simulator()
+        fired = []
+        for label in "dcba":
+            sim.schedule(5, Uncomparable(label))
+            sim.schedule_at(5, Uncomparable(label.upper()))
+        sim.run()
+        assert fired == ["d", "D", "c", "C", "b", "B", "a", "A"]
+
     def test_now_advances_with_execution(self):
         sim = Simulator()
         seen = []
@@ -81,6 +106,43 @@ class TestCancellation:
         handle.cancel()
         assert handle.cancelled
 
+    def test_handle_reports_due_time_and_execution(self):
+        sim = Simulator()
+        handle = sim.schedule(10, lambda: None)
+        assert handle.time == 10 and not handle.cancelled
+        sim.run()
+        # "cancelled or already executed", as the property says.
+        assert handle.cancelled and handle.time == 10
+
+    def test_cancel_after_pop_is_harmless(self):
+        sim = Simulator()
+        fired = []
+        handles = []
+
+        def first():
+            fired.append("first")
+            # Its own entry has been popped and is running: cancelling
+            # it now must neither raise nor disturb the entries behind.
+            handles[0].cancel()
+
+        handles.append(sim.schedule(5, first))
+        handles.append(sim.schedule(5, lambda: fired.append("second")))
+        sim.run()
+        handles[0].cancel()
+        assert fired == ["first", "second"]
+        assert sim.executed == 2 and sim.pending == 0
+
+    def test_cancel_within_the_tick_by_an_earlier_action(self):
+        sim = Simulator()
+        fired = []
+        handles = []
+        sim.schedule(5, lambda: handles[0].cancel())
+        handles.append(sim.schedule(5, lambda: fired.append("cancelled")))
+        sim.schedule(5, lambda: fired.append("kept"))
+        sim.run()
+        assert fired == ["kept"]
+        assert sim.executed == 2  # a cancelled entry is not an action run
+
 
 class TestRunBounds:
     def test_run_until_stops_and_advances_clock(self):
@@ -111,6 +173,20 @@ class TestRunBounds:
         sim.schedule(1, rearm)
         with pytest.raises(SimulationError):
             sim.run(max_events=100)
+
+    def test_max_events_counts_actions_run_by_this_call(self):
+        sim = Simulator()
+        fired = []
+        for index in range(4):
+            sim.schedule(index, lambda index=index: fired.append(index))
+        sim.schedule(1, lambda: None).cancel()  # not an action run
+        sim.run(until=1, max_events=2)
+        assert fired == [0, 1]
+        with pytest.raises(SimulationError):
+            sim.run(max_events=1)
+        assert fired == [0, 1, 2]  # the bound stops the one after it
+        sim.run(max_events=1)
+        assert fired == [0, 1, 2, 3] and sim.executed == 4
 
     def test_run_not_reentrant(self):
         sim = Simulator()

@@ -39,8 +39,15 @@ def test_cancelled_never_run_others_always_run(schedule: List[Tuple[int, bool]])
         if cancel:
             handle.cancel()
     sim.run()
-    expected = {idx for idx, (_, cancel) in enumerate(schedule) if not cancel}
-    assert set(ran) == expected
+    # Time order, ties by insertion order: a stable sort on the delay.
+    expected = [
+        idx
+        for idx, (_, cancel) in sorted(enumerate(schedule), key=lambda s: s[1][0])
+        if not cancel
+    ]
+    assert ran == expected
+    assert sim.executed == len(expected)
+    assert all(handle.cancelled for handle, _ in handles)
 
 
 @settings(max_examples=100, deadline=None)
