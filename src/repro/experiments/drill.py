@@ -49,7 +49,8 @@ from typing import Dict, List, Optional, Set, Tuple, Union
 
 from ..auth import HmacAuthenticator, KeyRing
 from ..faults.schedule import ByzantineNodes, FaultSchedule, ScrambleState
-from ..faults.sim_injector import FaultStats, SimFaultInjector
+from ..faults.interpreter import FaultStats
+from ..faults.sim_injector import SimFaultInjector
 from ..metrics.checker import AuthenticityReport, SpecReport, check_authenticity, check_run
 from ..metrics.collector import DeliveryCollector
 from ..metrics.trace import load_delivery_log
@@ -294,9 +295,7 @@ def run_drill(
         # processes that never went down; hostile nodes never qualify.
         byzantine_ids = set(injector.byzantine_ids)
         scrambled_ids = set(injector.scrambled_ids)
-        survivors = (
-            injector.continuous_survivors() - injector.crashed_ids - byzantine_ids
-        )
+        survivors = injector.continuous_survivors() - byzantine_ids
         report = check_run(
             collector, correct_nodes=survivors, exclude_nodes=scrambled_ids
         )

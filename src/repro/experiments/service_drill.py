@@ -57,6 +57,7 @@ from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from ..core.config import EpToConfig
 from ..core.errors import FaultInjectionError
+from ..faults.interpreter import expand
 from ..faults.schedule import (
     CrashNodes,
     FaultSchedule,
@@ -194,27 +195,22 @@ class ServiceDrillResult:
         return "\n".join(lines)
 
 
+#: The steps of :func:`repro.faults.interpreter.expand` this drill acts
+#: on (a topic channel times its own loss window, so ``loss_end`` is not
+#: one of them).
+_OPS = ("partition", "heal", "loss_burst", "crash", "recover")
+
+
 def _timeline(
     plans: List[TopicSchedule],
 ) -> List[Tuple[float, int, str, Any]]:
     """Flatten the per-topic schedules into (round, topic, op, action)."""
-    steps: List[Tuple[float, int, str, Any]] = []
-    for plan in plans:
-        for action in plan.schedule:
-            steps.append((action.at_round, plan.topic, action.kind, action))
-            if isinstance(action, PartitionNetwork) and action.heal_after:
-                steps.append(
-                    (action.at_round + action.heal_after, plan.topic, "heal", None)
-                )
-            if isinstance(action, CrashNodes) and action.recover_after:
-                steps.append(
-                    (
-                        action.at_round + action.recover_after,
-                        plan.topic,
-                        "respawn",
-                        action,
-                    )
-                )
+    steps = [
+        (step.at_round, plan.topic, step.verb, step.action)
+        for plan in plans
+        for step in expand(plan.schedule)
+        if step.verb in _OPS
+    ]
     steps.sort(key=lambda step: step[0])
     return steps
 
@@ -273,7 +269,7 @@ async def _drive(
                 down_hosts.add(host_id)
                 outages.setdefault(host_id, []).append([at, float("inf")])
             fault_log.append((at, f"crash hosts {list(action.nodes)}"))
-        elif op == "respawn":
+        elif op == "recover":
             for host_id in action.nodes:
                 await cluster.respawn_host(host_id)
                 down_hosts.discard(host_id)

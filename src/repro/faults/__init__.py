@@ -2,10 +2,13 @@
 
 One declarative :class:`~repro.faults.schedule.FaultSchedule` — crash
 and recover, partition and heal, loss bursts, latency spikes, datagram
-corruption — with two interpreters, so the exact same scenario runs
-against the discrete-event simulator
-(:class:`~repro.faults.sim_injector.SimFaultInjector`) and the asyncio
-runtime (:class:`~repro.faults.runtime_injector.AsyncFaultInjector`).
+corruption — and one interpreter of what each action means
+(:mod:`repro.faults.interpreter`) with two drivers, so the exact same
+scenario runs against the discrete-event simulator
+(:class:`~repro.faults.sim_injector.SimFaultInjector`, on ticks) and
+the asyncio runtime
+(:class:`~repro.faults.runtime_injector.AsyncFaultInjector`, on
+wall-clock timers).
 Self-healing comes from
 :class:`~repro.faults.supervisor.NodeSupervisor` (backoff restarts of
 crashed nodes), post-mortems from
@@ -21,6 +24,7 @@ from .adaptive import (
     supervisor_adaptation,
 )
 from .byzantine import ByzantineRouter, ByzantineStats, scramble_journal
+from .interpreter import FaultStats
 from .runtime_injector import AsyncFaultInjector
 from .schedule import (
     BYZANTINE_BEHAVIORS,
@@ -35,7 +39,7 @@ from .schedule import (
     PartitionNetwork,
     ScrambleState,
 )
-from .sim_injector import FaultStats, SimFaultInjector
+from .sim_injector import SimFaultInjector
 from .supervisor import NodeSupervisor, SupervisorStats
 from .verify import SurvivorReport, check_survivors
 

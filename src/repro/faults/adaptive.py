@@ -81,7 +81,7 @@ class ObservedConditions:
                 *include_bursts* and the field exists.
             churn_stats: Any stats object with ``removed`` (e.g.
                 :class:`repro.sim.churn.ChurnStats` or
-                :class:`repro.faults.sim_injector.FaultStats` via its
+                :class:`repro.faults.interpreter.FaultStats` via its
                 ``crashes`` field).
         """
         loss = 0.0

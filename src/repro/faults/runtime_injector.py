@@ -1,52 +1,53 @@
-"""Fault-schedule interpreter for the asyncio runtime.
+"""Fault-schedule driver for the asyncio runtime.
 
 Runs the same :class:`~repro.faults.schedule.FaultSchedule` that drives
 the simulator against a live :class:`~repro.runtime.cluster.AsyncCluster`,
-on real wall-clock timers: a round is ``config.round_interval``
-milliseconds. Crashes call :meth:`AsyncCluster.crash_node` (abrupt
-death — tasks killed, inbox dropped); recoveries respawn the *same*
-node ids via :meth:`AsyncCluster.respawn_node` unless a
+through the same :class:`~repro.faults.interpreter.FaultInterpreter`, on
+real wall-clock timers: a round is ``config.round_interval``
+milliseconds. What is this runtime's own: crashes call
+:meth:`AsyncCluster.crash_node` (abrupt death — tasks killed, inbox
+dropped); recoveries respawn the *same* node ids via
+:meth:`AsyncCluster.respawn_node` unless a
 :class:`~repro.faults.supervisor.NodeSupervisor` already resurrected
-them; partitions, loss bursts, latency spikes and corruption windows
-map onto the fabric's fault surface
-(:class:`~repro.runtime.transport.AsyncNetwork` or
+them; loss and latency windows map onto the fabric's self-timed fault
+surface (:class:`~repro.runtime.transport.AsyncNetwork` or
 :class:`~repro.runtime.udp.UdpNetwork`).
 
-Fabric capabilities differ — e.g. the in-memory fabric has no wire
-bytes to corrupt — so the injector validates the schedule against the
+Fabric capabilities differ, so the schedule is validated against the
 fabric up front (:meth:`AsyncFaultInjector.run` raises
 :class:`~repro.core.errors.FaultInjectionError` before touching
-anything) and degrades corruption to a loss burst where no codec
-exists, recording the approximation in its log. Latency spikes run on
-both fabrics: :class:`~repro.runtime.transport.AsyncNetwork` stretches
-its simulated delay, and :class:`~repro.runtime.udp.UdpNetwork` defers
-``sendto`` sender-side (observationally identical to a slower wire).
+anything). Latency spikes run on both fabrics:
+:class:`~repro.runtime.transport.AsyncNetwork` stretches its simulated
+delay, and :class:`~repro.runtime.udp.UdpNetwork` defers ``sendto``
+sender-side (observationally identical to a slower wire).
 """
 
 from __future__ import annotations
 
 import asyncio
-import math
-from typing import Any, Callable, List, Set, Tuple
+import random
+from typing import List
 
 from ..core.errors import FaultInjectionError
 from ..runtime.cluster import AsyncCluster
-from .byzantine import ByzantineRouter, forged_events, garbage_ball, scramble_journal
-from .schedule import (
-    ByzantineNodes,
-    CorruptDatagrams,
-    CrashNodes,
-    FaultSchedule,
-    HealPartition,
-    LatencySpike,
-    LossBurst,
-    PartitionNetwork,
-    ScrambleState,
-)
-from .sim_injector import FaultStats
+from .interpreter import FaultInterpreter, expand
+from .schedule import FaultSchedule
+
+#: action kind -> (what the fabric must offer, what it cannot do without).
+_FABRIC_NEEDS = {
+    "partition": ("set_partition", "does not support partitions"),
+    "heal": ("set_partition", "does not support partitions"),
+    "loss_burst": ("set_loss_burst", "does not support loss bursts"),
+    "corrupt": ("set_loss_burst", "does not support loss bursts"),
+    "latency_spike": ("set_latency_spike", "cannot stretch latency"),
+    "byzantine": (
+        "set_adversary",
+        "does not support hostile behaviors (no set_adversary)",
+    ),
+}
 
 
-class AsyncFaultInjector:
+class AsyncFaultInjector(FaultInterpreter):
     """Drives one fault schedule against a live asyncio cluster.
 
     Args:
@@ -57,10 +58,10 @@ class AsyncFaultInjector:
             ``round_interval`` milliseconds each.
         seed: Seed for victim/partition sampling.
 
-    Usage::
+    Log times are seconds since :meth:`run` started. Usage::
 
         injector = AsyncFaultInjector(cluster, FaultSchedule.standard_drill())
-        await injector.run()          # returns when the last action fired
+        await injector.run()          # returns when the last step fired
     """
 
     def __init__(
@@ -69,296 +70,71 @@ class AsyncFaultInjector:
         schedule: FaultSchedule,
         seed: int = 0,
     ) -> None:
-        import random as _random
-
-        self.cluster = cluster
-        self.schedule = schedule
-        self.stats = FaultStats()
-        #: (seconds since run() started, description) per applied action.
-        self.log: List[Tuple[float, str]] = []
-        #: Ids this injector crashed (and, with ``recover_after``,
-        #: respawned under the same identity).
-        self.crashed_ids: Set[int] = set()
-        #: Ids ever made hostile / state-scrambled (mirrors
-        #: :class:`~repro.faults.sim_injector.SimFaultInjector`).
-        self.byzantine_ids: Set[int] = set()
-        self.scrambled_ids: Set[int] = set()
-        self._router: ByzantineRouter | None = None
-        self._rng = _random.Random(f"{seed}:async-faults")
+        rng = random.Random(f"{seed}:async-faults")
+        super().__init__(
+            cluster,
+            schedule,
+            rng=rng,
+            router_rng=lambda: rng,
+            round_span=cluster.config.round_interval / 1000.0,
+        )
         self._started_at = 0.0
-        self._initial_population: Set[int] = set()
-        # Victims per crash action (keyed by action identity), recorded
-        # at crash time for the matching recovery timeline entry.
-        self._victims: dict[int, List[int]] = {}
-
-    # ------------------------------------------------------------------
-    # Execution
-    # ------------------------------------------------------------------
 
     async def run(self) -> None:
-        """Apply the whole schedule, sleeping between actions.
+        """Apply the whole schedule, sleeping between steps.
 
-        Returns once the final action (including recoveries and heals)
-        has been applied. Raises
+        Returns once the final step (including recoveries, heals and
+        window ends) has been applied. Raises
         :class:`~repro.core.errors.FaultInjectionError` before applying
         anything if the fabric cannot express an action.
         """
-        self._check_fabric()
-        round_s = self.cluster.config.round_interval / 1000.0
-        timeline: List[Tuple[float, Callable[[], Any]]] = []
         for action in self.schedule:
-            when = action.at_round * round_s
-            if isinstance(action, CrashNodes):
-                timeline.append((when, lambda a=action: self._crash(a)))
-                if action.recover_after is not None:
-                    timeline.append(
-                        (
-                            when + action.recover_after * round_s,
-                            lambda a=action: self._recover(a),
-                        )
+            if action.kind in _FABRIC_NEEDS:
+                needs, cannot = _FABRIC_NEEDS[action.kind]
+                if not hasattr(self.network, needs):
+                    raise FaultInjectionError(
+                        f"{type(self.network).__name__} {cannot}"
                     )
-            elif isinstance(action, PartitionNetwork):
-                timeline.append((when, lambda a=action: self._partition(a)))
-                if action.heal_after is not None:
-                    timeline.append(
-                        (when + action.heal_after * round_s, self._heal)
-                    )
-            elif isinstance(action, HealPartition):
-                timeline.append((when, self._heal))
-            elif isinstance(action, LossBurst):
-                timeline.append(
-                    (when, lambda a=action: self._loss_burst(a, round_s))
-                )
-            elif isinstance(action, CorruptDatagrams):
-                timeline.append((when, lambda a=action: self._corrupt(a, round_s)))
-            elif isinstance(action, LatencySpike):
-                timeline.append((when, lambda a=action: self._spike(a, round_s)))
-            elif isinstance(action, ByzantineNodes):
-                timeline.append((when, lambda a=action: self._byzantine(a)))
-                if action.duration is not None:
-                    timeline.append(
-                        (
-                            when + action.duration * round_s,
-                            lambda a=action: self._end_byzantine(a),
-                        )
-                    )
-            elif isinstance(action, ScrambleState):
-                timeline.append((when, lambda a=action: self._scramble(a)))
-                timeline.append(
-                    (
-                        when + action.recover_after * round_s,
-                        lambda a=action: self._unscramble(a),
-                    )
-                )
-            else:  # pragma: no cover - schedule validates kinds
-                raise FaultInjectionError(f"unsupported action {action!r}")
-        timeline.sort(key=lambda item: item[0])
-
         loop = asyncio.get_running_loop()
         self._started_at = loop.time()
-        self._initial_population = set(self.cluster.live_ids())
-        for when, apply in timeline:
-            delay = self._started_at + when - loop.time()
+        self._begin()
+        for step in sorted(expand(self.schedule), key=lambda step: step.at_round):
+            delay = self._started_at + step.at_round * self._round_span - loop.time()
             if delay > 0:
                 await asyncio.sleep(delay)
-            result = apply()
+            result = self.apply(step)
             if asyncio.iscoroutine(result):
                 await result
 
-    def _check_fabric(self) -> None:
-        network = self.cluster.network
-        for action in self.schedule:
-            if isinstance(action, (PartitionNetwork, HealPartition)) and not hasattr(
-                network, "set_partition"
-            ):
-                raise FaultInjectionError(
-                    f"{type(network).__name__} does not support partitions"
-                )
-            if isinstance(action, (LossBurst, CorruptDatagrams)) and not hasattr(
-                network, "set_loss_burst"
-            ):
-                raise FaultInjectionError(
-                    f"{type(network).__name__} does not support loss bursts"
-                )
-            if isinstance(action, LatencySpike) and not hasattr(
-                network, "set_latency_spike"
-            ):
-                raise FaultInjectionError(
-                    f"{type(network).__name__} cannot stretch latency"
-                )
-            if isinstance(action, ByzantineNodes) and not hasattr(
-                network, "set_adversary"
-            ):
-                raise FaultInjectionError(
-                    f"{type(network).__name__} does not support hostile "
-                    "behaviors (no set_adversary)"
-                )
-
     # ------------------------------------------------------------------
-    # Survivor accounting
+    # Driver surface
     # ------------------------------------------------------------------
 
-    def continuous_survivors(self) -> Set[int]:
-        """Ids live now, live at start, and never crashed in between."""
-        return self._initial_population & (
-            set(self.cluster.live_ids()) - self.crashed_ids
-        )
+    def _now(self) -> float:
+        return asyncio.get_running_loop().time() - self._started_at
 
-    # ------------------------------------------------------------------
-    # Action handlers
-    # ------------------------------------------------------------------
+    def _alive(self) -> List[int]:
+        return self.cluster.live_ids()
 
-    def _crash(self, action: CrashNodes) -> None:
-        alive = self.cluster.live_ids()
-        if action.nodes is not None:
-            victims = [nid for nid in action.nodes if nid in set(alive)]
-        else:
-            count = min(len(alive), math.ceil(action.fraction * len(alive)))
-            victims = self._rng.sample(alive, count)
-        for node_id in victims:
-            self.cluster.crash_node(node_id)
-            self.crashed_ids.add(node_id)
-            self.stats.crashes += 1
-        self._victims[id(action)] = list(victims)
-        self._log(f"crashed {sorted(victims)}")
+    def _forged_ts(self, node_id: int) -> int:
+        oracle = self.cluster.nodes[node_id].process.dissemination.oracle
+        return oracle.get_clock() + 1
 
-    async def _recover(self, action: CrashNodes) -> None:
-        victims = self._victims.get(id(action), [])
-        recovered: List[int] = []
-        for node_id in victims:
+    def _crash_node(self, node_id: int) -> None:
+        self.cluster.crash_node(node_id)
+
+    async def _respawn(self, node_ids: List[int], text: str) -> None:
+        back: List[int] = []
+        for node_id in node_ids:
             node = self.cluster.nodes.get(node_id)
             if node is None or not node.crashed:
                 continue  # a supervisor beat us to it, or it was removed
-            replacement = await self.cluster.respawn_node(node_id)
-            replacement.start()
-            self.stats.recoveries += 1
-            recovered.append(node_id)
-        self._log(f"recovered {sorted(recovered)} under their own ids")
+            (await self.cluster.respawn_node(node_id)).start()
+            back.append(node_id)
+        self._respawned(back, text)
 
-    def _partition(self, action: PartitionNetwork) -> None:
-        if action.groups is not None:
-            groups = dict(action.groups)
-        else:
-            alive = self.cluster.live_ids()
-            minority_size = max(1, math.ceil(action.fraction * len(alive)))
-            minority = set(self._rng.sample(alive, min(minority_size, len(alive))))
-            groups = {nid: (1 if nid in minority else 0) for nid in alive}
-        self.cluster.network.set_partition(groups)
-        self.stats.partitions += 1
-        sizes = sorted(
-            [list(groups.values()).count(g) for g in set(groups.values())]
-        )
-        self._log(f"partitioned into groups of sizes {sizes}")
+    def _open_loss(self, rate: float, rounds: float) -> None:
+        self.network.set_loss_burst(rate, rounds * self._round_span)
 
-    def _heal(self) -> None:
-        self.cluster.network.heal_partition()
-        self.stats.heals += 1
-        self._log("healed partition")
-
-    def _loss_burst(self, action: LossBurst, round_s: float) -> None:
-        self.cluster.network.set_loss_burst(action.rate, action.duration * round_s)
-        self.stats.loss_bursts += 1
-        self._log(f"loss burst rate={action.rate} for {action.duration} rounds")
-
-    def _corrupt(self, action: CorruptDatagrams, round_s: float) -> None:
-        network = self.cluster.network
-        duration_s = action.duration * round_s
-        if hasattr(network, "set_corruption"):
-            network.set_corruption(action.rate, duration_s)
-            self.stats.corruption_windows += 1
-            self._log(f"corrupting datagrams rate={action.rate}")
-        else:
-            network.set_loss_burst(action.rate, duration_s)
-            self.stats.corruption_windows += 1
-            self._log(
-                f"corruption window rate={action.rate} (approximated as loss "
-                "— this fabric has no wire bytes to mangle)"
-            )
-
-    def _spike(self, action: LatencySpike, round_s: float) -> None:
-        self.cluster.network.set_latency_spike(
-            action.factor, action.duration * round_s
-        )
-        self.stats.latency_spikes += 1
-        self._log(f"latency spike x{action.factor}")
-
-    def _byzantine(self, action: ByzantineNodes) -> None:
-        if self._router is None:
-            self._router = ByzantineRouter(rng=self._rng)
-            self.cluster.network.set_adversary(self._router)
-        self._router.enable(action.nodes, action.behavior, action.rate)
-        self.byzantine_ids.update(action.nodes)
-        self.stats.byzantine_windows += 1
-        self._log(
-            f"byzantine {action.behavior} on {sorted(action.nodes)} "
-            f"rate={action.rate}"
-        )
-
-    def _end_byzantine(self, action: ByzantineNodes) -> None:
-        if self._router is not None:
-            self._router.disable(action.nodes, action.behavior)
-            self._log(f"byzantine {action.behavior} off for {sorted(action.nodes)}")
-
-    def _scramble(self, action: ScrambleState) -> None:
-        alive = set(self.cluster.live_ids())
-        victims = [nid for nid in action.nodes if nid in alive]
-        storage_dir = getattr(self.cluster, "storage_dir", None)
-        for node_id in victims:
-            impersonate = sorted(alive - {node_id} - set(victims))[:3]
-            if action.garbage_events > 0 and impersonate:
-                # Forged under other live identities, at a plausible
-                # near-future logical timestamp — the observable face
-                # of the victim's corrupted clock and ordering state.
-                node = self.cluster.nodes.get(node_id)
-                ts = getattr(getattr(node, "clock", None), "now", lambda: 0)()
-                events = forged_events(
-                    impersonate, action.garbage_events, ts=int(ts) + 1
-                )
-                targets = [nid for nid in alive if nid != node_id]
-                self.cluster.network.send_many(
-                    node_id, targets, garbage_ball(events)
-                )
-                self._log(
-                    f"scramble {node_id}: sprayed {len(events)} forged "
-                    f"events impersonating {impersonate}"
-                )
-            self.cluster.crash_node(node_id)
-            self.crashed_ids.add(node_id)
-            self.scrambled_ids.add(node_id)
-            self.stats.scrambles += 1
-            if storage_dir is not None:
-                damage = scramble_journal(
-                    self.cluster.node_storage_dir(node_id), self._rng
-                )
-                for note in damage:
-                    self._log(f"scramble {node_id}: {note}")
-            else:
-                self._log(
-                    f"scramble {node_id}: no storage_dir — journal "
-                    "corruption skipped"
-                )
-        self._log(f"scrambled {sorted(victims)}")
-        self._victims[id(action)] = list(victims)
-
-    async def _unscramble(self, action: ScrambleState) -> None:
-        victims = self._victims.get(id(action), [])
-        recovered: List[int] = []
-        for node_id in victims:
-            node = self.cluster.nodes.get(node_id)
-            if node is None or not node.crashed:
-                continue
-            replacement = await self.cluster.respawn_node(node_id)
-            replacement.start()
-            self.stats.recoveries += 1
-            recovered.append(node_id)
-        self._log(f"scrambled nodes {sorted(recovered)} respawned")
-
-    def _log(self, message: str) -> None:
-        loop = asyncio.get_running_loop()
-        self.log.append((loop.time() - self._started_at, message))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"AsyncFaultInjector(actions={len(self.schedule)}, "
-            f"applied={len(self.log)})"
-        )
+    def _open_latency(self, factor: float, rounds: float) -> None:
+        self.network.set_latency_spike(factor, rounds * self._round_span)

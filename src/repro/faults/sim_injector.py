@@ -1,62 +1,36 @@
-"""Fault-schedule interpreter for the discrete-event simulator.
+"""Fault-schedule driver for the discrete-event simulator.
 
-Translates a :class:`~repro.faults.schedule.FaultSchedule` into
-simulator-tick actions against a :class:`~repro.sim.cluster.SimCluster`
-and its :class:`~repro.sim.network.SimNetwork`: crashes become
-``remove_node`` calls (recoveries re-add fresh processes, the paper's
-churn model) or, with ``recovery="same_id"``, ``crash_node`` calls
-whose recoveries respawn the same ids with resumed broadcast sequences
-(mirroring the asyncio runtime), partitions use the network's
-partition groups, loss
-bursts temporarily raise ``loss_rate``, latency spikes wrap the latency
-model, and corruption windows degrade to loss bursts (the simulator has
-no wire format to mangle — a corrupted message is an undeliverable
-message).
-
-Every applied action is appended to :attr:`SimFaultInjector.log` as a
-``(tick, description)`` pair so experiments can line failures up with
-delivery traces.
+Drives the shared :class:`~repro.faults.interpreter.FaultInterpreter`
+on simulator ticks against a :class:`~repro.sim.cluster.SimCluster` (or
+:class:`~repro.sim.flat.FlatCluster`) and its network: a round is the
+cluster's EpTO ``round_interval`` ticks. What is the simulator's own:
+crashes become ``remove_node`` calls (recoveries re-add fresh
+processes, the paper's churn model) or, with ``recovery="same_id"``,
+``crash_node`` calls whose recoveries respawn the same ids with resumed
+broadcast sequences (mirroring the asyncio runtime); a loss window
+raises the network's ``loss_rate`` and restores it; a latency window
+wraps the latency model. What every action means, counts and logs is
+the interpreter's (docs/FAULTS.md).
 """
 
 from __future__ import annotations
 
-import math
 import random
-from dataclasses import dataclass
-from typing import List, Set, Tuple
+from typing import List
 
 from ..core.errors import FaultInjectionError
 from ..sim.cluster import SimCluster
 from ..sim.engine import Simulator
 from ..sim.latency import LatencyModel
-from ..sim.network import SimNetwork
-from .byzantine import ByzantineRouter, forged_events, garbage_ball, scramble_journal
-from .schedule import (
-    ByzantineNodes,
-    CorruptDatagrams,
-    CrashNodes,
-    FaultSchedule,
-    HealPartition,
-    LatencySpike,
-    LossBurst,
-    PartitionNetwork,
-    ScrambleState,
-)
+from .interpreter import FaultInterpreter, FaultStep, steps_of
+from .schedule import FaultSchedule
 
-
-@dataclass(slots=True)
-class FaultStats:
-    """What an injector actually did."""
-
-    crashes: int = 0
-    recoveries: int = 0
-    partitions: int = 0
-    heals: int = 0
-    loss_bursts: int = 0
-    latency_spikes: int = 0
-    corruption_windows: int = 0
-    byzantine_windows: int = 0
-    scrambles: int = 0
+#: Ending steps that bring nodes back. They are scheduled when their
+#: first step *fires* (``sim.schedule``), not at install: with
+#: synchronised phases a recovery lands on a round boundary, and its
+#: sequence number decides whether it runs before or after every
+#: node's round at that tick.
+_ARMED_ON_FIRE = ("recover", "unscramble")
 
 
 class _ScaledLatency:
@@ -70,7 +44,7 @@ class _ScaledLatency:
         return max(1, round(self._base.sample(rng, src, dst) * self._factor))
 
 
-class SimFaultInjector:
+class SimFaultInjector(FaultInterpreter):
     """Drives one fault schedule against a simulated cluster.
 
     Args:
@@ -89,7 +63,7 @@ class SimFaultInjector:
 
     Call :meth:`install` once before ``sim.run(...)``; size the run
     past ``schedule.horizon_rounds * round_interval`` ticks so every
-    action lands.
+    action lands. Log times are simulator ticks.
     """
 
     def __init__(
@@ -103,269 +77,87 @@ class SimFaultInjector:
             raise FaultInjectionError(
                 f"unknown recovery mode {recovery!r}; use 'fresh' or 'same_id'"
             )
+        super().__init__(
+            cluster,
+            schedule,
+            rng=sim.fork_rng("faults"),
+            router_rng=lambda: sim.fork_rng("byzantine"),
+            round_span=cluster.config.epto.round_interval,
+        )
         self.sim = sim
-        self.cluster = cluster
-        self.schedule = schedule
         self.recovery = recovery
-        self.network: SimNetwork = cluster.network
-        self.stats = FaultStats()
-        #: (tick, human-readable description) per applied action.
-        self.log: List[Tuple[int, str]] = []
-        #: Ids crashed by this injector. Under ``recovery="fresh"``
-        #: they never return; under ``"same_id"`` recoveries respawn
-        #: them with resumed sequences.
-        self.crashed_ids: Set[int] = set()
-        #: Ids that were ever made hostile by a ByzantineNodes action.
-        #: Hostile nodes are excluded from agreement checking — a
-        #: Byzantine process's own deliveries carry no guarantees.
-        self.byzantine_ids: Set[int] = set()
-        #: Ids whose state a ScrambleState action corrupted.
-        self.scrambled_ids: Set[int] = set()
-        self._router: ByzantineRouter | None = None
-        self._rng = sim.fork_rng("faults")
         self._installed = False
-        self._initial_population: Set[int] = set()
-        # Victims per crash action (keyed by action identity), recorded
-        # at crash time for the matching same-id recovery.
-        self._victims: dict[int, List[int]] = {}
 
     def install(self) -> None:
         """Schedule every action on the simulator (idempotent-guarded)."""
         if self._installed:
             raise FaultInjectionError("injector is already installed")
         self._installed = True
-        self._initial_population = set(self.cluster.alive_ids())
-        interval = self.cluster.config.epto.round_interval
+        self._begin()
         base = self.sim.now()
 
-        def at(rounds: float):
-            return base + max(0, round(rounds * interval))
+        def at(rounds: float) -> int:
+            return base + max(0, round(rounds * self._round_span))
 
         for action in self.schedule:
-            if isinstance(action, CrashNodes):
+            first, ending = steps_of(action)
+            if ending is not None and ending.verb in _ARMED_ON_FIRE:
                 self.sim.schedule_at(
-                    at(action.at_round), lambda a=action: self._crash(a)
+                    at(first.at_round),
+                    lambda f=first, e=ending: self._fire_and_arm(f, e),
                 )
-            elif isinstance(action, PartitionNetwork):
-                self.sim.schedule_at(
-                    at(action.at_round), lambda a=action: self._partition(a)
-                )
-                if action.heal_after is not None:
-                    self.sim.schedule_at(
-                        at(action.at_round + action.heal_after), self._heal
-                    )
-            elif isinstance(action, HealPartition):
-                self.sim.schedule_at(at(action.at_round), self._heal)
-            elif isinstance(action, (LossBurst, CorruptDatagrams)):
-                self.sim.schedule_at(
-                    at(action.at_round), lambda a=action: self._loss_burst(a)
-                )
-                self.sim.schedule_at(
-                    at(action.at_round + action.duration),
-                    lambda a=action: self._end_loss_burst(a),
-                )
-            elif isinstance(action, LatencySpike):
-                self.sim.schedule_at(
-                    at(action.at_round), lambda a=action: self._spike(a)
-                )
-                self.sim.schedule_at(
-                    at(action.at_round + action.duration), self._end_spike
-                )
-            elif isinstance(action, ByzantineNodes):
-                self.sim.schedule_at(
-                    at(action.at_round), lambda a=action: self._byzantine(a)
-                )
-                if action.duration is not None:
-                    self.sim.schedule_at(
-                        at(action.at_round + action.duration),
-                        lambda a=action: self._end_byzantine(a),
-                    )
-            elif isinstance(action, ScrambleState):
-                self.sim.schedule_at(
-                    at(action.at_round), lambda a=action: self._scramble(a)
-                )
-            else:  # pragma: no cover - schedule validates kinds
-                raise FaultInjectionError(f"unsupported action {action!r}")
-
-    # ------------------------------------------------------------------
-    # Survivor accounting
-    # ------------------------------------------------------------------
-
-    def continuous_survivors(self) -> Set[int]:
-        """Nodes alive now that were alive when the schedule was
-        installed — the population agreement is evaluated on."""
-        return self._initial_population & set(self.cluster.alive_ids())
-
-    # ------------------------------------------------------------------
-    # Action handlers
-    # ------------------------------------------------------------------
-
-    def _crash(self, action: CrashNodes) -> None:
-        alive = list(self.cluster.alive_ids())
-        if action.nodes is not None:
-            victims = [nid for nid in action.nodes if nid in set(alive)]
-        else:
-            count = min(len(alive), math.ceil(action.fraction * len(alive)))
-            victims = self._rng.sample(alive, count)
-        for node_id in victims:
-            if self.recovery == "same_id":
-                self.cluster.crash_node(node_id)
-            else:
-                self.cluster.remove_node(node_id)
-            self.crashed_ids.add(node_id)
-            self.stats.crashes += 1
-        self._victims[id(action)] = list(victims)
-        self._log(f"crashed {sorted(victims)}")
-        if action.recover_after is not None and victims:
-            delay = round(
-                action.recover_after * self.cluster.config.epto.round_interval
-            )
-            self.sim.schedule(
-                max(1, delay), lambda a=action: self._recover(a)
-            )
-
-    def _recover(self, action: CrashNodes) -> None:
-        victims = self._victims.get(id(action), [])
-        if self.recovery == "same_id":
-            recovered: List[int] = []
-            for node_id in victims:
-                if node_id not in self.cluster.crashed_ids():
-                    continue  # already respawned by an earlier action
-                self.cluster.respawn_node(node_id)
-                self.stats.recoveries += 1
-                recovered.append(node_id)
-            self._log(f"recovered {sorted(recovered)} under their own ids")
-        else:
-            count = len(victims)
-            joined = [self.cluster.add_node() for _ in range(count)]
-            self.stats.recoveries += count
-            self._log(f"recovered {count} processes as fresh ids {joined}")
-
-    def _partition(self, action: PartitionNetwork) -> None:
-        if action.groups is not None:
-            groups = dict(action.groups)
-        else:
-            alive = list(self.cluster.alive_ids())
-            minority_size = max(1, math.ceil(action.fraction * len(alive)))
-            minority = set(self._rng.sample(alive, min(minority_size, len(alive))))
-            groups = {nid: (1 if nid in minority else 0) for nid in alive}
-        self.network.set_partition(groups)
-        self.stats.partitions += 1
-        sizes = sorted(
-            [list(groups.values()).count(g) for g in set(groups.values())]
-        )
-        self._log(f"partitioned into groups of sizes {sizes}")
-
-    def _heal(self) -> None:
-        self.network.heal_partition()
-        self.stats.heals += 1
-        self._log("healed partition")
-
-    def _loss_burst(self, action) -> None:
-        # One saved baseline per burst; bursts are expected not to
-        # overlap (the schedule is declarative, keep scenarios sane).
-        self._saved_loss = self.network.loss_rate
-        self.network.loss_rate = max(self.network.loss_rate, action.rate)
-        if isinstance(action, CorruptDatagrams):
-            self.stats.corruption_windows += 1
-            self._log(
-                f"corruption window rate={action.rate} (approximated as loss "
-                "— the simulator has no wire bytes to mangle)"
-            )
-        else:
-            self.stats.loss_bursts += 1
-            self._log(f"loss burst rate={action.rate}")
-
-    def _end_loss_burst(self, action) -> None:
-        self.network.loss_rate = getattr(self, "_saved_loss", 0.0)
-        self._log(f"loss restored to {self.network.loss_rate}")
-
-    def _byzantine(self, action: ByzantineNodes) -> None:
-        router = self._ensure_router()
-        router.enable(action.nodes, action.behavior, action.rate)
-        self.byzantine_ids.update(action.nodes)
-        self.stats.byzantine_windows += 1
-        self._log(
-            f"byzantine {action.behavior} on {sorted(action.nodes)} "
-            f"rate={action.rate}"
-        )
-
-    def _end_byzantine(self, action: ByzantineNodes) -> None:
-        if self._router is not None:
-            self._router.disable(action.nodes, action.behavior)
-            self._log(f"byzantine {action.behavior} off for {sorted(action.nodes)}")
-
-    def _ensure_router(self) -> ByzantineRouter:
-        if self._router is None:
-            self._router = ByzantineRouter(rng=self.sim.fork_rng("byzantine"))
-            self.network.set_adversary(self._router)
-        return self._router
-
-    def _scramble(self, action: ScrambleState) -> None:
-        interval = self.cluster.config.epto.round_interval
-        alive = set(self.cluster.alive_ids())
-        victims = [nid for nid in action.nodes if nid in alive]
-        storage_dir = getattr(self.cluster, "storage_dir", None)
-        for node_id in victims:
-            # 1. The corrupted ordering state and clock made visible:
-            # the victim sprays a ball of events forged under *other*
-            # live identities, with future timestamps and fresh TTLs.
-            # Under auth these are unsigned-at-source and die at
-            # admission; without auth they poison correct nodes.
-            impersonate = sorted(alive - {node_id} - set(victims))[:3]
-            if action.garbage_events > 0 and impersonate:
-                events = forged_events(
-                    impersonate,
-                    action.garbage_events,
-                    ts=self.sim.now() + interval,
-                )
-                targets = [nid for nid in alive if nid != node_id]
-                self.network.send_many(node_id, targets, garbage_ball(events))
-                self._log(
-                    f"scramble {node_id}: sprayed {len(events)} forged "
-                    f"events impersonating {impersonate}"
-                )
-            # 2. Kill the process mid-flight.
-            self.cluster.crash_node(node_id)
-            self.crashed_ids.add(node_id)
-            self.scrambled_ids.add(node_id)
-            self.stats.scrambles += 1
-            # 3. Corrupt whatever it had on disk.
-            if storage_dir is not None:
-                damage = scramble_journal(
-                    self.cluster.node_storage_dir(node_id), self._rng
-                )
-                for note in damage:
-                    self._log(f"scramble {node_id}: {note}")
-        self._log(f"scrambled {sorted(victims)}")
-        delay = round(action.recover_after * interval)
-        self.sim.schedule(max(1, delay), lambda v=list(victims): self._unscramble(v))
-
-    def _unscramble(self, victims: List[int]) -> None:
-        recovered: List[int] = []
-        for node_id in victims:
-            if node_id not in self.cluster.crashed_ids():
                 continue
+            self.sim.schedule_at(at(first.at_round), lambda f=first: self.apply(f))
+            if ending is not None:
+                self.sim.schedule_at(
+                    at(ending.at_round), lambda e=ending: self.apply(e)
+                )
+
+    def _fire_and_arm(self, first: FaultStep, ending: FaultStep) -> None:
+        if self.apply(first):
+            delay = round(ending.after * self._round_span)
+            self.sim.schedule(max(1, delay), lambda: self.apply(ending))
+
+    # ------------------------------------------------------------------
+    # Driver surface
+    # ------------------------------------------------------------------
+
+    def _now(self) -> int:
+        return self.sim.now()
+
+    def _alive(self) -> List[int]:
+        return list(self.cluster.alive_ids())
+
+    def _forged_ts(self, node_id: int) -> int:
+        # Every node reads the simulator's clock; one round ahead.
+        return self.sim.now() + self._round_span
+
+    def _crash_node(self, node_id: int) -> None:
+        if self.recovery == "same_id":
+            self.cluster.crash_node(node_id)
+        else:
+            self.cluster.remove_node(node_id)
+
+    def _respawn(self, node_ids: List[int], text: str) -> None:
+        # Skip what an earlier action already respawned.
+        down = [nid for nid in node_ids if nid in self.cluster.crashed_ids()]
+        for node_id in down:
             self.cluster.respawn_node(node_id)
-            self.stats.recoveries += 1
-            recovered.append(node_id)
-        self._log(f"scrambled nodes {sorted(recovered)} respawned")
+        self._respawned(down, text)
 
-    def _spike(self, action: LatencySpike) -> None:
+    def _add_fresh(self) -> int:
+        return self.cluster.add_node()
+
+    def _open_loss(self, rate: float, rounds: float) -> None:
+        self._saved_loss = self.network.loss_rate
+        self.network.loss_rate = max(self.network.loss_rate, rate)
+
+    def _close_loss(self) -> None:
+        self.network.loss_rate = getattr(self, "_saved_loss", 0.0)
+
+    def _open_latency(self, factor: float, rounds: float) -> None:
         self._saved_latency = self.network.latency
-        self.network.latency = _ScaledLatency(self.network.latency, action.factor)
-        self.stats.latency_spikes += 1
-        self._log(f"latency spike x{action.factor}")
+        self.network.latency = _ScaledLatency(self.network.latency, factor)
 
-    def _end_spike(self) -> None:
+    def _close_latency(self) -> None:
         self.network.latency = getattr(self, "_saved_latency", self.network.latency)
-        self._log("latency restored")
-
-    def _log(self, message: str) -> None:
-        self.log.append((self.sim.now(), message))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"SimFaultInjector(actions={len(self.schedule)}, "
-            f"applied={len(self.log)})"
-        )

@@ -9,7 +9,7 @@ from .cluster import AsyncCluster
 from .codec import MAX_DATAGRAM, CodecError, decode, encode
 from .fastloop import ensure_uvloop, uvloop_available
 from .node import AsyncEpToNode
-from .transport import AsyncNetwork, AsyncNetworkStats, AsyncNodeTransport
+from .transport import AsyncNetwork, AsyncNetworkStats
 from .udp import UdpNetwork, UdpStats
 
 __all__ = [
@@ -17,7 +17,6 @@ __all__ = [
     "AsyncEpToNode",
     "AsyncNetwork",
     "AsyncNetworkStats",
-    "AsyncNodeTransport",
     "CodecError",
     "MAX_DATAGRAM",
     "UdpNetwork",

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import asyncio
+import random
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Union
 
@@ -10,8 +11,7 @@ from ..core.config import EpToConfig
 from ..core.errors import MembershipError
 from ..core.event import Event
 from ..pss.base import MembershipDirectory
-from ..pss.cyclon import CyclonPss
-from ..pss.uniform import UniformViewPss
+from ..stack import build_pss, open_journal, reopen_journal, validate_modes
 from ..sync.config import SyncConfig
 from . import fastloop
 from .node import AsyncEpToNode
@@ -20,6 +20,19 @@ from .transport import AsyncNetwork
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..storage.journal import DeliveryJournal
     from ..storage.recovery import RecoveredState
+
+
+async def wait_until(
+    predicate: Callable[[], bool], timeout: float, poll: float = 0.01
+) -> bool:
+    """Poll *predicate* until true or *timeout* seconds elapse."""
+    loop = asyncio.get_running_loop()
+    deadline = loop.time() + timeout
+    while loop.time() < deadline:
+        if predicate():
+            return True
+        await asyncio.sleep(poll)
+    return predicate()
 
 
 class AsyncCluster:
@@ -78,11 +91,7 @@ class AsyncCluster:
     ) -> None:
         if pss not in ("uniform", "cyclon"):
             raise MembershipError(f"unknown PSS kind {pss!r}")
-        if sync is not None and storage_dir is None:
-            raise MembershipError(
-                "anti-entropy sync requires storage_dir (it exchanges "
-                "delivery-log suffixes)"
-            )
+        validate_modes(config, sync, storage_dir is not None, expected_size)
         # Opportunistic loop upgrade: a no-op unless the optional
         # uvloop extra is installed and no loop is running yet.
         fastloop.ensure_uvloop()
@@ -109,9 +118,7 @@ class AsyncCluster:
         #: user delivery callbacks, kept so respawned nodes re-wire them.
         self._on_deliver: Dict[int, Optional[Callable[[Event], None]]] = {}
         self._next_id = 0
-        import random as _random
-
-        self._rng = _random.Random(f"{seed}:async-cluster")
+        self._rng = random.Random(f"{seed}:async-cluster")
 
     # ------------------------------------------------------------------
     # Provisioning
@@ -127,7 +134,10 @@ class AsyncCluster:
         self._next_id += 1
         self.deliveries[node_id] = []
         self._on_deliver[node_id] = on_deliver
-        return self._provision(node_id, journal=self._open_journal(node_id))
+        journal = None
+        if self.storage_dir is not None:
+            journal = open_journal(self.node_storage_dir(node_id), self.storage_fsync)
+        return self._provision(node_id, journal=journal)
 
     def add_nodes(self, count: int) -> List[AsyncEpToNode]:
         """Provision *count* nodes."""
@@ -138,21 +148,6 @@ class AsyncCluster:
         if self.storage_dir is None:
             raise MembershipError("cluster has no storage_dir configured")
         return self.storage_dir / f"node-{node_id}"
-
-    def _open_journal(
-        self, node_id: int, resume: "RecoveredState | None" = None
-    ) -> "DeliveryJournal | None":
-        if self.storage_dir is None:
-            return None
-        from ..storage.journal import DeliveryJournal
-
-        journal = DeliveryJournal(
-            self.node_storage_dir(node_id),
-            fsync=self.storage_fsync,
-            resume=resume,
-        )
-        self.journals[node_id] = journal
-        return journal
 
     def _provision(
         self,
@@ -170,23 +165,15 @@ class AsyncCluster:
                 callback(event)
 
         config = config if config is not None else self.config
-        if self.pss_kind == "uniform":
-            pss = UniformViewPss(
-                node_id,
-                self.directory,
-                rng=self._fork_rng(f"pss:{node_id}"),
-            )
-        else:
-            fanout = config.fanout
-            pss = CyclonPss(
-                node_id=node_id,
-                view_size=2 * fanout,
-                shuffle_size=max(1, fanout),
-                send=lambda dst, msg: self.network.send(node_id, dst, msg),
-                rng=self._fork_rng(f"pss:{node_id}"),
-            )
-            pss.bootstrap(self.directory.sample(self._rng, 2 * fanout))
-
+        pss = build_pss(
+            self.pss_kind,
+            node_id,
+            config.fanout,
+            self.directory,
+            self.network,
+            random.Random(f"{self.seed}:pss:{node_id}"),
+            bootstrap_rng=self._rng,
+        )
         node = AsyncEpToNode(
             node_id=node_id,
             config=config,
@@ -197,8 +184,10 @@ class AsyncCluster:
             seed=self.seed,
             system_size_hint=self.expected_size,
             journal=journal,
-            sync_config=self.sync if journal is not None else None,
+            sync_config=self.sync,
         )
+        if journal is not None:
+            self.journals[node_id] = journal
         self.directory.add(node_id)
         self.nodes[node_id] = node
         return node
@@ -265,22 +254,18 @@ class AsyncCluster:
             len(self.deliveries[node_id])
         )
         journal = None
-        resume_seq = corpse.process.dissemination.issued_sequence
+        resume_seq = corpse.stack.issued_sequence
         if self.storage_dir is not None:
-            # Two-writer guard: the corpse's journal object survives the
-            # simulated crash (in-process fault injection never runs
-            # close()), so seal it before the successor opens the log.
-            old = self.journals.get(node_id)
-            if old is not None and not old.closed:
-                old.close()
-            from ..storage.recovery import recover
-
-            recovered = recover(node_id, self.node_storage_dir(node_id))
+            journal, recovered, resume_seq = reopen_journal(
+                node_id,
+                self.node_storage_dir(node_id),
+                self.storage_fsync,
+                resume_seq,
+                corpse=self.journals.get(node_id),
+            )
             self.recoveries.setdefault(node_id, []).append(recovered)
-            resume_seq = max(resume_seq, recovered.next_seq)
-            journal = self._open_journal(node_id, resume=recovered)
         node = self._provision(node_id, config=config, journal=journal)
-        node.process.resume_sequence(resume_seq)
+        node.stack.resume_sequence(resume_seq)
         open_socket = getattr(self.network, "open", None)
         if open_socket is not None:
             await open_socket(node_id)
@@ -313,20 +298,7 @@ class AsyncCluster:
         """Ids of nodes that are neither crashed nor removed."""
         return [nid for nid, node in self.nodes.items() if not node.crashed]
 
-    async def wait_until(
-        self,
-        predicate: Callable[[], bool],
-        timeout: float,
-        poll: float = 0.01,
-    ) -> bool:
-        """Poll *predicate* until true or *timeout* seconds elapse."""
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
-        while loop.time() < deadline:
-            if predicate():
-                return True
-            await asyncio.sleep(poll)
-        return predicate()
+    wait_until = staticmethod(wait_until)
 
     async def wait_for_deliveries(self, count: int, timeout: float) -> bool:
         """Wait until every live (non-crashed) node delivered at least
@@ -346,8 +318,3 @@ class AsyncCluster:
             node_id: [event.payload for event in events]
             for node_id, events in self.deliveries.items()
         }
-
-    def _fork_rng(self, label: str):
-        import random as _random
-
-        return _random.Random(f"{self.seed}:{label}")

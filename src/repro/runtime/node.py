@@ -23,14 +23,10 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 from ..core.config import EpToConfig
 from ..core.event import Event
 from ..core.interfaces import PeerSampler
-from ..core.process import EpToProcess
-from ..lazy.protocol import LAZY_MESSAGE_TYPES
-from ..pss import OVERLAY_MESSAGE_TYPES
-from ..pss.cyclon import CyclonRequest, CyclonResponse
+from ..stack import NodeStack
 from ..sync.config import SyncConfig
-from ..sync.manager import SyncManager, epto_chunk_applier
-from ..sync.protocol import SYNC_MESSAGE_TYPES
-from .transport import AsyncNetwork, AsyncNodeTransport
+from ..sync.manager import SyncManager
+from .transport import AsyncNetwork
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..storage.journal import DeliveryJournal
@@ -89,63 +85,28 @@ class AsyncEpToNode:
         self.journal = journal
         self._drift_fraction = drift_fraction
         self._rng = random.Random(f"{seed}:async:{node_id}")
-        if journal is not None:
-            user_deliver = on_deliver
-
-            def journaled_deliver(event: Event) -> None:
-                if journal.record_delivery(event):
-                    user_deliver(event)
-
-            on_deliver = journaled_deliver
-        if config.mode == "lazy":
-            if sync_config is not None:
-                raise ValueError(
-                    "anti-entropy sync is not supported in lazy mode "
-                    "(repaired events bypass the payload store)"
-                )
-            from ..lazy.process import LazyEpToProcess
-
-            self.process: Any = LazyEpToProcess(
-                node_id=node_id,
-                config=config,
-                peer_sampler=peer_sampler,
-                transport=AsyncNodeTransport(network),
-                on_deliver=on_deliver,
-                on_out_of_order=on_out_of_order,
-                time_source=_monotonic_millis,
-                rng=self._rng,
-                system_size_hint=system_size_hint,
-            )
-        else:
-            self.process = EpToProcess(
-                node_id=node_id,
-                config=config,
-                peer_sampler=peer_sampler,
-                transport=AsyncNodeTransport(network),
-                on_deliver=on_deliver,
-                on_out_of_order=on_out_of_order,
-                time_source=_monotonic_millis,
-                rng=self._rng,
-                system_size_hint=system_size_hint,
-            )
+        #: the node's protocol layers (:mod:`repro.stack`); the fabric
+        #: is handed its inbox directly.
+        self.stack = NodeStack(
+            node_id,
+            config,
+            peer_sampler,
+            network,
+            on_deliver,
+            _monotonic_millis,
+            self._rng,
+            on_out_of_order=on_out_of_order,
+            system_size_hint=system_size_hint,
+            journal=journal,
+            sync=sync_config,
+        )
+        self.process: Any = self.stack.process
+        self.sync_manager: Optional[SyncManager] = self.stack.sync_manager
         self._task: Optional[asyncio.Task] = None
         self._shuffle_task: Optional[asyncio.Task] = None
         self._sync_task: Optional[asyncio.Task] = None
-        self._pss = peer_sampler
         self._crashed = False
-        self.sync_manager: Optional[SyncManager] = None
-        if sync_config is not None:
-            if journal is None:
-                raise ValueError("sync_config requires a journal")
-            self.sync_manager = SyncManager(
-                node_id=node_id,
-                journal=journal,
-                send=lambda dst, message: network.send(node_id, dst, message),
-                peer_sampler=peer_sampler,
-                apply_events=epto_chunk_applier(self.process),
-                config=sync_config,
-            )
-        network.register(node_id, self._handle_message)
+        network.register(node_id, self.stack.handle_message)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -160,7 +121,7 @@ class AsyncEpToNode:
             self._task.add_done_callback(self._on_round_task_done)
         # Any self-maintaining PSS (Cyclon, HyParView, Brahms) gets a
         # shuffle task; the idealized uniform view has no shuffle.
-        if callable(getattr(self._pss, "shuffle", None)) and (
+        if callable(getattr(self.stack.pss, "shuffle", None)) and (
             self._shuffle_task is None or self._shuffle_task.done()
         ):
             self._shuffle_task = loop.create_task(self._shuffle_loop())
@@ -214,15 +175,12 @@ class AsyncEpToNode:
     def _on_round_task_done(self, task: asyncio.Task) -> None:
         # Self-detection of an unexpected death: a round task that
         # finishes with an exception (not a cancellation) means the
-        # process is effectively dead — leave the network so peers'
-        # sends fail like against a crashed process, and flag the
-        # corpse for the supervisor.
-        if task.cancelled() or task.exception() is None:
-            return
-        self._crashed = True
-        self.network.unregister(self.node_id)
-        if self._shuffle_task is not None:
-            self._shuffle_task.cancel()
+        # process is effectively dead — die like an injected crash:
+        # leave the network so peers' sends fail like against a crashed
+        # process, stop shuffling and probing, and flag the corpse for
+        # the supervisor.
+        if not task.cancelled() and task.exception() is not None:
+            self.crash()
 
     # ------------------------------------------------------------------
     # EpTO surface
@@ -230,13 +188,7 @@ class AsyncEpToNode:
 
     def broadcast(self, payload: Any = None) -> Event:
         """EpTO-broadcast *payload* from this node."""
-        event = self.process.broadcast(payload)
-        if self.journal is not None:
-            # Persist the issued sequence before the ball leaves, so a
-            # replacement never reuses this (source, seq) id even when
-            # the event was still in flight at crash time.
-            self.journal.record_broadcast(event)
-        return event
+        return self.stack.broadcast(payload)
 
     @property
     def delivered_count(self) -> int:
@@ -247,35 +199,6 @@ class AsyncEpToNode:
     # Internals
     # ------------------------------------------------------------------
 
-    def _handle_message(self, src: int, message: Any) -> None:
-        # A ball, nearly always (K of them every round), so it is tested
-        # first; otherwise Cyclon traffic (when the PSS is a CyclonPss),
-        # overlay maintenance (HyParView/Brahms), lazy-push traffic
-        # (when the process is lazy) or anti-entropy traffic (when a
-        # SyncManager runs).
-        if type(message) is tuple:
-            self.process.on_ball(message)
-        elif isinstance(message, CyclonRequest):
-            self._pss.handle_request(src, message)  # type: ignore[attr-defined]
-        elif isinstance(message, CyclonResponse):
-            self._pss.handle_response(src, message)  # type: ignore[attr-defined]
-        elif isinstance(message, OVERLAY_MESSAGE_TYPES):
-            overlay = getattr(self._pss, "handle_message", None)
-            if overlay is not None:
-                overlay(src, message)
-            # else: overlay chatter at a uniform/cyclon node; drop
-        elif isinstance(message, LAZY_MESSAGE_TYPES):
-            lazy = getattr(self.process, "on_lazy_message", None)
-            if lazy is not None:
-                lazy(src, message)
-            # else: stray lazy traffic at an eager node; drop
-        elif isinstance(message, SYNC_MESSAGE_TYPES):
-            if self.sync_manager is not None:
-                self.sync_manager.on_message(src, message)
-            # else: not sync-enabled; ignore stray anti-entropy traffic
-        else:
-            self.process.on_ball(message)
-
     async def _round_loop(self) -> None:
         interval_s = self.config.round_interval / 1000.0
         while True:
@@ -284,13 +207,13 @@ class AsyncEpToNode:
                 jitter = self._rng.uniform(-self._drift_fraction, self._drift_fraction)
                 sleep_for = max(0.001, interval_s * (1.0 + jitter))
             await asyncio.sleep(sleep_for)
-            self.process.on_round()
+            self.stack.on_round()
 
     async def _shuffle_loop(self) -> None:
         interval_s = self.config.round_interval / 1000.0
         while True:
             await asyncio.sleep(interval_s)
-            self._pss.shuffle()  # type: ignore[attr-defined]
+            self.stack.pss.shuffle()  # type: ignore[attr-defined]
 
     async def _sync_loop(self) -> None:
         # The manager counts rounds itself (probe every interval_rounds,

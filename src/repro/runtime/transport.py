@@ -4,9 +4,8 @@ Provides an in-process asyncio network with the same failure surface as
 the simulated one — per-message latency, independent loss, partitions,
 and time-windowed fault bursts — but driven by the real event loop
 clock instead of simulator ticks. Nodes communicate through
-:class:`AsyncNetwork`, and :class:`AsyncNodeTransport` adapts it to the
-:class:`repro.core.interfaces.Transport` protocol one EpTO process
-expects.
+:class:`AsyncNetwork`, which is itself the
+:class:`repro.core.interfaces.Transport` an EpTO process sends on.
 
 The in-memory fabric is intentionally the default: the §8.5 runtime
 exists to prove the algorithm runs unmodified outside the simulator,
@@ -243,22 +242,3 @@ class AsyncNetwork:
         self.stats.delivered += 1
         handler(src, message)
 
-
-class AsyncNodeTransport:
-    """Adapts :class:`AsyncNetwork` to the core ``Transport`` protocol."""
-
-    def __init__(self, network: AsyncNetwork) -> None:
-        self._network = network
-        self._send_many = getattr(network, "send_many", None)
-
-    def send(self, src: int, dst: int, ball: Any) -> None:
-        """Forward a ball onto the async fabric."""
-        self._network.send(src, dst, ball)
-
-    def send_many(self, src: int, dsts, ball: Any) -> None:
-        """Forward one ball to many peers (encode-once on UDP fabrics)."""
-        if self._send_many is not None:
-            self._send_many(src, dsts, ball)
-        else:
-            for dst in dsts:
-                self._network.send(src, dst, ball)

@@ -12,15 +12,16 @@ subscription setups should drive :class:`BroadcastService` directly.
 
 from __future__ import annotations
 
-import asyncio
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from ..core.config import EpToConfig
 from ..core.errors import MembershipError
 from ..core.event import Event
 from ..pss.base import MembershipDirectory
+from ..runtime.cluster import wait_until
 from ..runtime.transport import AsyncNetwork
+from ..stack import validate_modes
 from ..sync.config import SyncConfig
 from .service import BroadcastService
 
@@ -56,6 +57,7 @@ class ServiceCluster:
         expected_size: Optional[int] = None,
         seed: int = 0,
     ) -> None:
+        validate_modes(config, sync, storage_dir is not None, expected_size)
         self.config = config
         self.network = network if network is not None else AsyncNetwork(seed=seed)
         self.storage_dir = Path(storage_dir) if storage_dir is not None else None
@@ -211,20 +213,7 @@ class ServiceCluster:
     # Verification / waiting
     # ------------------------------------------------------------------
 
-    async def wait_until(
-        self,
-        predicate: Callable[[], bool],
-        timeout: float,
-        poll: float = 0.01,
-    ) -> bool:
-        """Poll *predicate* until true or *timeout* seconds elapse."""
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + timeout
-        while loop.time() < deadline:
-            if predicate():
-                return True
-            await asyncio.sleep(poll)
-        return predicate()
+    wait_until = staticmethod(wait_until)
 
     async def wait_for_topic(self, topic: int, count: int, timeout: float) -> bool:
         """Wait until every live host delivered at least *count* events

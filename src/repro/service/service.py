@@ -45,8 +45,8 @@ from ..core.config import EpToConfig
 from ..core.errors import MembershipError, ReproError
 from ..core.event import Event
 from ..pss.base import MembershipDirectory
-from ..pss.uniform import UniformViewPss
 from ..runtime.node import AsyncEpToNode
+from ..stack import build_pss, open_journal, reopen_journal, validate_modes
 from ..sync.config import SyncConfig
 from .demux import TopicDemux
 
@@ -208,11 +208,7 @@ class BroadcastService:
         expected_size: Optional[int] = None,
         seed: int = 0,
     ) -> None:
-        if sync is not None and storage_dir is None:
-            raise MembershipError(
-                "anti-entropy sync requires storage_dir (it exchanges "
-                "delivery-log suffixes)"
-            )
+        validate_modes(config, sync, storage_dir is not None, expected_size)
         self.host_id = host_id
         self.config = config
         self.network = network
@@ -269,7 +265,9 @@ class BroadcastService:
                 f"round_interval must be positive, got {round_interval}"
             )
         directory = self.directories.setdefault(topic, MembershipDirectory())
-        journal = self._open_journal(topic)
+        journal = None
+        if self.storage_dir is not None:
+            journal = open_journal(self.topic_storage_dir(topic), self.storage_fsync)
         # A running round task needs no notification — it iterates the
         # topic map afresh every tick, so the new topic joins next round.
         state = self._provision(topic, directory, journal, on_deliver)
@@ -298,17 +296,6 @@ class BroadcastService:
             raise MembershipError("service has no storage_dir configured")
         return self.storage_dir / f"topic-{topic}"
 
-    def _open_journal(self, topic: int, resume: Any = None):
-        if self.storage_dir is None:
-            return None
-        from ..storage.journal import DeliveryJournal
-
-        return DeliveryJournal(
-            self.topic_storage_dir(topic),
-            fsync=self.storage_fsync,
-            resume=resume,
-        )
-
     def _provision(
         self,
         topic: int,
@@ -320,10 +307,13 @@ class BroadcastService:
         """Build a topic engine (fresh subscribe or respawn) over the
         topic's channel; ``state`` is reused across respawns."""
         channel = self.demux.channel(topic)
-        pss = UniformViewPss(
+        pss = build_pss(
+            "uniform",
             self.host_id,
+            self.config.fanout,
             directory,
-            rng=random.Random(f"{self.seed}:service-pss:{self.host_id}:{topic}"),
+            channel,
+            random.Random(f"{self.seed}:service-pss:{self.host_id}:{topic}"),
         )
 
         def record(event: Event) -> None:
@@ -347,7 +337,7 @@ class BroadcastService:
             seed=self.seed * 1_000_003 + topic,
             system_size_hint=self.expected_size,
             journal=journal,
-            sync_config=self.sync if journal is not None else None,
+            sync_config=self.sync,
         )
         if state is None:
             state = TopicState(topic=topic, node=node, directory=directory)
@@ -511,7 +501,7 @@ class BroadcastService:
             if state is None:
                 continue
             state.rounds_ticked += 1
-            state.node.process.on_round()
+            state.node.stack.on_round()
             if state.node.sync_manager is not None:
                 state.node.sync_manager.on_round()
             drained = state.round_drained
@@ -565,30 +555,26 @@ class BroadcastService:
         for topic, state in self.topics.items():
             state.restart_indices.append(len(state.deliveries))
             corpse = state.node
-            resume_seq = corpse.process.dissemination.issued_sequence
+            resume_seq = corpse.stack.issued_sequence
             journal = None
             if self.storage_dir is not None:
-                old = corpse.journal
-                if old is not None and not old.closed:
-                    old.close()
-                from ..storage.recovery import recover
-
                 if state.on_pre_recover is not None:
                     state.on_pre_recover()
-                recovered = recover(
+                journal, recovered, resume_seq = reopen_journal(
                     self.host_id,
                     self.topic_storage_dir(topic),
+                    self.storage_fsync,
+                    resume_seq,
+                    corpse=corpse.journal,
                     machine=state.machine,
                 )
                 state.recoveries.append(recovered)
-                resume_seq = max(resume_seq, recovered.next_seq)
-                journal = self._open_journal(topic, resume=recovered)
                 if state.on_recover is not None:
                     state.on_recover(recovered)
             self._provision(
                 topic, state.directory, journal, state.on_deliver, state=state
             )
-            state.node.process.resume_sequence(resume_seq)
+            state.node.stack.resume_sequence(resume_seq)
         self._crashed = False
         for state in self.topics.values():
             if state.node.sync_manager is not None:

@@ -32,19 +32,18 @@ from typing import (
 from ..core.config import EpToConfig
 from ..core.errors import MembershipError
 from ..core.event import Ball, Event
-from ..core.process import EpToProcess
-from ..lazy.process import LazyEpToProcess
-from ..lazy.protocol import LAZY_MESSAGE_TYPES
 from ..metrics.collector import DeliveryCollector
-from ..pss import OVERLAY_MESSAGE_TYPES
 from ..pss.base import MembershipDirectory
-from ..pss.brahms import BrahmsPss
-from ..pss.cyclon import CyclonPss, CyclonRequest, CyclonResponse
-from ..pss.hyparview import HyParViewPss
-from ..pss.uniform import UniformViewPss
+from ..stack import (
+    PSS_KINDS,
+    NodeStack,
+    build_pss,
+    open_journal,
+    reopen_journal,
+    validate_modes,
+)
 from ..sync.config import SyncConfig
-from ..sync.manager import SyncManager, epto_chunk_applier
-from ..sync.protocol import SYNC_MESSAGE_TYPES
+from ..sync.manager import SyncManager
 from .drift import DriftModel, UniformDrift
 from .engine import PeriodicTask, Simulator
 from .network import SimNetwork
@@ -126,7 +125,7 @@ class ClusterConfig:
     respawn_hold_slack: int = RESPAWN_HOLD_SLACK_ROUNDS
 
     def __post_init__(self) -> None:
-        if self.pss not in ("uniform", "cyclon", "hyparview", "brahms"):
+        if self.pss not in PSS_KINDS:
             raise MembershipError(f"unknown PSS kind {self.pss!r}")
         if self.round_phase not in ("synchronized", "staggered"):
             raise MembershipError(f"unknown round phase {self.round_phase!r}")
@@ -141,39 +140,17 @@ class ClusterConfig:
 
 
 class _ClusterNode:
-    """Internal per-node wiring: process + PSS + scheduled tasks."""
+    """Internal per-node wiring: the node's stack + its scheduled tasks."""
 
-    __slots__ = (
-        "node_id",
-        "process",
-        "pss",
-        "round_task",
-        "shuffle_task",
-        "sync_task",
-    )
+    __slots__ = ("stack", "tasks")
 
-    def __init__(
-        self,
-        node_id: int,
-        process: GossipProcess,
-        pss: object,
-        round_task: PeriodicTask,
-        shuffle_task: Optional[PeriodicTask],
-        sync_task: Optional[PeriodicTask] = None,
-    ) -> None:
-        self.node_id = node_id
-        self.process = process
-        self.pss = pss
-        self.round_task = round_task
-        self.shuffle_task = shuffle_task
-        self.sync_task = sync_task
+    def __init__(self, stack: NodeStack, tasks: Sequence[PeriodicTask]) -> None:
+        self.stack = stack
+        self.tasks = tasks
 
     def stop(self) -> None:
-        self.round_task.stop()
-        if self.shuffle_task is not None:
-            self.shuffle_task.stop()
-        if self.sync_task is not None:
-            self.sync_task.stop()
+        for task in self.tasks:
+            task.stop()
 
 
 class SimCluster:
@@ -219,16 +196,9 @@ class SimCluster:
         storage_fsync: str = "rotate",
         sync: Optional[SyncConfig] = None,
     ) -> None:
-        if sync is not None and storage_dir is None:
-            raise MembershipError(
-                "anti-entropy sync requires storage_dir (it exchanges "
-                "delivery-log suffixes)"
-            )
-        if sync is not None and config.epto.mode == "lazy":
-            raise MembershipError(
-                "anti-entropy sync is not supported in lazy mode (repaired "
-                "events bypass the payload store; run mode='eager' with sync)"
-            )
+        validate_modes(
+            config.epto, sync, storage_dir is not None, config.expected_size
+        )
         self.sim = sim
         self.network = network
         self.config = config
@@ -267,25 +237,29 @@ class SimCluster:
         """Snapshot of live node ids."""
         return self.directory.alive_ids()
 
-    def node(self, node_id: int) -> GossipProcess:
-        """The hosted process of *node_id*."""
+    def stack_of(self, node_id: int) -> NodeStack:
+        """The protocol stack of *node_id* (:mod:`repro.stack`)."""
         try:
-            return self._nodes[node_id].process
+            return self._nodes[node_id].stack
         except KeyError:
             raise MembershipError(f"node {node_id} is not in the cluster") from None
 
+    def node(self, node_id: int) -> GossipProcess:
+        """The hosted process of *node_id*."""
+        return self.stack_of(node_id).process
+
     def pss_of(self, node_id: int) -> object:
         """The PSS instance of *node_id* (for tests and metrics)."""
-        try:
-            return self._nodes[node_id].pss
-        except KeyError:
-            raise MembershipError(f"node {node_id} is not in the cluster") from None
+        return self.stack_of(node_id).pss
 
     def add_node(self) -> int:
         """Provision, register and start one new node; returns its id."""
         node_id = self._next_id
         self._next_id += 1
-        return self._start_node(node_id)
+        journal = None
+        if self.storage_dir is not None:
+            journal = open_journal(self.node_storage_dir(node_id), self.storage_fsync)
+        return self._start_node(node_id, journal)
 
     def node_storage_dir(self, node_id: int) -> Path:
         """The durable storage directory of *node_id*."""
@@ -293,136 +267,88 @@ class SimCluster:
             raise MembershipError("cluster has no storage_dir configured")
         return self.storage_dir / f"node-{node_id}"
 
-    def _open_journal(
-        self, node_id: int, resume: "RecoveredState | None" = None
-    ) -> "DeliveryJournal | None":
-        if self.storage_dir is None:
-            return None
-        from ..storage.journal import DeliveryJournal
-
-        journal = DeliveryJournal(
-            self.node_storage_dir(node_id),
-            fsync=self.storage_fsync,
-            resume=resume,
-        )
-        self.journals[node_id] = journal
-        return journal
-
     def _start_node(
         self,
         node_id: int,
+        journal: "DeliveryJournal | None",
         resume_seq: Optional[int] = None,
-        recovered: "RecoveredState | None" = None,
     ) -> int:
-        """Wire up and start a process under *node_id* (fresh or respawn)."""
+        """Wire up and start a process under *node_id* — fresh, or a
+        respawn resuming its predecessor's sequence at *resume_seq*."""
+        config = self.config
         node_rng = self.sim.fork_rng(f"node:{node_id}")
-        pss = self._build_pss(node_id, node_rng)
-        journal = self._open_journal(node_id, resume=recovered)
-        process = self._build_process(node_id, pss, node_rng, journal)
-        if resume_seq is not None:
-            # Same-identity restart: never reissue a used (source, seq)
-            # event id (see EventIdGenerator.resume). Hosted process
-            # kinds without a sequence (the unordered baselines) have
-            # nothing to resume.
-            resume = getattr(process, "resume_sequence", None)
-            if resume is not None:
-                resume(resume_seq)
+        pss = build_pss(
+            config.pss,
+            node_id,
+            config.epto.fanout,
+            self.directory,
+            self.network,
+            node_rng,
+            bootstrap_rng=self._rng,
+            view_size=config.cyclon_view_size,
+            shuffle_size=config.cyclon_shuffle_size,
+        )
 
-        sync_manager: Optional[SyncManager] = None
-        ordering = getattr(process, "ordering", None)
-        if self.sync is not None and journal is not None and ordering is not None:
-            # Only EpTO-shaped processes can apply repaired events in
-            # total order; baseline broadcast processes simply run
-            # without anti-entropy.
-            sync_manager = SyncManager(
-                node_id=node_id,
-                journal=journal,
-                send=lambda dst, message: self.network.send(node_id, dst, message),
-                peer_sampler=pss,
-                apply_events=epto_chunk_applier(process),  # type: ignore[arg-type]
-                config=self.sync,
-            )
+        def record(event: Event) -> None:
+            self.collector.record_delivery(node_id, event, self.sim.now())
+
+        stack = NodeStack(
+            node_id,
+            config.epto,
+            pss,
+            self.network,
+            record,
+            self.sim.now,
+            node_rng,
+            system_size_hint=config.expected_size,
+            journal=journal,
+            sync=self.sync,
+            process_factory=self._process_factory,
+        )
+        respawned = resume_seq is not None
+        if respawned:
+            stack.resume_sequence(resume_seq)
+            stack.hold(config.respawn_hold_rounds())
+        if journal is not None:
+            self.journals[node_id] = journal
+        sync_manager = stack.sync_manager
+        if sync_manager is not None:
             self.sync_managers[node_id] = sync_manager
 
-        def handle_message(src: int, message: Any) -> None:
-            # A ball, nearly always (K of them every node-round), so it
-            # is tested first — the order of AsyncEpToNode's inbox.
-            if isinstance(message, tuple):
-                process.on_ball(message)
-            elif isinstance(message, CyclonRequest):
-                pss.handle_request(src, message)  # type: ignore[union-attr]
-            elif isinstance(message, CyclonResponse):
-                pss.handle_response(src, message)  # type: ignore[union-attr]
-            elif isinstance(message, OVERLAY_MESSAGE_TYPES):
-                overlay = getattr(pss, "handle_message", None)
-                if overlay is not None:
-                    overlay(src, message)
-                # else: overlay chatter at a uniform/cyclon node; drop
-            elif isinstance(message, LAZY_MESSAGE_TYPES):
-                lazy = getattr(process, "on_lazy_message", None)
-                if lazy is not None:
-                    lazy(src, message)
-                # else: stray lazy traffic at an eager node; drop
-            elif isinstance(message, SYNC_MESSAGE_TYPES):
-                if sync_manager is not None:
-                    sync_manager.on_message(src, message)
-                # else: not sync-enabled; drop stray anti-entropy traffic
-            else:
-                process.on_ball(message)
-
-        self.network.register(node_id, handle_message)
+        self.network.register(node_id, stack.handle_message)
         self.directory.add(node_id)
         self.collector.record_node_added(node_id, self.sim.now())
 
-        interval = self.config.epto.round_interval
-        drift = self.config.drift
-        if self.config.round_phase == "staggered":
+        interval = config.epto.round_interval
+        drift = config.drift
+        if config.round_phase == "staggered":
             first_round = self._rng.randrange(max(1, interval)) + 1
         else:
             # Paper schedule: first round a full (drifted) interval
             # after joining.
             first_round = drift.next_period(node_rng, node_id, interval)
-        round_fn: Callable[[], None] = process.on_round
-        if sync_manager is not None and (
-            recovered is not None or resume_seq is not None
-        ):
-            # Respawn catch-up gate (docs/SYNC.md): hold epidemic rounds
-            # until anti-entropy reports convergence AND the in-flight
-            # horizon has passed — every event broadcast before the gate
-            # opens has finished disseminating and reached peers'
-            # delivery logs, so it arrives here through contiguous sync
-            # pulls instead of a partially-observed TTL window. Balls
-            # are still received during the hold (they only accumulate
-            # state); the node just neither relays nor delivers, so its
-            # order mark cannot advance past a still-missing event.
-            # One-way latch, bounded by the catch-up budget so an
-            # unservable gap (every peer also gone) degrades to the
-            # ungated behaviour instead of parking the node forever.
-            round_fn = self._gated_round(
-                process,
-                sync_manager,
-                hold_rounds=self.config.respawn_hold_rounds(),
+        tasks = [
+            PeriodicTask(
+                self.sim,
+                stack.on_round,
+                period_source=lambda: drift.next_period(node_rng, node_id, interval),
+                initial_delay=first_round,
             )
-        round_task = PeriodicTask(
-            self.sim,
-            round_fn,
-            period_source=lambda: drift.next_period(node_rng, node_id, interval),
-            initial_delay=first_round,
-        )
-        shuffle_task = None
+        ]
         shuffle_fn = getattr(pss, "shuffle", None)
         if callable(shuffle_fn):
             # Any self-maintaining PSS (Cyclon, HyParView, Brahms)
             # shares the shuffle cadence; the idealized uniform view
             # has no shuffle and needs no task.
-            period = self.config.cyclon_period or interval
-            shuffle_task = PeriodicTask(
-                self.sim,
-                shuffle_fn,
-                period_source=lambda: period,
-                initial_delay=self._rng.randrange(max(1, period)),
+            period = config.cyclon_period or interval
+            tasks.append(
+                PeriodicTask(
+                    self.sim,
+                    shuffle_fn,
+                    period_source=lambda: period,
+                    initial_delay=self._rng.randrange(max(1, period)),
+                )
             )
-        sync_task = None
         if sync_manager is not None:
             # The manager counts rounds itself, so tick it once per
             # round interval (undrifted — anti-entropy needs no phase
@@ -430,45 +356,19 @@ class SimCluster:
             # simulator step: its post-recovery catch-up probe fires
             # before its first epidemic round can advance the order
             # mark past the still-missing suffix.
-            if recovered is not None or resume_seq is not None:
+            if respawned:
                 sync_manager.kick()
-                first_sync = 1
-            else:
-                first_sync = interval
-            sync_task = PeriodicTask(
-                self.sim,
-                sync_manager.on_round,
-                period_source=lambda: interval,
-                initial_delay=first_sync,
+            tasks.append(
+                PeriodicTask(
+                    self.sim,
+                    sync_manager.on_round,
+                    period_source=lambda: interval,
+                    initial_delay=1 if respawned else interval,
+                )
             )
 
-        self._nodes[node_id] = _ClusterNode(
-            node_id, process, pss, round_task, shuffle_task, sync_task
-        )
+        self._nodes[node_id] = _ClusterNode(stack, tasks)
         return node_id
-
-    @staticmethod
-    def _gated_round(
-        process: GossipProcess, manager: SyncManager, hold_rounds: float
-    ) -> Callable[[], None]:
-        """Round function for a respawned sync-enabled node: no-op until
-        the sync manager reports ``caught_up`` and ``hold_rounds`` round
-        ticks have passed (the in-flight dissemination horizon), then
-        behave as ``process.on_round`` forever. The hold is abandoned —
-        gate opened regardless — once the manager's catch-up budget runs
-        out without convergence."""
-        state = {"joined": False, "waited": 0}
-
-        def run() -> None:
-            if not state["joined"]:
-                state["waited"] += 1
-                ready = manager.caught_up and state["waited"] >= hold_rounds
-                if not ready and state["waited"] < manager.config.catch_up_rounds:
-                    return
-                state["joined"] = True
-            process.on_round()
-
-        return run
 
     def add_nodes(self, count: int) -> Sequence[int]:
         """Provision *count* nodes; returns their ids."""
@@ -497,10 +397,7 @@ class SimCluster:
         :meth:`repro.runtime.cluster.AsyncCluster.crash_node` /
         ``respawn_node`` semantics in the simulator.
         """
-        process = self.node(node_id)
-        issued = getattr(
-            getattr(process, "dissemination", None), "issued_sequence", 0
-        )
+        issued = self.stack_of(node_id).issued_sequence
         self.remove_node(node_id)
         self._crashed[node_id] = issued
 
@@ -528,14 +425,13 @@ class SimCluster:
             raise MembershipError(
                 f"node {node_id} has not crashed (or already respawned)"
             ) from None
-        recovered: "RecoveredState | None" = None
+        journal = None
         if self.storage_dir is not None:
-            from ..storage.recovery import recover
-
-            recovered = recover(node_id, self.node_storage_dir(node_id))
+            journal, recovered, issued = reopen_journal(
+                node_id, self.node_storage_dir(node_id), self.storage_fsync, issued
+            )
             self.recoveries.setdefault(node_id, []).append(recovered)
-            issued = max(issued, recovered.next_seq)
-        return self._start_node(node_id, resume_seq=issued, recovered=recovered)
+        return self._start_node(node_id, journal, resume_seq=issued)
 
     def crashed_ids(self) -> Sequence[int]:
         """Ids crashed via :meth:`crash_node` and not yet respawned."""
@@ -555,117 +451,9 @@ class SimCluster:
 
     def broadcast_from(self, node_id: int, payload: Any = None) -> Event:
         """EpTO-broadcast *payload* from *node_id*, recording metrics."""
-        event = self.node(node_id).broadcast(payload)
+        event = self.stack_of(node_id).broadcast(payload)
         self.collector.record_broadcast(event, self.sim.now())
-        journal = self.journals.get(node_id)
-        if journal is not None:
-            journal.record_broadcast(event)
         return event
-
-    # ------------------------------------------------------------------
-    # Internals
-    # ------------------------------------------------------------------
-
-    def _build_pss(self, node_id: int, node_rng: random.Random):
-        if self.config.pss == "uniform":
-            return UniformViewPss(node_id, self.directory, node_rng)
-        if self.config.pss == "cyclon":
-            fanout = self.config.epto.fanout
-            view_size = self.config.cyclon_view_size or 2 * fanout
-            shuffle_size = self.config.cyclon_shuffle_size or max(1, view_size // 2)
-            pss = CyclonPss(
-                node_id=node_id,
-                view_size=view_size,
-                shuffle_size=shuffle_size,
-                send=lambda dst, msg: self.network.send(node_id, dst, msg),
-                rng=node_rng,
-            )
-            # Simplified join: seed the view from an introducer sample
-            # of the current membership.
-            bootstrap = self.directory.sample(self._rng, view_size, exclude=node_id)
-            pss.bootstrap(bootstrap)
-            return pss
-        if self.config.pss == "hyparview":
-            fanout = self.config.epto.fanout
-            active_size = max(fanout + 1, self.config.cyclon_view_size or 0)
-            pss = HyParViewPss(
-                node_id=node_id,
-                active_size=active_size,
-                passive_size=4 * active_size,
-                send=lambda dst, msg: self.network.send(node_id, dst, msg),
-                rng=node_rng,
-            )
-            bootstrap = self.directory.sample(
-                self._rng, 4 * active_size, exclude=node_id
-            )
-            pss.bootstrap(bootstrap)
-            return pss
-        if self.config.pss == "brahms":
-            fanout = self.config.epto.fanout
-            view_size = self.config.cyclon_view_size or 2 * fanout
-            pss = BrahmsPss(
-                node_id=node_id,
-                view_size=view_size,
-                send=lambda dst, msg: self.network.send(node_id, dst, msg),
-                rng=node_rng,
-            )
-            bootstrap = self.directory.sample(self._rng, view_size, exclude=node_id)
-            pss.bootstrap(bootstrap)
-            return pss
-        raise MembershipError(f"unknown PSS kind {self.config.pss!r}")
-
-    def _build_process(
-        self,
-        node_id: int,
-        pss: object,
-        node_rng: random.Random,
-        journal: "DeliveryJournal | None" = None,
-    ) -> GossipProcess:
-        def record(event: Event) -> None:
-            self.collector.record_delivery(node_id, event, self.sim.now())
-
-        if journal is None:
-            on_deliver = record
-        else:
-            durable = journal
-
-            def on_deliver(event: Event) -> None:
-                # Journal first; a post-respawn re-delivery of an event
-                # already in the durable history is dropped before the
-                # collector (and any replica service above it) sees it.
-                if durable.record_delivery(event):
-                    record(event)
-
-        if self._process_factory is not None:
-            return self._process_factory(
-                node_id=node_id,
-                pss=pss,
-                transport=self.network,
-                on_deliver=on_deliver,
-                time_source=self.sim.now,
-                rng=node_rng,
-            )
-        if self.config.epto.mode == "lazy":
-            return LazyEpToProcess(
-                node_id=node_id,
-                config=self.config.epto,
-                peer_sampler=pss,  # type: ignore[arg-type]
-                transport=self.network,
-                on_deliver=on_deliver,
-                time_source=self.sim.now,
-                rng=node_rng,
-                system_size_hint=self.config.expected_size,
-            )
-        return EpToProcess(
-            node_id=node_id,
-            config=self.config.epto,
-            peer_sampler=pss,  # type: ignore[arg-type]
-            transport=self.network,
-            on_deliver=on_deliver,
-            time_source=self.sim.now,
-            rng=node_rng,
-            system_size_hint=self.config.expected_size,
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"SimCluster(size={self.size}, pss={self.config.pss!r})"

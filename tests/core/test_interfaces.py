@@ -21,7 +21,7 @@ from repro.core.interfaces import PeerSampler, Transport
 from repro.pss.base import MembershipDirectory
 from repro.pss.cyclon import CyclonPss
 from repro.pss.uniform import UniformViewPss
-from repro.runtime.transport import AsyncNetwork, AsyncNodeTransport
+from repro.runtime.transport import AsyncNetwork
 from repro.sim.engine import Simulator
 from repro.sim.network import SimNetwork
 
@@ -33,10 +33,10 @@ class TestTransportConformance:
         "factory",
         [
             lambda: SimNetwork(Simulator()),
-            lambda: AsyncNodeTransport(AsyncNetwork()),
+            AsyncNetwork,
             RecordingTransport,
         ],
-        ids=["SimNetwork", "AsyncNodeTransport", "RecordingTransport"],
+        ids=["SimNetwork", "AsyncNetwork", "RecordingTransport"],
     )
     def test_satisfies_transport_protocol(self, factory):
         assert isinstance(factory(), Transport)

@@ -87,3 +87,96 @@ class TestSelfStabDrill:
         assert result.authenticity is not None
         assert result.authenticity.forged_deliveries
         assert not result.exit_ok
+
+
+class TestSelfStabOnTheAsyncioRuntime:
+    """The same ``ScrambleState`` through the asyncio driver, in-memory
+    fabric with auth + journals + anti-entropy on."""
+
+    def test_forgeries_run_ahead_of_the_victims_clock_and_it_converges(self, tmp_path):
+        import asyncio
+
+        from repro.auth import HmacAuthenticator, KeyRing
+        from repro.core import EpToConfig
+        from repro.faults import AsyncFaultInjector, ScrambleState, check_survivors
+        from repro.runtime import AsyncCluster, AsyncNetwork
+        from repro.sync import SyncConfig
+
+        victim = 1
+
+        async def scenario():
+            network = AsyncNetwork(
+                seed=5, authenticator=HmacAuthenticator(KeyRing("async-stab"))
+            )
+            cluster = AsyncCluster(
+                EpToConfig(fanout=4, ttl=6, round_interval=15, clock="logical"),
+                network=network,
+                seed=5,
+                storage_dir=tmp_path,
+                sync=SyncConfig(interval_rounds=2.0),
+            )
+            cluster.add_nodes(6)
+            sprayed = []  # (the victim's clock as the spray left, the ball)
+            send_many = network.send_many
+
+            def spy(src, dsts, message):
+                if isinstance(message, tuple) and message and message[0].event.id[1] >= 1_000_000:
+                    clock = cluster.nodes[src].process.oracle.logical_clock
+                    sprayed.append((src, clock, message))
+                send_many(src, dsts, message)
+
+            network.send_many = spy
+            cluster.start_all()
+            events = [cluster.nodes[n].broadcast(f"pre-{n}") for n in (0, 2, 3, 4)]
+            assert await cluster.wait_for_deliveries(len(events), timeout=10.0)
+            injector = AsyncFaultInjector(
+                cluster,
+                FaultSchedule(
+                    [ScrambleState(at_round=1.0, nodes=(victim,), recover_after=8.0)]
+                ),
+                seed=5,
+            )
+            scramble = asyncio.ensure_future(injector.run())
+            await asyncio.sleep(3 * 0.015)  # the victim is down by now
+            events += [cluster.nodes[n].broadcast(f"mid-{n}") for n in (0, 2)]
+            await scramble
+            events += [cluster.nodes[n].broadcast(f"post-{n}") for n in (3, 4)]
+            wanted = {event.id for event in events}
+            converged = await cluster.wait_until(
+                lambda: all(
+                    wanted <= {e.id for e in cluster.deliveries[n]}
+                    for n in cluster.live_ids()
+                ),
+                timeout=10.0,
+            )
+            await cluster.stop_all()
+            return cluster, injector, sprayed, events, converged, network.stats
+
+        cluster, injector, sprayed, events, converged, stats = asyncio.run(scenario())
+        assert injector.scrambled_ids == {victim} and injector.stats.scrambles == 1
+        # The forged spray carried the victim's *real* clock reading:
+        # above it, and the clock had moved (it is not the constant 1
+        # of an injector that cannot find the clock).
+        [(src, clock, ball)] = sprayed
+        assert src == victim and len(ball) == 3
+        assert clock > 1
+        assert all(entry.event.ts > clock for entry in ball)
+        # Unsigned at source: every copy died at admission, none was
+        # delivered anywhere.
+        assert stats.dropped_unsigned >= 3 * 5
+        assert not any(
+            event.id[1] >= 1_000_000
+            for delivered in cluster.deliveries.values()
+            for event in delivered
+        )
+        # The victim came back from its damaged journal and converged.
+        assert converged
+        assert any("scrambled nodes [1] respawned" in text for _, text in injector.log)
+        report = check_survivors(
+            cluster.deliveries,
+            survivors=set(range(6)) - {victim},
+            recovered={victim},
+            restart_indices=cluster.restart_indices,
+            broadcasts={event.id: event for event in events},
+        )
+        assert report.ok, report.summary()

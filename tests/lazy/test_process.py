@@ -13,7 +13,7 @@ from collections import defaultdict
 import pytest
 
 from repro.core import EpToConfig
-from repro.core.errors import MembershipError
+from repro.core.errors import ConfigurationError
 from repro.lazy.process import LazyEpToProcess
 from repro.lazy.protocol import PayloadResponse
 from repro.sim import ClusterConfig, FixedLatency, SimCluster, SimNetwork, Simulator
@@ -142,7 +142,7 @@ class TestModeGuards:
         config = ClusterConfig(
             epto=EpToConfig(fanout=2, ttl=3, round_interval=100, mode="lazy"),
         )
-        with pytest.raises(MembershipError, match="lazy"):
+        with pytest.raises(ConfigurationError, match="lazy"):
             SimCluster(
                 sim,
                 network,

@@ -260,6 +260,55 @@ class TestAsyncCluster:
 
         run(scenario())
 
+    def test_node_whose_round_task_dies_goes_silent(self, tmp_path):
+        """A round task that raises is a crash: the shuffle and the
+        anti-entropy task die with it, and nothing leaves the node
+        afterwards (a corpse that kept probing would run a second sync
+        manager under its id once a supervisor respawned it)."""
+        from repro.sync import SyncConfig
+
+        async def scenario():
+            cluster = AsyncCluster(
+                small_config(),
+                pss="cyclon",
+                seed=4,
+                storage_dir=tmp_path,
+                sync=SyncConfig(interval_rounds=1.0),
+            )
+            cluster.add_nodes(4)
+            cluster.start_all()
+            node = cluster.nodes[3]  # joined last: its view knows the others
+
+            def explode():
+                raise RuntimeError("cosmic ray")
+
+            node.process.on_round = explode
+            died = await cluster.wait_until(lambda: node.crashed, timeout=5.0)
+            await asyncio.sleep(0)  # let the cancellations land
+            tasks = (node._task, node._shuffle_task, node._sync_task)
+            tasks_done = [task is not None and task.done() for task in tasks]
+            sent_after = []
+            send = cluster.network.send
+
+            def spy(src, dst, message):
+                if src == node.node_id:
+                    sent_after.append(message)
+                send(src, dst, message)
+
+            cluster.network.send = spy
+            await asyncio.sleep(8 * 0.015)  # eight probe periods
+            for other in (0, 1, 2):  # stop() would re-raise the corpse's error
+                await cluster.nodes[other].stop()
+            for journal in cluster.journals.values():
+                journal.close()
+            registered = cluster.network.is_registered(node.node_id)
+            return died, tasks_done, sent_after, registered
+
+        died, tasks_done, sent_after, registered = run(scenario())
+        assert died and not registered
+        assert tasks_done == [True, True, True]
+        assert sent_after == []
+
 
 class TestLateJoin:
     def test_late_joiner_delivers_subsequent_events(self):

@@ -7,7 +7,7 @@ import asyncio
 import pytest
 
 from repro.core.config import EpToConfig
-from repro.core.errors import MembershipError
+from repro.core.errors import ConfigurationError, MembershipError
 from repro.service import (
     BackpressureError,
     BroadcastService,
@@ -212,7 +212,7 @@ class TestLifecycle:
         from repro.sync.config import SyncConfig
 
         async def scenario():
-            with pytest.raises(MembershipError):
+            with pytest.raises(ConfigurationError):
                 BroadcastService(
                     0, _config(), object(), sync=SyncConfig(), storage_dir=None
                 )

@@ -7,12 +7,13 @@ import pytest
 from repro.core import EpToConfig, dissemination
 from repro.core.errors import MembershipError
 from repro.core.event import BallEntry, Event, SharedBall, make_ball
+from repro.core.process import EpToProcess
 from repro.lazy.protocol import IdBall, PayloadRequest, PayloadResponse
 from repro.pss import BrahmsPush, JoinRequest
 from repro.pss.cyclon import CyclonPss, CyclonRequest, CyclonResponse
 from repro.pss.uniform import UniformViewPss
 from repro.sim import ClusterConfig, FixedLatency, SimCluster, SimNetwork, Simulator
-from repro.sync import SyncConfig
+from repro.sync import SyncConfig, SyncManager
 from repro.sync.protocol import DeliveryDigest, SyncChunk, SyncDigest, SyncRequest
 
 from ..conftest import build_small_world
@@ -182,7 +183,32 @@ class TestInboxDispatch:
         ("sync", SyncChunk(req_id=1, events=(), checksum=0)),
     ]
 
-    def test_every_kind_reaches_its_handler_exactly_once(self, tmp_path):
+    def test_every_kind_reaches_its_handler_exactly_once(self, tmp_path, monkeypatch):
+        calls = []
+        sent_here = {id(message) for _, message in self.MESSAGES}
+
+        def recorder(kind):
+            # On the class, so every node's layer records: keep what
+            # this test sent (a Cyclon view may shuffle in the meantime).
+            return lambda self, *args: (
+                id(args[-1]) in sent_here and calls.append((kind, args))
+            )
+
+        # The stack builds its dispatch table from the handlers its
+        # layers have when the node is wired, so the recorders go on
+        # the classes before the cluster exists (an eager process and
+        # a Cyclon view do not speak lazy or overlay; giving them the
+        # handler is what makes them the owning layer here).
+        monkeypatch.setattr(EpToProcess, "on_ball", recorder("ball"))
+        monkeypatch.setattr(
+            EpToProcess, "on_lazy_message", recorder("lazy"), raising=False
+        )
+        monkeypatch.setattr(CyclonPss, "handle_request", recorder("cyclon_request"))
+        monkeypatch.setattr(CyclonPss, "handle_response", recorder("cyclon_response"))
+        monkeypatch.setattr(
+            CyclonPss, "handle_message", recorder("overlay"), raising=False
+        )
+        monkeypatch.setattr(SyncManager, "on_message", recorder("sync"))
         sim = Simulator(seed=11)
         network = SimNetwork(sim, latency=FixedLatency(5))
         config = ClusterConfig(
@@ -192,20 +218,6 @@ class TestInboxDispatch:
             sim, network, config, storage_dir=tmp_path, sync=SyncConfig()
         )
         cluster.add_nodes(3)
-        calls = []
-
-        def recorder(kind):
-            return lambda *args: calls.append((kind, args))
-
-        # The inbox closes over these objects and looks the handler up
-        # on each call, so a recorder set on the instance is what runs.
-        process, pss = cluster.node(0), cluster.pss_of(0)
-        process.on_ball = recorder("ball")
-        process.on_lazy_message = recorder("lazy")
-        pss.handle_request = recorder("cyclon_request")
-        pss.handle_response = recorder("cyclon_response")
-        pss.handle_message = recorder("overlay")
-        cluster.sync_managers[0].on_message = recorder("sync")
         for _, message in self.MESSAGES:
             network.send(1, 0, message)
         sim.run(until=5)  # FixedLatency(5): all twelve have landed, no round yet
@@ -215,12 +227,12 @@ class TestInboxDispatch:
             assert args[-1] is sent
             assert args[:-1] == (() if kind == "ball" else (1,))
 
-    def test_stray_traffic_is_dropped_not_taken_for_a_ball(self):
+    def test_stray_traffic_is_dropped_not_taken_for_a_ball(self, monkeypatch):
         # Uniform PSS, eager, no sync: nobody here speaks overlay, lazy
         # or anti-entropy, and none of it may fall through to on_ball.
-        sim, network, cluster = build_cluster(3)
         balls = []
-        cluster.node(0).on_ball = balls.append
+        monkeypatch.setattr(EpToProcess, "on_ball", lambda self, ball: balls.append(ball))
+        sim, network, cluster = build_cluster(3)
         strays = [
             message
             for kind, message in self.MESSAGES

@@ -7,6 +7,7 @@ import pytest
 from repro.core import EpToConfig
 from repro.core.errors import MembershipError
 from repro.sim import ClusterConfig, SimCluster, SimNetwork, Simulator
+from repro.stack import NodeStack
 
 from ..conftest import build_small_world, make_event
 
@@ -89,11 +90,15 @@ class TestRespawnHoldGate:
             self._config(respawn_hold_slack=-1)
 
     def test_gate_opens_after_exactly_hold_rounds(self):
-        """`_gated_round` holds for the configured count, no magic left."""
+        """`NodeStack.hold` holds `on_round` for the configured count,
+        no magic left."""
 
         class _Process:
             def __init__(self):
                 self.rounds = 0
+
+            def on_ball(self, ball):
+                pass
 
             def on_round(self):
                 self.rounds += 1
@@ -106,13 +111,24 @@ class TestRespawnHoldGate:
 
         hold = self._config(respawn_hold_slack=4).respawn_hold_rounds()
         process = _Process()
-        gated = SimCluster._gated_round(process, _Manager(), hold_rounds=hold)
+        stack = NodeStack(
+            0,
+            self._config().epto,
+            pss=None,
+            fabric=None,
+            on_deliver=None,
+            time_source=None,
+            rng=None,
+            process_factory=lambda **wiring: process,
+        )
+        stack.sync_manager = _Manager()
+        stack.hold(hold)
         for _ in range(hold - 1):
-            gated()
+            stack.on_round()
         assert process.rounds == 0  # still held
-        gated()
+        stack.on_round()
         assert process.rounds == 1  # opens on round `hold` exactly
-        gated()
+        stack.on_round()
         assert process.rounds == 2  # and stays open
 
 

@@ -1,0 +1,172 @@
+"""Structural guard: what a node is made of and what a fault action
+means are each written in one module.
+
+Read off the syntax tree of every module under ``src/repro`` — not off
+its formatting. A host that grows its own copy of the node wiring (a
+fourth constructor of the process, a second dispatch chain, another
+recover-and-reopen) or of the fault interpreter fails here.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+from typing import Callable, Dict, Iterator, Set, Tuple
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "repro"
+
+STACK = "stack.py"
+INTERPRETER = "faults/interpreter.py"
+
+FAULT_ACTIONS = {
+    "CrashNodes",
+    "PartitionNetwork",
+    "HealPartition",
+    "LossBurst",
+    "LatencySpike",
+    "CorruptDatagrams",
+    "ByzantineNodes",
+    "ScrambleState",
+}
+
+#: Load-time checks of what a drill supports, not interpretation:
+#: (module, enclosing function) pairs excepted by name.
+SCENARIO_CHECKS = {
+    ("experiments/drill.py", "run_drill"),
+    ("experiments/service_drill.py", "load_scenario"),
+}
+
+
+def modules() -> Dict[str, ast.Module]:
+    return {
+        path.relative_to(SRC).as_posix(): ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(SRC.rglob("*.py"))
+    }
+
+
+MODULES = modules()
+
+
+def uses(tree: ast.Module) -> Iterator[Tuple[str, str]]:
+    """``(name, enclosing function)`` for every name the module *uses*:
+    loaded outside an annotation (imports and string annotations are
+    not uses; ``x: Dict[int, SyncManager]`` is not one either)."""
+
+    def walk(node: ast.AST, function: str) -> Iterator[Tuple[str, str]]:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        for field, value in ast.iter_fields(node):
+            if field in ("annotation", "returns"):
+                continue
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                    yield child.id, function
+                elif isinstance(child, ast.AST):
+                    yield from walk(child, function)
+
+    return walk(tree, "")
+
+
+def modules_where(
+    found: Callable[[ast.Module], bool], outside: Tuple[str, ...] = ()
+) -> Set[str]:
+    return {
+        name
+        for name, tree in MODULES.items()
+        if not name.startswith(outside) and found(tree)
+    }
+
+
+def using(*names: str) -> Callable[[ast.Module], bool]:
+    return lambda tree: any(name in names for name, _ in uses(tree))
+
+
+def test_one_module_builds_the_process():
+    assert modules_where(
+        using("EpToProcess", "LazyEpToProcess"), outside=("core/", "lazy/")
+    ) == {STACK}
+
+
+def test_one_module_builds_the_sync_manager():
+    assert modules_where(using("SyncManager"), outside=("sync/",)) == {STACK}
+
+
+def test_one_module_opens_a_nodes_journal():
+    assert modules_where(using("DeliveryJournal"), outside=("storage/",)) == {STACK}
+
+
+def test_one_module_recovers_a_node_from_disk():
+    def imports_recover(tree: ast.Module) -> bool:
+        return any(
+            isinstance(node, ast.ImportFrom)
+            and (node.module or "").endswith("recovery")
+            and any(alias.name == "recover" for alias in node.names)
+            for node in ast.walk(tree)
+        )
+
+    assert modules_where(imports_recover, outside=("storage/",)) == {STACK}
+
+
+def test_one_module_routes_the_wire_kinds():
+    assert modules_where(
+        using("LAZY_MESSAGE_TYPES", "SYNC_MESSAGE_TYPES", "OVERLAY_MESSAGE_TYPES"),
+        outside=("lazy/", "sync/", "pss/"),
+    ) == {STACK}
+
+
+def test_one_module_interprets_fault_actions():
+    def dispatches_on_action_type(name: str, tree: ast.Module) -> bool:
+        """An ``isinstance(_, <fault action class[es]>)`` outside the
+        drills' load-time scenario checks."""
+
+        def walk(node: ast.AST, function: str) -> bool:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                function = node.name
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance"
+                and len(node.args) == 2
+                and {
+                    n.id for n in ast.walk(node.args[1]) if isinstance(n, ast.Name)
+                }
+                & FAULT_ACTIONS
+                and (name, function) not in SCENARIO_CHECKS
+            ):
+                return True
+            return any(walk(child, function) for child in ast.iter_child_nodes(node))
+
+        return walk(tree, "")
+
+    def expands_actions(tree: ast.Module) -> bool:
+        """Reads the fields that turn one action into timed steps."""
+        fields = {"recover_after", "heal_after"}
+        return any(
+            (isinstance(node, ast.Attribute) and node.attr in fields)
+            or (isinstance(node, ast.Constant) and node.value in fields)
+            for node in ast.walk(tree)
+        )
+
+    # The schedule validates its own actions; nobody else may branch on
+    # an action's type (the interpreter dispatches on ``action.kind``
+    # through one table, so not even it does).
+    by_type = {
+        name
+        for name, tree in MODULES.items()
+        if name != "faults/schedule.py" and dispatches_on_action_type(name, tree)
+    }
+    assert by_type <= {INTERPRETER}
+    assert modules_where(expands_actions, outside=("faults/schedule.py",)) == {
+        INTERPRETER
+    }
+
+
+def test_the_guard_sees_what_it_guards():
+    """The rules above are not vacuous: the names they look for exist
+    where they are allowed to."""
+    assert using("EpToProcess")(MODULES["lazy/process.py"])
+    assert using("DeliveryJournal")(MODULES[STACK])
+    assert not using("DeliveryJournal")(MODULES["sim/cluster.py"])  # annotations only
+    assert ("isinstance", "load_scenario") in set(
+        uses(MODULES["experiments/service_drill.py"])
+    )
