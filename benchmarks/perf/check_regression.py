@@ -6,7 +6,7 @@ The perf harness records machine-dependent timings, so CI never asserts
 wall-clock numbers from a shared runner. What it CAN assert is the
 committed record: each optimization documented in ``BENCH_core.json``
 claims a ``speedup`` over an in-harness baseline (encode-once fan-out,
-flat engine vs object engine, batched vs unbatched wire path,
+flat engine vs object engine, raw sockets vs asyncio endpoints,
 multiplexed vs separate service clusters). A committed value below 1.0
 means a regeneration recorded
 an optimization that no longer optimizes — fail loudly and make the

@@ -27,10 +27,11 @@ the repository root:
   docs/SECURITY.md) and the wire cost of authentication: the same ball
   encoded/decoded plain (codec kind 1) versus signed (kind 7).
 * ``udp_e2e`` — the real loopback wire path
-  (:mod:`repro.experiments.net_bench`): paired batched-vs-unbatched
-  fan-out blast, full EpTO clusters clean and under
-  ``scenarios/standard_drill.json`` with delivery-delay CDFs, plus a
-  tracemalloc allocation audit of the batched round loop.
+  (:mod:`repro.experiments.net_bench`): paired fan-out blast to a
+  fresh peer sample per round, raw sockets vs asyncio endpoints, full
+  EpTO clusters clean and under ``scenarios/standard_drill.json`` with
+  delivery-delay CDFs, plus a tracemalloc allocation audit of the
+  round loop.
 * ``service_bench`` — the multi-topic broadcast service
   (:mod:`repro.experiments.service_bench`): T topics multiplexed over
   one socket/timer per host vs T independent single-topic clusters at
@@ -565,15 +566,15 @@ ALLOC_AUDIT_ROUNDS = 300
 
 
 def _alloc_audit(seed: int, rounds: int) -> dict:
-    """tracemalloc audit of the batched fan-out round loop.
+    """tracemalloc audit of the fan-out round loop.
 
-    Drives *rounds* encode-once ``send_many`` fan-outs on a batched
+    Drives *rounds* encode-once ``send_many`` fan-outs on a raw-socket
     :class:`~repro.runtime.udp.UdpNetwork` with tracemalloc on and
     reports Python-heap churn per round plus the top allocation sites.
-    The wire path is engineered to allocate almost nothing at steady
-    state (pooled encode buffer, pinned iovec/mmsghdr arrays, pooled
-    deferred-send buffers, zero-copy receive views); this audit is the
-    regression instrument for that property.
+    The wire path is engineered to keep nothing at steady state
+    (pooled encode buffer, pooled deferred-send buffers, one receive
+    arena read through zero-copy views); this audit is the regression
+    instrument for that property.
     """
     import asyncio
     import tracemalloc
@@ -582,7 +583,7 @@ def _alloc_audit(seed: int, rounds: int) -> dict:
     from repro.runtime.udp import UdpNetwork
 
     async def audit() -> dict:
-        network = UdpNetwork(seed=seed, batch="auto")
+        network = UdpNetwork(seed=seed)
         peers = list(range(1, 17))
         for nid in [0] + peers:
             network.register(nid, lambda src, msg: None)
@@ -639,9 +640,9 @@ def bench_udp_e2e(seed: int, check: bool) -> dict:
     """udp_e2e — the real loopback wire path, end to end.
 
     Wraps :func:`repro.experiments.net_bench.run_net_bench`: the paired
-    batched-vs-unbatched fan-out blast, full EpTO clusters clean and
-    under ``scenarios/standard_drill.json``, and the tracemalloc
-    allocation audit of the batched round loop. Aborts if any cluster
+    raw-socket vs asyncio-endpoint fan-out blast, full EpTO clusters
+    clean and under ``scenarios/standard_drill.json``, and the
+    tracemalloc allocation audit of the round loop. Aborts if any cluster
     run misses delivery or total order — those are correctness gates;
     timing numbers are recorded, never asserted here (the committed
     ``speedup`` value is what ``check_regression.py`` pins).
@@ -701,11 +702,10 @@ def bench_udp_e2e(seed: int, check: bool) -> dict:
         "fanout_blast": {
             "datagrams": fanout.datagrams,
             "bytes_per_datagram": fanout.bytes_per_datagram,
-            "batched_tier": fanout.batched_tier,
-            "batched_rate_dgram_s": round(fanout.batched_rate),
-            "batched_syscalls": fanout.batched_syscalls,
-            "unbatched_rate_dgram_s": round(fanout.unbatched_rate),
-            "unbatched_syscalls": fanout.unbatched_syscalls,
+            "raw_rate_dgram_s": round(fanout.raw_rate),
+            "raw_syscalls": fanout.raw_syscalls,
+            "asyncio_rate_dgram_s": round(fanout.asyncio_rate),
+            "asyncio_syscalls": fanout.asyncio_syscalls,
             "speedup": round(fanout.speedup, 2),
         },
         "runs": runs_out,
@@ -904,9 +904,9 @@ def run_all(sizes, seed: int, repeats: int, flat_sizes, check: bool = False) -> 
     results["scenarios"]["udp_e2e"] = udp
     blast = udp["fanout_blast"]
     print(
-        f"  blast {blast['batched_tier']} "
-        f"{blast['batched_rate_dgram_s']:,} dgram/s vs "
-        f"{blast['unbatched_rate_dgram_s']:,} unbatched "
+        f"  blast raw sockets "
+        f"{blast['raw_rate_dgram_s']:,} dgram/s vs "
+        f"{blast['asyncio_rate_dgram_s']:,} asyncio endpoints "
         f"(speedup {blast['speedup']:.2f}x)   "
         f"alloc {udp['allocation']['bytes_per_round']} B/round"
     )

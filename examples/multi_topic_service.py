@@ -5,7 +5,7 @@ Four independent EpTO topics — four total orders — multiplexed over
 **one real UDP socket per host**. Each host runs a single
 `BroadcastService` with one round timer; every round, the balls of all
 four topics to the same peer coalesce into one `TopicEnvelope` datagram
-(and, with `sendmmsg`, the whole fan-out into one syscall). Clients see
+(each ball encoded once per round, whatever its fan-out). Clients see
 an async pub/sub API: `await service.publish(topic, payload)` with
 explicit backpressure, and bounded async-iterator subscriptions.
 

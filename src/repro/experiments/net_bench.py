@@ -2,16 +2,17 @@
 
 Everything else in ``benchmarks/perf`` measures the ordering logic or
 serialization in isolation; this experiment measures the actual wire
-path — real loopback datagrams, real event-loop wakeups, the batched
-syscall layer of :mod:`repro.runtime.batchio` — in two parts:
+path — real loopback datagrams, real event-loop wakeups — in two
+parts:
 
 1. **Fan-out throughput**: node 0 blasts encode-once ``send_many``
-   rounds at K peers, batched (best platform tier, one ``sendmmsg``
-   per round) vs. unbatched (forced ``sendto``, K syscalls per round).
-   The ratio is the direct payoff of syscall batching on the EpTO
-   dissemination pattern; on a ``sendmmsg`` platform it must clear
-   1.5x (pinned by the committed BENCH_core.json and the CI
-   regression check).
+   rounds at a fresh sample of K of its n−1 peers every round — the
+   traffic Algorithm 1 makes (``peers ← PSS.sample(K)``), not a
+   repeated peer set — over the raw-socket fabric (plain ``sendto``)
+   and over the asyncio datagram endpoints (``batch=False``). Both
+   pay K syscalls per round; the ratio is what driving the sockets
+   directly saves per datagram (recorded in the committed
+   BENCH_core.json and gated by the CI regression check).
 2. **Cluster scenarios**: full EpTO clusters over
    :class:`~repro.runtime.udp.UdpNetwork` at several sizes drive a
    broadcast workload to delivery completion — once clean and once
@@ -35,6 +36,7 @@ assertions belong in the committed benchmark JSON, not in CI.
 from __future__ import annotations
 
 import asyncio
+import random
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -42,43 +44,44 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.config import EpToConfig
 from ..faults.schedule import FaultSchedule
 from ..metrics.cdf import DelaySummary, cdf_points
-from ..runtime import batchio
 from ..runtime.cluster import AsyncCluster
 from ..runtime.fastloop import ensure_uvloop
 from ..runtime.udp import UdpNetwork
 from .scale import ScalePreset, get_scale
 
 #: Event payloads per fan-out blast datagram are tiny; what matters is
-#: the syscall count, so the blast uses a single-entry ball per round.
+#: the per-datagram cost, so the blast uses a single-entry ball per
+#: round. K and n are the paced e2e workloads' (n=32 gives K=16).
 _BLAST_FANOUT = 16
+_BLAST_PEERS = 31
 
 
 @dataclass(slots=True)
 class FanoutThroughput:
-    """Batched vs unbatched ``send_many`` blast, same bytes, same peers."""
+    """``send_many`` blast over raw sockets vs asyncio endpoints: same
+    bytes, the same fresh peer sample every round."""
 
     datagrams: int
-    batched_tier: str
-    batched_seconds: float
-    batched_syscalls: int
-    unbatched_seconds: float
-    unbatched_syscalls: int
+    raw_seconds: float
+    raw_syscalls: int
+    asyncio_seconds: float
+    asyncio_syscalls: int
     bytes_per_datagram: int
 
     @property
-    def batched_rate(self) -> float:
-        """Datagrams per second through the batched send path."""
-        return self.datagrams / self.batched_seconds
+    def raw_rate(self) -> float:
+        """Datagrams per second through the raw-socket fabric."""
+        return self.datagrams / self.raw_seconds
 
     @property
-    def unbatched_rate(self) -> float:
-        """Datagrams per second through the forced-``sendto`` path."""
-        return self.datagrams / self.unbatched_seconds
+    def asyncio_rate(self) -> float:
+        """Datagrams per second through the asyncio endpoints."""
+        return self.datagrams / self.asyncio_seconds
 
     @property
     def speedup(self) -> float:
-        """Batched over unbatched throughput."""
-        return self.unbatched_seconds / self.batched_seconds
+        """Raw-socket over asyncio-endpoint throughput."""
+        return self.asyncio_seconds / self.raw_seconds
 
 
 @dataclass(slots=True)
@@ -106,8 +109,8 @@ class ClusterRun:
 
     @property
     def syscalls_per_round(self) -> float:
-        """Send syscalls per node-round — the batching headline: K
-        datagrams per round cost ~1 syscall batched, K unbatched."""
+        """Send syscalls per node-round: one per datagram, so K for
+        the ball plus whatever else the round sent."""
         node_rounds = self.rounds * self.n
         return self.syscalls_send / node_rounds if node_rounds else 0.0
 
@@ -139,11 +142,12 @@ class NetBenchResult:
         f = self.fanout
         lines = [
             f"fan-out blast: {f.datagrams} datagrams x "
-            f"{f.bytes_per_datagram} B to {_BLAST_FANOUT} peers",
-            f"  batched ({f.batched_tier}): "
-            f"{f.batched_rate:,.0f} dgram/s, {f.batched_syscalls} syscalls",
-            f"  unbatched (asyncio): "
-            f"{f.unbatched_rate:,.0f} dgram/s, {f.unbatched_syscalls} syscalls",
+            f"{f.bytes_per_datagram} B, a fresh {_BLAST_FANOUT} of "
+            f"{_BLAST_PEERS} peers every round",
+            f"  raw sockets: "
+            f"{f.raw_rate:,.0f} dgram/s, {f.raw_syscalls} syscalls",
+            f"  asyncio endpoints: "
+            f"{f.asyncio_rate:,.0f} dgram/s, {f.asyncio_syscalls} syscalls",
             f"  speedup: {f.speedup:.2f}x   uvloop: "
             f"{'on' if self.uvloop_active else 'off'}",
         ]
@@ -179,20 +183,20 @@ class NetBenchResult:
 
 
 async def _open_blast_net(batch, seed: int):
-    """One fabric with node 0 and :data:`_BLAST_FANOUT` warm peers."""
+    """One fabric with node 0 and :data:`_BLAST_PEERS` warm peers."""
     from repro.core.event import BallEntry, Event, make_ball
 
     network = UdpNetwork(seed=seed, batch=batch)
-    peers = list(range(1, _BLAST_FANOUT + 1))
+    peers = list(range(1, _BLAST_PEERS + 1))
     for nid in [0] + peers:
         network.register(nid, lambda src, msg: None)
     await network.open_all()
     ball = make_ball(
         [BallEntry(Event(id=(0, 0), ts=1, source_id=0, payload="blast-x"), 4)]
     )
-    # Warm up codec buffers and sockaddr caches outside the clock.
+    # Warm up the codec buffer outside the clock.
     network.send_many(0, peers, ball)
-    return network, peers, ball
+    return network, ball
 
 
 #: Rounds per timing chunk in the fan-out blast. The two transports
@@ -208,8 +212,10 @@ _BLAST_PASSES = 3
 
 
 async def _fanout_throughput(rounds: int, seed: int) -> FanoutThroughput:
-    """Batched transport vs. the pre-change asyncio-endpoint transport
-    (``batch=False``) -- the speedup this layer actually delivers.
+    """Raw-socket fabric vs. the asyncio-endpoint transport
+    (``batch=False``) under the fan-out EpTO makes: every round goes to
+    a fresh :data:`_BLAST_FANOUT`-of-:data:`_BLAST_PEERS` sample, drawn
+    before the clock starts and the same for both sides.
 
     Both fabrics run live at once and the timed send loops alternate in
     :data:`_BLAST_CHUNK`-round chunks (a paired measurement): a load
@@ -220,46 +226,50 @@ async def _fanout_throughput(rounds: int, seed: int) -> FanoutThroughput:
     slower) and each side reports its best pass. Receive completion is
     otherwise irrelevant here -- the sender is the side on the clock.
     """
-    batched_tier = batchio.best_send_tier()
-    b_net, b_peers, b_ball = await _open_blast_net("auto", seed)
-    u_net, u_peers, u_ball = await _open_blast_net(False, seed)
+    r_net, r_ball = await _open_blast_net("auto", seed)
+    a_net, a_ball = await _open_blast_net(False, seed)
     reps = max(1, rounds // _BLAST_CHUNK)
-    b_elapsed = u_elapsed = float("inf")
-    b_syscalls = u_syscalls = dgram_bytes = 0
+    rng = random.Random(seed)
+    peers = range(1, _BLAST_PEERS + 1)
+    samples = [
+        [rng.sample(peers, _BLAST_FANOUT) for _ in range(_BLAST_CHUNK)]
+        for _ in range(reps)
+    ]
+    r_elapsed = a_elapsed = float("inf")
+    r_syscalls = a_syscalls = dgram_bytes = 0
     datagrams = reps * _BLAST_CHUNK * _BLAST_FANOUT
     for _ in range(_BLAST_PASSES):
-        b_sys0 = b_net.stats.syscalls_send
-        u_sys0 = u_net.stats.syscalls_send
-        b_bytes0 = b_net.stats.bytes_sent
-        b_pass = u_pass = 0.0
-        for _ in range(reps):
+        r_sys0 = r_net.stats.syscalls_send
+        a_sys0 = a_net.stats.syscalls_send
+        r_bytes0 = r_net.stats.bytes_sent
+        r_pass = a_pass = 0.0
+        for chunk in samples:
             start = time.perf_counter()
-            for _ in range(_BLAST_CHUNK):
-                b_net.send_many(0, b_peers, b_ball)
-            b_pass += time.perf_counter() - start
+            for dsts in chunk:
+                r_net.send_many(0, dsts, r_ball)
+            r_pass += time.perf_counter() - start
             start = time.perf_counter()
-            for _ in range(_BLAST_CHUNK):
-                u_net.send_many(0, u_peers, u_ball)
-            u_pass += time.perf_counter() - start
-        b_elapsed = min(b_elapsed, b_pass)
-        u_elapsed = min(u_elapsed, u_pass)
+            for dsts in chunk:
+                a_net.send_many(0, dsts, a_ball)
+            a_pass += time.perf_counter() - start
+        r_elapsed = min(r_elapsed, r_pass)
+        a_elapsed = min(a_elapsed, a_pass)
         # Per-pass counts are deterministic; record one pass's worth so
         # the reported syscalls line up with the reported datagrams.
-        b_syscalls = b_net.stats.syscalls_send - b_sys0
-        u_syscalls = u_net.stats.syscalls_send - u_sys0
-        dgram_bytes = (b_net.stats.bytes_sent - b_bytes0) // max(1, datagrams)
+        r_syscalls = r_net.stats.syscalls_send - r_sys0
+        a_syscalls = a_net.stats.syscalls_send - a_sys0
+        dgram_bytes = (r_net.stats.bytes_sent - r_bytes0) // max(1, datagrams)
         # Drain both fabrics' receive queues before the next pass.
         for _ in range(30):
             await asyncio.sleep(0.004)
-    await b_net.close()
-    await u_net.close()
+    await r_net.close()
+    await a_net.close()
     return FanoutThroughput(
         datagrams=datagrams,
-        batched_tier=batched_tier,
-        batched_seconds=b_elapsed,
-        batched_syscalls=b_syscalls,
-        unbatched_seconds=u_elapsed,
-        unbatched_syscalls=u_syscalls,
+        raw_seconds=r_elapsed,
+        raw_syscalls=r_syscalls,
+        asyncio_seconds=a_elapsed,
+        asyncio_syscalls=a_syscalls,
         bytes_per_datagram=dgram_bytes,
     )
 

@@ -135,8 +135,8 @@ _ENTRIES = [
     ExperimentEntry(
         id="net-bench",
         description=(
-            "udp_e2e — loopback UDP clusters end to end: batched "
-            "fan-out throughput, syscalls/round, delivery-delay CDFs"
+            "udp_e2e — loopback UDP clusters end to end: fan-out "
+            "throughput, syscalls/round, delivery-delay CDFs"
         ),
         runner=run_net_bench,
         takes_faults=True,

@@ -138,7 +138,10 @@ class TopicEnvelope:
     (:mod:`repro.service`) packs the frames every host emits in one
     event-loop tick into as few envelopes as fit the datagram cap, so
     balls for many topics share one ``sendto`` — the cross-topic
-    batching the multi-topic service is built around. The envelope
+    batching the multi-topic service is built around. On a wire fabric
+    the demux never builds this object on the way out: it assembles the
+    same bytes from frames it already encoded
+    (:func:`assemble_envelope`). The envelope
     sender (the outer header's sender field) is the emitting *host*;
     per-frame senders travel in the inner headers.
     """
@@ -377,6 +380,51 @@ def _encode_into(sender: int, message: WireMessage, buffer: bytearray) -> int:
     return payload_bytes
 
 
+def assemble_envelope(host: int, frames) -> bytes:
+    """Build a topic envelope from inner datagrams encoded earlier.
+
+    *frames* is a sequence of ``(topic, inner)`` where *inner* is the
+    datagram :func:`encode` produced for that frame's message from its
+    own sender. The result is byte for byte
+    ``encode(host, TopicEnvelope(...))`` of the same frames, without
+    encoding any message again: the service's demux encodes a ball once
+    to size it and every envelope that carries it is put together from
+    those bytes (:meth:`repro.service.demux.TopicDemux.flush`).
+
+    Raises:
+        CodecError: If a topic id is outside the u32 range, an inner
+            datagram is itself an envelope (envelopes cannot nest) or
+            the envelope exceeds :data:`MAX_DATAGRAM`.
+    """
+    parts = [
+        _HEADER.pack(
+            _MAGIC, _VERSION_TOPIC, _KIND_TOPIC_ENVELOPE, host, len(frames)
+        )
+    ]
+    for index, (topic, inner) in enumerate(frames):
+        if not 0 <= topic <= MAX_TOPIC_ID:
+            raise CodecError(
+                f"topic id {topic} of frame {index + 1} is outside the "
+                f"u32 range"
+            )
+        if len(inner) < _HEADER.size:
+            raise CodecError(
+                f"frame {index + 1} is {len(inner)} bytes, not a datagram"
+            )
+        # The kind byte sits at a fixed header offset (see the decoder).
+        if inner[3] == _KIND_TOPIC_ENVELOPE:
+            raise CodecError("topic envelopes cannot nest")
+        parts.append(_FRAME_HEAD.pack(topic, len(inner)))
+        parts.append(inner)
+    datagram = b"".join(parts)
+    if len(datagram) > MAX_DATAGRAM:
+        raise CodecError(
+            f"assembled envelope is {len(datagram)} bytes, exceeding the "
+            f"{MAX_DATAGRAM}-byte datagram cap"
+        )
+    return datagram
+
+
 def decode(
     datagram,
     table: Optional[AdmittedEntries] = None,
@@ -390,7 +438,8 @@ def decode(
     survives the call (payloads, MACs) is materialized into owned
     objects, so no reference into *datagram* escapes — the transport
     may reuse its buffer the moment ``decode`` returns
-    (:mod:`repro.runtime.batchio` relies on exactly this).
+    (:class:`repro.runtime.udp.UdpNetwork`'s one receive arena relies
+    on exactly this).
 
     With *table* — the receiving node's :class:`AdmittedEntries` —
     ball kinds (1, 7, and both inside kind-8 frames) run two-speed: an

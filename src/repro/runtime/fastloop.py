@@ -2,7 +2,7 @@
 
 uvloop is a drop-in libuv-based event loop that roughly halves the
 per-wakeup overhead of the stdlib selector loop — worth having under a
-UDP fabric that wakes once per burst, never required for correctness.
+UDP fabric that wakes once per datagram, never required for correctness.
 It ships as the ``fast`` extra (``pip install .[fast]``); this module
 is the single place that touches it, so the rest of the codebase never
 imports uvloop directly and runs unchanged when it is absent.
@@ -17,8 +17,9 @@ imports uvloop directly and runs unchanged when it is absent.
 * :func:`run` is ``asyncio.run`` with the policy check in front — the
   convenience entry for benchmarks and experiments.
 
-Batched raw sockets (:mod:`repro.runtime.batchio`) work on either
-loop: uvloop implements ``add_reader``/``remove_reader`` natively.
+The raw-socket endpoints of :class:`~repro.runtime.udp.UdpNetwork`
+work on either loop: uvloop implements ``add_reader``/``remove_reader``
+natively.
 """
 
 from __future__ import annotations

@@ -42,22 +42,24 @@ path allocates no fresh ``bytes`` object per round; latency-spiked
 sends lease a reusable buffer from a small pool instead of copying,
 and only corrupted datagrams take a true owned copy.
 
-Syscall batching (ROADMAP: wire speed): by default the fabric binds
-raw non-blocking sockets driven by :mod:`repro.runtime.batchio` — a
-round's K-peer fan-out is one ``sendmmsg(2)`` and an inbound burst is
-drained by one ``recvmmsg(2)``, with receive bytes handed to the codec
-as zero-copy ``memoryview`` slices. ``batch=False`` restores the
-pre-batching asyncio datagram endpoints (the equivalence baseline);
-``batch="sendto"`` (or any :data:`~repro.runtime.batchio.SEND_TIERS`
-name) forces a specific send tier. Platforms whose event loop cannot
-watch raw file descriptors (Proactor) fall back to asyncio endpoints
-automatically. ``stats.syscalls_send`` / ``stats.syscalls_recv``
-against ``stats.sent`` / ``stats.delivered`` show the batching factor.
+Endpoints (docs/PERFORMANCE.md *Wire path*): by default every node
+owns a raw non-blocking socket watched by the event loop. A datagram
+out is one ``socket.sendto`` — Algorithm 1 draws a fresh peer sample
+every round, so a fan-out is K of them over the one encoded buffer —
+and a readiness callback reads **one** datagram with ``recv_into`` into
+the fabric's single receive arena and hands the codec a zero-copy
+``memoryview`` of it, consumed before the next read (readiness is
+level-triggered: a socket that holds more calls back). On loops that
+cannot watch a file descriptor (Proactor) the fabric falls back to
+asyncio datagram endpoints automatically; ``batch=False`` forces them
+(the reference of the equivalence tests). ``stats.syscalls_send`` /
+``stats.syscalls_recv`` count the ``sendto`` and ``recv_into`` calls.
 """
 
 from __future__ import annotations
 
 import asyncio
+import errno
 import random
 import socket
 from dataclasses import dataclass
@@ -66,7 +68,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..auth.authenticator import SignedBall
 from ..auth.guard import BallGuard
 from ..core.errors import MembershipError
-from . import batchio, fastloop
+from . import fastloop
 from .codec import (
     AdmittedEntries,
     CodecError,
@@ -112,11 +114,12 @@ class UdpStats:
     delayed: int = 0
     transport_errors: int = 0
     encoded_datagrams: int = 0
-    #: Send-side syscalls. With batching, a whole fan-out counts one;
-    #: on asyncio endpoints each ``sendto`` counts one (an approximation
-    #: when the transport buffers, which loopback never does).
+    #: Send-side syscalls: one per ``sendto`` on either endpoint kind
+    #: (an approximation on asyncio endpoints when the transport
+    #: buffers, which loopback never does).
     syscalls_send: int = 0
-    #: Receive-side syscalls (wakeups on asyncio endpoints).
+    #: Receive-side syscalls: one per ``recv_into`` on raw sockets, one
+    #: per wakeup on asyncio endpoints.
     syscalls_recv: int = 0
     bytes_sent: int = 0
     bytes_received: int = 0
@@ -150,7 +153,6 @@ class _NodeProtocol(asyncio.DatagramProtocol):
         self._node_id = node_id
 
     def datagram_received(self, data: bytes, addr) -> None:
-        # One wakeup per datagram: the unbatched receive cost model.
         self._network.stats.syscalls_recv += 1
         self._network._on_datagram(self._node_id, data)
 
@@ -160,7 +162,7 @@ class _NodeProtocol(asyncio.DatagramProtocol):
         self._network.stats.transport_errors += 1
 
 
-#: Kernel receive-buffer request for raw batched sockets. A burst of
+#: Kernel receive-buffer request for raw sockets. A burst of
 #: n-1 balls at paper scale outruns the default 212 KiB rmem on many
 #: distros; the kernel clamps this to ``rmem_max`` silently.
 _RECV_SOCKET_BUFFER = 1 << 21
@@ -171,17 +173,20 @@ _RECV_SOCKET_BUFFER = 1 << 21
 _DEFERRED_POOL_LIMIT = 64
 
 
+#: Size of the fabric's receive arena: the largest UDP datagram.
+_ARENA_SIZE = 65_535
+
+
 class _RawEndpoint:
     """A raw non-blocking UDP socket driven straight off the event loop.
 
-    Replaces the asyncio datagram transport when batching is enabled:
-    sends go through a :class:`~repro.runtime.batchio.BatchSender`
-    (whole fan-out = one ``sendmmsg``) and readable wakeups drain the
-    socket through a :class:`~repro.runtime.batchio.BatchReceiver`
-    (burst = one ``recvmmsg``), handing each datagram to the fabric as
-    a zero-copy ``memoryview`` valid only for the duration of the
-    handler call. Exposes the slice of the transport surface the fabric
-    and its tests rely on: ``sendto`` / ``is_closing`` / ``close``.
+    Replaces the asyncio datagram transport on loops that can watch a
+    file descriptor. Every send is one ``socket.sendto``; every
+    readiness callback reads one datagram into the fabric's receive
+    arena and hands it on as a zero-copy ``memoryview`` valid only for
+    the duration of the handler call. Exposes the slice of the
+    transport surface the fabric and its tests rely on: ``sendto`` /
+    ``is_closing`` / ``close``.
     """
 
     is_raw = True
@@ -192,15 +197,11 @@ class _RawEndpoint:
         node_id: int,
         sock: socket.socket,
         loop: asyncio.AbstractEventLoop,
-        send_tier: Optional[str],
-        recv_tier: Optional[str],
     ) -> None:
         self._network = network
         self._node_id = node_id
         self._sock = sock
         self._loop = loop
-        self._sender = batchio.BatchSender(send_tier)
-        self._receiver = batchio.BatchReceiver(recv_tier)
         self._closed = False
         # Raises NotImplementedError on loops without FD watching
         # (Proactor); the caller falls back to asyncio endpoints.
@@ -208,64 +209,57 @@ class _RawEndpoint:
 
     def sendto(self, data, address) -> None:
         """Ship one datagram now; kernel refusals are counted drops."""
+        self.send_each(data, (address,))
+
+    def send_each(self, data, addresses) -> None:
+        """Ship *data* to every address, one ``sendto`` each.
+
+        Drop semantics are UDP's own: a datagram the kernel will not
+        take right now (``EAGAIN`` on a non-blocking socket,
+        ``ENOBUFS``) is dropped and counted in ``transport_errors``,
+        never retried, and the loop goes on to the next address —
+        EpTO's relay redundancy is the retransmission (paper §4).
+        """
         if self._closed:
             return
         stats = self._network.stats
-        stats.syscalls_send += 1
-        if self._sender.send_one(self._sock, data, address):
-            stats.bytes_sent += len(data)
-        else:
-            stats.transport_errors += 1
-
-    def send_batch(self, items) -> None:
-        """Ship ``(buffer, address)`` pairs in as few syscalls as the
-        platform tier allows."""
-        if self._closed or not items:
-            return
-        stats = self._network.stats
-        sender = self._sender
-        syscalls_before = sender.syscalls
-        rejected_before = sender.rejected
-        bytes_before = sender.bytes
-        sender.send_batch(self._sock, items)
-        stats.syscalls_send += sender.syscalls - syscalls_before
-        stats.transport_errors += sender.rejected - rejected_before
-        stats.bytes_sent += sender.bytes - bytes_before
-
-    def send_fanout(self, buf, addresses) -> None:
-        """Ship one buffer to every address — the per-round fan-out,
-        specialized past the generic pair-list path."""
-        if self._closed or not addresses:
-            return
-        stats = self._network.stats
-        sender = self._sender
-        syscalls_before = sender.syscalls
-        rejected_before = sender.rejected
-        bytes_before = sender.bytes
-        sender.send_fanout(self._sock, buf, addresses)
-        stats.syscalls_send += sender.syscalls - syscalls_before
-        stats.transport_errors += sender.rejected - rejected_before
-        stats.bytes_sent += sender.bytes - bytes_before
+        sendto = self._sock.sendto
+        size = len(data)
+        for address in addresses:
+            stats.syscalls_send += 1
+            try:
+                sendto(data, address)
+            except (BlockingIOError, InterruptedError):
+                stats.transport_errors += 1
+            except OSError as exc:
+                if exc.errno != errno.ENOBUFS:
+                    raise
+                stats.transport_errors += 1
+            else:
+                stats.bytes_sent += size
 
     def _on_readable(self) -> None:
-        stats = self._network.stats
-        receiver = self._receiver
-        while not self._closed:
-            syscalls_before = receiver.syscalls
-            views = receiver.receive(self._sock)
-            stats.syscalls_recv += receiver.syscalls - syscalls_before
-            for view in views:
-                # The view dies with this call: _on_datagram's codec
-                # materializes everything that escapes the handler.
-                self._network._on_datagram(self._node_id, view)
-                if self._closed:
-                    return
-            if len(views) < receiver.max_batch:
-                # A short batch emptied the socket; asking again only
-                # to read EAGAIN would double the syscalls of a quiet
-                # node. Readiness is level-triggered, so whatever
-                # arrived meanwhile wakes this callback again.
-                return
+        # One datagram per callback. Nine wake-ups in ten find exactly
+        # one under EpTO's traffic (docs/PERFORMANCE.md *Wire path*),
+        # so a drain loop mostly buys a second syscall that reads
+        # EAGAIN; readiness is level-triggered, and a socket that
+        # holds more calls back.
+        if self._closed:
+            return
+        network = self._network
+        network.stats.syscalls_recv += 1
+        try:
+            size = self._sock.recv_into(network._arena)
+        except (BlockingIOError, InterruptedError):
+            return
+        except OSError as exc:  # pragma: no cover - platform quirk
+            if exc.errno == errno.ECONNREFUSED:
+                return  # ICMP unreachable bounced back; not data
+            raise
+        # The view dies with this call: _on_datagram's codec
+        # materializes everything that escapes the handler, and the
+        # next read — this node's or any other's — reuses the arena.
+        network._on_datagram(self._node_id, network._arena_view[:size])
 
     def is_closing(self) -> bool:
         return self._closed
@@ -314,15 +308,14 @@ class UdpNetwork:
             fabric. ``None`` (default) keeps the fabric tolerant: it
             still *reads* signed balls from authenticating peers,
             stripping the signatures.
-        batch: Syscall batching mode. ``"auto"`` (default) binds raw
-            non-blocking sockets using the best
-            :mod:`~repro.runtime.batchio` tiers the platform offers,
-            falling back to asyncio endpoints on loops that cannot
-            watch file descriptors. ``False`` forces the pre-batching
-            asyncio datagram endpoints (the equivalence baseline). A
-            send-tier name (``"sendmmsg"`` / ``"sendmsg"`` /
-            ``"sendto"``) forces raw sockets on that tier — forcing an
-            unavailable tier raises ``ValueError``.
+        batch: Which endpoints carry the datagrams (the name dates
+            from the syscall-batching tiers this fabric once had).
+            ``"auto"`` (default) or ``True`` binds raw non-blocking
+            sockets, falling back to asyncio endpoints on loops that
+            cannot watch file descriptors. ``False`` forces the asyncio
+            datagram endpoints (the equivalence reference). Anything
+            else — the former tier names included — raises
+            ``ValueError``.
     """
 
     def __init__(
@@ -339,19 +332,16 @@ class UdpNetwork:
         self.host = host
         self.latency = float(latency)
         self.stats = UdpStats()
-        if batch is False or batch is None:
-            self._batch_enabled = False
-            self._send_tier: Optional[str] = None
-            self._recv_tier: Optional[str] = None
-        elif batch in ("auto", True):
-            self._batch_enabled = True
-            self._send_tier = batchio.best_send_tier()
-            self._recv_tier = batchio.best_recv_tier()
+        if batch is False:
+            self._raw_sockets = False
+        elif batch is True or batch == "auto":
+            self._raw_sockets = True
         else:
-            # A forced tier must never silently degrade (ValueError).
-            self._send_tier = batchio.select_send_tier(str(batch))
-            self._recv_tier = batchio.best_recv_tier()
-            self._batch_enabled = True
+            raise ValueError(
+                f"batch={batch!r}: the sendmmsg/sendmsg/sendto tiers are "
+                "gone; pass 'auto' or True (raw sockets, plain sendto) or "
+                "False (asyncio endpoints)"
+            )
         self._guard = BallGuard(authenticator) if authenticator else None
         self._adversary = None
         self._handlers: Dict[int, UdpMessageHandler] = {}
@@ -367,7 +357,7 @@ class UdpNetwork:
         # use this to cancel their periodic tasks while the loop can
         # still process the cancellations — see docs/SERVICE.md.
         self._close_listeners: List[Callable[[], None]] = []
-        # Endpoint per node: _RawEndpoint when batching, else an
+        # Endpoint per node: _RawEndpoint on raw sockets, else an
         # asyncio DatagramTransport — both expose sendto/is_closing/
         # close, which is all the fabric (and the test rigs) touch.
         self._transports: Dict[int, Any] = {}
@@ -384,11 +374,11 @@ class UdpNetwork:
         # sockets, synchronously) or the transport (asyncio endpoints
         # copy before buffering) no longer references the bytes.
         self._deferred_pool: List[bytearray] = []
-        # Per-slot encode buffers for send_bundle: a bundle's datagrams
-        # must all be alive for one sendmmsg, so the single shared
-        # encode buffer cannot serve them. Grows to the largest bundle
-        # ever shipped (bounded by cluster size) and is reused forever.
-        self._bundle_pool: List[bytearray] = []
+        # The one receive arena: every raw endpoint reads its next
+        # datagram here and decode consumes the view before anything
+        # else can read (one event loop, no await in between).
+        self._arena = bytearray(_ARENA_SIZE)
+        self._arena_view = memoryview(self._arena)
         # Partition: node id -> group label (None group is implicit).
         self._partition: Dict[int, object] = {}
         self._partitioned = False
@@ -433,7 +423,7 @@ class UdpNetwork:
             self.stats.sent += 1
             self.stats.dropped_encode += 1
             return
-        self._account_split(len(datagram), copies=1)
+        self._account_split(len(datagram), last_encode_payload_bytes(), 1)
         self._dispatch(src, dst, datagram)
 
     def send_many(self, src: int, dsts, message: Any) -> None:
@@ -461,87 +451,51 @@ class UdpNetwork:
                 self.stats.sent += 1
                 self.stats.dropped_encode += 1
             return
-        self._account_split(len(datagram), copies=len(dsts))
-        endpoint = self._transports.get(src)
-        if getattr(endpoint, "is_raw", False):
-            stats = self.stats
-            if self._fault_free():
-                # Wire-speed fast path: with every fault surface idle,
-                # per-destination routing reduces to an address lookup
-                # (and draws nothing from the fault RNG, so seeded runs
-                # match the routed path bit for bit). The shared
-                # read-only view cannot be pinned by ctypes; the batch
-                # ships the writable pool buffer it wraps.
-                addresses: List[Tuple[str, int]] = []
-                lookup = self._addresses.get
-                append = addresses.append
-                stats.sent += len(dsts)
-                for dst in dsts:
-                    address = lookup(dst)
-                    if address is None:
-                        stats.dropped_unopened += 1
-                        continue
-                    append(address)
-                endpoint.send_fanout(self._encode_buffer, addresses)
-            else:
-                # Batched fan-out under faults: route every destination
-                # first (faults apply per destination exactly as on the
-                # unbatched path), then ship the survivors together.
-                items = []
-                for dst in dsts:
-                    route = self._route(src, dst, datagram)
-                    if route is None:
-                        continue
-                    payload, address = route
-                    if payload is datagram:
-                        payload = self._encode_buffer
-                    items.append((payload, address))
-                endpoint.send_batch(items)
-        else:
-            for dst in dsts:
-                self._dispatch(src, dst, datagram)
+        self._account_split(len(datagram), last_encode_payload_bytes(), len(dsts))
+        self._fan_out(src, dsts, datagram)
 
     def send_bundle(self, src: int, items) -> None:
-        """Encode every ``(dst, message)`` pair in *items* and ship the
-        lot in as few syscalls as the platform allows.
+        """Ship already-encoded datagrams: each of *items* is ``(dsts,
+        datagram, payload_bytes)`` — one complete datagram, the ids it
+        goes to, and how many of its bytes are application payload.
 
-        The multi-topic service's flush path: one host's per-tick
-        traffic — envelopes for several destinations, each with its own
-        bytes — becomes a single ``sendmmsg`` on batching fabrics. The
-        messages are *distinct* (unlike :meth:`send_many`'s one-ball
-        fan-out), so each leases its own slot from the bundle pool.
-        Under active fault surfaces, or on asyncio endpoints, the
-        bundle degrades to per-item :meth:`send` calls so partitions,
-        bursts, corruption and spikes keep their per-datagram
-        semantics.
+        The multi-topic service's flush path. The demux has encoded
+        every message of the tick once to size its envelopes and
+        assembled each envelope from those very bytes
+        (:func:`repro.runtime.codec.assemble_envelope`), one per set of
+        destinations with the same frames — nothing is left to encode
+        here, and the byte split is the one that travelled with the
+        inner datagrams. Every destination is one ``sendto``, and
+        partitions, bursts, corruption and spikes keep their
+        per-datagram semantics, exactly as in :meth:`send_many`.
         """
+        stats = self.stats
+        for dsts, datagram, payload_bytes in items:
+            stats.encoded_datagrams += 1
+            self._account_split(len(datagram), payload_bytes, len(dsts))
+            self._fan_out(src, dsts, datagram)
+
+    def _fan_out(self, src: int, dsts, datagram) -> None:
+        """Ship one encoded *datagram* to every id in *dsts*."""
         endpoint = self._transports.get(src)
         if not getattr(endpoint, "is_raw", False) or not self._fault_free():
-            for dst, message in items:
-                self.send(src, dst, message)
+            for dst in dsts:
+                self._dispatch(src, dst, datagram)
             return
+        # With every fault surface idle, routing a destination reduces
+        # to an address lookup (and draws nothing from the fault RNG,
+        # so seeded runs match the routed path bit for bit).
         stats = self.stats
+        stats.sent += len(dsts)
         lookup = self._addresses.get
-        pool = self._bundle_pool
-        while len(pool) < len(items):
-            pool.append(bytearray())
-        batch: List[Tuple[bytearray, Tuple[str, int]]] = []
-        for index, (dst, message) in enumerate(items):
-            stats.sent += 1
+        addresses = []
+        for dst in dsts:
             address = lookup(dst)
             if address is None:
                 stats.dropped_unopened += 1
-                continue
-            buffer = pool[index]
-            try:
-                encode_into(src, message, buffer)
-            except CodecError:
-                stats.dropped_encode += 1
-                continue
-            stats.encoded_datagrams += 1
-            self._account_split(len(buffer), copies=1)
-            batch.append((buffer, address))
-        endpoint.send_batch(batch)
+            else:
+                addresses.append(address)
+        endpoint.send_each(datagram, addresses)
 
     def _outbound(self, src: int, dst: Optional[int], message: Any) -> Any:
         """Apply adversary transforms and auth sealing to a ball.
@@ -566,13 +520,14 @@ class UdpNetwork:
         self._guard.seal(src, ball)
         return self._guard.attach(ball, self._admitted.get(src))
 
-    def _account_split(self, datagram_len: int, copies: int) -> None:
-        """Record the metadata/payload byte split of the last encode,
+    def _account_split(
+        self, datagram_len: int, payload_bytes: int, copies: int
+    ) -> None:
+        """Record the metadata/payload byte split of one datagram,
         multiplied by its fan-out (encode-once paths ship the same
         bytes to several destinations)."""
-        payload = last_encode_payload_bytes()
-        self.stats.payload_bytes_sent += payload * copies
-        self.stats.metadata_bytes_sent += (datagram_len - payload) * copies
+        self.stats.payload_bytes_sent += payload_bytes * copies
+        self.stats.metadata_bytes_sent += (datagram_len - payload_bytes) * copies
 
     def _encode(self, src: int, message: Any) -> memoryview:
         """Serialize one message into the shared pool buffer.
@@ -814,7 +769,7 @@ class UdpNetwork:
             return self._addresses[node_id]
         loop = asyncio.get_running_loop()
         endpoint = None
-        if self._batch_enabled:
+        if self._raw_sockets:
             endpoint = self._open_raw(node_id, loop)
         if endpoint is not None:
             address = endpoint._sock.getsockname()[:2]
@@ -830,8 +785,8 @@ class UdpNetwork:
         return self._addresses[node_id]
 
     def _open_raw(self, node_id: int, loop) -> Optional[_RawEndpoint]:
-        """Bind a raw batched socket, or ``None`` if this loop cannot
-        watch file descriptors (batching then stays off for the run)."""
+        """Bind a raw socket, or ``None`` if this loop cannot watch
+        file descriptors (asyncio endpoints then serve the whole run)."""
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
             sock.setsockopt(
@@ -842,14 +797,12 @@ class UdpNetwork:
         try:
             sock.bind((self.host, 0))
             sock.setblocking(False)
-            return _RawEndpoint(
-                self, node_id, sock, loop, self._send_tier, self._recv_tier
-            )
+            return _RawEndpoint(self, node_id, sock, loop)
         except NotImplementedError:
             # Proactor-style loops have no add_reader; use asyncio
             # endpoints for this and every later socket.
             sock.close()
-            self._batch_enabled = False
+            self._raw_sockets = False
             return None
         except OSError:
             sock.close()
@@ -898,12 +851,6 @@ class UdpNetwork:
         """The (host, port) of *node_id*, if its socket is open."""
         return self._addresses.get(node_id)
 
-    @property
-    def batching(self) -> Optional[str]:
-        """The active send tier when syscall batching is on, else
-        ``None`` (asyncio endpoints)."""
-        return self._send_tier if self._batch_enabled else None
-
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
@@ -911,8 +858,8 @@ class UdpNetwork:
     def _on_datagram(self, node_id: int, data) -> None:
         """Decode and admit one inbound datagram.
 
-        *data* may be a ``memoryview`` into a reusable receive buffer
-        (the batched path): it is only valid for the duration of this
+        *data* may be a ``memoryview`` of the fabric's receive arena
+        (raw sockets): it is only valid for the duration of this
         call, and :func:`~repro.runtime.codec.decode` materializes
         everything that reaches the handler.
         """

@@ -12,18 +12,24 @@ surface — so a per-topic :class:`~repro.runtime.node.AsyncEpToNode`
 without knowing it.
 
 Cross-topic batching: outgoing frames are not shipped one by one.
-``send`` enqueues ``(topic, sender, dst, message)`` and schedules one
-flush per event-loop tick (``call_soon``); the flush groups every
-pending frame by destination host and packs each group into as few
+``send`` enqueues ``(topic, sender, message)`` for its destination and
+schedules one flush per event-loop tick (``call_soon``); the flush
+packs every destination's pending frames into as few
 :class:`~repro.runtime.codec.TopicEnvelope` datagrams as fit the
 :data:`~repro.runtime.codec.MAX_DATAGRAM` cap. Because the service
 ticks all of a host's topics from one round task, a round's balls for
-*every* topic to the same peer coalesce into one datagram — and the
-whole per-tick bundle goes to the fabric through
-:meth:`~repro.runtime.udp.UdpNetwork.send_bundle`, one ``sendmmsg``
-when the platform has it. ``BENCH_core.json``'s ``service_bench``
-records the resulting datagram/byte/syscall reduction against
-independent single-topic clusters.
+*every* topic to the same peer coalesce into one datagram.
+
+A message is encoded once per flush. The bytes that size a frame are
+the bytes every envelope carrying it is assembled from
+(:func:`~repro.runtime.codec.assemble_envelope`), and destinations that
+were handed the very same frames — every peer of a round, when the
+fan-out reaches all of them — share one assembled envelope; the bundle
+goes to the fabric through
+:meth:`~repro.runtime.udp.UdpNetwork.send_bundle` as bytes, one
+``sendto`` per destination. ``BENCH_core.json``'s ``service_bench``
+records the datagram/byte/syscall reduction against independent
+single-topic clusters.
 
 Per-topic fault surface: a channel can be partitioned or put under a
 loss burst *independently of other topics on the same socket* — the
@@ -120,14 +126,16 @@ class TopicChannel:
         return node_id == self._handler_id and self.handler is not None
 
     def send(self, src: int, dst: int, message: Any) -> None:
-        self._demux.enqueue(self, src, dst, message)
+        self._demux.enqueue(self, dst, (self.topic, src, message))
 
     def send_many(self, src: int, dsts, message: Any) -> None:
-        # The same message object is enqueued for every destination, so
-        # the flush's size cache encodes it once per tick, preserving
-        # the encode-once fan-out economics through the demux.
+        # One frame object for every destination: the flush gives
+        # destinations holding the very same frames one shared
+        # envelope, preserving the encode-once fan-out economics
+        # through the demux.
+        frame = (self.topic, src, message)
         for dst in dsts:
-            self._demux.enqueue(self, src, dst, message)
+            self._demux.enqueue(self, dst, frame)
 
     # -- per-topic fault surface -----------------------------------------
 
@@ -167,9 +175,11 @@ class TopicDemux:
 
     Args:
         network: Any fabric with the ``register`` / ``unregister`` /
-            ``send`` surface; :meth:`~repro.runtime.udp.UdpNetwork.send_bundle`
-            is used when present so a tick's whole bundle ships in one
-            batched syscall.
+            ``send`` surface. One that has
+            :meth:`~repro.runtime.udp.UdpNetwork.send_bundle` puts bytes
+            on a wire and is handed assembled envelopes; any other
+            (:class:`~repro.runtime.transport.AsyncNetwork`) receives
+            :class:`~repro.runtime.codec.TopicEnvelope` objects.
         host_id: This host's fabric node id — the id envelopes are
             sent from and received at.
         seed: Seed for the per-topic fault randomness.
@@ -223,80 +233,112 @@ class TopicDemux:
     # -- outbound --------------------------------------------------------
 
     def enqueue(
-        self, channel: TopicChannel, src: int, dst: int, message: Any
+        self, channel: TopicChannel, dst: int, frame: Tuple[int, int, Any]
     ) -> None:
-        """Queue one frame for the next flush, applying the topic's
-        fault surface sender-side."""
+        """Queue one ``(topic, sender, message)`` frame for *dst*'s
+        next flush, applying the topic's fault surface sender-side."""
         if self._closed:
             self.stats.dropped_closed += 1
             return
         self.stats.frames_sent += 1
-        if channel.crosses_partition(src, dst):
+        if channel.crosses_partition(frame[1], dst):
             self.stats.dropped_partition += 1
             return
         loop = asyncio.get_running_loop()
         if channel.burst_drops(loop.time(), self._rng):
             self.stats.dropped_burst += 1
             return
-        self._pending.setdefault(dst, []).append((channel.topic, src, message))
+        self._pending.setdefault(dst, []).append(frame)
         if not self._flush_scheduled:
             self._flush_scheduled = True
             loop.call_soon(self.flush)
 
     def flush(self) -> None:
-        """Pack every pending frame into per-destination envelopes and
-        hand the bundle to the fabric.
+        """Pack every pending frame into envelopes and hand the bundle
+        to the fabric.
 
         Packing is exact, not estimated: each distinct message is
-        trial-encoded once per flush (cached by object identity, so a
-        K-peer fan-out of one ball measures it once) and frames are
-        packed greedily until the next one would push the envelope past
-        the datagram cap, at which point the envelope is cut and a new
-        one begun. A message that cannot encode at all (non-JSON
-        payload, oversized on its own) is dropped here and counted,
-        exactly as the fabric would have counted ``dropped_encode``.
+        encoded once per flush (cached by object identity, so a K-peer
+        fan-out of one ball encodes it once) and frames are packed
+        greedily until the next one would push the envelope past the
+        datagram cap, at which point the envelope is cut and a new one
+        begun. Destinations holding the very same frame objects (what
+        ``send_many`` enqueues) are packed together and share each
+        envelope, assembled from the cached bytes; a destination with
+        frames of its own is a group of one. A message that cannot ride
+        in any envelope (non-JSON payload, too large for the cap beside
+        the envelope's own headers) is dropped here and counted, per
+        frame, exactly as the fabric would have counted
+        ``dropped_encode``.
         """
         self._flush_scheduled = False
         if self._closed or not self._pending:
             self._pending.clear()
             return
         pending, self._pending = self._pending, {}
-        size_cache: Dict[int, int] = {}
-        bundle: List[Tuple[int, TopicEnvelope]] = []
+        groups: Dict[Tuple[int, ...], List[int]] = {}
         for dst, frames in pending.items():
-            group: List[Tuple[int, int, Any]] = []
+            groups.setdefault(tuple(map(id, frames)), []).append(dst)
+        # (sender, id(message)) -> (datagram, payload bytes), or None
+        # for a message no envelope can carry.
+        encoded: Dict[Tuple[int, int], Optional[Tuple[bytes, int]]] = {}
+        bundle: List[Tuple[List[int], Any]] = []
+        for dsts in groups.values():
+            packed: List[Tuple[Tuple[int, int, Any], Tuple[bytes, int]]] = []
             size = _ENVELOPE_OVERHEAD
-            for frame in frames:
+            for frame in pending[dsts[0]]:
                 _, sender, message = frame
-                key = id(message)
-                inner = size_cache.get(key)
+                key = (sender, id(message))
+                if key not in encoded:
+                    encoded[key] = self._encode_frame(sender, message)
+                inner = encoded[key]
                 if inner is None:
-                    try:
-                        inner = len(codec.encode(sender, message))
-                    except CodecError:
-                        inner = -1
-                    size_cache[key] = inner
-                if inner < 0:
-                    self.stats.dropped_unencodable += 1
+                    self.stats.dropped_unencodable += len(dsts)
                     continue
-                frame_size = _FRAME_OVERHEAD + inner
-                if group and size + frame_size > MAX_DATAGRAM:
-                    bundle.append((dst, TopicEnvelope(frames=tuple(group))))
-                    group = []
+                frame_size = _FRAME_OVERHEAD + len(inner[0])
+                if packed and size + frame_size > MAX_DATAGRAM:
+                    bundle.append((dsts, packed))
+                    packed = []
                     size = _ENVELOPE_OVERHEAD
-                group.append(frame)
+                packed.append((frame, inner))
                 size += frame_size
-            if group:
-                bundle.append((dst, TopicEnvelope(frames=tuple(group))))
+            if packed:
+                bundle.append((dsts, packed))
         if not bundle:
             return
-        self.stats.envelopes_sent += len(bundle)
+        self.stats.envelopes_sent += sum(len(dsts) for dsts, _ in bundle)
         send_bundle = getattr(self.network, "send_bundle", None)
-        if send_bundle is not None:
-            send_bundle(self.host_id, bundle)
-        else:
-            for dst, envelope in bundle:
-                self.network.send(self.host_id, dst, envelope)
+        if send_bundle is None:
+            for dsts, packed in bundle:
+                envelope = TopicEnvelope(
+                    frames=tuple(frame for frame, _ in packed)
+                )
+                for dst in dsts:
+                    self.network.send(self.host_id, dst, envelope)
+            return
+        items = []
+        for dsts, packed in bundle:
+            datagram = codec.assemble_envelope(
+                self.host_id,
+                [(frame[0], inner) for frame, (inner, _) in packed],
+            )
+            payload_bytes = sum(payload for _, (_, payload) in packed)
+            items.append((dsts, datagram, payload_bytes))
+        send_bundle(self.host_id, items)
+
+    @staticmethod
+    def _encode_frame(sender: int, message: Any) -> Optional[Tuple[bytes, int]]:
+        """The inner datagram of *message* and its payload-byte count,
+        or ``None`` when no envelope can carry it."""
+        if isinstance(message, TopicEnvelope):
+            return None  # envelopes cannot nest
+        try:
+            datagram = codec.encode(sender, message)
+        except CodecError:
+            return None
+        if _ENVELOPE_OVERHEAD + _FRAME_OVERHEAD + len(datagram) > MAX_DATAGRAM:
+            return None
+        return datagram, codec.last_encode_payload_bytes()
 
     # -- inbound ---------------------------------------------------------
 

@@ -12,10 +12,11 @@ deliveries.
 What *is* shared is the clock and the wire. One round task per host
 ticks every topic's round in the same event-loop iteration, so the
 fan-outs of all topics coalesce through the demux into shared
-:class:`~repro.runtime.codec.TopicEnvelope` datagrams (and, on the UDP
-fabric, one ``sendmmsg`` per tick). That sharing is the point of the
-service: N topics cost one socket, one timer and ~1 datagram per peer
-per round instead of N of each.
+:class:`~repro.runtime.codec.TopicEnvelope` datagrams — each ball
+encoded once per tick, and peers that are sent the same frames sharing
+one assembled envelope. That sharing is the point of the service: N
+topics cost one socket, one timer and ~1 datagram per peer per round
+instead of N of each.
 
 Client surface: ``await service.publish(topic, payload)`` with explicit
 backpressure against the topic's dissemination buffer, and

@@ -18,12 +18,12 @@ from repro.experiments.net_bench import (
     NetBenchResult,
     _BLAST_CHUNK,
     _BLAST_FANOUT,
+    _BLAST_PEERS,
     _cluster_config,
     run_net_bench,
 )
 from repro.experiments.registry import get_experiment
 from repro.faults.schedule import FaultSchedule, LossBurst
-from repro.runtime import batchio
 
 BLAST_ROUNDS = 2 * _BLAST_CHUNK  # two paired chunks: fast but real
 
@@ -40,24 +40,39 @@ class TestFanoutBlast:
     def test_records_both_sides(self, clean_result) -> None:
         fanout = clean_result.fanout
         assert fanout.datagrams == BLAST_ROUNDS * _BLAST_FANOUT
-        assert fanout.batched_seconds > 0
-        assert fanout.unbatched_seconds > 0
+        assert fanout.raw_seconds > 0
+        assert fanout.asyncio_seconds > 0
         assert fanout.speedup == pytest.approx(
-            fanout.unbatched_seconds / fanout.batched_seconds
+            fanout.asyncio_seconds / fanout.raw_seconds
         )
         assert fanout.bytes_per_datagram > 0
 
-    def test_batched_tier_is_platform_best(self, clean_result) -> None:
-        assert clean_result.fanout.batched_tier == batchio.best_send_tier()
-
     def test_syscall_accounting(self, clean_result) -> None:
         fanout = clean_result.fanout
-        # Unbatched: one sendto per datagram, exactly.
-        assert fanout.unbatched_syscalls == fanout.datagrams
-        if batchio.HAS_SENDMMSG:
-            # Batched: one sendmmsg per fan-out round.
-            assert fanout.batched_syscalls == BLAST_ROUNDS
-            assert fanout.batched_syscalls < fanout.unbatched_syscalls
+        # Either side: one sendto per datagram, exactly.
+        assert fanout.asyncio_syscalls == fanout.datagrams
+        assert fanout.raw_syscalls == fanout.datagrams
+
+    def test_every_round_draws_a_fresh_sample(self, monkeypatch) -> None:
+        """The blast sends what EpTO sends: K of the n-1 peers, drawn
+        anew each round and the same on both sides."""
+        from repro.runtime.udp import UdpNetwork
+
+        seen = {}
+        real = UdpNetwork.send_many
+
+        def recording(network, src, dsts, message):
+            seen.setdefault(id(network), []).append(tuple(dsts))
+            return real(network, src, dsts, message)
+
+        monkeypatch.setattr(UdpNetwork, "send_many", recording)
+        run_net_bench(seed=5, sizes=(), events=0, blast_rounds=_BLAST_CHUNK)
+        raw, reference = (calls[1:] for calls in seen.values())  # [0]: warm-up
+        assert raw == reference
+        one_pass = raw[:_BLAST_CHUNK]
+        assert all(len(set(dsts)) == _BLAST_FANOUT for dsts in one_pass)
+        assert all(set(dsts) <= set(range(1, _BLAST_PEERS + 1)) for dsts in one_pass)
+        assert len(set(one_pass)) == _BLAST_CHUNK  # no round repeats another
 
 
 class TestClusterRuns:
@@ -75,10 +90,9 @@ class TestClusterRuns:
         assert run.bytes_sent > 0
         # Loopback without injected faults loses nothing.
         assert run.bytes_received == run.bytes_sent
-        # Batching: a whole fan-out per syscall, so send syscalls per
-        # node-round must beat one-per-datagram.
-        if batchio.HAS_SENDMMSG:
-            assert run.syscalls_send < run.datagrams_sent
+        # One sendto per datagram, one recv_into per datagram.
+        assert run.syscalls_send == run.datagrams_sent
+        assert run.syscalls_recv == run.datagrams_delivered
 
     def test_delay_cdf_shape(self, clean_result) -> None:
         (run,) = clean_result.runs
@@ -135,11 +149,10 @@ class TestConfigAndRegistry:
     def test_exit_ok_gates_on_order_not_timing(self) -> None:
         fanout = FanoutThroughput(
             datagrams=1,
-            batched_tier="sendto",
-            batched_seconds=999.0,  # terrible timing must not gate
-            batched_syscalls=1,
-            unbatched_seconds=1.0,
-            unbatched_syscalls=1,
+            raw_seconds=999.0,  # terrible timing must not gate
+            raw_syscalls=1,
+            asyncio_seconds=1.0,
+            asyncio_syscalls=1,
             bytes_per_datagram=1,
         )
         good = ClusterRun(

@@ -152,6 +152,63 @@ class TestEncodeRejections:
             codec.encode(1, TopicEnvelope(frames=frames))
 
 
+def _assembled(host, envelope):
+    """*envelope* put together from separately encoded frames."""
+    return codec.assemble_envelope(
+        host,
+        [
+            (topic, codec.encode(sender, message))
+            for topic, sender, message in envelope.frames
+        ],
+    )
+
+
+class TestAssembledEnvelope:
+    """``assemble_envelope`` is ``encode`` of the same envelope with the
+    frames' bytes handed in: equal output, equal refusals."""
+
+    def test_bytes_equal_the_object_encoder(self):
+        for envelope in (_mixed_envelope(), TopicEnvelope(frames=())):
+            assert _assembled(42, envelope) == codec.encode(42, envelope)
+
+    def test_full_u32_topic_range(self):
+        envelope = TopicEnvelope(
+            frames=((0, 1, _ball(1)), (codec.MAX_TOPIC_ID, 1, _ball(1)))
+        )
+        assert _assembled(1, envelope) == codec.encode(1, envelope)
+
+    def test_out_of_range_topic_id_rejected(self):
+        inner = codec.encode(1, _ball(1))
+        for topic in (-1, codec.MAX_TOPIC_ID + 1):
+            with pytest.raises(CodecError, match="u32"):
+                codec.assemble_envelope(1, [(topic, inner)])
+
+    def test_nested_envelope_rejected(self):
+        inner = codec.encode(1, TopicEnvelope(frames=((0, 1, _ball(1)),)))
+        with pytest.raises(CodecError, match="nest"):
+            codec.assemble_envelope(1, [(0, inner)])
+
+    def test_inner_shorter_than_a_header_rejected(self):
+        with pytest.raises(CodecError, match="not a datagram"):
+            codec.assemble_envelope(1, [(0, b"EP")])
+
+    def test_cap_is_enforced_on_the_assembled_envelope(self):
+        big = make_ball(
+            [BallEntry(_event(seq=i, payload="x" * 1000), ttl=1) for i in range(30)]
+        )
+        inner = codec.encode(1, big)
+        fits = codec.MAX_DATAGRAM // (len(inner) + 8)
+        codec.assemble_envelope(1, [(t, inner) for t in range(fits)])
+        with pytest.raises(CodecError, match="datagram cap"):
+            codec.assemble_envelope(1, [(t, inner) for t in range(fits + 1)])
+        # Exactly at the cap passes, one byte over does not.
+        room = codec.MAX_DATAGRAM - 16 - 8
+        exact = codec.encode(1, _ball(1)).ljust(room, b"\0")
+        assert len(codec.assemble_envelope(1, [(0, exact)])) == codec.MAX_DATAGRAM
+        with pytest.raises(CodecError, match="datagram cap"):
+            codec.assemble_envelope(1, [(0, exact + b"\0")])
+
+
 class TestVersionGate:
     def test_unknown_version_raises_version_error(self):
         wire = bytearray(codec.encode(1, _mixed_envelope()))

@@ -397,40 +397,73 @@ class TestRelayAcrossFabrics:
 
 
 class TestReceiveDrain:
-    """A batch shorter than ``max_batch`` emptied the socket: the
-    endpoint returns instead of asking again to read ``EAGAIN``."""
+    """One ``recv_into`` per readiness callback: a socket holding a
+    burst calls back until it is empty, every datagram costs exactly one
+    receive call, and a node that leaves mid-burst is read no further."""
 
-    @pytest.mark.parametrize("tier", ["recvmmsg", "recv_into"])
-    @pytest.mark.parametrize("burst", [31, 32, 40], ids=["below", "at", "above"])
-    def test_every_datagram_delivered_in_the_stated_syscalls(self, tier, burst):
-        from repro.runtime import batchio
-
-        if tier == "recvmmsg" and not batchio.HAS_RECVMMSG:
-            pytest.skip("recvmmsg is not available on this platform")
-
+    @pytest.mark.parametrize("burst", [1, 2, 33, 100])
+    def test_every_datagram_delivered_in_the_stated_syscalls(self, burst):
         async def scenario():
             network = UdpNetwork()
             inbox = []
             network.register(1, lambda src, msg: inbox.append(msg))
             network.register(2, lambda src, msg: None)
             await network.open_all()
-            receiver = batchio.BatchReceiver(tier)
-            assert receiver.max_batch == 32
-            network._transports[1]._receiver = receiver  # noqa: SLF001 - test rig
             # The whole burst is queued on the socket before the loop
             # runs the reader once.
             for seq in range(burst):
                 network.send(2, 1, _ball(_event(seq=seq)))
             await asyncio.sleep(SETTLE)
             await network.close()
-            return inbox, network.stats.syscalls_recv
+            return inbox, network.stats
 
-        inbox, syscalls = run(scenario())
+        inbox, stats = run(scenario())
         assert [ball[0].event.id[1] for ball in inbox] == list(range(burst))
-        if tier == "recvmmsg":
-            # One call per full batch, one for the short (or empty) rest.
-            assert syscalls == burst // 32 + 1
-        else:
-            # One call per datagram and one EAGAIN per wake-up: the
-            # loop tier cannot see a batch end any other way.
-            assert syscalls == burst + 1
+        # No drain loop, so no EAGAIN probe: a call per datagram.
+        assert stats.syscalls_recv == stats.delivered == burst
+
+    def test_a_wake_up_with_nothing_to_read_delivers_nothing(self):
+        async def scenario():
+            network = UdpNetwork()
+            inbox = []
+            network.register(1, lambda src, msg: inbox.append(msg))
+            await network.open_all()
+            endpoint = network._transports[1]  # noqa: SLF001 - test rig
+            endpoint._on_readable()  # noqa: SLF001 - a spurious readiness
+            await network.close()
+            endpoint._on_readable()  # noqa: SLF001 - and one after close
+            return inbox, network.stats
+
+        inbox, stats = run(scenario())
+        assert inbox == []
+        # The read that found EAGAIN is counted; a closed endpoint
+        # does not read at all.
+        assert (stats.syscalls_recv, stats.delivered, stats.bytes_received) == (1, 0, 0)
+
+    @pytest.mark.parametrize("leave", ["unregister", "close"])
+    def test_leaving_from_inside_a_handler_stops_the_reads_at_once(self, leave):
+        async def scenario():
+            network = UdpNetwork()
+            inbox = []
+
+            def handler(src, msg):
+                inbox.append(msg)
+                if len(inbox) == 3:
+                    if leave == "unregister":
+                        network.unregister(1)
+                    else:
+                        # What ``UdpNetwork.close`` does to every endpoint.
+                        network._transports[1].close()  # noqa: SLF001
+
+            network.register(1, handler)
+            network.register(2, lambda src, msg: None)
+            await network.open_all()
+            for seq in range(10):
+                network.send(2, 1, _ball(_event(seq=seq)))
+            await asyncio.sleep(SETTLE)
+            await network.close()
+            return inbox, network.stats
+
+        inbox, stats = run(scenario())
+        assert [ball[0].event.id[1] for ball in inbox] == [0, 1, 2]
+        assert stats.syscalls_recv == stats.delivered == 3

@@ -1,23 +1,26 @@
-"""Batched UDP fabric: tier matrix, counters, pool, and equivalence.
+"""UDP fabric endpoints: raw sockets vs asyncio endpoints.
 
-The ``batch`` modes of :class:`~repro.runtime.udp.UdpNetwork` must be
-observationally identical — same delivered sequences, same semantic
-``UdpStats`` — with only the syscall counters allowed to differ. The
-equivalence class at the bottom is the acceptance criterion: a real
-EpTO cluster over the batched transport delivers bit-identical total
-order to the pre-batching asyncio-endpoint transport on seeded runs
-(same spirit as ``tests/core/test_ordering_equivalence.py``).
+The two endpoint kinds of :class:`~repro.runtime.udp.UdpNetwork`
+(``batch="auto"``: raw non-blocking sockets, plain ``sendto`` and one
+``recv_into`` per readiness callback; ``batch=False``: asyncio datagram
+endpoints) must be observationally identical — same delivered
+sequences, same ``UdpStats``, syscall counters included now that both
+pay one call per datagram. The equivalence class at the bottom is the
+acceptance criterion: a real EpTO cluster over raw sockets delivers
+bit-identical total order to the asyncio-endpoint transport on seeded
+runs (same spirit as ``tests/core/test_ordering_equivalence.py``).
 """
 
 from __future__ import annotations
 
 import asyncio
+import errno
 
 import pytest
 
 from repro.core import EpToConfig
 from repro.core.event import BallEntry, Event, make_ball
-from repro.runtime import AsyncCluster, batchio
+from repro.runtime import AsyncCluster
 from repro.runtime.udp import UdpNetwork
 
 
@@ -37,18 +40,8 @@ def small_config(**overrides):
     return EpToConfig(**defaults)
 
 
-def _batch_modes():
-    """Every transport mode this platform supports: the pre-batching
-    asyncio endpoints (``False``) plus each forceable send tier."""
-    modes: list = [False]
-    for tier in batchio.SEND_TIERS:
-        try:
-            batchio.select_send_tier(tier)
-        except ValueError:
-            continue
-        modes.append(tier)
-    return modes
-
+#: Both endpoint kinds: asyncio endpoints, then raw sockets.
+MODES = [False, "auto"]
 
 ROUNDS = 5
 PEERS = (1, 2, 3, 4)
@@ -62,8 +55,10 @@ async def _fanout_scenario(batch):
         network.register(nid, lambda src, msg, n=nid: inboxes[n].append(msg))
     network.register(0, lambda src, msg: None)
     await network.open_all()
+    raw = getattr(network._transports[0], "is_raw", False)  # noqa: SLF001
+    assert raw == (batch is not False)
     # All rounds are issued before the loop runs the readers, so each
-    # peer receives one burst — what the batched drain is built for.
+    # peer's socket holds a burst of five.
     for r in range(ROUNDS):
         network.send_many(0, list(PEERS), a_ball(f"round-{r}"))
     deadline = asyncio.get_event_loop().time() + 2.0
@@ -76,7 +71,9 @@ async def _fanout_scenario(batch):
 
 
 class TestTierMatrix:
-    @pytest.mark.parametrize("batch", _batch_modes())
+    """What is left of the tier matrix: the two endpoint kinds."""
+
+    @pytest.mark.parametrize("batch", MODES)
     def test_identical_delivery_every_mode(self, batch):
         stats, inboxes = run(_fanout_scenario(batch))
         expected = [f"round-{r}" for r in range(ROUNDS)]
@@ -86,7 +83,8 @@ class TestTierMatrix:
         assert stats.delivered == ROUNDS * len(PEERS)
 
     def test_semantic_stats_identical_across_modes(self):
-        """Everything except the syscall counters must agree."""
+        """Every counter agrees, the syscall counts too: both endpoint
+        kinds pay one send and one receive call per datagram."""
 
         def semantic(stats):
             return (
@@ -98,40 +96,96 @@ class TestTierMatrix:
                 stats.transport_errors,
                 stats.bytes_sent,
                 stats.bytes_received,
+                stats.payload_bytes_sent,
+                stats.metadata_bytes_sent,
+                stats.syscalls_send,
+                stats.syscalls_recv,
             )
 
-        views = {
-            mode: semantic(run(_fanout_scenario(mode))[0])
-            for mode in _batch_modes()
-        }
+        views = {mode: semantic(run(_fanout_scenario(mode))[0]) for mode in MODES}
         assert len(set(views.values())) == 1, views
 
-    @pytest.mark.skipif(not batchio.HAS_SENDMMSG, reason="no sendmmsg")
-    def test_sendmmsg_fanout_is_one_syscall_per_round(self):
-        stats, _ = run(_fanout_scenario("sendmmsg"))
-        assert stats.syscalls_send == ROUNDS
-        assert stats.bytes_sent == stats.bytes_received > 0
-
-    def test_sendto_tier_pays_one_syscall_per_datagram(self):
-        stats, _ = run(_fanout_scenario("sendto"))
+    def test_raw_sockets_pay_one_syscall_per_datagram(self):
+        stats, _ = run(_fanout_scenario("auto"))
         assert stats.syscalls_send == ROUNDS * len(PEERS)
+        assert stats.syscalls_recv == stats.delivered == ROUNDS * len(PEERS)
+        assert stats.bytes_sent == stats.bytes_received > 0
+        assert stats.payload_bytes_sent + stats.metadata_bytes_sent == stats.bytes_sent
 
-    @pytest.mark.skipif(not batchio.HAS_RECVMMSG, reason="no recvmmsg")
-    def test_batched_receive_takes_fewer_wakeups_than_datagrams(self):
-        stats, _ = run(_fanout_scenario("sendmmsg"))
-        # Each peer's 5-datagram burst drains in one recvmmsg plus one
-        # empty probe — far fewer wakeups than datagrams delivered.
-        assert stats.syscalls_recv <= stats.delivered
+    def test_forcing_unavailable_tier_raises(self):
+        """The tiers are gone, and so are their names."""
+        for tier in ("sendmmsg", "sendmsg", "sendto", "recvmmsg", "recv_into"):
+            with pytest.raises(ValueError, match="tiers are gone"):
+                UdpNetwork(batch=tier)
 
-    def test_forcing_unavailable_tier_raises(self, monkeypatch):
-        monkeypatch.setattr(batchio, "HAS_SENDMMSG", False)
-        with pytest.raises(ValueError):
-            UdpNetwork(batch="sendmmsg")
+    def test_only_three_values_select_an_endpoint_kind(self):
+        for batch in ("auto", True, False):
+            UdpNetwork(batch=batch)
+        for batch in (None, "", "raw", 2):
+            with pytest.raises(ValueError):
+                UdpNetwork(batch=batch)
 
-    def test_batching_introspection(self):
-        assert UdpNetwork(batch=False).batching is None
-        assert UdpNetwork(batch="sendto").batching == "sendto"
-        assert UdpNetwork().batching == batchio.best_send_tier()
+
+class TestSendRefusal:
+    """A datagram the kernel will not take is one counted drop; the
+    rest of the fan-out still goes out."""
+
+    class _RefusingSocket:
+        """Stands in for the sender's socket: ``sendto`` raises for the
+        chosen call numbers and passes every other call through."""
+
+        def __init__(self, sock, refuse):
+            self._sock = sock
+            self._refuse = refuse
+            self.calls = 0
+
+        def sendto(self, data, address):
+            self.calls += 1
+            error = self._refuse.get(self.calls)
+            if error is not None:
+                raise error
+            return self._sock.sendto(data, address)
+
+        def __getattr__(self, name):
+            return getattr(self._sock, name)
+
+    def _scenario(self, refuse):
+        async def scenario():
+            network = UdpNetwork(seed=1)
+            peers = list(range(1, 17))
+            inboxes = {nid: [] for nid in peers}
+            for nid in peers:
+                network.register(nid, lambda src, msg, n=nid: inboxes[n].append(msg))
+            network.register(0, lambda src, msg: None)
+            await network.open_all()
+            endpoint = network._transports[0]  # noqa: SLF001 - test rig
+            endpoint._sock = self._RefusingSocket(endpoint._sock, refuse)  # noqa: SLF001
+            try:
+                network.send_many(0, peers, a_ball("refused once"))
+                await asyncio.sleep(0.05)
+            finally:
+                await network.close()
+            return network.stats, inboxes
+
+        return run(scenario())
+
+    @pytest.mark.parametrize(
+        "error",
+        [BlockingIOError(), InterruptedError(), OSError(errno.ENOBUFS, "ENOBUFS")],
+        ids=["EAGAIN", "EINTR", "ENOBUFS"],
+    )
+    def test_third_of_sixteen_refused_fifteen_arrive(self, error):
+        stats, inboxes = self._scenario({3: error})
+        assert stats.transport_errors == 1
+        assert stats.sent == 16 and stats.syscalls_send == 16
+        assert stats.delivered == 15
+        assert [len(box) for box in inboxes.values()] == [1, 1, 0] + [1] * 13
+        # Only what the kernel took counts as sent bytes.
+        assert stats.bytes_sent == stats.bytes_received
+
+    def test_any_other_socket_error_is_raised(self):
+        with pytest.raises(OSError):
+            self._scenario({3: OSError(errno.EBADF, "EBADF")})
 
 
 class TestDeferredSendPool:
@@ -165,7 +219,7 @@ class TestDeferredSendPool:
         assert [msg[0].event.payload for msg in inbox] == ["one", "two"]
 
     def test_delayed_sends_deliver_on_both_transports(self):
-        for batch in (False, "auto"):
+        for batch in MODES:
 
             async def scenario():
                 network = UdpNetwork(seed=4, latency=0.002, batch=batch)
@@ -189,8 +243,8 @@ class TestDeferredSendPool:
 
 
 class TestTransportEquivalence:
-    """Acceptance criterion: batched and fallback transports deliver
-    bit-identical total order to the pre-change transport."""
+    """Acceptance criterion: raw sockets deliver bit-identical total
+    order to the asyncio-endpoint transport."""
 
     def _cluster_run(self, batch):
         async def scenario():
@@ -211,14 +265,11 @@ class TestTransportEquivalence:
 
         return run(scenario())
 
-    @pytest.mark.parametrize(
-        "batch", [mode for mode in _batch_modes() if mode is not False]
-    )
-    def test_batched_matches_prechange_transport(self, batch):
+    def test_raw_sockets_match_asyncio_endpoints(self):
         ok_base, baseline = self._cluster_run(False)
-        ok_new, candidate = self._cluster_run(batch)
+        ok_new, candidate = self._cluster_run("auto")
         assert ok_base and ok_new
         baseline_orders = {tuple(seq) for seq in baseline.values()}
         candidate_orders = {tuple(seq) for seq in candidate.values()}
-        assert len(baseline_orders) == 1  # the pre-change transport agrees
+        assert len(baseline_orders) == 1  # the reference transport agrees
         assert candidate_orders == baseline_orders

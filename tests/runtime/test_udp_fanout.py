@@ -143,3 +143,55 @@ class TestLatencySpike:
         assert stats.delayed == 1
         assert stats.dropped_unopened == 1
         assert stats.delivered == 0
+
+
+class TestSendBundle:
+    """``send_bundle`` ships datagrams somebody else encoded: one
+    ``sendto`` per destination, nothing encoded, the byte split taken
+    from the caller."""
+
+    def _scenario(self, batch="auto", partition=None):
+        from repro.runtime import codec
+        from repro.runtime.codec import TopicEnvelope
+
+        async def scenario():
+            network = UdpNetwork(batch=batch)
+            inboxes = {nid: [] for nid in (1, 2, 3)}
+            for nid in inboxes:
+                network.register(nid, lambda src, msg, n=nid: inboxes[n].append(msg))
+            network.register(0, lambda src, msg: None)
+            await network.open_all()
+            if partition:
+                network.set_partition(partition)
+            shared = codec.encode(0, TopicEnvelope(frames=((7, 0, a_ball("all")),)))
+            shared_payload = codec.last_encode_payload_bytes()
+            own = codec.encode(0, TopicEnvelope(frames=((7, 0, a_ball("one")),)))
+            own_payload = codec.last_encode_payload_bytes()
+            network.send_bundle(
+                0, [([1, 2, 3], shared, shared_payload), ([2], own, own_payload)]
+            )
+            await asyncio.sleep(0.05)
+            await network.close()
+            return network.stats, inboxes
+
+        return run(scenario())
+
+    def test_one_sendto_per_destination_and_nothing_encoded_again(self):
+        for batch in ("auto", False):
+            stats, inboxes = self._scenario(batch)
+            assert stats.encoded_datagrams == 2  # distinct datagrams shipped
+            assert stats.sent == stats.syscalls_send == stats.delivered == 4
+            assert stats.payload_bytes_sent + stats.metadata_bytes_sent == stats.bytes_sent
+            assert stats.payload_bytes_sent == 4 * len('"all"')
+            payloads = {
+                nid: [env.frames[0][2][0].event.payload for env in box]
+                for nid, box in inboxes.items()
+            }
+            assert payloads == {1: ["all"], 2: ["all", "one"], 3: ["all"]}
+
+    def test_fault_surfaces_apply_per_destination(self):
+        stats, inboxes = self._scenario(partition={0: "a", 1: "a", 2: "b", 3: "b"})
+        assert stats.sent == 4
+        assert stats.dropped_partition == 3
+        assert stats.delivered == stats.syscalls_send == 1
+        assert [len(box) for box in inboxes.values()] == [1, 0, 0]

@@ -1,7 +1,7 @@
 """Receive-path hostility: hostile datagrams through zero-copy decode.
 
-The batched receive path hands ``memoryview`` slices of reusable
-receive buffers straight into :func:`repro.runtime.codec.decode`.
+The raw-socket receive path hands a ``memoryview`` of the fabric's one
+receive arena straight into :func:`repro.runtime.codec.decode`.
 These tests pin the two invariants that make that safe:
 
 1. any truncated / oversized / bit-flipped datagram is rejected with
@@ -10,12 +10,14 @@ These tests pin the two invariants that make that safe:
    codec version 1 (plain kinds) and version 2 (signed kind 7);
 2. nothing the codec returns aliases the receive buffer: no
    ``memoryview`` escapes past handler return, so the transport may
-   overwrite its buffers the moment the handler completes.
+   overwrite the arena the moment the handler completes — with the
+   next datagram of any node of the fabric.
 """
 
 from __future__ import annotations
 
 import asyncio
+import copy
 import random
 
 import pytest
@@ -160,7 +162,7 @@ class TestCodecFuzzWarmTable(TestCodecFuzz):
 
 
 class TestFabricHostility:
-    """The same hostility through real sockets and the batched
+    """The same hostility through real sockets and the arena
     receive path, asserting the fabric's split drop counters."""
 
     def _scenario(self, wires, authenticator=None):
@@ -231,10 +233,10 @@ class TestFabricHostility:
         assert stats.dropped_malformed == 0
 
     def test_no_memoryview_escapes_past_handler_return(self):
-        """End to end over the batched path: deliver a real ball, then
-        scribble every receive buffer the raw endpoint owns — the
-        delivered message must be untouched, and nothing reachable
-        from it may be a memoryview or bytearray."""
+        """End to end over raw sockets: deliver a real ball, then
+        scribble the receive arena — the delivered message must be
+        untouched, and nothing reachable from it may be a memoryview
+        or bytearray."""
 
         async def go():
             network = UdpNetwork(seed=3)
@@ -243,11 +245,12 @@ class TestFabricHostility:
             network.register(2, lambda src, msg: None)
             await network.open_all()
             raw = network._transports[1]  # noqa: SLF001 - test rig
-            assert getattr(raw, "is_raw", False), "batched path not active"
+            assert getattr(raw, "is_raw", False), "raw sockets not active"
             network.send(2, 1, a_ball("fragile"))
             await asyncio.sleep(0.05)
-            for buf in raw._receiver._buffers:  # noqa: SLF001 - test rig
-                buf[:] = bytes(len(buf))
+            arena = network._arena  # noqa: SLF001 - test rig
+            assert bytes(arena[:2]) == b"EP", "the datagram did not land here"
+            arena[:] = bytes(len(arena))
             await network.close()
             return inbox
 
@@ -258,3 +261,78 @@ class TestFabricHostility:
         assert message[0].event.payload == "fragile"
         for obj in _walk(message):
             assert not isinstance(obj, (memoryview, bytearray))
+
+
+class TestSharedArena:
+    """Every raw endpoint of a fabric reads into the same buffer. What
+    one node was handed — and what its table kept — must not change
+    when the next datagram, another node's, lands on top of it."""
+
+    def test_nothing_a_node_holds_changes_when_the_other_node_reads(self):
+        authenticator = HmacAuthenticator(KeyRing("zero-copy-test"))
+
+        async def go():
+            network = UdpNetwork(authenticator=authenticator)
+            inboxes = {1: [], 2: []}
+            tables = {}
+            snapshots = []
+
+            def held():
+                """Everything both nodes hold right now, by value."""
+                return copy.deepcopy(
+                    (
+                        inboxes,
+                        {
+                            node: list(table.records.items())
+                            for node, table in tables.items()
+                        },
+                    )
+                )
+
+            def inbox(node):
+                def handler(src, msg):
+                    inboxes[node].append(msg)
+                    snapshots.append(held())
+
+                return handler
+
+            network.register(1, inbox(1))
+            network.register(2, inbox(2))
+            network.register(3, lambda src, msg: None)
+            tables.update(
+                {node: network._admitted[node] for node in (1, 2)}  # noqa: SLF001
+            )
+            await network.open_all()
+            # Alternating receivers, and datagrams of different lengths
+            # so a later one covers an earlier one's bytes only partly.
+            for seq in range(8):
+                event = Event(
+                    id=(3, seq), ts=seq, source_id=3, payload=[f"p{seq}"] * (9 - seq)
+                )
+                network.send(3, 1 + seq % 2, make_ball([BallEntry(event, 2)]))
+                await asyncio.sleep(0.01)
+            final = held()
+            arena = network._arena  # noqa: SLF001 - test rig
+            arena[:] = bytes(len(arena))
+            scribbled = held()
+            await network.close()
+            return snapshots, final, scribbled, network.stats
+
+        snapshots, final, scribbled, stats = run(go())
+        assert stats.delivered == 8 and stats.dropped_undecodable == 0
+        assert final == scribbled
+        final_inboxes, final_records = final
+        assert [len(box) for box in final_inboxes.values()] == [4, 4]
+        for then_inboxes, then_records in snapshots:
+            for node in (1, 2):
+                then = then_inboxes[node]
+                assert final_inboxes[node][: len(then)] == then
+                kept = then_records[node]
+                assert final_records[node][: len(kept)] == kept
+        for records in final_records.values():
+            for _, (raw, event, signature, verified) in records:
+                assert type(raw) is bytes and type(signature.mac) is bytes
+                assert verified
+        for box in final_inboxes.values():
+            for obj in _walk(box):
+                assert not isinstance(obj, (memoryview, bytearray))
