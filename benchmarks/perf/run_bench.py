@@ -572,8 +572,8 @@ def _alloc_audit(seed: int, rounds: int) -> dict:
     :class:`~repro.runtime.udp.UdpNetwork` with tracemalloc on and
     reports Python-heap churn per round plus the top allocation sites.
     The wire path is engineered to keep nothing at steady state
-    (pooled encode buffer, pooled deferred-send buffers, one receive
-    arena read through zero-copy views); this audit is the regression
+    (pooled encode buffer, one receive arena read through zero-copy
+    views); this audit is the regression
     instrument for that property.
     """
     import asyncio
@@ -712,7 +712,6 @@ def bench_udp_e2e(seed: int, check: bool) -> dict:
         "allocation": _alloc_audit(
             seed, rounds=100 if check else ALLOC_AUDIT_ROUNDS
         ),
-        "uvloop": result.uvloop_active,
         "fault_scenario": "scenarios/standard_drill.json",
     }
 

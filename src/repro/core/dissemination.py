@@ -45,9 +45,10 @@ from .interfaces import PeerSampler, Transport
 
 #: Estimated wire bytes of one ball entry's metadata — the codec's
 #: fixed per-entry layout (ts i64 + source i64 + seq i64 + ttl i32 +
-#: payload_len u32; :data:`repro.runtime.codec._BALL_ENTRY`). The
-#: simulator has no real wire, so byte accounting uses the codec's
-#: sizes: what the UDP fabric *would* have shipped.
+#: payload_len u32; :data:`repro.runtime.codec._BALL_ENTRY`, pinned by
+#: tests/runtime/test_wire_sizes.py). The simulator has no real wire,
+#: so byte accounting uses the codec's sizes: what the UDP fabric
+#: *would* have shipped.
 ENTRY_METADATA_BYTES = 32
 
 

@@ -45,7 +45,6 @@ from ..core.config import EpToConfig
 from ..faults.schedule import FaultSchedule
 from ..metrics.cdf import DelaySummary, cdf_points
 from ..runtime.cluster import AsyncCluster
-from ..runtime.fastloop import ensure_uvloop
 from ..runtime.udp import UdpNetwork
 from .scale import ScalePreset, get_scale
 
@@ -131,7 +130,6 @@ class NetBenchResult:
 
     fanout: FanoutThroughput
     runs: List[ClusterRun]
-    uvloop_active: bool
 
     @property
     def exit_ok(self) -> bool:
@@ -148,8 +146,7 @@ class NetBenchResult:
             f"{f.raw_rate:,.0f} dgram/s, {f.raw_syscalls} syscalls",
             f"  asyncio endpoints: "
             f"{f.asyncio_rate:,.0f} dgram/s, {f.asyncio_syscalls} syscalls",
-            f"  speedup: {f.speedup:.2f}x   uvloop: "
-            f"{'on' if self.uvloop_active else 'off'}",
+            f"  speedup: {f.speedup:.2f}x",
         ]
         for run in self.runs:
             lines.append(
@@ -382,7 +379,6 @@ def run_net_bench(
     preset = get_scale(scale) if not isinstance(scale, ScalePreset) else scale
     sizes = tuple(sizes if sizes is not None else preset.net_bench_sizes)
     events = int(events if events is not None else preset.net_bench_events)
-    uvloop_active = ensure_uvloop()
 
     async def go() -> NetBenchResult:
         fanout = await _fanout_throughput(blast_rounds, seed)
@@ -395,6 +391,6 @@ def run_net_bench(
                 runs.append(
                     await _cluster_run(n, events, seed, schedule, scenario="faults")
                 )
-        return NetBenchResult(fanout=fanout, runs=runs, uvloop_active=uvloop_active)
+        return NetBenchResult(fanout=fanout, runs=runs)
 
     return asyncio.run(go())

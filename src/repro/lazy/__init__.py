@@ -15,7 +15,7 @@ Components:
 * :class:`~repro.lazy.protocol.IdBall` /
   :class:`~repro.lazy.protocol.PayloadRequest` /
   :class:`~repro.lazy.protocol.PayloadResponse` — the three wire
-  messages (codec kinds 9–11, header version 4);
+  messages (codec kinds 9–11);
 * :class:`~repro.lazy.store.PayloadStore` — TTL-bounded payload
   retention keyed off the ordering window;
 * :class:`~repro.lazy.pull.PullManager` — duplicate-pull suppression,

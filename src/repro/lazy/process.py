@@ -50,9 +50,10 @@ from .protocol import (
 from .pull import PullManager
 from .store import PayloadStore
 
-# Wire-size estimates mirroring the codec's version-4 layouts (kept
+# Wire-size estimates mirroring the codec's layouts of kinds 9–11 (kept
 # local: the codec imports this package's protocol module, so importing
-# the codec from here would be circular). One datagram header, one
+# the codec from here would be circular; tests/runtime/test_wire_sizes.py
+# pins each to what the codec emits). One datagram header, one
 # id-ball entry (ts i64 + source i64 + seq i64 + ttl i32), one event id
 # (source i64 + seq i64), the request head (req_id u32) and the
 # response head (req_id u32 + missing_count u32).

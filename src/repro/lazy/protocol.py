@@ -19,8 +19,7 @@ dissemination:
 All three are frozen dataclasses so they can be shared among receivers
 without aliasing, like balls. On object fabrics (the simulator, the
 in-process async network) they travel as-is; on the UDP fabric the
-codec serializes them as header-version-4 kinds 9/10/11
-(:mod:`repro.runtime.codec`).
+codec serializes them as kinds 9/10/11 (:mod:`repro.runtime.codec`).
 """
 
 from __future__ import annotations

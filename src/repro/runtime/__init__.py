@@ -7,7 +7,6 @@ that nothing in :mod:`repro.core` depends on the simulator.
 
 from .cluster import AsyncCluster
 from .codec import MAX_DATAGRAM, CodecError, decode, encode
-from .fastloop import ensure_uvloop, uvloop_available
 from .node import AsyncEpToNode
 from .transport import AsyncNetwork, AsyncNetworkStats
 from .udp import UdpNetwork, UdpStats
@@ -23,6 +22,4 @@ __all__ = [
     "UdpStats",
     "decode",
     "encode",
-    "ensure_uvloop",
-    "uvloop_available",
 ]

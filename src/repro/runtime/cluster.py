@@ -13,7 +13,6 @@ from ..core.event import Event
 from ..pss.base import MembershipDirectory
 from ..stack import build_pss, open_journal, reopen_journal, validate_modes
 from ..sync.config import SyncConfig
-from . import fastloop
 from .node import AsyncEpToNode
 from .transport import AsyncNetwork
 
@@ -92,9 +91,6 @@ class AsyncCluster:
         if pss not in ("uniform", "cyclon"):
             raise MembershipError(f"unknown PSS kind {pss!r}")
         validate_modes(config, sync, storage_dir is not None, expected_size)
-        # Opportunistic loop upgrade: a no-op unless the optional
-        # uvloop extra is installed and no loop is running yet.
-        fastloop.ensure_uvloop()
         self.config = config
         self.network = network if network is not None else AsyncNetwork(seed=seed)
         self.pss_kind = pss

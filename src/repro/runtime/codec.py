@@ -38,19 +38,16 @@ pull_resp:req_id u32 | missing u32 |
 pairs for digests and requests, events for chunks and pull responses,
 ids for pull requests, frames for topic envelopes.
 
-Versioning: kinds 1–6 are header version 1; the signed-ball kind 7 is
-header version 2; the multi-topic envelope kind 8 is header version 3
-(see :mod:`repro.service`); the lazy-push kinds 9–11 (id-ball,
-payload-request, payload-response — :mod:`repro.lazy`) are header
-version 4. The decoder accepts all four versions (a version-4 node
-reads older traffic unchanged), rejects kind 7 under version 1, kind 8
-under versions 1–2 and kinds 9–11 under versions 1–3, and raises the
-distinguishable :class:`CodecVersionError` for any other version so
-transports can count future-version traffic apart from line noise. ``mac_len == 0`` marks an unsigned entry inside a signed
-ball. Each envelope frame wraps one *complete* datagram — its own
-header and body, produced by the same per-kind encoders — so every
-message the codec can put on the wire can ride inside an envelope
-unchanged (signed balls keep their inner version 2); envelopes cannot
+Versioning: there is one header version and every kind — inner
+envelope frames included — is written under it; any other value raises
+the distinguishable :class:`CodecVersionError`, so transports count
+traffic from an incompatible peer apart from line noise. There is no
+capability byte: the kind byte already says what one would, and a kind
+is declared once, in the table at the bottom of this module.
+``mac_len == 0`` marks an unsigned entry inside a signed ball. Each
+envelope frame wraps one *complete* datagram — its own header and body,
+produced by the same per-kind encoders — so every message the codec can
+put on the wire can ride inside an envelope unchanged; envelopes cannot
 nest.
 
 Payloads must be JSON-serializable — the natural constraint for data
@@ -68,7 +65,8 @@ import json
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple, Union
+from functools import partial
+from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from ..auth.authenticator import EventSignature, SignedBall
 from ..core.errors import TransportError
@@ -86,23 +84,7 @@ from ..sync.protocol import (
 MAX_DATAGRAM = 60_000
 
 _MAGIC = b"EP"
-_VERSION = 1
-_VERSION_SIGNED = 2
-_VERSION_TOPIC = 3
-_VERSION_LAZY = 4
-_SUPPORTED_VERSIONS = (_VERSION, _VERSION_SIGNED, _VERSION_TOPIC, _VERSION_LAZY)
-_KIND_BALL = 1
-_KIND_CYCLON_REQ = 2
-_KIND_CYCLON_RESP = 3
-_KIND_SYNC_DIGEST = 4
-_KIND_SYNC_REQUEST = 5
-_KIND_SYNC_CHUNK = 6
-_KIND_SIGNED_BALL = 7
-_KIND_TOPIC_ENVELOPE = 8
-_KIND_ID_BALL = 9
-_KIND_PAYLOAD_REQUEST = 10
-_KIND_PAYLOAD_RESPONSE = 11
-_LAZY_KINDS = (_KIND_ID_BALL, _KIND_PAYLOAD_REQUEST, _KIND_PAYLOAD_RESPONSE)
+_VERSION = 5
 
 #: Largest topic id the frame layout can carry (topic is a u32).
 MAX_TOPIC_ID = 0xFFFFFFFF
@@ -111,22 +93,30 @@ MAX_TOPIC_ID = 0xFFFFFFFF
 MAX_MAC_LEN = 255
 
 _HEADER = struct.Struct("!2sBBqI")
+_KIND_OFFSET = 3  # magic 2s | version u8 | kind u8
 _BALL_ENTRY = struct.Struct("!qqqiI")
 _SIGNED_ENTRY = struct.Struct("!qqqiIB")  # ts, source, seq, ttl, epoch, mac_len
 _PAYLOAD_LEN = struct.Struct("!I")
 _CYCLON_ENTRY = struct.Struct("!qi")
 _ORDER_KEY = struct.Struct("!qqq")
-_WATERMARK = struct.Struct("!qq")
+_PAIR = struct.Struct("!qq")  # (source, seq): an event id or a watermark
 _DIGEST_FLAGS = struct.Struct("!B")
 _REQUEST_HEAD = struct.Struct("!IIIB")  # req_id, max_events, max_bytes, flags
 _CHUNK_HEAD = struct.Struct("!IB")  # req_id, flags
-_CHUNK_EVENT = struct.Struct("!qqqI")  # ts, source, seq, payload_len
+_EVENT_RECORD = struct.Struct("!qqqI")  # ts, source, seq, payload_len
 _CHECKSUM = struct.Struct("!I")
 _FRAME_HEAD = struct.Struct("!II")  # topic, inner_len
 _ID_ENTRY = struct.Struct("!qqqi")  # ts, source, seq, ttl
-_EVENT_ID = struct.Struct("!qq")  # source, seq
 _PULL_REQ_HEAD = struct.Struct("!I")  # req_id
 _PULL_RESP_HEAD = struct.Struct("!II")  # req_id, missing count
+
+#: Bytes of the datagram header, of one envelope frame head, and the
+#: offset of the header's ``count`` field — for the modules that size
+#: envelopes (:mod:`repro.service.demux`) or corrupt a count on purpose
+#: (:meth:`repro.runtime.udp.UdpNetwork.set_corruption`).
+HEADER_SIZE = _HEADER.size
+FRAME_HEAD_SIZE = _FRAME_HEAD.size
+COUNT_OFFSET = _HEADER.size - struct.calcsize("!I")
 
 
 @dataclass(frozen=True)
@@ -317,67 +307,43 @@ def encode_into(
 
 
 def _encode_into(sender: int, message: WireMessage, buffer: bytearray) -> int:
-    """Encode one datagram into *buffer*; returns its payload bytes."""
-    if isinstance(message, TopicEnvelope):
-        kind, count = _KIND_TOPIC_ENVELOPE, len(message.frames)
-    elif isinstance(message, SignedBall):
-        kind, count = _KIND_SIGNED_BALL, len(message.entries)
-    elif isinstance(message, CyclonRequest):
-        kind, count = _KIND_CYCLON_REQ, len(message.entries)
-    elif isinstance(message, CyclonResponse):
-        kind, count = _KIND_CYCLON_RESP, len(message.entries)
-    elif isinstance(message, SyncDigest):
-        kind, count = _KIND_SYNC_DIGEST, len(message.digest.watermarks)
-    elif isinstance(message, SyncRequest):
-        kind, count = _KIND_SYNC_REQUEST, len(message.watermarks)
-    elif isinstance(message, SyncChunk):
-        kind, count = _KIND_SYNC_CHUNK, len(message.events)
-    elif isinstance(message, IdBall):
-        kind, count = _KIND_ID_BALL, len(message.entries)
-    elif isinstance(message, PayloadRequest):
-        kind, count = _KIND_PAYLOAD_REQUEST, len(message.ids)
-    elif isinstance(message, PayloadResponse):
-        kind, count = _KIND_PAYLOAD_RESPONSE, len(message.events)
-    elif isinstance(message, tuple):
-        kind, count = _KIND_BALL, len(message)
-    else:
-        raise CodecError(f"cannot encode message of type {type(message).__name__}")
-    if kind in _LAZY_KINDS:
-        version = _VERSION_LAZY
-    elif kind == _KIND_TOPIC_ENVELOPE:
-        version = _VERSION_TOPIC
-    elif kind == _KIND_SIGNED_BALL:
-        version = _VERSION_SIGNED
-    else:
-        version = _VERSION
-    buffer += _HEADER.pack(_MAGIC, version, kind, sender, count)
-    payload_bytes = 0
-    if kind == _KIND_BALL:
-        payload_bytes = _encode_ball_into(message, buffer)
-    elif kind == _KIND_TOPIC_ENVELOPE:
-        payload_bytes = _encode_topic_envelope_into(message, buffer)
-    elif kind == _KIND_SIGNED_BALL:
-        payload_bytes = _encode_signed_ball_into(message, buffer)
-    elif kind == _KIND_SYNC_DIGEST:
-        _encode_sync_digest_into(message, buffer)
-    elif kind == _KIND_SYNC_REQUEST:
-        _encode_sync_request_into(message, buffer)
-    elif kind == _KIND_SYNC_CHUNK:
-        payload_bytes = _encode_sync_chunk_into(message, buffer)
-    elif kind == _KIND_ID_BALL:
-        _encode_id_ball_into(message, buffer)
-    elif kind == _KIND_PAYLOAD_REQUEST:
-        _encode_payload_request_into(message, buffer)
-    elif kind == _KIND_PAYLOAD_RESPONSE:
-        payload_bytes = _encode_payload_response_into(message, buffer)
-    else:
-        buffer += _encode_cyclon(message.entries)
-    if len(buffer) > MAX_DATAGRAM:
+    """Encode one datagram into the empty *buffer*; returns its payload
+    bytes."""
+    row = _ROW_OF_TYPE.get(type(message))
+    if row is None:
+        # A ball is any tuple of entries: what a round ships is a
+        # tuple subclass (core.event.SharedBall).
+        if not isinstance(message, tuple):
+            raise CodecError(
+                f"cannot encode message of type {type(message).__name__}"
+            )
+        row = _ROW_OF_TYPE[tuple]
+    buffer += _HEADER.pack(_MAGIC, _VERSION, row.kind, sender, row.count(message))
+    payload_bytes = row.encode_body(message, buffer)
+    _check_cap(len(buffer), "encoded message")
+    return payload_bytes
+
+
+def _check_cap(size: int, what: str) -> None:
+    if size > MAX_DATAGRAM:
         raise CodecError(
-            f"encoded message is {len(buffer)} bytes, exceeding the "
+            f"{what} is {size} bytes, exceeding the "
             f"{MAX_DATAGRAM}-byte datagram cap"
         )
-    return payload_bytes
+
+
+def _crosses_cap(what: str, index: int, total: int, event: Event, size: int):
+    """The refusal for the first entry that pushes a message past the
+    cap. The entry encoders track the cumulative size so an oversized
+    message is rejected there, instead of serializing every remaining
+    entry first and failing at the end; the error names how far
+    encoding got, which is what callers need to size their balls (or
+    split them) correctly."""
+    return CodecError(
+        f"{what} {index + 1} of {total} (event {event.id}) pushes the "
+        f"encoded message to {size} bytes, exceeding the "
+        f"{MAX_DATAGRAM}-byte datagram cap"
+    )
 
 
 def assemble_envelope(host: int, frames) -> bytes:
@@ -386,21 +352,27 @@ def assemble_envelope(host: int, frames) -> bytes:
     *frames* is a sequence of ``(topic, inner)`` where *inner* is the
     datagram :func:`encode` produced for that frame's message from its
     own sender. The result is byte for byte
-    ``encode(host, TopicEnvelope(...))`` of the same frames, without
-    encoding any message again: the service's demux encodes a ball once
-    to size it and every envelope that carries it is put together from
-    those bytes (:meth:`repro.service.demux.TopicDemux.flush`).
+    ``encode(host, TopicEnvelope(...))`` of the same frames — both lay
+    their frames out with the one assembler below — without encoding
+    any message again: the service's demux encodes a ball once to size
+    it and every envelope that carries it is put together from those
+    bytes (:meth:`repro.service.demux.TopicDemux.flush`).
 
     Raises:
         CodecError: If a topic id is outside the u32 range, an inner
             datagram is itself an envelope (envelopes cannot nest) or
             the envelope exceeds :data:`MAX_DATAGRAM`.
     """
-    parts = [
-        _HEADER.pack(
-            _MAGIC, _VERSION_TOPIC, _KIND_TOPIC_ENVELOPE, host, len(frames)
-        )
-    ]
+    header = _HEADER.pack(_MAGIC, _VERSION, _ENVELOPE_KIND, host, len(frames))
+    datagram = b"".join([header, *_frame_parts(frames)])
+    _check_cap(len(datagram), "assembled envelope")
+    return datagram
+
+
+def _frame_parts(frames) -> list:
+    """The body of an envelope, in pieces to join: a frame head and the
+    inner datagram for each ``(topic, inner)`` of *frames*."""
+    parts = []
     for index, (topic, inner) in enumerate(frames):
         if not 0 <= topic <= MAX_TOPIC_ID:
             raise CodecError(
@@ -411,18 +383,11 @@ def assemble_envelope(host: int, frames) -> bytes:
             raise CodecError(
                 f"frame {index + 1} is {len(inner)} bytes, not a datagram"
             )
-        # The kind byte sits at a fixed header offset (see the decoder).
-        if inner[3] == _KIND_TOPIC_ENVELOPE:
+        if inner[_KIND_OFFSET] == _ENVELOPE_KIND:
             raise CodecError("topic envelopes cannot nest")
         parts.append(_FRAME_HEAD.pack(topic, len(inner)))
         parts.append(inner)
-    datagram = b"".join(parts)
-    if len(datagram) > MAX_DATAGRAM:
-        raise CodecError(
-            f"assembled envelope is {len(datagram)} bytes, exceeding the "
-            f"{MAX_DATAGRAM}-byte datagram cap"
-        )
-    return datagram
+    return parts
 
 
 def decode(
@@ -450,7 +415,9 @@ def decode(
     frame; the envelope decoder sets it, callers pass whole datagrams.
 
     Raises:
-        CodecError: On any malformed or version-incompatible input.
+        CodecVersionError: On a well-framed datagram of another header
+            version.
+        CodecError: On any other malformed input.
     """
     if table is not None and topic is None:
         table.pending.clear()
@@ -459,78 +426,53 @@ def decode(
     magic, version, kind, sender, count = _HEADER.unpack_from(datagram)
     if magic != _MAGIC:
         raise CodecError(f"bad magic {magic!r}")
-    if version not in _SUPPORTED_VERSIONS:
+    if version != _VERSION:
         raise CodecVersionError(f"unsupported version {version}")
+    row = _ROW_OF_KIND.get(kind)
+    if row is None:
+        raise CodecError(f"unknown message kind {kind}")
     view = datagram if isinstance(datagram, memoryview) else memoryview(datagram)
-    body = view[_HEADER.size :]
-    if kind == _KIND_BALL:
-        return sender, _decode_ball(body, count, table, topic)
-    if kind == _KIND_SIGNED_BALL:
-        if version < _VERSION_SIGNED:
-            raise CodecError(
-                f"signed ball requires header version {_VERSION_SIGNED}, "
-                f"got {version}"
-            )
-        return sender, _decode_signed_ball(body, count, table, topic)
-    if kind == _KIND_CYCLON_REQ:
-        return sender, CyclonRequest(entries=_decode_cyclon(body, count))
-    if kind == _KIND_CYCLON_RESP:
-        return sender, CyclonResponse(entries=_decode_cyclon(body, count))
-    if kind == _KIND_SYNC_DIGEST:
-        return sender, _decode_sync_digest(body, count)
-    if kind == _KIND_SYNC_REQUEST:
-        return sender, _decode_sync_request(body, count)
-    if kind == _KIND_SYNC_CHUNK:
-        return sender, _decode_sync_chunk(body, count)
-    if kind == _KIND_TOPIC_ENVELOPE:
-        if version < _VERSION_TOPIC:
-            raise CodecError(
-                f"topic envelope requires header version {_VERSION_TOPIC}, "
-                f"got {version}"
-            )
-        return sender, _decode_topic_envelope(body, count, table)
-    if kind in _LAZY_KINDS:
-        if version < _VERSION_LAZY:
-            raise CodecError(
-                f"lazy-push kind {kind} requires header version "
-                f"{_VERSION_LAZY}, got {version}"
-            )
-        if kind == _KIND_ID_BALL:
-            return sender, _decode_id_ball(body, count)
-        if kind == _KIND_PAYLOAD_REQUEST:
-            return sender, _decode_payload_request(body, count)
-        return sender, _decode_payload_response(body, count)
-    raise CodecError(f"unknown message kind {kind}")
+    return sender, row.decode_body(view[_HEADER.size :], count, table, topic)
 
 
 # ----------------------------------------------------------------------
-# Internals
+# Bodies, kind by kind
 # ----------------------------------------------------------------------
+
+
+def _payload_bytes(event: Event) -> bytes:
+    """An event's payload as the UTF-8 JSON the wire carries."""
+    try:
+        return json.dumps(event.payload).encode()
+    except (TypeError, ValueError) as exc:
+        raise CodecError(
+            f"payload of event {event.id} is not JSON-serializable: {exc}"
+        ) from exc
+
+
+def _json_payload(raw, label: str):
+    """Parse a JSON payload from any bytes-like slice.
+
+    ``str(raw, "utf-8")`` reads through the buffer protocol, so a
+    ``memoryview`` slice parses without an intermediate ``bytes`` copy;
+    the parsed payload is an owned object with no reference into the
+    source buffer.
+    """
+    try:
+        return json.loads(str(raw, "utf-8"))
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise CodecError(f"{label}: {exc}") from exc
 
 
 def _encode_ball_into(ball: Ball, buffer: bytearray) -> int:
-    # The cumulative size is tracked while encoding so an oversized
-    # ball is rejected at the first entry that crosses the cap, instead
-    # of serializing every remaining entry first and failing at the
-    # end. The error names how far encoding got, which is what callers
-    # need to size their balls (or split them) correctly.
     size = len(buffer)
     payload_total = 0
     for index, entry in enumerate(ball):
         event = entry.event
-        try:
-            payload = json.dumps(event.payload).encode()
-        except (TypeError, ValueError) as exc:
-            raise CodecError(
-                f"payload of event {event.id} is not JSON-serializable: {exc}"
-            ) from exc
+        payload = _payload_bytes(event)
         size += _BALL_ENTRY.size + len(payload)
         if size > MAX_DATAGRAM:
-            raise CodecError(
-                f"ball entry {index + 1} of {len(ball)} (event {event.id}) "
-                f"pushes the encoded message to {size} bytes, exceeding the "
-                f"{MAX_DATAGRAM}-byte datagram cap"
-            )
+            raise _crosses_cap("ball entry", index, len(ball), event, size)
         buffer += _BALL_ENTRY.pack(
             event.ts, event.source_id, event.seq, entry.ttl, len(payload)
         )
@@ -540,10 +482,7 @@ def _encode_ball_into(ball: Ball, buffer: bytearray) -> int:
 
 
 def _decode_ball(
-    body,
-    count: int,
-    table: Optional[AdmittedEntries] = None,
-    topic: Optional[int] = None,
+    body, count: int, table: Optional[AdmittedEntries], topic: Optional[int]
 ) -> Ball:
     # The loop runs once per copy of every event (K·TTL per node), so
     # everything it can do once per ball it does here.
@@ -581,31 +520,16 @@ def _decode_ball(
         if ttl < 0:
             raise CodecError(f"negative ttl {ttl}")
         entries.append(BallEntry(event, ttl))
-    if offset != size:
-        raise CodecError(f"{size - offset} trailing bytes after ball")
+    _expect_end(body, offset, "ball")
     if table is not None:
         table.hits += count - first_sights
         table.misses += first_sights
     return make_ball(entries)
 
 
-def _json_payload(raw, label: str):
-    """Parse a JSON payload from any bytes-like slice.
-
-    ``str(raw, "utf-8")`` reads through the buffer protocol, so a
-    ``memoryview`` slice parses without an intermediate ``bytes`` copy;
-    the parsed payload is an owned object with no reference into the
-    source buffer.
-    """
-    try:
-        return json.loads(str(raw, "utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise CodecError(f"{label}: {exc}") from exc
-
-
 def _encode_signed_ball_into(message: SignedBall, buffer: bytearray) -> int:
-    # Same first-offending-entry size accounting as _encode_ball_into;
-    # each entry additionally carries its signing epoch and MAC.
+    # As _encode_ball_into; each entry additionally carries its signing
+    # epoch and MAC.
     size = len(buffer)
     payload_total = 0
     total = len(message.entries)
@@ -613,12 +537,7 @@ def _encode_signed_ball_into(message: SignedBall, buffer: bytearray) -> int:
         zip(message.entries, message.signatures)
     ):
         event = entry.event
-        try:
-            payload = json.dumps(event.payload).encode()
-        except (TypeError, ValueError) as exc:
-            raise CodecError(
-                f"payload of event {event.id} is not JSON-serializable: {exc}"
-            ) from exc
+        payload = _payload_bytes(event)
         epoch, mac = (signature.epoch, signature.mac) if signature else (0, b"")
         if len(mac) > MAX_MAC_LEN:
             raise CodecError(
@@ -627,11 +546,7 @@ def _encode_signed_ball_into(message: SignedBall, buffer: bytearray) -> int:
             )
         size += _SIGNED_ENTRY.size + len(mac) + _PAYLOAD_LEN.size + len(payload)
         if size > MAX_DATAGRAM:
-            raise CodecError(
-                f"signed ball entry {index + 1} of {total} (event "
-                f"{event.id}) pushes the encoded message to {size} bytes, "
-                f"exceeding the {MAX_DATAGRAM}-byte datagram cap"
-            )
+            raise _crosses_cap("signed ball entry", index, total, event, size)
         buffer += _SIGNED_ENTRY.pack(
             event.ts, event.source_id, event.seq, entry.ttl, epoch, len(mac)
         )
@@ -643,10 +558,7 @@ def _encode_signed_ball_into(message: SignedBall, buffer: bytearray) -> int:
 
 
 def _decode_signed_ball(
-    body,
-    count: int,
-    table: Optional[AdmittedEntries] = None,
-    topic: Optional[int] = None,
+    body, count: int, table: Optional[AdmittedEntries], topic: Optional[int]
 ) -> SignedBall:
     known = table.records.get if table is not None else None
     unpack, head = _SIGNED_ENTRY.unpack_from, _SIGNED_ENTRY.size
@@ -701,8 +613,7 @@ def _decode_signed_ball(
             raise CodecError(f"negative ttl {ttl}")
         entries.append(BallEntry(event, ttl))
         signatures.append(signature)
-    if offset != size:
-        raise CodecError(f"{size - offset} trailing bytes after signed ball")
+    _expect_end(body, offset, "signed ball")
     if table is not None:
         table.hits += count - first_sights
         table.misses += first_sights
@@ -712,57 +623,122 @@ def _decode_signed_ball(
 def _encode_topic_envelope_into(
     message: TopicEnvelope, buffer: bytearray
 ) -> int:
-    # Each frame re-enters _encode_into, so every per-kind encoder
-    # (including the signed-ball one, which keeps its inner version 2)
-    # is reused unchanged; the frame length is back-patched once the
-    # inner datagram's size is known. The inner call's own cap check
-    # sees the cumulative buffer, so an envelope that outgrows the
-    # datagram cap is rejected at the first offending frame.
+    # Each frame is a complete datagram from the private encoder, so
+    # every per-kind encoder is reused unchanged and no public `encode`
+    # runs inside another; the frames are laid out as assemble_envelope
+    # lays out the ones it is handed.
     payload_total = 0
-    for index, (topic, frame_sender, frame_message) in enumerate(message.frames):
-        if not 0 <= topic <= MAX_TOPIC_ID:
-            raise CodecError(
-                f"topic id {topic} of frame {index + 1} is outside the "
-                f"u32 range"
-            )
-        if isinstance(frame_message, TopicEnvelope):
+    frames = []
+    for topic, frame_sender, frame_message in message.frames:
+        if isinstance(frame_message, TopicEnvelope):  # before recursing
             raise CodecError("topic envelopes cannot nest")
-        head = len(buffer)
-        buffer += _FRAME_HEAD.pack(topic, 0)
-        inner_start = len(buffer)
-        payload_total += _encode_into(frame_sender, frame_message, buffer)
-        _FRAME_HEAD.pack_into(buffer, head, topic, len(buffer) - inner_start)
+        inner = bytearray()
+        payload_total += _encode_into(frame_sender, frame_message, inner)
+        frames.append((topic, inner))
+    buffer += b"".join(_frame_parts(frames))
     return payload_total
 
 
+def _read(layout: struct.Struct, body, offset: int, what: str) -> Tuple[tuple, int]:
+    """Unpack *layout* at *offset*; returns its fields and the offset
+    past them, refusing a body that ends first."""
+    end = offset + layout.size
+    if end > len(body):
+        raise CodecError(f"truncated {what}")
+    return layout.unpack_from(body, offset), end
+
+
+def _expect_end(body, offset: int, what: str) -> None:
+    if offset != len(body):
+        raise CodecError(f"{len(body) - offset} trailing bytes after {what}")
+
+
 def _decode_topic_envelope(
-    body, count: int, table: Optional[AdmittedEntries] = None
+    body, count: int, table: Optional[AdmittedEntries], *_
 ) -> TopicEnvelope:
+    # No topic of its own: an envelope is never a frame.
     frames = []
     offset = 0
     for _ in range(count):
-        if offset + _FRAME_HEAD.size > len(body):
-            raise CodecError("truncated topic frame header")
-        topic, inner_len = _FRAME_HEAD.unpack_from(body, offset)
-        offset += _FRAME_HEAD.size
-        if offset + inner_len > len(body):
+        (topic, inner_len), start = _read(
+            _FRAME_HEAD, body, offset, "topic frame header"
+        )
+        offset = start + inner_len
+        if offset > len(body):
             raise CodecError("truncated topic frame body")
-        inner = body[offset : offset + inner_len]
-        offset += inner_len
+        inner = body[start:offset]
         # Reject nesting before recursing: the kind byte sits at a
         # fixed header offset, so a bomb is refused without parsing.
-        if len(inner) >= _HEADER.size and inner[3] == _KIND_TOPIC_ENVELOPE:
+        if len(inner) >= _HEADER.size and inner[_KIND_OFFSET] == _ENVELOPE_KIND:
             raise CodecError("topic envelopes cannot nest")
         frame_sender, frame_message = decode(inner, table, topic)
         frames.append((topic, frame_sender, frame_message))
-    if offset != len(body):
-        raise CodecError(
-            f"{len(body) - offset} trailing bytes after topic envelope"
-        )
+    _expect_end(body, offset, "topic envelope")
     return TopicEnvelope(frames=tuple(frames))
 
 
-def _encode_sync_digest_into(message: SyncDigest, buffer: bytearray) -> None:
+def _encode_events_into(
+    events, buffer: bytearray, trailer: int, what: str
+) -> int:
+    """Append one ``ts | source | seq | payload_len | payload`` record
+    per event; returns the payload bytes. *trailer* is what the message
+    still has to append after its events, counted against the cap."""
+    size = len(buffer) + trailer
+    payload_total = 0
+    for index, event in enumerate(events):
+        payload = _payload_bytes(event)
+        size += _EVENT_RECORD.size + len(payload)
+        if size > MAX_DATAGRAM:
+            raise _crosses_cap(f"{what} event", index, len(events), event, size)
+        buffer += _EVENT_RECORD.pack(
+            event.ts, event.source_id, event.seq, len(payload)
+        )
+        buffer += payload
+        payload_total += len(payload)
+    return payload_total
+
+
+def _decode_events(body, offset: int, count: int, what: str) -> Tuple[tuple, int]:
+    """Read *count* event records from *offset*; returns the events and
+    the offset past them."""
+    header, corrupt = f"{what} event header", f"corrupt {what} payload"
+    events = []
+    for _ in range(count):
+        (ts, source, seq, payload_len), start = _read(
+            _EVENT_RECORD, body, offset, header
+        )
+        offset = start + payload_len
+        if offset > len(body):
+            raise CodecError(f"truncated {what} event payload")
+        payload = _json_payload(body[start:offset], corrupt)
+        events.append(
+            Event(id=(source, seq), ts=ts, source_id=source, payload=payload)
+        )
+    return tuple(events), offset
+
+
+def _encode_pairs_into(pairs, buffer: bytearray) -> None:
+    for source, seq in pairs:
+        buffer += _PAIR.pack(source, seq)
+
+
+def _decode_pairs(body, offset: int, count: int, what: str) -> Tuple[tuple, int]:
+    """Read *count* ``(source, seq)`` pairs from *offset*; returns them
+    and the offset past them."""
+    end = offset + count * _PAIR.size
+    if end > len(body):
+        raise CodecError(f"truncated {what}")
+    return tuple(_PAIR.iter_unpack(body[offset:end])), end
+
+
+def _decode_order_key(body, offset: int, present: int, what: str):
+    """An optional order key: ``(key or None, offset past it)``."""
+    if not present:
+        return None, offset
+    return _read(_ORDER_KEY, body, offset, what)
+
+
+def _encode_sync_digest_into(message: SyncDigest, buffer: bytearray) -> int:
     digest = message.digest
     flags = (0x01 if digest.last_key is not None else 0) | (
         0x02 if message.reply else 0
@@ -770,56 +746,47 @@ def _encode_sync_digest_into(message: SyncDigest, buffer: bytearray) -> None:
     buffer += _DIGEST_FLAGS.pack(flags)
     if digest.last_key is not None:
         buffer += _ORDER_KEY.pack(*digest.last_key)
-    for source, seq in digest.watermarks:
-        buffer += _WATERMARK.pack(source, seq)
+    _encode_pairs_into(digest.watermarks, buffer)
+    return 0
 
 
-def _decode_sync_digest(body: bytes, count: int) -> SyncDigest:
-    offset = 0
-    if offset + _DIGEST_FLAGS.size > len(body):
-        raise CodecError("truncated sync digest flags")
-    (flags,) = _DIGEST_FLAGS.unpack_from(body, offset)
-    offset += _DIGEST_FLAGS.size
-    last_key = None
-    if flags & 0x01:
-        if offset + _ORDER_KEY.size > len(body):
-            raise CodecError("truncated sync digest order key")
-        last_key = _ORDER_KEY.unpack_from(body, offset)
-        offset += _ORDER_KEY.size
-    watermarks, offset = _decode_watermarks(body, offset, count, "digest")
-    if offset != len(body):
-        raise CodecError(f"{len(body) - offset} trailing bytes after sync digest")
+def _decode_sync_digest(body, count: int, *_) -> SyncDigest:
+    (flags,), offset = _read(_DIGEST_FLAGS, body, 0, "sync digest flags")
+    last_key, offset = _decode_order_key(
+        body, offset, flags & 0x01, "sync digest order key"
+    )
+    watermarks, offset = _decode_pairs(
+        body, offset, count, "sync digest watermarks"
+    )
+    _expect_end(body, offset, "sync digest")
     return SyncDigest(
         digest=DeliveryDigest(last_key=last_key, watermarks=watermarks),
         reply=bool(flags & 0x02),
     )
 
 
-def _encode_sync_request_into(message: SyncRequest, buffer: bytearray) -> None:
+def _encode_sync_request_into(message: SyncRequest, buffer: bytearray) -> int:
     flags = 0x01 if message.after is not None else 0
     buffer += _REQUEST_HEAD.pack(
         message.req_id & 0xFFFFFFFF, message.max_events, message.max_bytes, flags
     )
     if message.after is not None:
         buffer += _ORDER_KEY.pack(*message.after)
-    for source, seq in message.watermarks:
-        buffer += _WATERMARK.pack(source, seq)
+    _encode_pairs_into(message.watermarks, buffer)
+    return 0
 
 
-def _decode_sync_request(body: bytes, count: int) -> SyncRequest:
-    if _REQUEST_HEAD.size > len(body):
-        raise CodecError("truncated sync request header")
-    req_id, max_events, max_bytes, flags = _REQUEST_HEAD.unpack_from(body)
-    offset = _REQUEST_HEAD.size
-    after = None
-    if flags & 0x01:
-        if offset + _ORDER_KEY.size > len(body):
-            raise CodecError("truncated sync request cursor")
-        after = _ORDER_KEY.unpack_from(body, offset)
-        offset += _ORDER_KEY.size
-    watermarks, offset = _decode_watermarks(body, offset, count, "request")
-    if offset != len(body):
-        raise CodecError(f"{len(body) - offset} trailing bytes after sync request")
+def _decode_sync_request(body, count: int, *_) -> SyncRequest:
+    (req_id, max_events, max_bytes, flags), offset = _read(
+        _REQUEST_HEAD, body, 0, "sync request header"
+    )
+    after, offset = _decode_order_key(
+        body, offset, flags & 0x01, "sync request cursor"
+    )
+    watermarks, offset = _decode_pairs(
+        body, offset, count, "sync request watermarks"
+    )
+    _expect_end(body, offset, "sync request")
     return SyncRequest(
         req_id=req_id,
         after=after,
@@ -837,197 +804,153 @@ def _encode_sync_chunk_into(message: SyncChunk, buffer: bytearray) -> int:
     if message.peer_last is not None:
         buffer += _ORDER_KEY.pack(*message.peer_last)
     buffer += _CHECKSUM.pack(message.checksum & 0xFFFFFFFF)
-    payload_total = 0
-    for event in message.events:
-        try:
-            payload = json.dumps(event.payload).encode()
-        except (TypeError, ValueError) as exc:
-            raise CodecError(
-                f"payload of event {event.id} is not JSON-serializable: {exc}"
-            ) from exc
-        buffer += _CHUNK_EVENT.pack(
-            event.ts, event.source_id, event.seq, len(payload)
-        )
-        buffer += payload
-        payload_total += len(payload)
-    return payload_total
+    return _encode_events_into(message.events, buffer, 0, "sync-chunk")
 
 
-def _decode_sync_chunk(body: bytes, count: int) -> SyncChunk:
-    if _CHUNK_HEAD.size > len(body):
-        raise CodecError("truncated sync chunk header")
-    req_id, flags = _CHUNK_HEAD.unpack_from(body)
-    offset = _CHUNK_HEAD.size
-    peer_last = None
-    if flags & 0x02:
-        if offset + _ORDER_KEY.size > len(body):
-            raise CodecError("truncated sync chunk peer key")
-        peer_last = _ORDER_KEY.unpack_from(body, offset)
-        offset += _ORDER_KEY.size
-    if offset + _CHECKSUM.size > len(body):
-        raise CodecError("truncated sync chunk checksum")
-    (checksum,) = _CHECKSUM.unpack_from(body, offset)
-    offset += _CHECKSUM.size
-    events = []
-    for _ in range(count):
-        if offset + _CHUNK_EVENT.size > len(body):
-            raise CodecError("truncated sync chunk event header")
-        ts, source, seq, payload_len = _CHUNK_EVENT.unpack_from(body, offset)
-        offset += _CHUNK_EVENT.size
-        if offset + payload_len > len(body):
-            raise CodecError("truncated sync chunk event payload")
-        raw = body[offset : offset + payload_len]
-        offset += payload_len
-        payload = _json_payload(raw, "corrupt sync chunk payload")
-        events.append(
-            Event(id=(source, seq), ts=ts, source_id=source, payload=payload)
-        )
-    if offset != len(body):
-        raise CodecError(f"{len(body) - offset} trailing bytes after sync chunk")
+def _decode_sync_chunk(body, count: int, *_) -> SyncChunk:
+    (req_id, flags), offset = _read(_CHUNK_HEAD, body, 0, "sync chunk header")
+    peer_last, offset = _decode_order_key(
+        body, offset, flags & 0x02, "sync chunk peer key"
+    )
+    (checksum,), offset = _read(_CHECKSUM, body, offset, "sync chunk checksum")
+    events, offset = _decode_events(body, offset, count, "sync chunk")
+    _expect_end(body, offset, "sync chunk")
     return SyncChunk(
         req_id=req_id,
-        events=tuple(events),
+        events=events,
         checksum=checksum,
         more=bool(flags & 0x01),
         peer_last=peer_last,
     )
 
 
-def _decode_watermarks(
-    body: bytes, offset: int, count: int, label: str
-) -> Tuple[tuple, int]:
-    end = offset + count * _WATERMARK.size
-    if end > len(body):
-        raise CodecError(f"truncated sync {label} watermarks")
-    watermarks = tuple(
-        _WATERMARK.unpack_from(body, offset + i * _WATERMARK.size)
-        for i in range(count)
-    )
-    return watermarks, end
+def _encode_cyclon_into(message, buffer: bytearray) -> int:
+    for peer, age in message.entries:
+        buffer += _CYCLON_ENTRY.pack(peer, age)
+    return 0
 
 
-def _encode_cyclon(entries) -> bytes:
-    return b"".join(_CYCLON_ENTRY.pack(peer, age) for peer, age in entries)
-
-
-def _decode_cyclon(body: bytes, count: int):
+def _decode_cyclon(message_type, body, count: int, *_):
     expected = count * _CYCLON_ENTRY.size
     if len(body) != expected:
         raise CodecError(
             f"cyclon body is {len(body)} bytes, expected {expected}"
         )
-    return tuple(
-        _CYCLON_ENTRY.unpack_from(body, i * _CYCLON_ENTRY.size)
-        for i in range(count)
-    )
+    return message_type(entries=tuple(_CYCLON_ENTRY.iter_unpack(body)))
 
 
-def _encode_id_ball_into(message: IdBall, buffer: bytearray) -> None:
+def _encode_id_ball_into(message: IdBall, buffer: bytearray) -> int:
     for ts, source, seq, ttl in message.entries:
         buffer += _ID_ENTRY.pack(ts, source, seq, ttl)
+    return 0
 
 
-def _decode_id_ball(body, count: int) -> IdBall:
+def _decode_id_ball(body, count: int, *_) -> IdBall:
     expected = count * _ID_ENTRY.size
     if len(body) != expected:
         raise CodecError(
             f"id-ball body is {len(body)} bytes, expected {expected}"
         )
-    entries = []
-    for i in range(count):
-        ts, source, seq, ttl = _ID_ENTRY.unpack_from(body, i * _ID_ENTRY.size)
+    entries = tuple(_ID_ENTRY.iter_unpack(body))
+    for _ts, _source, _seq, ttl in entries:
         if ttl < 0:
             raise CodecError(f"negative ttl {ttl}")
-        entries.append((ts, source, seq, ttl))
-    return IdBall(entries=tuple(entries))
+    return IdBall(entries=entries)
 
 
 def _encode_payload_request_into(
     message: PayloadRequest, buffer: bytearray
-) -> None:
+) -> int:
     buffer += _PULL_REQ_HEAD.pack(message.req_id & 0xFFFFFFFF)
-    for source, seq in message.ids:
-        buffer += _EVENT_ID.pack(source, seq)
+    _encode_pairs_into(message.ids, buffer)
+    return 0
 
 
-def _decode_payload_request(body, count: int) -> PayloadRequest:
-    expected = _PULL_REQ_HEAD.size + count * _EVENT_ID.size
-    if len(body) != expected:
-        raise CodecError(
-            f"payload-request body is {len(body)} bytes, expected {expected}"
-        )
-    (req_id,) = _PULL_REQ_HEAD.unpack_from(body)
-    ids = tuple(
-        _EVENT_ID.unpack_from(body, _PULL_REQ_HEAD.size + i * _EVENT_ID.size)
-        for i in range(count)
-    )
+def _decode_payload_request(body, count: int, *_) -> PayloadRequest:
+    (req_id,), offset = _read(_PULL_REQ_HEAD, body, 0, "payload-request header")
+    ids, offset = _decode_pairs(body, offset, count, "payload-request ids")
+    _expect_end(body, offset, "payload request")
     return PayloadRequest(req_id=req_id, ids=ids)
 
 
 def _encode_payload_response_into(
     message: PayloadResponse, buffer: bytearray
 ) -> int:
-    # Same first-offending-entry size accounting as _encode_ball_into:
-    # a response that outgrows the datagram cap is rejected at the event
-    # that crosses it, naming how far encoding got.
     buffer += _PULL_RESP_HEAD.pack(
         message.req_id & 0xFFFFFFFF, len(message.missing)
     )
-    size = len(buffer) + len(message.missing) * _EVENT_ID.size
-    payload_total = 0
-    total = len(message.events)
-    for index, event in enumerate(message.events):
-        try:
-            payload = json.dumps(event.payload).encode()
-        except (TypeError, ValueError) as exc:
-            raise CodecError(
-                f"payload of event {event.id} is not JSON-serializable: {exc}"
-            ) from exc
-        size += _CHUNK_EVENT.size + len(payload)
-        if size > MAX_DATAGRAM:
-            raise CodecError(
-                f"payload-response event {index + 1} of {total} (event "
-                f"{event.id}) pushes the encoded message to {size} bytes, "
-                f"exceeding the {MAX_DATAGRAM}-byte datagram cap"
-            )
-        buffer += _CHUNK_EVENT.pack(
-            event.ts, event.source_id, event.seq, len(payload)
-        )
-        buffer += payload
-        payload_total += len(payload)
-    for source, seq in message.missing:
-        buffer += _EVENT_ID.pack(source, seq)
+    payload_total = _encode_events_into(
+        message.events,
+        buffer,
+        len(message.missing) * _PAIR.size,
+        "payload-response",
+    )
+    _encode_pairs_into(message.missing, buffer)
     return payload_total
 
 
-def _decode_payload_response(body, count: int) -> PayloadResponse:
-    if _PULL_RESP_HEAD.size > len(body):
-        raise CodecError("truncated payload-response header")
-    req_id, missing_count = _PULL_RESP_HEAD.unpack_from(body)
-    offset = _PULL_RESP_HEAD.size
-    events = []
-    for _ in range(count):
-        if offset + _CHUNK_EVENT.size > len(body):
-            raise CodecError("truncated payload-response event header")
-        ts, source, seq, payload_len = _CHUNK_EVENT.unpack_from(body, offset)
-        offset += _CHUNK_EVENT.size
-        if offset + payload_len > len(body):
-            raise CodecError("truncated payload-response event payload")
-        raw = body[offset : offset + payload_len]
-        offset += payload_len
-        payload = _json_payload(raw, "corrupt payload-response payload")
-        events.append(
-            Event(id=(source, seq), ts=ts, source_id=source, payload=payload)
-        )
-    end = offset + missing_count * _EVENT_ID.size
-    if end > len(body):
-        raise CodecError("truncated payload-response missing ids")
-    missing = tuple(
-        _EVENT_ID.unpack_from(body, offset + i * _EVENT_ID.size)
-        for i in range(missing_count)
+def _decode_payload_response(body, count: int, *_) -> PayloadResponse:
+    (req_id, missing_count), offset = _read(
+        _PULL_RESP_HEAD, body, 0, "payload-response header"
     )
-    if end != len(body):
-        raise CodecError(
-            f"{len(body) - end} trailing bytes after payload response"
-        )
-    return PayloadResponse(req_id=req_id, events=tuple(events), missing=missing)
+    events, offset = _decode_events(body, offset, count, "payload-response")
+    missing, offset = _decode_pairs(
+        body, offset, missing_count, "payload-response missing ids"
+    )
+    _expect_end(body, offset, "payload response")
+    return PayloadResponse(req_id=req_id, events=events, missing=missing)
+
+
+# ----------------------------------------------------------------------
+# The kind table
+# ----------------------------------------------------------------------
+
+
+class _Kind(NamedTuple):
+    """One wire kind: a row of the table below."""
+
+    #: the header's kind byte.
+    kind: int
+    #: the exact type :func:`encode` finds the row by.
+    message_type: type
+    #: the header's ``count`` field for a message of this kind.
+    count: Callable[[Any], int]
+    #: appends the body to a buffer; returns its JSON payload bytes.
+    encode_body: Callable[[Any, bytearray], int]
+    #: ``(body, count, table, topic)`` -> message; the receiver's table
+    #: and the frame's topic are for the kinds that carry ball entries
+    #: (the envelope hands its frames the table and each its topic) —
+    #: a decoder takes what it has no use for as ``*_``.
+    decode_body: Callable[..., Any]
+
+
+def _entries(message) -> int:
+    return len(message.entries)
+
+
+#: Every kind the codec can carry — the only place one is declared.
+#: Adding a kind is one row plus its two body functions.
+_KINDS = (
+    _Kind(1, tuple, len, _encode_ball_into, _decode_ball),
+    _Kind(2, CyclonRequest, _entries,
+          _encode_cyclon_into, partial(_decode_cyclon, CyclonRequest)),
+    _Kind(3, CyclonResponse, _entries,
+          _encode_cyclon_into, partial(_decode_cyclon, CyclonResponse)),
+    _Kind(4, SyncDigest, lambda message: len(message.digest.watermarks),
+          _encode_sync_digest_into, _decode_sync_digest),
+    _Kind(5, SyncRequest, lambda message: len(message.watermarks),
+          _encode_sync_request_into, _decode_sync_request),
+    _Kind(6, SyncChunk, lambda message: len(message.events),
+          _encode_sync_chunk_into, _decode_sync_chunk),
+    _Kind(7, SignedBall, _entries, _encode_signed_ball_into, _decode_signed_ball),
+    _Kind(8, TopicEnvelope, lambda message: len(message.frames),
+          _encode_topic_envelope_into, _decode_topic_envelope),
+    _Kind(9, IdBall, _entries, _encode_id_ball_into, _decode_id_ball),
+    _Kind(10, PayloadRequest, lambda message: len(message.ids),
+          _encode_payload_request_into, _decode_payload_request),
+    _Kind(11, PayloadResponse, lambda message: len(message.events),
+          _encode_payload_response_into, _decode_payload_response),
+)
+_ROW_OF_TYPE: Dict[type, _Kind] = {row.message_type: row for row in _KINDS}
+_ROW_OF_KIND: Dict[int, _Kind] = {row.kind: row for row in _KINDS}
+_ENVELOPE_KIND = _ROW_OF_TYPE[TopicEnvelope].kind

@@ -38,9 +38,9 @@ serialized once per round and the same bytes are shipped to all K
 peers (``stats.encoded_datagrams`` vs ``stats.sent`` shows the saving).
 Serialization writes into a pooled ``bytearray`` owned by the fabric
 (:func:`repro.runtime.codec.encode_into`), so the steady-state send
-path allocates no fresh ``bytes`` object per round; latency-spiked
-sends lease a reusable buffer from a small pool instead of copying,
-and only corrupted datagrams take a true owned copy.
+path allocates no fresh ``bytes`` object per round; only a datagram
+that outlives the dispatch — corrupted, or deferred by a latency spike
+(fault drills) — takes an owned copy.
 
 Endpoints (docs/PERFORMANCE.md *Wire path*): by default every node
 owns a raw non-blocking socket watched by the event loop. A datagram
@@ -68,8 +68,8 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..auth.authenticator import SignedBall
 from ..auth.guard import BallGuard
 from ..core.errors import MembershipError
-from . import fastloop
 from .codec import (
+    COUNT_OFFSET,
     AdmittedEntries,
     CodecError,
     CodecVersionError,
@@ -166,11 +166,6 @@ class _NodeProtocol(asyncio.DatagramProtocol):
 #: n-1 balls at paper scale outruns the default 212 KiB rmem on many
 #: distros; the kernel clamps this to ``rmem_max`` silently.
 _RECV_SOCKET_BUFFER = 1 << 21
-
-#: Cap on pooled deferred-send buffers kept alive between latency
-#: spikes. Spikes defer at most a few rounds of fan-out at once; beyond
-#: the cap, buffers are simply dropped for the GC.
-_DEFERRED_POOL_LIMIT = 64
 
 
 #: Size of the fabric's receive arena: the largest UDP datagram.
@@ -326,9 +321,6 @@ class UdpNetwork:
         authenticator=None,
         batch: object = "auto",
     ) -> None:
-        # Opportunistic loop upgrade: a no-op unless the optional
-        # uvloop extra is installed and no loop is running yet.
-        fastloop.ensure_uvloop()
         self.host = host
         self.latency = float(latency)
         self.stats = UdpStats()
@@ -367,13 +359,8 @@ class UdpNetwork:
         # into this one buffer and fanned out as a read-only view, so
         # the hot path is allocation-free. Any send that outlives the
         # current dispatch (delayed or corrupted datagrams) must take
-        # its own storage — delayed sends lease it from the pool below.
+        # its own copy.
         self._encode_buffer = bytearray()
-        # Reusable buffers for latency-spiked (deferred) sends: leased
-        # in _route, returned by _sendto_later once the kernel (raw
-        # sockets, synchronously) or the transport (asyncio endpoints
-        # copy before buffering) no longer references the bytes.
-        self._deferred_pool: List[bytearray] = []
         # The one receive arena: every raw endpoint reads its next
         # datagram here and decode consumes the view before anything
         # else can read (one event loop, no await in between).
@@ -557,8 +544,8 @@ class UdpNetwork:
         Returns ``(payload, address)`` for a datagram that should be
         shipped *now* (payload is *datagram* itself unless corruption
         took a mangled copy), or ``None`` when it was dropped or
-        deferred — deferred sends lease a pool buffer and reschedule
-        themselves via :meth:`_sendto_later`.
+        deferred — a deferred send keeps its own copy of the bytes and
+        reschedules itself via :meth:`_sendto_later`.
         """
         self.stats.sent += 1
         if self._crosses_partition(src, dst):
@@ -587,14 +574,11 @@ class UdpNetwork:
         delay = self._send_delay(now)
         if delay > 0.0:
             # The pooled encode buffer will be overwritten long before
-            # the timer fires; lease a deferred-send buffer instead of
-            # allocating a fresh copy (returned in _sendto_later).
+            # the timer fires.
             self.stats.delayed += 1
-            lease = (
-                self._deferred_pool.pop() if self._deferred_pool else bytearray()
+            loop.call_later(
+                delay, self._sendto_later, src, bytes(payload), address
             )
-            lease[:] = payload
-            loop.call_later(delay, self._sendto_later, src, lease, address)
             return None
         return payload, address
 
@@ -640,26 +624,13 @@ class UdpNetwork:
             return 0.0
         return latency * self._rng.uniform(0.5, 1.5)
 
-    def _sendto_later(self, src: int, datagram, address) -> None:
-        """Fire a delayed send; the sender may have died meanwhile.
-
-        The leased buffer goes back to the pool afterwards: raw
-        endpoints hand the bytes to the kernel synchronously, and
-        asyncio transports copy (``bytes(data)``) before buffering, so
-        nothing references the lease once ``sendto`` returns.
-        """
-        try:
-            endpoint = self._transports.get(src)
-            if endpoint is None or endpoint.is_closing():
-                self.stats.dropped_unopened += 1
-                return
-            self._transmit(endpoint, datagram, address)
-        finally:
-            if (
-                isinstance(datagram, bytearray)
-                and len(self._deferred_pool) < _DEFERRED_POOL_LIMIT
-            ):
-                self._deferred_pool.append(datagram)
+    def _sendto_later(self, src: int, datagram: bytes, address) -> None:
+        """Fire a delayed send; the sender may have died meanwhile."""
+        endpoint = self._transports.get(src)
+        if endpoint is None or endpoint.is_closing():
+            self.stats.dropped_unopened += 1
+            return
+        self._transmit(endpoint, datagram, address)
 
     # ------------------------------------------------------------------
     # Fault injection
@@ -748,9 +719,9 @@ class UdpNetwork:
         if mode == 1 and len(datagram) > 1:
             # Truncate: simulates a datagram cut short in transit.
             return datagram[: self._rng.randrange(1, len(datagram))]
-        # Flip the entry count high (header byte 12 starts the u32
-        # count in "!2sBBqI"): body length no longer matches.
-        return datagram[:12] + b"\xff" + datagram[13:]
+        # Flip the entry count high (its most significant byte): the
+        # body length no longer matches.
+        return datagram[:COUNT_OFFSET] + b"\xff" + datagram[COUNT_OFFSET + 1 :]
 
     def _crosses_partition(self, src: int, dst: int) -> bool:
         if not self._partitioned:

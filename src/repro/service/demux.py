@@ -54,8 +54,8 @@ from ..runtime.codec import CodecError, MAX_DATAGRAM, TopicEnvelope
 #: to its registered node, identical to the fabric-level contract.
 ChannelHandler = Callable[[int, Any], None]
 
-_ENVELOPE_OVERHEAD = 16  # outer header
-_FRAME_OVERHEAD = 8  # topic u32 + inner_len u32
+_ENVELOPE_OVERHEAD = codec.HEADER_SIZE  # outer header
+_FRAME_OVERHEAD = codec.FRAME_HEAD_SIZE  # topic u32 + inner_len u32
 
 
 @dataclass(slots=True)

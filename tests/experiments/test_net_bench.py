@@ -167,6 +167,6 @@ class TestConfigAndRegistry:
             syscalls_send=1, syscalls_recv=1, bytes_sent=1, bytes_received=1,
             delays_ms=[1.0],
         )
-        assert NetBenchResult(fanout, [good], False).exit_ok
-        assert not NetBenchResult(fanout, [bad], False).exit_ok
-        assert "verdict: FAILED" in NetBenchResult(fanout, [bad], False).render()
+        assert NetBenchResult(fanout, [good]).exit_ok
+        assert not NetBenchResult(fanout, [bad]).exit_ok
+        assert "verdict: FAILED" in NetBenchResult(fanout, [bad]).render()

@@ -1,0 +1,223 @@
+"""One hostile-bytes corpus over the codec's kind table.
+
+``codec._KINDS`` is the only place a wire kind is declared, so it is
+also what says which kinds can reach a node. This file holds a sample
+message for every row — alone, and wrapped in an envelope frame — and
+throws the damage of ``tests/runtime/hostile.py`` at each, as ``bytes``,
+``bytearray`` and ``memoryview``, at a cold receiver and at one whose
+:class:`~repro.runtime.codec.AdmittedEntries` already holds the genuine
+datagram. The only escapes are :class:`~repro.runtime.codec.CodecError`
+subclasses, and a datagram stamped with any header version but the one
+raises :class:`~repro.runtime.codec.CodecVersionError`, which the UDP
+fabric counts apart from line noise. A kind added to the table without
+a sample here fails the first test.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import typing
+
+import pytest
+
+from repro.auth import BallGuard, HmacAuthenticator, KeyRing
+from repro.core.event import BallEntry, Event, make_ball
+from repro.lazy.protocol import IdBall, PayloadRequest, PayloadResponse
+from repro.pss.cyclon import CyclonRequest, CyclonResponse
+from repro.runtime import codec
+from repro.runtime.codec import CodecError, CodecVersionError, TopicEnvelope
+from repro.runtime.udp import UdpNetwork
+from repro.sync.protocol import (
+    DeliveryDigest,
+    SyncChunk,
+    SyncDigest,
+    SyncRequest,
+    events_checksum,
+)
+
+from .hostile import (
+    assert_all_rejected,
+    assert_only_codec_errors,
+    bit_flips,
+    inflated_count,
+    trailing_garbage,
+    truncations,
+)
+from .warm_table import checked_decode, warm_table
+
+
+def _event(src, seq):
+    return Event(id=(src, seq), ts=10 + seq, source_id=src, payload={"v": seq})
+
+
+def _ball(entries=3):
+    return make_ball([BallEntry(_event(1 + i, i), ttl=i) for i in range(entries)])
+
+
+def _signed_ball():
+    """Three signed entries and one unsigned (``mac_len == 0``)."""
+    guard = BallGuard(HmacAuthenticator(KeyRing("corpus")))
+    ball = _ball(4)
+    for entry in ball[:3]:
+        guard.seal(entry.event.source_id, ball[:3])
+    return guard.attach(ball)
+
+
+_EVENTS = tuple(_event(4 + i, i) for i in range(3))
+
+#: A message for every kind byte of the table.
+SAMPLES = {
+    1: _ball(),
+    2: CyclonRequest(entries=((3, 0), (5, 2))),
+    3: CyclonResponse(entries=((7, 1),)),
+    4: SyncDigest(
+        digest=DeliveryDigest(last_key=(12, 3, 7), watermarks=((1, 4), (3, 9))),
+        reply=True,
+    ),
+    5: SyncRequest(
+        req_id=0xBEEF,
+        after=(8, 2, 1),
+        watermarks=((0, 2), (2, 6)),
+        max_events=32,
+        max_bytes=16_000,
+    ),
+    6: SyncChunk(
+        req_id=0xBEEF,
+        events=_EVENTS,
+        checksum=events_checksum(_EVENTS),
+        more=True,
+        peer_last=(30, 4, 2),
+    ),
+    7: _signed_ball(),
+    8: TopicEnvelope(
+        frames=((0, 7, _ball()), (1, 7, _signed_ball()), (1, 9, IdBall(entries=())))
+    ),
+    9: IdBall(entries=((10, 1, 0, 2), (11, 2, 1, 3))),
+    10: PayloadRequest(req_id=0xCAFE, ids=((1, 0), (2, 1))),
+    11: PayloadResponse(req_id=0xCAFE, events=_EVENTS, missing=((90, 0), (91, 1))),
+}
+
+_FRAME_TOPIC = 17
+
+
+def _corpus():
+    """``(name, message, sender, wire)`` for every sample alone and —
+    but for the envelope, which cannot nest — as the one frame of an
+    envelope."""
+    for kind, message in SAMPLES.items():
+        name = f"kind{kind}-{type(message).__name__}"
+        yield name, message, 7, codec.encode(7, message)
+        if not isinstance(message, TopicEnvelope):
+            framed = TopicEnvelope(frames=((_FRAME_TOPIC, 7, message),))
+            yield name + "-framed", framed, 9, codec.encode(9, framed)
+
+
+CORPUS = list(_corpus())
+WIRES = [pytest.param(wire, id=name) for name, _, _, wire in CORPUS]
+
+#: How a transport may hand a datagram over.
+INPUTS = [bytes, bytearray, memoryview]
+
+#: Every header version but the one (versions 1–4 were never deployed).
+FOREIGN_VERSIONS = (0, 1, 2, 3, 4, 6, 255)
+
+#: Where the inner header's version byte sits in a one-frame envelope:
+#: outer header (16) + frame head (8) + magic (2).
+_INNER_VERSION_OFFSET = 16 + 8 + 2
+
+
+def _receivers(wire, as_input):
+    """The decoders under test: a cold receiver, and one that already
+    admitted *wire* and checks every answer against the cold one."""
+    table = warm_table(wire)
+    return (
+        lambda data: codec.decode(as_input(data)),
+        lambda data: checked_decode(as_input(data), table),
+    )
+
+
+def _stamped(wire, offset, version):
+    return wire[:offset] + bytes([version]) + wire[offset + 1 :]
+
+
+def test_the_corpus_covers_the_kind_table():
+    assert set(SAMPLES) == {row.kind for row in codec._KINDS}
+    for kind, message in SAMPLES.items():
+        assert codec.encode(1, message)[3] == kind
+    # Ball is the alias Tuple[BallEntry, ...]; its row is `tuple`.
+    carried = {typing.get_origin(m) or m for m in typing.get_args(codec.WireMessage)}
+    assert carried == {row.message_type for row in codec._KINDS}
+
+
+@pytest.mark.parametrize(
+    "name, message, sender, wire", CORPUS, ids=[case[0] for case in CORPUS]
+)
+def test_round_trips_under_the_one_version(name, message, sender, wire):
+    assert wire[:2] == b"EP" and wire[2] == 5
+    if name.endswith("-framed"):
+        assert wire[_INNER_VERSION_OFFSET] == 5
+    assert codec.decode(wire) == (sender, message)
+    assert checked_decode(wire, warm_table(wire)) == (sender, message)
+
+
+@pytest.mark.parametrize("as_input", INPUTS)
+@pytest.mark.parametrize("wire", WIRES)
+def test_structural_damage_is_refused(wire, as_input):
+    for decode in _receivers(wire, as_input):
+        assert_all_rejected(decode, truncations(wire))
+        assert_all_rejected(decode, trailing_garbage(wire))
+        assert_all_rejected(decode, [inflated_count(wire)])
+
+
+@pytest.mark.parametrize("as_input", INPUTS)
+@pytest.mark.parametrize("wire", WIRES)
+def test_bit_flips_only_ever_raise_codec_errors(wire, as_input):
+    for decode in _receivers(wire, as_input):
+        assert_only_codec_errors(decode, bit_flips(wire, rounds=200))
+
+
+@pytest.mark.parametrize("wire", WIRES)
+def test_a_foreign_version_is_a_version_error(wire):
+    offsets = [2]
+    if wire[3] == 8 and len(wire) > _INNER_VERSION_OFFSET:
+        offsets.append(_INNER_VERSION_OFFSET)  # the first inner frame's
+    for decode in _receivers(wire, bytes):
+        for offset in offsets:
+            for version in FOREIGN_VERSIONS:
+                with pytest.raises(CodecVersionError):
+                    decode(_stamped(wire, offset, version))
+
+
+def test_an_unknown_kind_under_the_one_version_is_malformed():
+    wire = codec.encode(1, SAMPLES[2])
+    for kind in (0, 12, 255):
+        with pytest.raises(CodecError, match="unknown message kind") as refusal:
+            codec.decode(wire[:3] + bytes([kind]) + wire[4:])
+        assert not isinstance(refusal.value, CodecVersionError)
+
+
+def test_the_fabric_counts_foreign_versions_apart_from_noise():
+    foreign = [
+        _stamped(wire, 2, FOREIGN_VERSIONS[index % len(FOREIGN_VERSIONS)])
+        for index, (_, _, _, wire) in enumerate(CORPUS)
+    ]
+    framed_ball = codec.encode(9, TopicEnvelope(frames=((_FRAME_TOPIC, 7, _ball()),)))
+    foreign.append(_stamped(framed_ball, _INNER_VERSION_OFFSET, 4))
+
+    async def scenario():
+        network = UdpNetwork()
+        inbox = []
+        network.register(1, lambda src, msg: inbox.append(msg))
+        network.register(2, lambda src, msg: None)
+        await network.open_all()
+        address = network.address_of(1)
+        for datagram in foreign:
+            network._transports[2].sendto(datagram, address)  # noqa: SLF001
+        await asyncio.sleep(0.1)
+        await network.close()
+        return inbox, network.stats
+
+    inbox, stats = asyncio.run(scenario())
+    assert inbox == []
+    assert stats.dropped_bad_version == len(foreign)
+    assert stats.dropped_malformed == 0

@@ -1,0 +1,102 @@
+"""Layout numbers written outside the codec, tied to what it emits.
+
+``lazy/process.py`` and ``core/dissemination.py`` estimate wire sizes
+for nodes that have no wire (the simulator's byte accounting) and
+cannot import the codec (an import cycle, and ``core`` sits below
+``runtime``); ``sync/protocol.py`` caps a chunk by the bytes its events
+will take. Each of those numbers is measured here as a difference
+between two real datagrams — one more entry, one more id, one more
+event, an empty message — so a layout change that forgets one of them
+fails instead of skewing a benchmark.
+"""
+
+from __future__ import annotations
+
+from repro.core import dissemination
+from repro.core.event import BallEntry, Event, make_ball
+from repro.lazy import process as lazy
+from repro.lazy.protocol import IdBall, PayloadRequest, PayloadResponse
+from repro.runtime import codec
+from repro.service import demux
+from repro.sync import protocol as sync
+from repro.sync.protocol import SyncChunk
+
+
+def _size(message) -> int:
+    return len(codec.encode(1, message))
+
+
+def _events(count):
+    return tuple(
+        Event(id=(2, seq), ts=5, source_id=2, payload=None) for seq in range(count)
+    )
+
+
+#: ``json.dumps(None)``: what each event above adds beside its record.
+_NULL = len(b"null")
+
+
+def test_an_empty_message_is_the_header():
+    assert _size(make_ball([])) == _size(IdBall(entries=())) == lazy.HEADER_BYTES
+    assert lazy.HEADER_BYTES == codec.HEADER_SIZE == demux._ENVELOPE_OVERHEAD
+
+
+def test_one_more_ball_entry():
+    def ball(count):
+        return make_ball([BallEntry(event, 1) for event in _events(count)])
+
+    assert _size(ball(3)) - _size(ball(2)) == dissemination.ENTRY_METADATA_BYTES + _NULL
+
+
+def test_one_more_id_ball_entry():
+    def id_ball(count):
+        return IdBall(entries=tuple((5, 2, seq, 1) for seq in range(count)))
+
+    assert _size(id_ball(3)) - _size(id_ball(2)) == lazy.ID_ENTRY_BYTES
+
+
+def test_the_pull_request_head_and_one_more_id():
+    def request(count):
+        return PayloadRequest(req_id=9, ids=tuple((2, seq) for seq in range(count)))
+
+    assert _size(request(0)) == lazy.HEADER_BYTES + lazy.REQUEST_HEAD_BYTES
+    assert _size(request(3)) - _size(request(2)) == lazy.EVENT_ID_BYTES
+
+
+def test_the_pull_response_head_one_more_event_and_one_more_missing_id():
+    def response(events, missing):
+        return PayloadResponse(
+            req_id=9,
+            events=_events(events),
+            missing=tuple((3, seq) for seq in range(missing)),
+        )
+
+    assert _size(response(0, 0)) == lazy.HEADER_BYTES + lazy.RESPONSE_HEAD_BYTES
+    one_event = _size(response(3, 1)) - _size(response(2, 1))
+    assert one_event == lazy.RESPONSE_EVENT_BYTES + _NULL
+    assert _size(response(1, 3)) - _size(response(1, 2)) == lazy.EVENT_ID_BYTES
+
+
+def test_one_more_sync_chunk_event():
+    def chunk(count):
+        return SyncChunk(req_id=9, events=_events(count), checksum=0)
+
+    one_event = _size(chunk(3)) - _size(chunk(2))
+    assert one_event == sync.EVENT_WIRE_OVERHEAD + _NULL
+    # What the responder sizes a chunk with.
+    assert one_event == sync.event_wire_cost(_events(1)[0])
+
+
+def test_one_more_envelope_frame_and_where_the_count_sits():
+    inner = codec.encode(2, IdBall(entries=()))
+
+    def envelope(count):
+        return codec.assemble_envelope(1, [(topic, inner) for topic in range(count)])
+
+    assert len(envelope(0)) == codec.HEADER_SIZE
+    one_frame = len(envelope(3)) - len(envelope(2))
+    assert one_frame == demux._FRAME_OVERHEAD + len(inner)
+    assert demux._FRAME_OVERHEAD == codec.FRAME_HEAD_SIZE
+    # What udp._corrupt flips: the most significant byte of the count.
+    at = codec.COUNT_OFFSET
+    assert int.from_bytes(envelope(3)[at : at + 4], "big") == 3

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import random
+import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -311,6 +312,19 @@ def _flush_counting_encodes(demux):
     return seen
 
 
+def _packed_by_hand(host, frames):
+    """*host*'s envelope of ``(topic, sender, message)`` *frames*, laid
+    out with ``struct.pack``: header ``magic | version u8 | kind u8 |
+    sender i64 | count u32``, then ``topic u32 | inner_len u32 | inner``
+    per frame. The object encoder goes through the assembler the demux
+    uses, so only this catches a layout slip in it."""
+    wire = struct.pack("!2sBBqI", b"EP", 5, 8, host, len(frames))
+    for topic, sender, message in frames:
+        inner = codec.encode(sender, message)
+        wire += struct.pack("!II", topic, len(inner)) + inner
+    return wire
+
+
 def _decoded(items):
     """``{dst: [frames of each envelope]}`` of one bundle, by decoding."""
     out = {}
@@ -336,6 +350,7 @@ class TestEncodeOncePerFlush:
             assert [dsts for dsts, _, _ in items] == [peers]
             (_, datagram, payload_bytes) = items[0]
             envelope = TopicEnvelope(frames=((10, 0, ball),))
+            assert datagram == _packed_by_hand(0, envelope.frames)
             assert datagram == codec.encode(0, envelope)
             assert payload_bytes == codec.last_encode_payload_bytes()
             assert demux.stats.envelopes_sent == 15
@@ -494,7 +509,8 @@ class TestAssembledEnvelopes:
     @given(_sends)
     def test_equal_the_object_encoder_byte_for_byte(self, sends):
         """Whatever a tick sends, each envelope on the wire is
-        ``codec.encode(host, TopicEnvelope(its frames))``, every frame
+        ``codec.encode(host, TopicEnvelope(its frames))`` — and the
+        layout written out by hand — every frame
         reaches its destination in order, packing is greedy and a
         message is encoded once."""
 
@@ -514,6 +530,7 @@ class TestAssembledEnvelopes:
             for dsts, datagram, payload_bytes in items:
                 host, envelope = codec.decode(datagram)
                 assert host == 7
+                assert datagram == _packed_by_hand(7, envelope.frames)
                 assert datagram == real(7, envelope)
                 assert payload_bytes == codec.last_encode_payload_bytes()
                 assert len(datagram) <= MAX_DATAGRAM

@@ -5,17 +5,20 @@ every host at construction, with one exception type and one message.
 *Dispatch*: one message of every wire kind through a stack with and
 without the owning layer reaches its handler exactly once or is
 dropped, identically whether the simulator or the asyncio runtime
-hosts the stack.
+hosts the stack — and every kind the codec's table carries is one the
+dispatch table routes.
 """
 
 from __future__ import annotations
 
 import asyncio
 import random
+import struct
 from dataclasses import MISSING, fields
 
 import pytest
 
+from repro.auth import SignedBall
 from repro.core import EpToConfig
 from repro.core.errors import ConfigurationError
 from repro.core.event import BallEntry, Event, SharedBall, make_ball
@@ -27,10 +30,11 @@ from repro.pss.base import MembershipDirectory
 from repro.pss.brahms import BrahmsPss
 from repro.pss.cyclon import CyclonPss, CyclonRequest, CyclonResponse
 from repro.pss.hyparview import HyParViewPss
-from repro.runtime import AsyncCluster, AsyncEpToNode, AsyncNetwork
+from repro.runtime import AsyncCluster, AsyncEpToNode, AsyncNetwork, codec
+from repro.runtime.codec import TopicEnvelope
 from repro.service import BroadcastService, ServiceCluster
 from repro.sim import ClusterConfig, FixedLatency, SimCluster, SimNetwork, Simulator
-from repro.stack import NodeStack, build_pss, open_journal
+from repro.stack import NodeStack, _drop, build_pss, open_journal
 from repro.sync import SyncConfig, SyncManager
 from repro.sync.protocol import DeliveryDigest, SyncChunk, SyncDigest, SyncRequest
 
@@ -253,3 +257,50 @@ class TestDispatch:
         via_sim, reached[:] = list(reached), []
         _through_asyncio(pss, mode, sync, tmp_path / "asyncio")
         assert via_sim == reached == expected
+
+
+# ----------------------------------------------------------------------
+# (c) Every kind the codec carries has a layer
+# ----------------------------------------------------------------------
+
+
+class TestCarriedKindsAreRouted:
+    def test_every_non_ball_row_of_the_codec_table_has_a_handler(self, tmp_path):
+        # SignedBall and TopicEnvelope never reach a stack: the fabric
+        # unwraps the one, the service's demux the other.
+        carried = {row.message_type for row in codec._KINDS}
+        carried -= {tuple, SignedBall, TopicEnvelope}
+        routed = set()
+        # lazy+sync is refused, so two stacks hold every layer.
+        for mode, sync in (("eager", True), ("lazy", False)):
+            config = _config(mode=mode)
+            network = AsyncNetwork()
+            directory = MembershipDirectory()
+            stack = NodeStack(
+                0,
+                config,
+                build_pss("cyclon", 0, config.fanout, directory, network, random.Random(0)),
+                network,
+                on_deliver=lambda event: None,
+                time_source=lambda: 0,
+                rng=random.Random(0),
+                journal=open_journal(tmp_path) if sync else None,
+                sync=SyncConfig() if sync else None,
+            )
+            routed |= {
+                kind for kind, handler in stack._table.items() if handler is not _drop
+            }
+            if stack.journal is not None:
+                stack.journal.close()
+        # A kind added to the codec but routed nowhere would otherwise
+        # be handed to process.on_ball like a ball.
+        assert carried <= routed
+
+    def test_an_envelope_refuses_exactly_the_envelope_kind(self):
+        for row in codec._KINDS:
+            inner = struct.pack("!2sBBqI", b"EP", 5, row.kind, 1, 0)
+            if row.message_type is TopicEnvelope:
+                with pytest.raises(codec.CodecError, match="nest"):
+                    codec.assemble_envelope(0, [(0, inner)])
+            else:
+                codec.assemble_envelope(0, [(0, inner)])
