@@ -29,6 +29,7 @@ from .event import (
     EventId,
     EventIdGenerator,
     EventRecord,
+    MapBall,
     OrderKey,
     SharedBall,
     ball_event_ids,
@@ -62,6 +63,7 @@ __all__ = [
     "EventRecord",
     "GlobalClockOracle",
     "LogicalClockOracle",
+    "MapBall",
     "MembershipError",
     "OrderKey",
     "OrderingComponent",

@@ -25,10 +25,10 @@ aging in Algorithm 2 lines 6–7 must tick every round). See DESIGN.md.
 
 from __future__ import annotations
 
-import json
 import random
-from dataclasses import dataclass, field
-from typing import Any, Callable
+from dataclasses import dataclass
+from operator import itemgetter
+from typing import Any, Callable, Collection, Tuple
 
 from .clock import StabilityOracle
 from .config import EpToConfig
@@ -38,39 +38,31 @@ from .event import (
     Event,
     EventId,
     EventIdGenerator,
+    MapBall,
     SharedBall,
 )
 from .interfaces import PeerSampler, Transport
+from .record import uvarint_nbytes, wire_sizes
 
 
-#: Estimated wire bytes of one ball entry's metadata — the codec's
-#: fixed per-entry layout (ts i64 + source i64 + seq i64 + ttl i32 +
-#: payload_len u32; :data:`repro.runtime.codec._BALL_ENTRY`, pinned by
-#: tests/runtime/test_wire_sizes.py). The simulator has no real wire,
-#: so byte accounting uses the codec's sizes: what the UDP fabric
-#: *would* have shipped.
-ENTRY_METADATA_BYTES = 32
+def records_nbytes(events: Collection[Event]) -> Tuple[int, int]:
+    """``(metadata, payload)`` bytes these events take in a plain wire
+    ball, the entries' TTL varints aside.
+
+    The simulator has no real wire, so its byte accounting is what the
+    UDP fabric *would* have shipped: per entry ``uvarint ttl | uvarint
+    len | record``, sized from the per-event cache
+    (:func:`~repro.core.record.wire_sizes`; :meth:`round_tick
+    <DisseminationComponent.round_tick>` adds the TTLs; the sum is
+    pinned against real datagrams by tests/runtime/test_wire_sizes.py).
+    The payload is the record's JSON tail; everything else is metadata.
+    """
+    wires = [event._wire or wire_sizes(event) for event in events]
+    return sum(map(_METADATA_NBYTES, wires)), sum(map(_PAYLOAD_NBYTES, wires))
 
 
-def payload_nbytes(payload: Any) -> int:
-    """Estimated wire bytes of one event payload (JSON, as the codec
-    ships it); non-JSON payloads fall back to their ``repr`` length so
-    simulation-only object payloads still account as *something*."""
-    try:
-        return len(json.dumps(payload).encode())
-    except (TypeError, ValueError):
-        return len(repr(payload).encode())
-
-
-def event_payload_nbytes(event: Event) -> int:
-    """:func:`payload_nbytes` of *event*'s payload, measured once per
-    :class:`~repro.core.event.Event` object and kept on it: an event is
-    relayed by every node for TTL rounds, its payload never changes."""
-    size = event._payload_nbytes
-    if size < 0:
-        size = payload_nbytes(event.payload)
-        object.__setattr__(event, "_payload_nbytes", size)
-    return size
+_PAYLOAD_NBYTES = itemgetter(1)
+_METADATA_NBYTES = itemgetter(2)
 
 
 @dataclass(slots=True)
@@ -78,8 +70,8 @@ class DisseminationStats:
     """Counters exposed for instrumentation and experiments.
 
     ``metadata_bytes`` / ``payload_bytes`` split the estimated
-    bytes-on-wire of every ball this component shipped into the fixed
-    per-entry metadata layout and the serialized payloads — the split
+    bytes-on-wire of every ball this component shipped into per-entry
+    metadata and the serialized payloads (:func:`records_nbytes`) — the split
     the eager-vs-lazy ablation (``epto-experiment lazy-bench``)
     compares across modes. In lazy mode the component ships metadata
     balls, so its own payload estimate stays near zero and the pull
@@ -93,7 +85,7 @@ class DisseminationStats:
     entries_relayed: int = 0
     entries_expired: int = 0
     rounds: int = 0
-    #: Estimated fixed-layout bytes shipped (per entry, per receiver).
+    #: Estimated entry metadata bytes shipped (per entry, per receiver).
     metadata_bytes: int = 0
     #: Estimated serialized-payload bytes shipped (per entry, per receiver).
     payload_bytes: int = 0
@@ -189,31 +181,53 @@ class DisseminationComponent:
         where ``orderEvents`` only ever sees ``nextBall``.
 
         A push epidemic hands a node each event about ``K * TTL``
-        times, so most balls teach their receiver nothing. A
-        :class:`~repro.core.event.SharedBall` carries the ``{event id:
-        ttl}`` map its sender built; when every live entry of it is
-        already pending here *at that very TTL* the max-merge below
-        would change nothing, and one C-level dict-view subset test
-        says so. The test reads the state the merge would have written,
-        so nothing is memoised per receiver and nothing needs
-        invalidating. Any other ball — one that adds or raises
-        something, or a plain tuple off the wire — is merged entry by
-        entry.
+        times, so most balls teach their receiver little or nothing. A
+        :class:`~repro.core.event.SharedBall` (a round's ball, handed
+        over by reference) and a :class:`~repro.core.event.MapBall` (a
+        wire ball, decoded) carry ``{event id: Event}`` and ``{event id:
+        ttl}`` maps, and are merged by them: the split by this node's
+        TTL bound, then — unless every live entry is already pending
+        here *at that very TTL*, which one C-level dict-view subset test
+        says — a max-merge over the live map in ball order, and one
+        clock update with the largest timestamp (Algorithm 4 is a
+        max-merge, so that leaves what one update per entry does). A
+        wire ball that carries an entry at or past the bound (nearly
+        every one on ``udp_eager_small``) is merged without the split:
+        its merge drops those entries as it goes. Any other ball — a plain
+        tuple of entries, which may name an id twice — is merged entry
+        by entry.
         """
         stats = self.stats
         stats.balls_received += 1
+        if type(ball) is MapBall or isinstance(ball, SharedBall):
+            ttls = ball.ttls
+            stats.entries_received += len(ttls)
+            bound = self.config.ttl
+            if type(ball) is MapBall and ball.max_ttl >= bound:
+                # One receiver: splitting the map first would cost
+                # what merging it does.
+                self._merge(ttls, ball.events, bound)
+            else:
+                # A round's ball is split once per bound for all its
+                # receivers; a wire ball here has nothing to drop.
+                live, expired = ball.split(bound)
+                stats.entries_expired += expired
+                next_ttls = self._next_ttls
+                if live.items() <= next_ttls.items():
+                    pass  # teaches nothing
+                elif next_ttls or expired:
+                    self._merge(live, ball.events, bound)
+                else:
+                    # Nothing pending and nothing dropped: the maps are
+                    # the merge, in C.
+                    next_ttls.update(live)
+                    self._next_events.update(ball.events)
+            if self._clock_needs_updates and ttls:
+                self.oracle.update_clock(ball.max_ts)
+            return
         stats.entries_received += len(ball)
         ttl_bound = self.config.ttl
         next_ttls = self._next_ttls
-        if isinstance(ball, SharedBall):
-            live, expired = ball.split(ttl_bound)
-            if live.items() <= next_ttls.items():
-                stats.entries_expired += expired
-                if self._clock_needs_updates and ball:
-                    # Algorithm 4 is a max-merge: one update with the
-                    # largest timestamp leaves what one per entry does.
-                    self.oracle.update_clock(ball.max_ts)
-                return
         next_events = self._next_events
         update_clock = self.oracle.update_clock if self._clock_needs_updates else None
         for entry in ball:
@@ -232,42 +246,69 @@ class DisseminationComponent:
             if update_clock is not None:
                 update_clock(event.ts)
 
+    def _merge(self, ttls: dict, events: dict, bound: int) -> None:
+        """Max-merge *ttls* (``{event id: ttl}``, in ball order; the
+        events in *events*) into nextBall, dropping and counting the
+        entries at or past *bound* (Algorithm 1 lines 12–18)."""
+        next_ttls = self._next_ttls
+        next_events = self._next_events
+        expired = 0
+        for event_id, ttl in ttls.items():
+            if ttl >= bound:
+                expired += 1
+                continue
+            known = next_ttls.get(event_id)
+            if known is None:
+                next_events[event_id] = events[event_id]
+                next_ttls[event_id] = ttl
+            elif ttl > known:
+                next_ttls[event_id] = ttl
+        self.stats.entries_expired += expired
+
     def round_tick(self) -> None:
         """Execute one relay round (Algorithm 1 lines 20–28).
 
-        Ages every queued event, ships the resulting ball to ``K``
-        random peers, feeds it to the ordering component, and resets
-        ``nextBall``. The ball object is immutable, so a single
-        instance — entries and ``{event id: ttl}`` map, each built once
-        — is shared among all ``K`` receivers.
+        Hands ``nextBall`` over and starts an empty one *first*, so an
+        event broadcast while the round runs — from a delivery callback
+        inside ``order_events`` — is queued for the next round instead
+        of being cleared with this one. Then ages every handed-over
+        event, ships the resulting ball to ``K`` random peers and feeds
+        it to the ordering component. The ball object is immutable, so
+        a single instance — entries and maps, each built once, the
+        events map being the pending one handed over — is shared among
+        all ``K`` receivers.
         """
         self.stats.rounds += 1
-        next_ttls = self._next_ttls
+        events, next_ttls = self._next_events, self._next_ttls
+        self._next_events, self._next_ttls = {}, {}
         if next_ttls:
             # Age + snapshot fused: nextBall lives exactly one round, so
-            # ``ttl + 1`` lands directly in the shipped map and entries
-            # instead of mutating state that is discarded below.
-            events = self._next_events.values()
+            # ``ttl + 1`` lands directly in the shipped map and entries.
             ttls = {event_id: ttl + 1 for event_id, ttl in next_ttls.items()}
-            ball = SharedBall(map(BallEntry, events, ttls.values()), ttls)
+            ball = SharedBall(map(BallEntry, events.values(), ttls.values()), ttls, events)
             peers = self.peer_sampler.sample(self.config.fanout)
             if self._send_many is not None:
                 self._send_many(self.node_id, peers, ball)
             else:
                 for peer in peers:
                     self.transport.send(self.node_id, peer, ball)
-            self.stats.balls_sent += len(peers)
-            self.stats.entries_relayed += len(ball) * len(peers)
             fan = len(peers)
-            self.stats.metadata_bytes += ENTRY_METADATA_BYTES * len(ball) * fan
-            self.stats.payload_bytes += fan * sum(map(event_payload_nbytes, events))
+            self.stats.balls_sent += fan
+            self.stats.entries_relayed += len(ball) * fan
+            metadata, payload = records_nbytes(events.values())
+            if self.config.ttl < 0x80:
+                # Nothing pending reached the bound, so every shipped
+                # TTL is at most the bound: one varint byte each.
+                metadata += len(ttls)
+            else:
+                metadata += sum(map(uvarint_nbytes, ttls.values()))
+            self.stats.metadata_bytes += metadata * fan
+            self.stats.payload_bytes += payload * fan
         else:
             ball = ()
         # Refinement: order/age every round, not only on non-empty
         # balls (see module docstring).
         self.order_events(ball)
-        self._next_events = {}
-        self._next_ttls = {}
 
     def resume_sequence(self, next_seq: int) -> None:
         """Fast-forward the event-id sequence (same-identity restart)."""

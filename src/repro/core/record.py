@@ -1,0 +1,200 @@
+"""An event's wire record, built once per :class:`~repro.core.event.Event`.
+
+A plain ball entry (codec kind 1) is ``uvarint ttl | uvarint len |
+record``, where the record is everything about the event a copy
+carries::
+
+    zigzag-varint ts | zigzag-varint source | zigzag-varint seq |
+    payload (UTF-8 JSON, the rest of the record)
+
+An event is relayed about K·TTL times, but its record never changes,
+so :func:`wire_record` builds it once and keeps it on the ``Event``
+object; an event parsed off the wire (:func:`parse_record`) is handed
+the very bytes it arrived in, so a relay forwards them verbatim and
+never serializes a payload it did not originate. The simulator's byte
+accounting reads the same cache
+(:func:`repro.core.dissemination.records_nbytes`): what the UDP fabric
+*would* have shipped — measuring an event it has not built a record for
+keeps the sizes, not the bytes (:func:`wire_sizes`).
+
+This module is the one place the record and its varints are written
+and read; it lives in ``core`` because both the simulator and the codec
+(:mod:`repro.runtime.codec`, which owns the entry around the record and
+turns every ``ValueError`` raised here into a ``CodecError``) need it.
+The fields keep the ranges of the fixed-width layout they replaced, and
+every varint has exactly one, minimal, encoding of at most ten bytes —
+so equal records are equal bytes.
+"""
+
+from __future__ import annotations
+
+import json
+from typing import Any, Tuple, Union
+
+from .event import Event
+
+_I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
+
+_ONE_BYTE = [bytes([value]) for value in range(0x80)]
+
+
+def uvarint(value: int) -> bytes:
+    """*value* (non-negative) as an unsigned LEB128 varint: seven bits
+    a byte, least significant first, the high bit set on every byte
+    but the last."""
+    if value < 0x80:
+        return _ONE_BYTE[value]
+    out = bytearray()
+    while value >= 0x80:
+        out.append((value & 0x7F) | 0x80)
+        value >>= 7
+    out.append(value)
+    return bytes(out)
+
+
+def uvarint_nbytes(value: int) -> int:
+    """``len(uvarint(value))``, without building it."""
+    return (value.bit_length() + 6) // 7 or 1
+
+
+def read_uvarint(data, offset: int, what: str) -> Tuple[int, int]:
+    """One unsigned varint of *data* at *offset*: ``(value, offset
+    past it)``.
+
+    Raises:
+        ValueError: On a truncated, an over-long (more than ten bytes)
+            or a non-minimal encoding.
+    """
+    end = len(data)
+    value = shift = 0
+    while True:
+        if offset >= end:
+            raise ValueError(f"truncated {what}")
+        byte = data[offset]
+        offset += 1
+        value |= (byte & 0x7F) << shift
+        if byte < 0x80:
+            if byte == 0 and shift:
+                raise ValueError(f"non-minimal varint in {what}")
+            return value, offset
+        shift += 7
+        if shift == 70:
+            raise ValueError(f"over-long varint in {what}")
+
+
+def _read_zigzag(data, offset: int, what: str) -> Tuple[int, int]:
+    value, offset = read_uvarint(data, offset, what)
+    if value >> 64:
+        raise ValueError(f"{what} overflows the i64 range")
+    return (value >> 1) ^ -(value & 1), offset
+
+
+def payload_json(payload: Any) -> bytes:
+    """*payload* as the UTF-8 JSON the wire carries.
+
+    Raises:
+        TypeError, ValueError: If *payload* is not JSON-serializable.
+    """
+    return json.dumps(payload).encode()
+
+
+#: What an event keeps of itself as a plain ball entry: ``(record,
+#: payload_nbytes, metadata_nbytes)``, where *record* is the record's
+#: bytes — ``None`` when only the sizes were measured (the simulator's
+#: byte estimate, see :func:`wire_sizes`), ``False`` when the payload is
+#: not JSON-serializable (sizes from its ``repr``; the codec refuses the
+#: event) — *payload_nbytes* the JSON payload at the record's end, and
+#: *metadata_nbytes* what an entry spends on the event besides its TTL
+#: and payload (the record length and the three field varints). A plain
+#: tuple: a simulated round sums its fields with ``itemgetter``.
+WireRecord = Tuple[Union[bytes, bool, None], int, int]
+
+
+def wire_record(event: Event) -> WireRecord:
+    """*event*'s :data:`WireRecord` with its record bytes, built on first
+    use and kept on the event, so every later call — a relay's encode
+    above all — is a slot read.
+
+    Raises:
+        OverflowError: If ``ts``, the source or the sequence is outside
+            the i64 range.
+    """
+    wire = event._wire
+    if wire is None or wire[0] is None:
+        head = _head(event.ts, event.source_id, event.id[1])
+        try:
+            payload = payload_json(event.payload)
+            record = head + payload
+        except (TypeError, ValueError):
+            payload = repr(event.payload).encode()
+            record = False
+        wire = _sized(record, len(head) + len(payload), len(payload))
+        object.__setattr__(event, "_wire", wire)
+    return wire
+
+
+def wire_sizes(event: Event) -> WireRecord:
+    """*event*'s :data:`WireRecord`, with the record bytes only if they
+    were built already: what the simulator's byte estimate reads. The
+    sizes are worked out without building the record, so a node that
+    relays events as anything but plain entries (signed balls, lazy
+    id-balls) keeps two integers per event, not a copy of its payload.
+    """
+    wire = event._wire
+    if wire is None:
+        head = 0  # the three zigzag varints' bytes, as uvarint_nbytes
+        for value in (event.ts, event.source_id, event.id[1]):
+            head += (((value << 1) ^ (value >> 63)).bit_length() + 6) // 7 or 1
+        try:
+            payload = len(payload_json(event.payload))
+            record = None
+        except (TypeError, ValueError):
+            payload = len(repr(event.payload).encode())
+            record = False
+        wire = (record, payload, head + uvarint_nbytes(head + payload))
+        object.__setattr__(event, "_wire", wire)
+    return wire
+
+
+def _head(*fields: int) -> bytes:
+    """The zigzag varints of *fields*: each signed i64 mapped onto an
+    unsigned one (0, -1, 1, -2, … → 0, 1, 2, 3, …, so small magnitudes
+    of either sign stay short), then written as a :func:`uvarint`. One
+    pass, not a call per field: a record is built once per event
+    relayed, which is on the simulator's round.
+
+    Raises:
+        OverflowError: If a field is outside the i64 range.
+    """
+    out = bytearray()
+    for value in fields:
+        if not _I64_MIN <= value <= _I64_MAX:
+            raise OverflowError(f"{value} is outside the i64 range")
+        value = (value << 1) ^ (value >> 63)
+        while value >= 0x80:
+            out.append((value & 0x7F) | 0x80)
+            value >>= 7
+        out.append(value)
+    return bytes(out)
+
+
+def parse_record(record: bytes) -> Event:
+    """The event a *record* carries, handed *record* itself as its
+    :data:`WireRecord` — so relaying it ships these very bytes.
+
+    Raises:
+        ValueError: On a malformed varint, a field outside the i64
+            range, or a payload that is not UTF-8 JSON.
+    """
+    ts, at = _read_zigzag(record, 0, "record ts")
+    source, at = _read_zigzag(record, at, "record source")
+    seq, at = _read_zigzag(record, at, "record seq")
+    payload = json.loads(str(memoryview(record)[at:], "utf-8"))
+    event = Event(id=(source, seq), ts=ts, source_id=source, payload=payload)
+    size = len(record)
+    object.__setattr__(event, "_wire", _sized(record, size, size - at))
+    return event
+
+
+def _sized(record: Union[bytes, bool, None], size: int, payload_nbytes: int) -> WireRecord:
+    return (record, payload_nbytes, uvarint_nbytes(size) + size - payload_nbytes)

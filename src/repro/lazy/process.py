@@ -35,11 +35,11 @@ from typing import Any, Callable, Deque, List
 
 from ..core.clock import StabilityOracle
 from ..core.config import EpToConfig
-from ..core.dissemination import payload_nbytes
 from ..core.errors import ConfigurationError
 from ..core.event import Ball, Event
 from ..core.interfaces import PeerSampler, Transport
 from ..core.process import EpToProcess
+from ..core.record import wire_sizes
 from .protocol import (
     IdBall,
     PayloadRequest,
@@ -279,7 +279,7 @@ class LazyEpToProcess:
             + EVENT_ID_BYTES * len(missing)
         )
         self.lazy_stats.payload_bytes += sum(
-            payload_nbytes(event.payload) for event in events
+            wire_sizes(event)[1] for event in events
         )
         self._transport.send(
             self.node_id,

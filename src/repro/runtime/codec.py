@@ -3,14 +3,16 @@
 A compact, dependency-free binary encoding for everything EpTO and
 Cyclon put on the wire, used by the UDP transport. Deliberately **not**
 pickle: decoding untrusted bytes must never execute code, so the format
-is fixed-layout structs plus JSON-encoded payloads.
+is fixed-layout structs and varints plus JSON-encoded payloads.
 
-Layout (all integers big-endian):
+Layout (fixed-width integers big-endian; ``uvarint`` is unsigned LEB128,
+``zvarint`` a zigzag-mapped signed one — :mod:`repro.core.record`):
 
 ```
 header:   magic "EP" | version u8 | kind u8 | sender i64 | count u32
-ball:     count x { ts i64 | source i64 | seq i64 | ttl i32 |
-                    payload_len u32 | payload (UTF-8 JSON) }
+ball:     count x { ttl uvarint | record_len uvarint |
+                    record: ts zvarint | source zvarint | seq zvarint |
+                            payload (UTF-8 JSON, the rest of the record) }
 signed:   count x { ts i64 | source i64 | seq i64 | ttl i32 |
                     epoch u32 | mac_len u8 | mac |
                     payload_len u32 | payload (UTF-8 JSON) }
@@ -38,9 +40,24 @@ pull_resp:req_id u32 | missing u32 |
 pairs for digests and requests, events for chunks and pull responses,
 ids for pull requests, frames for topic envelopes.
 
-Versioning: there is one header version and every kind — inner
-envelope frames included — is written under it; any other value raises
-the distinguishable :class:`CodecVersionError`, so transports count
+A plain ball entry is a TTL around an event's *record*, and a record is
+built once per event (:func:`repro.core.record.wire_record`) and kept
+on it — an event decoded off the wire keeps the bytes it arrived in,
+so a relay forwards them verbatim. Its fields keep the ranges of the
+fixed-width layout they replaced (``ts``, source and sequence i64, TTL
+a non-negative i32), every varint has one minimal form of at most ten
+bytes, and anything else is refused; so equal records are equal bytes,
+which is what lets a receiver's :class:`AdmittedEntries` key plain
+entries by them. A plain ball decodes to a
+:class:`~repro.core.event.MapBall` (``{event id: Event}`` and ``{event
+id: ttl}`` in wire order), or — if it names an id twice, which no
+honest sender does — to the plain tuple of entries.
+
+Versioning: there is one header version (6: version 5 carried the
+fixed-width ball entry ``ts i64 | source i64 | seq i64 | ttl i32 |
+payload_len u32 | payload``) and every kind — inner envelope frames
+included — is written under it; any other value raises the
+distinguishable :class:`CodecVersionError`, so transports count
 traffic from an incompatible peer apart from line noise. There is no
 capability byte: the kind byte already says what one would, and a kind
 is declared once, in the table at the bottom of this module.
@@ -66,11 +83,20 @@ import struct
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
+from operator import attrgetter
 from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from ..auth.authenticator import EventSignature, SignedBall
 from ..core.errors import TransportError
-from ..core.event import Ball, BallEntry, Event, make_ball
+from ..core.event import BALL_TYPES, Ball, BallEntry, Event, MapBall, make_ball
+from ..core.record import (
+    WireRecord,
+    parse_record,
+    payload_json,
+    read_uvarint,
+    uvarint,
+    wire_record,
+)
 from ..lazy.protocol import IdBall, PayloadRequest, PayloadResponse
 from ..pss.cyclon import CyclonRequest, CyclonResponse
 from ..sync.protocol import (
@@ -84,7 +110,7 @@ from ..sync.protocol import (
 MAX_DATAGRAM = 60_000
 
 _MAGIC = b"EP"
-_VERSION = 5
+_VERSION = 6
 
 #: Largest topic id the frame layout can carry (topic is a u32).
 MAX_TOPIC_ID = 0xFFFFFFFF
@@ -94,7 +120,9 @@ MAX_MAC_LEN = 255
 
 _HEADER = struct.Struct("!2sBBqI")
 _KIND_OFFSET = 3  # magic 2s | version u8 | kind u8
-_BALL_ENTRY = struct.Struct("!qqqiI")
+_MAX_TTL = 0x7FFFFFFF  # a ball entry's TTL keeps the i32 range
+_TS = attrgetter("ts")
+_NOTHING_KNOWN: Dict[Any, Event] = {}  # the table of a decode without one
 _SIGNED_ENTRY = struct.Struct("!qqqiIB")  # ts, source, seq, ttl, epoch, mac_len
 _PAYLOAD_LEN = struct.Struct("!I")
 _CYCLON_ENTRY = struct.Struct("!qi")
@@ -168,45 +196,60 @@ class CodecVersionError(CodecError):
     """
 
 
-#: Entries one receiver remembers. A ball cannot carry more than
-#: ``MAX_DATAGRAM // 36`` (~1.7k) entries, which bounds the events in
-#: relay at once; twice that and change keeps every live event resident
-#: while a flood of fresh ids can only push out retired ones.
-ADMITTED_CAPACITY = 1 << 12
+#: Entries one receiver remembers. The smallest plain ball entry is six
+#: bytes (one each for the TTL, the length and the three varints of a
+#: small event, and a one-byte JSON payload), so one datagram can name
+#: up to ``MAX_DATAGRAM // 6`` (~10k) events; 16k records keep every
+#: entry of even such a ball resident beside the ~6k a node last
+#: relayed, and cost a few MB per node when full. An authenticating
+#: fabric remembers only verified entries, so a flood of fresh ids
+#: cannot push records out there.
+ADMITTED_CAPACITY = 1 << 14
 
 
 class AdmittedEntries:
     """One receiving node's memo of the ball entries it has admitted.
 
     An epidemic hands a node each event about K·TTL times. The table
-    remembers, per ``(source, seq)`` — plus the topic for an entry that
-    arrived inside an envelope frame, since topics reuse ids — the
-    payload bytes of the first admitted copy beside the
-    :class:`~repro.core.event.Event` (and
-    :class:`~repro.auth.authenticator.EventSignature`) decoded from
-    them, so :func:`decode` can hand a byte-identical repeat the very
-    same objects instead of parsing it again. It is a memo of a pure
-    function: a copy whose ``ts``, payload, epoch or MAC bytes differ
-    takes the full path every time and never replaces the record.
+    remembers the :class:`~repro.core.event.Event` decoded from the
+    first admitted copy of an entry, so :func:`decode` can hand a
+    byte-identical repeat the very same object instead of parsing it
+    again. It is a memo of a pure function, keyed so that only
+    byte-identical copies can meet:
+
+    * a **plain** entry (kind 1) by its record bytes — ``ts``, source,
+      sequence and payload, every varint in its one minimal form — plus
+      the topic for an entry that arrived inside an envelope frame. The
+      key *is* the byte-identity test: a copy with other ``ts`` or
+      payload bytes is another key, takes the full path and is
+      remembered as its own record.
+    * a **signed** entry (kind 7) by ``(source, seq)`` (plus the topic),
+      as ``(payload bytes, event, signature, verified)``: the verifier
+      needs the record of an *id* (:meth:`holds`, :meth:`signature_of`)
+      and the first admitted content wins; a copy whose ``ts``,
+      payload, epoch or MAC bytes differ takes the full path every time
+      and never replaces the record.
 
     Remembering is two-step. ``decode`` only *stages* first sights in
     :attr:`pending` (dropped at the start of the next datagram, so one
     that raised leaves nothing behind); the owner decides what is kept:
     a fabric with no verifier keeps everything staged
-    (:meth:`admit_pending`), a verifying one keeps an entry only once
-    its MAC checked out (:meth:`remember`), which is also the only way
-    a record becomes one that :meth:`holds` vouches for. Oldest records
-    go first beyond :data:`ADMITTED_CAPACITY`; an evicted id simply
-    takes the full path again.
+    (:meth:`admit_pending`), a verifying one keeps a signed entry only
+    once its MAC checked out (:meth:`remember`), which is also the only
+    way a record becomes one that :meth:`holds` vouches for, and keeps
+    no plain entry at all. Oldest records go first beyond
+    :data:`ADMITTED_CAPACITY`; an evicted entry simply takes the full
+    path again.
     """
 
     __slots__ = ("records", "pending", "hits", "misses")
 
     def __init__(self) -> None:
-        #: key -> ``(payload bytes, event, signature, verified)``.
-        self.records: "OrderedDict[tuple, tuple]" = OrderedDict()
+        #: plain key -> event; signed key -> ``(payload bytes, event,
+        #: signature, verified)``.
+        self.records: "OrderedDict[Any, Any]" = OrderedDict()
         #: first sights of the datagram being (or last) decoded.
-        self.pending: Dict[tuple, tuple] = {}
+        self.pending: Dict[Any, Any] = {}
         #: ball entries served from / parsed past the table.
         self.hits = 0
         self.misses = 0
@@ -245,7 +288,7 @@ class AdmittedEntries:
     def _keep(self, items) -> None:
         records = self.records
         for key, record in items:
-            if key not in records:  # first admitted content wins
+            if key not in records:  # first admitted content of a key wins
                 records[key] = record
         while len(records) > ADMITTED_CAPACITY:
             records.popitem(last=False)
@@ -311,9 +354,10 @@ def _encode_into(sender: int, message: WireMessage, buffer: bytearray) -> int:
     bytes."""
     row = _ROW_OF_TYPE.get(type(message))
     if row is None:
-        # A ball is any tuple of entries: what a round ships is a
-        # tuple subclass (core.event.SharedBall).
-        if not isinstance(message, tuple):
+        # A ball is any tuple of entries — what a round ships is a
+        # tuple subclass (core.event.SharedBall) — or a MapBall a node
+        # decoded and sends on.
+        if not isinstance(message, BALL_TYPES):
             raise CodecError(
                 f"cannot encode message of type {type(message).__name__}"
             )
@@ -440,14 +484,39 @@ def decode(
 # ----------------------------------------------------------------------
 
 
-def _payload_bytes(event: Event) -> bytes:
-    """An event's payload as the UTF-8 JSON the wire carries."""
+def _record_of(event: Event) -> WireRecord:
+    """*event*'s cached :func:`~repro.core.record.wire_record`, refused
+    when the event cannot travel."""
     try:
-        return json.dumps(event.payload).encode()
+        wire = wire_record(event)
+    except OverflowError as exc:
+        raise CodecError(f"event {event.id}: {exc}") from exc
+    if wire[0] is False:
+        raise _not_json(event)
+    return wire
+
+
+def _payload_bytes(event: Event) -> bytes:
+    """An event's payload as the UTF-8 JSON the wire carries — the tail
+    of its record when a plain ball entry built one, else serialized
+    here: the other kinds build no record, so an event that only ever
+    travels signed, in a sync chunk or in a pull response is not made
+    to keep one."""
+    wire = event._wire
+    if wire is not None and wire[0]:
+        record, payload_nbytes, _ = wire
+        return record[len(record) - payload_nbytes :]
+    try:
+        return payload_json(event.payload)
     except (TypeError, ValueError) as exc:
-        raise CodecError(
-            f"payload of event {event.id} is not JSON-serializable: {exc}"
-        ) from exc
+        raise _not_json(event) from exc
+
+
+def _not_json(event: Event) -> CodecError:
+    return CodecError(
+        f"payload of event {event.id} is not JSON-serializable "
+        f"({type(event.payload).__name__})"
+    )
 
 
 def _json_payload(raw, label: str):
@@ -469,62 +538,98 @@ def _encode_ball_into(ball: Ball, buffer: bytearray) -> int:
     payload_total = 0
     for index, entry in enumerate(ball):
         event = entry.event
-        payload = _payload_bytes(event)
-        size += _BALL_ENTRY.size + len(payload)
+        wire = event._wire
+        if wire is None or not wire[0]:
+            wire = _record_of(event)
+        record, payload_nbytes, _ = wire
+        ttl = entry.ttl
+        if ttl > _MAX_TTL:
+            raise CodecError(f"ttl {ttl} of event {event.id} exceeds the i32 range")
+        head = uvarint(ttl) + uvarint(len(record))
+        size += len(head) + len(record)
         if size > MAX_DATAGRAM:
             raise _crosses_cap("ball entry", index, len(ball), event, size)
-        buffer += _BALL_ENTRY.pack(
-            event.ts, event.source_id, event.seq, entry.ttl, len(payload)
-        )
-        buffer += payload
-        payload_total += len(payload)
+        buffer += head
+        buffer += record
+        payload_total += payload_nbytes
     return payload_total
 
 
 def _decode_ball(
     body, count: int, table: Optional[AdmittedEntries], topic: Optional[int]
-) -> Ball:
+) -> Union[MapBall, Ball]:
     # The loop runs once per copy of every event (K·TTL per node), so
-    # everything it can do once per ball it does here.
-    known = table.records.get if table is not None else None
-    unpack, head = _BALL_ENTRY.unpack_from, _BALL_ENTRY.size
+    # everything it can do once per ball it does here. A copy whose
+    # record the table holds costs the slice that is its key and one
+    # lookup: no field of it is unpacked, and nothing is built per
+    # entry but the key.
+    known = (table.records if table is not None else _NOTHING_KNOWN).get
+    # One copy of the body, so that each record is one bytes slice (a
+    # slice of a view is a view to copy again).
+    body = bytes(body)
     size = len(body)
     first_sights = 0
-    entries = []
+    events = {}
+    ttls = {}
+    entries = None  # the plain tuple, once an id repeats
     offset = 0
-    for _ in range(count):
-        start = offset + head
-        if start > size:
-            raise CodecError("truncated ball entry header")
-        ts, source, seq, ttl, payload_len = unpack(body, offset)
-        offset = start + payload_len
-        if offset > size:
-            raise CodecError("truncated ball entry payload")
-        raw = body[start:offset]
-        record = None
-        if known is not None:
-            # A transient copy, dropped unless this is a first sight:
-            # bytes compare by memcmp, a memoryview element by element
-            # (2 ns a byte, 8 µs for a 4 kB payload).
-            raw = raw.tobytes()
-            key = (source, seq) if topic is None else (source, seq, topic)
-            record = known(key)
-        if record is not None and record[1].ts == ts and raw == record[0]:
-            event = record[1]
-        else:
-            payload = _json_payload(raw, "corrupt payload")
-            event = Event(id=(source, seq), ts=ts, source_id=source, payload=payload)
-            if known is not None:
-                first_sights += 1
-                table.pending.setdefault(key, (raw, event, None, False))
-        if ttl < 0:
-            raise CodecError(f"negative ttl {ttl}")
-        entries.append(BallEntry(event, ttl))
+    try:
+        for _ in range(count):
+            ttl = body[offset]
+            length = body[offset + 1]
+            if (ttl | length) < 0x80:  # one byte each: nearly always
+                start = offset + 2
+            else:
+                ttl, start, length = _long_entry_head(body, offset)
+            offset = start + length
+            if offset > size:
+                raise CodecError("ball entry record runs past the datagram")
+            record = body[start:offset]
+            key = record if topic is None else (record, topic)
+            event = known(key)
+            if event is None:
+                try:
+                    event = parse_record(record)
+                except ValueError as exc:
+                    raise CodecError(f"corrupt ball entry: {exc}") from exc
+                if table is not None:
+                    first_sights += 1
+                    table.pending.setdefault(key, event)
+            event_id = event.id
+            if entries is None and event_id not in ttls:
+                events[event_id] = event
+                ttls[event_id] = ttl
+            else:
+                if entries is None:
+                    # An id named twice (no honest sender ships one)
+                    # keeps the per-entry meaning of Algorithm 1: every
+                    # copy merged in turn.
+                    entries = list(map(BallEntry, events.values(), ttls.values()))
+                entries.append(BallEntry(event, ttl))
+    except IndexError:  # the body ended inside an entry's TTL or length
+        raise CodecError("truncated ball entry") from None
     _expect_end(body, offset, "ball")
     if table is not None:
         table.hits += count - first_sights
         table.misses += first_sights
-    return make_ball(entries)
+    if entries is not None:
+        return make_ball(entries)
+    if not ttls:
+        return MapBall(events, ttls, 0, 0)
+    return MapBall(events, ttls, max(map(_TS, events.values())), max(ttls.values()))
+
+
+def _long_entry_head(body, offset: int) -> Tuple[int, int, int]:
+    """``(ttl, record offset, record length)`` of an entry whose TTL or
+    length takes more than a byte."""
+    try:
+        ttl, offset = read_uvarint(body, offset, "ball entry ttl")
+        length, offset = read_uvarint(body, offset, "ball entry length")
+    except ValueError as exc:
+        raise CodecError(str(exc)) from exc
+    if ttl > _MAX_TTL:
+        raise CodecError(f"ttl {ttl} overflows the i32 range")
+    return ttl, offset, length
 
 
 def _encode_signed_ball_into(message: SignedBall, buffer: bytearray) -> int:

@@ -68,11 +68,13 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..auth.authenticator import SignedBall
 from ..auth.guard import BallGuard
 from ..core.errors import MembershipError
+from ..core.event import BALL_TYPES
 from .codec import (
     COUNT_OFFSET,
     AdmittedEntries,
     CodecError,
     CodecVersionError,
+    TopicEnvelope,
     decode,
     encode_into,
     last_encode_payload_bytes,
@@ -83,6 +85,9 @@ UdpMessageHandler = Callable[[int, Any], None]
 
 #: Sentinel returned by admission when an entire datagram is rejected.
 _REJECTED = object()
+
+#: Envelope frames an authenticating fabric refuses: balls of any kind.
+_FRAMED_BALLS = BALL_TYPES + (SignedBall,)
 
 
 @dataclass(slots=True)
@@ -300,7 +305,8 @@ class UdpNetwork:
             ``dropped_bad_signature`` / ``dropped_unknown_key`` /
             ``dropped_unsigned`` and never reach the node. Plain
             unsigned balls are rejected wholesale on an authenticating
-            fabric. ``None`` (default) keeps the fabric tolerant: it
+            fabric, and so is a topic envelope that carries a ball in
+            any frame. ``None`` (default) keeps the fabric tolerant: it
             still *reads* signed balls from authenticating peers,
             stripping the signatures.
         batch: Which endpoints carry the datagrams (the name dates
@@ -493,7 +499,7 @@ class UdpNetwork:
         entries it did not originate cannot obtain MACs for them, which
         is precisely the property the drill asserts.
         """
-        if not isinstance(message, tuple):
+        if not isinstance(message, BALL_TYPES):
             return message
         ball = message
         if (
@@ -861,6 +867,9 @@ class UdpNetwork:
         with no authenticator configured — accepted with signatures
         stripped. A *plain* ball on an authenticating fabric is
         rejected wholesale: an honest authenticating peer always signs.
+        So is a topic envelope with a ball of either kind in a frame:
+        the gate verifies no frame, and the service — the only sender
+        of envelopes — runs without an authenticator.
 
         The gate also decides which of the datagram's first sights
         *table* keeps. With no authenticator nothing is verified, so
@@ -879,7 +888,10 @@ class UdpNetwork:
             self.stats.dropped_unknown_key += counts.unknown_key
             self.stats.dropped_unsigned += counts.unsigned
             return ball
-        if isinstance(message, tuple):
+        if isinstance(message, BALL_TYPES) or (
+            isinstance(message, TopicEnvelope)
+            and any(isinstance(frame[2], _FRAMED_BALLS) for frame in message.frames)
+        ):
             self.stats.dropped_unsigned += 1
             return _REJECTED
         return message

@@ -160,6 +160,38 @@ class TestRoundTick:
         component.round_tick()
         assert transport.sent[0][2][0].ttl == 3
 
+    def test_a_reply_broadcast_while_ordering_is_sent_next_round(self):
+        # A delivery callback runs inside order_events; what it
+        # broadcasts must not be cleared with the ball being ordered.
+        component, transport, _, _, ordered = build()
+        replies = []
+
+        def order_and_reply(ball):
+            ordered.append(ball)
+            if ball and not replies:
+                replies.append(component.broadcast("reply"))
+
+        component.order_events = order_and_reply
+        first = component.broadcast("first")
+        component.round_tick()
+        assert [e.event for e in ordered[0]] == [first]
+        assert component.next_ball_size == 1
+        transport.clear()
+        component.round_tick()
+        assert replies[0].id == (0, 1)
+        assert [e.event for e in transport.sent[0][2]] == replies
+        assert [e.event for e in ordered[1]] == replies
+
+    def test_the_ball_carries_the_pending_events_it_hands_over(self):
+        component, transport, *_ = build()
+        pending = component._next_events  # noqa: SLF001 - what is handed over
+        event = component.broadcast()
+        component.round_tick()
+        ball = transport.sent[0][2]
+        assert ball.events is pending and pending == {event.id: event}
+        assert component._next_events is not pending  # noqa: SLF001
+        assert ball.ttls == {event.id: 1}
+
     def test_event_stops_being_relayed_at_ttl(self):
         component, transport, *_ = build(ttl=2)
         event = make_event(src=9)

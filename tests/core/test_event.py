@@ -7,16 +7,17 @@ import dataclasses
 
 import pytest
 
-from repro.core.dissemination import event_payload_nbytes, payload_nbytes
 from repro.core.event import (
     BallEntry,
     Event,
     EventIdGenerator,
     EventRecord,
+    MapBall,
     SharedBall,
     ball_event_ids,
     make_ball,
 )
+from repro.core.record import uvarint, uvarint_nbytes, wire_record, wire_sizes
 
 from ..conftest import make_event
 
@@ -62,16 +63,20 @@ class TestEvent:
         assert make_event(src=1, seq=2, ts=3) != make_event(src=1, seq=2, ts=4)
 
     def test_measured_payload_size_is_not_part_of_the_value(self):
+        # What is measured is the wire record, kept on the event.
         measured = Event(id=(3, 1), ts=42, source_id=3, payload="payload")
         fresh = Event(id=(3, 1), ts=42, source_id=3, payload="payload")
-        for _ in range(2):  # measured, then read back
-            assert event_payload_nbytes(measured) == payload_nbytes("payload")
+        record = wire_record(measured)
+        # zigzag(42), zigzag(3), zigzag(1), then the JSON payload; an
+        # entry spends the three varints and a length byte beside it.
+        assert record == (b'\x54\x06\x02"payload"', 9, 4)
+        assert wire_record(measured) is record  # built once, read back
         assert measured == fresh and hash(measured) == hash(fresh)
         assert repr(measured) == repr(fresh)
         assert copy.copy(measured) == measured
         # A changed payload is a new event and is measured afresh.
         other = dataclasses.replace(measured, payload="longer than before")
-        assert event_payload_nbytes(other) == payload_nbytes("longer than before")
+        assert wire_record(other)[1] == len(b'"longer than before"')
 
 
 class TestBallEntry:
@@ -136,3 +141,73 @@ class TestEventIdGenerator:
         assert a.next_id() == (1, 0)
         assert b.next_id() == (2, 0)
         assert a.next_id() == (1, 1)
+
+
+class TestWireRecord:
+    def test_varints_are_minimal_and_zigzag_keeps_small_magnitudes_short(self):
+        def head(ts):
+            record = wire_record(Event(id=(0, 0), ts=ts, source_id=0, payload=0))[0]
+            return record[:-3]  # source 0, seq 0, payload 0: a byte each
+
+        # 0, -1, 1, -2, 2 zigzag to 0, 1, 2, 3, 4.
+        assert [head(ts) for ts in (0, -1, 1, -2, 2)] == [bytes([v]) for v in range(5)]
+        assert head(-(1 << 63)) == uvarint((1 << 64) - 1)
+        with pytest.raises(OverflowError):
+            wire_record(Event(id=(0, 0), ts=1 << 63, source_id=0))
+        for value in (0, 1, 127, 128, 300, 1 << 35, (1 << 64) - 1):
+            encoded = uvarint(value)
+            assert len(encoded) == uvarint_nbytes(value) <= 10
+            assert encoded[-1] != 0 or value == 0  # no trailing zero group
+        assert uvarint(300) == b"\xac\x02"
+
+    def test_a_payload_that_is_not_json_has_sizes_but_no_record(self):
+        event = Event(id=(3, 1), ts=42, source_id=3, payload=frozenset({3}))
+        record, payload_nbytes, metadata_nbytes = wire_record(event)
+        assert record is False
+        assert payload_nbytes == len(repr(frozenset({3})).encode())
+        assert metadata_nbytes == 3 + 1
+        assert wire_sizes(event) is wire_record(event)
+
+    def test_measuring_keeps_the_sizes_and_building_the_record_keeps_them(self):
+        event = Event(id=(3, 1), ts=42, source_id=3, payload="payload")
+        sized = wire_sizes(event)
+        assert sized == (None, 9, 4)  # no bytes kept for the estimate
+        assert wire_sizes(event) is sized
+        built = wire_record(event)
+        assert built == (b'\x54\x06\x02"payload"', 9, 4)
+        assert wire_sizes(event) is built and wire_record(event) is built
+
+
+class TestMapBall:
+    def _entries(self):
+        return [BallEntry(make_event(src=1, ts=4), 0), BallEntry(make_event(src=2, ts=9), 3)]
+
+    def _ball(self, entries):
+        return MapBall(
+            {e.event.id: e.event for e in entries},
+            {e.event.id: e.ttl for e in entries},
+            max(e.event.ts for e in entries),
+            max(e.ttl for e in entries),
+        )
+
+    def test_reads_as_the_tuple_of_its_entries(self):
+        entries = self._entries()
+        ball = self._ball(entries)
+        plain = make_ball(entries)
+        assert not isinstance(ball, tuple)
+        assert ball == plain and plain == ball and ball == self._ball(entries)
+        assert ball != make_ball(entries[:1]) and ball != "ball"
+        assert len(ball) == len(ball.entries) == 2 and ball.entries is ball
+        assert list(ball) == entries and ball[1] == entries[1]
+        assert ball[0].event is entries[0].event
+        assert MapBall({}, {}, 0, 0) == () and not MapBall({}, {}, 0, 0)
+
+    def test_split_and_max_ts_are_the_shared_balls(self):
+        entries = self._entries()
+        ball = self._ball(entries)
+        shared = SharedBall(entries, dict(ball.ttls))
+        for bound in (1, 3, 4, 5):
+            assert ball.split(bound) == shared.split(bound)
+        assert ball.split(4)[0] is ball.ttls
+        assert ball.max_ts == shared.max_ts == 9 and ball.max_ttl == 3
+        assert shared.events == ball.events

@@ -1,9 +1,11 @@
-"""``receive_ball``'s shortcut against a plain Algorithm 1 merge.
+"""``receive_ball``'s map path against a plain Algorithm 1 merge.
 
-A :class:`~repro.core.event.SharedBall` whose live entries are all
-pending at its receiver *at the same TTL* is skipped with one dict-view
-subset test; every other ball is merged entry by entry. Whatever the
-sequence of balls — with and without a map, equal, lower, higher and
+A :class:`~repro.core.event.SharedBall` or
+:class:`~repro.core.event.MapBall` is merged by its maps — skipped with
+one dict-view subset test when its live entries are all pending at its
+receiver *at the same TTL*, otherwise merged over its live map, with
+one clock update — and a plain tuple entry by entry. Whatever the
+sequence of balls — with and without maps, equal, lower, higher and
 expired TTLs, an empty pending ball, a broadcast in between, one ball
 shared by two receivers whose TTL bounds differ — the component must
 end in the state of the per-entry merge written out below: the same
@@ -23,13 +25,9 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import EpToConfig
 from repro.core.clock import GlobalClockOracle, LogicalClockOracle
-from repro.core.dissemination import (
-    ENTRY_METADATA_BYTES,
-    DisseminationComponent,
-    DisseminationStats,
-    payload_nbytes,
-)
-from repro.core.event import BallEntry, Event, SharedBall, make_ball
+from repro.core.dissemination import DisseminationComponent, DisseminationStats
+from repro.core.event import BallEntry, Event, MapBall, SharedBall, make_ball
+from repro.core.record import uvarint_nbytes, wire_record
 
 from ..conftest import ManualOracle, RecordingTransport, StaticPeerSampler
 
@@ -96,10 +94,13 @@ class Model:
         if ball:
             self.stats.balls_sent += FANOUT
             self.stats.entries_relayed += FANOUT * len(ball)
-            self.stats.metadata_bytes += ENTRY_METADATA_BYTES * FANOUT * len(ball)
-            self.stats.payload_bytes += FANOUT * sum(
-                payload_nbytes(self.events[eid].payload) for eid, _ in ball
-            )
+            for eid, ttl in ball:
+                # A plain wire entry: uvarint ttl | uvarint len | record.
+                record, payload, _ = wire_record(self.events[eid])
+                size = len(record)
+                metadata = uvarint_nbytes(ttl) + uvarint_nbytes(size) + size - payload
+                self.stats.metadata_bytes += FANOUT * metadata
+                self.stats.payload_bytes += FANOUT * payload
         self.pending, self.events = {}, {}
         return ball
 
@@ -138,11 +139,22 @@ def _agree(component: DisseminationComponent, model: Model) -> None:
 
 
 def _shared(entries: List[Tuple[Event, int]]) -> SharedBall:
-    """What a sender's round would have built: unique ids, one map."""
+    """What a sender's round would have built: unique ids, the maps."""
     unique = {event.id: (event, ttl) for event, ttl in entries}
     return SharedBall(
         (BallEntry(event, ttl) for event, ttl in unique.values()),
         {eid: ttl for eid, (_, ttl) in unique.items()},
+    )
+
+
+def _wire(entries: List[Tuple[Event, int]]) -> MapBall:
+    """What a decoded wire ball with unique ids is."""
+    unique = {event.id: (event, ttl) for event, ttl in entries}
+    return MapBall(
+        {eid: event for eid, (event, _) in unique.items()},
+        {eid: ttl for eid, (_, ttl) in unique.items()},
+        max((event.ts for event, _ in unique.values()), default=0),
+        max((ttl for _, ttl in unique.values()), default=0),
     )
 
 
@@ -174,7 +186,9 @@ def test_receive_ball_equals_per_entry_merge(clock, data):
     for _ in range(steps):
         now[0] += 1
         kind = data.draw(
-            st.sampled_from(["shared", "plain", "echo", "again", "broadcast", "round"]),
+            st.sampled_from(
+                ["shared", "wire", "plain", "echo", "again", "broadcast", "round"]
+            ),
             label="step",
         )
         index = data.draw(st.sampled_from([0, 1]), label="node")
@@ -202,6 +216,8 @@ def test_receive_ball_equals_per_entry_merge(clock, data):
         else:
             if kind == "shared":
                 ball = _shared(data.draw(entry_lists, label="entries"))
+            elif kind == "wire":
+                ball = _wire(data.draw(entry_lists, label="entries"))
             elif kind == "plain":
                 # Off the wire: a tuple, possibly naming an id twice.
                 ball = make_ball(
@@ -218,7 +234,7 @@ def test_receive_ball_equals_per_entry_merge(clock, data):
                     nudge = data.draw(nudges, label="nudge")
                     if nudge is not None:
                         entries.append((component._next_events[eid], max(0, ttl + nudge)))
-                ball = _shared(entries)
+                ball = data.draw(st.sampled_from([_shared, _wire]), label="as")(entries)
             elif in_flight:  # "again"
                 ball = data.draw(st.sampled_from(in_flight), label="which")
             else:
@@ -228,23 +244,44 @@ def test_receive_ball_equals_per_entry_merge(clock, data):
         deliver(ball, to)
 
 
+class _ReadEvents(dict):
+    """A ball's events map that records every event read out of it."""
+
+    def __init__(self, events):
+        super().__init__(events)
+        self.reads = []
+
+    def __getitem__(self, event_id):
+        self.reads.append(event_id)
+        return super().__getitem__(event_id)
+
+
 class TestShortcutIsTaken:
     """The property above cannot see *which* path ran; a recording
-    oracle can: the shortcut updates the clock once, with the ball's
-    largest timestamp, the per-entry merge once per entry."""
+    oracle and events map can: a ball with maps updates the clock once,
+    with its largest timestamp, and the shortcut reads no event out of
+    it; the per-entry merge updates the clock once per entry."""
 
     def _component(self, ttl: int = 5):
         oracle = ManualOracle(ttl=ttl)
         return _component(0, ttl, "logical", oracle)[0], oracle
 
-    def test_copy_that_teaches_nothing_is_one_clock_update(self):
+    @pytest.mark.parametrize("shape", [_shared, _wire])
+    def test_copy_that_teaches_nothing_is_one_clock_update(self, shape):
         component, oracle = self._component()
-        ball = _shared([(POOL[0], 1), (POOL[3], 2), (POOL[5], 5)])  # last: expired
-        component.receive_ball(ball)
-        assert oracle.updates == [POOL[0].ts, POOL[3].ts, POOL[5].ts]
+        component.broadcast("pending")  # no merge into an empty ball
         oracle.updates.clear()
+        ball = shape([(POOL[0], 1), (POOL[3], 2), (POOL[5], 5)])  # last: expired
+        ball.events = _ReadEvents(ball.events)
+        largest = max(POOL[0].ts, POOL[3].ts, POOL[5].ts)
         component.receive_ball(ball)
-        assert oracle.updates == [max(POOL[0].ts, POOL[3].ts, POOL[5].ts)]
+        assert oracle.updates == [largest]
+        assert ball.events.reads == [POOL[0].id, POOL[3].id]  # merged
+        oracle.updates.clear()
+        ball.events.reads.clear()
+        component.receive_ball(ball)
+        assert oracle.updates == [largest]
+        assert ball.events.reads == []  # skipped
         assert component.stats.entries_received == 6
         assert component.stats.entries_expired == 2
 

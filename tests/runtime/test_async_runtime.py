@@ -141,7 +141,11 @@ class TestAsyncNetworkFaults:
             # Normal latency is at most 0.03s; spiked is at least 0.1s.
             await asyncio.sleep(0.05)
             early = list(inbox)
-            await asyncio.sleep(0.4)
+            # At most 0.3s spiked; poll instead of betting on a sleep,
+            # so a loaded machine delays the test, not its verdict.
+            deadline = asyncio.get_running_loop().time() + 5.0
+            while not inbox and asyncio.get_running_loop().time() < deadline:
+                await asyncio.sleep(0.01)
             return early, inbox
 
         early, inbox = run(scenario())

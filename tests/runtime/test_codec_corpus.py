@@ -10,7 +10,9 @@ datagram. The only escapes are :class:`~repro.runtime.codec.CodecError`
 subclasses, and a datagram stamped with any header version but the one
 raises :class:`~repro.runtime.codec.CodecVersionError`, which the UDP
 fabric counts apart from line noise. A kind added to the table without
-a sample here fails the first test.
+a sample here fails the first test. The varints of a plain ball entry
+get damage of their own: too long, out of their field's range, and a
+record that runs past the datagram.
 """
 
 from __future__ import annotations
@@ -34,6 +36,8 @@ from repro.sync.protocol import (
     SyncRequest,
     events_checksum,
 )
+
+from repro.core.record import uvarint
 
 from .hostile import (
     assert_all_rejected,
@@ -118,8 +122,9 @@ WIRES = [pytest.param(wire, id=name) for name, _, _, wire in CORPUS]
 #: How a transport may hand a datagram over.
 INPUTS = [bytes, bytearray, memoryview]
 
-#: Every header version but the one (versions 1–4 were never deployed).
-FOREIGN_VERSIONS = (0, 1, 2, 3, 4, 6, 255)
+#: Every header version but the one (versions 1–4 were never deployed;
+#: 5 carried the fixed-width plain ball entry).
+FOREIGN_VERSIONS = (0, 1, 2, 3, 4, 5, 7, 255)
 
 #: Where the inner header's version byte sits in a one-frame envelope:
 #: outer header (16) + frame head (8) + magic (2).
@@ -153,9 +158,9 @@ def test_the_corpus_covers_the_kind_table():
     "name, message, sender, wire", CORPUS, ids=[case[0] for case in CORPUS]
 )
 def test_round_trips_under_the_one_version(name, message, sender, wire):
-    assert wire[:2] == b"EP" and wire[2] == 5
+    assert wire[:2] == b"EP" and wire[2] == 6
     if name.endswith("-framed"):
-        assert wire[_INNER_VERSION_OFFSET] == 5
+        assert wire[_INNER_VERSION_OFFSET] == 6
     assert codec.decode(wire) == (sender, message)
     assert checked_decode(wire, warm_table(wire)) == (sender, message)
 
@@ -221,3 +226,58 @@ def test_the_fabric_counts_foreign_versions_apart_from_noise():
     assert inbox == []
     assert stats.dropped_bad_version == len(foreign)
     assert stats.dropped_malformed == 0
+
+
+def _plain_ball(body: bytes, entries: int = 1) -> bytes:
+    """A kind-1 datagram from sender 7 with a hand-written *body*."""
+    return codec.encode(7, make_ball([]))[:12] + entries.to_bytes(4, "big") + body
+
+
+#: ``ts 10 | source 1 | seq 0`` as zigzag varints, then a JSON payload.
+_RECORD = b"\x14\x02\x00" + b'"ok"'
+
+def _entry(ttl: bytes, record: bytes) -> bytes:
+    return ttl + uvarint(len(record)) + record
+
+
+#: Eleven bytes, every one but the last with the continuation bit.
+_ELEVEN = b"\xff" * 10 + b"\x01"
+
+#: Plain ball entries no honest encoder writes, each refused whole:
+#: ``(body, what the refusal says)``.
+VARINT_DAMAGE = {
+    "over-long ttl": (_entry(_ELEVEN, _RECORD), "over-long varint"),
+    "over-long ts": (_entry(b"\x00", _ELEVEN + b"\x02\x00" + b"0"), "over-long varint"),
+    # Minimal varints, but beyond the i32 TTL and the i64 timestamp.
+    "ttl beyond i32": (_entry(uvarint(1 << 31), _RECORD), "i32 range"),
+    "ts beyond i64": (_entry(b"\x00", uvarint(1 << 64) + b"\x02\x00" + b"0"), "i64 range"),
+    # A length that claims more than the datagram holds.
+    "record past the datagram": (
+        b"\x00" + uvarint(len(_RECORD) + 1) + _RECORD,
+        "runs past the datagram",
+    ),
+    # Padded with a zero group: the same value in a second spelling.
+    "non-minimal ttl": (_entry(b"\x81\x00", _RECORD), "non-minimal varint"),
+}
+
+
+def test_the_damage_cases_are_otherwise_well_formed():
+    wire = _plain_ball(uvarint(3) + uvarint(len(_RECORD)) + _RECORD)
+    assert wire == codec.encode(
+        7, make_ball([BallEntry(Event(id=(1, 0), ts=10, source_id=1, payload="ok"), 3)])
+    )
+
+
+@pytest.mark.parametrize(
+    "body, refusal", list(VARINT_DAMAGE.values()), ids=list(VARINT_DAMAGE)
+)
+@pytest.mark.parametrize("framed", [False, True], ids=["alone", "framed"])
+def test_damaged_varints_are_codec_errors(body, refusal, framed):
+    wire = _plain_ball(body)
+    if framed:
+        wire = codec.assemble_envelope(9, [(_FRAME_TOPIC, wire)])
+    genuine = codec.encode(7, _ball())
+    for decode in _receivers(genuine, bytes):
+        with pytest.raises(CodecError, match=refusal) as raised:
+            decode(wire)
+        assert not isinstance(raised.value, CodecVersionError)

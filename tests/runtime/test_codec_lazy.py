@@ -127,7 +127,7 @@ class TestVersionGate:
     @pytest.mark.parametrize("build", _BUILDERS, ids=_IDS)
     def test_unknown_version_raises_version_error(self, build):
         wire = bytearray(codec.encode(1, build()))
-        wire[2] = 6
+        wire[2] = 7
         with pytest.raises(CodecVersionError):
             codec.decode(bytes(wire))
 

@@ -81,7 +81,7 @@ class TestRoundTrip:
 class TestVersionGate:
     def test_unknown_version_raises_version_error(self):
         wire = bytearray(codec.encode(1, _signed_ball()))
-        wire[2] = 6
+        wire[2] = 7
         with pytest.raises(CodecVersionError):
             codec.decode(bytes(wire))
 

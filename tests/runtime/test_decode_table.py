@@ -4,7 +4,9 @@ Whatever :class:`~repro.runtime.codec.AdmittedEntries` holds,
 ``decode(data, table)`` must equal ``decode(data)`` — result or
 exception — for every input; a byte-identical repeat reuses the
 remembered objects, anything else takes the full path and never
-replaces a record; nothing of a datagram that raised is remembered; the
+replaces a record (a plain entry is keyed by its record bytes, so other
+bytes are another record; a signed one by its id, whose first admitted
+content wins); nothing of a datagram that raised is remembered; the
 table is bounded; and the ids of different topics never alias.
 """
 
@@ -15,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.auth import EventSignature, SignedBall
 from repro.core.event import BallEntry, Event, make_ball
+from repro.core.record import uvarint, wire_record
 from repro.lazy.protocol import IdBall
 from repro.runtime import codec
 from repro.runtime.codec import AdmittedEntries, CodecError, TopicEnvelope
@@ -39,6 +42,11 @@ def _signed(ball, epoch=0, mac=b"m" * 16):
 
 def _framed(topic, message, sender=1):
     return TopicEnvelope(frames=((topic, sender, message),))
+
+
+def _key(event):
+    """The table key of a bare plain entry: its record bytes."""
+    return wire_record(event)[0]
 
 
 def _entries(message):
@@ -91,7 +99,10 @@ class TestRepeatsReuseTheRememberedObjects:
 
 class TestDifferentContentTakesTheFullPath:
     """Same ``(source, seq)``, other bytes: the equivocation case. The
-    copy is parsed in full every time and never replaces the record."""
+    copy is parsed in full and never replaces the record: a signed copy
+    every time, a plain one the first time — its bytes are a key of
+    their own, so a fabric without a verifier remembers it beside the
+    genuine record."""
 
     VARIANTS = {
         "payload": dict(payload="forged"),
@@ -101,16 +112,26 @@ class TestDifferentContentTakesTheFullPath:
     @pytest.mark.parametrize("field", sorted(VARIANTS))
     @pytest.mark.parametrize("wrap", [lambda b: b, _signed], ids=["kind1", "kind7"])
     def test_other_event_bytes(self, wrap, field):
+        plain = wrap is not _signed
         genuine = codec.encode(1, wrap(_ball(_event())))
         other = codec.encode(1, wrap(_ball(_event(**self.VARIANTS[field]))))
         table = warm_table(genuine)
-        remembered = table.records[(1, 0)]
+        key = _key(_event()) if plain else (1, 0)
+        remembered = table.records[key]
+        genuine_event = remembered if plain else remembered[1]
         for _ in range(3):
             _, message = checked_decode(other, table)
             table.admit_pending()
-            assert _entries(message)[0].event is not remembered[1]
-        assert table.records[(1, 0)] is remembered
-        assert table.hits == 0 and table.misses == 4
+            assert _entries(message)[0].event is not genuine_event
+        assert table.records[key] is remembered
+        if plain:
+            assert len(table) == 2
+            assert table.records[_key(_event(**self.VARIANTS[field]))] == _event(
+                **self.VARIANTS[field]
+            )
+            assert (table.hits, table.misses) == (2, 2)
+        else:
+            assert (table.hits, table.misses) == (0, 4)
 
     @pytest.mark.parametrize(
         "other",
@@ -132,8 +153,8 @@ class TestDifferentContentTakesTheFullPath:
         assert table.records[(1, 0)] is remembered
 
     def test_plain_and_signed_copies_of_one_id(self):
-        # A plain record never serves a signed copy (no MAC to compare);
-        # a signed record may serve a plain one — the event is the same.
+        # Neither record serves the other kind: a plain one has no MAC
+        # to compare, and a signed one is keyed by id, not by record.
         plain = codec.encode(1, _ball(_event()))
         signed = codec.encode(1, _signed(_ball(_event())))
         table = warm_table(plain)
@@ -141,7 +162,7 @@ class TestDifferentContentTakesTheFullPath:
         assert table.hits == 0
         table = warm_table(signed)
         checked_decode(plain, table)
-        assert table.hits == 1
+        assert table.hits == 0
 
 
 class TestWholeDatagramFirst:
@@ -155,7 +176,7 @@ class TestWholeDatagramFirst:
         # not drag the first one's good entry in with it either.
         checked_decode(codec.encode(1, _ball(_event(seq=2))), table)
         table.admit_pending()
-        assert list(table.records) == [(1, 2)]
+        assert list(table.records) == [_key(_event(seq=2))]
 
     def test_a_bad_frame_fails_the_frames_before_it(self):
         envelope = TopicEnvelope(
@@ -170,12 +191,13 @@ class TestWholeDatagramFirst:
         table.admit_pending()
         assert len(table) == 0
 
-    def test_negative_ttl_on_a_remembered_entry_still_raises(self):
-        wire = bytearray(codec.encode(1, _ball(_event(), ttl=0)))
-        table = warm_table(bytes(wire))
-        wire[16 + 24 : 16 + 28] = (-1).to_bytes(4, "big", signed=True)
-        with pytest.raises(CodecError, match="negative ttl"):
-            checked_decode(bytes(wire), table)
+    def test_an_out_of_range_ttl_on_a_remembered_entry_still_raises(self):
+        wire = codec.encode(1, _ball(_event(), ttl=0))
+        table = warm_table(wire)
+        # The TTL is the entry's first byte: widen it past the i32 range.
+        wire = wire[:16] + uvarint(1 << 31) + wire[17:]
+        with pytest.raises(CodecError, match="i32 range"):
+            checked_decode(wire, table)
 
 
 class TestVerifiedRecords:
@@ -216,7 +238,7 @@ class TestBounded:
             checked_decode(wire, table)
             table.admit_pending()
             assert len(table) <= 8
-        assert list(table.records) == [(1, seq) for seq in range(22, 30)]
+        assert list(table.records) == [_key(_event(seq=seq)) for seq in range(22, 30)]
 
     def test_an_evicted_id_is_readmitted_through_the_full_path(self, monkeypatch):
         monkeypatch.setattr(codec, "ADMITTED_CAPACITY", 2)
@@ -226,13 +248,13 @@ class TestBounded:
         for wire in wires:
             results.append(checked_decode(wire, table))
             table.admit_pending()
-        assert (1, 0) not in table.records
+        assert _key(_event(seq=0)) not in table.records
         misses = table.misses
         again = checked_decode(wires[0], table)
         table.admit_pending()
         assert again == results[0]
         assert table.misses == misses + 1
-        assert (1, 0) in table.records and len(table) == 2
+        assert _key(_event(seq=0)) in table.records and len(table) == 2
 
     def test_verified_records_are_bounded_too(self, monkeypatch):
         monkeypatch.setattr(codec, "ADMITTED_CAPACITY", 2)
@@ -333,7 +355,9 @@ def _datagram(draw):
     elif damage == "grow":
         wire += draw(st.binary(min_size=1, max_size=4))
     elif damage == "ttl" and len(wire) >= 16 + 28:
-        wire[16 + 24] |= 0x80  # first entry of a bare ball: negative TTL
+        # The first entry of a bare ball: a signed one's TTL turns
+        # negative, a plain one's grows a continuation byte.
+        wire[16 + 24 if wire[3] == 7 else 16] |= 0x80
     return bytes(wire)
 
 

@@ -19,6 +19,7 @@ from repro.core import EpToConfig
 from repro.core.event import BallEntry, Event, make_ball
 from repro.faults import ByzantineRouter
 from repro.faults.verify import check_survivors
+from repro.pss.cyclon import CyclonRequest
 from repro.runtime import codec
 from repro.runtime.cluster import AsyncCluster
 from repro.runtime.codec import TopicEnvelope
@@ -214,7 +215,7 @@ class TestAuthWithAWarmTable:
         # A forger without keys can neither occupy the genuine event's
         # slot nor flush verified records with a flood of fresh ids.
         assert kept == 0
-        assert rig.stats.dropped_unsigned == 2
+        assert rig.stats.dropped_unsigned == 3
         assert rig.table.holds(*rig.table.records[(2, 0)][1:3])
 
     def test_tolerant_fabric_remembers_signed_entries_unverified(self):
@@ -234,6 +235,48 @@ class TestAuthWithAWarmTable:
         assert (rig.table.hits, rig.table.misses) == (1, 1)
         record = rig.table.records[(2, 0)]
         assert not rig.table.holds(record[1], record[2])
+
+
+class TestPlainBallsOnAnAuthenticatingFabric:
+    """A plain ball decodes to a ``MapBall``, not a tuple: the gate must
+    still refuse it whole, alone and inside an envelope frame, before
+    the node's inbox ever sees it."""
+
+    @pytest.mark.parametrize("framed", [False, True], ids=["alone", "framed"])
+    def test_a_plain_ball_is_dropped_whole(self, framed):
+        ball = make_ball([BallEntry(_event(seq=seq), 1) for seq in range(3)])
+        message = TopicEnvelope(frames=((0, 2, ball),)) if framed else ball
+        wire = codec.encode(2, message)
+        assert type(codec.decode(wire)[1]).__name__ == (
+            "TopicEnvelope" if framed else "MapBall"
+        )
+
+        async def scenario():
+            rig = Rig(HmacAuthenticator(KeyRing("gate")))
+            await rig.open()
+            await rig.throw(wire)
+            await rig.network.close()
+            return rig
+
+        rig = run(scenario())
+        assert rig.inbox == []
+        assert rig.stats.dropped_unsigned == 1
+        assert rig.stats.delivered == 0
+        assert len(rig.table) == 0
+
+    def test_an_envelope_without_balls_still_passes(self):
+        frame = (0, 2, CyclonRequest(entries=((3, 0),)))
+        wire = codec.encode(2, TopicEnvelope(frames=(frame,)))
+
+        async def scenario():
+            rig = Rig(HmacAuthenticator(KeyRing("gate")))
+            await rig.open()
+            await rig.throw(wire)
+            await rig.network.close()
+            return rig
+
+        rig = run(scenario())
+        assert len(rig.inbox) == 1 and rig.stats.dropped_unsigned == 0
 
 
 class TestByzantineRelaysOverUdp:

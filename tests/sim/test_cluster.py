@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import EpToConfig, dissemination
+from repro.core import EpToConfig, record
 from repro.core.errors import MembershipError
 from repro.core.event import BallEntry, Event, SharedBall, make_ball
 from repro.core.process import EpToProcess
 from repro.lazy.protocol import IdBall, PayloadRequest, PayloadResponse
+from repro.metrics import DeliveryCollector
 from repro.pss import BrahmsPush, JoinRequest
 from repro.pss.cyclon import CyclonPss, CyclonRequest, CyclonResponse
 from repro.pss.uniform import UniformViewPss
@@ -247,10 +248,12 @@ class TestInboxDispatch:
 
 
 class TestByteAccounting:
-    """``payload_bytes`` / ``metadata_bytes`` are what they were when
-    every payload was serialised once per entry per round per node
-    (totals pinned from that code on this exact run); now the
-    serialisation behind them runs once per event."""
+    """``payload_bytes`` is what it was when every payload was
+    serialised once per entry per round per node (pinned from that code
+    on this exact run), ``metadata_bytes`` what the varint ball entries
+    would have taken on the wire (a TTL, a length, three varints: six
+    bytes each here; the fixed-width layout took 32); the serialisation
+    behind both runs once per event."""
 
     PAYLOADS = [
         "sixteen-byte-str",
@@ -280,18 +283,46 @@ class TestByteAccounting:
     def test_totals_of_a_seeded_twenty_round_run_are_pinned(self):
         stats = self._run()
         assert sum(s.entries_relayed for s in stats) == 1520
-        assert sum(s.metadata_bytes for s in stats) == 48640
+        assert sum(s.metadata_bytes for s in stats) == 6 * 1520
         assert sum(s.payload_bytes for s in stats) == 31040
 
     def test_a_payload_is_measured_once_per_event(self, monkeypatch):
         measured = []
-        payload_nbytes = dissemination.payload_nbytes
+        payload_json = record.payload_json
 
         def counting(payload):
             measured.append(payload)
-            return payload_nbytes(payload)
+            return payload_json(payload)
 
-        monkeypatch.setattr(dissemination, "payload_nbytes", counting)
+        monkeypatch.setattr(record, "payload_json", counting)
         stats = self._run()
         assert sum(s.payload_bytes for s in stats) == 31040
         assert measured == self.PAYLOADS
+
+
+class TestReplyFromADeliveryCallback:
+    """An application that answers a delivery broadcasts from inside
+    the round that delivered it (``order_events`` runs the callback):
+    the reply must go out with the next round, not be cleared with the
+    ball being ordered."""
+
+    def test_every_node_delivers_the_reply(self):
+        sim = Simulator(seed=5)
+        network = SimNetwork(sim, latency=FixedLatency(5))
+        config = ClusterConfig(epto=EpToConfig(fanout=3, ttl=4, round_interval=100))
+        replies = []
+
+        class Replying(DeliveryCollector):
+            def record_delivery(self, node_id, event, time):
+                super().record_delivery(node_id, event, time)
+                if node_id == 1 and event.payload == "ping":
+                    replies.append(cluster.broadcast_from(1, "pong"))
+
+        cluster = SimCluster(sim, network, config, collector=Replying())
+        cluster.add_nodes(6)
+        sim.schedule_at(150, lambda: cluster.broadcast_from(0, "ping"))
+        sim.run(until=40 * 100)
+        assert [event.payload for event in replies] == ["pong"]
+        reply = replies[0].id
+        delivered = [r.node_id for r in cluster.collector.deliveries() if r.event_id == reply]
+        assert sorted(delivered) == list(range(6))

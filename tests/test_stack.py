@@ -21,7 +21,7 @@ import pytest
 from repro.auth import SignedBall
 from repro.core import EpToConfig
 from repro.core.errors import ConfigurationError
-from repro.core.event import BallEntry, Event, SharedBall, make_ball
+from repro.core.event import BallEntry, Event, MapBall, SharedBall, make_ball
 from repro.core.process import EpToProcess
 from repro.lazy.process import LazyEpToProcess
 from repro.lazy.protocol import LAZY_MESSAGE_TYPES
@@ -150,6 +150,8 @@ MESSAGES = (
     [
         ("ball", make_ball([BallEntry(EVENT, 1)])),
         ("ball", SharedBall([BallEntry(EVENT, 1)], {EVENT.id: 1})),
+        # What a plain wire ball decodes to: not a tuple.
+        ("ball", MapBall({EVENT.id: EVENT}, {EVENT.id: 1}, EVENT.ts, 1)),
         ("ball", Unknown()),
         ("cyclon_request", CyclonRequest(entries=())),
         ("cyclon_response", CyclonResponse(entries=())),
@@ -298,7 +300,7 @@ class TestCarriedKindsAreRouted:
 
     def test_an_envelope_refuses_exactly_the_envelope_kind(self):
         for row in codec._KINDS:
-            inner = struct.pack("!2sBBqI", b"EP", 5, row.kind, 1, 0)
+            inner = struct.pack("!2sBBqI", b"EP", 6, row.kind, 1, 0)
             if row.message_type is TopicEnvelope:
                 with pytest.raises(codec.CodecError, match="nest"):
                     codec.assemble_envelope(0, [(0, inner)])
