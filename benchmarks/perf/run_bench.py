@@ -273,19 +273,20 @@ def bench_auth(seed: int, repeats: int) -> dict:
 
     authenticator = HmacAuthenticator(KeyRing(f"bench:{seed}"))
     ball = build_codec_ball(CODEC_ENTRIES, seed)
-    signatures = [authenticator.sign(entry.event) for entry in ball]
+    events = list(ball.events.values())
+    signatures = [authenticator.sign(event) for event in events]
 
     def sign_all():
         verdicts = 0
-        for entry in ball:
-            authenticator.sign(entry.event)
+        for event in events:
+            authenticator.sign(event)
             verdicts += 1
         return verdicts
 
     def verify_all():
         accepted = 0
-        for entry, signature in zip(ball, signatures):
-            if authenticator.verify(entry.event, signature) == "ok":
+        for event, signature in zip(events, signatures):
+            if authenticator.verify(event, signature) == "ok":
                 accepted += 1
         return accepted
 
@@ -298,8 +299,8 @@ def bench_auth(seed: int, repeats: int) -> dict:
         )
 
     guard = BallGuard(authenticator)
-    for entry in ball:
-        guard.seal(entry.event.source_id, (entry,))
+    for event in events:
+        guard.seal(event.source_id, ball)
     signed = guard.attach(ball)
     if any(signature is None for signature in signed.signatures):
         raise AssertionError("guard failed to sign every bench entry")
@@ -579,7 +580,7 @@ def _alloc_audit(seed: int, rounds: int) -> dict:
     import asyncio
     import tracemalloc
 
-    from repro.core.event import BallEntry, Event, make_ball
+    from repro.core.event import Ball, Event
     from repro.runtime.udp import UdpNetwork
 
     async def audit() -> dict:
@@ -588,9 +589,7 @@ def _alloc_audit(seed: int, rounds: int) -> dict:
         for nid in [0] + peers:
             network.register(nid, lambda src, msg: None)
         await network.open_all()
-        ball = make_ball(
-            [BallEntry(Event(id=(0, 0), ts=1, source_id=0, payload="audit"), 4)]
-        )
+        ball = Ball.of([(Event(id=(0, 0), ts=1, source_id=0, payload="audit"), 4)])
         for _ in range(10):  # steady state before measuring
             network.send_many(0, peers, ball)
         tracemalloc.start(5)

@@ -23,7 +23,7 @@ import random
 from typing import List, Tuple
 
 from repro.core.clock import GlobalClockOracle
-from repro.core.event import Ball, BallEntry, Event, make_ball
+from repro.core.event import Ball, Event
 from repro.core.ordering import OrderingComponent
 
 #: Stability threshold used by every ordering workload.
@@ -45,7 +45,7 @@ def build_ordering_schedule(n: int, seed: int) -> List[Ball]:
     schedule: List[Ball] = []
     made = 0
     for r in range(rounds):
-        entries: List[BallEntry] = []
+        entries: List[Tuple[Event, int]] = []
         while made < n and len(entries) < BALL_SIZE:
             src = rng.randrange(SOURCES)
             seq = seqs[src]
@@ -57,16 +57,20 @@ def build_ordering_schedule(n: int, seed: int) -> List[Ball]:
             else:
                 ts = 2 * r + rng.randrange(3)
             event = Event(id=(src, seq), ts=ts, source_id=src, payload=None)
-            entries.append(BallEntry(event, ttl=rng.randrange(3)))
+            entries.append((event, rng.randrange(3)))
             recent.append(event)
             made += 1
-        # Relayed copies of recent events, aged further elsewhere.
+        # Relayed copies of recent events, aged further elsewhere; a ball
+        # names an id once, so a copy of an event already in this
+        # round's ball is skipped (its draws are still taken).
         for _ in range(2):
             if recent and rng.random() < 0.5:
                 back = rng.randrange(1, min(len(recent), 5 * BALL_SIZE) + 1)
                 dup = recent[-back]
-                entries.append(BallEntry(dup, ttl=rng.randrange(TTL // 2)))
-        schedule.append(make_ball(entries))
+                ttl = rng.randrange(TTL // 2)
+                if all(event.id != dup.id for event, _ in entries):
+                    entries.append((dup, ttl))
+        schedule.append(Ball.of(entries))
     return schedule
 
 
@@ -88,7 +92,7 @@ def run_round_loop(component, schedule: List[Ball]) -> None:
     order_events = component.order_events
     for ball in schedule:
         order_events(ball)
-    empty: Ball = ()
+    empty = Ball({}, {})
     for _ in range(DRAIN_CAP):
         if not component.received_count:
             break
@@ -118,5 +122,5 @@ def build_codec_ball(entries: int, seed: int) -> Ball:
             source_id=src,
             payload={"k": i, "v": rng.randrange(1_000_000)},
         )
-        ball.append(BallEntry(event, ttl=rng.randrange(TTL)))
-    return make_ball(ball)
+        ball.append((event, rng.randrange(TTL)))
+    return Ball.of(ball)

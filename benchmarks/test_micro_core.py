@@ -18,7 +18,7 @@ import random
 
 from repro.core import EpToConfig
 from repro.core.dissemination import DisseminationComponent
-from repro.core.event import BallEntry, Event, make_ball
+from repro.core.event import Ball, Event
 from repro.core.ordering import OrderingComponent
 from repro.pss.cyclon import CyclonPss, CyclonRequest, CyclonResponse
 from repro.sim.engine import Simulator
@@ -62,8 +62,8 @@ class StaticPeerSampler:
 
 
 def make_big_ball(ttl: int = 1, ts_base: int = 0):
-    return make_ball(
-        BallEntry(Event(id=(i, 0), ts=ts_base + i, source_id=i), ttl=ttl)
+    return Ball.of(
+        (Event(id=(i, 0), ts=ts_base + i, source_id=i), ttl)
         for i in range(BALL_SIZE)
     )
 

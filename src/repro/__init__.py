@@ -47,7 +47,6 @@ Quickstart
 from .broadcast import BallsBinsProcess, FifoProcess
 from .core import (
     Ball,
-    BallEntry,
     ConfigurationError,
     DeliveryLog,
     EpToConfig,
@@ -99,7 +98,6 @@ __all__ = [
     "AsyncFaultInjector",
     "BackpressureError",
     "Ball",
-    "BallEntry",
     "BallsBinsProcess",
     "BroadcastService",
     "ChurnDriver",

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..core.errors import AuthError
-from ..core.event import Event
+from ..core.event import Ball, Event
 from ..sync.protocol import canonical_event_bytes
 from .keyring import KeyRing
 
@@ -60,22 +60,28 @@ class EventSignature:
 
 @dataclass(frozen=True, slots=True)
 class SignedBall:
-    """A ball in wire form: entries plus one optional signature each.
+    """A ball in wire form: the :class:`~repro.core.event.Ball` plus one
+    optional signature per entry.
 
-    ``signatures[i]`` authenticates ``entries[i].event`` (``None`` =
-    the sender attached no MAC for that entry — a verifying receiver
+    ``signatures[i]`` authenticates the ball's ``i``-th event (``None``
+    = the sender attached no MAC for that entry — a verifying receiver
     counts and drops it, a non-verifying one just strips it).
     """
 
-    entries: tuple
+    ball: Ball
     signatures: Tuple[Optional[EventSignature], ...]
 
     def __post_init__(self) -> None:
-        if len(self.entries) != len(self.signatures):
+        if len(self.ball) != len(self.signatures):
             raise AuthError(
-                f"signed ball has {len(self.entries)} entries but "
+                f"signed ball has {len(self.ball)} entries but "
                 f"{len(self.signatures)} signatures"
             )
+
+    @property
+    def entries(self) -> Ball:
+        """The ball, sized by its entries."""
+        return self.ball
 
 
 class HmacAuthenticator:

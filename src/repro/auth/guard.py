@@ -6,7 +6,7 @@
 policies the fabrics share:
 
 * **Seal on send** — :meth:`seal` signs every entry whose event was
-  *originated by the sender* (``entry.event.source_id == sender``) and
+  *originated by the sender* (``event.source_id == sender``) and
   remembers the signature in a bounded FIFO cache keyed by event id.
   A node never signs events it merely relays: that is the
   authenticated-diffusion model (Malkhi et al.) — only the source can
@@ -37,9 +37,10 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Set, Tuple
 
-from ..core.event import Ball, BallEntry, EventId
+from ..core.event import Ball, EventId
+from ..core.record import fits_i64
 from .authenticator import (
     VERDICT_BAD_SIGNATURE,
     VERDICT_OK,
@@ -90,13 +91,17 @@ class BallGuard:
 
         Relayed entries (``source_id != sender``) are left alone — their
         signatures were cached when their sources first sealed them, or
-        they stay unsigned and admission drops them.
+        they stay unsigned and admission drops them. So does an event
+        whose ``ts``, source or sequence lies outside the i64 range
+        (a Lamport clock pushed to its maximum): it has no canonical
+        bytes to sign, and no wire layout can carry it either.
         """
-        for entry in ball:
-            event = entry.event
-            if event.source_id != sender:
-                continue
-            if event.id not in self._signatures:
+        for event in ball.events.values():
+            if (
+                event.source_id == sender
+                and event.id not in self._signatures
+                and fits_i64(event.ts, event.source_id, event.seq)
+            ):
                 self._remember(event.id, self.authenticator.sign(event))
 
     def attach(self, ball: Ball, table=None) -> SignedBall:
@@ -106,14 +111,13 @@ class BallGuard:
         verifying; ``None`` when neither knows the id."""
         sealed = self._signatures.get
         if table is None:
-            signatures = tuple(sealed(entry.event.id) for entry in ball)
+            signatures = tuple(map(sealed, ball.ttls))
         else:
             relayed = table.signature_of
             signatures = tuple(
-                sealed(entry.event.id) or relayed(entry.event.id)
-                for entry in ball
+                sealed(event_id) or relayed(event_id) for event_id in ball.ttls
             )
-        return SignedBall(entries=ball, signatures=signatures)
+        return SignedBall(ball, signatures)
 
     # ------------------------------------------------------------------
     # Incoming
@@ -122,13 +126,11 @@ class BallGuard:
     def admit_ball(self, ball: Ball) -> Tuple[Ball, AdmitCounts]:
         """Verify *ball* against cached signatures (object fabrics).
 
-        Returns the admitted sub-ball (original entry objects, original
-        order) plus the rejection tally.
+        Returns the admitted sub-ball (original events, original order;
+        *ball* itself when every entry is admitted) plus the rejection
+        tally.
         """
-        signatures = tuple(
-            self._signatures.get(entry.event.id) for entry in ball
-        )
-        return self._admit(ball, signatures)
+        return self._admit(ball, tuple(map(self._signatures.get, ball.ttls)))
 
     def admit_signed(
         self, signed: SignedBall, table=None
@@ -143,7 +145,7 @@ class BallGuard:
         verifies is remembered there, for later copies and for relaying
         the entry onward with its MAC.
         """
-        return self._admit(signed.entries, signed.signatures, table)
+        return self._admit(signed.ball, signed.signatures, table)
 
     def _admit(
         self,
@@ -152,33 +154,42 @@ class BallGuard:
         table=None,
     ) -> Tuple[Ball, AdmitCounts]:
         counts = AdmitCounts()
-        admitted: List[BallEntry] = []
+        dropped: Set[EventId] = set()
         authenticator = self.authenticator
-        for entry, signature in zip(ball, signatures):
+        events = ball.events
+        for event, signature in zip(events.values(), signatures):
             if signature is None:
                 counts.unsigned += 1
-                continue
-            event = entry.event
-            if table is not None and table.holds(event, signature):
-                verdict = (
-                    VERDICT_OK
-                    if authenticator.keyring.accepts(
-                        event.source_id, signature.epoch
+            else:
+                if table is not None and table.holds(event, signature):
+                    verdict = (
+                        VERDICT_OK
+                        if authenticator.keyring.accepts(
+                            event.source_id, signature.epoch
+                        )
+                        else VERDICT_UNKNOWN_KEY
                     )
-                    else VERDICT_UNKNOWN_KEY
-                )
-            else:
-                verdict = authenticator.verify(event, signature)
-                if verdict == VERDICT_OK and table is not None:
-                    table.remember(event)
-            if verdict == VERDICT_OK:
-                admitted.append(entry)
-            elif verdict == VERDICT_UNKNOWN_KEY:
-                counts.unknown_key += 1
-            else:
-                assert verdict == VERDICT_BAD_SIGNATURE
-                counts.bad_signature += 1
-        return tuple(admitted), counts
+                else:
+                    verdict = authenticator.verify(event, signature)
+                    if verdict == VERDICT_OK and table is not None:
+                        table.remember(event)
+                if verdict == VERDICT_OK:
+                    continue
+                if verdict == VERDICT_UNKNOWN_KEY:
+                    counts.unknown_key += 1
+                else:
+                    assert verdict == VERDICT_BAD_SIGNATURE
+                    counts.bad_signature += 1
+            dropped.add(event.id)
+        if not dropped:
+            return ball, counts
+        return (
+            Ball(
+                {eid: event for eid, event in events.items() if eid not in dropped},
+                {eid: ttl for eid, ttl in ball.ttls.items() if eid not in dropped},
+            ),
+            counts,
+        )
 
     # ------------------------------------------------------------------
     # Cache

@@ -75,8 +75,7 @@ class BallsBinsProcess:
 
     def _deliver_new(self, ball: Ball) -> None:
         """Deliver each never-seen event immediately (no ordering)."""
-        for entry in ball:
-            event = entry.event
+        for event in ball.events.values():
             if event.id not in self._seen:
                 self._seen.add(event.id)
                 self.delivered_count += 1

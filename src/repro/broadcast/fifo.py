@@ -67,8 +67,7 @@ class FifoProcess:
         )
 
     def _ingest(self, ball: Ball) -> None:
-        for entry in ball:
-            event = entry.event
+        for event in ball.events.values():
             if event.id in self._seen:
                 continue
             self._seen.add(event.id)

@@ -87,14 +87,14 @@ class StabilityOrderedProcess:
         """
         for record in self._received.values():
             record.age()
-        for entry in ball:
-            if entry.event.id in self._delivered:
+        for event, ttl in zip(ball.events.values(), ball.ttls.values()):
+            if event.id in self._delivered:
                 continue
-            record = self._received.get(entry.event.id)
+            record = self._received.get(event.id)
             if record is not None:
-                record.merge_ttl(entry.ttl)
+                record.merge_ttl(ttl)
             else:
-                self._received[entry.event.id] = EventRecord(entry.event, entry.ttl)
+                self._received[event.id] = EventRecord(event, ttl)
 
         stable: List[EventRecord] = [
             record

@@ -22,19 +22,7 @@ from .errors import (
     SimulationError,
     TransportError,
 )
-from .event import (
-    Ball,
-    BallEntry,
-    Event,
-    EventId,
-    EventIdGenerator,
-    EventRecord,
-    MapBall,
-    OrderKey,
-    SharedBall,
-    ball_event_ids,
-    make_ball,
-)
+from .event import Ball, Event, EventId, EventIdGenerator, EventRecord, OrderKey
 from .interfaces import PeerSampler, Transport
 from .ordering import OrderingComponent, OrderingStats
 from .params import (
@@ -48,7 +36,6 @@ from .process import EpToProcess
 
 __all__ = [
     "Ball",
-    "BallEntry",
     "ConfigurationError",
     "DEFAULT_C",
     "DeliveryLog",
@@ -63,7 +50,6 @@ __all__ = [
     "EventRecord",
     "GlobalClockOracle",
     "LogicalClockOracle",
-    "MapBall",
     "MembershipError",
     "OrderKey",
     "OrderingComponent",
@@ -71,7 +57,6 @@ __all__ = [
     "OrderingStats",
     "PeerSampler",
     "ReproError",
-    "SharedBall",
     "SimulationError",
     "StabilityEstimate",
     "StabilityEstimator",
@@ -79,9 +64,7 @@ __all__ = [
     "TaggedEvent",
     "Transport",
     "TransportError",
-    "ball_event_ids",
     "derive_parameters",
-    "make_ball",
     "make_oracle",
     "min_fanout",
     "min_ttl",

@@ -32,15 +32,7 @@ from typing import Any, Callable, Collection, Tuple
 
 from .clock import StabilityOracle
 from .config import EpToConfig
-from .event import (
-    Ball,
-    BallEntry,
-    Event,
-    EventId,
-    EventIdGenerator,
-    MapBall,
-    SharedBall,
-)
+from .event import Ball, Event, EventId, EventIdGenerator
 from .interfaces import PeerSampler, Transport
 from .record import uvarint_nbytes, wire_sizes
 
@@ -129,8 +121,8 @@ class DisseminationComponent:
         self._id_generator = EventIdGenerator(node_id)
         # nextBall: events to relay next round and the TTL of each, two
         # dicts with the same keys in the same insertion order. The TTLs
-        # are a plain ``{event id: ttl}`` so that a received
-        # :class:`SharedBall` can be tested against them in C.
+        # are a plain ``{event id: ttl}`` so that a received ball's TTL
+        # map can be tested against them in C.
         self._next_events: dict[EventId, Event] = {}
         self._next_ttls: dict[EventId, int] = {}
         # Only logical clocks react to update_clock; skip the per-entry
@@ -182,69 +174,44 @@ class DisseminationComponent:
 
         A push epidemic hands a node each event about ``K * TTL``
         times, so most balls teach their receiver little or nothing. A
-        :class:`~repro.core.event.SharedBall` (a round's ball, handed
-        over by reference) and a :class:`~repro.core.event.MapBall` (a
-        wire ball, decoded) carry ``{event id: Event}`` and ``{event id:
-        ttl}`` maps, and are merged by them: the split by this node's
-        TTL bound, then — unless every live entry is already pending
-        here *at that very TTL*, which one C-level dict-view subset test
-        says — a max-merge over the live map in ball order, and one
-        clock update with the largest timestamp (Algorithm 4 is a
-        max-merge, so that leaves what one update per entry does). A
-        wire ball that carries an entry at or past the bound (nearly
-        every one on ``udp_eager_small``) is merged without the split:
-        its merge drops those entries as it goes. Any other ball — a plain
-        tuple of entries, which may name an id twice — is merged entry
-        by entry.
+        ball is merged by its ``{event id: Event}`` and ``{event id:
+        ttl}`` maps, never entry by entry, with one clock update with
+        its largest timestamp (Algorithm 4 is a max-merge, so that
+        leaves what one update per entry does). How depends on how many
+        nodes receive the ball object:
+
+        * A round's ball handed to several receivers (the simulator, the
+          in-memory asyncio network) is split by this node's TTL bound
+          once per bound for all of them; then — unless every live entry
+          is already pending here *at that very TTL*, which one C-level
+          dict-view subset test says — its live map is max-merged in
+          ball order.
+        * A ball with one receiver (a wire ball, decoded) is max-merged
+          in one pass that drops the entries at or past the bound as it
+          goes: a split of its own would cost what the merge does.
         """
         stats = self.stats
         stats.balls_received += 1
-        if type(ball) is MapBall or isinstance(ball, SharedBall):
-            ttls = ball.ttls
-            stats.entries_received += len(ttls)
-            bound = self.config.ttl
-            if type(ball) is MapBall and ball.max_ttl >= bound:
-                # One receiver: splitting the map first would cost
-                # what merging it does.
-                self._merge(ttls, ball.events, bound)
+        ttls = ball.ttls
+        stats.entries_received += len(ttls)
+        bound = self.config.ttl
+        if not ball.shared:
+            self._merge(ttls, ball.events, bound)
+        else:
+            live, expired = ball.split(bound)
+            stats.entries_expired += expired
+            next_ttls = self._next_ttls
+            if live.items() <= next_ttls.items():
+                pass  # teaches nothing
+            elif next_ttls or expired:
+                self._merge(live, ball.events, bound)
             else:
-                # A round's ball is split once per bound for all its
-                # receivers; a wire ball here has nothing to drop.
-                live, expired = ball.split(bound)
-                stats.entries_expired += expired
-                next_ttls = self._next_ttls
-                if live.items() <= next_ttls.items():
-                    pass  # teaches nothing
-                elif next_ttls or expired:
-                    self._merge(live, ball.events, bound)
-                else:
-                    # Nothing pending and nothing dropped: the maps are
-                    # the merge, in C.
-                    next_ttls.update(live)
-                    self._next_events.update(ball.events)
-            if self._clock_needs_updates and ttls:
-                self.oracle.update_clock(ball.max_ts)
-            return
-        stats.entries_received += len(ball)
-        ttl_bound = self.config.ttl
-        next_ttls = self._next_ttls
-        next_events = self._next_events
-        update_clock = self.oracle.update_clock if self._clock_needs_updates else None
-        for entry in ball:
-            event = entry.event
-            ttl = entry.ttl
-            if ttl >= ttl_bound:
-                stats.entries_expired += 1
-            else:
-                event_id = event.id
-                known = next_ttls.get(event_id)
-                if known is None:
-                    next_events[event_id] = event
-                    next_ttls[event_id] = ttl
-                elif ttl > known:
-                    next_ttls[event_id] = ttl
-            if update_clock is not None:
-                update_clock(event.ts)
+                # Nothing pending and nothing dropped: the maps are the
+                # merge, in C.
+                next_ttls.update(live)
+                self._next_events.update(ball.events)
+        if self._clock_needs_updates and ttls:
+            self.oracle.update_clock(ball.max_ts)
 
     def _merge(self, ttls: dict, events: dict, bound: int) -> None:
         """Max-merge *ttls* (``{event id: ttl}``, in ball order; the
@@ -273,19 +240,18 @@ class DisseminationComponent:
         inside ``order_events`` — is queued for the next round instead
         of being cleared with this one. Then ages every handed-over
         event, ships the resulting ball to ``K`` random peers and feeds
-        it to the ordering component. The ball object is immutable, so
-        a single instance — entries and maps, each built once, the
-        events map being the pending one handed over — is shared among
-        all ``K`` receivers.
+        it to the ordering component. The ball is never mutated, so a
+        single instance — its events map being the pending one handed
+        over — is shared among all ``K`` receivers.
         """
         self.stats.rounds += 1
         events, next_ttls = self._next_events, self._next_ttls
         self._next_events, self._next_ttls = {}, {}
         if next_ttls:
             # Age + snapshot fused: nextBall lives exactly one round, so
-            # ``ttl + 1`` lands directly in the shipped map and entries.
+            # ``ttl + 1`` lands directly in the shipped map.
             ttls = {event_id: ttl + 1 for event_id, ttl in next_ttls.items()}
-            ball = SharedBall(map(BallEntry, events.values(), ttls.values()), ttls, events)
+            ball = Ball(events, ttls, shared=True)
             peers = self.peer_sampler.sample(self.config.fanout)
             if self._send_many is not None:
                 self._send_many(self.node_id, peers, ball)
@@ -305,7 +271,7 @@ class DisseminationComponent:
             self.stats.metadata_bytes += metadata * fan
             self.stats.payload_bytes += payload * fan
         else:
-            ball = ()
+            ball = Ball(events, next_ttls)  # both empty
         # Refinement: order/age every round, not only on non-empty
         # balls (see module docstring).
         self.order_events(ball)

@@ -221,8 +221,7 @@ class OrderingComponent:
         ready_ids = self._ready_ids
         frontier = self._frontier
         ttl_bound = self.oracle.ttl
-        for entry in ball:
-            event = entry.event
+        for event, ttl in zip(ball.events.values(), ball.ttls.values()):
             event_id = event.id
             if event_id in delivered_ids:
                 self.stats.discarded_duplicates += 1
@@ -235,10 +234,10 @@ class OrderingComponent:
             if record is not None:
                 if event_id in ready_ids:
                     # Already deliverable; a larger TTL changes nothing.
-                    record.merge_ttl_at(entry.ttl, now)
+                    record.merge_ttl_at(ttl, now)
                     continue
                 old_due = now + ttl_bound - record.ttl_at(now) + 1
-                record.merge_ttl_at(entry.ttl, now)
+                record.merge_ttl_at(ttl, now)
                 new_due = now + ttl_bound - record.ttl + 1
                 if new_due < old_due:
                     # The merged copy aged further elsewhere: the record
@@ -246,9 +245,9 @@ class OrderingComponent:
                     # The old bucket entry goes stale and is skipped.
                     frontier.setdefault(max(new_due, now), []).append(event_id)
             else:
-                record = EventRecord(event, entry.ttl, now)
+                record = EventRecord(event, ttl, now)
                 received[event_id] = record
-                due = now + ttl_bound - entry.ttl + 1
+                due = now + ttl_bound - ttl + 1
                 if due <= now:
                     # Stable on arrival (relayed past the TTL already).
                     self._promote([event_id], now)

@@ -89,6 +89,13 @@ def _read_zigzag(data, offset: int, what: str) -> Tuple[int, int]:
     return (value >> 1) ^ -(value & 1), offset
 
 
+def fits_i64(*values: int) -> bool:
+    """Whether every one of *values* lies in the i64 range a record's
+    ``ts``, source and sequence keep — the range of the fixed-width
+    layouts the codec writes them in elsewhere, too."""
+    return all(_I64_MIN <= value <= _I64_MAX for value in values)
+
+
 def payload_json(payload: Any) -> bytes:
     """*payload* as the UTF-8 JSON the wire carries.
 

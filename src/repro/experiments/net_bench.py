@@ -181,16 +181,14 @@ class NetBenchResult:
 
 async def _open_blast_net(batch, seed: int):
     """One fabric with node 0 and :data:`_BLAST_PEERS` warm peers."""
-    from repro.core.event import BallEntry, Event, make_ball
+    from repro.core.event import Ball, Event
 
     network = UdpNetwork(seed=seed, batch=batch)
     peers = list(range(1, _BLAST_PEERS + 1))
     for nid in [0] + peers:
         network.register(nid, lambda src, msg: None)
     await network.open_all()
-    ball = make_ball(
-        [BallEntry(Event(id=(0, 0), ts=1, source_id=0, payload="blast-x"), 4)]
-    )
+    ball = Ball.of([(Event(id=(0, 0), ts=1, source_id=0, payload="blast-x"), 4)])
     # Warm up the codec buffer outside the clock.
     network.send_many(0, peers, ball)
     return network, ball

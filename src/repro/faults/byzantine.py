@@ -50,11 +50,14 @@ from pathlib import Path
 from typing import Deque, Dict, Iterable, List, Sequence, Tuple
 
 from ..core.errors import FaultInjectionError
-from ..core.event import Ball, BallEntry, Event, make_ball
+from ..core.event import Ball, Event
 from ..storage.recovery import LOG_SUBDIR
 
 #: How many relayed entries the router remembers for replay/resurrection.
 DEFAULT_STASH_SIZE = 64
+
+#: One ball entry as the router handles it: ``(event, ttl)``.
+Entry = Tuple[Event, int]
 
 
 @dataclass(slots=True)
@@ -98,7 +101,7 @@ class ByzantineRouter:
         self.stats = ByzantineStats()
         # node id -> behavior name -> firing rate.
         self._active: Dict[int, Dict[str, float]] = {}
-        self._stash: Deque[BallEntry] = deque(maxlen=stash_size)
+        self._stash: Deque[Entry] = deque(maxlen=stash_size)
         self._garble_counter = 0
 
     # ------------------------------------------------------------------
@@ -137,11 +140,13 @@ class ByzantineRouter:
     # ------------------------------------------------------------------
 
     def transform(self, sender: int, dst: int, ball: Ball) -> Ball:
-        """Hostile version of *ball* as *sender* ships it to *dst*."""
+        """Hostile version of *ball* as *sender* ships it to *dst*: a
+        new ball (*ball* itself is never mutated) that names each id at
+        most once."""
         behaviors = self._active.get(sender)
         if not behaviors:
             return ball
-        entries: List[BallEntry] = list(ball)
+        entries: List[Entry] = list(zip(ball.events.values(), ball.ttls.values()))
         self._remember_relayed(sender, entries)
         for behavior, rate in behaviors.items():
             if rate < 1.0 and self._rng.random() >= rate:
@@ -154,24 +159,21 @@ class ByzantineRouter:
                 entries = self._ttl_inflate(sender, entries)
             elif behavior == "replay":
                 entries = self._replay(sender, entries)
-        return make_ball(entries)
+        return Ball.of(entries)
 
-    def _remember_relayed(self, sender: int, entries: Sequence[BallEntry]) -> None:
+    def _remember_relayed(self, sender: int, entries: Sequence[Entry]) -> None:
         for entry in entries:
-            if entry.event.source_id != sender:
+            if entry[0].source_id != sender:
                 self._stash.append(entry)
 
-    def _equivocate(
-        self, sender: int, dst: int, entries: List[BallEntry]
-    ) -> List[BallEntry]:
+    def _equivocate(self, sender: int, dst: int, entries: List[Entry]) -> List[Entry]:
         # Same (source, seq) and timestamp, divergent payload per
         # destination parity: two halves of the cluster accept two
         # different "contents" for the same agreed position.
-        out: List[BallEntry] = []
-        for entry in entries:
-            event = entry.event
+        out: List[Entry] = []
+        for event, ttl in entries:
             if event.source_id == sender:
-                out.append(entry)
+                out.append((event, ttl))
                 continue
             forged = Event(
                 id=event.id,
@@ -179,18 +181,17 @@ class ByzantineRouter:
                 source_id=event.source_id,
                 payload={"equivocated_by": sender, "variant": dst & 1},
             )
-            out.append(BallEntry(forged, entry.ttl))
+            out.append((forged, ttl))
             self.stats.equivocated += 1
         return out
 
-    def _garble(self, sender: int, entries: List[BallEntry]) -> List[BallEntry]:
+    def _garble(self, sender: int, entries: List[Entry]) -> List[Entry]:
         # Garbage payload plus a small timestamp shift: the order key
         # itself diverges between the genuine and the garbled copy.
-        out: List[BallEntry] = []
-        for entry in entries:
-            event = entry.event
+        out: List[Entry] = []
+        for event, ttl in entries:
             if event.source_id == sender:
-                out.append(entry)
+                out.append((event, ttl))
                 continue
             self._garble_counter += 1
             forged = Event(
@@ -199,28 +200,39 @@ class ByzantineRouter:
                 source_id=event.source_id,
                 payload={"garbled_by": sender, "n": self._garble_counter},
             )
-            out.append(BallEntry(forged, entry.ttl))
+            out.append((forged, ttl))
             self.stats.garbled += 1
         return out
 
-    def _ttl_inflate(self, sender: int, entries: List[BallEntry]) -> List[BallEntry]:
+    def _ttl_inflate(self, sender: int, entries: List[Entry]) -> List[Entry]:
         # Resurrect the oldest stashed relayed entry with its TTL
         # rewound to zero — to receivers it looks freshly broadcast,
-        # long after the genuine copies left the TTL window.
+        # long after the genuine copies left the TTL window. An id the
+        # ball already names is skipped: a ball names an id once.
         if not self._stash:
             return entries
-        stale = self._stash.popleft()
+        stale = self._stash.popleft()[0]
+        if _names(entries, stale.id):
+            return entries
         self.stats.ttl_inflated += 1
-        return entries + [BallEntry(stale.event, 0)]
+        return entries + [(stale, 0)]
 
-    def _replay(self, sender: int, entries: List[BallEntry]) -> List[BallEntry]:
+    def _replay(self, sender: int, entries: List[Entry]) -> List[Entry]:
         # Re-send a previously relayed entry verbatim (valid MAC and
-        # TTL): pure duplicate pressure on the receivers' dedupe.
+        # TTL): pure duplicate pressure on the receivers' dedupe. An id
+        # the ball already names is skipped, as above.
         if not self._stash:
             return entries
         replayed = self._rng.choice(self._stash)
+        if _names(entries, replayed[0].id):
+            return entries
         self.stats.replayed += 1
         return entries + [replayed]
+
+
+def _names(entries: Sequence[Entry], event_id) -> bool:
+    """Whether *entries* hold an entry for *event_id*."""
+    return any(event.id == event_id for event, _ in entries)
 
 
 # ----------------------------------------------------------------------
@@ -260,7 +272,7 @@ def forged_events(
 
 def garbage_ball(events: Iterable[Event], ttl: int = 0) -> Ball:
     """Wrap forged *events* as a freshly-broadcast-looking ball."""
-    return make_ball(BallEntry(event, ttl) for event in events)
+    return Ball.of((event, ttl) for event in events)
 
 
 def scramble_journal(directory: Path, rng: random.Random) -> List[str]:

@@ -26,19 +26,12 @@ Components:
 """
 
 from .process import LazyEpToProcess, LazyStats
-from .protocol import (
-    LAZY_MESSAGE_TYPES,
-    IdBall,
-    IdEntry,
-    PayloadRequest,
-    PayloadResponse,
-)
+from .protocol import LAZY_MESSAGE_TYPES, IdBall, PayloadRequest, PayloadResponse
 from .pull import PullManager
 from .store import PayloadStore
 
 __all__ = [
     "IdBall",
-    "IdEntry",
     "LAZY_MESSAGE_TYPES",
     "LazyEpToProcess",
     "LazyStats",

@@ -7,7 +7,7 @@ and changes only what crosses the network:
 * outgoing balls are stripped to :class:`~repro.lazy.protocol.IdBall`
   metadata by a transport adapter — the dissemination component never
   notices;
-* incoming id-balls are inflated to payload-less balls and fed to the
+* an incoming id-ball's ball of payload-less events is fed to the
   ordinary ``on_ball`` path, so the ordering component orders metadata
   exactly as it would order full events (the order key is
   ``(ts, source_id, seq)``; payloads never influence it);
@@ -40,13 +40,7 @@ from ..core.event import Ball, Event
 from ..core.interfaces import PeerSampler, Transport
 from ..core.process import EpToProcess
 from ..core.record import wire_sizes
-from .protocol import (
-    IdBall,
-    PayloadRequest,
-    PayloadResponse,
-    ball_to_id_ball,
-    id_ball_to_meta_ball,
-)
+from .protocol import IdBall, PayloadRequest, PayloadResponse
 from .pull import PullManager
 from .store import PayloadStore
 
@@ -110,11 +104,21 @@ class _MetadataTransport:
 
     def send_many(self, src: int, dsts, ball: Ball) -> None:
         owner = self._owner
-        id_ball = ball_to_id_ball(ball)
+        # An event this node relays from an id-ball has no payload
+        # already; only its own broadcasts (and events of a full ball)
+        # are stripped. The TTL map is the round's own: nothing mutates
+        # a ball.
+        events = {
+            event_id: event
+            if event.payload is None
+            else Event(id=event_id, ts=event.ts, source_id=event.source_id)
+            for event_id, event in ball.events.items()
+        }
+        id_ball = IdBall(Ball(events, ball.ttls, shared=ball.shared))
         fan = len(dsts)
         owner.lazy_stats.id_balls_sent += fan
         owner.lazy_stats.metadata_bytes += fan * (
-            HEADER_BYTES + ID_ENTRY_BYTES * len(id_ball.entries)
+            HEADER_BYTES + ID_ENTRY_BYTES * len(ball)
         )
         transport = owner._transport
         send_many = getattr(transport, "send_many", None)
@@ -201,8 +205,8 @@ class LazyEpToProcess:
     def on_ball(self, ball: Ball) -> None:
         """Full eager ball (mixed-mode peer or external repair): the
         payloads are right there, so store them and proceed eagerly."""
-        for entry in ball:
-            self.store.put(entry.event, self._round_no)
+        for event in ball.events.values():
+            self.store.put(event, self._round_no)
         self.process.on_ball(ball)
         self._release()
 
@@ -242,20 +246,20 @@ class LazyEpToProcess:
     def on_id_ball(self, src: int, id_ball: IdBall) -> None:
         """Metadata ball from *src*: register wants, order metadata."""
         self.lazy_stats.id_balls_received += 1
+        ball = id_ball.ball
         ttl_bound = self.config.ttl
         store = self.store
-        for ts, source, seq, ttl in id_ball.entries:
+        for event_id, ttl in ball.ttls.items():
             if ttl >= ttl_bound:
                 # The dissemination component drops expired entries
                 # entirely (they never reach ordering), so pulling
                 # their payloads would be wasted traffic.
                 continue
-            event_id = (source, seq)
             if event_id not in store:
                 # The relayer advertises first; the source is the
                 # fallback of last resort (it always held the payload).
-                self.pull.want(event_id, advertisers=(src, source))
-        self.process.on_ball(id_ball_to_meta_ball(id_ball))
+                self.pull.want(event_id, advertisers=(src, event_id[0]))
+        self.process.on_ball(ball)
 
     def on_payload_request(self, src: int, request: PayloadRequest) -> None:
         """Serve a pull: full events for held ids, ``missing`` for the

@@ -3,9 +3,9 @@
 Three message types, mirroring the IHAVE/pull shape of lazy epidemic
 dissemination:
 
-* :class:`IdBall` — the metadata twin of an EpTO ball: one
-  ``(ts, source, seq, ttl)`` tuple per event, no payloads. Shipped to
-  ``K`` peers per round exactly like an eager ball; its sender
+* :class:`IdBall` — the metadata twin of an EpTO ball: its events
+  without their payloads, each with its TTL. Shipped to ``K`` peers
+  per round exactly like an eager ball; its sender
   implicitly advertises the payloads (it either holds them or is
   pulling them itself).
 * :class:`PayloadRequest` — a pull: "send me the payloads of these
@@ -27,17 +27,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
-from ..core.event import Ball, BallEntry, Event, EventId, make_ball
-
-#: One metadata entry: ``(ts, source, seq, ttl)``.
-IdEntry = Tuple[int, int, int, int]
+from ..core.event import Ball, Event, EventId
 
 
 @dataclass(frozen=True, slots=True)
 class IdBall:
-    """A ball carrying event metadata only (lazy-push eager leg)."""
+    """A ball carrying event metadata only (lazy-push eager leg): a
+    :class:`~repro.core.event.Ball` of payload-less events. The
+    ordering component orders them by ``(ts, source_id, seq)`` exactly
+    as it would the full events, which is why metadata alone drives
+    ordering."""
 
-    entries: Tuple[IdEntry, ...]
+    ball: Ball
+
+    @property
+    def entries(self) -> Ball:
+        """The ball, sized by its entries."""
+        return self.ball
 
 
 @dataclass(frozen=True, slots=True)
@@ -60,28 +66,3 @@ class PayloadResponse:
 #: Dispatch tuple for hosting runtimes (mirrors ``SYNC_MESSAGE_TYPES``).
 LAZY_MESSAGE_TYPES = (IdBall, PayloadRequest, PayloadResponse)
 
-
-def ball_to_id_ball(ball: Ball) -> IdBall:
-    """Strip a ball to its metadata twin (what lazy mode ships)."""
-    return IdBall(
-        entries=tuple(
-            (entry.event.ts, entry.event.source_id, entry.event.seq, entry.ttl)
-            for entry in ball
-        )
-    )
-
-
-def id_ball_to_meta_ball(id_ball: IdBall) -> Ball:
-    """Inflate metadata entries into a payload-less ball.
-
-    The resulting events carry ``payload=None``; the ordering component
-    orders them by ``(ts, source_id, seq)`` exactly as it would the full
-    events, which is why metadata alone drives ordering.
-    """
-    return make_ball(
-        BallEntry(
-            Event(id=(source, seq), ts=ts, source_id=source, payload=None),
-            ttl=ttl,
-        )
-        for ts, source, seq, ttl in id_ball.entries
-    )

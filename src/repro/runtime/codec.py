@@ -48,10 +48,17 @@ fixed-width layout they replaced (``ts``, source and sequence i64, TTL
 a non-negative i32), every varint has one minimal form of at most ten
 bytes, and anything else is refused; so equal records are equal bytes,
 which is what lets a receiver's :class:`AdmittedEntries` key plain
-entries by them. A plain ball decodes to a
-:class:`~repro.core.event.MapBall` (``{event id: Event}`` and ``{event
-id: ttl}`` in wire order), or — if it names an id twice, which no
-honest sender does — to the plain tuple of entries.
+entries by them.
+
+Every ball kind — plain (1), signed (7) and id-ball (9) — encodes from
+and decodes to one :class:`~repro.core.event.Ball` (``{event id:
+Event}`` and ``{event id: ttl}`` in wire order), bare or wrapped with
+its signatures or as metadata. A wire ball that names an event id twice
+is refused: no honest sender ships one, since a ball is a map. A
+fixed-width field keeps the range of its layout — i64 for ``ts``, source
+and sequence, the range :mod:`repro.core.record` keeps a record's
+fields in — and a value outside it is refused with :class:`CodecError`
+like any other message that cannot be encoded.
 
 Versioning: there is one header version (6: version 5 carried the
 fixed-width ball entry ``ts i64 | source i64 | seq i64 | ttl i32 |
@@ -83,12 +90,11 @@ import struct
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import partial
-from operator import attrgetter
 from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple, Union
 
 from ..auth.authenticator import EventSignature, SignedBall
 from ..core.errors import TransportError
-from ..core.event import BALL_TYPES, Ball, BallEntry, Event, MapBall, make_ball
+from ..core.event import Ball, Event
 from ..core.record import (
     WireRecord,
     parse_record,
@@ -121,7 +127,6 @@ MAX_MAC_LEN = 255
 _HEADER = struct.Struct("!2sBBqI")
 _KIND_OFFSET = 3  # magic 2s | version u8 | kind u8
 _MAX_TTL = 0x7FFFFFFF  # a ball entry's TTL keeps the i32 range
-_TS = attrgetter("ts")
 _NOTHING_KNOWN: Dict[Any, Event] = {}  # the table of a decode without one
 _SIGNED_ENTRY = struct.Struct("!qqqiIB")  # ts, source, seq, ttl, epoch, mac_len
 _PAYLOAD_LEN = struct.Struct("!I")
@@ -354,16 +359,15 @@ def _encode_into(sender: int, message: WireMessage, buffer: bytearray) -> int:
     bytes."""
     row = _ROW_OF_TYPE.get(type(message))
     if row is None:
-        # A ball is any tuple of entries — what a round ships is a
-        # tuple subclass (core.event.SharedBall) — or a MapBall a node
-        # decoded and sends on.
-        if not isinstance(message, BALL_TYPES):
-            raise CodecError(
-                f"cannot encode message of type {type(message).__name__}"
-            )
-        row = _ROW_OF_TYPE[tuple]
-    buffer += _HEADER.pack(_MAGIC, _VERSION, row.kind, sender, row.count(message))
-    payload_bytes = row.encode_body(message, buffer)
+        raise CodecError(f"cannot encode message of type {type(message).__name__}")
+    try:
+        buffer += _HEADER.pack(_MAGIC, _VERSION, row.kind, sender, row.count(message))
+        payload_bytes = row.encode_body(message, buffer)
+    except struct.error as exc:
+        raise CodecError(
+            f"a field of a kind-{row.kind} message is outside its "
+            f"fixed-width range: {exc}"
+        ) from exc
     _check_cap(len(buffer), "encoded message")
     return payload_bytes
 
@@ -536,13 +540,12 @@ def _json_payload(raw, label: str):
 def _encode_ball_into(ball: Ball, buffer: bytearray) -> int:
     size = len(buffer)
     payload_total = 0
-    for index, entry in enumerate(ball):
-        event = entry.event
+    entries = zip(ball.events.values(), ball.ttls.values())
+    for index, (event, ttl) in enumerate(entries):
         wire = event._wire
         if wire is None or not wire[0]:
             wire = _record_of(event)
         record, payload_nbytes, _ = wire
-        ttl = entry.ttl
         if ttl > _MAX_TTL:
             raise CodecError(f"ttl {ttl} of event {event.id} exceeds the i32 range")
         head = uvarint(ttl) + uvarint(len(record))
@@ -557,7 +560,7 @@ def _encode_ball_into(ball: Ball, buffer: bytearray) -> int:
 
 def _decode_ball(
     body, count: int, table: Optional[AdmittedEntries], topic: Optional[int]
-) -> Union[MapBall, Ball]:
+) -> Ball:
     # The loop runs once per copy of every event (K·TTL per node), so
     # everything it can do once per ball it does here. A copy whose
     # record the table holds costs the slice that is its key and one
@@ -571,7 +574,6 @@ def _decode_ball(
     first_sights = 0
     events = {}
     ttls = {}
-    entries = None  # the plain tuple, once an id repeats
     offset = 0
     try:
         for _ in range(count):
@@ -596,27 +598,21 @@ def _decode_ball(
                     first_sights += 1
                     table.pending.setdefault(key, event)
             event_id = event.id
-            if entries is None and event_id not in ttls:
-                events[event_id] = event
-                ttls[event_id] = ttl
-            else:
-                if entries is None:
-                    # An id named twice (no honest sender ships one)
-                    # keeps the per-entry meaning of Algorithm 1: every
-                    # copy merged in turn.
-                    entries = list(map(BallEntry, events.values(), ttls.values()))
-                entries.append(BallEntry(event, ttl))
+            if event_id in ttls:
+                raise _named_twice(event_id)
+            events[event_id] = event
+            ttls[event_id] = ttl
     except IndexError:  # the body ended inside an entry's TTL or length
         raise CodecError("truncated ball entry") from None
     _expect_end(body, offset, "ball")
     if table is not None:
         table.hits += count - first_sights
         table.misses += first_sights
-    if entries is not None:
-        return make_ball(entries)
-    if not ttls:
-        return MapBall(events, ttls, 0, 0)
-    return MapBall(events, ttls, max(map(_TS, events.values())), max(ttls.values()))
+    return Ball(events, ttls)
+
+
+def _named_twice(event_id) -> CodecError:
+    return CodecError(f"ball names event {event_id} twice")
 
 
 def _long_entry_head(body, offset: int) -> Tuple[int, int, int]:
@@ -635,13 +631,13 @@ def _long_entry_head(body, offset: int) -> Tuple[int, int, int]:
 def _encode_signed_ball_into(message: SignedBall, buffer: bytearray) -> int:
     # As _encode_ball_into; each entry additionally carries its signing
     # epoch and MAC.
+    ball = message.ball
     size = len(buffer)
     payload_total = 0
-    total = len(message.entries)
-    for index, (entry, signature) in enumerate(
-        zip(message.entries, message.signatures)
+    total = len(ball)
+    for index, (event, ttl, signature) in enumerate(
+        zip(ball.events.values(), ball.ttls.values(), message.signatures)
     ):
-        event = entry.event
         payload = _payload_bytes(event)
         epoch, mac = (signature.epoch, signature.mac) if signature else (0, b"")
         if len(mac) > MAX_MAC_LEN:
@@ -653,7 +649,7 @@ def _encode_signed_ball_into(message: SignedBall, buffer: bytearray) -> int:
         if size > MAX_DATAGRAM:
             raise _crosses_cap("signed ball entry", index, total, event, size)
         buffer += _SIGNED_ENTRY.pack(
-            event.ts, event.source_id, event.seq, entry.ttl, epoch, len(mac)
+            event.ts, event.source_id, event.seq, ttl, epoch, len(mac)
         )
         buffer += mac
         buffer += _PAYLOAD_LEN.pack(len(payload))
@@ -669,7 +665,8 @@ def _decode_signed_ball(
     unpack, head = _SIGNED_ENTRY.unpack_from, _SIGNED_ENTRY.size
     size = len(body)
     first_sights = 0
-    entries = []
+    events = {}
+    ttls = {}
     signatures = []
     offset = 0
     for _ in range(count):
@@ -716,13 +713,17 @@ def _decode_signed_ball(
                 table.pending.setdefault(key, (raw, event, signature, False))
         if ttl < 0:
             raise CodecError(f"negative ttl {ttl}")
-        entries.append(BallEntry(event, ttl))
+        event_id = event.id
+        if event_id in ttls:
+            raise _named_twice(event_id)
+        events[event_id] = event
+        ttls[event_id] = ttl
         signatures.append(signature)
     _expect_end(body, offset, "signed ball")
     if table is not None:
         table.hits += count - first_sights
         table.misses += first_sights
-    return SignedBall(entries=make_ball(entries), signatures=tuple(signatures))
+    return SignedBall(Ball(events, ttls), tuple(signatures))
 
 
 def _encode_topic_envelope_into(
@@ -945,8 +946,9 @@ def _decode_cyclon(message_type, body, count: int, *_):
 
 
 def _encode_id_ball_into(message: IdBall, buffer: bytearray) -> int:
-    for ts, source, seq, ttl in message.entries:
-        buffer += _ID_ENTRY.pack(ts, source, seq, ttl)
+    ball = message.ball
+    for event, ttl in zip(ball.events.values(), ball.ttls.values()):
+        buffer += _ID_ENTRY.pack(event.ts, event.source_id, event.seq, ttl)
     return 0
 
 
@@ -956,11 +958,17 @@ def _decode_id_ball(body, count: int, *_) -> IdBall:
         raise CodecError(
             f"id-ball body is {len(body)} bytes, expected {expected}"
         )
-    entries = tuple(_ID_ENTRY.iter_unpack(body))
-    for _ts, _source, _seq, ttl in entries:
+    events = {}
+    ttls = {}
+    for ts, source, seq, ttl in _ID_ENTRY.iter_unpack(body):
         if ttl < 0:
             raise CodecError(f"negative ttl {ttl}")
-    return IdBall(entries=entries)
+        event_id = (source, seq)
+        if event_id in ttls:
+            raise _named_twice(event_id)
+        events[event_id] = Event(id=event_id, ts=ts, source_id=source)
+        ttls[event_id] = ttl
+    return IdBall(Ball(events, ttls))
 
 
 def _encode_payload_request_into(
@@ -1036,7 +1044,7 @@ def _entries(message) -> int:
 #: Every kind the codec can carry — the only place one is declared.
 #: Adding a kind is one row plus its two body functions.
 _KINDS = (
-    _Kind(1, tuple, len, _encode_ball_into, _decode_ball),
+    _Kind(1, Ball, len, _encode_ball_into, _decode_ball),
     _Kind(2, CyclonRequest, _entries,
           _encode_cyclon_into, partial(_decode_cyclon, CyclonRequest)),
     _Kind(3, CyclonResponse, _entries,

@@ -36,7 +36,7 @@ from typing import Any, Callable, Dict
 
 from ..auth.guard import BallGuard
 from ..core.errors import MembershipError
-from ..core.event import BALL_TYPES
+from ..core.event import Ball
 
 #: Inbox callback: ``handler(src, message)`` (synchronous, loop thread).
 AsyncMessageHandler = Callable[[int, Any], None]
@@ -217,7 +217,7 @@ class AsyncNetwork:
         """Seal the genuine ball, then apply any hostile transform —
         same ordering rationale as the sim fabric: the guard's cache
         pins the original canonical bytes before a relay can mutate."""
-        if not isinstance(message, BALL_TYPES):
+        if not isinstance(message, Ball):
             return message
         ball = message
         if self._guard is not None:
@@ -235,7 +235,7 @@ class AsyncNetwork:
         if handler is None:
             self.stats.dropped_dead += 1
             return
-        if self._guard is not None and isinstance(message, BALL_TYPES):
+        if self._guard is not None and isinstance(message, Ball):
             message, counts = self._guard.admit_ball(message)
             self.stats.dropped_bad_signature += counts.bad_signature
             self.stats.dropped_unknown_key += counts.unknown_key

@@ -68,7 +68,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 from ..auth.authenticator import SignedBall
 from ..auth.guard import BallGuard
 from ..core.errors import MembershipError
-from ..core.event import BALL_TYPES
+from ..core.event import Ball
 from .codec import (
     COUNT_OFFSET,
     AdmittedEntries,
@@ -85,9 +85,6 @@ UdpMessageHandler = Callable[[int, Any], None]
 
 #: Sentinel returned by admission when an entire datagram is rejected.
 _REJECTED = object()
-
-#: Envelope frames an authenticating fabric refuses: balls of any kind.
-_FRAMED_BALLS = BALL_TYPES + (SignedBall,)
 
 
 @dataclass(slots=True)
@@ -499,7 +496,7 @@ class UdpNetwork:
         entries it did not originate cannot obtain MACs for them, which
         is precisely the property the drill asserts.
         """
-        if not isinstance(message, BALL_TYPES):
+        if not isinstance(message, Ball):
             return message
         ball = message
         if (
@@ -881,16 +878,18 @@ class UdpNetwork:
         if guard is None:
             if table.pending:
                 table.admit_pending()
-            return message.entries if isinstance(message, SignedBall) else message
+            return message.ball if isinstance(message, SignedBall) else message
         if isinstance(message, SignedBall):
             ball, counts = guard.admit_signed(message, table)
             self.stats.dropped_bad_signature += counts.bad_signature
             self.stats.dropped_unknown_key += counts.unknown_key
             self.stats.dropped_unsigned += counts.unsigned
             return ball
-        if isinstance(message, BALL_TYPES) or (
+        if isinstance(message, Ball) or (
             isinstance(message, TopicEnvelope)
-            and any(isinstance(frame[2], _FRAMED_BALLS) for frame in message.frames)
+            and any(
+                isinstance(frame[2], (Ball, SignedBall)) for frame in message.frames
+            )
         ):
             self.stats.dropped_unsigned += 1
             return _REJECTED

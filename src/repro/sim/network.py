@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..auth.guard import BallGuard
 from ..core.errors import MembershipError
-from ..core.event import BALL_TYPES
+from ..core.event import Ball
 from .engine import Simulator
 from .latency import FixedLatency, LatencyModel
 
@@ -207,7 +207,7 @@ class SimNetwork:
         if not dsts:
             return
         hostile = None
-        if isinstance(message, BALL_TYPES):
+        if isinstance(message, Ball):
             # Sealing runs on the genuine ball *before* any adversary
             # transform, so the guard's signature cache always pins the
             # original canonical bytes — a mutated relay copy under the
@@ -264,7 +264,7 @@ class SimNetwork:
             if self._partitioned and self._crosses_partition(src, dst):
                 stats.dropped_partition += 1
                 continue
-            if self._guard is not None and isinstance(message, BALL_TYPES):
+            if self._guard is not None and isinstance(message, Ball):
                 message, counts = self._guard.admit_ball(message)
                 stats.dropped_bad_signature += counts.bad_signature
                 stats.dropped_unknown_key += counts.unknown_key

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple, Union
 
 from .core.config import EpToConfig
 from .core.errors import ConfigurationError, MembershipError
-from .core.event import Event, MapBall
+from .core.event import Ball, Event
 from .core.interfaces import PeerSampler, Transport
 from .core.process import EpToProcess
 from .lazy.process import LazyEpToProcess
@@ -232,14 +232,12 @@ class NodeStack:
         """The node's inbox: route one message from *src* to its layer.
 
         A ball, nearly always (K of them every node-round), so it is
-        tested first, by exact type before any subclass test: a wire
-        ball decodes to a :class:`~repro.core.event.MapBall` (or a plain
-        tuple), an in-process one is a
-        :class:`~repro.core.event.SharedBall`. Every other kind is one
-        table lookup; a type the table does not know is handed to the
-        process like a ball.
+        tested first: every fabric hands one over as a
+        :class:`~repro.core.event.Ball`. Every other kind is one table
+        lookup; a type the table does not know is handed to the process
+        like a ball.
         """
-        if type(message) is MapBall or isinstance(message, tuple):
+        if type(message) is Ball:
             self._on_ball(message)
         else:
             handler = self._table.get(type(message))

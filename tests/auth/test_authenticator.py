@@ -16,7 +16,7 @@ from repro.auth import (
     KeyRing,
     SignedBall,
 )
-from repro.core.event import BallEntry, Event, make_ball
+from repro.core.event import Ball, Event
 
 
 def _event(src=1, seq=0, ts=10, payload=None):
@@ -110,15 +110,15 @@ class TestSignedBall:
     def test_length_mismatch_rejected(self, auth):
         from repro.core.errors import AuthError
 
-        ball = make_ball([BallEntry(_event(seq=i), ttl=3) for i in range(2)])
+        ball = Ball.of([(_event(seq=i), 3) for i in range(2)])
         with pytest.raises(AuthError):
-            SignedBall(entries=tuple(ball), signatures=(None,))
+            SignedBall(ball, signatures=(None,))
 
     def test_carries_optional_signatures(self, auth):
-        ball = make_ball([BallEntry(_event(seq=i), ttl=3) for i in range(2)])
-        signed = SignedBall(
-            entries=tuple(ball),
-            signatures=(auth.sign(ball[0].event), None),
-        )
+        first = _event(seq=0)
+        ball = Ball.of([(first, 3), (_event(seq=1), 3)])
+        signed = SignedBall(ball, signatures=(auth.sign(first), None))
+        assert signed.entries is signed.ball and len(signed.entries) == 2
         assert signed.signatures[1] is None
-        assert auth.verify(signed.entries[0].event, signed.signatures[0]) == VERDICT_OK
+        verdict = auth.verify(signed.ball.events[first.id], signed.signatures[0])
+        assert verdict == VERDICT_OK

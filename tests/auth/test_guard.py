@@ -7,7 +7,7 @@ import dataclasses
 import pytest
 
 from repro.auth import BallGuard, HmacAuthenticator, KeyRing
-from repro.core.event import BallEntry, Event, make_ball
+from repro.core.event import Ball, Event
 from repro.runtime import codec
 from repro.runtime.codec import AdmittedEntries
 
@@ -22,7 +22,7 @@ def _event(src=1, seq=0, ts=10, payload=None):
 
 
 def _ball(*events, ttl=4):
-    return make_ball([BallEntry(event, ttl=ttl) for event in events])
+    return Ball.of([(event, ttl) for event in events])
 
 
 @pytest.fixture
@@ -66,6 +66,15 @@ class TestSeal:
         assert signed == [(1, 0), (1, 1)]
         assert list(guard._signatures.items()) == once
 
+    def test_an_event_outside_the_i64_range_is_left_unsigned(self, guard):
+        # A Lamport clock pushed to its maximum: no canonical bytes to
+        # sign, and no wire layout to carry it.
+        saturated = _event(src=1, seq=0, ts=2**63)
+        edge = _event(src=1, seq=1, ts=2**63 - 1)
+        guard.seal(1, _ball(saturated, edge))
+        assert guard.cached_signature(saturated.id) is None
+        assert guard.cached_signature(edge.id) is not None
+
     def test_attach_pairs_cached_signatures(self, guard):
         own, relayed = _event(src=1, seq=0), _event(src=2, seq=0)
         ball = _ball(own, relayed)
@@ -82,7 +91,7 @@ class TestAdmit:
         for event in events:
             guard.seal(event.source_id, ball)
         admitted, counts = guard.admit_ball(ball)
-        assert admitted == ball
+        assert admitted is ball  # nothing dropped: the ball itself
         assert counts.rejected == 0
 
     def test_mutated_copy_under_cached_id_rejected(self, guard):
@@ -90,19 +99,19 @@ class TestAdmit:
         guard.seal(1, _ball(own))
         forged = dataclasses.replace(own, payload={"v": "evil"})
         admitted, counts = guard.admit_ball(_ball(forged))
-        assert admitted == ()
+        assert admitted == _ball()
         assert counts.bad_signature == 1
 
     def test_unsigned_entry_counted_not_admitted(self, guard):
         admitted, counts = guard.admit_ball(_ball(_event(src=1)))
-        assert admitted == ()
+        assert admitted == _ball()
         assert counts.unsigned == 1
 
     def test_mixed_ball_admits_honest_remainder(self, guard):
         honest, unsigned = _event(src=1, seq=0), _event(src=2, seq=0)
         guard.seal(1, _ball(honest))
         admitted, counts = guard.admit_ball(_ball(honest, unsigned))
-        assert [entry.event.id for entry in admitted] == [honest.id]
+        assert admitted == _ball(honest) and not admitted.shared
         assert counts.unsigned == 1
 
     def test_admit_signed_caches_for_onward_relay(self, guard):
@@ -132,7 +141,7 @@ class TestAdmit:
         _, wire = codec.decode(codec.encode(1, origin.attach(forged)), table)
 
         admitted, counts = guard.admit_signed(wire, table)
-        assert admitted == () and counts.bad_signature == 1
+        assert admitted == _ball() and counts.bad_signature == 1
         assert len(table) == 0
         assert guard.attach(forged, table).signatures[0] is None
 
@@ -145,7 +154,7 @@ class TestAdmit:
         ring.revoke(7)
         receiver = BallGuard(guard.authenticator)
         admitted, counts = receiver.admit_signed(wire)
-        assert admitted == ()
+        assert admitted == _ball()
         assert counts.unknown_key == 1
 
 

@@ -6,7 +6,7 @@ import pytest
 
 from repro.broadcast.balls_bins import BallsBinsProcess
 from repro.core import EpToConfig
-from repro.core.event import BallEntry, make_ball
+from repro.core.event import Ball
 from repro.sim import ClusterConfig, FixedLatency, SimCluster, SimNetwork, Simulator
 
 from ..conftest import RecordingTransport, StaticPeerSampler, make_event
@@ -29,12 +29,12 @@ def build_process(ttl=3, fanout=2):
 class TestFirstSightDelivery:
     def test_delivers_on_arrival_not_round(self):
         process, _, delivered = build_process()
-        process.on_ball(make_ball([BallEntry(make_event(src=1), 0)]))
+        process.on_ball(Ball.of([(make_event(src=1), 0)]))
         assert len(delivered) == 1  # immediately, before any round
 
     def test_never_delivers_twice(self):
         process, _, delivered = build_process()
-        ball = make_ball([BallEntry(make_event(src=1), 0)])
+        ball = Ball.of([(make_event(src=1), 0)])
         process.on_ball(ball)
         process.on_ball(ball)
         process.on_round()
@@ -52,7 +52,7 @@ class TestFirstSightDelivery:
         # Unlike EpTO, the baseline delivers events even at the TTL
         # boundary (they are just not relayed further).
         process, transport, delivered = build_process(ttl=2)
-        process.on_ball(make_ball([BallEntry(make_event(src=1), 2)]))
+        process.on_ball(Ball.of([(make_event(src=1), 2)]))
         assert len(delivered) == 1
         process.on_round()
         assert transport.sent == []  # not relayed
@@ -61,18 +61,18 @@ class TestFirstSightDelivery:
         process, _, delivered = build_process()
         late = make_event(src=2, ts=100)
         early = make_event(src=1, ts=1)
-        process.on_ball(make_ball([BallEntry(late, 0)]))
-        process.on_ball(make_ball([BallEntry(early, 0)]))
+        process.on_ball(Ball.of([(late, 0)]))
+        process.on_ball(Ball.of([(early, 0)]))
         assert [e.ts for e in delivered] == [100, 1]  # arrival order
 
 
 class TestRelaying:
     def test_relays_like_epto(self):
         process, transport, _ = build_process(ttl=3, fanout=2)
-        process.on_ball(make_ball([BallEntry(make_event(src=1), 0)]))
+        process.on_ball(Ball.of([(make_event(src=1), 0)]))
         process.on_round()
         assert len(transport.sent) == 2
-        assert transport.sent[0][2][0].ttl == 1
+        assert list(transport.sent[0][2].ttls.values()) == [1]
 
 
 class TestClusterIntegration:

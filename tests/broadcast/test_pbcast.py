@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from repro.broadcast.pbcast import StabilityOrderedProcess
 from repro.core import EpToConfig
-from repro.core.event import BallEntry, make_ball
+from repro.core.event import Ball
 from repro.experiments.common import ExperimentSpec, run_experiment
 from repro.sim import NoDrift
 
@@ -27,7 +27,7 @@ def build_process(ttl=2, fanout=2):
 class TestStabilityDelivery:
     def test_delivers_after_stability_delay(self):
         process, delivered = build_process(ttl=2)
-        process.on_ball(make_ball([BallEntry(make_event(src=1, ts=5), 0)]))
+        process.on_ball(Ball.of([(make_event(src=1, ts=5), 0)]))
         process.on_round()
         process.on_round()
         assert delivered == []
@@ -36,10 +36,10 @@ class TestStabilityDelivery:
 
     def test_stable_batch_delivered_in_timestamp_order(self):
         process, delivered = build_process(ttl=1)
-        ball = make_ball(
+        ball = Ball.of(
             [
-                BallEntry(make_event(src=2, ts=9), 0),
-                BallEntry(make_event(src=1, ts=3), 0),
+                (make_event(src=2, ts=9), 0),
+                (make_event(src=1, ts=3), 0),
             ]
         )
         process.on_ball(ball)
@@ -51,9 +51,9 @@ class TestStabilityDelivery:
         # A stable late event is delivered even though an earlier,
         # still-aging event is pending — the rule EpTO forbids.
         process, delivered = build_process(ttl=2)
-        process.on_ball(make_ball([BallEntry(make_event(src=2, ts=10), 1)]))
+        process.on_ball(Ball.of([(make_event(src=2, ts=10), 1)]))
         process.on_round()  # received: ts=10 at ttl 2
-        process.on_ball(make_ball([BallEntry(make_event(src=1, ts=1), 0)]))
+        process.on_ball(Ball.of([(make_event(src=1, ts=1), 0)]))
         process.on_round()  # ts=10 ages to 3 > TTL; ts=1 only at ttl 1
         assert [e.ts for e in delivered] == [10]
         assert process.pending_count == 1
@@ -63,18 +63,18 @@ class TestStabilityDelivery:
         # stabilizes — out of order, which is exactly the failure mode
         # the ordering-guard ablation measures.
         process, delivered = build_process(ttl=1)
-        process.on_ball(make_ball([BallEntry(make_event(src=2, ts=10), 0)]))
+        process.on_ball(Ball.of([(make_event(src=2, ts=10), 0)]))
         for _ in range(3):
             process.on_round()
         assert [e.ts for e in delivered] == [10]
-        process.on_ball(make_ball([BallEntry(make_event(src=1, ts=1), 0)]))
+        process.on_ball(Ball.of([(make_event(src=1, ts=1), 0)]))
         for _ in range(3):
             process.on_round()
         assert [e.ts for e in delivered] == [10, 1]  # order violation
 
     def test_duplicates_not_redelivered(self):
         process, delivered = build_process(ttl=1)
-        ball = make_ball([BallEntry(make_event(src=1, ts=1), 0)])
+        ball = Ball.of([(make_event(src=1, ts=1), 0)])
         process.on_ball(ball)
         for _ in range(3):
             process.on_round()

@@ -8,7 +8,8 @@ from typing import Any, List, Tuple
 
 import pytest
 
-from repro.core import EpToConfig, Event, EventRecord
+from repro.core import Ball, EpToConfig, Event, EventRecord
+from repro.lazy.protocol import IdBall
 from repro.metrics import check_run
 from repro.sim import ClusterConfig, FixedLatency, SimCluster, SimNetwork, Simulator
 
@@ -18,6 +19,26 @@ def make_event(
 ) -> Event:
     """Build a test event with sensible defaults."""
     return Event(id=(src, seq), ts=ts, source_id=src, payload=payload)
+
+
+def pairs(ball: Ball) -> List[Tuple[Event, int]]:
+    """A ball's ``(event, ttl)`` entries, in its order."""
+    return list(zip(ball.events.values(), ball.ttls.values()))
+
+
+def first_event(ball: Ball) -> Event:
+    """The event of a ball's first entry."""
+    return next(iter(ball.events.values()))
+
+
+def id_ball(*entries: Tuple[int, int, int, int]) -> IdBall:
+    """The id-ball of ``(ts, source, seq, ttl)`` entries."""
+    return IdBall(
+        Ball.of(
+            (Event(id=(source, seq), ts=ts, source_id=source), ttl)
+            for ts, source, seq, ttl in entries
+        )
+    )
 
 
 def make_record(src: int = 0, seq: int = 0, ts: int = 0, ttl: int = 0) -> EventRecord:

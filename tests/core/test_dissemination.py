@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import EpToConfig
 from repro.core.dissemination import DisseminationComponent
-from repro.core.event import BallEntry, make_ball
+from repro.core.event import Ball
 
 from ..conftest import ManualOracle, RecordingTransport, StaticPeerSampler, make_event
 
@@ -54,7 +54,7 @@ class TestBroadcast:
         component.round_tick()
         sent_ball = transport.sent[0][2]
         # Round tick ages the queued event once before sending.
-        assert sent_ball[0].ttl == 1
+        assert list(sent_ball.ttls.values()) == [1]
 
     def test_sequential_broadcasts_get_distinct_ids(self):
         component, *_ = build()
@@ -67,13 +67,13 @@ class TestBroadcast:
 class TestReceiveBall:
     def test_fresh_event_queued_for_relay(self):
         component, *_ = build(ttl=3)
-        ball = make_ball([BallEntry(make_event(src=5), ttl=1)])
+        ball = Ball.of([(make_event(src=5), 1)])
         component.receive_ball(ball)
         assert component.next_ball_size == 1
 
     def test_expired_event_dropped(self):
         component, *_ = build(ttl=3)
-        ball = make_ball([BallEntry(make_event(src=5), ttl=3)])  # ttl >= TTL
+        ball = Ball.of([(make_event(src=5), 3)])  # ttl >= TTL
         component.receive_ball(ball)
         assert component.next_ball_size == 0
         assert component.stats.entries_expired == 1
@@ -81,33 +81,35 @@ class TestReceiveBall:
     def test_duplicate_keeps_max_ttl(self):
         component, transport, *_ = build(ttl=10)
         event = make_event(src=5)
-        component.receive_ball(make_ball([BallEntry(event, ttl=2)]))
-        component.receive_ball(make_ball([BallEntry(event, ttl=7)]))
-        component.receive_ball(make_ball([BallEntry(event, ttl=4)]))
+        component.receive_ball(Ball.of([(event, 2)]))
+        component.receive_ball(Ball.of([(event, 7)]))
+        component.receive_ball(Ball.of([(event, 4)]))
         assert component.next_ball_size == 1
         component.round_tick()
-        assert transport.sent[0][2][0].ttl == 8  # max(7) + 1 aging
+        assert transport.sent[0][2].ttls == {event.id: 8}  # max(7) + 1 aging
 
     def test_logical_clock_updated_per_entry(self):
         component, _, _, oracle, _ = build(clock="logical")
-        ball = make_ball(
+        ball = Ball.of(
             [
-                BallEntry(make_event(src=1, ts=10), ttl=0),
-                BallEntry(make_event(src=2, ts=20), ttl=0),
+                (make_event(src=1, ts=10), 0),
+                (make_event(src=2, ts=20), 0),
             ]
         )
         component.receive_ball(ball)
-        assert oracle.updates == [10, 20]
+        # Algorithm 4 max-merges each entry's timestamp: one update with
+        # the largest leaves the same clock.
+        assert oracle.updates == [20]
 
     def test_global_clock_skips_updates(self):
         component, _, _, oracle, _ = build(clock="global")
-        component.receive_ball(make_ball([BallEntry(make_event(src=1, ts=10), 0)]))
+        component.receive_ball(Ball.of([(make_event(src=1, ts=10), 0)]))
         assert oracle.updates == []
 
     def test_expired_event_still_updates_logical_clock(self):
         # Even non-relayed events carry causality information.
         component, _, _, oracle, _ = build(clock="logical", ttl=2)
-        component.receive_ball(make_ball([BallEntry(make_event(src=1, ts=99), 2)]))
+        component.receive_ball(Ball.of([(make_event(src=1, ts=99), 2)]))
         assert oracle.updates == [99]
 
 
@@ -123,14 +125,14 @@ class TestRoundTick:
         component, transport, _, _, ordered = build()
         component.round_tick()
         assert transport.sent == []
-        assert ordered == [()]  # ordering still invoked with empty ball
+        assert ordered == [Ball({}, {})]  # ordering still invoked with empty ball
 
     def test_ball_passed_to_ordering(self):
         component, _, _, _, ordered = build()
         event = component.broadcast()
         component.round_tick()
         assert len(ordered) == 1
-        assert ordered[0][0].event == event
+        assert list(ordered[0].events.values()) == [event]
 
     def test_next_ball_reset_after_round(self):
         component, transport, *_ = build()
@@ -150,15 +152,15 @@ class TestRoundTick:
     def test_relay_chain_increments_ttl_per_round(self):
         component, transport, *_ = build(ttl=5)
         event = make_event(src=9)
-        component.receive_ball(make_ball([BallEntry(event, ttl=1)]))
+        component.receive_ball(Ball.of([(event, 1)]))
         component.round_tick()
-        assert transport.sent[0][2][0].ttl == 2
+        assert transport.sent[0][2].ttls == {event.id: 2}
         # Receiving it again with the ttl we just relayed does not loop
         # it back up.
-        component.receive_ball(make_ball([BallEntry(event, ttl=2)]))
+        component.receive_ball(Ball.of([(event, 2)]))
         transport.clear()
         component.round_tick()
-        assert transport.sent[0][2][0].ttl == 3
+        assert transport.sent[0][2].ttls == {event.id: 3}
 
     def test_a_reply_broadcast_while_ordering_is_sent_next_round(self):
         # A delivery callback runs inside order_events; what it
@@ -174,13 +176,13 @@ class TestRoundTick:
         component.order_events = order_and_reply
         first = component.broadcast("first")
         component.round_tick()
-        assert [e.event for e in ordered[0]] == [first]
+        assert list(ordered[0].events.values()) == [first]
         assert component.next_ball_size == 1
         transport.clear()
         component.round_tick()
         assert replies[0].id == (0, 1)
-        assert [e.event for e in transport.sent[0][2]] == replies
-        assert [e.event for e in ordered[1]] == replies
+        assert list(transport.sent[0][2].events.values()) == replies
+        assert list(ordered[1].events.values()) == replies
 
     def test_the_ball_carries_the_pending_events_it_hands_over(self):
         component, transport, *_ = build()
@@ -195,11 +197,11 @@ class TestRoundTick:
     def test_event_stops_being_relayed_at_ttl(self):
         component, transport, *_ = build(ttl=2)
         event = make_event(src=9)
-        component.receive_ball(make_ball([BallEntry(event, ttl=1)]))
+        component.receive_ball(Ball.of([(event, 1)]))
         component.round_tick()  # relayed at ttl 2
         transport.clear()
         # A later copy at the bound is not re-queued.
-        component.receive_ball(make_ball([BallEntry(event, ttl=2)]))
+        component.receive_ball(Ball.of([(event, 2)]))
         component.round_tick()
         assert transport.sent == []
 
@@ -208,7 +210,7 @@ class TestStats:
     def test_counters(self):
         component, *_ = build(fanout=2, peers=[1, 2])
         component.broadcast()
-        component.receive_ball(make_ball([BallEntry(make_event(src=3), 0)]))
+        component.receive_ball(Ball.of([(make_event(src=3), 0)]))
         component.round_tick()
         stats = component.stats
         assert stats.events_broadcast == 1

@@ -89,6 +89,6 @@ class TestEncodeOnceFanout:
             component.round_tick()
         plain_balls = [ball for _, _, ball in plain.sent]
         batched_balls = [ball for _, _, ball in batched.sent]
-        assert [
-            [(e.event.id, e.ttl) for e in ball] for ball in plain_balls
-        ] == [[(e.event.id, e.ttl) for e in ball] for ball in batched_balls]
+        assert [list(ball.ttls.items()) for ball in plain_balls] == [
+            list(ball.ttls.items()) for ball in batched_balls
+        ]

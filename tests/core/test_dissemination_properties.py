@@ -1,7 +1,8 @@
 """Property-based tests (hypothesis) for the dissemination component.
 
 Drive Algorithm 1 with arbitrary interleavings of broadcasts, incoming
-balls (with arbitrary TTLs, duplicates included) and round ticks, and
+balls (with arbitrary TTLs, an id seen again in a later ball included)
+and round ticks, and
 assert its structural invariants:
 
 * nothing with ``ttl >= TTL`` is ever queued or relayed;
@@ -20,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import EpToConfig
 from repro.core.dissemination import DisseminationComponent
-from repro.core.event import Ball, BallEntry, Event, make_ball
+from repro.core.event import Ball, Event
 
 from ..conftest import RecordingTransport, StaticPeerSampler, ManualOracle
 
@@ -44,6 +45,7 @@ def action_sequences(draw):
                         st.integers(min_value=0, max_value=TTL + 2),  # ttl
                     ),
                     max_size=6,
+                    unique_by=lambda entry: entry[:2],  # a ball names an id once
                 )
             )
             actions.append(("receive", entries))
@@ -72,10 +74,10 @@ def run_schedule(actions) -> tuple[DisseminationComponent, RecordingTransport, L
             component.round_tick()
         else:
             entries = [
-                BallEntry(Event(id=(src, seq), ts=ts, source_id=src), ttl=ttl)
+                (Event(id=(src, seq), ts=ts, source_id=src), ttl)
                 for src, seq, ts, ttl in payload
             ]
-            component.receive_ball(make_ball(entries))
+            component.receive_ball(Ball.of(entries))
     return component, transport, ordered
 
 
@@ -84,10 +86,9 @@ def run_schedule(actions) -> tuple[DisseminationComponent, RecordingTransport, L
 def test_never_relays_expired_events(actions):
     _, transport, _ = run_schedule(actions)
     for _, _, ball in transport.sent:
-        for entry in ball:
-            # Aging happens before sending, so on-the-wire TTLs are at
-            # most TTL (queued strictly below, plus one increment).
-            assert entry.ttl <= TTL
+        # Aging happens before sending, so on-the-wire TTLs are at most
+        # TTL (queued strictly below, plus one increment).
+        assert ball.max_ttl <= TTL
 
 
 @settings(max_examples=200, deadline=None)
@@ -95,8 +96,7 @@ def test_never_relays_expired_events(actions):
 def test_no_duplicate_ids_in_sent_balls(actions):
     _, transport, _ = run_schedule(actions)
     for _, _, ball in transport.sent:
-        ids = [entry.event.id for entry in ball]
-        assert len(ids) == len(set(ids))
+        assert list(ball.events) == list(ball.ttls)
 
 
 @settings(max_examples=200, deadline=None)
@@ -143,19 +143,19 @@ def test_relayed_ttl_is_max_sighting_plus_one(actions):
             best_seen[event.id] = 0
         elif kind == "receive":
             entries = [
-                BallEntry(Event(id=(src, seq), ts=ts, source_id=src), ttl=ttl)
+                (Event(id=(src, seq), ts=ts, source_id=src), ttl)
                 for src, seq, ts, ttl in payload
             ]
-            for entry in entries:
-                if entry.ttl < TTL:
-                    best = best_seen.get(entry.event.id)
-                    if best is None or entry.ttl > best:
-                        best_seen[entry.event.id] = entry.ttl
-            component.receive_ball(make_ball(entries))
+            for event, ttl in entries:
+                if ttl < TTL:
+                    best = best_seen.get(event.id)
+                    if best is None or ttl > best:
+                        best_seen[event.id] = ttl
+            component.receive_ball(Ball.of(entries))
         else:
             before = transport.sent.copy()
             component.round_tick()
             for _, _, ball in transport.sent[len(before):]:
-                for entry in ball:
-                    assert entry.ttl == best_seen[entry.event.id] + 1
+                for event_id, ttl in ball.ttls.items():
+                    assert ttl == best_seen[event_id] + 1
             best_seen.clear()

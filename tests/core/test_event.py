@@ -7,16 +7,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.event import (
-    BallEntry,
-    Event,
-    EventIdGenerator,
-    EventRecord,
-    MapBall,
-    SharedBall,
-    ball_event_ids,
-    make_ball,
-)
+from repro.core.event import Ball, Event, EventIdGenerator, EventRecord
 from repro.core.record import uvarint, uvarint_nbytes, wire_record, wire_sizes
 
 from ..conftest import make_event
@@ -80,32 +71,60 @@ class TestEvent:
 
 
 class TestBallEntry:
+    """An entry of a ball: one event and its relay TTL, held in the
+    ball's two maps."""
+
     def test_negative_ttl_rejected(self):
-        with pytest.raises(ValueError):
-            BallEntry(make_event(), ttl=-1)
+        with pytest.raises(ValueError, match="negative ttl"):
+            Ball.of([(make_event(), -1)])
 
     def test_ball_is_immutable_tuple(self):
-        ball = make_ball([BallEntry(make_event(), 0)])
-        assert isinstance(ball, tuple)
+        # Shared by every receiver of a round, a ball takes no item
+        # assignment, no new attribute and, being unhashable, no place
+        # in a set that a later change of its maps would corrupt.
+        ball = Ball.of([(make_event(), 0)])
+        assert not isinstance(ball, tuple)
         with pytest.raises(TypeError):
             ball[0] = None  # type: ignore[index]
-
-    def test_shared_ball_is_the_tuple_of_its_entries(self):
-        entries = [BallEntry(make_event(src=1), 0), BallEntry(make_event(src=2), 1)]
-        shared = SharedBall(entries, {(1, 0): 0, (2, 0): 1})
-        plain = make_ball(entries)
-        assert isinstance(shared, tuple) and type(plain) is tuple
-        assert shared == plain and hash(shared) == hash(plain)
-        assert len(shared) == 2 and shared[1] is entries[1]
-        assert list(ball_event_ids(shared)) == list(shared.ttls)
+        with pytest.raises(AttributeError):
+            ball.extra = None  # type: ignore[attr-defined]
         with pytest.raises(TypeError):
-            shared[0] = None  # type: ignore[index]
+            hash(ball)
 
     def test_ball_event_ids(self):
-        ball = make_ball(
-            [BallEntry(make_event(src=1), 0), BallEntry(make_event(src=2), 1)]
-        )
-        assert list(ball_event_ids(ball)) == [(1, 0), (2, 0)]
+        ball = Ball.of([(make_event(src=1), 0), (make_event(src=2), 1)])
+        assert list(ball.ttls) == list(ball.events) == [(1, 0), (2, 0)]
+
+
+class TestBall:
+    def _pairs(self):
+        return [(make_event(src=1, ts=4), 0), (make_event(src=2, ts=9), 3)]
+
+    def test_a_ball_is_its_two_maps_in_entry_order(self):
+        pairs = self._pairs()
+        ball = Ball.of(pairs)
+        assert list(zip(ball.events.values(), ball.ttls.values())) == pairs
+        assert ball.events[(1, 0)] is pairs[0][0]
+        assert ball == Ball.of(pairs) and ball != Ball.of(pairs[:1])
+        assert ball != Ball.of(pairs[::-1])  # the entry order is the ball's
+
+    def test_an_id_named_twice_is_refused(self):
+        event = make_event(src=1)
+        with pytest.raises(ValueError, match="named twice"):
+            Ball.of([(event, 0), (event, 1)])
+
+    def test_max_ts_and_max_ttl_cover_every_entry(self):
+        ball = Ball.of(self._pairs())
+        assert ball.max_ts == 9 and ball.max_ttl == 3
+        assert Ball.of([]).max_ts == Ball.of([]).max_ttl == 0
+
+    def test_a_round_ball_keeps_its_splits_for_later_receivers(self):
+        alone = Ball.of(self._pairs())
+        shared = Ball(alone.events, alone.ttls, shared=True)
+        assert shared.shared and not alone.shared
+        assert shared.split(3) == alone.split(3) == ({(1, 0): 0}, 1)
+        assert shared.split(3) is shared.split(3)  # taken once per bound
+        assert alone.split(3) is not alone.split(3)  # one receiver: not kept
 
 
 class TestEventRecord:
@@ -121,12 +140,6 @@ class TestEventRecord:
         assert record.ttl == 5
         record.merge_ttl(2)
         assert record.ttl == 5
-
-    def test_to_entry_snapshots(self):
-        record = EventRecord(make_event(), ttl=4)
-        entry = record.to_entry()
-        record.age()
-        assert entry.ttl == 4  # snapshot unaffected by later aging
 
 
 class TestEventIdGenerator:
@@ -179,35 +192,30 @@ class TestWireRecord:
 
 
 class TestMapBall:
-    def _entries(self):
-        return [BallEntry(make_event(src=1, ts=4), 0), BallEntry(make_event(src=2, ts=9), 3)]
-
-    def _ball(self, entries):
-        return MapBall(
-            {e.event.id: e.event for e in entries},
-            {e.event.id: e.ttl for e in entries},
-            max(e.event.ts for e in entries),
-            max(e.ttl for e in entries),
-        )
+    """A ball decoded off the wire against a round's ball of the same
+    maps."""
 
     def test_reads_as_the_tuple_of_its_entries(self):
-        entries = self._entries()
-        ball = self._ball(entries)
-        plain = make_ball(entries)
-        assert not isinstance(ball, tuple)
-        assert ball == plain and plain == ball and ball == self._ball(entries)
-        assert ball != make_ball(entries[:1]) and ball != "ball"
-        assert len(ball) == len(ball.entries) == 2 and ball.entries is ball
-        assert list(ball) == entries and ball[1] == entries[1]
-        assert ball[0].event is entries[0].event
-        assert MapBall({}, {}, 0, 0) == () and not MapBall({}, {}, 0, 0)
+        pairs = [(make_event(src=1, ts=4), 0), (make_event(src=2, ts=9), 3)]
+        decoded = Ball(
+            {event.id: event for event, _ in pairs},
+            {event.id: ttl for event, ttl in pairs},
+        )
+        assert decoded == Ball.of(pairs) and Ball.of(pairs) == decoded
+        assert decoded != Ball.of(pairs[:1]) and decoded != "ball"
+        assert len(decoded) == len(decoded.entries) == 2
+        assert decoded.entries is decoded
+        assert list(zip(decoded.events.values(), decoded.ttls.values())) == pairs
+        assert decoded.events[(1, 0)] is pairs[0][0]
+        assert Ball({}, {}) == Ball.of([]) and not Ball({}, {})
 
     def test_split_and_max_ts_are_the_shared_balls(self):
-        entries = self._entries()
-        ball = self._ball(entries)
-        shared = SharedBall(entries, dict(ball.ttls))
+        pairs = [(make_event(src=1, ts=4), 0), (make_event(src=2, ts=9), 3)]
+        decoded = Ball.of(pairs)
+        shared = Ball(dict(decoded.events), dict(decoded.ttls), shared=True)
         for bound in (1, 3, 4, 5):
-            assert ball.split(bound) == shared.split(bound)
-        assert ball.split(4)[0] is ball.ttls
-        assert ball.max_ts == shared.max_ts == 9 and ball.max_ttl == 3
-        assert shared.events == ball.events
+            assert decoded.split(bound) == shared.split(bound)
+        assert decoded.split(4)[0] is decoded.ttls
+        assert decoded.max_ts == shared.max_ts == 9
+        assert decoded.max_ttl == shared.max_ttl == 3
+        assert shared == decoded

@@ -8,10 +8,13 @@ obsolete. See docs/SYNC.md.
 
 from __future__ import annotations
 
-from repro.core.event import BallEntry, make_ball
+from repro.core.event import Ball
 from repro.core.ordering import OrderingComponent
 
 from ..conftest import ManualOracle, make_event
+
+#: An empty ball: what a quiet round hands the ordering component.
+EMPTY = Ball({}, {})
 
 
 def build(ttl: int = 2, tagged: bool = False):
@@ -27,7 +30,7 @@ def build(ttl: int = 2, tagged: bool = False):
 
 
 def entry(src=0, seq=0, ts=0, ttl=0, payload=None):
-    return BallEntry(make_event(src=src, seq=seq, ts=ts, payload=payload), ttl=ttl)
+    return (make_event(src=src, seq=seq, ts=ts, payload=payload), ttl)
 
 
 class TestDeliverExternal:
@@ -50,7 +53,7 @@ class TestDeliverExternal:
 
     def test_duplicate_of_epidemic_delivery_is_discarded(self):
         component, delivered, _ = build(ttl=1)
-        component.order_events(make_ball([entry(src=1, ts=2, ttl=9)]))
+        component.order_events(Ball.of([entry(src=1, ts=2, ttl=9)]))
         assert len(delivered) == 1
         assert component.deliver_external(make_event(src=1, ts=2)) is False
         assert component.stats.discarded_duplicates == 1
@@ -74,7 +77,7 @@ class TestDeliverExternal:
     def test_pending_epidemic_copy_is_popped(self):
         component, delivered, _ = build(ttl=5)
         # The epidemic path holds an immature copy of the same event.
-        component.order_events(make_ball([entry(src=1, ts=2, ttl=0)]))
+        component.order_events(Ball.of([entry(src=1, ts=2, ttl=0)]))
         assert delivered == []
         fetched = make_event(src=1, ts=2)
         assert component.deliver_external(fetched) is True
@@ -82,7 +85,7 @@ class TestDeliverExternal:
         # Aging the (now stale) epidemic copy past the TTL must not
         # deliver it a second time.
         for _ in range(8):
-            component.order_events(())
+            component.order_events(EMPTY)
         assert len(delivered) == 1
         assert component.stats.delivered == 1
 
@@ -91,7 +94,7 @@ class TestDiscardObsoletePending:
     def test_clears_copies_below_the_order_mark(self):
         component, delivered, _ = build(ttl=5)
         component.order_events(
-            make_ball([entry(src=1, ts=2, ttl=0), entry(src=2, ts=3, ttl=0)])
+            Ball.of([entry(src=1, ts=2, ttl=0), entry(src=2, ts=3, ttl=0)])
         )
         # The repair jumps the mark past both pending copies.
         component.deliver_external(make_event(src=4, ts=7))
@@ -99,17 +102,17 @@ class TestDiscardObsoletePending:
         assert component.stats.discarded_late == 2
         # Nothing left to surface later.
         for _ in range(8):
-            component.order_events(())
+            component.order_events(EMPTY)
         assert [e.ts for e in delivered] == [7]
 
     def test_keeps_copies_above_the_order_mark(self):
         component, delivered, _ = build(ttl=1)
-        component.order_events(make_ball([entry(src=1, ts=9, ttl=0)]))
+        component.order_events(Ball.of([entry(src=1, ts=9, ttl=0)]))
         component.deliver_external(make_event(src=2, ts=5))
         assert component.discard_obsolete_pending() == 0
         # The surviving copy still matures and delivers in order.
         for _ in range(4):
-            component.order_events(())
+            component.order_events(EMPTY)
         assert [e.ts for e in delivered] == [5, 9]
 
     def test_noop_on_empty_pending_set(self):

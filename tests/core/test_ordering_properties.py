@@ -2,7 +2,8 @@
 
 These drive :class:`repro.core.ordering.OrderingComponent` with
 adversarial schedules — arbitrary interleavings of event arrivals,
-duplicated entries, arbitrary TTLs — and assert the deterministic
+copies of one event arriving again in later rounds, arbitrary TTLs —
+and assert the deterministic
 Table 1 invariants that must hold under *any* schedule:
 
 * deliveries are strictly increasing in the total-order key;
@@ -18,7 +19,7 @@ from typing import List
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.event import Ball, BallEntry, Event, make_ball
+from repro.core.event import Ball, Event
 from repro.core.ordering import OrderingComponent
 
 from ..conftest import ManualOracle
@@ -52,20 +53,21 @@ def schedules(draw):
                 st.integers(min_value=0, max_value=len(pool) - 1),
                 min_size=0,
                 max_size=len(pool),
+                unique=True,  # a ball names an id once
             )
         )
         entries = []
         for idx in indices:
             ttl = draw(st.integers(min_value=0, max_value=6))
-            entries.append(BallEntry(pool[idx], ttl=ttl))
-        schedule.append(make_ball(entries))
+            entries.append((pool[idx], ttl))
+        schedule.append(Ball.of(entries))
     return pool, schedule
 
 
 def drain(component: OrderingComponent, rounds: int = 12) -> None:
     """Feed empty rounds until everything pending stabilizes."""
     for _ in range(rounds):
-        component.order_events(())
+        component.order_events(Ball({}, {}))
 
 
 @settings(max_examples=200, deadline=None)
@@ -88,7 +90,7 @@ def test_no_duplicates_and_only_known_events(batch):
     pool, schedule = batch
     delivered: List[Event] = []
     component = OrderingComponent(ManualOracle(ttl=2), delivered.append)
-    seen_ids = {entry.event.id for ball in schedule for entry in ball}
+    seen_ids = {event_id for ball in schedule for event_id in ball.events}
     for ball in schedule:
         component.order_events(ball)
     drain(component)
@@ -116,9 +118,9 @@ def test_two_replicas_agree_on_common_prefix_order(batch, shuffler):
         # Start from the given schedule, then guarantee completeness by
         # feeding every pool event once more with a stable TTL.
         balls = list(schedule)
-        completion = [BallEntry(event, ttl=0) for event in pool]
+        completion = [(event, 0) for event in pool]
         seed_shuffle.shuffle(completion)
-        balls.append(make_ball(completion))
+        balls.append(Ball.of(completion))
         for ball in balls:
             component.order_events(ball)
         drain(component)

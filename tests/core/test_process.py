@@ -9,7 +9,7 @@ import pytest
 from repro.core import EpToConfig, EpToProcess
 from repro.core.clock import LogicalClockOracle
 from repro.core.errors import ConfigurationError
-from repro.core.event import BallEntry, make_ball
+from repro.core.event import Ball
 
 from ..conftest import RecordingTransport, StaticPeerSampler, make_event
 
@@ -58,10 +58,10 @@ class TestWiring:
 
     def test_received_events_deliver_in_order(self):
         process, _, delivered, _ = build_process(ttl=1)
-        ball = make_ball(
+        ball = Ball.of(
             [
-                BallEntry(make_event(src=2, ts=9, payload="second"), 0),
-                BallEntry(make_event(src=1, ts=3, payload="first"), 0),
+                (make_event(src=2, ts=9, payload="second"), 0),
+                (make_event(src=1, ts=3, payload="first"), 0),
             ]
         )
         process.on_ball(ball)
@@ -71,7 +71,7 @@ class TestWiring:
 
     def test_on_ball_relays_next_round(self):
         process, transport, _, _ = build_process(ttl=3)
-        process.on_ball(make_ball([BallEntry(make_event(src=5), 0)]))
+        process.on_ball(Ball.of([(make_event(src=5), 0)]))
         process.on_round()
         assert len(transport.sent) == 2  # fanout peers
 
@@ -144,7 +144,7 @@ class TestConfigurationGuards:
 class TestPeek:
     def test_peek_reports_pending_events(self):
         process, _, _, _ = build_process(ttl=10, expose=True)
-        process.on_ball(make_ball([BallEntry(make_event(src=3, ts=1), 0)]))
+        process.on_ball(Ball.of([(make_event(src=3, ts=1), 0)]))
         process.on_round()
         estimates = process.peek()
         assert len(estimates) == 1
@@ -153,7 +153,7 @@ class TestPeek:
 
     def test_peek_stability_rises_with_rounds(self):
         process, _, _, _ = build_process(ttl=30, fanout=3, expose=True)
-        process.on_ball(make_ball([BallEntry(make_event(src=3, ts=1), 0)]))
+        process.on_ball(Ball.of([(make_event(src=3, ts=1), 0)]))
         process.on_round()
         early = process.peek()[0].probability_stable
         for _ in range(10):
@@ -165,11 +165,11 @@ class TestPeek:
 class TestTaggedIntegration:
     def test_tagged_events_flow_through_process(self):
         process, _, delivered, tagged = build_process(ttl=1, tagged=True)
-        process.on_ball(make_ball([BallEntry(make_event(src=2, ts=10), 0)]))
+        process.on_ball(Ball.of([(make_event(src=2, ts=10), 0)]))
         for _ in range(3):
             process.on_round()
         assert len(delivered) == 1
-        process.on_ball(make_ball([BallEntry(make_event(src=1, ts=5), 0)]))
+        process.on_ball(Ball.of([(make_event(src=1, ts=5), 0)]))
         process.on_round()
         assert len(delivered) == 1
         assert len(tagged) == 1
@@ -186,11 +186,11 @@ class TestTaggedIntegration:
             on_deliver=lambda e: None,
             on_out_of_order=tagged.append,
         )
-        process.on_ball(make_ball([BallEntry(make_event(src=2, ts=10), 0)]))
+        process.on_ball(Ball.of([(make_event(src=2, ts=10), 0)]))
         for _ in range(3):
             process.on_round()
         assert process.delivered_count == 1
-        process.on_ball(make_ball([BallEntry(make_event(src=1, ts=5), 0)]))
+        process.on_ball(Ball.of([(make_event(src=1, ts=5), 0)]))
         process.on_round()
         assert tagged == []
         assert process.ordering.stats.discarded_late == 1

@@ -1,13 +1,14 @@
-"""``receive_ball``'s map path against a plain Algorithm 1 merge.
+"""``receive_ball``'s map merge against a plain Algorithm 1 merge.
 
-A :class:`~repro.core.event.SharedBall` or
-:class:`~repro.core.event.MapBall` is merged by its maps — skipped with
-one dict-view subset test when its live entries are all pending at its
-receiver *at the same TTL*, otherwise merged over its live map, with
-one clock update — and a plain tuple entry by entry. Whatever the
-sequence of balls — with and without maps, equal, lower, higher and
-expired TTLs, an empty pending ball, a broadcast in between, one ball
-shared by two receivers whose TTL bounds differ — the component must
+A :class:`~repro.core.event.Ball` is merged by its maps, with one clock
+update: a round's ball shared by several receivers is skipped with one
+dict-view subset test when its live entries are all pending at its
+receiver *at the same TTL*, otherwise merged over its live map; a ball
+with one receiver is merged in one pass, without the split. Whatever
+the sequence of balls — a round's
+shared ball or a wire ball's, equal, lower, higher and expired TTLs, an
+empty pending ball, a broadcast in between, one ball shared by two
+receivers whose TTL bounds differ — the component must
 end in the state of the per-entry merge written out below: the same
 pending ``{event id: ttl}`` in the same insertion order (it is the next
 ball's entry order), the same next ball, the same logical clock and the
@@ -26,7 +27,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import EpToConfig
 from repro.core.clock import GlobalClockOracle, LogicalClockOracle
 from repro.core.dissemination import DisseminationComponent, DisseminationStats
-from repro.core.event import BallEntry, Event, MapBall, SharedBall, make_ball
+from repro.core.event import Ball, Event
 from repro.core.record import uvarint_nbytes, wire_record
 
 from ..conftest import ManualOracle, RecordingTransport, StaticPeerSampler
@@ -74,19 +75,17 @@ class Model:
 
     def receive(self, ball) -> None:
         self.stats.balls_received += 1
-        for entry in ball:
+        for event, ttl in zip(ball.events.values(), ball.ttls.values()):
             self.stats.entries_received += 1
-            if entry.ttl >= self.ttl_bound:
+            if ttl >= self.ttl_bound:
                 self.stats.entries_expired += 1
-            elif entry.event.id in self.pending:
-                self.pending[entry.event.id] = max(
-                    self.pending[entry.event.id], entry.ttl
-                )
+            elif event.id in self.pending:
+                self.pending[event.id] = max(self.pending[event.id], ttl)
             else:
-                self.pending[entry.event.id] = entry.ttl
-                self.events[entry.event.id] = entry.event
+                self.pending[event.id] = ttl
+                self.events[event.id] = event
             if self.logical:
-                self.clock = max(self.clock, entry.event.ts)
+                self.clock = max(self.clock, event.ts)
 
     def round(self) -> List[Tuple[tuple, int]]:
         self.stats.rounds += 1
@@ -138,24 +137,15 @@ def _agree(component: DisseminationComponent, model: Model) -> None:
         assert component.oracle.logical_clock == model.clock
 
 
-def _shared(entries: List[Tuple[Event, int]]) -> SharedBall:
-    """What a sender's round would have built: unique ids, the maps."""
-    unique = {event.id: (event, ttl) for event, ttl in entries}
-    return SharedBall(
-        (BallEntry(event, ttl) for event, ttl in unique.values()),
-        {eid: ttl for eid, (_, ttl) in unique.items()},
-    )
+def _wire(entries: List[Tuple[Event, int]]) -> Ball:
+    """What a decoded wire ball is: one receiver, each id once."""
+    return Ball.of({event.id: (event, ttl) for event, ttl in entries}.values())
 
 
-def _wire(entries: List[Tuple[Event, int]]) -> MapBall:
-    """What a decoded wire ball with unique ids is."""
-    unique = {event.id: (event, ttl) for event, ttl in entries}
-    return MapBall(
-        {eid: event for eid, (event, _) in unique.items()},
-        {eid: ttl for eid, (_, ttl) in unique.items()},
-        max((event.ts for event, _ in unique.values()), default=0),
-        max((ttl for _, ttl in unique.values()), default=0),
-    )
+def _shared(entries: List[Tuple[Event, int]]) -> Ball:
+    """What a sender's round would have built: the maps, shared."""
+    ball = _wire(entries)
+    return Ball(ball.events, ball.ttls, shared=True)
 
 
 entry_lists = st.lists(
@@ -187,7 +177,7 @@ def test_receive_ball_equals_per_entry_merge(clock, data):
         now[0] += 1
         kind = data.draw(
             st.sampled_from(
-                ["shared", "wire", "plain", "echo", "again", "broadcast", "round"]
+                ["shared", "wire", "echo", "again", "broadcast", "round"]
             ),
             label="step",
         )
@@ -210,20 +200,14 @@ def test_receive_ball_equals_per_entry_merge(clock, data):
             ball = transport.sent[0][2]
             assert all(message is ball for _, _, message in transport.sent)
             transport.clear()
-            assert [(e.event.id, e.ttl) for e in ball] == expected
             assert list(ball.ttls.items()) == expected
+            assert list(ball.events) == [eid for eid, _ in expected]
             to = data.draw(st.sampled_from([(), (1 - index,)]), label="to")
         else:
             if kind == "shared":
                 ball = _shared(data.draw(entry_lists, label="entries"))
             elif kind == "wire":
                 ball = _wire(data.draw(entry_lists, label="entries"))
-            elif kind == "plain":
-                # Off the wire: a tuple, possibly naming an id twice.
-                ball = make_ball(
-                    BallEntry(event, ttl)
-                    for event, ttl in data.draw(entry_lists, label="entries")
-                )
             elif kind == "echo":
                 # What the node already holds, each TTL nudged by
                 # -1/0/+1 and some entries left out: the shortcut's
@@ -258,9 +242,8 @@ class _ReadEvents(dict):
 
 class TestShortcutIsTaken:
     """The property above cannot see *which* path ran; a recording
-    oracle and events map can: a ball with maps updates the clock once,
-    with its largest timestamp, and the shortcut reads no event out of
-    it; the per-entry merge updates the clock once per entry."""
+    oracle and events map can: a ball updates the clock once, with its
+    largest timestamp, and the shortcut reads no event out of it."""
 
     def _component(self, ttl: int = 5):
         oracle = ManualOracle(ttl=ttl)
@@ -294,12 +277,20 @@ class TestShortcutIsTaken:
         assert oracle.updates == [POOL[0].ts]
         assert component._next_ttls == {POOL[0].id: merged}
 
-    def test_plain_tuple_is_merged_per_entry(self):
+    def test_a_ball_with_one_receiver_is_merged_without_a_split(self):
+        class Unsplit(Ball):
+            def split(self, ttl_bound):
+                raise AssertionError("split a ball that has one receiver")
+
         component, oracle = self._component()
-        ball = make_ball([BallEntry(POOL[0], 1), BallEntry(POOL[1], 1)])
-        component.receive_ball(ball)
-        component.receive_ball(ball)
-        assert oracle.updates == [POOL[0].ts, POOL[1].ts] * 2
+        for entries in ([(POOL[0], 1), (POOL[1], 5)], [(POOL[2], 2)]):
+            wire = _wire(entries)  # POOL[1] at the bound: expired
+            ball = Unsplit(wire.events, wire.ttls)
+            component.receive_ball(ball)
+            component.receive_ball(ball)
+        assert oracle.updates == [max(POOL[0].ts, POOL[1].ts)] * 2 + [POOL[2].ts] * 2
+        assert component._next_ttls == {POOL[0].id: 1, POOL[2].id: 2}
+        assert component.stats.entries_expired == 2
 
     def test_empty_shared_ball_touches_nothing(self):
         component, oracle = self._component()

@@ -6,10 +6,11 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.core.event import BallEntry, Event, make_ball
+from repro.core.event import Ball, Event
 from repro.experiments.drill import run_drill
-from repro.faults import ByzantineRouter, FaultSchedule
+from repro.faults import BYZANTINE_BEHAVIORS, ByzantineRouter, FaultSchedule
 
 
 def _event(src=1, seq=0, ts=10, payload=None):
@@ -22,7 +23,7 @@ def _event(src=1, seq=0, ts=10, payload=None):
 
 
 def _ball(*events, ttl=4):
-    return make_ball([BallEntry(event, ttl=ttl) for event in events])
+    return Ball.of([(event, ttl) for event in events])
 
 
 class TestRouter:
@@ -39,7 +40,7 @@ class TestRouter:
         router.enable([1], "equivocate")
         own, relayed = _event(src=1), _event(src=2)
         out = router.transform(1, 5, _ball(own, relayed))
-        by_id = {entry.event.id: entry.event for entry in out}
+        by_id = out.events
         assert by_id[own.id] == own
         assert by_id[relayed.id] != relayed
         assert by_id[relayed.id].id == relayed.id  # same claimed identity
@@ -48,8 +49,8 @@ class TestRouter:
         router = ByzantineRouter(rng=random.Random(0))
         router.enable([1], "equivocate")
         ball = _ball(_event(src=2))
-        even = router.transform(1, 4, ball)[0].event
-        odd = router.transform(1, 5, ball)[0].event
+        [even] = router.transform(1, 4, ball).events.values()
+        [odd] = router.transform(1, 5, ball).events.values()
         assert even.id == odd.id and even.ts == odd.ts
         assert even.payload != odd.payload
 
@@ -57,10 +58,19 @@ class TestRouter:
         router = ByzantineRouter(rng=random.Random(0))
         router.enable([1], "replay")
         router.enable([1], "ttl_inflate")
-        ball = _ball(_event(src=2))
-        first = router.transform(1, 4, ball)  # stashes the relayed entry
-        assert len(first) >= 2  # replay and/or resurrection appended
-        assert router.stats.replayed + router.stats.ttl_inflated >= 1
+        stashed = [_event(src=2, seq=seq) for seq in range(4)]
+        # The relayed entries are stashed; the ball itself already names
+        # every one of them, so nothing is resent into it.
+        assert router.transform(1, 4, _ball(*stashed)) == _ball(*stashed)
+        assert router.stats.replayed == router.stats.ttl_inflated == 0
+        fresh = _ball(_event(src=3))
+        out = router.transform(1, 4, fresh)
+        # The oldest stash entry is resurrected at TTL 0 unless the
+        # replay already resent it; either way something comes back.
+        resent = len(out) - len(fresh)
+        assert resent >= 1
+        assert router.stats.replayed + router.stats.ttl_inflated == resent
+        assert stashed[1].id in out.ttls
 
     def test_disable_restores_honesty(self):
         router = ByzantineRouter(rng=random.Random(0))
@@ -86,9 +96,60 @@ class TestRouter:
             router.enable([1], "garble_relay", rate=0.5)
             ball = _ball(_event(src=2))
             outcomes.append(
-                [router.transform(1, d, ball)[0].event.payload for d in range(8)]
+                [router.transform(1, d, ball).events[(2, 0)].payload for d in range(8)]
             )
         assert outcomes[0] == outcomes[1]
+
+
+#: Balls a hostile relay (node 1) ships: ``(source, seq, ttl)`` entries,
+#: each id once, and the destination.
+_RELAYED = st.lists(
+    st.tuples(
+        st.lists(
+            st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 6)),
+            max_size=5,
+            unique_by=lambda entry: entry[:2],
+        ),
+        st.integers(0, 7),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    behaviors=st.lists(st.sampled_from(BYZANTINE_BEHAVIORS), min_size=1, unique=True),
+    sends=_RELAYED,
+    seed=st.integers(0, 2**16),
+)
+def test_transform_names_each_id_once_and_never_mutates_its_input(
+    behaviors, sends, seed
+):
+    """Whatever the behaviours and the traffic: every ball the router
+    returns names each id once, keeps every id of the ball it was given
+    (the sender's own events untouched), leaves that ball as it was, and
+    its stats count exactly the entries it appended."""
+    router = ByzantineRouter(rng=random.Random(seed), stash_size=4)
+    for behavior in behaviors:
+        router.enable([1], behavior)
+    for entries, dst in sends:
+        ball = Ball.of(
+            (_event(src=source, seq=seq), ttl) for source, seq, ttl in entries
+        )
+        before = list(ball.events.items()), list(ball.ttls.items())
+        resent = router.stats.replayed + router.stats.ttl_inflated
+        out = router.transform(1, dst, ball)
+        assert (list(ball.events.items()), list(ball.ttls.items())) == before
+        assert list(out.events) == list(out.ttls)
+        assert list(out.ttls)[: len(ball)] == list(ball.ttls)
+        assert all(
+            out.events[event_id] is event
+            for event_id, event in ball.events.items()
+            if event.source_id == 1
+        )
+        resent = router.stats.replayed + router.stats.ttl_inflated - resent
+        assert len(out) == len(ball) + resent
 
 
 class TestByzantineDrill:

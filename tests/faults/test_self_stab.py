@@ -9,7 +9,7 @@ import random
 import pytest
 
 from repro.core.errors import FaultInjectionError
-from repro.core.event import Event
+from repro.core.event import Ball, Event
 from repro.experiments.drill import run_drill
 from repro.faults import FaultSchedule, scramble_journal
 from repro.faults.byzantine import forged_events, garbage_ball
@@ -28,7 +28,7 @@ class TestForgedEvents:
 
     def test_garbage_ball_looks_freshly_broadcast(self):
         ball = garbage_ball(forged_events([3], count=2, ts=100))
-        assert all(entry.ttl == 0 for entry in ball)
+        assert len(ball) == 2 and ball.max_ttl == 0
 
 
 class TestScrambleJournal:
@@ -120,7 +120,10 @@ class TestSelfStabOnTheAsyncioRuntime:
             send_many = network.send_many
 
             def spy(src, dsts, message):
-                if isinstance(message, tuple) and message and message[0].event.id[1] >= 1_000_000:
+                forged = isinstance(message, Ball) and any(
+                    seq >= 1_000_000 for _, seq in message.ttls
+                )
+                if forged:
                     clock = cluster.nodes[src].process.oracle.logical_clock
                     sprayed.append((src, clock, message))
                 send_many(src, dsts, message)
@@ -160,7 +163,7 @@ class TestSelfStabOnTheAsyncioRuntime:
         [(src, clock, ball)] = sprayed
         assert src == victim and len(ball) == 3
         assert clock > 1
-        assert all(entry.event.ts > clock for entry in ball)
+        assert all(event.ts > clock for event in ball.events.values())
         # Unsigned at source: every copy died at admission, none was
         # delivered anywhere.
         assert stats.dropped_unsigned >= 3 * 5

@@ -5,25 +5,27 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core.event import BallEntry, Event, make_ball
+from repro.auth import SignedBall
+from repro.core.event import Ball, Event
+from repro.lazy.protocol import IdBall, PayloadResponse
 from repro.pss.cyclon import CyclonRequest, CyclonResponse
-from repro.runtime.codec import MAX_DATAGRAM, CodecError, decode, encode
+from repro.runtime.codec import MAX_DATAGRAM, CodecError, TopicEnvelope, decode, encode
+from repro.sync.protocol import SyncChunk
 
 
 def ball_of(*entries):
-    return make_ball(entries)
+    return Ball.of(entries)
 
 
 def entry(src=0, seq=0, ts=0, ttl=0, payload=None):
-    return BallEntry(Event(id=(src, seq), ts=ts, source_id=src, payload=payload),
-                     ttl=ttl)
+    return (Event(id=(src, seq), ts=ts, source_id=src, payload=payload), ttl)
 
 
 class TestBallRoundtrip:
     def test_empty_ball(self):
         sender, message = decode(encode(7, ball_of()))
         assert sender == 7
-        assert message == ()
+        assert message == Ball({}, {})
 
     def test_single_entry(self):
         ball = ball_of(entry(src=3, seq=2, ts=99, ttl=4, payload={"k": [1, 2]}))
@@ -38,18 +40,19 @@ class TestBallRoundtrip:
             entry(src=3, payload=None),
         )
         _, decoded = decode(encode(0, ball))
-        assert [e.event.payload for e in decoded] == ["a", "b", None]
+        assert [e.payload for e in decoded.events.values()] == ["a", "b", None]
 
     def test_negative_timestamps_and_large_ids(self):
         ball = ball_of(entry(src=2**40, seq=2**33, ts=-5, ttl=0))
         _, decoded = decode(encode(2**40, ball))
-        assert decoded[0].event.id == (2**40, 2**33)
-        assert decoded[0].event.ts == -5
+        assert decoded.ttls == {(2**40, 2**33): 0}
+        assert decoded.events[(2**40, 2**33)].ts == -5
 
     def test_unicode_payload(self):
         ball = ball_of(entry(payload="héllo ✓ 漢字"))
         _, decoded = decode(encode(0, ball))
-        assert decoded[0].event.payload == "héllo ✓ 漢字"
+        [event] = decoded.events.values()
+        assert event.payload == "héllo ✓ 漢字"
 
     @given(
         st.lists(
@@ -67,6 +70,7 @@ class TestBallRoundtrip:
                 ),
             ),
             max_size=20,
+            unique_by=lambda raw: raw[:2],  # a ball names an id once
         )
     )
     def test_roundtrip_property(self, raw_entries):
@@ -115,7 +119,7 @@ class TestRejections:
             entry(src=1, seq=i, payload=chunk) for i in range(8)
         ]
         with pytest.raises(CodecError) as excinfo:
-            encode(0, make_ball(entries))
+            encode(0, Ball.of(entries))
         message = str(excinfo.value)
         # 6 entries of ~9KB fit under 60KB; the 7th crosses the cap.
         assert "ball entry 7 of 8" in message
@@ -125,7 +129,7 @@ class TestRejections:
     def test_ball_just_under_the_cap_still_encodes(self):
         chunk = "y" * 9_000
         entries = [entry(src=1, seq=i, payload=chunk) for i in range(6)]
-        sender, decoded = decode(encode(0, make_ball(entries)))
+        sender, decoded = decode(encode(0, Ball.of(entries)))
         assert sender == 0
         assert len(decoded) == 6
 
@@ -167,3 +171,51 @@ class TestRejections:
             decode(blob)
         except CodecError:
             pass
+
+
+#: Every row of the kind table whose messages carry events: how to
+#: make a one-event message of it.
+EVENT_KINDS = {
+    "kind1": lambda event: Ball.of([(event, 0)]),
+    "kind6": lambda event: SyncChunk(req_id=1, events=(event,), checksum=0),
+    "kind7": lambda event: SignedBall(Ball.of([(event, 0)]), (None,)),
+    "kind8": lambda event: TopicEnvelope(frames=((0, 1, Ball.of([(event, 0)])),)),
+    "kind9": lambda event: IdBall(Ball.of([(event, 0)])),
+    "kind11": lambda event: PayloadResponse(req_id=1, events=(event,)),
+}
+I64_EDGES = (-(2**63), 2**63 - 1)
+
+
+def _event_with(field, value):
+    fields = {"ts": 0, "source": 1, "seq": 0, field: value}
+    return Event(
+        id=(fields["source"], fields["seq"]),
+        ts=fields["ts"],
+        source_id=fields["source"],
+    )
+
+
+class TestFieldRanges:
+    """``ts``, source and sequence keep the i64 range on every kind
+    that carries an event: a value at the edge travels, one past it is
+    refused with a :class:`CodecError` (what the UDP fabric counts as
+    ``dropped_encode``), never a ``struct.error``."""
+
+    @pytest.mark.parametrize("field", ["ts", "source", "seq"])
+    @pytest.mark.parametrize("kind", sorted(EVENT_KINDS))
+    def test_the_edge_travels_and_one_past_it_is_refused(self, kind, field):
+        build = EVENT_KINDS[kind]
+        for edge in I64_EDGES:
+            message = build(_event_with(field, edge))
+            assert decode(encode(3, message)) == (3, message)
+            past = edge + (1 if edge > 0 else -1)
+            with pytest.raises(CodecError, match="range"):
+                encode(3, build(_event_with(field, past)))
+
+    def test_a_ttl_past_i32_is_refused_on_the_fixed_width_balls(self):
+        event = _event_with("ts", 0)
+        for kind in ("kind7", "kind9"):
+            ball = Ball.of([(event, 2**31)])
+            wrapped = SignedBall(ball, (None,)) if kind == "kind7" else IdBall(ball)
+            with pytest.raises(CodecError, match="range"):
+                encode(3, wrapped)

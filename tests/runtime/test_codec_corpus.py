@@ -12,7 +12,9 @@ raises :class:`~repro.runtime.codec.CodecVersionError`, which the UDP
 fabric counts apart from line noise. A kind added to the table without
 a sample here fails the first test. The varints of a plain ball entry
 get damage of their own: too long, out of their field's range, and a
-record that runs past the datagram.
+record that runs past the datagram. A ball of any of the three ball
+kinds that names one event id twice is refused, and the fabric counts
+it as malformed.
 """
 
 from __future__ import annotations
@@ -22,9 +24,9 @@ import typing
 
 import pytest
 
-from repro.auth import BallGuard, HmacAuthenticator, KeyRing
-from repro.core.event import BallEntry, Event, make_ball
-from repro.lazy.protocol import IdBall, PayloadRequest, PayloadResponse
+from repro.auth import BallGuard, HmacAuthenticator, KeyRing, SignedBall
+from repro.core.event import Ball, Event
+from repro.lazy.protocol import PayloadRequest, PayloadResponse
 from repro.pss.cyclon import CyclonRequest, CyclonResponse
 from repro.runtime import codec
 from repro.runtime.codec import CodecError, CodecVersionError, TopicEnvelope
@@ -39,6 +41,7 @@ from repro.sync.protocol import (
 
 from repro.core.record import uvarint
 
+from ..conftest import id_ball
 from .hostile import (
     assert_all_rejected,
     assert_only_codec_errors,
@@ -55,16 +58,15 @@ def _event(src, seq):
 
 
 def _ball(entries=3):
-    return make_ball([BallEntry(_event(1 + i, i), ttl=i) for i in range(entries)])
+    return Ball.of([(_event(1 + i, i), i) for i in range(entries)])
 
 
 def _signed_ball():
     """Three signed entries and one unsigned (``mac_len == 0``)."""
     guard = BallGuard(HmacAuthenticator(KeyRing("corpus")))
-    ball = _ball(4)
-    for entry in ball[:3]:
-        guard.seal(entry.event.source_id, ball[:3])
-    return guard.attach(ball)
+    for source in (1, 2, 3):
+        guard.seal(source, _ball(3))
+    return guard.attach(_ball(4))
 
 
 _EVENTS = tuple(_event(4 + i, i) for i in range(3))
@@ -94,9 +96,9 @@ SAMPLES = {
     ),
     7: _signed_ball(),
     8: TopicEnvelope(
-        frames=((0, 7, _ball()), (1, 7, _signed_ball()), (1, 9, IdBall(entries=())))
+        frames=((0, 7, _ball()), (1, 7, _signed_ball()), (1, 9, id_ball()))
     ),
-    9: IdBall(entries=((10, 1, 0, 2), (11, 2, 1, 3))),
+    9: id_ball((10, 1, 0, 2), (11, 2, 1, 3)),
     10: PayloadRequest(req_id=0xCAFE, ids=((1, 0), (2, 1))),
     11: PayloadResponse(req_id=0xCAFE, events=_EVENTS, missing=((90, 0), (91, 1))),
 }
@@ -109,7 +111,8 @@ def _corpus():
     but for the envelope, which cannot nest — as the one frame of an
     envelope."""
     for kind, message in SAMPLES.items():
-        name = f"kind{kind}-{type(message).__name__}"
+        # Kind 1's cases keep the ids they have always had.
+        name = f"kind{kind}-{'tuple' if kind == 1 else type(message).__name__}"
         yield name, message, 7, codec.encode(7, message)
         if not isinstance(message, TopicEnvelope):
             framed = TopicEnvelope(frames=((_FRAME_TOPIC, 7, message),))
@@ -149,8 +152,7 @@ def test_the_corpus_covers_the_kind_table():
     assert set(SAMPLES) == {row.kind for row in codec._KINDS}
     for kind, message in SAMPLES.items():
         assert codec.encode(1, message)[3] == kind
-    # Ball is the alias Tuple[BallEntry, ...]; its row is `tuple`.
-    carried = {typing.get_origin(m) or m for m in typing.get_args(codec.WireMessage)}
+    carried = set(typing.get_args(codec.WireMessage))
     assert carried == {row.message_type for row in codec._KINDS}
 
 
@@ -230,7 +232,7 @@ def test_the_fabric_counts_foreign_versions_apart_from_noise():
 
 def _plain_ball(body: bytes, entries: int = 1) -> bytes:
     """A kind-1 datagram from sender 7 with a hand-written *body*."""
-    return codec.encode(7, make_ball([]))[:12] + entries.to_bytes(4, "big") + body
+    return codec.encode(7, Ball.of([]))[:12] + entries.to_bytes(4, "big") + body
 
 
 #: ``ts 10 | source 1 | seq 0`` as zigzag varints, then a JSON payload.
@@ -264,7 +266,7 @@ VARINT_DAMAGE = {
 def test_the_damage_cases_are_otherwise_well_formed():
     wire = _plain_ball(uvarint(3) + uvarint(len(_RECORD)) + _RECORD)
     assert wire == codec.encode(
-        7, make_ball([BallEntry(Event(id=(1, 0), ts=10, source_id=1, payload="ok"), 3)])
+        7, Ball.of([(Event(id=(1, 0), ts=10, source_id=1, payload="ok"), 3)])
     )
 
 
@@ -281,3 +283,53 @@ def test_damaged_varints_are_codec_errors(body, refusal, framed):
         with pytest.raises(CodecError, match=refusal) as raised:
             decode(wire)
         assert not isinstance(raised.value, CodecVersionError)
+
+
+def _twice(once: bytes) -> bytes:
+    """*once*, a one-entry ball datagram, with its entry laid twice: a
+    ball that names one id twice, which no :class:`Ball` can hold."""
+    body = once[codec.HEADER_SIZE :]
+    return once[: codec.COUNT_OFFSET] + (2).to_bytes(4, "big") + body + body
+
+
+#: One-entry datagrams of the three ball kinds.
+ONCE = {
+    "kind1": codec.encode(7, _ball(1)),
+    "kind7": codec.encode(7, SignedBall(_ball(1), (None,))),
+    "kind9": codec.encode(7, id_ball((10, 1, 0, 2))),
+}
+
+
+@pytest.mark.parametrize("framed", [False, True], ids=["alone", "framed"])
+@pytest.mark.parametrize("kind", sorted(ONCE))
+def test_a_ball_that_names_an_id_twice_is_refused(kind, framed):
+    once, twice = ONCE[kind], _twice(ONCE[kind])
+    if framed:
+        once = codec.assemble_envelope(9, [(_FRAME_TOPIC, once)])
+        twice = codec.assemble_envelope(9, [(_FRAME_TOPIC, twice)])
+    # A cold receiver, and one for which the first copy is a hit.
+    for decode in _receivers(once, bytes):
+        with pytest.raises(CodecError, match="twice") as refusal:
+            decode(twice)
+        assert not isinstance(refusal.value, CodecVersionError)
+
+
+def test_the_fabric_counts_a_ball_naming_an_id_twice_as_malformed():
+    datagrams = [_twice(once) for once in ONCE.values()]
+
+    async def scenario():
+        network = UdpNetwork()
+        inbox = []
+        network.register(1, lambda src, msg: inbox.append(msg))
+        network.register(2, lambda src, msg: None)
+        await network.open_all()
+        for datagram in datagrams:
+            endpoint = network._transports[2]  # noqa: SLF001 - test rig
+            endpoint.sendto(datagram, network.address_of(1))
+        await asyncio.sleep(0.1)
+        await network.close()
+        return inbox, network.stats
+
+    inbox, stats = asyncio.run(scenario())
+    assert inbox == []
+    assert stats.dropped_malformed == len(datagrams) == 3

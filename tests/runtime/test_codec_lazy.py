@@ -18,9 +18,11 @@ import random
 import pytest
 
 from repro.core.event import Event
-from repro.lazy.protocol import IdBall, PayloadRequest, PayloadResponse
+from repro.lazy.protocol import PayloadRequest, PayloadResponse
 from repro.runtime import codec
 from repro.runtime.codec import CodecError, CodecVersionError, TopicEnvelope
+
+from ..conftest import id_ball
 
 from .hostile import (
     assert_all_rejected,
@@ -42,9 +44,7 @@ def _event(src=1, seq=0, ts=10, payload=None):
 
 
 def _id_ball(entries=3):
-    return IdBall(
-        entries=tuple((10 + i, 1 + i, i, 2 + i) for i in range(entries))
-    )
+    return id_ball(*((10 + i, 1 + i, i, 2 + i) for i in range(entries)))
 
 
 def _request(ids=3):
@@ -75,7 +75,7 @@ class TestRoundTrip:
 
     def test_empty_messages_round_trip(self):
         for message in (
-            IdBall(entries=()),
+            id_ball(),
             PayloadRequest(req_id=0, ids=()),
             PayloadResponse(req_id=0, events=(), missing=()),
         ):
@@ -157,7 +157,7 @@ class TestHostileBytes:
         assert_all_rejected(codec.decode, [inflated_count(wire)])
 
     def test_negative_ttl_rejected(self):
-        wire = bytearray(codec.encode(1, IdBall(entries=((10, 1, 0, 0),))))
+        wire = bytearray(codec.encode(1, id_ball((10, 1, 0, 0))))
         # Header is 16 bytes; the id-entry layout is
         # ts(8) source(8) seq(8) ttl(4) — patch the ttl to -1.
         ttl_offset = 16 + 24
@@ -179,8 +179,8 @@ class TestFramedDifferential:
     def _random_message(rng):
         kind = rng.randrange(3)
         if kind == 0:
-            return IdBall(
-                entries=tuple(
+            return id_ball(
+                *(
                     (
                         rng.randrange(2**40),
                         rng.randrange(2**20),

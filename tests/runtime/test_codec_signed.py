@@ -17,7 +17,7 @@ import random
 import pytest
 
 from repro.auth import BallGuard, HmacAuthenticator, KeyRing, SignedBall
-from repro.core.event import BallEntry, Event, make_ball
+from repro.core.event import Ball, Event
 from repro.runtime import codec
 from repro.runtime.codec import CodecError, CodecVersionError
 from repro.sync.protocol import (
@@ -51,7 +51,7 @@ def _event(src=1, seq=0, ts=10, payload=None):
 def _signed_ball(entries=4, sign_all=True):
     guard = BallGuard(HmacAuthenticator(KeyRing("codec-test")))
     events = [_event(src=1 + (i % 3), seq=i, ts=10 + i) for i in range(entries)]
-    ball = make_ball([BallEntry(event, ttl=2 + i) for i, event in enumerate(events)])
+    ball = Ball.of([(event, 2 + i) for i, event in enumerate(events)])
     if sign_all:
         for event in events:
             guard.seal(event.source_id, ball)
@@ -73,7 +73,7 @@ class TestRoundTrip:
         assert decoded == signed
 
     def test_plain_kinds_still_decode(self):
-        ball = _signed_ball().entries
+        ball = _signed_ball().ball
         _, decoded = codec.decode(codec.encode(1, ball))
         assert decoded == ball
 
@@ -117,9 +117,7 @@ class TestHostileBytes:
         wire = bytearray(
             codec.encode(
                 1,
-                SignedBall(
-                    entries=(BallEntry(event, ttl=0),), signatures=(None,)
-                ),
+                SignedBall(Ball.of([(event, 0)]), signatures=(None,)),
             )
         )
         # Header is 16 bytes; the signed-entry layout is
@@ -239,8 +237,8 @@ class TestPlainSignedDifferential:
                 source_id=source,
                 payload=self._random_payload(rng),
             )
-            entries.append(BallEntry(event, ttl=rng.randrange(0, 64)))
-        return make_ball(entries)
+            entries.append((event, rng.randrange(0, 64)))
+        return Ball.of(entries)
 
     def test_random_balls_round_trip_identically_plain_and_signed(self):
         rng = random.Random(0xD1FF)
@@ -250,7 +248,7 @@ class TestPlainSignedDifferential:
             plain_wire = codec.encode(sender, ball)
             signed_wire = codec.encode(
                 sender,
-                SignedBall(entries=ball, signatures=(None,) * len(ball)),
+                SignedBall(ball, signatures=(None,) * len(ball)),
             )
             assert plain_wire[3] == 1 and signed_wire[3] == 7
             plain_sender, plain_ball = codec.decode(plain_wire)
@@ -258,5 +256,5 @@ class TestPlainSignedDifferential:
             assert plain_sender == signed_sender == sender
             assert isinstance(signed_ball, SignedBall)
             assert plain_ball == ball
-            assert signed_ball.entries == ball
+            assert signed_ball.ball == ball
             assert all(sig is None for sig in signed_ball.signatures)

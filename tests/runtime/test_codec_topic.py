@@ -22,7 +22,7 @@ import struct
 import pytest
 
 from repro.auth import BallGuard, HmacAuthenticator, KeyRing, SignedBall
-from repro.core.event import BallEntry, Event, make_ball
+from repro.core.event import Ball, Event
 from repro.runtime import codec
 from repro.runtime.codec import CodecError, CodecVersionError, TopicEnvelope
 from repro.pss.cyclon import CyclonRequest, CyclonResponse
@@ -55,16 +55,16 @@ def _event(src=1, seq=0, ts=10, payload=None):
 
 
 def _ball(entries=3):
-    return make_ball(
-        [BallEntry(_event(src=1 + i, seq=i, ts=10 + i), ttl=i) for i in range(entries)]
+    return Ball.of(
+        [(_event(src=1 + i, seq=i, ts=10 + i), i) for i in range(entries)]
     )
 
 
 def _signed_ball(entries=2):
     guard = BallGuard(HmacAuthenticator(KeyRing("topic-codec-test")))
     ball = _ball(entries)
-    for entry in ball:
-        guard.seal(entry.event.source_id, ball)
+    for event in ball.events.values():
+        guard.seal(event.source_id, ball)
     return guard.attach(ball)
 
 
@@ -150,8 +150,8 @@ class TestEncodeRejections:
             codec.encode(1, TopicEnvelope(frames=((0, 1, inner),)))
 
     def test_oversized_envelope_rejected(self):
-        big = make_ball(
-            [BallEntry(_event(seq=i, payload="x" * 1000), ttl=1) for i in range(30)]
+        big = Ball.of(
+            [(_event(seq=i, payload="x" * 1000), 1) for i in range(30)]
         )
         frames = tuple((t, 1, big) for t in range(4))
         with pytest.raises(CodecError):
@@ -213,8 +213,8 @@ class TestAssembledEnvelope:
             codec.assemble_envelope(1, [(0, b"EP")])
 
     def test_cap_is_enforced_on_the_assembled_envelope(self):
-        big = make_ball(
-            [BallEntry(_event(seq=i, payload="x" * 1000), ttl=1) for i in range(30)]
+        big = Ball.of(
+            [(_event(seq=i, payload="x" * 1000), 1) for i in range(30)]
         )
         inner = codec.encode(1, big)
         fits = codec.MAX_DATAGRAM // (len(inner) + 8)
@@ -337,15 +337,15 @@ class TestV2V3Differential:
                 source_id=source,
                 payload=self._random_payload(rng),
             )
-            entries.append(BallEntry(event, ttl=rng.randrange(0, 64)))
-        return make_ball(entries)
+            entries.append((event, rng.randrange(0, 64)))
+        return Ball.of(entries)
 
     def test_random_messages_identical_standalone_and_framed(self):
         rng = random.Random(0xD1FF)
         for _ in range(200):
             ball = self._random_ball(rng)
             message = (
-                SignedBall(entries=ball, signatures=(None,) * len(ball))
+                SignedBall(ball, signatures=(None,) * len(ball))
                 if rng.random() < 0.5
                 else ball
             )

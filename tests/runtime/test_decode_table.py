@@ -16,12 +16,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.auth import EventSignature, SignedBall
-from repro.core.event import BallEntry, Event, make_ball
+from repro.core.event import Ball, Event
 from repro.core.record import uvarint, wire_record
-from repro.lazy.protocol import IdBall
 from repro.runtime import codec
 from repro.runtime.codec import AdmittedEntries, CodecError, TopicEnvelope
 
+from ..conftest import id_ball, pairs
 from .warm_table import checked_decode, warm_table
 
 
@@ -30,13 +30,12 @@ def _event(src=1, seq=0, ts=10, payload="genuine"):
 
 
 def _ball(*events, ttl=2):
-    return make_ball([BallEntry(event, ttl) for event in events])
+    return Ball.of([(event, ttl) for event in events])
 
 
 def _signed(ball, epoch=0, mac=b"m" * 16):
     return SignedBall(
-        entries=ball,
-        signatures=tuple(EventSignature(epoch=epoch, mac=mac) for _ in ball),
+        ball, signatures=tuple(EventSignature(epoch=epoch, mac=mac) for _ in ball.ttls)
     )
 
 
@@ -50,10 +49,12 @@ def _key(event):
 
 
 def _entries(message):
-    """The ball entries of a decoded message, whatever wraps them."""
+    """The ``(event, ttl)`` entries of a decoded message, whatever wraps
+    them."""
     if isinstance(message, TopicEnvelope):
         return [e for _, _, inner in message.frames for e in _entries(inner)]
-    return list(getattr(message, "entries", message))
+    ball = getattr(message, "ball", message)
+    return pairs(ball) if isinstance(ball, Ball) else []
 
 
 class TestRepeatsReuseTheRememberedObjects:
@@ -70,8 +71,8 @@ class TestRepeatsReuseTheRememberedObjects:
         _, first = checked_decode(first_wire, table)
         table.admit_pending()
         _, later = checked_decode(later_wire, table)
-        assert _entries(later)[0].event is _entries(first)[0].event
-        assert _entries(later)[0].ttl == 7
+        assert _entries(later)[0][0] is _entries(first)[0][0]
+        assert _entries(later)[0][1] == 7
         assert (table.hits, table.misses) == (1, 1)
         assert not table.pending
 
@@ -90,7 +91,7 @@ class TestRepeatsReuseTheRememberedObjects:
         assert len(table) == 0 and table.misses == 2
 
     def test_id_balls_bypass_the_table(self):
-        wire = codec.encode(1, IdBall(entries=((10, 1, 0, 2),)))
+        wire = codec.encode(1, id_ball((10, 1, 0, 2)))
         table = warm_table(codec.encode(1, _ball(_event())))
         checked_decode(wire, table)
         assert (table.hits, table.misses) == (0, 1)  # the warming ball only
@@ -122,7 +123,7 @@ class TestDifferentContentTakesTheFullPath:
         for _ in range(3):
             _, message = checked_decode(other, table)
             table.admit_pending()
-            assert _entries(message)[0].event is not genuine_event
+            assert _entries(message)[0][0] is not genuine_event
         assert table.records[key] is remembered
         if plain:
             assert len(table) == 2
@@ -143,12 +144,12 @@ class TestDifferentContentTakesTheFullPath:
         table = warm_table(genuine)
         remembered = table.records[(1, 0)]
         if other.get("mac") == b"":
-            forged = SignedBall(entries=_ball(_event()), signatures=(None,))
+            forged = SignedBall(_ball(_event()), signatures=(None,))
         else:
             forged = _signed(_ball(_event()), **other)
         _, message = checked_decode(codec.encode(1, forged), table)
         table.admit_pending()
-        assert message.entries[0].event is not remembered[1]
+        assert _entries(message)[0][0] is not remembered[1]
         assert message.signatures[0] is not remembered[2]
         assert table.records[(1, 0)] is remembered
 
@@ -205,14 +206,14 @@ class TestVerifiedRecords:
         wire = codec.encode(1, _signed(_ball(_event())))
         unverified = warm_table(wire)
         _, message = codec.decode(wire, unverified)
-        event, signature = message.entries[0].event, message.signatures[0]
+        event, signature = _entries(message)[0][0], message.signatures[0]
         assert event is unverified.records[(1, 0)][1]
         assert not unverified.holds(event, signature)
         assert unverified.signature_of((1, 0)) is None
 
         verified = AdmittedEntries()
         _, message = codec.decode(wire, verified)
-        event, signature = message.entries[0].event, message.signatures[0]
+        event, signature = _entries(message)[0][0], message.signatures[0]
         verified.remember(event)
         assert verified.holds(event, signature)
         assert verified.signature_of((1, 0)) is signature
@@ -263,7 +264,7 @@ class TestBounded:
             _, message = codec.decode(
                 codec.encode(1, _signed(_ball(_event(seq=seq)))), table
             )
-            table.remember(message.entries[0].event)
+            table.remember(_entries(message)[0][0])
         assert list(table.records) == [(1, 3), (1, 4)]
 
 
@@ -278,11 +279,11 @@ class TestTopicsNeverAlias:
         table.admit_pending()
         assert len(table) == 2
         _, warm = checked_decode(wire, table)
-        assert [f[2][0].event.payload for f in warm.frames] == ["topic a", "topic b"]
+        assert [e.payload for e, _ in _entries(warm)] == ["topic a", "topic b"]
         assert (table.hits, table.misses) == (2, 2)
         # Nor does a framed id alias the same id arriving bare.
         _, bare = checked_decode(codec.encode(1, _ball(_event(payload="bare"))), table)
-        assert bare[0].event.payload == "bare" and table.misses == 3
+        assert _entries(bare)[0][0].payload == "bare" and table.misses == 3
 
     def test_swapping_the_topics_of_two_frames_misses_both(self):
         on_a = _ball(_event(payload="topic a"))
@@ -320,30 +321,41 @@ _ENTRY = st.tuples(
 
 
 @st.composite
-def _ball_message(draw):
+def _ball_wire(draw):
+    """A plain or signed ball datagram as any sender could write it:
+    its body is the one-entry bodies of its entries laid end to end, so
+    it may name an id twice, which every decoder refuses."""
+    sender = draw(st.integers(0, 3))
     entries, signatures = [], []
     for source, ttl, copy in draw(st.lists(_ENTRY, max_size=3)):
         fields = {**_GENUINE, **_COPIES[copy]}
-        entries.append(
-            BallEntry(_event(source, 0, fields["ts"], fields["payload"]), ttl)
-        )
+        entries.append((_event(source, 0, fields["ts"], fields["payload"]), ttl))
         signatures.append(fields["signature"])
     if draw(st.booleans()):
-        return make_ball(entries)
-    return SignedBall(entries=make_ball(entries), signatures=tuple(signatures))
+        singles = [Ball.of([entry]) for entry in entries]
+        empty = Ball({}, {})
+    else:
+        singles = [
+            SignedBall(Ball.of([entry]), (signature,))
+            for entry, signature in zip(entries, signatures)
+        ]
+        empty = SignedBall(Ball({}, {}), ())
+    head = codec.encode(sender, empty)[:12] + len(singles).to_bytes(4, "big")
+    return head + b"".join(codec.encode(sender, one)[16:] for one in singles)
 
 
-_MESSAGE = st.one_of(
-    _ball_message(),
-    st.lists(
-        st.tuples(st.integers(0, 1), st.integers(0, 3), _ball_message()), max_size=3
-    ).map(lambda frames: TopicEnvelope(frames=tuple(frames))),
+_WIRE = st.one_of(
+    _ball_wire(),
+    st.tuples(
+        st.integers(0, 5),
+        st.lists(st.tuples(st.integers(0, 1), _ball_wire()), max_size=3),
+    ).map(lambda envelope: codec.assemble_envelope(*envelope)),
 )
 
 
 @st.composite
 def _datagram(draw):
-    wire = bytearray(codec.encode(draw(st.integers(0, 5)), draw(_MESSAGE)))
+    wire = bytearray(draw(_WIRE))
     damage = draw(
         st.sampled_from(["none", "none", "none", "none", "cut", "flip", "grow", "ttl"])
     )
@@ -386,8 +398,8 @@ def test_any_datagram_sequence_decodes_as_without_a_table(steps, capacity):
             if owner == "admit":
                 table.admit_pending()
             elif owner == "verify":
-                for entry in _entries(message)[::2]:
-                    table.remember(entry.event)
+                for event, _ in _entries(message)[::2]:
+                    table.remember(event)
             assert len(table) <= capacity
     finally:
         codec.ADMITTED_CAPACITY = original

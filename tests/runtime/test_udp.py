@@ -8,20 +8,27 @@ import pytest
 
 from repro.core import EpToConfig
 from repro.core.errors import MembershipError
-from repro.core.event import BallEntry, Event, make_ball
+from repro.core.event import Ball, Event
 from repro.runtime.node import AsyncEpToNode
 from repro.runtime.udp import UdpNetwork
 from repro.pss.base import MembershipDirectory
 from repro.pss.uniform import UniformViewPss
+
+from ..conftest import first_event
 
 
 def run(coro):
     return asyncio.run(coro)
 
 
+async def _poll(condition):
+    while not condition():
+        await asyncio.sleep(0.005)
+
+
 def a_ball(payload="x"):
-    return make_ball(
-        [BallEntry(Event(id=(9, 0), ts=1, source_id=9, payload=payload), 0)]
+    return Ball.of(
+        [(Event(id=(9, 0), ts=1, source_id=9, payload=payload), 0)]
     )
 
 
@@ -42,7 +49,7 @@ class TestUdpFabric:
         assert len(inbox) == 1
         src, ball = inbox[0]
         assert src == 2
-        assert ball[0].event.payload == "hello"
+        assert first_event(ball).payload == "hello"
 
     def test_send_before_open_is_counted_drop(self):
         async def scenario():
@@ -95,7 +102,7 @@ class TestUdpFabric:
         malformed, inbox = run(scenario())
         assert malformed == 1
         assert len(inbox) == 1
-        assert inbox[0][0].event.payload == "still alive"
+        assert first_event(inbox[0]).payload == "still alive"
 
     def test_duplicate_registration_rejected(self):
         network = UdpNetwork()
@@ -234,7 +241,7 @@ class TestCorruption:
         assert corrupted == 20
         assert malformed == 20
         assert len(inbox) == 1  # the post-window datagram got through
-        assert inbox[0][0].event.payload == "clean"
+        assert first_event(inbox[0]).payload == "clean"
 
     def test_corruption_window_expires(self):
         async def scenario():
@@ -422,9 +429,63 @@ class TestAuthenticatedUdp:
 
         inbox, stats = run(scenario())
         assert len(inbox) == 1
-        assert inbox[0][1][0].event.payload == "hello"
+        assert first_event(inbox[0][1]).payload == "hello"
         assert stats.dropped_unsigned >= 1
         assert stats.dropped_undecodable >= 1
+
+    def test_a_saturated_clock_costs_its_fan_out_not_its_round_task(self):
+        """A peer's admitted entry at ``ts = 2**63 - 1`` pushes a logical
+        clock to the i64 maximum, so that node's next broadcast cannot
+        travel: its signed fan-out is refused whole — K
+        ``dropped_encode`` — and its round task keeps running."""
+        import random
+
+        fanout = 3
+
+        async def scenario():
+            config = EpToConfig(
+                fanout=fanout, ttl=3, round_interval=10, clock="logical"
+            )
+            network = UdpNetwork(authenticator=self._authenticator())
+            directory = MembershipDirectory()
+            nodes = []
+            for node_id in range(fanout + 1):
+                pss = UniformViewPss(node_id, directory, random.Random(node_id))
+                nodes.append(
+                    AsyncEpToNode(
+                        node_id=node_id,
+                        config=config,
+                        network=network,  # type: ignore[arg-type]
+                        peer_sampler=pss,
+                        on_deliver=lambda event: None,
+                    )
+                )
+                directory.add(node_id)
+            await network.open_all()
+            for node in nodes:
+                node.start()
+            peer, victim = nodes[1], nodes[0]
+
+            async def until(condition):
+                await asyncio.wait_for(_poll(condition), timeout=5.0)
+
+            peer.process.oracle.update_clock(2**63 - 2)
+            assert peer.broadcast("at the edge").ts == 2**63 - 1
+            await until(lambda: victim.process.oracle.logical_clock == 2**63 - 1)
+            assert network.stats.dropped_encode == 0
+            saturated = victim.broadcast("past the edge")
+            rounds = victim.process.dissemination.stats.rounds
+            await until(lambda: victim.process.dissemination.stats.rounds >= rounds + 3)
+            running = victim.running and not victim.crashed
+            for node in nodes:
+                await node.stop()
+            await network.close()
+            return saturated, running, network.stats
+
+        saturated, running, stats = run(scenario())
+        assert saturated.ts == 2**63
+        assert stats.dropped_encode == fanout
+        assert running
 
     def test_unknown_version_counted_separately(self):
         async def scenario():

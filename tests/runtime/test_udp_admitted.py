@@ -16,7 +16,7 @@ import pytest
 
 from repro.auth import BallGuard, HmacAuthenticator, KeyRing
 from repro.core import EpToConfig
-from repro.core.event import BallEntry, Event, make_ball
+from repro.core.event import Ball, Event
 from repro.faults import ByzantineRouter
 from repro.faults.verify import check_survivors
 from repro.pss.cyclon import CyclonRequest
@@ -24,6 +24,8 @@ from repro.runtime import codec
 from repro.runtime.cluster import AsyncCluster
 from repro.runtime.codec import TopicEnvelope
 from repro.runtime.udp import UdpNetwork
+
+from ..conftest import first_event, pairs
 
 SETTLE = 0.05
 
@@ -37,7 +39,7 @@ def _event(src=2, seq=0, payload="genuine"):
 
 
 def _ball(event, ttl=0):
-    return make_ball([BallEntry(event, ttl)])
+    return Ball.of([(event, ttl)])
 
 
 class Rig:
@@ -66,7 +68,7 @@ class Rig:
         return self.network.stats
 
     def delivered_payloads(self):
-        return [entry.event.payload for ball in self.inbox for entry in ball]
+        return [event.payload for ball in self.inbox for event in ball.events.values()]
 
 
 def _sealed_wire(authenticator, event, ttl=0, sender=2):
@@ -108,7 +110,7 @@ class TestAuthWithAWarmTable:
 
         rig = run(scenario())
         assert rig.delivered_payloads() == ["genuine"] * 3
-        assert [ball[0].ttl for ball in rig.inbox] == [0, 3, 9]
+        assert [pairs(ball)[0][1] for ball in rig.inbox] == [0, 3, 9]
         assert hmacs == [(2, 0)]
         assert rig.stats.dropped_undecodable == 0
 
@@ -238,17 +240,17 @@ class TestAuthWithAWarmTable:
 
 
 class TestPlainBallsOnAnAuthenticatingFabric:
-    """A plain ball decodes to a ``MapBall``, not a tuple: the gate must
-    still refuse it whole, alone and inside an envelope frame, before
-    the node's inbox ever sees it."""
+    """A plain ball decodes to a bare ``Ball``: the gate must refuse it
+    whole, alone and inside an envelope frame, before the node's inbox
+    ever sees it."""
 
     @pytest.mark.parametrize("framed", [False, True], ids=["alone", "framed"])
     def test_a_plain_ball_is_dropped_whole(self, framed):
-        ball = make_ball([BallEntry(_event(seq=seq), 1) for seq in range(3)])
+        ball = Ball.of([(_event(seq=seq), 1) for seq in range(3)])
         message = TopicEnvelope(frames=((0, 2, ball),)) if framed else ball
         wire = codec.encode(2, message)
         assert type(codec.decode(wire)[1]).__name__ == (
-            "TopicEnvelope" if framed else "MapBall"
+            "TopicEnvelope" if framed else "Ball"
         )
 
         async def scenario():
@@ -355,8 +357,8 @@ class TestOneTablePerNode:
         assert (tables[1].hits, tables[1].misses) == (1, 1)
         assert (tables[3].hits, tables[3].misses) == (1, 1)
         assert (tables[2].hits, tables[2].misses) == (0, 0)
-        assert inboxes[1][0][0].event is inboxes[1][1][0].event
-        assert inboxes[1][0][0].event is not inboxes[3][0][0].event
+        assert first_event(inboxes[1][0]) is first_event(inboxes[1][1])
+        assert first_event(inboxes[1][0]) is not first_event(inboxes[3][0])
 
     def test_unregister_and_close_drop_the_table(self):
         async def scenario():
@@ -434,7 +436,8 @@ class TestRelayAcrossFabrics:
             return final_in, relay.stats
 
         final_in, stats = run(scenario())
-        assert [e.event.payload for ball in final_in for e in ball] == ["across"]
+        payloads = [e.payload for ball in final_in for e in ball.events.values()]
+        assert payloads == ["across"]
         assert stats.dropped_unsigned == 1
         assert stats.dropped_bad_signature == 0
 
@@ -461,7 +464,7 @@ class TestReceiveDrain:
             return inbox, network.stats
 
         inbox, stats = run(scenario())
-        assert [ball[0].event.id[1] for ball in inbox] == list(range(burst))
+        assert [first_event(ball).id[1] for ball in inbox] == list(range(burst))
         # No drain loop, so no EAGAIN probe: a call per datagram.
         assert stats.syscalls_recv == stats.delivered == burst
 
@@ -508,5 +511,5 @@ class TestReceiveDrain:
             return inbox, network.stats
 
         inbox, stats = run(scenario())
-        assert [ball[0].event.id[1] for ball in inbox] == [0, 1, 2]
+        assert [first_event(ball).id[1] for ball in inbox] == [0, 1, 2]
         assert stats.syscalls_recv == stats.delivered == 3

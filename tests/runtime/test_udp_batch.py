@@ -19,9 +19,11 @@ import errno
 import pytest
 
 from repro.core import EpToConfig
-from repro.core.event import BallEntry, Event, make_ball
+from repro.core.event import Ball, Event
 from repro.runtime import AsyncCluster
 from repro.runtime.udp import UdpNetwork
+
+from ..conftest import first_event
 
 
 def run(coro):
@@ -29,8 +31,8 @@ def run(coro):
 
 
 def a_ball(payload="x"):
-    return make_ball(
-        [BallEntry(Event(id=(9, 0), ts=1, source_id=9, payload=payload), 0)]
+    return Ball.of(
+        [(Event(id=(9, 0), ts=1, source_id=9, payload=payload), 0)]
     )
 
 
@@ -78,7 +80,7 @@ class TestTierMatrix:
         stats, inboxes = run(_fanout_scenario(batch))
         expected = [f"round-{r}" for r in range(ROUNDS)]
         for box in inboxes.values():
-            assert [msg[0].event.payload for msg in box] == expected
+            assert [first_event(msg).payload for msg in box] == expected
         assert stats.sent == ROUNDS * len(PEERS)
         assert stats.delivered == ROUNDS * len(PEERS)
 
@@ -212,7 +214,7 @@ class TestDeferredSends:
 
             # Jittered per-send delays may reorder deliveries; every
             # datagram must still arrive intact.
-            assert sorted(msg[0].event.payload for msg in run(scenario())) == [
+            assert sorted(first_event(msg).payload for msg in run(scenario())) == [
                 f"d{i}" * (i + 1) for i in range(6)
             ]
 

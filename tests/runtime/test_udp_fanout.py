@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import asyncio
 
-from repro.core.event import BallEntry, Event, make_ball
+from repro.core.event import Ball, Event
 from repro.runtime.udp import DEFAULT_SPIKE_BASE, UdpNetwork
+
+from ..conftest import first_event
 
 
 def run(coro):
@@ -13,8 +15,8 @@ def run(coro):
 
 
 def a_ball(payload="x"):
-    return make_ball(
-        [BallEntry(Event(id=(9, 0), ts=1, source_id=9, payload=payload), 0)]
+    return Ball.of(
+        [(Event(id=(9, 0), ts=1, source_id=9, payload=payload), 0)]
     )
 
 
@@ -38,7 +40,7 @@ class TestEncodeOnceFanout:
         assert stats.delivered == 3
         for inbox in inboxes.values():
             assert len(inbox) == 1
-            assert inbox[0][0].event.payload == "fan-out"
+            assert first_event(inbox[0]).payload == "fan-out"
 
     def test_per_peer_send_encodes_per_destination(self):
         async def scenario():
@@ -60,8 +62,8 @@ class TestEncodeOnceFanout:
             for nid in (0, 1, 2):
                 network.register(nid, lambda src, msg: None)
             await network.open_all()
-            bad = make_ball(
-                [BallEntry(Event(id=(0, 0), ts=1, source_id=0, payload=object()), 0)]
+            bad = Ball.of(
+                [(Event(id=(0, 0), ts=1, source_id=0, payload=object()), 0)]
             )
             network.send_many(0, [1, 2], bad)
             await network.close()
@@ -93,7 +95,7 @@ class TestLatencySpike:
         stats, inbox = run(scenario())
         assert stats.delivered == 1
         assert len(inbox) == 1
-        assert inbox[0][0].event.payload == "slow"
+        assert first_event(inbox[0]).payload == "slow"
 
     def test_spike_window_expires(self):
         async def scenario():
@@ -184,7 +186,7 @@ class TestSendBundle:
             assert stats.payload_bytes_sent + stats.metadata_bytes_sent == stats.bytes_sent
             assert stats.payload_bytes_sent == 4 * len('"all"')
             payloads = {
-                nid: [env.frames[0][2][0].event.payload for env in box]
+                nid: [first_event(env.frames[0][2]).payload for env in box]
                 for nid, box in inboxes.items()
             }
             assert payloads == {1: ["all"], 2: ["all", "one"], 3: ["all"]}

@@ -23,11 +23,12 @@ import random
 import pytest
 
 from repro.auth import BallGuard, HmacAuthenticator, KeyRing
-from repro.core.event import BallEntry, Event, make_ball
+from repro.core.event import Ball, Event
 from repro.runtime import codec
 from repro.runtime.codec import CodecError, CodecVersionError, decode
 from repro.runtime.udp import UdpNetwork
 
+from ..conftest import first_event
 from .warm_table import checked_decode, warm_table
 
 
@@ -36,10 +37,10 @@ def run(coro):
 
 
 def a_ball(payload="x"):
-    return make_ball(
+    return Ball.of(
         [
-            BallEntry(Event(id=(9, 0), ts=1, source_id=9, payload=payload), 0),
-            BallEntry(Event(id=(9, 1), ts=2, source_id=9, payload=[payload, 1]), 3),
+            (Event(id=(9, 0), ts=1, source_id=9, payload=payload), 0),
+            (Event(id=(9, 1), ts=2, source_id=9, payload=[payload, 1]), 3),
         ]
     )
 
@@ -129,7 +130,7 @@ class TestCodecFuzz:
         sender, message = self.decode(memoryview(wire))
         wire[:] = bytes(len(wire))
         assert sender == 9
-        assert message.entries[0].event.payload == "keepsake"
+        assert first_event(message.entries).payload == "keepsake"
         mac = message.signatures[0].mac
         assert isinstance(mac, bytes) and any(mac)
 
@@ -157,7 +158,7 @@ class TestCodecFuzzWarmTable(TestCodecFuzz):
         table = warm_table(memoryview(buffer))
         buffer[:] = bytes(len(buffer))
         _, message = checked_decode(memoryview(bytearray(wire)), table)
-        assert message.entries[0].event.payload == "first sight"
+        assert first_event(message.entries).payload == "first sight"
         assert table.hits == len(message.entries)
 
 
@@ -198,7 +199,7 @@ class TestFabricHostility:
             wires.append(mutated)
         inbox, stats = self._scenario(wires)
         assert len(inbox) >= 1
-        assert inbox[0][1][0].event.payload == "survivor"
+        assert first_event(inbox[0][1]).payload == "survivor"
         rejected = stats.dropped_malformed + stats.dropped_bad_version
         assert len(inbox) + rejected == len(wires)
         assert stats.dropped_malformed > 0
@@ -218,8 +219,8 @@ class TestFabricHostility:
         authenticator = HmacAuthenticator(KeyRing("zero-copy-test"))
         guard = BallGuard(authenticator)
         # The sealer only signs events it originated: source must be 2.
-        ball = make_ball(
-            [BallEntry(Event(id=(2, 0), ts=1, source_id=2, payload="sealed"), 0)]
+        ball = Ball.of(
+            [(Event(id=(2, 0), ts=1, source_id=2, payload="sealed"), 0)]
         )
         guard.seal(2, ball)
         signed = guard.attach(ball)
@@ -258,7 +259,7 @@ class TestFabricHostility:
         assert len(inbox) == 1
         src, message = inbox[0]
         assert src == 2
-        assert message[0].event.payload == "fragile"
+        assert first_event(message).payload == "fragile"
         for obj in _walk(message):
             assert not isinstance(obj, (memoryview, bytearray))
 
@@ -309,7 +310,7 @@ class TestSharedArena:
                 event = Event(
                     id=(3, seq), ts=seq, source_id=3, payload=[f"p{seq}"] * (9 - seq)
                 )
-                network.send(3, 1 + seq % 2, make_ball([BallEntry(event, 2)]))
+                network.send(3, 1 + seq % 2, Ball.of([(event, 2)]))
                 await asyncio.sleep(0.01)
             final = held()
             arena = network._arena  # noqa: SLF001 - test rig

@@ -1,10 +1,9 @@
 """A node fed plain wire balls ends where the per-entry path would.
 
-The receive path of a plain ball (codec kind 1) no longer builds a
-:class:`~repro.core.event.BallEntry` per copy: ``decode`` serves a
-copy whose record bytes the node's
+The receive path of a plain ball (codec kind 1) builds nothing per
+copy: ``decode`` serves a copy whose record bytes the node's
 :class:`~repro.runtime.codec.AdmittedEntries` holds from one lookup,
-returns a :class:`~repro.core.event.MapBall`, and
+returns a :class:`~repro.core.event.Ball`, and
 ``DisseminationComponent.receive_ball`` merges it by its maps. This
 property throws random datagram sequences at a node — honest balls, an
 id named twice in one ball, one id with other ``ts`` or payload bytes,
@@ -15,10 +14,11 @@ written below ends: the same nextBall (ids, order, TTLs, events), the
 same logical clock, the same :class:`DisseminationStats` and the same
 table hits and misses.
 
-The model is the per-entry path: each datagram is the tuple of
-``BallEntry`` it was encoded from, merged entry by entry (Algorithm 1,
-lines 11–19; an id named twice keeps its first content, counts every
-expired copy and max-merges the live ones). Its table counts a copy as
+The model is the per-entry path: each datagram is the list of ``(event,
+ttl)`` entries it was written from, merged entry by entry (Algorithm 1,
+lines 11–19). A ball that names an id twice is refused the way a
+truncated datagram is: the frames of an envelope decoded before it were
+counted, and nothing reaches the node. Its table counts a copy as
 a hit when the very bytes of its ``ts``, source, sequence and payload
 (and the frame's topic) were admitted from an earlier datagram — the
 comparison the per-entry decoder made. It remembers every content it
@@ -33,13 +33,14 @@ import dataclasses
 import random
 from typing import Dict
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import EpToConfig
 from repro.core.clock import GlobalClockOracle, LogicalClockOracle
 from repro.core.dissemination import DisseminationComponent, DisseminationStats
-from repro.core.event import BallEntry, Event, make_ball
-from repro.core.record import payload_json, uvarint_nbytes, wire_record
+from repro.core.event import Ball, Event
+from repro.core.record import payload_json, uvarint, uvarint_nbytes, wire_record
 from repro.runtime import codec
 from repro.runtime.codec import AdmittedEntries, CodecError, TopicEnvelope
 
@@ -69,12 +70,17 @@ def _event(index: int, variant: str) -> Event:
 
 
 _entry = st.builds(
-    lambda index, variant, ttl: BallEntry(_event(index, variant), ttl),
+    lambda index, variant, ttl: (_event(index, variant), ttl),
     st.integers(0, len(IDS) - 1),
     st.sampled_from(["genuine"] * 4 + sorted(VARIANTS)),
     st.integers(0, TTL_BOUND + 2),  # expired from TTL_BOUND on
 )
-_ball = st.lists(_entry, max_size=5).map(make_ball)
+#: A ball's entries: mostly each id once, as every honest sender writes.
+_ball = st.one_of(
+    st.lists(_entry, max_size=5, unique_by=lambda entry: entry[0].id),
+    st.lists(_entry, max_size=4, unique_by=lambda entry: entry[0].id),
+    st.lists(_entry, max_size=5),
+)
 
 #: ``[(topic, ball)]``: a bare ball (topic ``None``) or envelope frames.
 _frames = st.one_of(
@@ -88,10 +94,43 @@ _step = st.one_of(
 )
 
 
+def _ball_wire(entries, sender: int = 7) -> bytes:
+    """The kind-1 datagram of *entries* as any sender could write it —
+    an id named twice included, which no :class:`Ball` can hold."""
+    header = codec.encode(sender, Ball({}, {}))[:12] + len(entries).to_bytes(4, "big")
+    records = [(ttl, wire_record(event)[0]) for event, ttl in entries]
+    wire = header + b"".join(uvarint(ttl) + uvarint(len(r)) + r for ttl, r in records)
+    if not _names_an_id_twice(entries):
+        assert wire == codec.encode(sender, Ball.of(entries))
+    return wire
+
+
+def _names_an_id_twice(entries) -> bool:
+    return len({event.id for event, _ in entries}) < len(entries)
+
+
 def _wire(frames, sender: int = 7) -> bytes:
     if frames[0][0] is None:
-        return codec.encode(sender, frames[0][1])
-    return codec.encode(sender, TopicEnvelope(frames=tuple((t, sender, b) for t, b in frames)))
+        return _ball_wire(frames[0][1], sender)
+    return codec.assemble_envelope(
+        sender, [(topic, _ball_wire(entries, sender)) for topic, entries in frames]
+    )
+
+
+def _decoded(frames, size=None) -> list:
+    """The frames ``decode`` reads to their end before it raises — at a
+    ball naming an id twice, or at the frame a cut to *size* bytes runs
+    into — or all of them."""
+    if frames[0][0] is None:
+        refused = size is not None or _names_an_id_twice(frames[0][1])
+        return [] if refused else frames
+    complete, end = [], codec.HEADER_SIZE
+    for topic, entries in frames:
+        end += codec.FRAME_HEAD_SIZE + len(_ball_wire(entries))
+        if (size is not None and end > size) or _names_an_id_twice(entries):
+            break
+        complete.append((topic, entries))
+    return complete
 
 
 class Model:
@@ -106,32 +145,30 @@ class Model:
         self.admitted = set()
         self.hits = self.misses = 0
 
-    def datagram(self, frames) -> None:
+    def datagram(self, frames) -> bool:
+        """Whether the datagram is admitted: a ball naming an id twice
+        refuses it like a cut does."""
+        decoded = _decoded(frames)
+        if len(decoded) < len(frames):
+            self._look_up(decoded)
+            return False
         self.admitted.update(self._look_up(frames))  # no verifier: keep all
-        for topic, ball in frames:
+        for topic, entries in frames:
             if topic in (None, OURS):
-                self.receive(ball)
+                self.receive(entries)
+        return True
 
     def cut(self, frames, size: int) -> None:
         """A datagram cut to *size* bytes: refused, nothing staged — but
         the frames of an envelope that end before the cut were decoded,
         and counted, before the one it cuts raised."""
-        if frames[0][0] is None:
-            return
-        complete, end = [], codec.HEADER_SIZE
-        for topic, ball in frames:
-            end += codec.FRAME_HEAD_SIZE + len(codec.encode(7, ball))
-            if end > size:
-                break
-            complete.append((topic, ball))
-        self._look_up(complete)
+        self._look_up(_decoded(frames, size))
 
     def _look_up(self, frames) -> list:
         """Count every copy a hit or a miss; return the first sights."""
         staged = []
-        for topic, ball in frames:
-            for entry in ball:
-                event = entry.event
+        for topic, entries in frames:
+            for event, _ in entries:
                 key = (event.ts, event.id, payload_json(event.payload), topic)
                 if key in self.admitted:
                     self.hits += 1
@@ -140,20 +177,19 @@ class Model:
                     staged.append(key)
         return staged
 
-    def receive(self, ball) -> None:
+    def receive(self, entries) -> None:
         self.stats.balls_received += 1
-        for entry in ball:
+        for event, ttl in entries:
             self.stats.entries_received += 1
-            event_id = entry.event.id
-            if entry.ttl >= TTL_BOUND:
+            if ttl >= TTL_BOUND:
                 self.stats.entries_expired += 1
-            elif event_id in self.pending:
-                self.pending[event_id] = max(self.pending[event_id], entry.ttl)
+            elif event.id in self.pending:
+                self.pending[event.id] = max(self.pending[event.id], ttl)
             else:
-                self.pending[event_id] = entry.ttl
-                self.events[event_id] = entry.event
+                self.pending[event.id] = ttl
+                self.events[event.id] = event
             if self.logical:
-                self.clock = max(self.clock, entry.event.ts)
+                self.clock = max(self.clock, event.ts)
 
     def round(self) -> None:
         self.stats.rounds += 1
@@ -223,7 +259,10 @@ def test_a_node_ends_where_the_per_entry_path_ends(logical, warmup, steps):
     # A warm table: datagrams the node admitted before its component
     # saw any ball (e.g. frames of topics it no longer serves).
     for frames in warmup:
-        codec.decode(_wire(frames), node.table)
+        try:
+            codec.decode(_wire(frames), node.table)
+        except CodecError:
+            continue  # refused: nothing is admitted
         node.table.admit_pending()
         model.admitted.update(model._look_up(frames))
     node.table.hits = node.table.misses = model.hits = model.misses = 0
@@ -233,8 +272,12 @@ def test_a_node_ends_where_the_per_entry_path_ends(logical, warmup, steps):
             node.component.round_tick()
             model.round()
         elif step[0] == "datagram":
-            node.datagram(_wire(step[1]))
-            model.datagram(step[1])
+            try:
+                node.datagram(_wire(step[1]))
+            except CodecError:
+                assert not model.datagram(step[1])
+            else:
+                assert model.datagram(step[1])
         else:  # a truncated datagram is refused whole
             wire = _wire(step[1])
             size = step[2] % len(wire)
@@ -247,15 +290,8 @@ def test_a_node_ends_where_the_per_entry_path_ends(logical, warmup, steps):
         _agree(node, model)
 
 
-def test_an_id_named_twice_decodes_to_the_per_entry_tuple():
-    twice = make_ball(
-        [
-            BallEntry(_event(0, "genuine"), 1),
-            BallEntry(_event(0, "other payload"), 3),
-            BallEntry(_event(0, "genuine"), TTL_BOUND),
-        ]
-    )
-    _, decoded = codec.decode(codec.encode(7, twice))
-    assert type(decoded) is tuple and decoded == twice
-    once = make_ball(twice[:1])
-    assert type(codec.decode(codec.encode(7, once))[1]).__name__ == "MapBall"
+def test_an_id_named_twice_is_refused():
+    twice = [(_event(0, "genuine"), 1), (_event(0, "other payload"), 3)]
+    with pytest.raises(CodecError, match="twice"):
+        codec.decode(_ball_wire(twice))
+    assert codec.decode(_ball_wire(twice[:1])) == (7, Ball.of(twice[:1]))

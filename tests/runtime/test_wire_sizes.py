@@ -19,7 +19,7 @@ import pytest
 
 from repro.core import EpToConfig, dissemination
 from repro.core.dissemination import DisseminationComponent
-from repro.core.event import BallEntry, Event, make_ball
+from repro.core.event import Ball, Event
 from repro.lazy import process as lazy
 from repro.lazy.protocol import IdBall, PayloadRequest, PayloadResponse
 from repro.runtime import codec
@@ -27,7 +27,13 @@ from repro.service import demux
 from repro.sync import protocol as sync
 from repro.sync.protocol import SyncChunk
 
-from ..conftest import ManualOracle, RecordingTransport, StaticPeerSampler
+from ..conftest import (
+    ManualOracle,
+    RecordingTransport,
+    StaticPeerSampler,
+    id_ball,
+    pairs,
+)
 
 
 def _size(message) -> int:
@@ -45,7 +51,7 @@ _NULL = len(b"null")
 
 
 def test_an_empty_message_is_the_header():
-    assert _size(make_ball([])) == _size(IdBall(entries=())) == lazy.HEADER_BYTES
+    assert _size(Ball.of([])) == _size(IdBall(Ball({}, {}))) == lazy.HEADER_BYTES
     assert lazy.HEADER_BYTES == codec.HEADER_SIZE == demux._ENVELOPE_OVERHEAD
 
 
@@ -101,13 +107,13 @@ def test_the_ball_estimate_is_the_datagram(case):
         for source, seq, ts, ttl, payload in fields
     ]
     ball, stats = _one_round(bound, entries)
-    assert [(e.event, e.ttl) for e in ball] == entries
+    assert pairs(ball) == entries
     datagram = codec.encode(1, ball)
     assert codec.HEADER_SIZE + stats.metadata_bytes + stats.payload_bytes == len(datagram)
     assert stats.payload_bytes == codec.last_encode_payload_bytes()
     # Read back off the wire, each event carries the record it came in.
     _, decoded = codec.decode(datagram)
-    _, relayed = _one_round(bound, [(e.event, e.ttl) for e in decoded])
+    _, relayed = _one_round(bound, pairs(decoded))
     assert (relayed.metadata_bytes, relayed.payload_bytes) == (
         stats.metadata_bytes,
         stats.payload_bytes,
@@ -116,7 +122,7 @@ def test_the_ball_estimate_is_the_datagram(case):
 
 def test_one_more_ball_entry():
     def ball(count):
-        return make_ball([BallEntry(event, 1) for event in _events(count)])
+        return Ball.of([(event, 1) for event in _events(count)])
 
     # length, ts 5, source 2, seq 2: a byte each, then "null"; the TTL's
     # byte is the round's to add.
@@ -126,10 +132,35 @@ def test_one_more_ball_entry():
 
 
 def test_one_more_id_ball_entry():
-    def id_ball(count):
-        return IdBall(entries=tuple((5, 2, seq, 1) for seq in range(count)))
+    def ball(count):
+        return id_ball(*((5, 2, seq, 1) for seq in range(count)))
 
-    assert _size(id_ball(3)) - _size(id_ball(2)) == lazy.ID_ENTRY_BYTES
+    assert _size(ball(3)) - _size(ball(2)) == lazy.ID_ENTRY_BYTES
+
+
+def test_a_lazy_round_accounts_the_id_ball_it_ships():
+    shipped = []
+
+    class Fabric(RecordingTransport):
+        def send_many(self, src, dsts, message):
+            shipped.append((len(dsts), message))
+
+    process = lazy.LazyEpToProcess(
+        node_id=2,
+        config=EpToConfig(fanout=3, ttl=4, mode="lazy"),
+        peer_sampler=StaticPeerSampler([5, 6, 7]),
+        transport=Fabric(),
+        on_deliver=lambda event: None,
+        time_source=lambda: 5,
+        rng=random.Random(0),
+    )
+    process.broadcast({"a payload": "that never ships"})
+    process.on_ball(Ball.of([(Event(id=(3, 0), ts=4, source_id=3, payload="x"), 1)]))
+    process.on_round()
+    [(fan, message)] = shipped
+    assert isinstance(message, IdBall) and len(message.entries) == 2
+    assert all(event.payload is None for event in message.ball.events.values())
+    assert process.lazy_stats.metadata_bytes == fan * _size(message)
 
 
 def test_the_pull_request_head_and_one_more_id():
@@ -165,7 +196,7 @@ def test_one_more_sync_chunk_event():
 
 
 def test_one_more_envelope_frame_and_where_the_count_sits():
-    inner = codec.encode(2, IdBall(entries=()))
+    inner = codec.encode(2, IdBall(Ball({}, {})))
 
     def envelope(count):
         return codec.assemble_envelope(1, [(topic, inner) for topic in range(count)])

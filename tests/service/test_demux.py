@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.auth import EventSignature, SignedBall
 from repro.core.errors import MembershipError
-from repro.core.event import BallEntry, Event, make_ball
+from repro.core.event import Ball, Event
 from repro.lazy.protocol import IdBall, PayloadRequest, PayloadResponse
 from repro.runtime import codec
 from repro.runtime.codec import MAX_DATAGRAM, TopicEnvelope
@@ -21,7 +21,7 @@ from repro.service.demux import TopicDemux
 
 def _ball(src=1, seq=0, payload=None):
     event = Event(id=(src, seq), ts=10 + seq, source_id=src, payload=payload)
-    return make_ball([BallEntry(event, ttl=3)])
+    return Ball.of([(event, 3)])
 
 
 def _run(coro):
@@ -467,8 +467,11 @@ _events = st.builds(
     st.integers(0, 1_000),
     _payloads,
 )
-_entries = st.builds(BallEntry, _events, st.integers(0, 30))
-_balls = st.lists(_entries, max_size=3).map(make_ball)
+_entries = st.tuples(_events, st.integers(0, 30))
+_balls = st.lists(
+    _entries, max_size=3, unique_by=lambda entry: entry[0].id  # each id once
+).map(Ball.of)
+_event_ids = st.tuples(st.integers(0, 9), st.integers(0, 99))
 _signatures = st.one_of(
     st.none(),
     st.builds(EventSignature, st.integers(0, 9), st.binary(min_size=1, max_size=32)),
@@ -478,11 +481,18 @@ _signed_balls = _balls.flatmap(
         _signatures, min_size=len(ball), max_size=len(ball)
     ).map(lambda signatures: SignedBall(ball, tuple(signatures)))
 )
-_event_ids = st.tuples(st.integers(0, 9), st.integers(0, 99))
 _id_balls = st.lists(
-    st.tuples(st.integers(0, 1_000), st.integers(0, 9), st.integers(0, 99), st.integers(0, 30)),
+    st.tuples(st.integers(0, 1_000), _event_ids, st.integers(0, 30)),
     max_size=4,
-).map(lambda entries: IdBall(tuple(entries)))
+    unique_by=lambda entry: entry[1],
+).map(
+    lambda entries: IdBall(
+        Ball.of(
+            (Event(id=event_id, ts=ts, source_id=event_id[0]), ttl)
+            for ts, event_id, ttl in entries
+        )
+    )
+)
 _pull_requests = st.builds(
     PayloadRequest, st.integers(0, 2**32 - 1), st.lists(_event_ids, max_size=4).map(tuple)
 )

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core import EpToConfig, record
 from repro.core.errors import MembershipError
-from repro.core.event import BallEntry, Event, SharedBall, make_ball
+from repro.core.event import Ball, Event
 from repro.core.process import EpToProcess
 from repro.lazy.protocol import IdBall, PayloadRequest, PayloadResponse
 from repro.metrics import DeliveryCollector
@@ -164,11 +164,11 @@ class TestEndToEnd:
 class TestInboxDispatch:
     """One message of every kind through one node's inbox: each reaches
     its handler exactly once, and a ball — nearly all the traffic — is
-    recognised first, whether plain tuple or :class:`SharedBall`."""
+    recognised first, whether a wire ball's or a round's shared one."""
 
     EVENT = Event(id=(1, 0), ts=3, source_id=1, payload="x")
-    BALL = make_ball([BallEntry(EVENT, 1)])
-    SHARED = SharedBall([BallEntry(EVENT, 1)], {EVENT.id: 1})
+    BALL = Ball.of([(EVENT, 1)])
+    SHARED = Ball({EVENT.id: EVENT}, {EVENT.id: 1}, shared=True)
     MESSAGES = [
         ("ball", BALL),
         ("ball", SHARED),
@@ -176,7 +176,7 @@ class TestInboxDispatch:
         ("cyclon_response", CyclonResponse(entries=())),
         ("overlay", JoinRequest()),
         ("overlay", BrahmsPush()),
-        ("lazy", IdBall(entries=())),
+        ("lazy", IdBall(Ball({}, {}))),
         ("lazy", PayloadRequest(req_id=1, ids=())),
         ("lazy", PayloadResponse(req_id=1, events=())),
         ("sync", SyncDigest(DeliveryDigest(last_key=None))),

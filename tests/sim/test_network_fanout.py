@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from repro.auth import HmacAuthenticator, KeyRing
 from repro.core import EpToConfig
 from repro.core.dissemination import DisseminationComponent
-from repro.core.event import BallEntry, Event, SharedBall, make_ball
+from repro.core.event import Ball, Event
 from repro.faults.byzantine import ByzantineRouter
 from repro.sim.cluster import ClusterConfig, SimCluster
 from repro.sim.drift import NoDrift
@@ -39,7 +39,7 @@ LATENCIES = {
 }
 
 
-def _ball(src: int, stamp: int, guard=None) -> tuple:
+def _ball(src: int, stamp: int, guard=None) -> Ball:
     """Two entries *src* originated and two it relays: one its source
     sealed (what a hostile relay forges fails verification) and one
     nobody sealed (unsigned under a guard)."""
@@ -49,14 +49,14 @@ def _ball(src: int, stamp: int, guard=None) -> tuple:
     ]
     sealed = Event(id=(50 + src, stamp), ts=stamp, source_id=50 + src, payload="sealed")
     if guard is not None:
-        guard.seal(50 + src, make_ball([BallEntry(sealed, 0)]))
+        guard.seal(50 + src, Ball.of([(sealed, 0)]))
     unsealed = Event(id=(70 + src, stamp), ts=stamp, source_id=70 + src, payload="unsealed")
-    return make_ball(
+    return Ball.of(
         [
-            BallEntry(own[0], 1),
-            BallEntry(sealed, 2),
-            BallEntry(own[1], 3),
-            BallEntry(unsealed, 2),
+            (own[0], 1),
+            (sealed, 2),
+            (own[1], 3),
+            (unsealed, 2),
         ]
     )
 
@@ -66,7 +66,7 @@ class PerCopyNetwork(SimNetwork):
     calendar entry per copy — the network before it had buckets."""
 
     def send(self, src, dst, message):
-        if isinstance(message, tuple):
+        if isinstance(message, Ball):
             if self._guard is not None:
                 self._guard.seal(src, message)
             if self._adversary is not None and self._adversary.is_hostile(src):
@@ -281,16 +281,13 @@ def test_ball_in_flight_is_never_mutated_and_keeps_its_senders_map(monkeypatch):
     received = []
 
     def snapshot(ball):
-        return (
-            [(entry.event, entry.ttl) for entry in ball],
-            list(ball.ttls.items()),
-        )
+        return list(ball.events.items()), list(ball.ttls.items())
 
     send_many = SimNetwork.send_many
 
     def sending(self, src, dsts, ball):
-        assert isinstance(ball, SharedBall)
-        assert [(e.event.id, e.ttl) for e in ball] == list(ball.ttls.items())
+        assert type(ball) is Ball and ball.shared
+        assert list(ball.events) == list(ball.ttls)
         built[id(ball)] = (ball, ball.ttls, snapshot(ball))
         send_many(self, src, dsts, ball)
 

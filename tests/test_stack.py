@@ -21,7 +21,7 @@ import pytest
 from repro.auth import SignedBall
 from repro.core import EpToConfig
 from repro.core.errors import ConfigurationError
-from repro.core.event import BallEntry, Event, MapBall, SharedBall, make_ball
+from repro.core.event import Ball, Event
 from repro.core.process import EpToProcess
 from repro.lazy.process import LazyEpToProcess
 from repro.lazy.protocol import LAZY_MESSAGE_TYPES
@@ -148,10 +148,9 @@ class Unknown:
 #: (the layer that owns the kind, the message), one of every wire kind.
 MESSAGES = (
     [
-        ("ball", make_ball([BallEntry(EVENT, 1)])),
-        ("ball", SharedBall([BallEntry(EVENT, 1)], {EVENT.id: 1})),
-        # What a plain wire ball decodes to: not a tuple.
-        ("ball", MapBall({EVENT.id: EVENT}, {EVENT.id: 1}, EVENT.ts, 1)),
+        # A wire ball as decoded, and a round's ball as shared.
+        ("ball", Ball.of([(EVENT, 1)])),
+        ("ball", Ball({EVENT.id: EVENT}, {EVENT.id: 1}, shared=True)),
         ("ball", Unknown()),
         ("cyclon_request", CyclonRequest(entries=())),
         ("cyclon_response", CyclonResponse(entries=())),
@@ -271,7 +270,7 @@ class TestCarriedKindsAreRouted:
         # SignedBall and TopicEnvelope never reach a stack: the fabric
         # unwraps the one, the service's demux the other.
         carried = {row.message_type for row in codec._KINDS}
-        carried -= {tuple, SignedBall, TopicEnvelope}
+        carried -= {Ball, SignedBall, TopicEnvelope}
         routed = set()
         # lazy+sync is refused, so two stacks hold every layer.
         for mode, sync in (("eager", True), ("lazy", False)):

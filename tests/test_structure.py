@@ -1,10 +1,11 @@
 """Structural guard: what a node is made of and what a fault action
-means are each written in one module.
+means are each written in one module, and a ball has one shape.
 
 Read off the syntax tree of every module under ``src/repro`` — not off
 its formatting. A host that grows its own copy of the node wiring (a
 fourth constructor of the process, a second dispatch chain, another
-recover-and-reopen) or of the fault interpreter fails here.
+recover-and-reopen) or of the fault interpreter fails here, and so does
+a second shape of ball, or a ball found by testing for a tuple.
 """
 
 from __future__ import annotations
@@ -161,6 +162,58 @@ def test_one_module_interprets_fault_actions():
     }
 
 
+#: Shapes a ball had beside :class:`repro.core.event.Ball`.
+OTHER_BALL_SHAPES = {"BallEntry", "SharedBall", "MapBall", "BALL_TYPES", "make_ball"}
+
+
+def mentions(*names: str) -> Callable[[ast.Module], bool]:
+    """Whether a module names any of *names* at all: uses, defines,
+    imports or reads it as an attribute."""
+
+    def found(tree: ast.Module) -> bool:
+        for node in ast.walk(tree):
+            named = getattr(node, "id", None) or getattr(node, "attr", None)
+            if isinstance(node, (ast.alias, ast.ClassDef, ast.FunctionDef)):
+                named = node.name
+            if named in names:
+                return True
+        return False
+
+    return found
+
+
+def checks_type_tuple(tree: ast.Module) -> bool:
+    """An ``isinstance(_, ...tuple...)`` or a ``type(_) is tuple``."""
+
+    def names_tuple(node: ast.AST) -> bool:
+        return any(isinstance(n, ast.Name) and n.id == "tuple" for n in ast.walk(node))
+
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance"
+            and len(node.args) == 2
+            and names_tuple(node.args[1])
+        ):
+            return True
+        if (
+            isinstance(node, ast.Compare)
+            and any(isinstance(op, (ast.Is, ast.Eq)) for op in node.ops)
+            and any(names_tuple(side) for side in [node.left, *node.comparators])
+        ):
+            return True
+    return False
+
+
+def test_a_ball_has_one_shape():
+    assert modules_where(mentions(*OTHER_BALL_SHAPES)) == set()
+
+
+def test_no_module_finds_a_ball_by_testing_for_a_tuple():
+    assert modules_where(checks_type_tuple) == set()
+
+
 def test_the_guard_sees_what_it_guards():
     """The rules above are not vacuous: the names they look for exist
     where they are allowed to."""
@@ -170,3 +223,9 @@ def test_the_guard_sees_what_it_guards():
     assert ("isinstance", "load_scenario") in set(
         uses(MODULES["experiments/service_drill.py"])
     )
+    # The fabrics and the inbox find a ball by its one type.
+    assert using("Ball")(MODULES[STACK])
+    assert using("Ball")(MODULES["sim/network.py"])
+    assert mentions("Ball")(MODULES["core/event.py"])
+    assert checks_type_tuple(ast.parse("isinstance(message, (tuple, Other))"))
+    assert checks_type_tuple(ast.parse("type(message) is tuple"))
