@@ -6,11 +6,10 @@ The perf harness records machine-dependent timings, so CI never asserts
 wall-clock numbers from a shared runner. What it CAN assert is the
 committed record: each optimization documented in ``BENCH_core.json``
 claims a ``speedup`` over an in-harness baseline (encode-once fan-out,
-flat engine vs object engine, raw sockets vs asyncio endpoints,
-multiplexed vs separate service clusters). A committed value below 1.0
-means a regeneration recorded
-an optimization that no longer optimizes — fail loudly and make the
-regression a review conversation, not a silent drift.
+flat engine vs object engine). A committed value below 1.0 means a
+regeneration recorded an optimization that no longer optimizes — fail
+loudly and make the regression a review conversation, not a silent
+drift.
 
 Usage::
 
@@ -57,16 +56,6 @@ def main(argv=None) -> int:
         default=1.0,
         help="minimum acceptable speedup (default: 1.0)",
     )
-    parser.add_argument(
-        "--require",
-        action="append",
-        default=[],
-        metavar="PREFIX",
-        help=(
-            "fail unless at least one speedup entry lives under this "
-            "JSON path prefix (repeatable; e.g. scenarios.service_bench)"
-        ),
-    )
     args = parser.parse_args(argv)
 
     path = Path(args.path)
@@ -79,20 +68,6 @@ def main(argv=None) -> int:
         print(
             f"check_regression: no speedup entries in {path} — "
             "wrong file or schema drift",
-            file=sys.stderr,
-        )
-        return 2
-
-    missing = [
-        prefix
-        for prefix in args.require
-        if not any(where.startswith(prefix) for where, _ in speedups)
-    ]
-    if missing:
-        print(
-            f"check_regression: no speedup entries under required "
-            f"prefix(es) {missing} in {path.name} — scenario dropped "
-            "from the committed benchmark?",
             file=sys.stderr,
         )
         return 2

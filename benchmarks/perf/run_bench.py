@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Perf-regression harness for the ordering/dissemination hot path.
 
-Times three scenarios and writes the results to ``BENCH_core.json`` at
+Times seven scenarios and writes the results to ``BENCH_core.json`` at
 the repository root:
 
 * ``ordering_round_loop`` — drives the live
@@ -23,25 +23,17 @@ the repository root:
   :mod:`repro.storage` journal under every node, asserted bit-identical
   in round-loop metrics to the journal-free run (journaling must never
   perturb the protocol), with the journal overhead timed alongside.
+* ``sim_flat`` — the flat engine at paper-scale n: rounds/s and peak
+  RSS per size, cross-checked against the object engine (identical
+  delivery sequences, ``speedup``) where that one is still tractable.
+* ``fsync_policies`` — journal appends under each fsync policy, the
+  durability cost curve.
 * ``auth`` — HMAC sign/verify per event (:mod:`repro.auth`,
   docs/SECURITY.md) and the wire cost of authentication: the same ball
   encoded/decoded plain (codec kind 1) versus signed (kind 7).
-* ``udp_e2e`` — the real loopback wire path
-  (:mod:`repro.experiments.net_bench`): paired fan-out blast to a
-  fresh peer sample per round, raw sockets vs asyncio endpoints, full
-  EpTO clusters clean and under ``scenarios/standard_drill.json`` with
-  delivery-delay CDFs, plus a tracemalloc allocation audit of the
-  round loop.
-* ``service_bench`` — the multi-topic broadcast service
-  (:mod:`repro.experiments.service_bench`): T topics multiplexed over
-  one socket/timer per host vs T independent single-topic clusters at
-  equal payload volume; the ``speedup`` is datagrams saved by
-  cross-topic envelope batching.
-* ``lazy_bench`` — eager vs lazy-push dissemination
-  (:mod:`repro.experiments.lazy_bench`): the identical seeded workload
-  with full-payload balls versus id-only balls plus on-demand payload
-  pull; the ``speedup`` is payload bytes-on-wire saved, gated with the
-  delivery/agreement checks on both sides.
+
+Wire cost on real sockets at sustained load is measured by
+``benchmarks/e2e``, not here.
 
 Usage::
 
@@ -555,222 +547,6 @@ def bench_sim_flat(flat_sizes, seed: int, repeats: int) -> dict:
     }
 
 
-# -- udp_e2e scenario (real loopback wire path) ------------------------
-NET_SIZES = (8, 16)
-NET_CHECK_SIZES = (6,)
-NET_EVENTS = 6
-NET_CHECK_EVENTS = 4
-NET_BLAST_ROUNDS = 400
-NET_CHECK_BLAST_ROUNDS = 100
-#: Fan-out rounds driven under tracemalloc for the allocation audit.
-ALLOC_AUDIT_ROUNDS = 300
-
-
-def _alloc_audit(seed: int, rounds: int) -> dict:
-    """tracemalloc audit of the fan-out round loop.
-
-    Drives *rounds* encode-once ``send_many`` fan-outs on a raw-socket
-    :class:`~repro.runtime.udp.UdpNetwork` with tracemalloc on and
-    reports Python-heap churn per round plus the top allocation sites.
-    The wire path is engineered to keep nothing at steady state
-    (pooled encode buffer, one receive arena read through zero-copy
-    views); this audit is the regression
-    instrument for that property.
-    """
-    import asyncio
-    import tracemalloc
-
-    from repro.core.event import Ball, Event
-    from repro.runtime.udp import UdpNetwork
-
-    async def audit() -> dict:
-        network = UdpNetwork(seed=seed)
-        peers = list(range(1, 17))
-        for nid in [0] + peers:
-            network.register(nid, lambda src, msg: None)
-        await network.open_all()
-        ball = Ball.of([(Event(id=(0, 0), ts=1, source_id=0, payload="audit"), 4)])
-        for _ in range(10):  # steady state before measuring
-            network.send_many(0, peers, ball)
-        tracemalloc.start(5)
-        before = tracemalloc.take_snapshot()
-        for _ in range(rounds):
-            network.send_many(0, peers, ball)
-        after = tracemalloc.take_snapshot()
-        tracemalloc.stop()
-        await network.close()
-
-        diffs = after.compare_to(before, "lineno")
-        grown = [
-            d
-            for d in diffs
-            if d.size_diff > 0
-            # The tracer's own bookkeeping is not wire-path churn.
-            and not d.traceback[0].filename.endswith("tracemalloc.py")
-        ]
-        grown.sort(key=lambda d: d.size_diff, reverse=True)
-        top = []
-        for diff in grown[:8]:
-            frame = diff.traceback[0]
-            filename = frame.filename
-            marker = f"{Path('src') / 'repro'}"
-            if marker in filename:
-                filename = "src/repro" + filename.split(marker, 1)[1]
-            top.append(
-                {
-                    "site": f"{filename}:{frame.lineno}",
-                    "kb": round(diff.size_diff / 1024, 2),
-                    "blocks": diff.count_diff,
-                }
-            )
-        total = sum(d.size_diff for d in grown)
-        return {
-            "rounds": rounds,
-            "fanout": len(peers),
-            "heap_growth_bytes": total,
-            "bytes_per_round": round(total / rounds, 2),
-            "top_sites": top,
-        }
-
-    return asyncio.run(audit())
-
-
-def bench_udp_e2e(seed: int, check: bool) -> dict:
-    """udp_e2e — the real loopback wire path, end to end.
-
-    Wraps :func:`repro.experiments.net_bench.run_net_bench`: the paired
-    raw-socket vs asyncio-endpoint fan-out blast, full EpTO clusters
-    clean and under ``scenarios/standard_drill.json``, and the
-    tracemalloc allocation audit of the round loop. Aborts if any cluster
-    run misses delivery or total order — those are correctness gates;
-    timing numbers are recorded, never asserted here (the committed
-    ``speedup`` value is what ``check_regression.py`` pins).
-    """
-    from repro.experiments.net_bench import run_net_bench
-    from repro.faults.schedule import FaultSchedule
-
-    drill = FaultSchedule.from_json(
-        (REPO_ROOT / "scenarios" / "standard_drill.json").read_text()
-    )
-    result = run_net_bench(
-        seed=seed,
-        schedule=drill,
-        sizes=NET_CHECK_SIZES if check else NET_SIZES,
-        events=NET_CHECK_EVENTS if check else NET_EVENTS,
-        blast_rounds=NET_CHECK_BLAST_ROUNDS if check else NET_BLAST_ROUNDS,
-    )
-    if not result.exit_ok:
-        failed = [
-            f"n={run.n}[{run.scenario}]"
-            for run in result.runs
-            if not (run.delivered and run.ordered)
-        ]
-        raise AssertionError(f"udp_e2e delivery/order failed: {failed}")
-
-    fanout = result.fanout
-    runs_out = {}
-    for run in result.runs:
-        summary = run.delay_summary
-        entry = {
-            "events": run.events,
-            "delivered": run.delivered,
-            "ordered": run.ordered,
-            "elapsed_s": round(run.seconds, 4),
-            "events_per_sec": round(run.events_per_second, 2),
-            "datagrams_sent": run.datagrams_sent,
-            "syscalls_send": run.syscalls_send,
-            "syscalls_recv": run.syscalls_recv,
-            "send_syscalls_per_node_round": round(run.syscalls_per_round, 3),
-            "bytes_sent": run.bytes_sent,
-            "bytes_received": run.bytes_received,
-        }
-        if summary is not None:
-            entry["delay_ms"] = {
-                "p50": round(summary.p50, 2),
-                "p95": round(summary.p95, 2),
-                "p99": round(summary.p99, 2),
-                "max": round(summary.maximum, 2),
-                "samples": summary.count,
-            }
-            entry["delay_cdf"] = [
-                [round(ms, 2), round(pct, 2)] for ms, pct in run.delay_cdf()
-            ]
-        runs_out[f"n{run.n}_{run.scenario}"] = entry
-
-    return {
-        "fanout_blast": {
-            "datagrams": fanout.datagrams,
-            "bytes_per_datagram": fanout.bytes_per_datagram,
-            "raw_rate_dgram_s": round(fanout.raw_rate),
-            "raw_syscalls": fanout.raw_syscalls,
-            "asyncio_rate_dgram_s": round(fanout.asyncio_rate),
-            "asyncio_syscalls": fanout.asyncio_syscalls,
-            "speedup": round(fanout.speedup, 2),
-        },
-        "runs": runs_out,
-        "allocation": _alloc_audit(
-            seed, rounds=100 if check else ALLOC_AUDIT_ROUNDS
-        ),
-        "fault_scenario": "scenarios/standard_drill.json",
-    }
-
-
-def bench_service(seed: int, check: bool) -> dict:
-    """service_bench — cross-topic batching on the real wire.
-
-    Wraps :func:`repro.experiments.service_bench.run_service_bench`:
-    T topics multiplexed over one socket and one round timer per host
-    versus T independent single-topic clusters at equal payload volume.
-    Aborts if either side misses delivery or per-topic total order; the
-    committed ``speedup`` (datagrams separate / multiplexed) is what
-    ``check_regression.py --require scenarios.service_bench`` pins.
-    """
-    from repro.experiments.service_bench import run_service_bench
-
-    if check:
-        result = run_service_bench(seed=seed, n=4, topics=2, events=3)
-    else:
-        result = run_service_bench(seed=seed)
-    if not result.exit_ok:
-        raise AssertionError(
-            "service_bench delivery/order failed: "
-            f"multiplexed={result.multiplexed.delivered}/"
-            f"{result.multiplexed.ordered} "
-            f"separate={result.separate.delivered}/{result.separate.ordered}"
-        )
-    return result.as_dict()
-
-
-def bench_lazy(seed: int, check: bool) -> dict:
-    """lazy_bench — eager vs lazy-push dissemination, identical workload.
-
-    Wraps :func:`repro.experiments.lazy_bench.run_lazy_bench`: the same
-    seeded broadcast workload once with full-payload balls and once
-    with id-only balls plus on-demand payload pull (docs/OVERLAY.md).
-    Aborts if either side misses delivery or total-order agreement; the
-    committed ``speedup`` (payload bytes-on-wire, eager / lazy) is what
-    ``check_regression.py --require scenarios.lazy_bench`` pins.
-    """
-    from repro.experiments.lazy_bench import run_lazy_bench
-
-    if check:
-        result = run_lazy_bench(
-            seed=seed, n=16, fanout=4, rounds=3, payload_size=128
-        )
-    else:
-        result = run_lazy_bench(seed=seed)
-    if not result.exit_ok:
-        raise AssertionError(
-            "lazy_bench delivery/agreement/speedup failed: "
-            f"eager delivered={result.eager.delivered} "
-            f"holes={result.eager.holes} "
-            f"lazy delivered={result.lazy.delivered} "
-            f"holes={result.lazy.holes} "
-            f"speedup={result.speedup:.2f}"
-        )
-    return result.as_dict()
-
-
 FSYNC_EVENTS = 400
 FSYNC_SEGMENT_BYTES = 16_384
 
@@ -845,7 +621,7 @@ def bench_fsync_policies(seed: int, repeats: int) -> dict:
     }
 
 
-def run_all(sizes, seed: int, repeats: int, flat_sizes, check: bool = False) -> dict:
+def run_all(sizes, seed: int, repeats: int, flat_sizes) -> dict:
     results = {
         "schema": 1,
         "seed": seed,
@@ -859,9 +635,6 @@ def run_all(sizes, seed: int, repeats: int, flat_sizes, check: bool = False) -> 
             "sim_flat": None,
             "fsync_policies": None,
             "auth": None,
-            "udp_e2e": None,
-            "service_bench": None,
-            "lazy_bench": None,
         },
     }
     for n in sizes:
@@ -896,37 +669,6 @@ def run_all(sizes, seed: int, repeats: int, flat_sizes, check: bool = False) -> 
     print(
         f"  overhead {results['scenarios']['auth']['overhead_factor']}   "
         f"{results['scenarios']['auth']['metrics']}"
-    )
-    print("udp_e2e ...", flush=True)
-    udp = bench_udp_e2e(seed, check)
-    results["scenarios"]["udp_e2e"] = udp
-    blast = udp["fanout_blast"]
-    print(
-        f"  blast raw sockets "
-        f"{blast['raw_rate_dgram_s']:,} dgram/s vs "
-        f"{blast['asyncio_rate_dgram_s']:,} asyncio endpoints "
-        f"(speedup {blast['speedup']:.2f}x)   "
-        f"alloc {udp['allocation']['bytes_per_round']} B/round"
-    )
-    print("service_bench ...", flush=True)
-    svc = bench_service(seed, check)
-    results["scenarios"]["service_bench"] = svc
-    print(
-        f"  {svc['topics']} topics x {svc['n']} hosts: "
-        f"{svc['multiplexed']['datagrams']} datagrams multiplexed vs "
-        f"{svc['separate']['datagrams']} separate "
-        f"(speedup {svc['speedup']:.2f}x, "
-        f"{svc['multiplexed']['frames_per_datagram']:.2f} frames/dgram)"
-    )
-    print("lazy_bench ...", flush=True)
-    lazy = bench_lazy(seed, check)
-    results["scenarios"]["lazy_bench"] = lazy
-    print(
-        f"  n={lazy['n']} K={lazy['fanout']}: "
-        f"{lazy['eager']['payload_bytes']:,} payload B eager vs "
-        f"{lazy['lazy']['payload_bytes']:,} lazy "
-        f"(speedup {lazy['speedup']:.2f}x, "
-        f"p95 delay penalty {lazy['delay_penalty']:.2f}x)"
     )
     return results
 
@@ -972,7 +714,7 @@ def main(argv=None) -> int:
     else:
         flat_sizes = FLAT_CHECK_SIZES if args.check else FLAT_SIZES
 
-    results = run_all(sizes, args.seed, repeats, flat_sizes, check=args.check)
+    results = run_all(sizes, args.seed, repeats, flat_sizes)
     output = Path(args.output)
     output.write_text(json.dumps(results, indent=2) + "\n")
     print(f"wrote {output}")

@@ -27,47 +27,22 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import itemgetter
-from typing import Any, Callable, Collection, Tuple
+from typing import Any, Callable
 
 from .clock import StabilityOracle
 from .config import EpToConfig
 from .event import Ball, Event, EventId, EventIdGenerator
 from .interfaces import PeerSampler, Transport
-from .record import uvarint_nbytes, wire_sizes
-
-
-def records_nbytes(events: Collection[Event]) -> Tuple[int, int]:
-    """``(metadata, payload)`` bytes these events take in a plain wire
-    ball, the entries' TTL varints aside.
-
-    The simulator has no real wire, so its byte accounting is what the
-    UDP fabric *would* have shipped: per entry ``uvarint ttl | uvarint
-    len | record``, sized from the per-event cache
-    (:func:`~repro.core.record.wire_sizes`; :meth:`round_tick
-    <DisseminationComponent.round_tick>` adds the TTLs; the sum is
-    pinned against real datagrams by tests/runtime/test_wire_sizes.py).
-    The payload is the record's JSON tail; everything else is metadata.
-    """
-    wires = [event._wire or wire_sizes(event) for event in events]
-    return sum(map(_METADATA_NBYTES, wires)), sum(map(_PAYLOAD_NBYTES, wires))
-
-
-_PAYLOAD_NBYTES = itemgetter(1)
-_METADATA_NBYTES = itemgetter(2)
 
 
 @dataclass(slots=True)
 class DisseminationStats:
     """Counters exposed for instrumentation and experiments.
 
-    ``metadata_bytes`` / ``payload_bytes`` split the estimated
-    bytes-on-wire of every ball this component shipped into per-entry
-    metadata and the serialized payloads (:func:`records_nbytes`) — the split
-    the eager-vs-lazy ablation (``epto-experiment lazy-bench``)
-    compares across modes. In lazy mode the component ships metadata
-    balls, so its own payload estimate stays near zero and the pull
-    traffic is accounted by :class:`repro.lazy.LazyStats` instead.
+    They count balls and entries, per receiver where a ball fans out;
+    bytes are counted only where a wire carries them, by the UDP fabric
+    (:class:`repro.runtime.udp.UdpStats`) and the lazy pull
+    (:class:`repro.lazy.LazyStats`).
     """
 
     events_broadcast: int = 0
@@ -77,10 +52,6 @@ class DisseminationStats:
     entries_relayed: int = 0
     entries_expired: int = 0
     rounds: int = 0
-    #: Estimated entry metadata bytes shipped (per entry, per receiver).
-    metadata_bytes: int = 0
-    #: Estimated serialized-payload bytes shipped (per entry, per receiver).
-    payload_bytes: int = 0
 
 
 class DisseminationComponent:
@@ -261,15 +232,6 @@ class DisseminationComponent:
             fan = len(peers)
             self.stats.balls_sent += fan
             self.stats.entries_relayed += len(ball) * fan
-            metadata, payload = records_nbytes(events.values())
-            if self.config.ttl < 0x80:
-                # Nothing pending reached the bound, so every shipped
-                # TTL is at most the bound: one varint byte each.
-                metadata += len(ttls)
-            else:
-                metadata += sum(map(uvarint_nbytes, ttls.values()))
-            self.stats.metadata_bytes += metadata * fan
-            self.stats.payload_bytes += payload * fan
         else:
             ball = Ball(events, next_ttls)  # both empty
         # Refinement: order/age every round, not only on non-empty

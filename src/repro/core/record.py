@@ -11,14 +11,13 @@ An event is relayed about K·TTL times, but its record never changes,
 so :func:`wire_record` builds it once and keeps it on the ``Event``
 object; an event parsed off the wire (:func:`parse_record`) is handed
 the very bytes it arrived in, so a relay forwards them verbatim and
-never serializes a payload it did not originate. The simulator's byte
-accounting reads the same cache
-(:func:`repro.core.dissemination.records_nbytes`): what the UDP fabric
-*would* have shipped — measuring an event it has not built a record for
-keeps the sizes, not the bytes (:func:`wire_sizes`).
+never serializes a payload it did not originate. Measuring an event
+that has no record yet keeps the sizes, not the bytes
+(:func:`wire_sizes`).
 
 This module is the one place the record and its varints are written
-and read; it lives in ``core`` because both the simulator and the codec
+and read; it lives in ``core`` because both the lazy pull, which cannot
+import the codec, and the codec
 (:mod:`repro.runtime.codec`, which owns the entry around the record and
 turns every ``ValueError`` raised here into a ``CodecError``) need it.
 The fields keep the ranges of the fixed-width layout they replaced, and
@@ -107,13 +106,12 @@ def payload_json(payload: Any) -> bytes:
 
 #: What an event keeps of itself as a plain ball entry: ``(record,
 #: payload_nbytes, metadata_nbytes)``, where *record* is the record's
-#: bytes — ``None`` when only the sizes were measured (the simulator's
-#: byte estimate, see :func:`wire_sizes`), ``False`` when the payload is
-#: not JSON-serializable (sizes from its ``repr``; the codec refuses the
+#: bytes — ``None`` when only the sizes were measured (see
+#: :func:`wire_sizes`), ``False`` when the payload is not
+#: JSON-serializable (sizes from its ``repr``; the codec refuses the
 #: event) — *payload_nbytes* the JSON payload at the record's end, and
 #: *metadata_nbytes* what an entry spends on the event besides its TTL
-#: and payload (the record length and the three field varints). A plain
-#: tuple: a simulated round sums its fields with ``itemgetter``.
+#: and payload (the record length and the three field varints).
 WireRecord = Tuple[Union[bytes, bool, None], int, int]
 
 
@@ -142,10 +140,10 @@ def wire_record(event: Event) -> WireRecord:
 
 def wire_sizes(event: Event) -> WireRecord:
     """*event*'s :data:`WireRecord`, with the record bytes only if they
-    were built already: what the simulator's byte estimate reads. The
+    were built already: what the lazy pull's byte accounting reads. The
     sizes are worked out without building the record, so a node that
-    relays events as anything but plain entries (signed balls, lazy
-    id-balls) keeps two integers per event, not a copy of its payload.
+    serves a payload it never shipped as a plain entry keeps two
+    integers per event, not a copy of its payload.
     """
     wire = event._wire
     if wire is None:

@@ -11,6 +11,7 @@ plots. Example::
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 from typing import Sequence
 
@@ -78,7 +79,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     kwargs: dict[str, object] = {}
     if entry.takes_scale:
         kwargs["scale"] = get_scale(args.scale)
-    if args.seed is not None and entry.id != "ablation-guards":
+    if args.seed is not None:
+        if "seed" not in inspect.signature(entry.runner).parameters:
+            print(f"experiment {entry.id!r} does not take --seed", file=sys.stderr)
+            return 2
         kwargs["seed"] = args.seed
     if args.fault_scenario is not None:
         if not entry.takes_faults:

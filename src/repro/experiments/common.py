@@ -71,10 +71,6 @@ class ExperimentSpec:
     #: ``"eager"`` ships payloads inside every ball; ``"lazy"`` ships
     #: id-only balls and pulls payloads on demand (docs/OVERLAY.md).
     mode: str = "eager"
-    #: When > 0, each workload event carries a string payload of this
-    #: many characters (the lazy-bench byte-volume knob); 0 keeps the
-    #: default tiny integer payload.
-    payload_size: int = 0
 
     def resolved_fanout(self) -> int:
         """Configured fanout, or the Theorem 2 / Lemma 7 bound."""
@@ -130,12 +126,6 @@ class ExperimentResult:
     messages_dropped: int
     sim_ticks: int
     wall_seconds: float
-    #: Estimated wire bytes, split by what they carry (summed over the
-    #: nodes alive at the end of the run; codec-layout estimates, the
-    #: same accounting :class:`~repro.core.dissemination.DisseminationStats`
-    #: and the lazy process use).
-    metadata_bytes: int = 0
-    payload_bytes: int = 0
 
     @property
     def holes(self) -> int:
@@ -239,19 +229,12 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     broadcast_end = warmup_end + spec.broadcast_rounds * delta
     run_end = broadcast_end + spec.resolved_drain_rounds() * delta
 
-    workload_kwargs = {}
-    if spec.payload_size > 0:
-        size = spec.payload_size
-        workload_kwargs["payload_factory"] = lambda index: (
-            f"p{index:07d}".ljust(size, "x")
-        )
     ProbabilisticWorkload(
         sim,
         cluster,
         rate=spec.broadcast_rate,
         rounds=spec.broadcast_rounds,
         start=warmup_end + 1,
-        **workload_kwargs,
     )
     if spec.churn_rate > 0.0:
         ChurnDriver(
@@ -269,20 +252,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
     delays = collector.delivery_delays()
     summary = DelaySummary.from_samples(delays) if delays else None
 
-    metadata_bytes = payload_bytes = 0
-    for node_id in cluster.alive_ids():
-        process = cluster.node(node_id)
-        snapshot = getattr(process, "stats_snapshot", None)
-        if snapshot is not None:  # lazy process: its own wire accounting
-            stats = snapshot()
-            metadata_bytes += stats.get("metadata_bytes", 0)
-            payload_bytes += stats.get("payload_bytes", 0)
-            continue
-        dissemination = getattr(process, "dissemination", None)
-        if dissemination is not None:
-            metadata_bytes += dissemination.stats.metadata_bytes
-            payload_bytes += dissemination.stats.payload_bytes
-
     return ExperimentResult(
         spec=spec,
         delays=delays,
@@ -296,8 +265,6 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentResult:
         messages_dropped=network.stats.dropped,
         sim_ticks=sim.now(),
         wall_seconds=_wallclock.perf_counter() - started,
-        metadata_bytes=metadata_bytes,
-        payload_bytes=payload_bytes,
     )
 
 

@@ -21,9 +21,6 @@ from .fig7b_flat import run_fig7b_flat
 from .fig8_churn import run_fig8
 from .fig9_cyclon import run_fig9
 from .fig10_loss import run_fig10
-from .lazy_bench import run_lazy_bench
-from .net_bench import run_net_bench
-from .service_bench import run_service_bench
 from .service_drill import run_service_drill
 
 
@@ -131,33 +128,6 @@ _ENTRIES = [
         takes_faults=True,
         takes_sync=True,
         takes_auth=True,
-    ),
-    ExperimentEntry(
-        id="net-bench",
-        description=(
-            "udp_e2e — loopback UDP clusters end to end: fan-out "
-            "throughput, syscalls/round, delivery-delay CDFs"
-        ),
-        runner=run_net_bench,
-        takes_faults=True,
-    ),
-    ExperimentEntry(
-        id="service-bench",
-        description=(
-            "service_bench — T topics multiplexed over one socket/timer "
-            "per host vs T independent single-topic clusters "
-            "(cross-topic envelope batching, docs/SERVICE.md)"
-        ),
-        runner=run_service_bench,
-    ),
-    ExperimentEntry(
-        id="lazy-bench",
-        description=(
-            "lazy_bench — eager vs lazy-push dissemination at equal "
-            "workload: payload bytes-on-wire speedup vs delivery-delay "
-            "penalty (docs/OVERLAY.md)"
-        ),
-        runner=run_lazy_bench,
     ),
     ExperimentEntry(
         id="service-drill",

@@ -41,23 +41,6 @@ class ScalePreset:
     sweep_rates: Sequence[float]  # churn / loss levels
     sweep_broadcast_rounds: int
     cyclon_warmup_rounds: int
-    #: Loopback-UDP cluster sizes for the end-to-end network benchmark.
-    net_bench_sizes: Sequence[int] = (8, 16)
-    #: Broadcasts driven to completion per net-bench cluster run.
-    net_bench_events: int = 6
-    #: Hosts / topics / events-per-topic for the multi-topic service
-    #: benchmark (multiplexed vs separate single-topic clusters).
-    service_bench_n: int = 6
-    service_bench_topics: int = 4
-    service_bench_events: int = 6
-    #: System size / fanout for the eager-vs-lazy dissemination
-    #: ablation (``epto-experiment lazy-bench``); the acceptance point
-    #: is n >= 64 at K >= 8.
-    lazy_bench_n: int = 64
-    lazy_bench_fanout: int = 8
-    lazy_bench_broadcast_rounds: int = 6
-    #: Serialized payload size per event (bytes of string payload).
-    lazy_bench_payload_bytes: int = 256
 
 
 SMALL = ScalePreset(
@@ -88,15 +71,6 @@ PAPER = ScalePreset(
     sweep_rates=(0.0, 0.01, 0.05, 0.10),
     sweep_broadcast_rounds=10,
     cyclon_warmup_rounds=20,
-    net_bench_sizes=(16, 32),
-    net_bench_events=12,
-    service_bench_n=12,
-    service_bench_topics=6,
-    service_bench_events=10,
-    lazy_bench_n=128,
-    lazy_bench_fanout=10,
-    lazy_bench_broadcast_rounds=8,
-    lazy_bench_payload_bytes=512,
 )
 
 _PRESETS = {"small": SMALL, "paper": PAPER}

@@ -84,8 +84,7 @@ class LazyStats:
     #: deliveries that had to wait in the gate for their payload.
     deliveries_held: int = 0
     #: estimated wire bytes of metadata shipped (id-balls, request and
-    #: response framing) — the codec's fixed layouts, like
-    #: :class:`~repro.core.dissemination.DisseminationStats`.
+    #: response framing) — the codec's fixed layouts.
     metadata_bytes: int = 0
     #: estimated wire bytes of serialized payloads shipped (responses).
     payload_bytes: int = 0

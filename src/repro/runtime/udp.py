@@ -129,8 +129,8 @@ class UdpStats:
     #: else (headers, entry metadata, MACs, watermarks), counted per
     #: datagram times its fan-out at encode time — before the fault
     #: surfaces, so the two sum to the bytes *offered* to the wire.
-    #: This is the pair the lazy-push benchmark compares across modes
-    #: (metadata-only id-balls vs full eager balls; docs/OVERLAY.md).
+    #: ``benchmarks/e2e`` reads the pair as
+    #: ``runtime.udp.metadata_bytes_share``.
     metadata_bytes_sent: int = 0
     payload_bytes_sent: int = 0
 

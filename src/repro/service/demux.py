@@ -27,9 +27,9 @@ were handed the very same frames — every peer of a round, when the
 fan-out reaches all of them — share one assembled envelope; the bundle
 goes to the fabric through
 :meth:`~repro.runtime.udp.UdpNetwork.send_bundle` as bytes, one
-``sendto`` per destination. ``BENCH_core.json``'s ``service_bench``
-records the datagram/byte/syscall reduction against independent
-single-topic clusters.
+``sendto`` per destination. The ``svc_topics`` workload of
+``benchmarks/e2e`` measures the packing as
+``service.demux.frames_per_envelope``.
 
 Per-topic fault surface: a channel can be partitioned or put under a
 loss burst *independently of other topics on the same socket* — the

@@ -28,7 +28,6 @@ from repro.core import EpToConfig
 from repro.core.clock import GlobalClockOracle, LogicalClockOracle
 from repro.core.dissemination import DisseminationComponent, DisseminationStats
 from repro.core.event import Ball, Event
-from repro.core.record import uvarint_nbytes, wire_record
 
 from ..conftest import ManualOracle, RecordingTransport, StaticPeerSampler
 
@@ -93,13 +92,6 @@ class Model:
         if ball:
             self.stats.balls_sent += FANOUT
             self.stats.entries_relayed += FANOUT * len(ball)
-            for eid, ttl in ball:
-                # A plain wire entry: uvarint ttl | uvarint len | record.
-                record, payload, _ = wire_record(self.events[eid])
-                size = len(record)
-                metadata = uvarint_nbytes(ttl) + uvarint_nbytes(size) + size - payload
-                self.stats.metadata_bytes += FANOUT * metadata
-                self.stats.payload_bytes += FANOUT * payload
         self.pending, self.events = {}, {}
         return ball
 

@@ -32,8 +32,7 @@ class TestRegistry:
             "ablation-empirical",
         }
         drills = {"drill", "service-drill"}
-        benches = {"net-bench", "service-bench", "lazy-bench"}
-        assert set(REGISTRY) == figures | ablations | drills | benches
+        assert set(REGISTRY) == figures | ablations | drills
 
     def test_scale_flag_matches_runner_signature(self):
         for entry in REGISTRY.values():
@@ -93,6 +92,16 @@ class TestCli:
     def test_scale_flag_parsed(self, capsys):
         # fig3 ignores scale, but the flag must parse.
         assert main(["fig3", "--scale", "small"]) == 0
+
+    @pytest.mark.parametrize("experiment", ["fig3", "ablation-guards"])
+    def test_seed_rejected_by_a_runner_without_one(self, experiment, capsys):
+        assert main([experiment, "--seed", "1"]) == 2
+        err = capsys.readouterr().err
+        assert f"experiment {experiment!r} does not take --seed" in err
+
+    def test_seed_forwarded_to_a_runner_with_one(self, capsys):
+        assert main(["fig6", "--seed", "1"]) == 0
+        assert "global clock" in capsys.readouterr().out
 
 
 class TestFaultScenarioFlag:

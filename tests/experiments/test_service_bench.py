@@ -1,9 +1,9 @@
-"""Tests for the multi-topic service benchmark and fault drill
-(:mod:`repro.experiments.service_bench` /
-:mod:`repro.experiments.service_drill`).
+"""Tests for the multi-topic service fault drill
+(:mod:`repro.experiments.service_drill`).
 
-Like the net-bench tests, these pin semantics — delivery/order gating,
-scenario parsing, at-risk accounting — never wall-clock numbers.
+These pin semantics — scenario parsing, at-risk accounting, the
+per-topic verdicts — never wall-clock numbers. The service's wire cost
+is measured by the ``svc_topics`` workload of ``benchmarks/e2e``.
 """
 
 from __future__ import annotations
@@ -12,58 +12,11 @@ import pytest
 
 from repro.core.errors import FaultInjectionError
 from repro.experiments.registry import get_experiment
-from repro.experiments.service_bench import run_service_bench
 from repro.experiments.service_drill import (
     DEFAULT_SCENARIO,
     load_scenario,
     run_service_drill,
 )
-
-
-@pytest.fixture(scope="module")
-def bench_result():
-    """One small comparison shared by the read-only assertions."""
-    return run_service_bench(seed=17, n=4, topics=2, events=3)
-
-
-class TestServiceBench:
-    def test_both_sides_deliver_in_order(self, bench_result) -> None:
-        assert bench_result.multiplexed.delivered
-        assert bench_result.multiplexed.ordered
-        assert bench_result.separate.delivered
-        assert bench_result.separate.ordered
-        assert bench_result.exit_ok
-
-    def test_multiplexing_reduces_datagrams(self, bench_result) -> None:
-        # The committed BENCH_core.json gates this at >= 1.0; at equal
-        # payload volume the separate side cannot beat the batcher.
-        assert bench_result.speedup >= 1.0
-        assert (
-            bench_result.multiplexed.datagrams
-            < bench_result.separate.datagrams
-        )
-
-    def test_cross_topic_frames_share_envelopes(self, bench_result) -> None:
-        assert bench_result.multiplexed.frames_per_datagram > 1.0
-        # One cluster per topic: nothing to share an envelope with.
-        assert bench_result.separate.frames_per_datagram == pytest.approx(1.0)
-
-    def test_socket_accounting(self, bench_result) -> None:
-        assert bench_result.multiplexed.sockets == 4
-        assert bench_result.separate.sockets == 8
-
-    def test_as_dict_carries_the_gated_speedup(self, bench_result) -> None:
-        data = bench_result.as_dict()
-        assert data["speedup"] == round(bench_result.speedup, 2)
-        assert data["multiplexed"]["envelopes"] > 0
-
-    def test_render_mentions_both_sides(self, bench_result) -> None:
-        text = bench_result.render()
-        assert "multiplexed" in text and "separate" in text
-        assert "verdict: OK" in text
-
-    def test_registered(self) -> None:
-        assert get_experiment("service-bench").runner is run_service_bench
 
 
 class TestScenarioParsing:

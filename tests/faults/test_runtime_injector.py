@@ -2,8 +2,9 @@
 
 Runs the *same* ``standard_drill`` scenario as
 ``test_sim_injector.py``, but against a live
-:class:`~repro.runtime.cluster.AsyncCluster` on real wall-clock timers
-— the cross-runtime portability the fault layer exists for.
+:class:`~repro.runtime.cluster.AsyncCluster` on real wall-clock timers,
+in memory and over loopback UDP sockets — the cross-runtime portability
+the fault layer exists for.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from repro.faults import (
     check_survivors,
 )
 from repro.runtime import AsyncCluster
+from repro.runtime.udp import UdpNetwork
 
 
 def run(coro):
@@ -37,62 +39,74 @@ def small_config(**overrides):
     return EpToConfig(**defaults)
 
 
+def run_standard_drill(network=None):
+    """The standard drill on ten nodes: crash, partition + heal, a loss
+    burst, then a post-drill wave from two continuous survivors. Returns
+    whether every node caught up, the injector, the survivors, the
+    :func:`check_survivors` report and the cluster."""
+
+    async def scenario():
+        cluster = AsyncCluster(small_config(), network=network, seed=13)
+        cluster.add_nodes(10)
+        if network is not None:
+            await network.open_all()
+        cluster.start_all()
+        injector = AsyncFaultInjector(
+            cluster, FaultSchedule.standard_drill(), seed=13
+        )
+        for node_id in (0, 1, 2):
+            cluster.nodes[node_id].broadcast(f"pre-{node_id}")
+        await injector.run()  # returns once the last action fired
+        # Let the loss burst window (3 rounds) expire, then a
+        # post-drill wave from continuous survivors.
+        await asyncio.sleep(4 * cluster.config.round_interval / 1000.0)
+        survivors = injector.continuous_survivors()
+        for node_id in sorted(survivors)[:2]:
+            cluster.nodes[node_id].broadcast(f"post-{node_id}")
+
+        def post_wave_reached(nid: int) -> bool:
+            # The suffix assertion below needs the respawned nodes
+            # to have delivered the whole post-drill wave; without
+            # waiting for them, stop_all() can win the race on a
+            # loaded machine and truncate their suffixes.
+            marks = cluster.restart_indices[nid]
+            start = marks[-1] if marks else 0
+            payloads = (
+                str(e.payload) for e in cluster.deliveries[nid][start:]
+            )
+            return (
+                sum(1 for p in payloads if p.startswith("post-")) >= 2
+            )
+
+        def done() -> bool:
+            return all(
+                len(cluster.deliveries[nid]) >= 5 for nid in survivors
+            ) and all(
+                post_wave_reached(nid) for nid in injector.crashed_ids
+            )
+
+        ok = await cluster.wait_until(done, timeout=10.0)
+        await cluster.stop_all()
+        if network is not None:
+            await network.close()
+        report = check_survivors(
+            cluster.deliveries,
+            survivors=survivors,
+            recovered=injector.crashed_ids,
+            restart_indices=cluster.restart_indices,
+        )
+        return ok, injector, survivors, report, cluster
+
+    return run(scenario())
+
+
 class TestStandardDrill:
     def test_shared_scenario_survives_with_total_order(self):
         """Acceptance scenario, asyncio half: the same standard drill
         completes on real timers and ``check_survivors`` passes —
         including the crashed-and-respawned nodes' post-restart
         suffixes."""
-
-        async def scenario():
-            cluster = AsyncCluster(small_config(), seed=13)
-            cluster.add_nodes(10)
-            cluster.start_all()
-            injector = AsyncFaultInjector(
-                cluster, FaultSchedule.standard_drill(), seed=13
-            )
-            for node_id in (0, 1, 2):
-                cluster.nodes[node_id].broadcast(f"pre-{node_id}")
-            await injector.run()  # returns once the last action fired
-            # Let the loss burst window (3 rounds) expire, then a
-            # post-drill wave from continuous survivors.
-            await asyncio.sleep(4 * cluster.config.round_interval / 1000.0)
-            survivors = injector.continuous_survivors()
-            for node_id in sorted(survivors)[:2]:
-                cluster.nodes[node_id].broadcast(f"post-{node_id}")
-
-            def post_wave_reached(nid: int) -> bool:
-                # The suffix assertion below needs the respawned nodes
-                # to have delivered the whole post-drill wave; without
-                # waiting for them, stop_all() can win the race on a
-                # loaded machine and truncate their suffixes.
-                marks = cluster.restart_indices[nid]
-                start = marks[-1] if marks else 0
-                payloads = (
-                    str(e.payload) for e in cluster.deliveries[nid][start:]
-                )
-                return (
-                    sum(1 for p in payloads if p.startswith("post-")) >= 2
-                )
-
-            def done() -> bool:
-                return all(
-                    len(cluster.deliveries[nid]) >= 5 for nid in survivors
-                ) and all(
-                    post_wave_reached(nid) for nid in injector.crashed_ids
-                )
-
-            ok = await cluster.wait_until(done, timeout=10.0)
-            await cluster.stop_all()
-            report = check_survivors(
-                cluster.deliveries,
-                survivors=survivors,
-                recovered=injector.crashed_ids,
-                restart_indices=cluster.restart_indices,
-            )
-            return ok, injector, survivors, report, cluster
-
-        ok, injector, survivors, report, cluster = run(scenario())
+        ok, injector, survivors, report, cluster = run_standard_drill()
         assert ok
         assert injector.stats.crashes == 2
         assert injector.stats.recoveries == 2
@@ -114,6 +128,19 @@ class TestStandardDrill:
             assert [p for p in suffix if str(p).startswith("post-")] == [
                 f"post-{nid}" for nid in sorted(survivors)[:2]
             ]
+
+    def test_shared_scenario_survives_over_real_sockets(self):
+        """The same drill over loopback UDP: the partition and the loss
+        burst are installed on the socket fabric, crashed nodes rebind
+        their sockets on respawn, and ``check_survivors`` still
+        passes."""
+        network = UdpNetwork(seed=13)
+        ok, injector, survivors, report, _ = run_standard_drill(network)
+        assert ok
+        assert injector.stats.crashes == injector.stats.recoveries == 2
+        assert injector.stats.heals == injector.stats.loss_bursts == 1
+        assert report.ok, report.summary()
+        assert network.stats.delivered > 0
 
     def test_respawned_node_resumes_its_sequence(self):
         """A recovered node must not reuse ``(source, seq)`` event ids:

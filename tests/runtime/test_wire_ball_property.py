@@ -40,7 +40,7 @@ from repro.core import EpToConfig
 from repro.core.clock import GlobalClockOracle, LogicalClockOracle
 from repro.core.dissemination import DisseminationComponent, DisseminationStats
 from repro.core.event import Ball, Event
-from repro.core.record import payload_json, uvarint, uvarint_nbytes, wire_record
+from repro.core.record import payload_json, uvarint, wire_record
 from repro.runtime import codec
 from repro.runtime.codec import AdmittedEntries, CodecError, TopicEnvelope
 
@@ -196,12 +196,6 @@ class Model:
         if self.pending:
             self.stats.balls_sent += FANOUT
             self.stats.entries_relayed += FANOUT * len(self.pending)
-            for event_id, ttl in self.pending.items():
-                record, payload, _ = wire_record(self.events[event_id])
-                size = len(record)
-                metadata = uvarint_nbytes(ttl + 1) + uvarint_nbytes(size) + size - payload
-                self.stats.metadata_bytes += FANOUT * metadata
-                self.stats.payload_bytes += FANOUT * payload
         self.pending, self.events = {}, {}
 
 

@@ -1,25 +1,21 @@
 """Layout numbers written outside the codec, tied to what it emits.
 
-``lazy/process.py`` and ``core/dissemination.py`` estimate wire sizes
-for nodes that have no wire (the simulator's byte accounting) and
-cannot import the codec (an import cycle, and ``core`` sits below
-``runtime``); ``sync/protocol.py`` caps a chunk by the bytes its events
-will take. Each of those numbers is measured here against real
-datagrams — one more entry, one more id, one more event, an empty
-message, a whole plain ball whose varints are one byte or ten — so a
-layout change that forgets one of them fails instead of skewing a
-benchmark.
+``lazy/process.py`` estimates the wire sizes of the lazy kinds and
+cannot import the codec (an import cycle); ``core/record.py`` sizes a
+payload it has not built a record for; ``sync/protocol.py`` caps a
+chunk by the bytes its events will take. Each of those numbers is
+measured here against real datagrams — one more entry, one more id, one
+more event, an empty message — so a layout change that forgets one of
+them fails instead of skewing a benchmark.
 """
 
 from __future__ import annotations
 
 import random
 
-import pytest
-
-from repro.core import EpToConfig, dissemination
-from repro.core.dissemination import DisseminationComponent
+from repro.core import EpToConfig
 from repro.core.event import Ball, Event
+from repro.core.record import wire_sizes
 from repro.lazy import process as lazy
 from repro.lazy.protocol import IdBall, PayloadRequest, PayloadResponse
 from repro.runtime import codec
@@ -27,13 +23,7 @@ from repro.service import demux
 from repro.sync import protocol as sync
 from repro.sync.protocol import SyncChunk
 
-from ..conftest import (
-    ManualOracle,
-    RecordingTransport,
-    StaticPeerSampler,
-    id_ball,
-    pairs,
-)
+from ..conftest import RecordingTransport, StaticPeerSampler, id_ball
 
 
 def _size(message) -> int:
@@ -55,80 +45,15 @@ def test_an_empty_message_is_the_header():
     assert lazy.HEADER_BYTES == codec.HEADER_SIZE == demux._ENVELOPE_OVERHEAD
 
 
-#: Plain ball entries whose varints are as short and as long as their
-#: fields allow, ``(source, seq, ts, shipped ttl, payload)``, and the TTL
-#: bound of the node that ships them (below 128 every TTL is one byte).
-_PLAIN_ENTRIES = {
-    "small": (4, [(2, seq, 5, 1, None) for seq in range(3)]),
-    "large": (
-        2**31 - 1,
-        [
-            (2**62, 2**40 + seq, -(2**63), 2**31 - 1 - seq, {"k": "v" * 200})
-            for seq in range(3)
-        ],
-    ),
-    "mixed": (
-        200,
-        [
-            (0, 0, 0, 1, 0),
-            (-1, 127, 128, 127, "x" * 127),
-            (2**63 - 1, 2**14, -(2**20), 128, ["é"] * 40),
-        ],
-    ),
-}
-
-
-def _one_round(bound, entries):
-    """What a node whose nextBall holds *entries* ships in one round,
-    and what its byte accounting says that cost."""
-    transport = RecordingTransport()
-    component = DisseminationComponent(
-        node_id=9,
-        config=EpToConfig(fanout=1, ttl=bound),
-        oracle=ManualOracle(ttl=bound),
-        peer_sampler=StaticPeerSampler([1]),
-        transport=transport,
-        order_events=lambda ball: None,
-        rng=random.Random(0),
-    )
-    for event, ttl in entries:
-        component._next_events[event.id] = event
-        component._next_ttls[event.id] = ttl - 1  # the round ages it
-    component.round_tick()
-    (_, _, ball), = transport.sent
-    return ball, component.stats
-
-
-@pytest.mark.parametrize("case", sorted(_PLAIN_ENTRIES))
-def test_the_ball_estimate_is_the_datagram(case):
-    bound, fields = _PLAIN_ENTRIES[case]
-    entries = [
-        (Event(id=(source, seq), ts=ts, source_id=source, payload=payload), ttl)
-        for source, seq, ts, ttl, payload in fields
-    ]
-    ball, stats = _one_round(bound, entries)
-    assert pairs(ball) == entries
-    datagram = codec.encode(1, ball)
-    assert codec.HEADER_SIZE + stats.metadata_bytes + stats.payload_bytes == len(datagram)
-    assert stats.payload_bytes == codec.last_encode_payload_bytes()
-    # Read back off the wire, each event carries the record it came in.
-    _, decoded = codec.decode(datagram)
-    _, relayed = _one_round(bound, pairs(decoded))
-    assert (relayed.metadata_bytes, relayed.payload_bytes) == (
-        stats.metadata_bytes,
-        stats.payload_bytes,
-    )
-
-
 def test_one_more_ball_entry():
     def ball(count):
         return Ball.of([(event, 1) for event in _events(count)])
 
-    # length, ts 5, source 2, seq 2: a byte each, then "null"; the TTL's
-    # byte is the round's to add.
-    one_record = dissemination.records_nbytes(_events(3)[2:])
-    assert one_record == (4, _NULL)
-    assert _size(ball(3)) - _size(ball(2)) == 1 + sum(one_record)
+    # The TTL, then length, ts 5, source 2, seq 2: a byte each, then
+    # "null" — measured without building the record.
+    record, payload, metadata = wire_sizes(_events(3)[2])
+    assert (record, payload, metadata) == (None, _NULL, 4)
+    assert _size(ball(3)) - _size(ball(2)) == 1 + metadata + payload
 
 
 def test_one_more_id_ball_entry():

@@ -248,12 +248,9 @@ class TestInboxDispatch:
 
 
 class TestByteAccounting:
-    """``payload_bytes`` is what it was when every payload was
-    serialised once per entry per round per node (pinned from that code
-    on this exact run), ``metadata_bytes`` what the varint ball entries
-    would have taken on the wire (a TTL, a length, three varints: six
-    bytes each here; the fixed-width layout took 32); the serialisation
-    behind both runs once per event."""
+    """The simulator has no wire, so it counts entries, not bytes, and
+    never serialises a payload: bytes are counted where a wire carries
+    them (the UDP fabric, the lazy pull)."""
 
     PAYLOADS = [
         "sixteen-byte-str",
@@ -283,8 +280,6 @@ class TestByteAccounting:
     def test_totals_of_a_seeded_twenty_round_run_are_pinned(self):
         stats = self._run()
         assert sum(s.entries_relayed for s in stats) == 1520
-        assert sum(s.metadata_bytes for s in stats) == 6 * 1520
-        assert sum(s.payload_bytes for s in stats) == 31040
 
     def test_a_payload_is_measured_once_per_event(self, monkeypatch):
         measured = []
@@ -295,9 +290,8 @@ class TestByteAccounting:
             return payload_json(payload)
 
         monkeypatch.setattr(record, "payload_json", counting)
-        stats = self._run()
-        assert sum(s.payload_bytes for s in stats) == 31040
-        assert measured == self.PAYLOADS
+        self._run()
+        assert measured == []
 
 
 class TestReplyFromADeliveryCallback:

@@ -5,7 +5,9 @@ Read off the syntax tree of every module under ``src/repro`` — not off
 its formatting. A host that grows its own copy of the node wiring (a
 fourth constructor of the process, a second dispatch chain, another
 recover-and-reopen) or of the fault interpreter fails here, and so does
-a second shape of ball, or a ball found by testing for a tuple.
+a second shape of ball, a ball found by testing for a tuple, or the
+return of a bench driver or byte estimate the end-to-end benchmark
+replaced.
 """
 
 from __future__ import annotations
@@ -210,6 +212,35 @@ def test_a_ball_has_one_shape():
     assert modules_where(mentions(*OTHER_BALL_SHAPES)) == set()
 
 
+#: What the end-to-end benchmark (``benchmarks/e2e``) measures instead:
+#: the bench drivers, and the simulator's per-round byte estimate only
+#: one of them read.
+BENCH_DRIVERS = {"net_bench", "service_bench", "lazy_bench"}
+DELETED_FIELDS = {
+    "DisseminationStats": {"metadata_bytes", "payload_bytes"},
+    "ExperimentSpec": {"payload_size"},
+}
+
+
+def fields_of(class_name: str) -> Set[str]:
+    """The annotated fields of every class named *class_name*."""
+    return {
+        node.target.id
+        for tree in MODULES.values()
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) and cls.name == class_name
+        for node in cls.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    }
+
+
+def test_what_the_e2e_benchmark_measures_stays_deleted():
+    assert {f"experiments/{name}.py" for name in BENCH_DRIVERS} & set(MODULES) == set()
+    assert modules_where(mentions("records_nbytes")) == set()
+    for class_name, deleted in DELETED_FIELDS.items():
+        assert fields_of(class_name) & deleted == set(), class_name
+
+
 def test_no_module_finds_a_ball_by_testing_for_a_tuple():
     assert modules_where(checks_type_tuple) == set()
 
@@ -229,3 +260,7 @@ def test_the_guard_sees_what_it_guards():
     assert mentions("Ball")(MODULES["core/event.py"])
     assert checks_type_tuple(ast.parse("isinstance(message, (tuple, Other))"))
     assert checks_type_tuple(ast.parse("type(message) is tuple"))
+    # The deleted fields' classes are still there to be read.
+    assert "entries_relayed" in fields_of("DisseminationStats")
+    assert "mode" in fields_of("ExperimentSpec")
+    assert "experiments/service_drill.py" in MODULES
