@@ -7,13 +7,17 @@ carries::
     zigzag-varint ts | zigzag-varint source | zigzag-varint seq |
     payload (UTF-8 JSON, the rest of the record)
 
+The three varints are the record's *head*: an id-ball entry (kind 9)
+carries the head alone, and a signed entry (kind 7) the whole record
+followed by its epoch and MAC.
+
 An event is relayed about K·TTL times, but its record never changes,
 so :func:`wire_record` builds it once and keeps it on the ``Event``
-object; an event parsed off the wire (:func:`parse_record`) is handed
-the very bytes it arrived in, so a relay forwards them verbatim and
-never serializes a payload it did not originate. Measuring an event
-that has no record yet keeps the sizes, not the bytes
-(:func:`wire_sizes`).
+object; an event parsed off the wire (:func:`parse_record`,
+:func:`parse_head`) is handed the very bytes it arrived in, so a relay
+forwards them verbatim and never serializes a payload it did not
+originate. Measuring an event that has no record yet keeps the sizes,
+not the bytes (:func:`wire_sizes`).
 
 This module is the one place the record and its varints are written
 and read; it lives in ``core`` because both the lazy pull, which cannot
@@ -35,6 +39,8 @@ from .event import Event
 _I64_MIN, _I64_MAX = -(1 << 63), (1 << 63) - 1
 
 _ONE_BYTE = [bytes([value]) for value in range(0x80)]
+
+_NULL_NBYTES = len(b"null")  # the JSON of a payload-less event
 
 
 def uvarint(value: int) -> bytes:
@@ -105,27 +111,32 @@ def payload_json(payload: Any) -> bytes:
 
 
 #: What an event keeps of itself as a plain ball entry: ``(record,
-#: payload_nbytes, metadata_nbytes)``, where *record* is the record's
+#: payload_nbytes, head_nbytes)``, where *record* is the record's
 #: bytes — ``None`` when only the sizes were measured (see
 #: :func:`wire_sizes`), ``False`` when the payload is not
 #: JSON-serializable (sizes from its ``repr``; the codec refuses the
-#: event) — *payload_nbytes* the JSON payload at the record's end, and
-#: *metadata_nbytes* what an entry spends on the event besides its TTL
-#: and payload (the record length and the three field varints).
+#: event in every kind that carries a payload) — *payload_nbytes* the
+#: JSON payload at the record's end, and *head_nbytes* the three field
+#: varints before it. A record with ``payload_nbytes == 0`` is a head
+#: alone: the entry of an id-ball (:func:`parse_head`), whose event has
+#: no payload. A payload is never empty JSON, so no plain record is
+#: one, and :func:`wire_record` replaces it before an event rides in a
+#: kind that carries the payload.
 WireRecord = Tuple[Union[bytes, bool, None], int, int]
 
 
 def wire_record(event: Event) -> WireRecord:
-    """*event*'s :data:`WireRecord` with its record bytes, built on first
-    use and kept on the event, so every later call — a relay's encode
-    above all — is a slot read.
+    """*event*'s :data:`WireRecord` with its full record bytes, built on
+    first use and kept on the event, so every later call — a relay's
+    encode above all — is a slot read. A head alone is replaced by the
+    full record.
 
     Raises:
         OverflowError: If ``ts``, the source or the sequence is outside
             the i64 range.
     """
     wire = event._wire
-    if wire is None or wire[0] is None:
+    if wire is None or wire[0] is None or not wire[1]:
         head = _head(event.ts, event.source_id, event.id[1])
         try:
             payload = payload_json(event.payload)
@@ -133,9 +144,35 @@ def wire_record(event: Event) -> WireRecord:
         except (TypeError, ValueError):
             payload = repr(event.payload).encode()
             record = False
-        wire = _sized(record, len(head) + len(payload), len(payload))
+        wire = (record, len(payload), len(head))
         object.__setattr__(event, "_wire", wire)
     return wire
+
+
+def wire_head(event: Event) -> bytes:
+    """The head of *event*'s record — what an id-ball entry carries:
+    the record itself when it is a head alone, else sliced from the full
+    record :func:`wire_record` keeps. An event without a payload keeps
+    its head alone (as one parsed from an id-ball does), so a lazy
+    node's own broadcast, stripped for every round's id-ball, builds no
+    JSON; an event whose payload is not JSON has no record, and its head
+    is built afresh.
+
+    Raises:
+        OverflowError: If ``ts``, the source or the sequence is outside
+            the i64 range.
+    """
+    wire = event._wire
+    if wire is None or not wire[0]:
+        if event.payload is None:
+            head = _head(event.ts, event.source_id, event.id[1])
+            object.__setattr__(event, "_wire", (head, 0, len(head)))
+            return head
+        wire = wire_record(event)
+        if wire[0] is False:
+            return _head(event.ts, event.source_id, event.id[1])
+    record, payload_nbytes, head_nbytes = wire
+    return record[:head_nbytes] if payload_nbytes else record
 
 
 def wire_sizes(event: Event) -> WireRecord:
@@ -143,9 +180,12 @@ def wire_sizes(event: Event) -> WireRecord:
     were built already: what the lazy pull's byte accounting reads. The
     sizes are worked out without building the record, so a node that
     serves a payload it never shipped as a plain entry keeps two
-    integers per event, not a copy of its payload.
+    integers per event, not a copy of its payload. An event that keeps
+    a head alone has no payload, which travels as JSON ``null``.
     """
     wire = event._wire
+    if wire is not None and not wire[1]:
+        return (None, _NULL_NBYTES, wire[2])
     if wire is None:
         head = 0  # the three zigzag varints' bytes, as uvarint_nbytes
         for value in (event.ts, event.source_id, event.id[1]):
@@ -156,7 +196,7 @@ def wire_sizes(event: Event) -> WireRecord:
         except (TypeError, ValueError):
             payload = len(repr(event.payload).encode())
             record = False
-        wire = (record, payload, head + uvarint_nbytes(head + payload))
+        wire = (record, payload, head)
         object.__setattr__(event, "_wire", wire)
     return wire
 
@@ -183,23 +223,42 @@ def _head(*fields: int) -> bytes:
     return bytes(out)
 
 
+def _read_head(record) -> Tuple[int, int, int, int]:
+    """``(ts, source, seq, offset past them)`` of a record's head."""
+    ts, at = _read_zigzag(record, 0, "record ts")
+    source, at = _read_zigzag(record, at, "record source")
+    seq, at = _read_zigzag(record, at, "record seq")
+    return ts, source, seq, at
+
+
 def parse_record(record: bytes) -> Event:
     """The event a *record* carries, handed *record* itself as its
     :data:`WireRecord` — so relaying it ships these very bytes.
 
     Raises:
         ValueError: On a malformed varint, a field outside the i64
-            range, or a payload that is not UTF-8 JSON.
+            range, or a payload that is not UTF-8 JSON (an empty one
+            included).
     """
-    ts, at = _read_zigzag(record, 0, "record ts")
-    source, at = _read_zigzag(record, at, "record source")
-    seq, at = _read_zigzag(record, at, "record seq")
+    ts, source, seq, at = _read_head(record)
     payload = json.loads(str(memoryview(record)[at:], "utf-8"))
     event = Event(id=(source, seq), ts=ts, source_id=source, payload=payload)
-    size = len(record)
-    object.__setattr__(event, "_wire", _sized(record, size, size - at))
+    object.__setattr__(event, "_wire", (record, len(record) - at, at))
     return event
 
 
-def _sized(record: Union[bytes, bool, None], size: int, payload_nbytes: int) -> WireRecord:
-    return (record, payload_nbytes, uvarint_nbytes(size) + size - payload_nbytes)
+def parse_head(head: bytes) -> Event:
+    """The payload-less event an id-ball entry's *head* names, handed
+    *head* as its record — a head alone, which relaying it in an id-ball
+    ships verbatim.
+
+    Raises:
+        ValueError: On a malformed varint, a field outside the i64
+            range, or bytes after the three varints.
+    """
+    ts, source, seq, at = _read_head(head)
+    if at != len(head):
+        raise ValueError(f"{len(head) - at} trailing bytes after the record head")
+    event = Event(id=(source, seq), ts=ts, source_id=source)
+    object.__setattr__(event, "_wire", (head, 0, at))
+    return event

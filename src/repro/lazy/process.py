@@ -39,7 +39,7 @@ from ..core.errors import ConfigurationError
 from ..core.event import Ball, Event
 from ..core.interfaces import PeerSampler, Transport
 from ..core.process import EpToProcess
-from ..core.record import wire_sizes
+from ..core.record import uvarint_nbytes, wire_sizes
 from .protocol import IdBall, PayloadRequest, PayloadResponse
 from .pull import PullManager
 from .store import PayloadStore
@@ -47,12 +47,12 @@ from .store import PayloadStore
 # Wire-size estimates mirroring the codec's layouts of kinds 9–11 (kept
 # local: the codec imports this package's protocol module, so importing
 # the codec from here would be circular; tests/runtime/test_wire_sizes.py
-# pins each to what the codec emits). One datagram header, one
-# id-ball entry (ts i64 + source i64 + seq i64 + ttl i32), one event id
+# pins each to what the codec emits). One datagram header, one event id
 # (source i64 + seq i64), the request head (req_id u32) and the
-# response head (req_id u32 + missing_count u32).
+# response head (req_id u32 + missing_count u32). An id-ball entry has
+# no fixed size: it is ``uvarint ttl | uvarint head_len | head``, the
+# head being the event record's three varints (_id_entry_nbytes).
 HEADER_BYTES = 16
-ID_ENTRY_BYTES = 28
 EVENT_ID_BYTES = 16
 REQUEST_HEAD_BYTES = 4
 RESPONSE_HEAD_BYTES = 8
@@ -84,10 +84,17 @@ class LazyStats:
     #: deliveries that had to wait in the gate for their payload.
     deliveries_held: int = 0
     #: estimated wire bytes of metadata shipped (id-balls, request and
-    #: response framing) — the codec's fixed layouts.
+    #: response framing) — the codec's layouts.
     metadata_bytes: int = 0
     #: estimated wire bytes of serialized payloads shipped (responses).
     payload_bytes: int = 0
+
+
+def _id_entry_nbytes(event: Event, ttl: int) -> int:
+    """The bytes of *event*'s id-ball entry at *ttl*: ``uvarint ttl |
+    uvarint head_len | head``. A head is three varints of at most ten
+    bytes, so its length takes one byte."""
+    return uvarint_nbytes(ttl) + 1 + wire_sizes(event)[2]
 
 
 class _MetadataTransport:
@@ -104,9 +111,10 @@ class _MetadataTransport:
     def send_many(self, src: int, dsts, ball: Ball) -> None:
         owner = self._owner
         # An event this node relays from an id-ball has no payload
-        # already; only its own broadcasts (and events of a full ball)
-        # are stripped. The TTL map is the round's own: nothing mutates
-        # a ball.
+        # already, and keeps the head it arrived with, which the codec
+        # ships verbatim; only its own broadcasts (and events of a full
+        # ball) are stripped. The TTL map is the round's own: nothing
+        # mutates a ball.
         events = {
             event_id: event
             if event.payload is None
@@ -114,11 +122,6 @@ class _MetadataTransport:
             for event_id, event in ball.events.items()
         }
         id_ball = IdBall(Ball(events, ball.ttls, shared=ball.shared))
-        fan = len(dsts)
-        owner.lazy_stats.id_balls_sent += fan
-        owner.lazy_stats.metadata_bytes += fan * (
-            HEADER_BYTES + ID_ENTRY_BYTES * len(ball)
-        )
         transport = owner._transport
         send_many = getattr(transport, "send_many", None)
         if send_many is not None:
@@ -126,6 +129,14 @@ class _MetadataTransport:
         else:
             for dst in dsts:
                 transport.send(src, dst, id_ball)
+        # Measured after the send: a wire fabric encoded the ball, and
+        # the heads it built are what the estimate reads.
+        fan = len(dsts)
+        owner.lazy_stats.id_balls_sent += fan
+        owner.lazy_stats.metadata_bytes += fan * (
+            HEADER_BYTES
+            + sum(map(_id_entry_nbytes, events.values(), ball.ttls.values()))
+        )
 
 
 class LazyEpToProcess:

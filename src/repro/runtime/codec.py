@@ -10,12 +10,11 @@ Layout (fixed-width integers big-endian; ``uvarint`` is unsigned LEB128,
 
 ```
 header:   magic "EP" | version u8 | kind u8 | sender i64 | count u32
-ball:     count x { ttl uvarint | record_len uvarint |
-                    record: ts zvarint | source zvarint | seq zvarint |
-                            payload (UTF-8 JSON, the rest of the record) }
-signed:   count x { ts i64 | source i64 | seq i64 | ttl i32 |
-                    epoch u32 | mac_len u8 | mac |
-                    payload_len u32 | payload (UTF-8 JSON) }
+record:   ts zvarint | source zvarint | seq zvarint |     (the head)
+          payload (UTF-8 JSON, the rest of the record)
+ball:     count x { ttl uvarint | record_len uvarint | record }
+signed:   count x { ttl uvarint | record_len uvarint | record |
+                    epoch uvarint | mac_len u8 | mac }
 cyclon:   count x { peer i64 | age i32 }
 digest:   flags u8 (bit0 has-last-key, bit1 reply) |
           [ last_key 3 x i64 ] | count x { source i64 | seq i64 }
@@ -28,7 +27,7 @@ chunk:    req_id u32 | flags u8 (bit0 more, bit1 has-peer-last) |
                     payload_len u32 | payload (UTF-8 JSON) }
 envelope: count x { topic u32 | inner_len u32 |
                     inner (one complete datagram, kinds 1–7, 9–11) }
-id_ball:  count x { ts i64 | source i64 | seq i64 | ttl i32 }
+id_ball:  count x { ttl uvarint | head_len uvarint | head }
 pull_req: req_id u32 | count x { source i64 | seq i64 }
 pull_resp:req_id u32 | missing u32 |
           count x { ts i64 | source i64 | seq i64 |
@@ -40,15 +39,18 @@ pull_resp:req_id u32 | missing u32 |
 pairs for digests and requests, events for chunks and pull responses,
 ids for pull requests, frames for topic envelopes.
 
-A plain ball entry is a TTL around an event's *record*, and a record is
-built once per event (:func:`repro.core.record.wire_record`) and kept
-on it — an event decoded off the wire keeps the bytes it arrived in,
-so a relay forwards them verbatim. Its fields keep the ranges of the
-fixed-width layout they replaced (``ts``, source and sequence i64, TTL
-a non-negative i32), every varint has one minimal form of at most ten
-bytes, and anything else is refused; so equal records are equal bytes,
-which is what lets a receiver's :class:`AdmittedEntries` key plain
-entries by them.
+Every ball entry is a TTL around an event's *record* or a part of it:
+a plain entry carries the record, a signed entry the record followed by
+the epoch and MAC of its signature, and an id-ball entry only the
+record's *head* — a plain entry whose record has no payload bytes. A
+record is built once per event (:func:`repro.core.record.wire_record`)
+and kept on it — an event decoded off the wire keeps the bytes it
+arrived in, so a relay forwards them verbatim. Its fields keep the
+ranges of the fixed-width layout they replaced (``ts``, source and
+sequence i64, TTL a non-negative i32, epoch a u32), every varint has
+one minimal form of at most ten bytes, and anything else is refused; so
+equal entries are equal bytes, which is what lets a receiver's
+:class:`AdmittedEntries` key all three ball kinds by them.
 
 Every ball kind — plain (1), signed (7) and id-ball (9) — encodes from
 and decodes to one :class:`~repro.core.event.Ball` (``{event id:
@@ -60,15 +62,18 @@ and sequence, the range :mod:`repro.core.record` keeps a record's
 fields in — and a value outside it is refused with :class:`CodecError`
 like any other message that cannot be encoded.
 
-Versioning: there is one header version (6: version 5 carried the
-fixed-width ball entry ``ts i64 | source i64 | seq i64 | ttl i32 |
-payload_len u32 | payload``) and every kind — inner envelope frames
+Versioning: there is one header version (7: version 6 carried the
+fixed-width signed entry ``ts i64 | source i64 | seq i64 | ttl i32 |
+epoch u32 | mac_len u8 | mac | payload_len u32 | payload`` and id-ball
+entry ``ts i64 | source i64 | seq i64 | ttl i32``; version 5 the
+fixed-width plain one) and every kind — inner envelope frames
 included — is written under it; any other value raises the
 distinguishable :class:`CodecVersionError`, so transports count
 traffic from an incompatible peer apart from line noise. There is no
 capability byte: the kind byte already says what one would, and a kind
 is declared once, in the table at the bottom of this module.
-``mac_len == 0`` marks an unsigned entry inside a signed ball. Each
+``mac_len == 0`` marks an unsigned entry inside a signed ball (its
+epoch is written as 0 and means nothing). Each
 envelope frame wraps one *complete* datagram — its own header and body,
 produced by the same per-kind encoders — so every message the codec can
 put on the wire can ride inside an envelope unchanged; envelopes cannot
@@ -97,10 +102,12 @@ from ..core.errors import TransportError
 from ..core.event import Ball, Event
 from ..core.record import (
     WireRecord,
+    parse_head,
     parse_record,
     payload_json,
     read_uvarint,
     uvarint,
+    wire_head,
     wire_record,
 )
 from ..lazy.protocol import IdBall, PayloadRequest, PayloadResponse
@@ -116,7 +123,7 @@ from ..sync.protocol import (
 MAX_DATAGRAM = 60_000
 
 _MAGIC = b"EP"
-_VERSION = 6
+_VERSION = 7
 
 #: Largest topic id the frame layout can carry (topic is a u32).
 MAX_TOPIC_ID = 0xFFFFFFFF
@@ -127,9 +134,8 @@ MAX_MAC_LEN = 255
 _HEADER = struct.Struct("!2sBBqI")
 _KIND_OFFSET = 3  # magic 2s | version u8 | kind u8
 _MAX_TTL = 0x7FFFFFFF  # a ball entry's TTL keeps the i32 range
-_NOTHING_KNOWN: Dict[Any, Event] = {}  # the table of a decode without one
-_SIGNED_ENTRY = struct.Struct("!qqqiIB")  # ts, source, seq, ttl, epoch, mac_len
-_PAYLOAD_LEN = struct.Struct("!I")
+_MAX_EPOCH = 0xFFFFFFFF  # a signed entry's epoch keeps the u32 range
+_NOTHING_KNOWN: Dict[Any, Any] = {}  # the records of a decode without a table
 _CYCLON_ENTRY = struct.Struct("!qi")
 _ORDER_KEY = struct.Struct("!qqq")
 _PAIR = struct.Struct("!qq")  # (source, seq): an event id or a watermark
@@ -139,7 +145,6 @@ _CHUNK_HEAD = struct.Struct("!IB")  # req_id, flags
 _EVENT_RECORD = struct.Struct("!qqqI")  # ts, source, seq, payload_len
 _CHECKSUM = struct.Struct("!I")
 _FRAME_HEAD = struct.Struct("!II")  # topic, inner_len
-_ID_ENTRY = struct.Struct("!qqqi")  # ts, source, seq, ttl
 _PULL_REQ_HEAD = struct.Struct("!I")  # req_id
 _PULL_RESP_HEAD = struct.Struct("!II")  # req_id, missing count
 
@@ -201,102 +206,142 @@ class CodecVersionError(CodecError):
     """
 
 
-#: Entries one receiver remembers. The smallest plain ball entry is six
-#: bytes (one each for the TTL, the length and the three varints of a
-#: small event, and a one-byte JSON payload), so one datagram can name
-#: up to ``MAX_DATAGRAM // 6`` (~10k) events; 16k records keep every
-#: entry of even such a ball resident beside the ~6k a node last
-#: relayed, and cost a few MB per node when full. An authenticating
-#: fabric remembers only verified entries, so a flood of fresh ids
-#: cannot push records out there.
+#: Entries one receiver remembers of each ball kind. The smallest plain
+#: ball entry is six bytes (one each for the TTL, the length and the
+#: three varints of a small event, and a one-byte JSON payload), so one
+#: datagram can name up to ``MAX_DATAGRAM // 6`` (~10k) events; 16k
+#: records keep every entry of even such a ball resident beside the ~6k
+#: a node last relayed, and cost a few MB per node when full. An
+#: authenticating fabric remembers only verified entries, so a flood of
+#: fresh ids cannot push records out there.
 ADMITTED_CAPACITY = 1 << 14
+
+#: The kinds whose entries :class:`AdmittedEntries` remembers.
+_PLAIN, _SIGNED, _IDS = 1, 7, 9
 
 
 class AdmittedEntries:
     """One receiving node's memo of the ball entries it has admitted.
 
     An epidemic hands a node each event about K·TTL times. The table
-    remembers the :class:`~repro.core.event.Event` decoded from the
-    first admitted copy of an entry, so :func:`decode` can hand a
-    byte-identical repeat the very same object instead of parsing it
-    again. It is a memo of a pure function, keyed so that only
-    byte-identical copies can meet:
+    remembers what :func:`decode` built from the first admitted copy of
+    an entry, so a byte-identical repeat is handed the very same objects
+    instead of being parsed again. It is a memo of a pure function,
+    keyed by the entry's own bytes — every varint in its one minimal
+    form — so that only byte-identical copies can meet:
 
-    * a **plain** entry (kind 1) by its record bytes — ``ts``, source,
-      sequence and payload, every varint in its one minimal form — plus
-      the topic for an entry that arrived inside an envelope frame. The
-      key *is* the byte-identity test: a copy with other ``ts`` or
-      payload bytes is another key, takes the full path and is
-      remembered as its own record.
-    * a **signed** entry (kind 7) by ``(source, seq)`` (plus the topic),
-      as ``(payload bytes, event, signature, verified)``: the verifier
-      needs the record of an *id* (:meth:`holds`, :meth:`signature_of`)
-      and the first admitted content wins; a copy whose ``ts``,
-      payload, epoch or MAC bytes differ takes the full path every time
-      and never replaces the record.
+    * a **plain** entry (kind 1) by its record — ``ts``, source,
+      sequence and payload — to the event;
+    * an **id-ball** entry (kind 9) by its head — ``ts``, source and
+      sequence — to the payload-less event;
+    * a **signed** entry (kind 7) by its *tail* — the epoch and MAC
+      after the record — to ``(record, event, signature)``, and a copy
+      is a hit only when its record equals the remembered one too: a
+      hit is byte identity of ``ts``, source, sequence, payload, epoch
+      and MAC. The MAC is a digest of the content, so the lookup hashes
+      a few bytes, not the payload; a second content under one tail (an
+      altered payload with a replayed MAC, or any other unsigned entry,
+      whose tail is always the same two bytes) takes the full path.
+      The record is the bytes object the event keeps, so a remembered
+      entry holds its payload once.
+
+    An entry that arrived inside an envelope frame is keyed with the
+    frame's topic too, so one id on two topics never aliases. Each kind has a map
+    of its own (:attr:`records` is ``{kind: {key: ...}}``): the head of
+    an id-ball entry is a plain record with no payload, which a plain
+    entry may carry only to be refused, so a lookup of one kind must
+    never be answered from another's. A copy with other bytes is
+    another key: it takes the full path and is remembered as its own
+    record.
 
     Remembering is two-step. ``decode`` only *stages* first sights in
     :attr:`pending` (dropped at the start of the next datagram, so one
     that raised leaves nothing behind); the owner decides what is kept:
     a fabric with no verifier keeps everything staged
     (:meth:`admit_pending`), a verifying one keeps a signed entry only
-    once its MAC checked out (:meth:`remember`), which is also the only
-    way a record becomes one that :meth:`holds` vouches for, and keeps
-    no plain entry at all. Oldest records go first beyond
-    :data:`ADMITTED_CAPACITY`; an evicted entry simply takes the full
-    path again.
+    once its MAC checked out (:meth:`remember`) and keeps no plain or
+    id-ball entry at all. The verifier needs answers per *id* —
+    whether a copy is one it already verified (:meth:`holds`), and the
+    MAC to relay an event with (:meth:`signature_of`) — so
+    :meth:`remember` alone writes :attr:`verified`, where the first
+    verified content of an id wins. Oldest records go first beyond
+    :data:`ADMITTED_CAPACITY` in every map; an evicted entry simply
+    takes the full path again.
     """
 
-    __slots__ = ("records", "pending", "hits", "misses")
+    __slots__ = ("records", "pending", "verified", "staged", "hits", "misses")
 
     def __init__(self) -> None:
-        #: plain key -> event; signed key -> ``(payload bytes, event,
-        #: signature, verified)``.
-        self.records: "OrderedDict[Any, Any]" = OrderedDict()
-        #: first sights of the datagram being (or last) decoded.
-        self.pending: Dict[Any, Any] = {}
+        #: kind -> key -> what decode built: the event (kinds 1, 9) or
+        #: ``(record, event, signature)`` (kind 7).
+        self.records: Dict[int, "OrderedDict[Any, Any]"] = {
+            kind: OrderedDict() for kind in (_PLAIN, _SIGNED, _IDS)
+        }
+        #: ``(kind, key)`` -> the first sights of the datagram being (or
+        #: last) decoded.
+        self.pending: Dict[Tuple[int, Any], Any] = {}
+        #: event id -> ``(key, event, signature)`` of its first verified
+        #: signed content, as decode last handed it out.
+        self.verified: "OrderedDict[Any, Tuple[Any, Event, EventSignature]]" = (
+            OrderedDict()
+        )
+        #: event id -> key of each signed first sight staged from a bare
+        #: datagram: how :meth:`remember` finds it (the guard verifies
+        #: no envelope frame).
+        self.staged: Dict[Any, Any] = {}
         #: ball entries served from / parsed past the table.
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
-        return len(self.records)
+        return sum(map(len, self.records.values()))
+
+    def _clear_pending(self) -> None:
+        self.pending.clear()
+        self.staged.clear()
 
     def admit_pending(self) -> None:
         """Remember every staged first sight as decoded, unverified."""
-        self._keep(self.pending.items())
-        self.pending.clear()
+        for (kind, key), record in self.pending.items():
+            _keep(self.records[kind], key, record)
+        self._clear_pending()
 
     def remember(self, event: Event) -> None:
         """Remember the staged first sight of *event* as verified —
         for the verifier, once the entry's MAC checked out."""
-        staged = self.pending.get(event.id)
+        key = self.staged.get(event.id)
+        staged = None if key is None else self.pending.get((_SIGNED, key))
         if staged is not None and staged[1] is event:
-            self._keep([(event.id, staged[:3] + (True,))])
+            _keep(self.records[_SIGNED], key, staged)
+            first = self.verified.get(event.id)
+            if first is None or first[0] == key:  # the first content wins
+                # The same content verified again (its record had been
+                # evicted): these are the objects decode now hands out.
+                self.verified.pop(event.id, None)
+                _keep(self.verified, event.id, (key, event, staged[2]))
 
     def holds(self, event: Event, signature: EventSignature) -> bool:
-        """Whether these very objects are a verified record: ``decode``
-        hands them out again only for byte-identical entries."""
-        record = self.records.get(event.id)
+        """Whether these very objects are the verified record of their
+        id: ``decode`` hands them out again only for byte-identical
+        entries."""
+        verified = self.verified.get(event.id)
         return (
-            record is not None
-            and record[3]
-            and record[1] is event
-            and record[2] is signature
+            verified is not None and verified[1] is event and verified[2] is signature
         )
 
     def signature_of(self, event_id) -> Optional[EventSignature]:
         """The verified signature remembered for *event_id*, if any."""
-        record = self.records.get(event_id)
-        return record[2] if record is not None and record[3] else None
+        verified = self.verified.get(event_id)
+        return None if verified is None else verified[2]
 
-    def _keep(self, items) -> None:
-        records = self.records
-        for key, record in items:
-            if key not in records:  # first admitted content of a key wins
-                records[key] = record
-        while len(records) > ADMITTED_CAPACITY:
-            records.popitem(last=False)
+
+def _keep(records: "OrderedDict[Any, Any]", key, record) -> None:
+    """Add *record* under *key* unless the key has one — the first
+    content of a key wins — and keep *records* within
+    :data:`ADMITTED_CAPACITY`, oldest first out."""
+    records.setdefault(key, record)
+    while len(records) > ADMITTED_CAPACITY:
+        records.popitem(last=False)
 
 
 #: Application-payload bytes inside the most recent successful encode,
@@ -455,7 +500,7 @@ def decode(
     on exactly this).
 
     With *table* — the receiving node's :class:`AdmittedEntries` —
-    ball kinds (1, 7, and both inside kind-8 frames) run two-speed: an
+    ball kinds (1, 7, 9, and each inside kind-8 frames) run two-speed: an
     entry whose bytes equal a remembered copy's reuses that copy's
     objects, anything else is parsed as without a table and staged as
     a first sight. The result always equals ``decode(datagram)``, and
@@ -467,8 +512,8 @@ def decode(
             version.
         CodecError: On any other malformed input.
     """
-    if table is not None and topic is None:
-        table.pending.clear()
+    if table is not None and topic is None and table.pending:
+        table._clear_pending()
     if len(datagram) < _HEADER.size:
         raise CodecError(f"datagram too short ({len(datagram)} bytes)")
     magic, version, kind, sender, count = _HEADER.unpack_from(datagram)
@@ -489,8 +534,13 @@ def decode(
 
 
 def _record_of(event: Event) -> WireRecord:
-    """*event*'s cached :func:`~repro.core.record.wire_record`, refused
-    when the event cannot travel."""
+    """*event*'s full :func:`~repro.core.record.wire_record` — built, or
+    rebuilt from a head alone, when the cached one is not a record a
+    payload-carrying kind can ship — refused when the event cannot
+    travel."""
+    wire = event._wire
+    if wire is not None and wire[0] and wire[1]:
+        return wire
     try:
         wire = wire_record(event)
     except OverflowError as exc:
@@ -502,12 +552,12 @@ def _record_of(event: Event) -> WireRecord:
 
 def _payload_bytes(event: Event) -> bytes:
     """An event's payload as the UTF-8 JSON the wire carries — the tail
-    of its record when a plain ball entry built one, else serialized
+    of its full record when a ball entry built one, else serialized
     here: the other kinds build no record, so an event that only ever
-    travels signed, in a sync chunk or in a pull response is not made
-    to keep one."""
+    travels in a sync chunk or in a pull response is not made to keep
+    one."""
     wire = event._wire
-    if wire is not None and wire[0]:
+    if wire is not None and wire[0] and wire[1]:
         record, payload_nbytes, _ = wire
         return record[len(record) - payload_nbytes :]
     try:
@@ -537,17 +587,23 @@ def _json_payload(raw, label: str):
         raise CodecError(f"{label}: {exc}") from exc
 
 
+def _ttl_outside(ttl: int, event: Event) -> CodecError:
+    return CodecError(f"ttl {ttl} of event {event.id} is outside the i32 range")
+
+
 def _encode_ball_into(ball: Ball, buffer: bytearray) -> int:
     size = len(buffer)
     payload_total = 0
     entries = zip(ball.events.values(), ball.ttls.values())
     for index, (event, ttl) in enumerate(entries):
+        # _record_of inlined: a relay's encode of a record it keeps is
+        # two slot reads and two varints.
         wire = event._wire
-        if wire is None or not wire[0]:
+        if wire is None or not (wire[0] and wire[1]):
             wire = _record_of(event)
         record, payload_nbytes, _ = wire
-        if ttl > _MAX_TTL:
-            raise CodecError(f"ttl {ttl} of event {event.id} exceeds the i32 range")
+        if not 0 <= ttl <= _MAX_TTL:
+            raise _ttl_outside(ttl, event)
         head = uvarint(ttl) + uvarint(len(record))
         size += len(head) + len(record)
         if size > MAX_DATAGRAM:
@@ -558,15 +614,52 @@ def _encode_ball_into(ball: Ball, buffer: bytearray) -> int:
     return payload_total
 
 
-def _decode_ball(
-    body, count: int, table: Optional[AdmittedEntries], topic: Optional[int]
+def _encode_id_ball_into(message: IdBall, buffer: bytearray) -> int:
+    # A plain entry whose record is the event's head: the head is
+    # sliced from the record the event keeps, or is that record when
+    # the event arrived in an id-ball.
+    ball = message.ball
+    size = len(buffer)
+    entries = zip(ball.events.values(), ball.ttls.values())
+    for index, (event, ttl) in enumerate(entries):
+        wire = event._wire
+        if wire is not None and wire[0] and not wire[1]:
+            record = wire[0]  # a head alone: what a relayed id keeps
+        else:
+            try:
+                record = wire_head(event)
+            except OverflowError as exc:
+                raise CodecError(f"event {event.id}: {exc}") from exc
+        if not 0 <= ttl <= _MAX_TTL:
+            raise _ttl_outside(ttl, event)
+        head = uvarint(ttl) + uvarint(len(record))
+        size += len(head) + len(record)
+        if size > MAX_DATAGRAM:
+            raise _crosses_cap("id-ball entry", index, len(ball), event, size)
+        buffer += head
+        buffer += record
+    return 0
+
+
+def _decode_entries(
+    body,
+    count: int,
+    table: Optional[AdmittedEntries],
+    topic: Optional[int],
+    kind: int,
+    parse: Callable[[bytes], Event],
+    what: str,
 ) -> Ball:
+    """The ball of *count* entries ``uvarint ttl | uvarint length |
+    record``, each record read by *parse* — a plain ball's
+    (:func:`~repro.core.record.parse_record`) or an id-ball's
+    (:func:`~repro.core.record.parse_head`)."""
     # The loop runs once per copy of every event (K·TTL per node), so
     # everything it can do once per ball it does here. A copy whose
     # record the table holds costs the slice that is its key and one
     # lookup: no field of it is unpacked, and nothing is built per
     # entry but the key.
-    known = (table.records if table is not None else _NOTHING_KNOWN).get
+    known = (table.records[kind] if table is not None else _NOTHING_KNOWN).get
     # One copy of the body, so that each record is one bytes slice (a
     # slice of a view is a view to copy again).
     body = bytes(body)
@@ -581,34 +674,52 @@ def _decode_ball(
             length = body[offset + 1]
             if (ttl | length) < 0x80:  # one byte each: nearly always
                 start = offset + 2
+            elif ttl < 0x80 and 0 < (high := body[offset + 2]) < 0x80:
+                # A minimal two-byte length: a record of 128 B to 16 kB.
+                length = (length & 0x7F) | high << 7
+                start = offset + 3
             else:
                 ttl, start, length = _long_entry_head(body, offset)
             offset = start + length
             if offset > size:
-                raise CodecError("ball entry record runs past the datagram")
+                raise CodecError(f"{what} entry record runs past the datagram")
             record = body[start:offset]
             key = record if topic is None else (record, topic)
             event = known(key)
             if event is None:
                 try:
-                    event = parse_record(record)
+                    event = parse(record)
                 except ValueError as exc:
-                    raise CodecError(f"corrupt ball entry: {exc}") from exc
+                    raise CodecError(f"corrupt {what} entry: {exc}") from exc
                 if table is not None:
                     first_sights += 1
-                    table.pending.setdefault(key, event)
+                    table.pending.setdefault((kind, key), event)
             event_id = event.id
             if event_id in ttls:
                 raise _named_twice(event_id)
             events[event_id] = event
             ttls[event_id] = ttl
     except IndexError:  # the body ended inside an entry's TTL or length
-        raise CodecError("truncated ball entry") from None
-    _expect_end(body, offset, "ball")
+        raise CodecError(f"truncated {what} entry") from None
+    _expect_end(body, offset, what)
     if table is not None:
         table.hits += count - first_sights
         table.misses += first_sights
     return Ball(events, ttls)
+
+
+def _decode_ball(
+    body, count: int, table: Optional[AdmittedEntries], topic: Optional[int]
+) -> Ball:
+    return _decode_entries(body, count, table, topic, _PLAIN, parse_record, "ball")
+
+
+def _decode_id_ball(
+    body, count: int, table: Optional[AdmittedEntries], topic: Optional[int]
+) -> IdBall:
+    return IdBall(
+        _decode_entries(body, count, table, topic, _IDS, parse_head, "id-ball")
+    )
 
 
 def _named_twice(event_id) -> CodecError:
@@ -628,9 +739,29 @@ def _long_entry_head(body, offset: int) -> Tuple[int, int, int]:
     return ttl, offset, length
 
 
+def _signature_tail(event: Event, signature: Optional[EventSignature]) -> bytes:
+    """``uvarint epoch | mac_len u8 | mac`` of a signed entry; an
+    unsigned one's is epoch 0 and no MAC."""
+    if signature is None:
+        return _UNSIGNED_TAIL
+    epoch, mac = signature.epoch, signature.mac
+    if len(mac) > MAX_MAC_LEN:
+        raise CodecError(
+            f"MAC of event {event.id} is {len(mac)} bytes, exceeding "
+            f"the {MAX_MAC_LEN}-byte layout cap"
+        )
+    if not 0 <= epoch <= _MAX_EPOCH:
+        raise CodecError(
+            f"epoch {epoch} of event {event.id} is outside the u32 range"
+        )
+    return uvarint(epoch) + bytes((len(mac),)) + mac
+
+
+_UNSIGNED_TAIL = b"\x00\x00"
+
+
 def _encode_signed_ball_into(message: SignedBall, buffer: bytearray) -> int:
-    # As _encode_ball_into; each entry additionally carries its signing
-    # epoch and MAC.
+    # A plain entry followed by the signature's epoch and MAC.
     ball = message.ball
     size = len(buffer)
     payload_total = 0
@@ -638,92 +769,111 @@ def _encode_signed_ball_into(message: SignedBall, buffer: bytearray) -> int:
     for index, (event, ttl, signature) in enumerate(
         zip(ball.events.values(), ball.ttls.values(), message.signatures)
     ):
-        payload = _payload_bytes(event)
-        epoch, mac = (signature.epoch, signature.mac) if signature else (0, b"")
-        if len(mac) > MAX_MAC_LEN:
-            raise CodecError(
-                f"MAC of event {event.id} is {len(mac)} bytes, exceeding "
-                f"the {MAX_MAC_LEN}-byte layout cap"
-            )
-        size += _SIGNED_ENTRY.size + len(mac) + _PAYLOAD_LEN.size + len(payload)
+        record, payload_nbytes, _ = _record_of(event)
+        if not 0 <= ttl <= _MAX_TTL:
+            raise _ttl_outside(ttl, event)
+        head = uvarint(ttl) + uvarint(len(record))
+        tail = _signature_tail(event, signature)
+        size += len(head) + len(record) + len(tail)
         if size > MAX_DATAGRAM:
             raise _crosses_cap("signed ball entry", index, total, event, size)
-        buffer += _SIGNED_ENTRY.pack(
-            event.ts, event.source_id, event.seq, ttl, epoch, len(mac)
-        )
-        buffer += mac
-        buffer += _PAYLOAD_LEN.pack(len(payload))
-        buffer += payload
-        payload_total += len(payload)
+        buffer += head
+        buffer += record
+        buffer += tail
+        payload_total += payload_nbytes
     return payload_total
 
 
 def _decode_signed_ball(
     body, count: int, table: Optional[AdmittedEntries], topic: Optional[int]
 ) -> SignedBall:
-    known = table.records.get if table is not None else None
-    unpack, head = _SIGNED_ENTRY.unpack_from, _SIGNED_ENTRY.size
+    # As _decode_entries; a hit is the very content — signature
+    # included — that was parsed before.
+    known = (table.records[_SIGNED] if table is not None else _NOTHING_KNOWN).get
+    body = bytes(body)
     size = len(body)
     first_sights = 0
     events = {}
     ttls = {}
     signatures = []
     offset = 0
-    for _ in range(count):
-        start = offset + head
-        if start > size:
-            raise CodecError("truncated signed ball entry header")
-        ts, source, seq, ttl, epoch, mac_len = unpack(body, offset)
-        offset = start + mac_len
-        if offset + _PAYLOAD_LEN.size > size:
-            raise CodecError("truncated signed ball entry mac")
-        # Materialized: the MAC outlives the call inside EventSignature
-        # and must never alias a reusable receive buffer.
-        mac = body[start:offset].tobytes()
-        (payload_len,) = _PAYLOAD_LEN.unpack_from(body, offset)
-        start = offset + _PAYLOAD_LEN.size
-        offset = start + payload_len
-        if offset > size:
-            raise CodecError("truncated signed ball entry payload")
-        raw = body[start:offset]
-        record = None
-        if known is not None:
-            raw = raw.tobytes()  # see _decode_ball
-            key = (source, seq) if topic is None else (source, seq, topic)
-            record = known(key)
-        if (
-            record is not None
-            and record[1].ts == ts
-            and raw == record[0]
-            # An unsigned entry's epoch field means nothing, so only
-            # its empty MAC has to match.
-            and (
-                mac_len == 0
-                if record[2] is None
-                else record[2].epoch == epoch and mac == record[2].mac
-            )
-        ):
-            event, signature = record[1], record[2]
-        else:
-            payload = _json_payload(raw, "corrupt payload")
-            event = Event(id=(source, seq), ts=ts, source_id=source, payload=payload)
-            signature = EventSignature(epoch=epoch, mac=mac) if mac_len else None
-            if known is not None:
-                first_sights += 1
-                table.pending.setdefault(key, (raw, event, signature, False))
-        if ttl < 0:
-            raise CodecError(f"negative ttl {ttl}")
-        event_id = event.id
-        if event_id in ttls:
-            raise _named_twice(event_id)
-        events[event_id] = event
-        ttls[event_id] = ttl
-        signatures.append(signature)
+    try:
+        for _ in range(count):
+            ttl = body[offset]
+            length = body[offset + 1]
+            if (ttl | length) < 0x80:
+                start = offset + 2
+            elif ttl < 0x80 and 0 < (high := body[offset + 2]) < 0x80:
+                # A two-byte length, as _decode_entries: most payloads
+                # that are worth signing are past 127 bytes.
+                length = (length & 0x7F) | high << 7
+                start = offset + 3
+            else:
+                ttl, start, length = _long_entry_head(body, offset)
+            end = start + length
+            if end > size:
+                raise CodecError("signed ball entry record runs past the datagram")
+            epoch = body[end]
+            at = end + 1
+            if epoch >= 0x80:
+                epoch, at = _long_epoch(body, end)
+            mac_start = at + 1
+            offset = mac_start + body[at]
+            if offset > size:
+                raise CodecError("signed ball entry MAC runs past the datagram")
+            # Keyed by the epoch and MAC, a digest of the content, so
+            # the lookup hashes a few bytes, not the payload; the record
+            # is then compared in place.
+            tail = body[end:offset]
+            key = tail if topic is None else (tail, topic)
+            known_entry = known(key)
+            if (
+                known_entry is not None
+                and len(known_entry[0]) == length
+                and body.startswith(known_entry[0], start)
+            ):
+                _, event, signature = known_entry
+            else:
+                record = body[start:end]
+                try:
+                    event = parse_record(record)
+                except ValueError as exc:
+                    raise CodecError(f"corrupt signed ball entry: {exc}") from exc
+                signature = (
+                    EventSignature(epoch=epoch, mac=body[mac_start:offset])
+                    if offset > mac_start
+                    else None
+                )
+                if table is not None:
+                    first_sights += 1
+                    table.pending.setdefault((_SIGNED, key), (record, event, signature))
+                    if topic is None:
+                        table.staged[event.id] = key
+            event_id = event.id
+            if event_id in ttls:
+                raise _named_twice(event_id)
+            events[event_id] = event
+            ttls[event_id] = ttl
+            signatures.append(signature)
+    except IndexError:  # the body ended inside a TTL, length, epoch or mac_len
+        raise CodecError("truncated signed ball entry") from None
     _expect_end(body, offset, "signed ball")
     if table is not None:
         table.hits += count - first_sights
         table.misses += first_sights
     return SignedBall(Ball(events, ttls), tuple(signatures))
+
+
+def _long_epoch(body, offset: int) -> Tuple[int, int]:
+    """``(epoch, offset past it)`` of an epoch that takes more than a
+    byte."""
+    try:
+        epoch, offset = read_uvarint(body, offset, "signed ball entry epoch")
+    except ValueError as exc:
+        raise CodecError(str(exc)) from exc
+    if epoch > _MAX_EPOCH:
+        raise CodecError(f"epoch {epoch} overflows the u32 range")
+    return epoch, offset
 
 
 def _encode_topic_envelope_into(
@@ -943,32 +1093,6 @@ def _decode_cyclon(message_type, body, count: int, *_):
             f"cyclon body is {len(body)} bytes, expected {expected}"
         )
     return message_type(entries=tuple(_CYCLON_ENTRY.iter_unpack(body)))
-
-
-def _encode_id_ball_into(message: IdBall, buffer: bytearray) -> int:
-    ball = message.ball
-    for event, ttl in zip(ball.events.values(), ball.ttls.values()):
-        buffer += _ID_ENTRY.pack(event.ts, event.source_id, event.seq, ttl)
-    return 0
-
-
-def _decode_id_ball(body, count: int, *_) -> IdBall:
-    expected = count * _ID_ENTRY.size
-    if len(body) != expected:
-        raise CodecError(
-            f"id-ball body is {len(body)} bytes, expected {expected}"
-        )
-    events = {}
-    ttls = {}
-    for ts, source, seq, ttl in _ID_ENTRY.iter_unpack(body):
-        if ttl < 0:
-            raise CodecError(f"negative ttl {ttl}")
-        event_id = (source, seq)
-        if event_id in ttls:
-            raise _named_twice(event_id)
-        events[event_id] = Event(id=event_id, ts=ts, source_id=source)
-        ttls[event_id] = ttl
-    return IdBall(Ball(events, ttls))
 
 
 def _encode_payload_request_into(

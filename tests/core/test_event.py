@@ -58,9 +58,9 @@ class TestEvent:
         measured = Event(id=(3, 1), ts=42, source_id=3, payload="payload")
         fresh = Event(id=(3, 1), ts=42, source_id=3, payload="payload")
         record = wire_record(measured)
-        # zigzag(42), zigzag(3), zigzag(1), then the JSON payload; an
-        # entry spends the three varints and a length byte beside it.
-        assert record == (b'\x54\x06\x02"payload"', 9, 4)
+        # zigzag(42), zigzag(3), zigzag(1) — the three-byte head — then
+        # the JSON payload.
+        assert record == (b'\x54\x06\x02"payload"', 9, 3)
         assert wire_record(measured) is record  # built once, read back
         assert measured == fresh and hash(measured) == hash(fresh)
         assert repr(measured) == repr(fresh)
@@ -175,19 +175,19 @@ class TestWireRecord:
 
     def test_a_payload_that_is_not_json_has_sizes_but_no_record(self):
         event = Event(id=(3, 1), ts=42, source_id=3, payload=frozenset({3}))
-        record, payload_nbytes, metadata_nbytes = wire_record(event)
+        record, payload_nbytes, head_nbytes = wire_record(event)
         assert record is False
         assert payload_nbytes == len(repr(frozenset({3})).encode())
-        assert metadata_nbytes == 3 + 1
+        assert head_nbytes == 3
         assert wire_sizes(event) is wire_record(event)
 
     def test_measuring_keeps_the_sizes_and_building_the_record_keeps_them(self):
         event = Event(id=(3, 1), ts=42, source_id=3, payload="payload")
         sized = wire_sizes(event)
-        assert sized == (None, 9, 4)  # no bytes kept for the estimate
+        assert sized == (None, 9, 3)  # no bytes kept for the estimate
         assert wire_sizes(event) is sized
         built = wire_record(event)
-        assert built == (b'\x54\x06\x02"payload"', 9, 4)
+        assert built == (b'\x54\x06\x02"payload"', 9, 3)
         assert wire_sizes(event) is built and wire_record(event) is built
 
 

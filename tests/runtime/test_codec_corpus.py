@@ -10,11 +10,12 @@ datagram. The only escapes are :class:`~repro.runtime.codec.CodecError`
 subclasses, and a datagram stamped with any header version but the one
 raises :class:`~repro.runtime.codec.CodecVersionError`, which the UDP
 fabric counts apart from line noise. A kind added to the table without
-a sample here fails the first test. The varints of a plain ball entry
-get damage of their own: too long, out of their field's range, and a
-record that runs past the datagram. A ball of any of the three ball
-kinds that names one event id twice is refused, and the fabric counts
-it as malformed.
+a sample here fails the first test. The varints of the three ball
+kinds' entries get damage of their own: too long, not minimal, out of
+their field's range (TTL i32, timestamp i64, epoch u32), a record or
+MAC that runs past the datagram, and an id-ball head with bytes after
+its three varints. A ball of any of the three ball kinds that names one
+event id twice is refused, and the fabric counts it as malformed.
 """
 
 from __future__ import annotations
@@ -24,9 +25,15 @@ import typing
 
 import pytest
 
-from repro.auth import BallGuard, HmacAuthenticator, KeyRing, SignedBall
+from repro.auth import (
+    BallGuard,
+    EventSignature,
+    HmacAuthenticator,
+    KeyRing,
+    SignedBall,
+)
 from repro.core.event import Ball, Event
-from repro.lazy.protocol import PayloadRequest, PayloadResponse
+from repro.lazy.protocol import IdBall, PayloadRequest, PayloadResponse
 from repro.pss.cyclon import CyclonRequest, CyclonResponse
 from repro.runtime import codec
 from repro.runtime.codec import CodecError, CodecVersionError, TopicEnvelope
@@ -126,8 +133,9 @@ WIRES = [pytest.param(wire, id=name) for name, _, _, wire in CORPUS]
 INPUTS = [bytes, bytearray, memoryview]
 
 #: Every header version but the one (versions 1–4 were never deployed;
-#: 5 carried the fixed-width plain ball entry).
-FOREIGN_VERSIONS = (0, 1, 2, 3, 4, 5, 7, 255)
+#: 5 carried the fixed-width plain ball entry, 6 the fixed-width signed
+#: and id-ball entries).
+FOREIGN_VERSIONS = (0, 1, 2, 3, 4, 5, 6, 8, 255)
 
 #: Where the inner header's version byte sits in a one-frame envelope:
 #: outer header (16) + frame head (8) + magic (2).
@@ -160,9 +168,9 @@ def test_the_corpus_covers_the_kind_table():
     "name, message, sender, wire", CORPUS, ids=[case[0] for case in CORPUS]
 )
 def test_round_trips_under_the_one_version(name, message, sender, wire):
-    assert wire[:2] == b"EP" and wire[2] == 6
+    assert wire[:2] == b"EP" and wire[2] == 7
     if name.endswith("-framed"):
-        assert wire[_INNER_VERSION_OFFSET] == 6
+        assert wire[_INNER_VERSION_OFFSET] == 7
     assert codec.decode(wire) == (sender, message)
     assert checked_decode(wire, warm_table(wire)) == (sender, message)
 
@@ -230,13 +238,22 @@ def test_the_fabric_counts_foreign_versions_apart_from_noise():
     assert stats.dropped_malformed == 0
 
 
-def _plain_ball(body: bytes, entries: int = 1) -> bytes:
-    """A kind-1 datagram from sender 7 with a hand-written *body*."""
-    return codec.encode(7, Ball.of([]))[:12] + entries.to_bytes(4, "big") + body
+#: An empty message of each ball kind: its header is every datagram's.
+_EMPTY = {1: Ball({}, {}), 7: SignedBall(Ball({}, {}), ()), 9: IdBall(Ball({}, {}))}
 
 
-#: ``ts 10 | source 1 | seq 0`` as zigzag varints, then a JSON payload.
-_RECORD = b"\x14\x02\x00" + b'"ok"'
+def _datagram(kind: int, body: bytes) -> bytes:
+    """A one-entry datagram of ball *kind* from sender 7 with a
+    hand-written *body*."""
+    return codec.encode(7, _EMPTY[kind])[:12] + (1).to_bytes(4, "big") + body
+
+
+#: ``ts 10 | source 1 | seq 0`` as zigzag varints: a record's head.
+_HEAD = b"\x14\x02\x00"
+
+#: The head, then a JSON payload.
+_RECORD = _HEAD + b'"ok"'
+
 
 def _entry(ttl: bytes, record: bytes) -> bytes:
     return ttl + uvarint(len(record)) + record
@@ -245,40 +262,89 @@ def _entry(ttl: bytes, record: bytes) -> bytes:
 #: Eleven bytes, every one but the last with the continuation bit.
 _ELEVEN = b"\xff" * 10 + b"\x01"
 
-#: Plain ball entries no honest encoder writes, each refused whole:
-#: ``(body, what the refusal says)``.
+_MAC = b"m" * 16
+
+
+def _signed_entry(
+    ttl: bytes = b"\x03", record: bytes = _RECORD, epoch: bytes = b"\x00", mac=_MAC
+) -> bytes:
+    return _entry(ttl, record) + epoch + bytes((len(mac),)) + mac
+
+
+#: The well-formed entry of each ball kind the damage below is made from.
+_GENUINE = {1: _entry(b"\x03", _RECORD), 7: _signed_entry(), 9: _entry(b"\x03", _HEAD)}
+
+#: Ball entries no honest encoder writes, each refused whole: ``(kind,
+#: body, what the refusal says)``; the plain ones keep their old names.
 VARINT_DAMAGE = {
-    "over-long ttl": (_entry(_ELEVEN, _RECORD), "over-long varint"),
-    "over-long ts": (_entry(b"\x00", _ELEVEN + b"\x02\x00" + b"0"), "over-long varint"),
+    "over-long ttl": (1, _entry(_ELEVEN, _RECORD), "over-long varint"),
+    "over-long ts": (1, _entry(b"\x00", _ELEVEN + b"\x02\x00" + b"0"), "over-long varint"),
     # Minimal varints, but beyond the i32 TTL and the i64 timestamp.
-    "ttl beyond i32": (_entry(uvarint(1 << 31), _RECORD), "i32 range"),
-    "ts beyond i64": (_entry(b"\x00", uvarint(1 << 64) + b"\x02\x00" + b"0"), "i64 range"),
+    "ttl beyond i32": (1, _entry(uvarint(1 << 31), _RECORD), "i32 range"),
+    "ts beyond i64": (
+        1,
+        _entry(b"\x00", uvarint(1 << 64) + b"\x02\x00" + b"0"),
+        "i64 range",
+    ),
     # A length that claims more than the datagram holds.
     "record past the datagram": (
+        1,
         b"\x00" + uvarint(len(_RECORD) + 1) + _RECORD,
         "runs past the datagram",
     ),
     # Padded with a zero group: the same value in a second spelling.
-    "non-minimal ttl": (_entry(b"\x81\x00", _RECORD), "non-minimal varint"),
+    "non-minimal ttl": (1, _entry(b"\x81\x00", _RECORD), "non-minimal varint"),
+    "kind7-over-long ttl": (7, _signed_entry(ttl=_ELEVEN), "over-long varint"),
+    "kind7-non-minimal ttl": (7, _signed_entry(ttl=b"\x81\x00"), "non-minimal varint"),
+    "kind7-ttl beyond i32": (7, _signed_entry(ttl=uvarint(1 << 31)), "i32 range"),
+    "kind7-over-long ts": (
+        7,
+        _signed_entry(record=_ELEVEN + b"\x02\x00" + b"0"),
+        "over-long varint",
+    ),
+    "kind7-over-long epoch": (7, _signed_entry(epoch=_ELEVEN), "over-long varint"),
+    "kind7-non-minimal epoch": (7, _signed_entry(epoch=b"\x80\x00"), "non-minimal varint"),
+    "kind7-epoch beyond u32": (7, _signed_entry(epoch=uvarint(1 << 32)), "u32 range"),
+    "kind7-record past the datagram": (
+        7,
+        b"\x03" + uvarint(len(_RECORD) + 1) + _RECORD,
+        "runs past the datagram",
+    ),
+    "kind7-mac past the datagram": (7, _signed_entry()[:-1], "runs past the datagram"),
+    "kind7-empty payload": (7, _signed_entry(record=_HEAD), "corrupt signed ball entry"),
+    "kind9-over-long ttl": (9, _entry(_ELEVEN, _HEAD), "over-long varint"),
+    "kind9-non-minimal ttl": (9, _entry(b"\x81\x00", _HEAD), "non-minimal varint"),
+    "kind9-ttl beyond i32": (9, _entry(uvarint(1 << 31), _HEAD), "i32 range"),
+    "kind9-over-long seq": (9, _entry(b"\x03", b"\x14\x02" + _ELEVEN), "over-long varint"),
+    "kind9-non-minimal ts": (9, _entry(b"\x03", b"\x94\x00\x02\x00"), "non-minimal varint"),
+    "kind9-ts beyond i64": (9, _entry(b"\x03", uvarint(1 << 64) + b"\x02\x00"), "i64 range"),
+    "kind9-head with trailing bytes": (9, _entry(b"\x03", _RECORD), "trailing bytes"),
+    "kind9-head past the datagram": (
+        9,
+        b"\x03" + uvarint(len(_HEAD) + 1) + _HEAD,
+        "runs past the datagram",
+    ),
 }
 
 
 def test_the_damage_cases_are_otherwise_well_formed():
-    wire = _plain_ball(uvarint(3) + uvarint(len(_RECORD)) + _RECORD)
-    assert wire == codec.encode(
-        7, Ball.of([(Event(id=(1, 0), ts=10, source_id=1, payload="ok"), 3)])
-    )
+    event = Event(id=(1, 0), ts=10, source_id=1, payload="ok")
+    signed = SignedBall(Ball.of([(event, 3)]), (EventSignature(0, _MAC),))
+    assert _datagram(1, _GENUINE[1]) == codec.encode(7, Ball.of([(event, 3)]))
+    assert _datagram(7, _GENUINE[7]) == codec.encode(7, signed)
+    assert _datagram(9, _GENUINE[9]) == codec.encode(7, id_ball((10, 1, 0, 3)))
 
 
 @pytest.mark.parametrize(
-    "body, refusal", list(VARINT_DAMAGE.values()), ids=list(VARINT_DAMAGE)
+    "kind, body, refusal", list(VARINT_DAMAGE.values()), ids=list(VARINT_DAMAGE)
 )
 @pytest.mark.parametrize("framed", [False, True], ids=["alone", "framed"])
-def test_damaged_varints_are_codec_errors(body, refusal, framed):
-    wire = _plain_ball(body)
+def test_damaged_varints_are_codec_errors(kind, body, refusal, framed):
+    wire, genuine = _datagram(kind, body), _datagram(kind, _GENUINE[kind])
     if framed:
         wire = codec.assemble_envelope(9, [(_FRAME_TOPIC, wire)])
-    genuine = codec.encode(7, _ball())
+        genuine = codec.assemble_envelope(9, [(_FRAME_TOPIC, genuine)])
+    # A cold receiver, and one whose table holds the genuine entry.
     for decode in _receivers(genuine, bytes):
         with pytest.raises(CodecError, match=refusal) as raised:
             decode(wire)

@@ -17,12 +17,16 @@ import random
 
 import pytest
 
-from repro.core.event import Event
-from repro.lazy.protocol import PayloadRequest, PayloadResponse
+from repro.auth import EventSignature, SignedBall
+from repro.core import EpToConfig
+from repro.core.event import Ball, Event
+from repro.core.record import uvarint
+from repro.lazy.process import LazyEpToProcess
+from repro.lazy.protocol import IdBall, PayloadRequest, PayloadResponse
 from repro.runtime import codec
 from repro.runtime.codec import CodecError, CodecVersionError, TopicEnvelope
 
-from ..conftest import id_ball
+from ..conftest import RecordingTransport, StaticPeerSampler, id_ball
 
 from .hostile import (
     assert_all_rejected,
@@ -103,6 +107,69 @@ class TestRoundTrip:
         assert codec.last_encode_payload_bytes() > 0
 
 
+class TestMetaEventsNeverLeak:
+    """An event decoded from an id-ball keeps its head as its record —
+    a record with no payload bytes, which the id-ball encoder ships
+    verbatim. Should such a meta-event ride in a plain or signed ball,
+    the encoder builds its full record (payload ``null``) instead of
+    shipping a payload-less one that every receiver refuses."""
+
+    def _relayed_meta_event(self):
+        """The event a lazy node relays after an id-ball arrived."""
+        shipped = []
+
+        class Fabric(RecordingTransport):
+            def send_many(self, src, dsts, message):
+                shipped.append(message)
+
+        process = LazyEpToProcess(
+            node_id=2,
+            config=EpToConfig(fanout=2, ttl=4, mode="lazy"),
+            peer_sampler=StaticPeerSampler([5, 6]),
+            transport=Fabric(),
+            on_deliver=lambda event: None,
+            time_source=lambda: 5,
+            rng=random.Random(0),
+        )
+        _, arrived = codec.decode(codec.encode(9, id_ball((10, 1, 0, 2))))
+        process.on_lazy_message(9, arrived)
+        process.on_round()
+        [relayed] = shipped
+        [event] = relayed.ball.events.values()
+        assert event is next(iter(arrived.ball.events.values()))
+        assert event._wire == (b"\x14\x02\x00", 0, 3)  # a head alone
+        return event, relayed
+
+    def test_a_relayed_meta_event_ships_its_head_verbatim(self):
+        event, relayed = self._relayed_meta_event()
+        assert codec.encode(2, relayed)[16:] == b"\x03\x03\x14\x02\x00"
+        assert event._wire == (b"\x14\x02\x00", 0, 3)
+
+    @pytest.mark.parametrize(
+        "wrap",
+        [
+            lambda ball: ball,
+            lambda ball: SignedBall(ball, (None,)),
+            lambda ball: SignedBall(ball, (EventSignature(0, b"m" * 16),)),
+        ],
+        ids=["plain", "unsigned", "signed"],
+    )
+    def test_a_relayed_meta_event_cannot_leak_into_a_payload_carrying_ball(self, wrap):
+        event, relayed = self._relayed_meta_event()
+        message = wrap(Ball.of([(event, 3)]))
+        wire = codec.encode(2, message)
+        assert b"\x14\x02\x00null" in wire
+        _, decoded = codec.decode(wire)
+        assert decoded == message
+        # Once the full record is built, an id-ball still ships the head.
+        assert codec.encode(2, relayed)[16:] == b"\x03\x03\x14\x02\x00"
+
+    def test_a_plain_entry_without_a_payload_is_refused(self):
+        wire = codec.encode(2, Ball.of([]))[:12] + (1).to_bytes(4, "big")
+        with pytest.raises(CodecError, match="corrupt ball entry"):
+            codec.decode(wire + b"\x03\x03\x14\x02\x00")
+
+
 class TestEncodeRejections:
     def test_non_json_payload_rejected(self):
         bad = PayloadResponse(
@@ -127,7 +194,7 @@ class TestVersionGate:
     @pytest.mark.parametrize("build", _BUILDERS, ids=_IDS)
     def test_unknown_version_raises_version_error(self, build):
         wire = bytearray(codec.encode(1, build()))
-        wire[2] = 7
+        wire[2] = 8  # a future header version
         with pytest.raises(CodecVersionError):
             codec.decode(bytes(wire))
 
@@ -156,15 +223,15 @@ class TestHostileBytes:
         wire = codec.encode(7, build())
         assert_all_rejected(codec.decode, [inflated_count(wire)])
 
-    def test_negative_ttl_rejected(self):
-        wire = bytearray(codec.encode(1, id_ball((10, 1, 0, 0))))
-        # Header is 16 bytes; the id-entry layout is
-        # ts(8) source(8) seq(8) ttl(4) — patch the ttl to -1.
-        ttl_offset = 16 + 24
-        assert wire[ttl_offset : ttl_offset + 4] == (0).to_bytes(4, "big")
-        wire[ttl_offset : ttl_offset + 4] = (-1).to_bytes(4, "big", signed=True)
-        with pytest.raises(CodecError):
-            codec.decode(bytes(wire))
+    def test_ttl_beyond_i32_rejected(self):
+        wire = codec.encode(1, id_ball((10, 1, 0, 0)))
+        # Header is 16 bytes, and an id-ball entry starts with its
+        # uvarint TTL: widen it past the i32 range (a TTL cannot be
+        # negative).
+        assert wire[16] == 0
+        wire = wire[:16] + uvarint(1 << 31) + wire[17:]
+        with pytest.raises(CodecError, match="i32 range"):
+            codec.decode(wire)
 
     @pytest.mark.parametrize("build", _BUILDERS, ids=_IDS)
     def test_bit_flip_fuzz_never_escapes_codec_error(self, build):

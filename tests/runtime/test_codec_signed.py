@@ -7,7 +7,8 @@ with :class:`~repro.runtime.codec.CodecError` (or its
 exception may ever escape ``decode``. The damage itself is
 ``tests/runtime/hostile.py``'s, which ``test_codec_corpus.py`` throws at
 every kind; here it meets a larger signed ball at a warm receiver, next
-to the cases only this kind has (negative TTL, the MAC-length bound).
+to the cases only this kind has (a TTL beyond the i32 range, the
+MAC-length bound).
 """
 
 from __future__ import annotations
@@ -16,8 +17,15 @@ import random
 
 import pytest
 
-from repro.auth import BallGuard, HmacAuthenticator, KeyRing, SignedBall
+from repro.auth import (
+    BallGuard,
+    EventSignature,
+    HmacAuthenticator,
+    KeyRing,
+    SignedBall,
+)
 from repro.core.event import Ball, Event
+from repro.core.record import uvarint
 from repro.runtime import codec
 from repro.runtime.codec import CodecError, CodecVersionError
 from repro.sync.protocol import (
@@ -72,6 +80,29 @@ class TestRoundTrip:
         _, decoded = codec.decode(codec.encode(1, signed))
         assert decoded == signed
 
+    def test_epochs_across_the_u32_range_round_trip(self):
+        ball = Ball.of([(_event(seq=seq), seq) for seq in range(3)])
+        signatures = tuple(
+            EventSignature(epoch=epoch, mac=b"m" * 16)
+            for epoch in (127, 128, codec._MAX_EPOCH)
+        )
+        signed = SignedBall(ball, signatures)
+        _, decoded = codec.decode(codec.encode(1, signed))
+        assert decoded == signed
+        for epoch in (-1, codec._MAX_EPOCH + 1):
+            bad = SignedBall(Ball.of([(_event(), 0)]), (EventSignature(epoch, b"m"),))
+            with pytest.raises(CodecError, match="u32 range"):
+                codec.encode(1, bad)
+
+    def test_a_relay_forwards_the_record_it_received(self, monkeypatch):
+        wire = codec.encode(1, _signed_ball())
+        _, received = codec.decode(wire)
+        # Relaying serializes no payload again: the records are the
+        # bytes the entries arrived in.
+        monkeypatch.setattr(codec, "payload_json", None)
+        monkeypatch.setattr("repro.core.record.payload_json", None)
+        assert codec.encode(1, received)[16:] == wire[16:]
+
     def test_plain_kinds_still_decode(self):
         ball = _signed_ball().ball
         _, decoded = codec.decode(codec.encode(1, ball))
@@ -81,7 +112,7 @@ class TestRoundTrip:
 class TestVersionGate:
     def test_unknown_version_raises_version_error(self):
         wire = bytearray(codec.encode(1, _signed_ball()))
-        wire[2] = 7
+        wire[2] = 8  # a future header version
         with pytest.raises(CodecVersionError):
             codec.decode(bytes(wire))
 
@@ -112,21 +143,17 @@ class TestHostileBytes:
         wire = codec.encode(7, _signed_ball())
         assert_all_rejected(self.decode, [inflated_count(wire)])
 
-    def test_negative_ttl_rejected(self):
+    def test_ttl_beyond_i32_rejected(self):
         event = _event()
-        wire = bytearray(
-            codec.encode(
-                1,
-                SignedBall(Ball.of([(event, 0)]), signatures=(None,)),
-            )
+        wire = codec.encode(
+            1, SignedBall(Ball.of([(event, 0)]), signatures=(None,))
         )
-        # Header is 16 bytes; the signed-entry layout is
-        # ts(8) source(8) seq(8) ttl(4) ... — patch the ttl to -1.
-        ttl_offset = 16 + 24
-        assert wire[ttl_offset : ttl_offset + 4] == (0).to_bytes(4, "big")
-        wire[ttl_offset : ttl_offset + 4] = (-1).to_bytes(4, "big", signed=True)
-        with pytest.raises(CodecError):
-            self.decode(bytes(wire))
+        # Header is 16 bytes, and a signed entry starts with its uvarint
+        # TTL: widen it past the i32 range (a TTL cannot be negative).
+        assert wire[16] == 0
+        wire = wire[:16] + uvarint(1 << 31) + wire[17:]
+        with pytest.raises(CodecError, match="i32 range"):
+            self.decode(wire)
 
     def test_bit_flip_fuzz_never_escapes_codec_error(self):
         wire = codec.encode(7, _signed_ball(entries=6))

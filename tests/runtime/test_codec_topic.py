@@ -171,7 +171,7 @@ def _packed_by_hand(host, frames):
     inner_len u32 | inner``. ``encode`` of an envelope goes through the
     codec's own assembler, so comparing those two proves nothing; this
     is what catches a layout slip in it."""
-    wire = struct.pack("!2sBBqI", b"EP", 6, 8, host, len(frames))
+    wire = struct.pack("!2sBBqI", b"EP", 7, 8, host, len(frames))
     for topic, inner in frames:
         wire += struct.pack("!II", topic, len(inner)) + inner
     return wire
@@ -232,7 +232,7 @@ class TestAssembledEnvelope:
 class TestVersionGate:
     def test_unknown_version_raises_version_error(self):
         wire = bytearray(codec.encode(1, _mixed_envelope()))
-        wire[2] = 7
+        wire[2] = 8  # a future header version
         with pytest.raises(CodecVersionError):
             codec.decode(bytes(wire))
 

@@ -4,10 +4,13 @@ Whatever :class:`~repro.runtime.codec.AdmittedEntries` holds,
 ``decode(data, table)`` must equal ``decode(data)`` — result or
 exception — for every input; a byte-identical repeat reuses the
 remembered objects, anything else takes the full path and never
-replaces a record (a plain entry is keyed by its record bytes, so other
-bytes are another record; a signed one by its id, whose first admitted
-content wins); nothing of a datagram that raised is remembered; the
-table is bounded; and the ids of different topics never alias.
+replaces a record (every ball entry is keyed by its bytes — a plain
+one's record, an id-ball one's head, a signed one's record, epoch and
+MAC — so other bytes are another record, and each kind has a map of its
+own); only a verified signed entry is one the guard may trust, and the
+first verified content of an id wins; nothing of a datagram that raised
+is remembered; the table is bounded; and the ids of different topics
+never alias.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from hypothesis import given, settings, strategies as st
 from repro.auth import EventSignature, SignedBall
 from repro.core.event import Ball, Event
 from repro.core.record import uvarint, wire_record
+from repro.lazy.protocol import IdBall
 from repro.runtime import codec
 from repro.runtime.codec import AdmittedEntries, CodecError, TopicEnvelope
 
@@ -48,6 +52,18 @@ def _key(event):
     return wire_record(event)[0]
 
 
+def _signed_key(wire):
+    """The table key of the one entry of a bare signed datagram whose
+    TTL and record length take a byte each: the epoch and MAC after its
+    record."""
+    length = wire[codec.HEADER_SIZE + 1]
+    return bytes(wire[codec.HEADER_SIZE + 2 + length :])
+
+
+def _nothing_staged(table):
+    return not table.pending and not table.staged
+
+
 def _entries(message):
     """The ``(event, ttl)`` entries of a decoded message, whatever wraps
     them."""
@@ -60,8 +76,15 @@ def _entries(message):
 class TestRepeatsReuseTheRememberedObjects:
     @pytest.mark.parametrize(
         "wrap",
-        [lambda b: b, _signed, lambda b: _framed(3, b), lambda b: _framed(3, _signed(b))],
-        ids=["kind1", "kind7", "kind8-kind1", "kind8-kind7"],
+        [
+            lambda b: b,
+            _signed,
+            IdBall,
+            lambda b: _framed(3, b),
+            lambda b: _framed(3, _signed(b)),
+            lambda b: _framed(3, IdBall(b)),
+        ],
+        ids=["kind1", "kind7", "kind9", "kind8-kind1", "kind8-kind7", "kind8-kind9"],
     )
     def test_byte_identical_entry_is_decoded_once(self, wrap):
         first_wire = codec.encode(1, wrap(_ball(_event(), ttl=2)))
@@ -74,7 +97,7 @@ class TestRepeatsReuseTheRememberedObjects:
         assert _entries(later)[0][0] is _entries(first)[0][0]
         assert _entries(later)[0][1] == 7
         assert (table.hits, table.misses) == (1, 1)
-        assert not table.pending
+        assert _nothing_staged(table)
 
     def test_signature_object_is_reused_with_the_event(self):
         wire = codec.encode(1, _signed(_ball(_event())))
@@ -90,20 +113,43 @@ class TestRepeatsReuseTheRememberedObjects:
         checked_decode(wire, table)  # staged, then dropped, then staged again
         assert len(table) == 0 and table.misses == 2
 
-    def test_id_balls_bypass_the_table(self):
-        wire = codec.encode(1, id_ball((10, 1, 0, 2)))
+    def test_id_balls_go_through_the_table(self):
+        # The plain record of the same event shares the head's bytes,
+        # but lives in a map of its own.
         table = warm_table(codec.encode(1, _ball(_event())))
-        checked_decode(wire, table)
-        assert (table.hits, table.misses) == (0, 1)  # the warming ball only
-        assert not table.pending
+        _, first = checked_decode(codec.encode(1, id_ball((10, 1, 0, 2))), table)
+        table.admit_pending()
+        _, later = checked_decode(codec.encode(9, id_ball((10, 1, 0, 5))), table)
+        assert later.ball.events[(1, 0)] is first.ball.events[(1, 0)]
+        assert later.ball.events[(1, 0)].payload is None
+        assert (table.hits, table.misses) == (1, 2)
+        assert list(table.records[9]) == [b"\x14\x02\x00"]  # ts 10, source 1, seq 0
+
+    def test_a_head_never_answers_a_plain_lookup(self):
+        # A plain entry whose record is a bare head has no payload: it is
+        # refused, even where the head is remembered as an id-ball entry
+        # — and an id-ball head with a payload after it is refused where
+        # that plain record is remembered.
+        head = b"\x14\x02\x00"
+        record = _key(_event())
+        table = warm_table(
+            codec.encode(1, id_ball((10, 1, 0, 2))), codec.encode(1, _ball(_event()))
+        )
+        for kind, body in ((1, head), (9, record)):
+            empty = Ball({}, {}) if kind == 1 else IdBall(Ball({}, {}))
+            wire = codec.encode(1, empty)[:12] + (1).to_bytes(4, "big")
+            wire += b"\x02" + uvarint(len(body)) + body
+            with pytest.raises(CodecError):
+                checked_decode(wire, table)
 
 
 class TestDifferentContentTakesTheFullPath:
     """Same ``(source, seq)``, other bytes: the equivocation case. The
-    copy is parsed in full and never replaces the record: a signed copy
-    every time, a plain one the first time — its bytes are a key of
-    their own, so a fabric without a verifier remembers it beside the
-    genuine record."""
+    copy is parsed in full and never replaces the record. A plain copy's
+    bytes are a key of their own, so a fabric without a verifier
+    remembers it beside the genuine record; a signed copy with the
+    genuine MAC shares the genuine key, so it takes the full path every
+    time."""
 
     VARIANTS = {
         "payload": dict(payload="forged"),
@@ -115,24 +161,24 @@ class TestDifferentContentTakesTheFullPath:
     def test_other_event_bytes(self, wrap, field):
         plain = wrap is not _signed
         genuine = codec.encode(1, wrap(_ball(_event())))
-        other = codec.encode(1, wrap(_ball(_event(**self.VARIANTS[field]))))
+        variant = _event(**self.VARIANTS[field])
+        other = codec.encode(1, wrap(_ball(variant)))
         table = warm_table(genuine)
-        key = _key(_event()) if plain else (1, 0)
-        remembered = table.records[key]
+        records = table.records[1 if plain else 7]
+        key = _key(_event()) if plain else _signed_key(genuine)
+        remembered = records[key]
         genuine_event = remembered if plain else remembered[1]
         for _ in range(3):
             _, message = checked_decode(other, table)
             table.admit_pending()
             assert _entries(message)[0][0] is not genuine_event
-        assert table.records[key] is remembered
+        assert records[key] is remembered
         if plain:
-            assert len(table) == 2
-            assert table.records[_key(_event(**self.VARIANTS[field]))] == _event(
-                **self.VARIANTS[field]
-            )
+            assert len(table) == 2 and records[_key(variant)] == variant
             assert (table.hits, table.misses) == (2, 2)
         else:
-            assert (table.hits, table.misses) == (0, 4)
+            assert _signed_key(other) == key
+            assert len(table) == 1 and (table.hits, table.misses) == (0, 4)
 
     @pytest.mark.parametrize(
         "other",
@@ -142,7 +188,7 @@ class TestDifferentContentTakesTheFullPath:
     def test_other_signature_bytes(self, other):
         genuine = codec.encode(1, _signed(_ball(_event())))
         table = warm_table(genuine)
-        remembered = table.records[(1, 0)]
+        remembered = table.records[7][_signed_key(genuine)]
         if other.get("mac") == b"":
             forged = SignedBall(_ball(_event()), signatures=(None,))
         else:
@@ -151,7 +197,7 @@ class TestDifferentContentTakesTheFullPath:
         table.admit_pending()
         assert _entries(message)[0][0] is not remembered[1]
         assert message.signatures[0] is not remembered[2]
-        assert table.records[(1, 0)] is remembered
+        assert table.records[7][_signed_key(genuine)] is remembered
 
     def test_plain_and_signed_copies_of_one_id(self):
         # Neither record serves the other kind: a plain one has no MAC
@@ -177,7 +223,7 @@ class TestWholeDatagramFirst:
         # not drag the first one's good entry in with it either.
         checked_decode(codec.encode(1, _ball(_event(seq=2))), table)
         table.admit_pending()
-        assert list(table.records) == [_key(_event(seq=2))]
+        assert list(table.records[1]) == [_key(_event(seq=2))]
 
     def test_a_bad_frame_fails_the_frames_before_it(self):
         envelope = TopicEnvelope(
@@ -207,7 +253,7 @@ class TestVerifiedRecords:
         unverified = warm_table(wire)
         _, message = codec.decode(wire, unverified)
         event, signature = _entries(message)[0][0], message.signatures[0]
-        assert event is unverified.records[(1, 0)][1]
+        assert event is unverified.records[7][_signed_key(wire)][1]
         assert not unverified.holds(event, signature)
         assert unverified.signature_of((1, 0)) is None
 
@@ -239,7 +285,9 @@ class TestBounded:
             checked_decode(wire, table)
             table.admit_pending()
             assert len(table) <= 8
-        assert list(table.records) == [_key(_event(seq=seq)) for seq in range(22, 30)]
+        assert list(table.records[1]) == [
+            _key(_event(seq=seq)) for seq in range(22, 30)
+        ]
 
     def test_an_evicted_id_is_readmitted_through_the_full_path(self, monkeypatch):
         monkeypatch.setattr(codec, "ADMITTED_CAPACITY", 2)
@@ -249,23 +297,24 @@ class TestBounded:
         for wire in wires:
             results.append(checked_decode(wire, table))
             table.admit_pending()
-        assert _key(_event(seq=0)) not in table.records
+        assert _key(_event(seq=0)) not in table.records[1]
         misses = table.misses
         again = checked_decode(wires[0], table)
         table.admit_pending()
         assert again == results[0]
         assert table.misses == misses + 1
-        assert _key(_event(seq=0)) in table.records and len(table) == 2
+        assert _key(_event(seq=0)) in table.records[1] and len(table) == 2
 
     def test_verified_records_are_bounded_too(self, monkeypatch):
         monkeypatch.setattr(codec, "ADMITTED_CAPACITY", 2)
         table = AdmittedEntries()
         for seq in range(5):
-            _, message = codec.decode(
-                codec.encode(1, _signed(_ball(_event(seq=seq)))), table
-            )
+            # Each event has a MAC of its own, as a real source's do.
+            signed = _signed(_ball(_event(seq=seq)), mac=bytes([seq]) * 16)
+            _, message = codec.decode(codec.encode(1, signed), table)
             table.remember(_entries(message)[0][0])
-        assert list(table.records) == [(1, 3), (1, 4)]
+        assert len(table.records[7]) == 2
+        assert list(table.verified) == [(1, 3), (1, 4)]
 
 
 class TestTopicsNeverAlias:
@@ -322,7 +371,7 @@ _ENTRY = st.tuples(
 
 @st.composite
 def _ball_wire(draw):
-    """A plain or signed ball datagram as any sender could write it:
+    """A plain, signed or id-ball datagram as any sender could write it:
     its body is the one-entry bodies of its entries laid end to end, so
     it may name an id twice, which every decoder refuses."""
     sender = draw(st.integers(0, 3))
@@ -331,9 +380,13 @@ def _ball_wire(draw):
         fields = {**_GENUINE, **_COPIES[copy]}
         entries.append((_event(source, 0, fields["ts"], fields["payload"]), ttl))
         signatures.append(fields["signature"])
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from([1, 7, 9]))
+    if kind == 1:
         singles = [Ball.of([entry]) for entry in entries]
         empty = Ball({}, {})
+    elif kind == 9:
+        singles = [IdBall(Ball.of([entry])) for entry in entries]
+        empty = IdBall(Ball({}, {}))
     else:
         singles = [
             SignedBall(Ball.of([entry]), (signature,))
@@ -366,10 +419,10 @@ def _datagram(draw):
             wire[draw(st.integers(0, len(wire) - 1))] ^= 1 << draw(st.integers(0, 7))
     elif damage == "grow":
         wire += draw(st.binary(min_size=1, max_size=4))
-    elif damage == "ttl" and len(wire) >= 16 + 28:
-        # The first entry of a bare ball: a signed one's TTL turns
-        # negative, a plain one's grows a continuation byte.
-        wire[16 + 24 if wire[3] == 7 else 16] |= 0x80
+    elif damage == "ttl" and len(wire) > 16:
+        # The first entry of a bare ball: its TTL grows a continuation
+        # byte.
+        wire[16] |= 0x80
     return bytes(wire)
 
 
@@ -400,6 +453,7 @@ def test_any_datagram_sequence_decodes_as_without_a_table(steps, capacity):
             elif owner == "verify":
                 for event, _ in _entries(message)[::2]:
                     table.remember(event)
-            assert len(table) <= capacity
+            assert all(len(kept) <= capacity for kept in table.records.values())
+            assert len(table.verified) <= capacity
     finally:
         codec.ADMITTED_CAPACITY = original

@@ -206,7 +206,7 @@ class TestFabricHostility:
 
     def test_flipped_version_counts_bad_version_over_udp(self):
         wire = bytearray(_plain_wire())
-        wire[2] = 7
+        wire[2] = 8  # a future header version
         inbox, stats = self._scenario([wire])
         assert inbox == []
         assert stats.dropped_bad_version == 1
@@ -284,7 +284,11 @@ class TestSharedArena:
                     (
                         inboxes,
                         {
-                            node: list(table.records.items())
+                            node: [
+                                item
+                                for records in table.records.values()
+                                for item in records.items()
+                            ]
                             for node, table in tables.items()
                         },
                     )
@@ -331,9 +335,10 @@ class TestSharedArena:
                 kept = then_records[node]
                 assert final_records[node][: len(kept)] == kept
         for records in final_records.values():
-            for _, (raw, event, signature, verified) in records:
-                assert type(raw) is bytes and type(signature.mac) is bytes
-                assert verified
+            for tail, (record, event, signature) in records:
+                assert type(record) is bytes and type(tail) is bytes
+                assert type(signature.mac) is bytes
+                assert event._wire[0] is record  # the payload is held once
         for box in final_inboxes.values():
             for obj in _walk(box):
                 assert not isinstance(obj, (memoryview, bytearray))

@@ -14,6 +14,15 @@ written below ends: the same nextBall (ids, order, TTLs, events), the
 same logical clock, the same :class:`DisseminationStats` and the same
 table hits and misses.
 
+The signed (kind 7) and id-ball (kind 9) entries go through the same
+table, keyed by their own bytes; a second property throws random
+sequences of those at one evolving table and requires every decode to
+equal a cold one (``checked_decode``), a copy to be a hit exactly when
+its bytes — ``ts``, id and topic, and for a signed entry the payload,
+epoch and MAC too — were admitted before under its key (an id-ball
+entry's head, a signed entry's epoch and MAC), and a hit to hand out
+the objects of the first copy.
+
 The model is the per-entry path: each datagram is the list of ``(event,
 ttl)`` entries it was written from, merged entry by entry (Algorithm 1,
 lines 11–19). A ball that names an id twice is refused the way a
@@ -40,11 +49,14 @@ from repro.core import EpToConfig
 from repro.core.clock import GlobalClockOracle, LogicalClockOracle
 from repro.core.dissemination import DisseminationComponent, DisseminationStats
 from repro.core.event import Ball, Event
+from repro.auth import EventSignature, SignedBall
 from repro.core.record import payload_json, uvarint, wire_record
+from repro.lazy.protocol import IdBall
 from repro.runtime import codec
 from repro.runtime.codec import AdmittedEntries, CodecError, TopicEnvelope
 
-from ..conftest import RecordingTransport, StaticPeerSampler
+from ..conftest import RecordingTransport, StaticPeerSampler, pairs
+from .warm_table import checked_decode
 
 TTL_BOUND = 4
 FANOUT = 2
@@ -289,3 +301,114 @@ def test_an_id_named_twice_is_refused():
     with pytest.raises(CodecError, match="twice"):
         codec.decode(_ball_wire(twice))
     assert codec.decode(_ball_wire(twice[:1])) == (7, Ball.of(twice[:1]))
+
+
+# ----------------------------------------------------------------------
+# Signed and id-ball entries: a warm decode is a cold one
+# ----------------------------------------------------------------------
+
+#: How a signed copy's signature can differ (``None``: unsigned).
+SIGNATURES = {
+    "genuine": EventSignature(0, b"A" * 16),
+    "other mac": EventSignature(0, b"B" * 16),
+    "wide epoch": EventSignature(300, b"A" * 16),
+    "unsigned": None,
+}
+
+_signed_entry = st.tuples(
+    _entry, st.sampled_from(["genuine"] * 3 + sorted(SIGNATURES))
+)
+_signed_ball = st.one_of(
+    st.lists(_signed_entry, max_size=5, unique_by=lambda entry: entry[0][0].id),
+    st.lists(_signed_entry, max_size=4),
+)
+_signed_frames = st.one_of(
+    _signed_ball.map(lambda ball: [(None, ball)]),
+    st.lists(st.tuples(st.sampled_from([OURS, 1]), _signed_ball), min_size=1, max_size=3),
+)
+
+
+def _kind_wire(kind: int, entries, sender: int = 7) -> bytes:
+    """The kind-7 or kind-9 datagram of *entries* — ``((event, ttl),
+    signature name)`` — laid end to end, an id named twice included."""
+    if kind == 7:
+        singles = [
+            SignedBall(Ball.of([entry]), (SIGNATURES[name],)) for entry, name in entries
+        ]
+        empty = SignedBall(Ball({}, {}), ())
+    else:
+        singles = [IdBall(Ball.of([entry])) for entry, _ in entries]
+        empty = IdBall(Ball({}, {}))
+    head = codec.encode(sender, empty)[:12] + len(entries).to_bytes(4, "big")
+    return head + b"".join(codec.encode(sender, one)[16:] for one in singles)
+
+
+def _kind_datagram(kind: int, frames) -> bytes:
+    if frames[0][0] is None:
+        return _kind_wire(kind, frames[0][1])
+    return codec.assemble_envelope(
+        7, [(topic, _kind_wire(kind, entries)) for topic, entries in frames]
+    )
+
+
+def _copy_key(kind: int, entry, topic):
+    """``(table key, content)`` of a copy, field by field: an id-ball
+    entry is keyed by its head; a signed one by its epoch and MAC (an
+    unsigned one's are always epoch 0 and no MAC), and is a hit only
+    when its content matches too."""
+    (event, _), name = entry
+    if kind == 9:
+        return (event.ts, event.id, topic), None
+    signature = SIGNATURES[name]
+    mac = (0, b"") if signature is None else (signature.epoch, signature.mac)
+    return (mac, topic), (event.ts, event.id, payload_json(event.payload))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from([7, 9]),
+    steps=st.lists(
+        st.tuples(_signed_frames, st.one_of(st.none(), st.integers(0, 10_000))),
+        min_size=1,
+        max_size=12,
+    ),
+)
+def test_a_warm_decode_of_signed_and_id_balls_is_a_cold_one(kind, steps):
+    table = AdmittedEntries()
+    first_copies = {}  # copy key -> (content, the event its first copy decoded to)
+    for frames, cut in steps:
+        wire = _kind_datagram(kind, frames)
+        if cut is not None:
+            wire = wire[: cut % len(wire)]
+        table.hits = table.misses = 0
+        try:
+            _, message = checked_decode(wire, table)
+        except CodecError:
+            assert cut is not None or any(
+                len({entry[0][0].id for entry in entries}) < len(entries)
+                for _, entries in frames
+            )
+            continue
+        table.admit_pending()
+        decoded = (
+            [(topic, inner) for topic, _, inner in message.frames]
+            if isinstance(message, TopicEnvelope)
+            else [(None, message)]
+        )
+        hits = 0
+        staged = {}  # first sights count as such until the datagram is admitted
+        for (topic, entries), (_, inner) in zip(frames, decoded):
+            for entry, (event, ttl) in zip(entries, pairs(inner.ball)):
+                assert ttl == entry[0][1]
+                key, content = _copy_key(kind, entry, topic)
+                if key in first_copies and first_copies[key][0] == content:
+                    hits += 1
+                    assert event is first_copies[key][1]
+                else:
+                    staged.setdefault(key, (content, event))
+                if kind == 9:
+                    assert event.payload is None
+        for key, first in staged.items():
+            first_copies.setdefault(key, first)  # the first content of a key wins
+        copies = sum(len(entries) for _, entries in frames)
+        assert (table.hits, table.misses) == (hits, copies - hits)

@@ -5,7 +5,9 @@ Each sample below covers its kind's layout — one- and two-byte
 varints, a negative timestamp, a payload of ``null``, a signed entry
 beside an unsigned one, an envelope carrying three ball kinds — and
 its encoding is pinned by length and SHA-256. A pin changes only with
-a deliberate change of the wire format (and its header version).
+a deliberate change of the wire format (and its header version). Header
+version 7 moved every pin; beyond the version byte, only kinds 7 and 9
+(varint signed and id-ball entries) and 8, which frames them, changed.
 """
 
 from __future__ import annotations
@@ -36,7 +38,9 @@ def _event(src, seq, ts, payload):
 
 
 #: ``(event, ttl)``: one-byte varints; a two-byte TTL and record length
-#: with a negative timestamp; wide fields and a ``null`` payload.
+#: with a negative timestamp; wide fields and a ``null`` payload. The
+#: signed sample signs the first two and leaves the third unsigned; the
+#: id-ball sample carries all three heads.
 PAIRS = [
     (_event(1, 0, 10, {"v": 0}), 0),
     (_event(2, 7, -3, "x" * 130), 200),
@@ -91,17 +95,17 @@ SAMPLES = {
 
 #: kind -> (datagram length, SHA-256 of ``codec.encode(7, SAMPLES[kind])``).
 GOLDEN = {
-    1: (192, "d3d8f4dd0423136f8ebf5c52c2c21be17d05df8a297b9f31790cdf676e36e630"),
-    2: (40, "7f4eddb4b40ae465491cf75a5593bad02c87bfe9fbded4fca465700f8a9cba0f"),
-    3: (28, "7434aaaad441d13cde413f13ab3e0771f492f54911ccc5ae9ebda3c03729eb5c"),
-    4: (73, "76ee52e627f4ba5ac5997623f07a43c66de49ccbc29ac0f1434b206091d45f97"),
-    5: (85, "653dfcc101f496f348df3746780fffbdfba7c2adae587c182b199a552b8ccf42"),
-    6: (277, "a34cc5348f071afedd9aa43c73b0f2d6080e9fd47b7e4d144dd7efb53eef3caf"),
-    7: (303, "2ef493aa7e170b75f9af1dc8b94c42cb0e0f55a98e52380d9c2a6b85a82255c2"),
-    8: (579, "216516d0b4457288cb5f4ba09ce28fa0057fe6b1ac57116f60faebc37489f345"),
-    9: (100, "7f0fb9988602134b4e607cb48bf7807dd4d58f11c755d6f37ef324ad0e040f54"),
-    10: (52, "ec53b632ae84733594abce6c4e934f32c139234ab564bbfc89081124c3651540"),
-    11: (284, "a23536d84033fa4397fe4395e3ecd82ecba9c906e80d529a3f7d1f598e37cd39"),
+    1: (192, "cfdc5c9a5f74e894aa550e9deff79db0901b53335e50a0f19ea6e70c7ffef98e"),
+    2: (40, "833d4ffdd8b5cd8f12ae7bddd73338971e15882fca689c29ba9adc2b4878e97a"),
+    3: (28, "0d71e5fe1ebcd3a2abc265335d9bea953ff61ec34082bb893cb3723165fb285d"),
+    4: (73, "be49586912994aea3d47d03f98cbab2a2320ba4001a65cf2cde52ab373212663"),
+    5: (85, "4eacf9f09004ce111d40e4ea46585015d1a0d8bf9723d90001a91d3a05a8e44a"),
+    6: (277, "82dec926732f58eb16dc31af8cc75c081815f8f2f37403deeed4bc9a3b45c3ac"),
+    7: (230, "4e97db1baa9caca1fa20f2486ec2556c05059ba76aab1dc8dbc45846f71caf47"),
+    8: (483, "a8c2df2977aaae797f4d070cbf904cd41fadf6407fede46b3b093af661b4e0f7"),
+    9: (47, "8903bb355d7fbb70e0fa2d1bdfed014a48e3383223cc52ac7d41a68df743f665"),
+    10: (52, "ac245654814b9e3f182f1218f219c199bebbae737d33e59d2789f5f0cb21d451"),
+    11: (284, "76c322a75688224bb5c8d28baf15807a4fb877489568157148e1b8c1b82e3e85"),
 }
 
 

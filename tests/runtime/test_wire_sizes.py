@@ -2,11 +2,11 @@
 
 ``lazy/process.py`` estimates the wire sizes of the lazy kinds and
 cannot import the codec (an import cycle); ``core/record.py`` sizes a
-payload it has not built a record for; ``sync/protocol.py`` caps a
-chunk by the bytes its events will take. Each of those numbers is
-measured here against real datagrams — one more entry, one more id, one
-more event, an empty message — so a layout change that forgets one of
-them fails instead of skewing a benchmark.
+record it has not built; ``sync/protocol.py`` caps a chunk by the bytes
+its events will take. Each of those numbers is measured here against
+real datagrams — one more entry, one more id, one more event, an empty
+message, small and wide varints — so a layout change that forgets one
+of them fails instead of skewing a benchmark.
 """
 
 from __future__ import annotations
@@ -51,16 +51,33 @@ def test_one_more_ball_entry():
 
     # The TTL, then length, ts 5, source 2, seq 2: a byte each, then
     # "null" — measured without building the record.
-    record, payload, metadata = wire_sizes(_events(3)[2])
-    assert (record, payload, metadata) == (None, _NULL, 4)
-    assert _size(ball(3)) - _size(ball(2)) == 1 + metadata + payload
+    record, payload, head = wire_sizes(_events(3)[2])
+    assert (record, payload, head) == (None, _NULL, 3)
+    assert _size(ball(3)) - _size(ball(2)) == 1 + 1 + head + payload
+
+
+#: ``(ts, source, first seq, ttl)``: one-byte varints everywhere; then
+#: two-byte TTLs either side of 128 with a negative timestamp; then wide
+#: fields, up to the i64 and i32 ends.
+_ID_ENTRIES = [
+    (5, 2, 0, 1),
+    (-3, 2, 7, 127),
+    (-3, 2, 7, 128),
+    (1 << 40, 300, 1 << 20, 1000),
+    (-(1 << 63), (1 << 63) - 1, (1 << 63) - 3, (1 << 31) - 1),
+]
 
 
 def test_one_more_id_ball_entry():
-    def ball(count):
-        return id_ball(*((5, 2, seq, 1) for seq in range(count)))
-
-    assert _size(ball(3)) - _size(ball(2)) == lazy.ID_ENTRY_BYTES
+    for ts, source, seq, ttl in _ID_ENTRIES:
+        entries = [(ts, source, seq + k, ttl) for k in range(3)]
+        one_more = _size(id_ball(*entries)) - _size(id_ball(*entries[:2]))
+        [event] = id_ball(entries[2]).ball.events.values()
+        assert one_more == lazy._id_entry_nbytes(event, ttl), entries[2]
+    # The smallest entry: a byte each for the TTL, the head length and
+    # the three varints (28 bytes in the fixed-width layout).
+    [small] = id_ball((5, 2, 0, 1)).ball.events.values()
+    assert lazy._id_entry_nbytes(small, 1) == 5
 
 
 def test_a_lazy_round_accounts_the_id_ball_it_ships():
@@ -81,11 +98,16 @@ def test_a_lazy_round_accounts_the_id_ball_it_ships():
     )
     process.broadcast({"a payload": "that never ships"})
     process.on_ball(Ball.of([(Event(id=(3, 0), ts=4, source_id=3, payload="x"), 1)]))
+    # A relayed id: its event keeps the head it arrived with.
+    _, relayed = codec.decode(codec.encode(9, id_ball((1 << 40, 300, 1 << 20, 2))))
+    process.on_lazy_message(9, relayed)
     process.on_round()
     [(fan, message)] = shipped
-    assert isinstance(message, IdBall) and len(message.entries) == 2
+    assert isinstance(message, IdBall) and len(message.entries) == 3
     assert all(event.payload is None for event in message.ball.events.values())
-    assert process.lazy_stats.metadata_bytes == fan * _size(message)
+    # ... and the pull of the relayed id's payload, sent the same round.
+    pull = PayloadRequest(req_id=0, ids=((300, 1 << 20),))
+    assert process.lazy_stats.metadata_bytes == fan * _size(message) + _size(pull)
 
 
 def test_the_pull_request_head_and_one_more_id():

@@ -14,11 +14,20 @@ from repro.runtime import codec
 from repro.runtime.codec import AdmittedEntries, CodecError
 
 
+def kept(table: AdmittedEntries):
+    """What *table* remembers, as a value: every kind's records and the
+    verified ids, in order."""
+    return (
+        {kind: list(records.items()) for kind, records in table.records.items()},
+        list(table.verified.items()),
+    )
+
+
 def checked_decode(data, table: AdmittedEntries):
     """``codec.decode(data, table)``, asserting it equals table-less
     ``decode`` — same result, or the same exception class — and that a
     datagram that raised left the table's records as they were."""
-    before = list(table.records.items())
+    before = kept(table)
     try:
         expected = codec.decode(data)
     except CodecError as error:
@@ -29,11 +38,11 @@ def checked_decode(data, table: AdmittedEntries):
             assert str(through_table) == str(error)
         else:
             raise AssertionError(f"the table hid {error!r}")
-        assert list(table.records.items()) == before
+        assert kept(table) == before
         raise
     result = codec.decode(data, table)
     assert result == expected
-    assert list(table.records.items()) == before  # decode only stages
+    assert kept(table) == before  # decode only stages
     return result
 
 

@@ -318,7 +318,7 @@ def _packed_by_hand(host, frames):
     sender i64 | count u32``, then ``topic u32 | inner_len u32 | inner``
     per frame. The object encoder goes through the assembler the demux
     uses, so only this catches a layout slip in it."""
-    wire = struct.pack("!2sBBqI", b"EP", 6, 8, host, len(frames))
+    wire = struct.pack("!2sBBqI", b"EP", 7, 8, host, len(frames))
     for topic, sender, message in frames:
         inner = codec.encode(sender, message)
         wire += struct.pack("!II", topic, len(inner)) + inner

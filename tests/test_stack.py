@@ -299,7 +299,7 @@ class TestCarriedKindsAreRouted:
 
     def test_an_envelope_refuses_exactly_the_envelope_kind(self):
         for row in codec._KINDS:
-            inner = struct.pack("!2sBBqI", b"EP", 6, row.kind, 1, 0)
+            inner = struct.pack("!2sBBqI", b"EP", 7, row.kind, 1, 0)
             if row.message_type is TopicEnvelope:
                 with pytest.raises(codec.CodecError, match="nest"):
                     codec.assemble_envelope(0, [(0, inner)])

@@ -241,6 +241,15 @@ def test_what_the_e2e_benchmark_measures_stays_deleted():
         assert fields_of(class_name) & deleted == set(), class_name
 
 
+def test_every_ball_entry_is_written_on_the_event_record():
+    """Kinds 7 and 9 sit on the varint record like kind 1: their
+    fixed-width entry layouts and the lazy layer's fixed id-entry size
+    stay deleted, and the record's third size is its head's."""
+    deleted = ("_ID_ENTRY", "_SIGNED_ENTRY", "ID_ENTRY_BYTES", "metadata_nbytes")
+    assert modules_where(mentions(*deleted)) == set()
+    assert mentions("wire_head", "parse_head")(MODULES["runtime/codec.py"])
+
+
 def test_no_module_finds_a_ball_by_testing_for_a_tuple():
     assert modules_where(checks_type_tuple) == set()
 
