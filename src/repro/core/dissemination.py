@@ -166,10 +166,11 @@ class DisseminationComponent:
         ttls = ball.ttls
         stats.entries_received += len(ttls)
         bound = self.config.ttl
-        if not ball.shared:
+        splits = ball._splits
+        if splits is None:
             self._merge(ttls, ball.events, bound)
         else:
-            live, expired = ball.split(bound)
+            live, expired = splits.get(bound) or ball.split(bound)
             stats.entries_expired += expired
             next_ttls = self._next_ttls
             if live.items() <= next_ttls.items():

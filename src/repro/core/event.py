@@ -275,12 +275,6 @@ class EventRecord:
         if other_ttl > self.ttl:
             self.ttl = other_ttl
 
-    def merge_ttl_at(self, other_ttl: int, current_round: int) -> None:
-        """Max-merge a fresh sighting against the lazily aged TTL."""
-        self.rebase(current_round)
-        if other_ttl > self.ttl:
-            self.ttl = other_ttl
-
 
 @dataclass(slots=True)
 class EventIdGenerator:

@@ -215,47 +215,55 @@ class OrderingComponent:
     # ------------------------------------------------------------------
 
     def _merge_ball(self, ball: Ball, now: int) -> None:
-        """Merge one round's ball into ``received`` (lines 8-14)."""
+        """Merge one round's ball into ``received`` (lines 8-14).
+
+        The record arithmetic of :class:`EventRecord` is spelled out
+        inline: a known record is rebased to *now* (``ttl_at``) and
+        max-merged with the copy's TTL. Its due round ``now + TTL - ttl
+        + 1`` moves earlier exactly when the merged TTL exceeds the aged
+        one. Nothing here delivers, so the order mark is read once.
+        """
         received = self._received
         delivered_ids = self._delivered_ids
         ready_ids = self._ready_ids
         frontier = self._frontier
         ttl_bound = self.oracle.ttl
+        last_key = self._last_delivered_key
         for event, ttl in zip(ball.events.values(), ball.ttls.values()):
             event_id = event.id
             if event_id in delivered_ids:
                 self.stats.discarded_duplicates += 1
                 continue
-            if event.order_key <= self._last_delivered_key:
+            key = (event.ts, event.source_id, event_id[1])
+            if key <= last_key:
                 # Delivering now would violate total order (line 9).
                 self._handle_late_event(event)
                 continue
             record = received.get(event_id)
             if record is not None:
-                if event_id in ready_ids:
-                    # Already deliverable; a larger TTL changes nothing.
-                    record.merge_ttl_at(ttl, now)
-                    continue
-                old_due = now + ttl_bound - record.ttl_at(now) + 1
-                record.merge_ttl_at(ttl, now)
-                new_due = now + ttl_bound - record.ttl + 1
-                if new_due < old_due:
-                    # The merged copy aged further elsewhere: the record
-                    # becomes deliverable earlier than first scheduled.
-                    # The old bucket entry goes stale and is skipped.
-                    frontier.setdefault(max(new_due, now), []).append(event_id)
+                aged = record.ttl + now - record.received_round
+                record.received_round = now
+                if ttl > aged:
+                    record.ttl = ttl
+                    if event_id not in ready_ids:
+                        # The merged copy aged further elsewhere: the
+                        # record becomes deliverable earlier than first
+                        # scheduled. The old bucket entry goes stale and
+                        # is skipped. (A ready record is deliverable
+                        # already; a larger TTL changes nothing.)
+                        due = now + ttl_bound - ttl + 1
+                        frontier.setdefault(max(due, now), []).append(event_id)
+                else:
+                    record.ttl = aged
             else:
-                record = EventRecord(event, ttl, now)
-                received[event_id] = record
+                received[event_id] = EventRecord(event, ttl, now)
                 due = now + ttl_bound - ttl + 1
                 if due <= now:
                     # Stable on arrival (relayed past the TTL already).
                     self._promote([event_id], now)
                 else:
                     frontier.setdefault(due, []).append(event_id)
-                    heapq.heappush(
-                        self._queued_heap, (event.order_key, event_id)
-                    )
+                    heapq.heappush(self._queued_heap, (key, event_id))
 
     def _promote(self, bucket: List[EventId], now: int) -> None:
         """Move newly deliverable ids from queued to ready."""

@@ -78,26 +78,45 @@ class MembershipDirectory:
         """Up to *k* distinct random live ids, excluding *exclude*.
 
         Uses rejection sampling against the O(1)-indexable live list,
-        which is fast when ``k`` is much smaller than the population.
+        which is fast when ``k`` is much smaller than the population,
+        and a Fisher–Yates shuffle of the candidates otherwise.
+
+        *rng* is a :class:`random.Random`. Every index is drawn with
+        CPython's ``Random._randbelow`` loop over ``rng.getrandbits``,
+        inlined: the sparse branch returns what
+        ``population[rng.randrange(len(population))]`` draws would, the
+        dense one what ``rng.shuffle`` of the candidates would, and both
+        leave *rng* in the same state.
         """
         population = self._alive
-        n = len(population)
+        size = len(population)
+        n = size
         if exclude is not None and exclude in self._index:
             n -= 1
         k = min(k, n)
         if k <= 0:
             return []
-        chosen: list[int] = []
-        seen: set[int] = set() if exclude is None else {exclude}
-        # Rejection sampling with a fallback to full shuffle for dense
-        # requests (k close to the population size).
+        getrandbits = rng.getrandbits
         if k * 3 < n:
+            nbits = size.bit_length()
+            chosen: list[int] = []
+            seen: set[int] = set() if exclude is None else {exclude}
             while len(chosen) < k:
-                candidate = population[rng.randrange(len(population))]
+                r = getrandbits(nbits)
+                while r >= size:
+                    r = getrandbits(nbits)
+                candidate = population[r]
                 if candidate not in seen:
                     seen.add(candidate)
                     chosen.append(candidate)
             return chosen
-        pool = [nid for nid in population if nid not in seen]
-        rng.shuffle(pool)
+        # Dense request (k close to the population size): shuffle every
+        # candidate, as ``Random.shuffle`` does, and keep the first k.
+        pool = [nid for nid in population if nid != exclude]
+        for i in reversed(range(1, len(pool))):
+            nbits = (i + 1).bit_length()
+            j = getrandbits(nbits)
+            while j > i:
+                j = getrandbits(nbits)
+            pool[i], pool[j] = pool[j], pool[i]
         return pool[:k]

@@ -141,17 +141,7 @@ class Simulator:
             ``True`` if an action ran, ``False`` if the queue is empty.
             Cancelled entries are skipped transparently.
         """
-        while self._queue:
-            entry = heapq.heappop(self._queue)
-            action = entry[2]
-            if action is None:
-                continue  # cancelled
-            self._time = entry[0]
-            entry[2] = None
-            self._executed += 1
-            action()
-            return True
-        return False
+        return self._fire(None, 1) == 1
 
     def run(self, until: int | None = None, max_events: int | None = None) -> None:
         """Drain the queue, optionally bounded in time or event count.
@@ -167,25 +157,46 @@ class Simulator:
         if self._running:
             raise SimulationError("run() is not reentrant")
         self._running = True
-        executed_here = 0
         try:
-            while self._queue:
-                entry = self._queue[0]
-                if entry[2] is None:
-                    heapq.heappop(self._queue)
-                    continue
-                if until is not None and entry[0] > until:
-                    break
-                if max_events is not None and executed_here >= max_events:
+            if self._fire(until, max_events) == max_events:
+                queue = self._queue
+                while queue and queue[0][2] is None:
+                    heapq.heappop(queue)  # cancelled
+                if queue and (until is None or queue[0][0] <= until):
                     raise SimulationError(
                         f"exceeded max_events={max_events} at tick {self._time}"
                     )
-                self.step()
-                executed_here += 1
             if until is not None and self._time < until:
                 self._time = until
         finally:
             self._running = False
+
+    def _fire(self, until: int | None, limit: int | None) -> int:
+        """Pop and run due actions in calendar order: those at or
+        before *until* (all when ``None``), at most *limit* of them (no
+        bound when ``None``). Cancelled entries met on the way are
+        dropped. Returns how many actions ran.
+
+        The one pop-and-fire loop behind :meth:`step` and :meth:`run`.
+        """
+        queue = self._queue
+        heappop = heapq.heappop
+        fired = 0
+        while queue and fired != limit:
+            entry = queue[0]
+            action = entry[2]
+            if action is None:
+                heappop(queue)  # cancelled
+                continue
+            if until is not None and entry[0] > until:
+                break
+            heappop(queue)
+            self._time = entry[0]
+            entry[2] = None
+            self._executed += 1
+            action()
+            fired += 1
+        return fired
 
     def run_for(self, ticks: int) -> None:
         """Advance the simulation by *ticks* from the current time."""

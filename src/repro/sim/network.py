@@ -222,8 +222,28 @@ class SimNetwork:
         handlers = self._handlers
         partitioned = self._partitioned
         loss_rate, duplicate_rate = self.loss_rate, self.duplicate_rate
+        latency = self.latency
+        if (
+            hostile is None
+            and not partitioned
+            and loss_rate <= 0.0
+            and duplicate_rate <= 0.0
+            and type(latency) is FixedLatency
+        ):
+            # Fault-free fixed latency: nothing to draw and one arrival
+            # tick, so the loop below would keep the registered
+            # destinations in send order and schedule them once.
+            arrived = [dst for dst in dsts if dst in handlers]
+            stats.sent += len(dsts)
+            stats.dropped_dead += len(dsts) - len(arrived)
+            if arrived:
+                self.sim.schedule(
+                    latency.ticks,
+                    partial(self._deliver, src, arrived, [message] * len(arrived)),
+                )
+            return
         draw = self._loss_rng.random
-        sample, latency_rng = self.latency.sample, self._latency_rng
+        sample, latency_rng = latency.sample, self._latency_rng
         # delay -> (destinations, their messages), both in send order.
         arrivals: Dict[int, Tuple[list, list]] = {}
         for dst in dsts:
@@ -252,9 +272,16 @@ class SimNetwork:
             self.sim.schedule(delay, partial(self._deliver, src, arrived, outs))
 
     def _deliver(self, src: int, dsts: list, messages: list) -> None:
-        """One arrival tick of one fan-out, handed over in send order."""
+        """One arrival tick of one fan-out, handed over in send order.
+
+        Every copy is looked up and tested on its own, as if it were its
+        own action: a delivery can unregister a later destination of the
+        same arrival, or partition the network before it. Only the
+        guard, fixed when the network is built, is read once.
+        """
         handlers = self._handlers
         stats = self.stats
+        guard = self._guard
         for dst, message in zip(dsts, messages):
             handler = handlers.get(dst)
             if handler is None:
@@ -264,8 +291,8 @@ class SimNetwork:
             if self._partitioned and self._crosses_partition(src, dst):
                 stats.dropped_partition += 1
                 continue
-            if self._guard is not None and isinstance(message, Ball):
-                message, counts = self._guard.admit_ball(message)
+            if guard is not None and isinstance(message, Ball):
+                message, counts = guard.admit_ball(message)
                 stats.dropped_bad_signature += counts.bad_signature
                 stats.dropped_unknown_key += counts.unknown_key
                 stats.dropped_unsigned += counts.unsigned

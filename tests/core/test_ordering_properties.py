@@ -15,11 +15,13 @@ Table 1 invariants that must hold under *any* schedule:
 
 from __future__ import annotations
 
+import dataclasses
+import heapq
 from typing import List
 
 from hypothesis import given, settings, strategies as st
 
-from repro.core.event import Ball, Event
+from repro.core.event import Ball, Event, EventRecord
 from repro.core.ordering import OrderingComponent
 
 from ..conftest import ManualOracle
@@ -226,3 +228,110 @@ def test_tagged_stream_never_overlaps_ordered_stream(batch):
         component.order_events(ball)
     drain(component)
     assert set(e.id for e in delivered).isdisjoint(e.id for e in tagged)
+
+
+class _SpelledOutMerge(OrderingComponent):
+    """Reference: ``_merge_ball`` spelled with the record's own methods
+    (``ttl_at``, ``rebase``, ``merge_ttl``), comparing the due round
+    before and after the merge."""
+
+    def _merge_ball(self, ball: Ball, now: int) -> None:
+        ttl_bound = self.oracle.ttl
+        for event, ttl in zip(ball.events.values(), ball.ttls.values()):
+            event_id = event.id
+            if event_id in self._delivered_ids:
+                self.stats.discarded_duplicates += 1
+                continue
+            if event.order_key <= self._last_delivered_key:
+                self._handle_late_event(event)
+                continue
+            record = self._received.get(event_id)
+            if record is not None:
+                if event_id in self._ready_ids:
+                    record.rebase(now)
+                    record.merge_ttl(ttl)
+                    continue
+                old_due = now + ttl_bound - record.ttl_at(now) + 1
+                record.rebase(now)
+                record.merge_ttl(ttl)
+                new_due = now + ttl_bound - record.ttl + 1
+                if new_due < old_due:
+                    self._frontier.setdefault(max(new_due, now), []).append(event_id)
+            else:
+                record = EventRecord(event, ttl, now)
+                self._received[event_id] = record
+                due = now + ttl_bound - ttl + 1
+                if due <= now:
+                    self._promote([event_id], now)
+                else:
+                    self._frontier.setdefault(due, []).append(event_id)
+                    heapq.heappush(self._queued_heap, (event.order_key, event_id))
+
+
+class _Reluctant(ManualOracle):
+    """A custom oracle departing from the ``ttl > TTL`` rule: it holds
+    back some records it would deem stable, so promotions reschedule
+    (and the merge meets records the frontier did not predict)."""
+
+    def is_deliverable(self, record: EventRecord) -> bool:
+        held = (record.event.seq + record.received_round) % 3 == 0
+        return record.ttl > self.ttl and not held
+
+
+def _state(component: OrderingComponent):
+    return (
+        {eid: (r.ttl, r.received_round) for eid, r in component._received.items()},
+        {due: list(ids) for due, ids in component._frontier.items()},
+        list(component._queued_heap),
+        list(component._ready_heap),
+        set(component._ready_ids),
+        component.last_delivered_key,
+        dataclasses.asdict(component.stats),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    schedules(),
+    st.data(),
+    st.sampled_from([ManualOracle, _Reluctant]),
+    st.integers(min_value=1, max_value=4),
+)
+def test_inlined_merge_equals_the_record_methods(batch, data, oracle, ttl):
+    """The inlined ``_merge_ball`` leaves every record (``ttl`` and
+    ``received_round``), the frontier buckets, both heaps and the
+    delivered and tagged streams as the reference does, round by round,
+    whatever arrives: copies again at higher, equal and lower TTLs,
+    stable-on-arrival copies, late and duplicate copies after external
+    deliveries, empty rounds."""
+    pool, schedule = batch
+    streams = {}
+    components = []
+    for cls in (OrderingComponent, _SpelledOutMerge):
+        delivered: List[Event] = []
+        tagged: List[Event] = []
+        streams[cls] = (delivered, tagged)
+        components.append(
+            cls(oracle(ttl=ttl), delivered.append, deliver_out_of_order=tagged.append)
+        )
+    ours, reference = components
+    indices = st.integers(min_value=0, max_value=len(pool) - 1)
+    for ball in schedule:
+        for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
+            event = pool[data.draw(indices)]
+            assert ours.deliver_external(event) == reference.deliver_external(event)
+        # A copy that aged further elsewhere, up to past a ready record's.
+        echo = data.draw(
+            st.dictionaries(indices, st.integers(min_value=0, max_value=3 * ttl + 4))
+        )
+        echo_ball = Ball.of([(pool[index], aged) for index, aged in echo.items()])
+        repeats = data.draw(st.integers(min_value=1, max_value=3))
+        for arriving in [ball] * repeats + [echo_ball]:
+            ours.order_events(arriving)
+            reference.order_events(arriving)
+            assert _state(ours) == _state(reference)
+    for _ in range(3 * ttl + 6):
+        ours.order_events(Ball({}, {}))
+        reference.order_events(Ball({}, {}))
+        assert _state(ours) == _state(reference)
+    assert streams[OrderingComponent] == streams[_SpelledOutMerge]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.auth import HmacAuthenticator, KeyRing
@@ -323,3 +324,53 @@ def test_ball_in_flight_is_never_mutated_and_keeps_its_senders_map(monkeypatch):
         assert list(live.items()) == [(eid, t) for eid, t in as_sent[1] if t < 3]
         expired += gone
     assert expired > 0
+
+
+class TestDeliveryChangesTheArrival:
+    """Under :class:`FixedLatency` a fault-free fan-out is one arrival;
+    what an earlier delivery of it does to the network still applies to
+    the later copies, exactly as if each copy were its own action."""
+
+    @staticmethod
+    def _run(fabric, guard, partition, fanned):
+        sim, net, log = _world("fixed", 0.0, 0.0, guard, seed=5, fabric=fabric)
+
+        def first(src, message):
+            log.append((sim.now(), 1, src, message))
+            net.unregister(3)  # a later destination of this arrival
+            if partition == "by a delivery":
+                net.set_partition({0: "a", 1: "a", 2: "a", 4: "b"})
+
+        net.unregister(1)
+        net.register(1, first)
+        if partition == "at send":
+            net.set_partition({0: "a", 1: "a", 2: "b", 3: "a", 4: "a", GHOST: "a"})
+        dsts = [1, 2, 3, 4, 3, GHOST]
+        ball = _ball(0, 0, net._guard)
+        if fanned:
+            net.send_many(0, dsts, ball)
+        else:
+            for dst in dsts:
+                net.send(0, dst, ball)
+        sim.run()
+        return log, dataclasses.asdict(net.stats)
+
+    @pytest.mark.parametrize("guard", [False, True])
+    @pytest.mark.parametrize("partition", [None, "at send", "by a delivery"])
+    def test_counts_equal_the_per_copy_network(self, guard, partition):
+        log, stats = self._run(SimNetwork, guard, partition, fanned=True)
+        assert (log, stats) == self._run(PerCopyNetwork, guard, partition, True)
+        assert (log, stats) == self._run(SimNetwork, guard, partition, False)
+        # Both copies to 3 were in flight when 1's delivery removed it.
+        assert stats["sent"] == 6
+        assert stats["dropped_dead"] == 1 + 2  # GHOST at send, 3 twice
+        assert [node for _, node, _, _ in log][0] == 1
+        if partition == "by a delivery":
+            assert stats["dropped_partition"] == 1  # 4, cut off after 1
+            assert [node for _, node, _, _ in log] == [1, 2]
+        elif partition == "at send":
+            assert stats["dropped_partition"] == 1  # 2, at send
+            assert [node for _, node, _, _ in log] == [1, 4]
+        else:
+            assert stats["delivered"] == 3
+            assert [node for _, node, _, _ in log] == [1, 2, 4]
