@@ -21,12 +21,19 @@ deliver them, violating validity in an otherwise quiet network. Known
 EpTO implementations invoke the ordering component every round; we do
 the same and only guard the *network send* on a non-empty ball (the
 aging in Algorithm 2 lines 6–7 must tick every round). See DESIGN.md.
+
+A second one: the ball a round ships is cut at the node's own TTL
+bound — the entries aged to it, which every receiver with that bound
+drops on arrival (line 13), are not sent, except one *clock carrier*
+under the logical clock (see :meth:`DisseminationComponent._cut`). The
+ordering component still gets the whole aged ball.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Any, Callable
 
 from .clock import StabilityOracle
@@ -34,13 +41,18 @@ from .config import EpToConfig
 from .event import Ball, Event, EventId, EventIdGenerator
 from .interfaces import PeerSampler, Transport
 
+_TS = attrgetter("ts")
+
 
 @dataclass(slots=True)
 class DisseminationStats:
     """Counters exposed for instrumentation and experiments.
 
-    They count balls and entries, per receiver where a ball fans out;
-    bytes are counted only where a wire carries them, by the UDP fabric
+    They count balls and entries, per receiver where a ball fans out:
+    ``entries_relayed`` counts the entries shipped, after the cut at the
+    TTL bound (:meth:`DisseminationComponent.round_tick`), not those
+    handed to the ordering component. Bytes are counted only where a
+    wire carries them, by the UDP fabric
     (:class:`repro.runtime.udp.UdpStats`) and the lazy pull
     (:class:`repro.lazy.LazyStats`).
     """
@@ -212,32 +224,75 @@ class DisseminationComponent:
         inside ``order_events`` — is queued for the next round instead
         of being cleared with this one. Then ages every handed-over
         event, ships the resulting ball to ``K`` random peers and feeds
-        it to the ordering component. The ball is never mutated, so a
-        single instance — its events map being the pending one handed
-        over — is shared among all ``K`` receivers.
+        it to the ordering component.
+
+        The ordering component gets the whole aged ball; the peers get
+        it cut at this node's TTL bound (:meth:`_cut`): an entry aged to
+        the bound is one every receiver with that bound drops unread
+        (line 13). Under the logical clock one such entry may stay, as
+        the carrier of the ball's largest timestamp. A ball the cut
+        leaves empty (global clock only) is still sent. The shipped ball
+        is never mutated, so a single instance is shared among all
+        ``K`` receivers; when nothing is cut it is the ordered ball
+        itself, its events map being the pending one handed over.
         """
         self.stats.rounds += 1
         events, next_ttls = self._next_events, self._next_ttls
         self._next_events, self._next_ttls = {}, {}
         if next_ttls:
             # Age + snapshot fused: nextBall lives exactly one round, so
-            # ``ttl + 1`` lands directly in the shipped map.
+            # ``ttl + 1`` lands directly in the round's map.
             ttls = {event_id: ttl + 1 for event_id, ttl in next_ttls.items()}
             ball = Ball(events, ttls, shared=True)
+            bound = self.config.ttl
+            # nextBall holds TTLs below the bound, so only entries aged
+            # from ``bound - 1`` can have reached it: one C-level scan
+            # says whether there is anything to cut.
+            shipped = self._cut(ball, bound) if bound in ttls.values() else ball
             peers = self.peer_sampler.sample(self.config.fanout)
             if self._send_many is not None:
-                self._send_many(self.node_id, peers, ball)
+                self._send_many(self.node_id, peers, shipped)
             else:
                 for peer in peers:
-                    self.transport.send(self.node_id, peer, ball)
+                    self.transport.send(self.node_id, peer, shipped)
             fan = len(peers)
             self.stats.balls_sent += fan
-            self.stats.entries_relayed += len(ball) * fan
+            self.stats.entries_relayed += len(shipped) * fan
         else:
             ball = Ball(events, next_ttls)  # both empty
         # Refinement: order/age every round, not only on non-empty
         # balls (see module docstring).
         self.order_events(ball)
+
+    def _cut(self, ball: Ball, bound: int) -> Ball:
+        """*ball* without its entries at ``ttl >= bound``, in ball order.
+
+        Under the logical clock the expired entry with the largest
+        ``ts`` (the first such in ball order) stays when that ``ts``
+        exceeds every kept entry's: a receiver's Algorithm 4 max-merge
+        then reaches the clock the whole ball would have left, from an
+        entry its source signed. A receiver with the same bound drops
+        this *clock carrier* as expired, so it ends the step as if fed
+        the whole ball.
+        """
+        ttls, events = ball.ttls, ball.events
+        live = {event_id: ttl for event_id, ttl in ttls.items() if ttl < bound}
+        kept = {event_id: events[event_id] for event_id in live}
+        if self._clock_needs_updates:
+            top = max(map(_TS, events.values()))
+            # Usually a kept entry holds it: expired entries are the
+            # oldest, so their timestamps tend to be the smallest.
+            if top not in map(_TS, kept.values()):
+                carrier = next(
+                    event_id for event_id in ttls if events[event_id].ts == top
+                )
+                live = {
+                    event_id: ttl
+                    for event_id, ttl in ttls.items()
+                    if ttl < bound or event_id == carrier
+                }
+                kept = {event_id: events[event_id] for event_id in live}
+        return Ball(kept, live, shared=True)
 
     def resume_sequence(self, next_seq: int) -> None:
         """Fast-forward the event-id sequence (same-identity restart)."""

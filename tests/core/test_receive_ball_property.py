@@ -12,7 +12,11 @@ receivers whose TTL bounds differ — the component must
 end in the state of the per-entry merge written out below: the same
 pending ``{event id: ttl}`` in the same insertion order (it is the next
 ball's entry order), the same next ball, the same logical clock and the
-same :class:`DisseminationStats`.
+same :class:`DisseminationStats`. A round hands its ordering component
+every pending entry aged, and ships them cut at its own bound (with the
+clock carrier on a logical clock); the model writes out both. Either
+node may merge what the other shipped, so a receiver whose bound
+exceeds its sender's is checked entry by entry too.
 """
 
 from __future__ import annotations
@@ -86,25 +90,50 @@ class Model:
             if self.logical:
                 self.clock = max(self.clock, event.ts)
 
-    def round(self) -> List[Tuple[tuple, int]]:
+    def round(self) -> Tuple[List[Tuple[tuple, int]], List[Tuple[tuple, int]]]:
+        """The round's ``(ordered, shipped)`` entries: every pending
+        entry aged, and those of them still below the bound plus, on a
+        logical clock, the clock carrier: the first expired entry of the
+        largest ``ts``, when every kept entry's ``ts`` is smaller."""
         self.stats.rounds += 1
         ball = [(eid, ttl + 1) for eid, ttl in self.pending.items()]
+        shipped = [(eid, ttl) for eid, ttl in ball if ttl < self.ttl_bound]
+        expired = [(eid, ttl) for eid, ttl in ball if ttl >= self.ttl_bound]
+        if self.logical and expired:
+            ts = {eid: self.events[eid].ts for eid, _ in ball}
+            carrier = expired[0]
+            for entry in expired:
+                if ts[entry[0]] > ts[carrier[0]]:
+                    carrier = entry
+            if all(ts[eid] < ts[carrier[0]] for eid, _ in shipped):
+                shipped = [
+                    entry for entry in ball if entry in shipped or entry == carrier
+                ]
         if ball:
             self.stats.balls_sent += FANOUT
-            self.stats.entries_relayed += FANOUT * len(ball)
+            self.stats.entries_relayed += FANOUT * len(shipped)
         self.pending, self.events = {}, {}
-        return ball
+        return ball, shipped
+
+
+class _Recording(RecordingTransport):
+    """Every send (FANOUT sends of one ball per round), and every ball
+    handed to the ordering component."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.ordered: List[Ball] = []
 
 
 def _component(node_id: int, ttl_bound: int, clock: str, oracle):
-    transport = RecordingTransport()  # send only: FANOUT sends of one ball
+    transport = _Recording()
     component = DisseminationComponent(
         node_id=node_id,
         config=EpToConfig(fanout=FANOUT, ttl=ttl_bound, clock=clock),
         oracle=oracle,
         peer_sampler=StaticPeerSampler(PEERS),
         transport=transport,
-        order_events=lambda ball: None,
+        order_events=transport.ordered.append,
         rng=random.Random(0),
     )
     return component, transport
@@ -184,16 +213,20 @@ def test_receive_ball_equals_per_entry_merge(clock, data):
             # The ball this round built may reach the other node, now
             # or (from ``in_flight``) any number of steps later.
             component.round_tick()
-            expected = model.round()
+            expected, shipped = model.round()
             _agree(component, model)
+            (whole,) = transport.ordered
+            transport.ordered.clear()
+            assert list(whole.ttls.items()) == expected
             if not expected:
                 assert not transport.sent
                 continue
             ball = transport.sent[0][2]
             assert all(message is ball for _, _, message in transport.sent)
             transport.clear()
-            assert list(ball.ttls.items()) == expected
-            assert list(ball.events) == [eid for eid, _ in expected]
+            assert list(ball.ttls.items()) == shipped
+            assert list(ball.events) == [eid for eid, _ in shipped]
+            assert all(ball.events[eid] is whole.events[eid] for eid in ball.events)
             to = data.draw(st.sampled_from([(), (1 - index,)]), label="to")
         else:
             if kind == "shared":

@@ -25,7 +25,9 @@ the objects of the first copy.
 
 The model is the per-entry path: each datagram is the list of ``(event,
 ttl)`` entries it was written from, merged entry by entry (Algorithm 1,
-lines 11–19). A ball that names an id twice is refused the way a
+lines 11–19). A round counts as relayed the entries it ships: those
+that age to below the bound and, on a logical clock, the clock carrier
+(``DisseminationComponent._cut``). A ball that names an id twice is refused the way a
 truncated datagram is: the frames of an envelope decoded before it were
 counted, and nothing reaches the node. Its table counts a copy as
 a hit when the very bytes of its ``ts``, source, sequence and payload
@@ -204,10 +206,16 @@ class Model:
                 self.clock = max(self.clock, event.ts)
 
     def round(self) -> None:
+        """Count what the round ships: the pending entries that age to
+        below the bound, plus on a logical clock the one carrying the
+        largest ``ts`` when only expired entries carry it."""
         self.stats.rounds += 1
         if self.pending:
+            shipped = [eid for eid, ttl in self.pending.items() if ttl + 1 < TTL_BOUND]
+            top = max(event.ts for event in self.events.values())
+            carrier = self.logical and all(self.events[eid].ts < top for eid in shipped)
             self.stats.balls_sent += FANOUT
-            self.stats.entries_relayed += FANOUT * len(self.pending)
+            self.stats.entries_relayed += FANOUT * (len(shipped) + carrier)
         self.pending, self.events = {}, {}
 
 

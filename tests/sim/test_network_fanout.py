@@ -275,8 +275,10 @@ def test_ball_in_flight_is_never_mutated_and_keeps_its_senders_map(monkeypatch):
     Copies of one ball arrive up to 15 ticks apart and some twice; in
     between, earlier receivers merged it, re-aged it and emptied their
     pending balls, and the sender's own ordering round consumed it. TTL
-    3 makes entries expire, so the per-bound ``live`` maps derived from
-    the ball are covered as well as the map itself.
+    3 makes entries expire. A round ships its ball cut at the bound, but
+    under the logical clock the cut keeps a clock carrier, which
+    receivers drop as expired: so the per-bound ``live`` maps derived
+    from the ball are covered as well as the map itself.
     """
     built = {}  # id(ball) -> (ball, its map, entries and map as sent)
     received = []
@@ -305,7 +307,8 @@ def test_ball_in_flight_is_never_mutated_and_keeps_its_senders_map(monkeypatch):
     monkeypatch.setattr(SimNetwork, "send_many", sending)
     monkeypatch.setattr(DisseminationComponent, "receive_ball", receiving)
     config = ClusterConfig(
-        epto=EpToConfig(fanout=3, ttl=3, round_interval=20), drift=NoDrift()
+        epto=EpToConfig(fanout=3, ttl=3, round_interval=20, clock="logical"),
+        drift=NoDrift(),
     )
     sim = Simulator(seed=9)
     net = SimNetwork(sim, latency=UniformLatency(1, 15), duplicate_rate=0.2)
