@@ -44,102 +44,70 @@ Quickstart
 8
 """
 
-from .broadcast import BallsBinsProcess, FifoProcess
-from .core import (
-    Ball,
-    ConfigurationError,
-    DeliveryLog,
-    EpToConfig,
-    EpToProcess,
-    Event,
-    EventId,
-    GlobalClockOracle,
-    LogicalClockOracle,
-    OrderingInvariantError,
-    ReproError,
-    StabilityEstimate,
-    StabilityEstimator,
-    TaggedEvent,
-    derive_parameters,
-    min_fanout,
-    min_ttl,
-)
-from .faults import (
-    AsyncFaultInjector,
-    FaultSchedule,
-    NodeSupervisor,
-    ObservedConditions,
-    SimFaultInjector,
-    SurvivorReport,
-    adapt_config,
-    check_survivors,
-)
-from .metrics import DeliveryCollector, SpecReport, check_run
-from .pss import CyclonPss, MembershipDirectory, UniformViewPss
-from .service import (
-    BackpressureError,
-    BroadcastService,
-    ServiceCluster,
-    ServiceReplica,
-)
-from .smr import KeyValueStore, Replica, ReplicatedService
-from .sim import (
-    ChurnDriver,
-    ClusterConfig,
-    PlanetLabLatency,
-    SimCluster,
-    SimNetwork,
-    Simulator,
-)
+from __future__ import annotations
+
+import importlib
+
+
+def _lazy_exports(
+    namespace: dict, exports: dict[str, tuple[str, ...]]
+) -> tuple:
+    """The PEP 562 ``__getattr__`` and ``__dir__`` of the package whose
+    globals are *namespace*, and its ``__all__``: *exports* maps a
+    submodule (``".core"``) to the public names it defines.
+
+    Every package of :mod:`repro` exports this way, so a process pays at
+    start only for what it reads: ``import repro`` loads one module and
+    ``import repro.runtime.udp`` loads no simulator. A submodule is
+    imported on the first read of one of its names, and the name is then
+    bound in the package, so later reads never come back here.
+    """
+    package = namespace["__name__"]
+    homes = {name: module for module, names in exports.items() for name in names}
+
+    def __getattr__(name: str) -> object:
+        home = homes.get(name)
+        if home is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(home, package), name)
+        namespace[name] = value
+        return value
+
+    def __dir__() -> list[str]:
+        return sorted(namespace.keys() | homes.keys())
+
+    return __getattr__, __dir__, sorted(homes)
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AsyncFaultInjector",
-    "BackpressureError",
-    "Ball",
-    "BallsBinsProcess",
-    "BroadcastService",
-    "ChurnDriver",
-    "ClusterConfig",
-    "ConfigurationError",
-    "CyclonPss",
-    "DeliveryCollector",
-    "DeliveryLog",
-    "EpToConfig",
-    "EpToProcess",
-    "Event",
-    "EventId",
-    "FaultSchedule",
-    "FifoProcess",
-    "GlobalClockOracle",
-    "KeyValueStore",
-    "LogicalClockOracle",
-    "MembershipDirectory",
-    "NodeSupervisor",
-    "ObservedConditions",
-    "OrderingInvariantError",
-    "PlanetLabLatency",
-    "Replica",
-    "ReplicatedService",
-    "ReproError",
-    "ServiceCluster",
-    "ServiceReplica",
-    "SimCluster",
-    "SimFaultInjector",
-    "SimNetwork",
-    "Simulator",
-    "SpecReport",
-    "StabilityEstimate",
-    "StabilityEstimator",
-    "SurvivorReport",
-    "TaggedEvent",
-    "UniformViewPss",
-    "adapt_config",
-    "check_run",
-    "check_survivors",
-    "derive_parameters",
-    "min_fanout",
-    "min_ttl",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    globals(),
+    {
+        ".broadcast": ("BallsBinsProcess", "FifoProcess"),
+        ".core": (
+            "Ball", "ConfigurationError", "DeliveryLog", "EpToConfig",
+            "EpToProcess", "Event", "EventId", "GlobalClockOracle",
+            "LogicalClockOracle", "OrderingInvariantError", "ReproError",
+            "StabilityEstimate", "StabilityEstimator", "TaggedEvent",
+            "derive_parameters", "min_fanout", "min_ttl",
+        ),
+        ".faults": (
+            "AsyncFaultInjector", "FaultSchedule", "NodeSupervisor",
+            "ObservedConditions", "SimFaultInjector", "SurvivorReport",
+            "adapt_config", "check_survivors",
+        ),
+        ".metrics": ("DeliveryCollector", "SpecReport", "check_run"),
+        ".pss": ("CyclonPss", "MembershipDirectory", "UniformViewPss"),
+        ".service": (
+            "BackpressureError", "BroadcastService", "ServiceCluster",
+            "ServiceReplica",
+        ),
+        ".smr": ("KeyValueStore", "Replica", "ReplicatedService"),
+        ".sim": (
+            "ChurnDriver", "ClusterConfig", "PlanetLabLatency", "SimCluster",
+            "SimNetwork", "Simulator",
+        ),
+    },
+)
+__all__.append("__version__")

@@ -1,88 +1,36 @@
 """Analytic machinery: hole-probability bounds, balls-in-bins math,
 and the timing/profiling helpers behind ``benchmarks/perf``."""
 
-from .ballsbins import (
-    EpidemicTrace,
-    coupon_collector_threshold,
-    epidemic_growth,
-    expected_empty_bins,
-    p_all_bins_hit,
-    p_bin_empty,
-    simulate_gossip_coverage,
-    simulate_throws,
-)
-from .empirical import (
-    HoleEstimate,
-    estimate_hole_probability,
-    smallest_reliable_ttl,
-    ttl_sweep,
-)
-from .tradeoffs import (
-    TradeoffPoint,
-    latency_saving,
-    rounds_for_coverage,
-    rounds_for_stability,
-    tradeoff_curve,
-)
-from .profiling import (
-    Timing,
-    profile_callable,
-    speedup,
-    time_callable,
-)
-from .differential import (
-    DifferentialScenario,
-    EngineRun,
-    assert_engines_equivalent,
-    compare_runs,
-    run_differential,
-    run_flat_engine,
-    run_object_engine,
-)
-from .bounds import (
-    balls_thrown,
-    hole_bound_series,
-    log10_p_hole_any_process,
-    log10_p_hole_fixed_process,
-    p_hole_any_process,
-    p_hole_fixed_process,
-    smallest_c_for_target,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "DifferentialScenario",
-    "EngineRun",
-    "EpidemicTrace",
-    "assert_engines_equivalent",
-    "compare_runs",
-    "run_differential",
-    "run_flat_engine",
-    "run_object_engine",
-    "HoleEstimate",
-    "Timing",
-    "TradeoffPoint",
-    "profile_callable",
-    "speedup",
-    "time_callable",
-    "balls_thrown",
-    "latency_saving",
-    "rounds_for_coverage",
-    "rounds_for_stability",
-    "tradeoff_curve",
-    "estimate_hole_probability",
-    "smallest_reliable_ttl",
-    "ttl_sweep",
-    "coupon_collector_threshold",
-    "epidemic_growth",
-    "expected_empty_bins",
-    "hole_bound_series",
-    "log10_p_hole_any_process",
-    "log10_p_hole_fixed_process",
-    "p_all_bins_hit",
-    "p_bin_empty",
-    "p_hole_any_process",
-    "p_hole_fixed_process",
-    "simulate_gossip_coverage",
-    "simulate_throws",
-    "smallest_c_for_target",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    globals(),
+    {
+        ".ballsbins": (
+            "EpidemicTrace", "coupon_collector_threshold", "epidemic_growth",
+            "expected_empty_bins", "p_all_bins_hit", "p_bin_empty",
+            "simulate_gossip_coverage", "simulate_throws",
+        ),
+        ".empirical": (
+            "HoleEstimate", "estimate_hole_probability",
+            "smallest_reliable_ttl", "ttl_sweep",
+        ),
+        ".tradeoffs": (
+            "TradeoffPoint", "latency_saving", "rounds_for_coverage",
+            "rounds_for_stability", "tradeoff_curve",
+        ),
+        ".profiling": (
+            "Timing", "profile_callable", "speedup", "time_callable",
+        ),
+        ".differential": (
+            "DifferentialScenario", "EngineRun", "assert_engines_equivalent",
+            "compare_runs", "run_differential", "run_flat_engine",
+            "run_object_engine",
+        ),
+        ".bounds": (
+            "balls_thrown", "hole_bound_series", "log10_p_hole_any_process",
+            "log10_p_hole_fixed_process", "p_hole_any_process",
+            "p_hole_fixed_process", "smallest_c_for_target",
+        ),
+    },
+)

@@ -10,29 +10,17 @@ forgery and relay equivocation — it does **not** provide Byzantine
 fault-tolerant ordering; read docs/SECURITY.md for the threat model.
 """
 
-from .authenticator import (
-    MAC_LEN,
-    VERDICT_BAD_SIGNATURE,
-    VERDICT_OK,
-    VERDICT_UNKNOWN_KEY,
-    EventSignature,
-    HmacAuthenticator,
-    SignedBall,
-)
-from .guard import DEFAULT_CACHE_SIZE, AdmitCounts, BallGuard
-from .keyring import KeyRing, derive_key
+from .. import _lazy_exports
 
-__all__ = [
-    "KeyRing",
-    "derive_key",
-    "HmacAuthenticator",
-    "EventSignature",
-    "SignedBall",
-    "MAC_LEN",
-    "VERDICT_OK",
-    "VERDICT_BAD_SIGNATURE",
-    "VERDICT_UNKNOWN_KEY",
-    "BallGuard",
-    "AdmitCounts",
-    "DEFAULT_CACHE_SIZE",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    globals(),
+    {
+        ".authenticator": (
+            "MAC_LEN", "VERDICT_BAD_SIGNATURE", "VERDICT_OK",
+            "VERDICT_UNKNOWN_KEY", "EventSignature", "HmacAuthenticator",
+            "SignedBall",
+        ),
+        ".guard": ("DEFAULT_CACHE_SIZE", "AdmitCounts", "BallGuard"),
+        ".keyring": ("KeyRing", "derive_key"),
+    },
+)

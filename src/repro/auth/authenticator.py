@@ -26,12 +26,14 @@ from __future__ import annotations
 import hashlib
 import hmac
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from ..core.errors import AuthError
 from ..core.event import Ball, Event
 from ..sync.protocol import canonical_event_bytes
-from .keyring import KeyRing
+
+if TYPE_CHECKING:  # pragma: no cover - hints only
+    from .keyring import KeyRing
 
 #: MAC bytes carried on the wire. HMAC-SHA256 truncated to 128 bits —
 #: the standard truncation (RFC 2104 §5): halves per-entry overhead

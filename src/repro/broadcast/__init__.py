@@ -1,7 +1,12 @@
 """Baseline epidemic broadcast protocols (no / weaker ordering)."""
 
-from .balls_bins import BallsBinsProcess
-from .fifo import FifoProcess
-from .pbcast import StabilityOrderedProcess
+from .. import _lazy_exports
 
-__all__ = ["BallsBinsProcess", "FifoProcess", "StabilityOrderedProcess"]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    globals(),
+    {
+        ".balls_bins": ("BallsBinsProcess",),
+        ".fifo": ("FifoProcess",),
+        ".pbcast": ("StabilityOrderedProcess",),
+    },
+)

@@ -5,67 +5,35 @@ the dissemination and ordering components, parameter derivation, and
 the wired :class:`EpToProcess`.
 """
 
-from .clock import GlobalClockOracle, LogicalClockOracle, StabilityOracle, make_oracle
-from .config import EpToConfig
-from .delivery import (
-    DeliveryLog,
-    StabilityEstimate,
-    StabilityEstimator,
-    TaggedEvent,
-)
-from .dissemination import DisseminationComponent, DisseminationStats
-from .errors import (
-    ConfigurationError,
-    MembershipError,
-    OrderingInvariantError,
-    ReproError,
-    SimulationError,
-    TransportError,
-)
-from .event import Ball, Event, EventId, EventIdGenerator, EventRecord, OrderKey
-from .interfaces import PeerSampler, Transport
-from .ordering import OrderingComponent, OrderingStats
-from .params import (
-    DEFAULT_C,
-    DerivedParameters,
-    derive_parameters,
-    min_fanout,
-    min_ttl,
-)
-from .process import EpToProcess
+from .. import _lazy_exports
 
-__all__ = [
-    "Ball",
-    "ConfigurationError",
-    "DEFAULT_C",
-    "DeliveryLog",
-    "DerivedParameters",
-    "DisseminationComponent",
-    "DisseminationStats",
-    "EpToConfig",
-    "EpToProcess",
-    "Event",
-    "EventId",
-    "EventIdGenerator",
-    "EventRecord",
-    "GlobalClockOracle",
-    "LogicalClockOracle",
-    "MembershipError",
-    "OrderKey",
-    "OrderingComponent",
-    "OrderingInvariantError",
-    "OrderingStats",
-    "PeerSampler",
-    "ReproError",
-    "SimulationError",
-    "StabilityEstimate",
-    "StabilityEstimator",
-    "StabilityOracle",
-    "TaggedEvent",
-    "Transport",
-    "TransportError",
-    "derive_parameters",
-    "make_oracle",
-    "min_fanout",
-    "min_ttl",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    globals(),
+    {
+        ".clock": (
+            "GlobalClockOracle", "LogicalClockOracle", "StabilityOracle",
+            "make_oracle",
+        ),
+        ".config": ("EpToConfig",),
+        ".delivery": (
+            "DeliveryLog", "StabilityEstimate", "StabilityEstimator",
+            "TaggedEvent",
+        ),
+        ".dissemination": ("DisseminationComponent", "DisseminationStats"),
+        ".errors": (
+            "ConfigurationError", "MembershipError", "OrderingInvariantError",
+            "ReproError", "SimulationError", "TransportError",
+        ),
+        ".event": (
+            "Ball", "Event", "EventId", "EventIdGenerator", "EventRecord",
+            "OrderKey",
+        ),
+        ".interfaces": ("PeerSampler", "Transport"),
+        ".ordering": ("OrderingComponent", "OrderingStats"),
+        ".params": (
+            "DEFAULT_C", "DerivedParameters", "derive_parameters",
+            "min_fanout", "min_ttl",
+        ),
+        ".process": ("EpToProcess",),
+    },
+)

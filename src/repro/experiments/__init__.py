@@ -1,68 +1,31 @@
 """Per-figure experiment drivers reproducing the paper's evaluation."""
 
-from .ablations import (
-    EmpiricalBoundsResult,
-    FanoutAblationResult,
-    GuardAblationResult,
-    PhaseAblationResult,
-    TtlAblationResult,
-    run_ablation_fanout,
-    run_ablation_guards,
-    run_ablation_phase,
-    run_ablation_ttl,
-    run_empirical_bounds,
-)
-from .common import ExperimentResult, ExperimentSpec, run_experiment, run_sweep
-from .fig3_bounds import Fig3Result, run_fig3
-from .fig5_latency import Fig5Result, run_fig5
-from .fig6_baseline import Fig6Result, run_fig6
-from .fig7_scalability import Fig7aResult, Fig7bResult, run_fig7a, run_fig7b
-from .fig7b_flat import Fig7bFlatResult, Fig7bFlatRow, run_fig7b_flat
-from .fig8_churn import ChurnSweepResult, run_churn_sweep, run_fig8
-from .fig9_cyclon import run_fig9
-from .fig10_loss import Fig10Result, run_fig10
-from .registry import REGISTRY, ExperimentEntry, get_experiment
-from .scale import PAPER, SMALL, ScalePreset, get_scale
+from .. import _lazy_exports
 
-__all__ = [
-    "ChurnSweepResult",
-    "EmpiricalBoundsResult",
-    "ExperimentEntry",
-    "ExperimentResult",
-    "ExperimentSpec",
-    "FanoutAblationResult",
-    "GuardAblationResult",
-    "PhaseAblationResult",
-    "TtlAblationResult",
-    "Fig10Result",
-    "Fig3Result",
-    "Fig5Result",
-    "Fig6Result",
-    "Fig7aResult",
-    "Fig7bFlatResult",
-    "Fig7bFlatRow",
-    "Fig7bResult",
-    "PAPER",
-    "REGISTRY",
-    "SMALL",
-    "ScalePreset",
-    "get_experiment",
-    "get_scale",
-    "run_ablation_fanout",
-    "run_ablation_guards",
-    "run_ablation_phase",
-    "run_ablation_ttl",
-    "run_churn_sweep",
-    "run_empirical_bounds",
-    "run_experiment",
-    "run_fig10",
-    "run_fig3",
-    "run_fig5",
-    "run_fig6",
-    "run_fig7a",
-    "run_fig7b",
-    "run_fig7b_flat",
-    "run_fig8",
-    "run_fig9",
-    "run_sweep",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    globals(),
+    {
+        ".ablations": (
+            "EmpiricalBoundsResult", "FanoutAblationResult",
+            "GuardAblationResult", "PhaseAblationResult", "TtlAblationResult",
+            "run_ablation_fanout", "run_ablation_guards", "run_ablation_phase",
+            "run_ablation_ttl", "run_empirical_bounds",
+        ),
+        ".common": (
+            "ExperimentResult", "ExperimentSpec", "run_experiment",
+            "run_sweep",
+        ),
+        ".fig3_bounds": ("Fig3Result", "run_fig3"),
+        ".fig5_latency": ("Fig5Result", "run_fig5"),
+        ".fig6_baseline": ("Fig6Result", "run_fig6"),
+        ".fig7_scalability": (
+            "Fig7aResult", "Fig7bResult", "run_fig7a", "run_fig7b",
+        ),
+        ".fig7b_flat": ("Fig7bFlatResult", "Fig7bFlatRow", "run_fig7b_flat"),
+        ".fig8_churn": ("ChurnSweepResult", "run_churn_sweep", "run_fig8"),
+        ".fig9_cyclon": ("run_fig9",),
+        ".fig10_loss": ("Fig10Result", "run_fig10"),
+        ".registry": ("REGISTRY", "ExperimentEntry", "get_experiment"),
+        ".scale": ("PAPER", "SMALL", "ScalePreset", "get_scale"),
+    },
+)

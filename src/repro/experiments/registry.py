@@ -2,35 +2,33 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict
-
-from .ablations import (
-    run_ablation_fanout,
-    run_ablation_guards,
-    run_ablation_phase,
-    run_ablation_ttl,
-    run_empirical_bounds,
-)
-from .drill import run_drill
-from .fig3_bounds import run_fig3
-from .fig5_latency import run_fig5
-from .fig6_baseline import run_fig6
-from .fig7_scalability import run_fig7a, run_fig7b
-from .fig7b_flat import run_fig7b_flat
-from .fig8_churn import run_fig8
-from .fig9_cyclon import run_fig9
-from .fig10_loss import run_fig10
-from .service_drill import run_service_drill
+import importlib
+from dataclasses import InitVar, dataclass, field
+from typing import Callable, Dict, Optional
 
 
-@dataclass(frozen=True, slots=True)
+class _Runner:
+    """``entry.runner``: the driver the entry was built with, else the
+    one its ``target`` names, imported on first use."""
+
+    def __get__(self, entry: Optional["ExperimentEntry"], owner: type) -> object:
+        if entry is None:
+            return None  # the default of the ``runner`` argument
+        if entry._given_runner is not None:
+            return entry._given_runner
+        module, function = entry.target.split(":")
+        return getattr(importlib.import_module(f".{module}", __package__), function)
+
+
+@dataclass(frozen=True)
 class ExperimentEntry:
     """One reproducible paper artifact or ablation."""
 
     id: str
     description: str
-    runner: Callable[..., object]
+    #: ``"module:function"`` of the driver under :mod:`repro.experiments`;
+    #: listing the experiments imports none of them.
+    target: str
     takes_scale: bool = True
     #: Accepts a ``schedule=`` FaultSchedule (CLI ``--fault-scenario``).
     takes_faults: bool = False
@@ -39,35 +37,44 @@ class ExperimentEntry:
     #: Accepts an ``auth=`` bool enabling HMAC event authentication
     #: (CLI ``--auth``).
     takes_auth: bool = False
+    #: A driver to run instead of the one ``target`` names. Read the
+    #: driver as ``entry.runner`` either way.
+    runner: InitVar[Optional[Callable[..., object]]] = _Runner()
+    _given_runner: Optional[Callable[..., object]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self, runner: Optional[Callable[..., object]]) -> None:
+        object.__setattr__(self, "_given_runner", runner)
 
 
 _ENTRIES = [
     ExperimentEntry(
         id="fig3",
         description="Figure 3a/3b — analytic hole-probability upper bounds",
-        runner=run_fig3,
+        target="fig3_bounds:run_fig3",
         takes_scale=False,
     ),
     ExperimentEntry(
         id="fig5",
         description="Figure 5 — PlanetLab latency distribution (synthetic fit)",
-        runner=run_fig5,
+        target="fig5_latency:run_fig5",
         takes_scale=False,
     ),
     ExperimentEntry(
         id="fig6",
         description="Figure 6 — ordering cost vs unordered baseline",
-        runner=run_fig6,
+        target="fig6_baseline:run_fig6",
     ),
     ExperimentEntry(
         id="fig7a",
         description="Figure 7a — broadcast-rate sweep",
-        runner=run_fig7a,
+        target="fig7_scalability:run_fig7a",
     ),
     ExperimentEntry(
         id="fig7b",
         description="Figure 7b — system-size sweep",
-        runner=run_fig7b,
+        target="fig7_scalability:run_fig7b",
     ),
     ExperimentEntry(
         id="fig7b-flat",
@@ -75,47 +82,47 @@ _ENTRIES = [
             "Figure 7b — system-size sweep on the flat engine "
             "(paper-scale n; stats recording; budgeted workload)"
         ),
-        runner=run_fig7b_flat,
+        target="fig7b_flat:run_fig7b_flat",
     ),
     ExperimentEntry(
         id="fig8",
         description="Figure 8 — churn sweep (idealized PSS)",
-        runner=run_fig8,
+        target="fig8_churn:run_fig8",
     ),
     ExperimentEntry(
         id="fig9",
         description="Figure 9 — churn sweep (Cyclon PSS)",
-        runner=run_fig9,
+        target="fig9_cyclon:run_fig9",
     ),
     ExperimentEntry(
         id="fig10",
         description="Figure 10 — message-loss sweep",
-        runner=run_fig10,
+        target="fig10_loss:run_fig10",
     ),
     ExperimentEntry(
         id="ablation-ttl",
         description="A1 — TTL sensitivity (§6's conservative bound)",
-        runner=run_ablation_ttl,
+        target="ablations:run_ablation_ttl",
     ),
     ExperimentEntry(
         id="ablation-fanout",
         description="A2 — fanout starvation (Lemma 7's K-vs-rounds trade)",
-        runner=run_ablation_fanout,
+        target="ablations:run_ablation_fanout",
     ),
     ExperimentEntry(
         id="ablation-phase",
         description="A3 — synchronized vs staggered round phases",
-        runner=run_ablation_phase,
+        target="ablations:run_ablation_phase",
     ),
     ExperimentEntry(
         id="ablation-guards",
         description="A4 — ordering guards vs Pbcast-style delivery (§7)",
-        runner=run_ablation_guards,
+        target="ablations:run_ablation_guards",
     ),
     ExperimentEntry(
         id="ablation-empirical",
         description="A5 — empirical hole probability vs the Figure 3 bound (§8.1)",
-        runner=run_empirical_bounds,
+        target="ablations:run_empirical_bounds",
         takes_scale=False,
     ),
     ExperimentEntry(
@@ -124,7 +131,7 @@ _ENTRIES = [
             "Fault drill — scenario file vs journaled cluster with "
             "durable same-id recovery"
         ),
-        runner=run_drill,
+        target="drill:run_drill",
         takes_faults=True,
         takes_sync=True,
         takes_auth=True,
@@ -136,7 +143,7 @@ _ENTRIES = [
             "host-level crash/respawn over shared sockets "
             "(scenarios/multi_topic_drill.json)"
         ),
-        runner=run_service_drill,
+        target="service_drill:run_service_drill",
         takes_scale=False,
     ),
 ]

@@ -16,58 +16,27 @@ crashed nodes), post-mortems from
 from the Lemma 7 helpers in :mod:`repro.faults.adaptive`.
 """
 
-from .adaptive import (
-    MAX_RATE,
-    ObservedConditions,
-    adapt_config,
-    lemma7_parameters,
-    supervisor_adaptation,
-)
-from .byzantine import ByzantineRouter, ByzantineStats, scramble_journal
-from .interpreter import FaultStats
-from .runtime_injector import AsyncFaultInjector
-from .schedule import (
-    BYZANTINE_BEHAVIORS,
-    ByzantineNodes,
-    CorruptDatagrams,
-    CrashNodes,
-    FaultAction,
-    FaultSchedule,
-    HealPartition,
-    LatencySpike,
-    LossBurst,
-    PartitionNetwork,
-    ScrambleState,
-)
-from .sim_injector import SimFaultInjector
-from .supervisor import NodeSupervisor, SupervisorStats
-from .verify import SurvivorReport, check_survivors
+from .. import _lazy_exports
 
-__all__ = [
-    "AsyncFaultInjector",
-    "BYZANTINE_BEHAVIORS",
-    "ByzantineNodes",
-    "ByzantineRouter",
-    "ByzantineStats",
-    "CorruptDatagrams",
-    "CrashNodes",
-    "FaultAction",
-    "FaultSchedule",
-    "FaultStats",
-    "HealPartition",
-    "LatencySpike",
-    "LossBurst",
-    "MAX_RATE",
-    "NodeSupervisor",
-    "ObservedConditions",
-    "PartitionNetwork",
-    "ScrambleState",
-    "SimFaultInjector",
-    "SupervisorStats",
-    "SurvivorReport",
-    "adapt_config",
-    "check_survivors",
-    "lemma7_parameters",
-    "scramble_journal",
-    "supervisor_adaptation",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    globals(),
+    {
+        ".adaptive": (
+            "MAX_RATE", "ObservedConditions", "adapt_config",
+            "lemma7_parameters", "supervisor_adaptation",
+        ),
+        ".byzantine": (
+            "ByzantineRouter", "ByzantineStats", "scramble_journal",
+        ),
+        ".interpreter": ("FaultStats",),
+        ".runtime_injector": ("AsyncFaultInjector",),
+        ".schedule": (
+            "BYZANTINE_BEHAVIORS", "ByzantineNodes", "CorruptDatagrams",
+            "CrashNodes", "FaultAction", "FaultSchedule", "HealPartition",
+            "LatencySpike", "LossBurst", "PartitionNetwork", "ScrambleState",
+        ),
+        ".sim_injector": ("SimFaultInjector",),
+        ".supervisor": ("NodeSupervisor", "SupervisorStats"),
+        ".verify": ("SurvivorReport", "check_survivors"),
+    },
+)

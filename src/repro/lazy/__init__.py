@@ -25,18 +25,17 @@ Components:
   by ``EpToConfig(mode="lazy")`` in both runtimes and the service.
 """
 
-from .process import LazyEpToProcess, LazyStats
-from .protocol import LAZY_MESSAGE_TYPES, IdBall, PayloadRequest, PayloadResponse
-from .pull import PullManager
-from .store import PayloadStore
+from .. import _lazy_exports
 
-__all__ = [
-    "IdBall",
-    "LAZY_MESSAGE_TYPES",
-    "LazyEpToProcess",
-    "LazyStats",
-    "PayloadRequest",
-    "PayloadResponse",
-    "PullManager",
-    "PayloadStore",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    globals(),
+    {
+        ".process": ("LazyEpToProcess", "LazyStats"),
+        ".protocol": (
+            "LAZY_MESSAGE_TYPES", "IdBall", "PayloadRequest",
+            "PayloadResponse",
+        ),
+        ".pull": ("PullManager",),
+        ".store": ("PayloadStore",),
+    },
+)

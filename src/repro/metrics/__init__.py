@@ -1,60 +1,24 @@
 """Run instrumentation: delivery metrics, spec checking, reporting."""
 
-from .cdf import DelaySummary, cdf_at, cdf_points, percentile
-from .checker import (
-    AuthenticityReport,
-    SpecReport,
-    check_authenticity,
-    check_integrity,
-    check_pairwise_order,
-    check_run,
-    check_total_order,
-    check_validity,
-)
-from .collector import (
-    BroadcastRecord,
-    DeliveryCollector,
-    DeliveryRecord,
-    NodeLifetime,
-    event_fingerprint,
-)
-from .report import format_ascii_cdf, format_cdf_series, format_table
-from .trace import (
-    RoundStats,
-    TraceError,
-    export_trace,
-    load_delivery_log,
-    load_delivery_logs,
-    load_trace,
-    round_timeline,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "AuthenticityReport",
-    "BroadcastRecord",
-    "DelaySummary",
-    "DeliveryCollector",
-    "DeliveryRecord",
-    "NodeLifetime",
-    "RoundStats",
-    "SpecReport",
-    "TraceError",
-    "cdf_at",
-    "cdf_points",
-    "check_authenticity",
-    "check_integrity",
-    "check_pairwise_order",
-    "check_run",
-    "check_total_order",
-    "check_validity",
-    "event_fingerprint",
-    "export_trace",
-    "format_ascii_cdf",
-    "format_cdf_series",
-    "format_table",
-    "load_delivery_log",
-    "load_delivery_logs",
-    "load_trace",
-    "percentile",
-    "round_timeline",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    globals(),
+    {
+        ".cdf": ("DelaySummary", "cdf_at", "cdf_points", "percentile"),
+        ".checker": (
+            "AuthenticityReport", "SpecReport", "check_authenticity",
+            "check_integrity", "check_pairwise_order", "check_run",
+            "check_total_order", "check_validity",
+        ),
+        ".collector": (
+            "BroadcastRecord", "DeliveryCollector", "DeliveryRecord",
+            "NodeLifetime", "event_fingerprint",
+        ),
+        ".report": ("format_ascii_cdf", "format_cdf_series", "format_table"),
+        ".trace": (
+            "RoundStats", "TraceError", "export_trace", "load_delivery_log",
+            "load_delivery_logs", "load_trace", "round_timeline",
+        ),
+    },
+)

@@ -2,53 +2,24 @@
 realistic overlay family (HyParView's two-tier views with reactive
 repair, Brahms's Byzantine-resilient sampling)."""
 
-from .base import MembershipDirectory, PeerSamplingService
-from .brahms import (
-    BRAHMS_MESSAGE_TYPES,
-    BrahmsPss,
-    BrahmsPullReply,
-    BrahmsPullRequest,
-    BrahmsPush,
-)
-from .cyclon import CyclonEntry, CyclonPss, CyclonRequest, CyclonResponse
-from .hyparview import (
-    HYPARVIEW_MESSAGE_TYPES,
-    Disconnect,
-    ForwardJoin,
-    HvShuffle,
-    HvShuffleReply,
-    HyParViewPss,
-    JoinRequest,
-    NeighborReply,
-    NeighborRequest,
-)
-from .uniform import UniformViewPss
+from .. import _lazy_exports
 
-#: Every overlay-maintenance message the realistic PSS family puts on
-#: the wire; hosting runtimes dispatch these to ``pss.handle_message``.
-OVERLAY_MESSAGE_TYPES = HYPARVIEW_MESSAGE_TYPES + BRAHMS_MESSAGE_TYPES
-
-__all__ = [
-    "BRAHMS_MESSAGE_TYPES",
-    "BrahmsPss",
-    "BrahmsPullReply",
-    "BrahmsPullRequest",
-    "BrahmsPush",
-    "CyclonEntry",
-    "CyclonPss",
-    "CyclonRequest",
-    "CyclonResponse",
-    "Disconnect",
-    "ForwardJoin",
-    "HYPARVIEW_MESSAGE_TYPES",
-    "HvShuffle",
-    "HvShuffleReply",
-    "HyParViewPss",
-    "JoinRequest",
-    "MembershipDirectory",
-    "NeighborReply",
-    "NeighborRequest",
-    "OVERLAY_MESSAGE_TYPES",
-    "PeerSamplingService",
-    "UniformViewPss",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    globals(),
+    {
+        ".base": ("MembershipDirectory", "PeerSamplingService"),
+        ".brahms": (
+            "BRAHMS_MESSAGE_TYPES", "BrahmsPss", "BrahmsPullReply",
+            "BrahmsPullRequest", "BrahmsPush",
+        ),
+        ".cyclon": (
+            "CyclonEntry", "CyclonPss", "CyclonRequest", "CyclonResponse",
+        ),
+        ".hyparview": (
+            "HYPARVIEW_MESSAGE_TYPES", "Disconnect", "ForwardJoin",
+            "HvShuffle", "HvShuffleReply", "HyParViewPss", "JoinRequest",
+            "NeighborReply", "NeighborRequest",
+        ),
+        ".uniform": ("UniformViewPss",),
+    },
+)

@@ -5,21 +5,15 @@ in-process message fabric (latency and loss injectable), demonstrating
 that nothing in :mod:`repro.core` depends on the simulator.
 """
 
-from .cluster import AsyncCluster
-from .codec import MAX_DATAGRAM, CodecError, decode, encode
-from .node import AsyncEpToNode
-from .transport import AsyncNetwork, AsyncNetworkStats
-from .udp import UdpNetwork, UdpStats
+from .. import _lazy_exports
 
-__all__ = [
-    "AsyncCluster",
-    "AsyncEpToNode",
-    "AsyncNetwork",
-    "AsyncNetworkStats",
-    "CodecError",
-    "MAX_DATAGRAM",
-    "UdpNetwork",
-    "UdpStats",
-    "decode",
-    "encode",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    globals(),
+    {
+        ".cluster": ("AsyncCluster",),
+        ".codec": ("MAX_DATAGRAM", "CodecError", "decode", "encode"),
+        ".node": ("AsyncEpToNode",),
+        ".transport": ("AsyncNetwork", "AsyncNetworkStats"),
+        ".udp": ("UdpNetwork", "UdpStats"),
+    },
+)

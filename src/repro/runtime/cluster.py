@@ -12,13 +12,13 @@ from ..core.errors import MembershipError
 from ..core.event import Event
 from ..pss.base import MembershipDirectory
 from ..stack import build_pss, open_journal, reopen_journal, validate_modes
-from ..sync.config import SyncConfig
 from .node import AsyncEpToNode
 from .transport import AsyncNetwork
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # pragma: no cover - hints only
     from ..storage.journal import DeliveryJournal
     from ..storage.recovery import RecoveredState
+    from ..sync.config import SyncConfig
 
 
 async def wait_until(

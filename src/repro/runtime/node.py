@@ -22,14 +22,14 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..core.config import EpToConfig
 from ..core.event import Event
-from ..core.interfaces import PeerSampler
 from ..stack import NodeStack
-from ..sync.config import SyncConfig
-from ..sync.manager import SyncManager
 from .transport import AsyncNetwork
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # pragma: no cover - hints only
+    from ..core.interfaces import PeerSampler
     from ..storage.journal import DeliveryJournal
+    from ..sync.config import SyncConfig
+    from ..sync.manager import SyncManager
 
 
 def _monotonic_millis() -> int:

@@ -32,11 +32,13 @@ from __future__ import annotations
 import asyncio
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
-from ..auth.guard import BallGuard
 from ..core.errors import MembershipError
 from ..core.event import Ball
+
+if TYPE_CHECKING:  # pragma: no cover - hints only; built with an authenticator
+    from ..auth.guard import BallGuard
 
 #: Inbox callback: ``handler(src, message)`` (synchronous, loop thread).
 AsyncMessageHandler = Callable[[int, Any], None]
@@ -98,7 +100,11 @@ class AsyncNetwork:
         self.latency = latency
         self.loss_rate = loss_rate
         self.stats = AsyncNetworkStats()
-        self._guard = BallGuard(authenticator) if authenticator else None
+        self._guard: Optional[BallGuard] = None
+        if authenticator:
+            from ..auth.guard import BallGuard
+
+            self._guard = BallGuard(authenticator)
         self._adversary = None
         self._handlers: Dict[int, AsyncMessageHandler] = {}
         self._rng = random.Random(seed)

@@ -63,10 +63,9 @@ import errno
 import random
 import socket
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from ..auth.authenticator import SignedBall
-from ..auth.guard import BallGuard
 from ..core.errors import MembershipError
 from ..core.event import Ball
 from .codec import (
@@ -79,6 +78,9 @@ from .codec import (
     encode_into,
     last_encode_payload_bytes,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - hints only; built with an authenticator
+    from ..auth.guard import BallGuard
 
 #: Inbox callback: ``handler(src, message)``.
 UdpMessageHandler = Callable[[int, Any], None]
@@ -337,7 +339,11 @@ class UdpNetwork:
                 "gone; pass 'auto' or True (raw sockets, plain sendto) or "
                 "False (asyncio endpoints)"
             )
-        self._guard = BallGuard(authenticator) if authenticator else None
+        self._guard: Optional[BallGuard] = None
+        if authenticator:
+            from ..auth.guard import BallGuard
+
+            self._guard = BallGuard(authenticator)
         self._adversary = None
         self._handlers: Dict[int, UdpMessageHandler] = {}
         # What each registered node has admitted so far: decode reuses

@@ -11,26 +11,17 @@ subscriptions. :class:`ServiceCluster` orchestrates N hosts for tests
 and drills; :class:`ServiceReplica` hosts a state machine on one topic.
 """
 
-from .cluster import ServiceCluster
-from .demux import DemuxStats, TopicChannel, TopicDemux
-from .service import (
-    BackpressureError,
-    BroadcastService,
-    ServiceStats,
-    Subscription,
-    TopicState,
-)
-from .tenant import ServiceReplica
+from .. import _lazy_exports
 
-__all__ = [
-    "BackpressureError",
-    "BroadcastService",
-    "DemuxStats",
-    "ServiceCluster",
-    "ServiceReplica",
-    "ServiceStats",
-    "Subscription",
-    "TopicChannel",
-    "TopicDemux",
-    "TopicState",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    globals(),
+    {
+        ".cluster": ("ServiceCluster",),
+        ".demux": ("DemuxStats", "TopicChannel", "TopicDemux"),
+        ".service": (
+            "BackpressureError", "BroadcastService", "ServiceStats",
+            "Subscription", "TopicState",
+        ),
+        ".tenant": ("ServiceReplica",),
+    },
+)

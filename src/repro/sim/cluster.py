@@ -42,15 +42,15 @@ from ..stack import (
     reopen_journal,
     validate_modes,
 )
-from ..sync.config import SyncConfig
-from ..sync.manager import SyncManager
 from .drift import DriftModel, UniformDrift
 from .engine import PeriodicTask, Simulator
 from .network import SimNetwork
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # pragma: no cover - hints only
     from ..storage.journal import DeliveryJournal
     from ..storage.recovery import RecoveredState
+    from ..sync.config import SyncConfig
+    from ..sync.manager import SyncManager
 
 
 class GossipProcess(Protocol):

@@ -27,13 +27,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Callable, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Tuple
 
-from ..auth.guard import BallGuard
 from ..core.errors import MembershipError
 from ..core.event import Ball
 from .engine import Simulator
 from .latency import FixedLatency, LatencyModel
+
+if TYPE_CHECKING:  # pragma: no cover - hints only; built with an authenticator
+    from ..auth.guard import BallGuard
 
 #: Message handler: ``handler(src, message)``.
 MessageHandler = Callable[[int, Any], None]
@@ -104,7 +106,11 @@ class SimNetwork:
         self.loss_rate = float(loss_rate)
         self.duplicate_rate = float(duplicate_rate)
         self.stats = NetworkStats()
-        self._guard = BallGuard(authenticator) if authenticator else None
+        self._guard: Optional[BallGuard] = None
+        if authenticator:
+            from ..auth.guard import BallGuard
+
+            self._guard = BallGuard(authenticator)
         self._adversary = None
         self._handlers: Dict[int, MessageHandler] = {}
         self._loss_rng = sim.fork_rng("network.loss")

@@ -5,19 +5,16 @@ Includes the §8.3 *corrective delivery* extension
 consistency for perturbed replicas.
 """
 
-from .corrective import CorrectableReplica, Correction
-from .machine import AppendLog, Counter, KeyValueStore, StateMachine
-from .replica import ConvergenceReport, MachineFactory, Replica, ReplicatedService
+from .. import _lazy_exports
 
-__all__ = [
-    "AppendLog",
-    "ConvergenceReport",
-    "CorrectableReplica",
-    "Correction",
-    "Counter",
-    "KeyValueStore",
-    "MachineFactory",
-    "Replica",
-    "ReplicatedService",
-    "StateMachine",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    globals(),
+    {
+        ".corrective": ("CorrectableReplica", "Correction"),
+        ".machine": ("AppendLog", "Counter", "KeyValueStore", "StateMachine"),
+        ".replica": (
+            "ConvergenceReport", "MachineFactory", "Replica",
+            "ReplicatedService",
+        ),
+    },
+)

@@ -20,35 +20,34 @@ decided here, once:
 
 Hosts keep only what is theirs: timers, sockets, collectors,
 subscriptions.
+
+A layer's implementation is imported when a stack is built with it,
+not when this module loads: a uniform eager node without a journal
+loads no overlay, lazy, anti-entropy or storage code. Everything a
+layer can need later — a respawn included — is loaded when it is
+built, so no import lands in the middle of a run.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, Optional, Tuple, Union
 
 from .core.config import EpToConfig
 from .core.errors import ConfigurationError, MembershipError
 from .core.event import Ball, Event
-from .core.interfaces import PeerSampler, Transport
 from .core.process import EpToProcess
-from .lazy.process import LazyEpToProcess
-from .lazy.protocol import LAZY_MESSAGE_TYPES
-from .pss import OVERLAY_MESSAGE_TYPES
-from .pss.base import MembershipDirectory
-from .pss.brahms import BrahmsPss
-from .pss.cyclon import CyclonPss, CyclonRequest, CyclonResponse
-from .pss.hyparview import HyParViewPss
-from .pss.uniform import UniformViewPss
-from .sync.config import SyncConfig
-from .sync.manager import SyncManager, epto_chunk_applier
-from .sync.protocol import SYNC_MESSAGE_TYPES
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+if TYPE_CHECKING:  # pragma: no cover - hints only; a layer loads when built
+    from .core.interfaces import PeerSampler, Transport
+    from .pss.base import MembershipDirectory
     from .smr.machine import StateMachine
     from .storage.journal import DeliveryJournal
     from .storage.recovery import RecoveredState
+    from .sync.config import SyncConfig
+    from .sync.manager import SyncManager
 
 #: The peer sampling services :func:`build_pss` knows (docs/OVERLAY.md).
 PSS_KINDS = ("uniform", "cyclon", "hyparview", "brahms")
@@ -104,17 +103,44 @@ def _drop(src: int, message: Any) -> None:
     anti-entropy without a manager)."""
 
 
-#: Every non-ball wire kind and the layer that owns it: (kinds, the
-#: stack attribute holding the layer, the layer's handler). A stack's
-#: dispatch table maps a kind to its layer's bound handler, or to
-#: :func:`_drop` when the layer is absent.
-_ROUTES = (
-    ((CyclonRequest,), "pss", "handle_request"),
-    ((CyclonResponse,), "pss", "handle_response"),
-    (OVERLAY_MESSAGE_TYPES, "pss", "handle_message"),
-    (LAZY_MESSAGE_TYPES, "process", "on_lazy_message"),
-    (SYNC_MESSAGE_TYPES, "sync_manager", "on_message"),
-)
+def _loaded(module: str) -> bool:
+    """Whether ``repro.<module>`` is loaded in this interpreter."""
+    return f"{__package__}.{module}" in sys.modules
+
+
+def _routes() -> Iterator[Tuple[Tuple[type, ...], str, str]]:
+    """Every non-ball wire kind defined in this interpreter and the
+    layer that owns it: (kinds, the stack attribute holding the layer,
+    the layer's handler). A stack's dispatch table maps a kind to its
+    layer's bound handler, or to :func:`_drop` when the layer is absent.
+
+    A kind is defined once its module is loaded: by the layer that
+    handles it, by the codec that decodes it, or by whoever built the
+    message. No message of a kind nobody loaded can arrive, so the
+    module is not imported here; a stack re-reads this table when a
+    message misses its own (:meth:`NodeStack._route`).
+    """
+    if _loaded("pss.cyclon"):
+        from .pss.cyclon import CyclonRequest, CyclonResponse
+
+        yield (CyclonRequest,), "pss", "handle_request"
+        yield (CyclonResponse,), "pss", "handle_response"
+    if _loaded("pss.hyparview"):
+        from .pss.hyparview import HYPARVIEW_MESSAGE_TYPES
+
+        yield HYPARVIEW_MESSAGE_TYPES, "pss", "handle_message"
+    if _loaded("pss.brahms"):
+        from .pss.brahms import BRAHMS_MESSAGE_TYPES
+
+        yield BRAHMS_MESSAGE_TYPES, "pss", "handle_message"
+    if _loaded("lazy.protocol"):
+        from .lazy.protocol import LAZY_MESSAGE_TYPES
+
+        yield LAZY_MESSAGE_TYPES, "process", "on_lazy_message"
+    if _loaded("sync.protocol"):
+        from .sync.protocol import SYNC_MESSAGE_TYPES
+
+        yield SYNC_MESSAGE_TYPES, "sync_manager", "on_message"
 
 
 class NodeStack:
@@ -192,7 +218,12 @@ class NodeStack:
                 rng=rng,
             )
         else:
-            build = LazyEpToProcess if config.mode == "lazy" else EpToProcess
+            if config.mode == "lazy":
+                from .lazy.process import LazyEpToProcess
+
+                build: Any = LazyEpToProcess
+            else:
+                build = EpToProcess
             self.process = build(
                 node_id=node_id,
                 config=config,
@@ -208,6 +239,8 @@ class NodeStack:
         if sync is not None and hasattr(self.process, "ordering"):
             # Only EpTO-shaped processes can apply repaired events in
             # total order; a baseline process runs without anti-entropy.
+            from .sync.manager import SyncManager, epto_chunk_applier
+
             self.sync_manager = SyncManager(
                 node_id=node_id,
                 journal=journal,
@@ -218,9 +251,7 @@ class NodeStack:
             )
         self._on_ball = self.process.on_ball
         self._table: Dict[type, Callable[[int, Any], None]] = {}
-        for kinds, layer, handler in _ROUTES:
-            bound = getattr(getattr(self, layer), handler, None) or _drop
-            self._table.update(dict.fromkeys(kinds, bound))
+        self._fill_table()
         self._hold_rounds: Optional[float] = None
         self._held_for = 0
 
@@ -234,17 +265,33 @@ class NodeStack:
         A ball, nearly always (K of them every node-round), so it is
         tested first: every fabric hands one over as a
         :class:`~repro.core.event.Ball`. Every other kind is one table
-        lookup; a type the table does not know is handed to the process
-        like a ball.
+        lookup; a type no layer declares is handed to the process like a
+        ball.
         """
         if type(message) is Ball:
             self._on_ball(message)
         else:
-            handler = self._table.get(type(message))
-            if handler is None:
-                self._on_ball(message)
-            else:
-                handler(src, message)
+            handler = self._table.get(type(message)) or self._route(type(message))
+            handler(src, message)
+
+    def _fill_table(self) -> None:
+        """Map every wire kind defined so far (:func:`_routes`) to this
+        stack's handler of it, or to :func:`_drop` when the stack does
+        not hold the owning layer."""
+        for kinds, layer, handler in _routes():
+            bound = getattr(getattr(self, layer), handler, None) or _drop
+            self._table.update(dict.fromkeys(kinds, bound))
+
+    def _route(self, kind: type) -> Callable[[int, Any], None]:
+        """The handler of a kind the table has not seen: a wire kind
+        whose module was loaded after this stack was built, or else a
+        type no layer declares, which goes to the process. The table
+        keeps the answer."""
+        self._fill_table()
+        return self._table.setdefault(kind, self._to_process)
+
+    def _to_process(self, src: int, message: Any) -> None:
+        self._on_ball(message)
 
     # ------------------------------------------------------------------
     # EpTO surface
@@ -393,12 +440,16 @@ def build_pss(
             half the view, the original paper's recommendation).
     """
     if kind == "uniform":
+        from .pss.uniform import UniformViewPss
+
         return UniformViewPss(node_id, directory, rng)
 
     def send(dst: int, message: Any) -> None:
         fabric.send(node_id, dst, message)
 
     if kind == "cyclon":
+        from .pss.cyclon import CyclonPss
+
         size = view_size or 2 * fanout
         pss: Any = CyclonPss(
             node_id=node_id,
@@ -408,6 +459,8 @@ def build_pss(
             rng=rng,
         )
     elif kind == "hyparview":
+        from .pss.hyparview import HyParViewPss
+
         active = max(fanout + 1, view_size or 0)
         size = 4 * active
         pss = HyParViewPss(
@@ -418,6 +471,8 @@ def build_pss(
             rng=rng,
         )
     elif kind == "brahms":
+        from .pss.brahms import BrahmsPss
+
         size = view_size or 2 * fanout
         pss = BrahmsPss(node_id=node_id, view_size=size, send=send, rng=rng)
     else:

@@ -26,25 +26,15 @@ the behaviour that motivates self-stabilizing total-order broadcast
 See docs/STORAGE.md for the on-disk format and recovery protocol.
 """
 
-from .journal import DeliveryJournal, JournalStats
-from .log import FSYNC_POLICIES, DeliveryLog, LogReadReport, LogStats
-from .records import BroadcastMarker, DeliveryRecord, LogRecord
-from .recovery import LOG_SUBDIR, RecoveredState, recover
-from .snapshot import Snapshot, SnapshotStore
+from .. import _lazy_exports
 
-__all__ = [
-    "BroadcastMarker",
-    "DeliveryJournal",
-    "DeliveryLog",
-    "DeliveryRecord",
-    "FSYNC_POLICIES",
-    "JournalStats",
-    "LOG_SUBDIR",
-    "LogReadReport",
-    "LogRecord",
-    "LogStats",
-    "RecoveredState",
-    "Snapshot",
-    "SnapshotStore",
-    "recover",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    globals(),
+    {
+        ".journal": ("DeliveryJournal", "JournalStats"),
+        ".log": ("FSYNC_POLICIES", "DeliveryLog", "LogReadReport", "LogStats"),
+        ".records": ("BroadcastMarker", "DeliveryRecord", "LogRecord"),
+        ".recovery": ("LOG_SUBDIR", "RecoveredState", "recover"),
+        ".snapshot": ("Snapshot", "SnapshotStore"),
+    },
+)

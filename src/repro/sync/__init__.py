@@ -9,32 +9,17 @@ window converges to the survivors' delivery sequence instead of
 diverging forever. See docs/SYNC.md.
 """
 
-from .config import SyncConfig
-from .manager import SyncManager, SyncStats, epto_chunk_applier
-from .protocol import (
-    SYNC_MESSAGE_TYPES,
-    DeliveryDigest,
-    SyncChunk,
-    SyncDigest,
-    SyncRequest,
-    canonical_event_bytes,
-    event_wire_cost,
-    events_checksum,
-    freeze_watermarks,
-)
+from .. import _lazy_exports
 
-__all__ = [
-    "SyncConfig",
-    "SyncManager",
-    "SyncStats",
-    "epto_chunk_applier",
-    "DeliveryDigest",
-    "SyncDigest",
-    "SyncRequest",
-    "SyncChunk",
-    "SYNC_MESSAGE_TYPES",
-    "canonical_event_bytes",
-    "events_checksum",
-    "event_wire_cost",
-    "freeze_watermarks",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    globals(),
+    {
+        ".config": ("SyncConfig",),
+        ".manager": ("SyncManager", "SyncStats", "epto_chunk_applier"),
+        ".protocol": (
+            "SYNC_MESSAGE_TYPES", "DeliveryDigest", "SyncChunk", "SyncDigest",
+            "SyncRequest", "canonical_event_bytes", "event_wire_cost",
+            "events_checksum", "freeze_watermarks",
+        ),
+    },
+)

@@ -1,22 +1,14 @@
 """Workload generators driving the evaluation experiments."""
 
-from .broadcast import (
-    FixedCountWorkload,
-    PayloadFactory,
-    PoissonWorkload,
-    ProbabilisticWorkload,
-    WorkloadStats,
-    broadcast_burst,
-)
-from .replay import ReplayStats, TraceReplayWorkload
+from .. import _lazy_exports
 
-__all__ = [
-    "FixedCountWorkload",
-    "PayloadFactory",
-    "PoissonWorkload",
-    "ProbabilisticWorkload",
-    "ReplayStats",
-    "TraceReplayWorkload",
-    "WorkloadStats",
-    "broadcast_burst",
-]
+__getattr__, __dir__, __all__ = _lazy_exports(
+    globals(),
+    {
+        ".broadcast": (
+            "FixedCountWorkload", "PayloadFactory", "PoissonWorkload",
+            "ProbabilisticWorkload", "WorkloadStats", "broadcast_burst",
+        ),
+        ".replay": ("ReplayStats", "TraceReplayWorkload"),
+    },
+)
