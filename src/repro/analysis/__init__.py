@@ -1,5 +1,6 @@
-"""Analytic machinery: hole-probability bounds, balls-in-bins math,
-and the timing/profiling helpers behind ``benchmarks/perf``."""
+"""Analytic machinery: hole-probability bounds and their empirical
+estimates, balls-in-bins math, the latency/reliability trade-off, and
+the flat-vs-object differential harness."""
 
 from .. import _lazy_exports
 
@@ -18,9 +19,6 @@ __getattr__, __dir__, __all__ = _lazy_exports(
         ".tradeoffs": (
             "TradeoffPoint", "latency_saving", "rounds_for_coverage",
             "rounds_for_stability", "tradeoff_curve",
-        ),
-        ".profiling": (
-            "Timing", "profile_callable", "speedup", "time_callable",
         ),
         ".differential": (
             "DifferentialScenario", "EngineRun", "assert_engines_equivalent",

@@ -291,7 +291,9 @@ class SyncManager:
 
     def _send_request(self, session: _PullSession) -> None:
         session.req_id = self._next_req_id
-        self._next_req_id += 1
+        # Wraps where the wire's u32 field does, so a chunk's echoed id
+        # still matches after the 2**32-th request.
+        self._next_req_id = (self._next_req_id + 1) & 0xFFFFFFFF
         session.rounds_waiting = 0
         self.stats.requests_sent += 1
         self._send(

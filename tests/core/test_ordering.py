@@ -56,6 +56,16 @@ class TestAgingAndStability:
             component.order_events(EMPTY)
         assert len(delivered) == 1
 
+    def test_a_full_ball_ages_whole_then_delivers_in_one_burst(self):
+        component, delivered, _ = build(ttl=2)
+        component.order_events(Ball.of([entry(src=i, ts=i) for i in range(200)]))
+        for _ in range(2):
+            component.order_events(EMPTY)
+            assert component.received_count == 200 and delivered == []
+        component.order_events(EMPTY)
+        assert len(delivered) == component.stats.delivered == 200
+        assert component.received_count == 0
+
 
 class TestTotalOrderGuards:
     def test_delivery_in_key_order(self):

@@ -124,6 +124,7 @@ class TestShuffleSemantics:
             node.shuffle()
         assert all(n.shuffles_started == 1 for n in fabric.nodes.values())
         assert sum(n.shuffles_answered for n in fabric.nodes.values()) == 4
+        assert all(n.view_fill > 0 for n in fabric.nodes.values())
 
     def test_empty_view_shuffle_is_noop(self):
         fabric = Fabric()

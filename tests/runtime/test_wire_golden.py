@@ -119,3 +119,5 @@ def test_encode_is_byte_identical_to_the_pinned_datagram(kind):
     assert wire[3] == kind
     assert (len(wire), hashlib.sha256(wire).hexdigest()) == GOLDEN[kind], wire.hex()
     assert codec.decode(wire) == (7, SAMPLES[kind])
+    # The pooled path every UDP send takes writes the same bytes.
+    assert bytes(codec.encode_into(7, SAMPLES[kind], bytearray(b"stale"))) == wire

@@ -7,9 +7,11 @@ runs the *same* seeded scenario on both engines via
 delivery sequences, identical global (node, event, tick) delivery logs
 and identical network counters.
 
-The explicit matrix below covers 45 seeded scenarios across clocks,
-round phases, latency models, loss/duplication, churn, and five fault
-schedules (including crash/respawn under both recovery modes).  CI can
+The explicit matrix below covers 46 seeded scenarios across clocks,
+round phases, latency models, loss/duplication, churn, five fault
+schedules (including crash/respawn under both recovery modes) and one
+256-node run at the paper's fan-out, where every node must also
+deliver every event in one order.  CI can
 trim the per-group seed count with ``EPTO_DIFF_SEEDS=<k>`` (the
 ``flat-equivalence`` job runs with ``EPTO_DIFF_SEEDS=2``); locally the
 full matrix runs by default.  A hypothesis test then samples the
@@ -29,6 +31,7 @@ from repro.analysis.differential import (
     DifferentialScenario,
     assert_engines_equivalent,
     run_differential,
+    run_flat_engine,
 )
 
 
@@ -40,8 +43,16 @@ def _seeds(count: int, base: int) -> range:
     return range(base, base + count)
 
 
+#: 256 nodes, K=8, TTL=12, one-tick links, no drift: about eight
+#: broadcasts in rounds 1-4, delivered everywhere well inside 30 rounds.
+PAPER_FANOUT = dict(
+    n=256, fanout=8, ttl=12, drift_fraction=0.0, latency=("fixed", 1),
+    broadcast_rate=0.008, broadcast_rounds=4, run_rounds=30,
+)
+
+
 def _matrix() -> list:
-    """45 scenarios: (group, overrides) x seeds, ids stable across runs."""
+    """46 scenarios: (group, overrides) x seeds, ids stable across runs."""
     groups = [
         # name, seed count, seed base, scenario overrides
         ("baseline", 8, 100, {}),
@@ -81,6 +92,7 @@ def _matrix() -> list:
             1300,
             {"faults": "mixed", "churn_rate": 0.015, "loss_rate": 0.02},
         ),
+        ("paper-fanout-n256", 1, 1400, PAPER_FANOUT),
     ]
     cases = []
     for name, count, base, overrides in groups:
@@ -93,6 +105,14 @@ def _matrix() -> list:
 @pytest.mark.parametrize("scenario", _matrix())
 def test_engines_bit_identical(scenario: DifferentialScenario) -> None:
     assert_engines_equivalent(scenario)
+
+
+def test_paper_fanout_run_delivers_every_event_everywhere() -> None:
+    run = run_flat_engine(DifferentialScenario(seed=1400, **PAPER_FANOUT))
+    assert run.broadcasts > 0
+    assert len(run.sequences) == PAPER_FANOUT["n"]
+    assert {len(seq) for seq in run.sequences.values()} == {run.broadcasts}
+    assert len(set(run.sequences.values())) == 1
 
 
 def test_full_matrix_spans_required_coverage() -> None:

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core.event import Event
 from repro.smr.machine import KeyValueStore
 from repro.storage.journal import DeliveryJournal
+from repro.storage.log import FSYNC_POLICIES
 from repro.storage.recovery import recover
 
 
@@ -93,3 +96,24 @@ class TestCheckpointing:
         assert second.record_delivery(event(4, 1, 1, ["put", "k3", 2]))
         assert second.applied_count == 5
         second.close()
+
+
+@pytest.mark.parametrize("policy", [p for p in FSYNC_POLICIES if p != "never"])
+def test_fsync_policy_changes_nothing_the_journal_holds(tmp_path, policy):
+    """A policy decides when bytes reach the disk, never which: the same
+    400 deliveries, rotating every 2 kB, leave the same counters and the
+    same segment files under every policy."""
+
+    def contents(fsync):
+        journal = DeliveryJournal(tmp_path / fsync, fsync=fsync, segment_max_bytes=2048)
+        for i in range(400):
+            journal.record_delivery(event(i, i % 8, i // 8, {"n": i}))
+        journal.close()
+        log = journal.log
+        stats = (journal.stats.recorded, log.stats.appended, log.stats.segments_created)
+        files = [(path.name, path.read_bytes()) for path in log.segments()]
+        return stats, files
+
+    (recorded, appended, segments), files = contents(policy)
+    assert ((recorded, appended, segments), files) == contents("never")
+    assert recorded == appended == 400 and segments > 1

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 
 from repro.core.event import Event
+from repro.runtime import codec
 from repro.storage.journal import DeliveryJournal
 from repro.sync.config import SyncConfig
 from repro.sync.manager import SyncManager
@@ -286,6 +287,27 @@ class TestCorruptionAndStaleness:
         assert a.on_message(1, bogus) is True
         assert a.stats.stale_chunks == 1
         assert a.journal.last_delivered_key is None
+
+    def test_request_ids_wrap_with_the_wire_field(self, tmp_path):
+        """The codec carries a request id as a u32, so the requester's
+        counter wraps with it: past ``0xFFFFFFFF`` an unbounded counter
+        would read every echoed chunk as stale and never catch up."""
+        router = Router()
+        router.transform = lambda src, dst, message: codec.decode(
+            codec.encode(src, message)
+        )[1]
+        config = dataclasses.replace(FAST, chunk_max_events=2)
+        a = router.node(tmp_path, 0, [1], config=config)
+        router.node(tmp_path, 1, [0], config=config, events=EVENTS)
+        a._next_req_id = 0xFFFFFFFF
+
+        a.kick()
+        a.on_round()
+
+        assert a.caught_up
+        assert a.stats.requests_sent == 3  # ids 0xFFFFFFFF, 0, 1
+        assert a.stats.stale_chunks == 0
+        assert a.stats.events_repaired == len(EVENTS)
 
     def test_non_sync_message_falls_through(self, tmp_path):
         router = Router()

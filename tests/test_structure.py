@@ -6,8 +6,8 @@ its formatting. A host that grows its own copy of the node wiring (a
 fourth constructor of the process, a second dispatch chain, another
 recover-and-reopen) or of the fault interpreter fails here, and so does
 a second shape of ball, a ball found by testing for a tuple, or the
-return of a bench driver or byte estimate the end-to-end benchmark
-replaced.
+return of a bench driver, byte estimate or second performance harness
+the end-to-end benchmark replaced.
 """
 
 from __future__ import annotations
@@ -239,6 +239,18 @@ def test_what_the_e2e_benchmark_measures_stays_deleted():
     assert modules_where(mentions("records_nbytes")) == set()
     for class_name, deleted in DELETED_FIELDS.items():
         assert fields_of(class_name) & deleted == set(), class_name
+
+
+#: ``benchmarks/e2e`` is the one performance harness: the micro-harness,
+#: the results file it committed and its timing helpers stay deleted.
+REPO = SRC.parents[1]
+RETIRED_HARNESS = ("benchmarks/perf", "BENCH_core.json")
+
+
+def test_the_second_performance_surface_stays_deleted():
+    assert [path for path in RETIRED_HARNESS if (REPO / path).exists()] == []
+    assert "analysis/profiling.py" not in MODULES
+    assert modules_where(mentions("time_callable", "profile_callable")) == set()
 
 
 def test_every_ball_entry_is_written_on_the_event_record():
