@@ -108,6 +108,11 @@ class DisseminationComponent:
         # map can be tested against them in C.
         self._next_events: dict[EventId, Event] = {}
         self._next_ttls: dict[EventId, int] = {}
+        # The live maps of the shared balls merged into nextBall since it
+        # was last handed over, by id: nextBall already holds each of
+        # their entries at that TTL or above, so a copy of one of them
+        # teaches nothing.
+        self._absorbed: dict[int, dict[EventId, int]] = {}
         # Only logical clocks react to update_clock; skip the per-entry
         # call entirely for global clocks (hot path at scale).
         self._clock_needs_updates = config.clock == "logical"
@@ -165,10 +170,14 @@ class DisseminationComponent:
 
         * A round's ball handed to several receivers (the simulator, the
           in-memory asyncio network) is split by this node's TTL bound
-          once per bound for all of them; then — unless every live entry
-          is already pending here *at that very TTL*, which one C-level
-          dict-view subset test says — its live map is max-merged in
-          ball order.
+          once per bound for all of them; then its live map is
+          max-merged in ball order, unless the copy teaches nothing,
+          which costs no pass in Python to tell: the live map is one
+          merged here since the last round (the same object: a fabric
+          may hand equal balls of several senders over as one, see
+          :meth:`repro.sim.network.SimNetwork.send_many`), or it equals
+          the pending map, or it is part of it at the very same TTLs
+          (C-level dict comparisons).
         * A ball with one receiver (a wire ball, decoded) is max-merged
           in one pass that drops the entries at or past the bound as it
           goes: a split of its own would cost what the merge does.
@@ -183,17 +192,23 @@ class DisseminationComponent:
             self._merge(ttls, ball.events, bound)
         else:
             live, expired = splits.get(bound) or ball.split(bound)
-            stats.entries_expired += expired
-            next_ttls = self._next_ttls
-            if live.items() <= next_ttls.items():
-                pass  # teaches nothing
-            elif next_ttls or expired:
-                self._merge(live, ball.events, bound)
-            else:
-                # Nothing pending and nothing dropped: the maps are the
-                # merge, in C.
-                next_ttls.update(live)
-                self._next_events.update(ball.events)
+            if expired:
+                stats.entries_expired += expired
+            absorbed = self._absorbed
+            if absorbed.get(id(live)) is not live:
+                next_ttls = self._next_ttls
+                if live == next_ttls or (
+                    len(live) < len(next_ttls) and next_ttls | live == next_ttls
+                ):
+                    pass  # teaches nothing
+                elif next_ttls or expired:
+                    self._merge(live, ball.events, bound)
+                else:
+                    # Nothing pending and nothing dropped: the maps are
+                    # the merge, in C.
+                    next_ttls.update(live)
+                    self._next_events.update(ball.events)
+                absorbed[id(live)] = live
         if self._clock_needs_updates and ttls:
             self.oracle.update_clock(ball.max_ts)
 
@@ -239,16 +254,20 @@ class DisseminationComponent:
         self.stats.rounds += 1
         events, next_ttls = self._next_events, self._next_ttls
         self._next_events, self._next_ttls = {}, {}
+        self._absorbed.clear()
         if next_ttls:
             # Age + snapshot fused: nextBall lives exactly one round, so
             # ``ttl + 1`` lands directly in the round's map.
             ttls = {event_id: ttl + 1 for event_id, ttl in next_ttls.items()}
-            ball = Ball(events, ttls, shared=True)
             bound = self.config.ttl
             # nextBall holds TTLs below the bound, so only entries aged
             # from ``bound - 1`` can have reached it: one C-level scan
             # says whether there is anything to cut.
-            shipped = self._cut(ball, bound) if bound in ttls.values() else ball
+            if bound in ttls.values():
+                ball = Ball(events, ttls)
+                shipped = self._cut(ball, bound)
+            else:
+                ball = shipped = Ball(events, ttls, shared=True)
             peers = self.peer_sampler.sample(self.config.fanout)
             if self._send_many is not None:
                 self._send_many(self.node_id, peers, shipped)
@@ -257,7 +276,7 @@ class DisseminationComponent:
                     self.transport.send(self.node_id, peer, shipped)
             fan = len(peers)
             self.stats.balls_sent += fan
-            self.stats.entries_relayed += len(shipped) * fan
+            self.stats.entries_relayed += len(shipped.ttls) * fan
         else:
             ball = Ball(events, next_ttls)  # both empty
         # Refinement: order/age every round, not only on non-empty
@@ -276,8 +295,13 @@ class DisseminationComponent:
         the whole ball.
         """
         ttls, events = ball.ttls, ball.events
-        live = {event_id: ttl for event_id, ttl in ttls.items() if ttl < bound}
-        kept = {event_id: events[event_id] for event_id in live}
+        # Few entries reach the bound in a round (those aged from
+        # ``bound - 1``): delete them from copies of the two maps, which
+        # keeps the ball order, instead of rebuilding both.
+        live, kept = ttls.copy(), events.copy()
+        for event_id, ttl in ttls.items():
+            if ttl >= bound:
+                del live[event_id], kept[event_id]
         if self._clock_needs_updates:
             top = max(map(_TS, events.values()))
             # Usually a kept entry holds it: expired entries are the

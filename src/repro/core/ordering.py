@@ -120,6 +120,9 @@ class OrderingComponent:
         self.stats = OrderingStats()
         # received: known but not yet delivered events (lazy TTLs).
         self._received: dict[EventId, EventRecord] = {}
+        # Each pending record's birth round, ``received_round - ttl``
+        # (same keys as ``_received``; see :meth:`_merge_ball`).
+        self._births: dict[EventId, int] = {}
         # Frontier: round -> ids predicted to become deliverable then.
         self._frontier: dict[int, List[EventId]] = {}
         # Min-heap of (order_key, id) over records not yet deliverable.
@@ -134,6 +137,14 @@ class OrderingComponent:
         self._delivered_ids: set[EventId] = set()
         self._delivered_expiry: Deque[tuple[int, EventId]] = deque()
         self._last_delivered_key: OrderKey = _MINUS_INFINITY_KEY
+        # Whether the order mark may have passed a pending record, so
+        # copies of pending events must go through the delivered and
+        # late guards (see :meth:`_merge_ball`): after an external
+        # delivery, until discard_obsolete_pending; and for good once
+        # the oracle refused a record stable on arrival, which no heap
+        # orders.
+        self._mark_passed_pending = False
+        self._refused_stable = False
         # Tagged-delivery dedup (§8.2): remember recently tagged ids so
         # further copies of the same late event are not re-tagged. A
         # copy can only keep arriving while the event is still being
@@ -190,14 +201,15 @@ class OrderingComponent:
         """
         self.stats.rounds += 1
         now = self.stats.rounds
-        self._expire_tagged()
+        if self._tagged_expiry:
+            self._expire_tagged()
         self._prune_delivered()
 
         # Lines 6-7 (lazy form): previously received events age by
         # derivation — no per-record sweep happens here.
 
         # Lines 8-14: merge the ball into `received`.
-        if ball:
+        if ball.ttls:
             self._merge_ball(ball, now)
 
         # Promote records whose deliverability round arrived.
@@ -218,52 +230,69 @@ class OrderingComponent:
         """Merge one round's ball into ``received`` (lines 8-14).
 
         The record arithmetic of :class:`EventRecord` is spelled out
-        inline: a known record is rebased to *now* (``ttl_at``) and
-        max-merged with the copy's TTL. Its due round ``now + TTL - ttl
-        + 1`` moves earlier exactly when the merged TTL exceeds the aged
-        one. Nothing here delivers, so the order mark is read once.
+        inline, over the birth rounds: a known record's TTL at *now*
+        (``ttl_at``) is ``now - born``, so a copy raises it exactly when
+        it was born later, ``now - ttl < born``. Only then does the
+        record change, and its due round ``now + TTL - ttl + 1`` move
+        earlier; any other copy of a known event costs one lookup.
+        Nothing here delivers, so the order mark is read once.
+
+        A pending record is neither delivered nor at or below the order
+        mark: :meth:`_deliver_ready` delivers in key order below every
+        queued key, and a copy at or below the mark is never admitted.
+        So a copy of a pending event skips both guards. Two things break
+        that: :meth:`deliver_external` advancing the mark past pending
+        records, until :meth:`discard_obsolete_pending` drops them; and
+        a custom oracle refusing a record stable on arrival, which is
+        then in neither heap, so the mark may pass it. Copies are
+        guarded again from then on.
         """
         received = self._received
+        births = self._births
         delivered_ids = self._delivered_ids
         ready_ids = self._ready_ids
         frontier = self._frontier
+        events = ball.events
         ttl_bound = self.oracle.ttl
         last_key = self._last_delivered_key
-        for event, ttl in zip(ball.events.values(), ball.ttls.values()):
-            event_id = event.id
-            if event_id in delivered_ids:
-                self.stats.discarded_duplicates += 1
-                continue
-            key = (event.ts, event.source_id, event_id[1])
-            if key <= last_key:
-                # Delivering now would violate total order (line 9).
-                self._handle_late_event(event)
-                continue
-            record = received.get(event_id)
-            if record is not None:
-                aged = record.ttl + now - record.received_round
-                record.received_round = now
-                if ttl > aged:
-                    record.ttl = ttl
-                    if event_id not in ready_ids:
-                        # The merged copy aged further elsewhere: the
-                        # record becomes deliverable earlier than first
-                        # scheduled. The old bucket entry goes stale and
-                        # is skipped. (A ready record is deliverable
-                        # already; a larger TTL changes nothing.)
-                        due = now + ttl_bound - ttl + 1
-                        frontier.setdefault(max(due, now), []).append(event_id)
-                else:
-                    record.ttl = aged
-            else:
+        guarded = self._mark_passed_pending or self._refused_stable
+        for event_id, ttl in ball.ttls.items():
+            born = births.get(event_id)
+            if born is None or guarded:
+                event = events[event_id]
+                if event_id in delivered_ids:
+                    self.stats.discarded_duplicates += 1
+                    continue
+                key = (event.ts, event.source_id, event_id[1])
+                if key <= last_key:
+                    # Delivering now would violate total order (line 9).
+                    self._handle_late_event(event)
+                    continue
+            if born is None:
                 received[event_id] = EventRecord(event, ttl, now)
+                births[event_id] = now - ttl
                 due = now + ttl_bound - ttl + 1
                 if due <= now:
                     # Stable on arrival (relayed past the TTL already).
                     self._promote([event_id], now)
+                    if event_id not in ready_ids:
+                        self._refused_stable = True
                 else:
                     frontier.setdefault(due, []).append(event_id)
                     heapq.heappush(self._queued_heap, (key, event_id))
+            elif now - ttl < born:
+                # The copy aged further elsewhere: the record becomes
+                # deliverable earlier than first scheduled. The old
+                # bucket entry goes stale and is skipped. (A ready
+                # record is deliverable already; a larger TTL changes
+                # nothing.)
+                record = received[event_id]
+                record.ttl = ttl
+                record.received_round = now
+                births[event_id] = now - ttl
+                if event_id not in ready_ids:
+                    due = now + ttl_bound - ttl + 1
+                    frontier.setdefault(max(due, now), []).append(event_id)
 
     def _promote(self, bucket: List[EventId], now: int) -> None:
         """Move newly deliverable ids from queued to ready."""
@@ -320,9 +349,10 @@ class OrderingComponent:
                 break
             heapq.heappop(ready_heap)
             record = received.pop(event_id)
+            self._births.pop(event_id, None)
             self._ready_ids.discard(event_id)
             event = record.event
-            if event.order_key <= self._last_delivered_key:
+            if key <= self._last_delivered_key:
                 # An external delivery advanced the order mark past this
                 # record while it sat ready; in-order delivery is no
                 # longer possible, so it takes the late-event path.
@@ -362,8 +392,11 @@ class OrderingComponent:
         # deliver it a second time; its queued/ready heap entries go
         # stale and are skipped by the lazy-deletion scans.
         if self._received.pop(event_id, None) is not None:
+            self._births.pop(event_id, None)
             self._ready_ids.discard(event_id)
         self._mark_delivered(event)
+        if self._received:
+            self._mark_passed_pending = True
         self.deliver(event)
         self.stats.delivered += 1
         return True
@@ -388,8 +421,10 @@ class OrderingComponent:
         ]
         for event_id in stale:
             record = self._received.pop(event_id)
+            self._births.pop(event_id, None)
             self._ready_ids.discard(event_id)
             self._handle_late_event(record.event)
+        self._mark_passed_pending = False
         return len(stale)
 
     def _handle_late_event(self, event: Event) -> None:

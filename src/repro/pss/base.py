@@ -101,14 +101,14 @@ class MembershipDirectory:
             nbits = size.bit_length()
             chosen: list[int] = []
             seen: set[int] = set() if exclude is None else {exclude}
-            while len(chosen) < k:
+            while k:
                 r = getrandbits(nbits)
-                while r >= size:
-                    r = getrandbits(nbits)
-                candidate = population[r]
-                if candidate not in seen:
-                    seen.add(candidate)
-                    chosen.append(candidate)
+                if r < size:
+                    candidate = population[r]
+                    if candidate not in seen:
+                        seen.add(candidate)
+                        chosen.append(candidate)
+                        k -= 1
             return chosen
         # Dense request (k close to the population size): shuffle every
         # candidate, as ``Random.shuffle`` does, and keep the first k.

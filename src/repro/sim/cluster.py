@@ -315,7 +315,7 @@ class SimCluster:
         if sync_manager is not None:
             self.sync_managers[node_id] = sync_manager
 
-        self.network.register(node_id, stack.handle_message)
+        self.network.register(node_id, stack.handle_message, stack.on_ball)
         self.directory.add(node_id)
         self.collector.record_node_added(node_id, self.sim.now())
 

@@ -4,8 +4,8 @@ The paper's evaluation uses "a realistic discrete simulator [...] using
 a priority queue and a monotonically increasing integer to represent
 the passage of time, i.e., a tick". This module is that engine:
 
-* time is an integer tick counter, advanced only by popping the next
-  scheduled action off a heap;
+* time is an integer tick counter, advanced only by running the next
+  scheduled action off the calendar;
 * ties are broken by insertion order, so a run is a pure function of
   ``(seed, configuration)`` — no wall-clock, no hash-order dependence;
 * every piece of randomness in a simulation flows through
@@ -15,10 +15,9 @@ the passage of time, i.e., a tick". This module is that engine:
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import random
-from typing import Callable, List
+from heapq import heappop, heappush
+from typing import Callable, Dict, List
 
 from ..core.errors import SimulationError
 
@@ -26,38 +25,43 @@ from ..core.errors import SimulationError
 Action = Callable[[], None]
 
 
-#: Heap entry ``[time, seq, action]``, exposed only through
-#: :class:`Handle`. A plain list, so ``heapq`` compares entries in C;
-#: ``seq`` is unique, so a comparison never reaches the action. Slot 2
-#: is ``None`` once the action was cancelled or has run.
-_Entry = list
-
-
 class Handle:
-    """Cancellation handle returned by :meth:`Simulator.schedule`."""
+    """Cancellation handle returned by :meth:`Simulator.schedule`.
 
-    __slots__ = ("_entry",)
+    It is also the calendar's entry for the action: the simulator keeps
+    the handle itself in the bucket of its tick.
+    """
 
-    def __init__(self, entry: _Entry) -> None:
-        self._entry = entry
+    __slots__ = ("_action", "_time")
+
+    def __init__(self, action: Action | None, time: int) -> None:
+        #: The action, or ``None`` once it was cancelled or has run.
+        self._action = action
+        self._time = time
 
     def cancel(self) -> None:
         """Prevent the action from running (idempotent)."""
-        self._entry[2] = None
+        self._action = None
 
     @property
     def cancelled(self) -> bool:
         """Whether the action was cancelled or already executed."""
-        return self._entry[2] is None
+        return self._action is None
 
     @property
     def time(self) -> int:
         """Tick at which the action is (was) due."""
-        return self._entry[0]
+        return self._time
 
 
 class Simulator:
-    """Priority-queue discrete-event simulator with integer ticks.
+    """Discrete-event simulator with integer ticks.
+
+    The queue is a calendar: ``{tick: [Handle, ...]}`` plus a min-heap
+    of the ticks that hold a bucket. A bucket keeps its actions in the
+    order they were scheduled, which is the ``(time, insertion order)``
+    order a heap of ``(time, seq)`` entries pops them in, so one heap
+    operation serves a whole tick rather than one per action.
 
     Args:
         seed: Seed for the simulation-wide random generator. Two
@@ -76,9 +80,9 @@ class Simulator:
     def __init__(self, seed: int = 0) -> None:
         self.rng = random.Random(seed)
         self._seed = seed
-        self._queue: List[_Entry] = []
+        self._calendar: Dict[int, List[Handle]] = {}
+        self._ticks: List[int] = []
         self._time = 0
-        self._seq = itertools.count()
         self._executed = 0
         self._running = False
 
@@ -116,9 +120,15 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at {time}, current time is {self._time}"
             )
-        entry = [int(time), next(self._seq), action]
-        heapq.heappush(self._queue, entry)
-        return Handle(entry)
+        time = int(time)
+        handle = Handle(action, time)
+        bucket = self._calendar.get(time)
+        if bucket is None:
+            self._calendar[time] = [handle]
+            heappush(self._ticks, time)
+        else:
+            bucket.append(handle)
+        return handle
 
     # ------------------------------------------------------------------
     # Execution
@@ -127,7 +137,7 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of scheduled (possibly cancelled) future actions."""
-        return len(self._queue)
+        return sum(map(len, self._calendar.values()))
 
     @property
     def executed(self) -> int:
@@ -140,8 +150,16 @@ class Simulator:
         Returns:
             ``True`` if an action ran, ``False`` if the queue is empty.
             Cancelled entries are skipped transparently.
+
+        Like :meth:`run`, not from inside an action.
         """
-        return self._fire(None, 1) == 1
+        if self._running:
+            raise SimulationError("step() is not reentrant")
+        self._running = True
+        try:
+            return self._fire(None, 1) == 1
+        finally:
+            self._running = False
 
     def run(self, until: int | None = None, max_events: int | None = None) -> None:
         """Drain the queue, optionally bounded in time or event count.
@@ -158,14 +176,10 @@ class Simulator:
             raise SimulationError("run() is not reentrant")
         self._running = True
         try:
-            if self._fire(until, max_events) == max_events:
-                queue = self._queue
-                while queue and queue[0][2] is None:
-                    heapq.heappop(queue)  # cancelled
-                if queue and (until is None or queue[0][0] <= until):
-                    raise SimulationError(
-                        f"exceeded max_events={max_events} at tick {self._time}"
-                    )
+            if self._fire(until, max_events) == max_events and self._due(until):
+                raise SimulationError(
+                    f"exceeded max_events={max_events} at tick {self._time}"
+                )
             if until is not None and self._time < until:
                 self._time = until
         finally:
@@ -178,25 +192,63 @@ class Simulator:
         dropped. Returns how many actions ran.
 
         The one pop-and-fire loop behind :meth:`step` and :meth:`run`.
+        A bucket stays in the calendar while it runs, so an action
+        scheduled at the current tick is appended to it — after the
+        tick's remaining actions, where its insertion order puts it —
+        and the index loop reaches it.
         """
-        queue = self._queue
-        heappop = heapq.heappop
+        calendar, ticks = self._calendar, self._ticks
         fired = 0
-        while queue and fired != limit:
-            entry = queue[0]
-            action = entry[2]
-            if action is None:
-                heappop(queue)  # cancelled
-                continue
-            if until is not None and entry[0] > until:
-                break
-            heappop(queue)
-            self._time = entry[0]
-            entry[2] = None
-            self._executed += 1
-            action()
-            fired += 1
-        return fired
+        bucket: List[Handle] = []
+        index = 0
+        try:
+            while ticks:
+                time = ticks[0]
+                if until is not None and time > until:
+                    break
+                bucket = calendar[time]
+                index = 0
+                while index < len(bucket):
+                    handle = bucket[index]
+                    action = handle._action
+                    if action is None:
+                        index += 1  # cancelled
+                        continue
+                    if fired == limit:
+                        return fired
+                    index += 1
+                    self._time = time
+                    handle._action = None
+                    self._executed += 1
+                    action()
+                    fired += 1
+                heappop(ticks)
+                del calendar[time]
+                index = 0
+            return fired
+        finally:
+            # A tick left early (the limit, a raising action) keeps what
+            # it has not reached.
+            del bucket[:index]
+
+    def _due(self, until: int | None) -> bool:
+        """Whether an action that was not cancelled is due at or before
+        *until* (at all when ``None``). Cancelled entries met on the way
+        are dropped."""
+        calendar, ticks = self._calendar, self._ticks
+        while ticks:
+            time = ticks[0]
+            bucket = calendar[time]
+            live = next(
+                (i for i, handle in enumerate(bucket) if handle._action is not None),
+                None,
+            )
+            if live is not None:
+                del bucket[:live]
+                return until is None or time <= until
+            heappop(ticks)
+            del calendar[time]
+        return False
 
     def run_for(self, ticks: int) -> None:
         """Advance the simulation by *ticks* from the current time."""
@@ -204,7 +256,7 @@ class Simulator:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"Simulator(t={self._time}, pending={len(self._queue)}, "
+            f"Simulator(t={self._time}, pending={self.pending}, "
             f"executed={self._executed})"
         )
 
@@ -237,15 +289,17 @@ class PeriodicTask:
         self._action = action
         self._period_source = period_source
         self._stopped = False
-        self._handle = sim.schedule(initial_delay, self._fire)
+        self._handle = sim.schedule(initial_delay, self)
 
-    def _fire(self) -> None:
+    def __call__(self) -> None:
+        """One period. The task is its own scheduled action, so a period
+        allocates no bound method."""
         if self._stopped:
             return
         self._action()
         if not self._stopped:
             period = max(1, int(self._period_source()))
-            self._handle = self._sim.schedule(period, self._fire)
+            self._handle = self._sim.schedule(period, self)
 
     def stop(self) -> None:
         """Stop the task permanently (idempotent)."""

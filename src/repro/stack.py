@@ -177,7 +177,7 @@ class NodeStack:
         "journal",
         "process",
         "sync_manager",
-        "_on_ball",
+        "on_ball",
         "_table",
         "_hold_rounds",
         "_held_for",
@@ -249,7 +249,16 @@ class NodeStack:
                 apply_events=epto_chunk_applier(self.process),
                 config=sync,
             )
-        self._on_ball = self.process.on_ball
+        #: The ball inbox: where :meth:`handle_message` sends a ball. A
+        #: fabric that tells balls apart itself may call it directly.
+        #: An EpTO process's is its dissemination component's
+        #: ``receive_ball``, which is all its ``on_ball`` calls.
+        process = self.process
+        self.on_ball: Callable[[Ball], None] = (
+            process.dissemination.receive_ball
+            if type(process) is EpToProcess
+            else process.on_ball
+        )
         self._table: Dict[type, Callable[[int, Any], None]] = {}
         self._fill_table()
         self._hold_rounds: Optional[float] = None
@@ -269,7 +278,7 @@ class NodeStack:
         ball.
         """
         if type(message) is Ball:
-            self._on_ball(message)
+            self.on_ball(message)
         else:
             handler = self._table.get(type(message)) or self._route(type(message))
             handler(src, message)
@@ -291,7 +300,7 @@ class NodeStack:
         return self._table.setdefault(kind, self._to_process)
 
     def _to_process(self, src: int, message: Any) -> None:
-        self._on_ball(message)
+        self.on_ball(message)
 
     # ------------------------------------------------------------------
     # EpTO surface

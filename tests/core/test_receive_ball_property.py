@@ -1,22 +1,26 @@
 """``receive_ball``'s map merge against a plain Algorithm 1 merge.
 
 A :class:`~repro.core.event.Ball` is merged by its maps, with one clock
-update: a round's ball shared by several receivers is skipped with one
-dict-view subset test when its live entries are all pending at its
-receiver *at the same TTL*, otherwise merged over its live map; a ball
-with one receiver is merged in one pass, without the split. Whatever
-the sequence of balls — a round's
-shared ball or a wire ball's, equal, lower, higher and expired TTLs, an
-empty pending ball, a broadcast in between, one ball shared by two
-receivers whose TTL bounds differ — the component must
-end in the state of the per-entry merge written out below: the same
-pending ``{event id: ttl}`` in the same insertion order (it is the next
-ball's entry order), the same next ball, the same logical clock and the
-same :class:`DisseminationStats`. A round hands its ordering component
-every pending entry aged, and ships them cut at its own bound (with the
-clock carrier on a logical clock); the model writes out both. Either
-node may merge what the other shipped, so a receiver whose bound
-exceeds its sender's is checked entry by entry too.
+update: a round's ball shared by several receivers is skipped when its
+live map is one the receiver merged since its last round (the same
+object) or when its live entries are all pending at the receiver *at the
+same TTL* (C-level dict comparisons), otherwise merged over its live
+map; a ball with one receiver is merged in one pass, without the split.
+Whatever the sequence of balls — a round's shared ball or a wire ball's,
+equal, lower, higher and expired TTLs, an empty pending ball, a
+broadcast in between, one ball shared by two receivers whose TTL bounds
+differ — the component must end in the state of the per-entry merge
+written out below: the same pending ``{event id: ttl}`` in the same
+insertion order (it is the next ball's entry order), the same next ball,
+the same logical clock and the same :class:`DisseminationStats`. A round
+hands its ordering component every pending entry aged, and ships them
+cut at its own bound (with the clock carrier on a logical clock); the
+model writes out both. Either node may merge what the other shipped, so
+a receiver whose bound exceeds its sender's is checked entry by entry
+too. A second property plays whole fan-out rounds: many senders' balls,
+equal, the very same object, sub- and supersets, raised and expired,
+reaching every receiver in any order, and balls of an earlier round
+arriving late.
 """
 
 from __future__ import annotations
@@ -253,6 +257,79 @@ def test_receive_ball_equals_per_entry_merge(clock, data):
         deliver(ball, to)
 
 
+#: How one sender's ball of a fan-out round relates to the round's
+#: first ball.
+VARIANTS = ["equal", "same", "subset", "superset", "raised", "expired"]
+
+
+def _variant(data, kind: str, base: List[Tuple[Event, int]], sent: List[Ball]) -> Ball:
+    if kind == "same" and sent:
+        # What a fabric that hands equal balls over as one delivers.
+        return data.draw(st.sampled_from(sent), label="which")
+    if kind == "subset":
+        size = len(base)
+        keep = data.draw(st.lists(st.booleans(), min_size=size, max_size=size))
+        return _shared([entry for entry, kept in zip(base, keep) if kept])
+    if kind == "superset":
+        known = {event.id for event, _ in base}
+        extra = data.draw(entry_lists, label="extra")
+        return _shared(base + [(e, t) for e, t in extra if e.id not in known])
+    if kind == "raised":
+        return _shared([(event, ttl + 1) for event, ttl in base])
+    if kind == "expired":
+        # At or past one receiver's bound, or both.
+        ttls = st.sampled_from(sorted(set(TTL_BOUNDS) | {max(TTL_BOUNDS) + 1}))
+        return _shared([(event, max(ttl, data.draw(ttls))) for event, ttl in base])
+    return _shared(base)  # "equal": the same entries, another object
+
+
+@settings(max_examples=300, deadline=None)
+@given(clock=st.sampled_from(["global", "logical"]), data=st.data())
+def test_fan_out_rounds_equal_per_entry_merge(clock, data):
+    """Rounds as a synchronised simulator delivers them: several
+    senders' shared balls reach every receiver in one round — equal
+    entries as distinct objects and as the very object merged before,
+    strict sub- and supersets, raised TTLs, entries at or past one
+    receiver's bound or both — in any order, with broadcasts in
+    between, and a ball of an earlier round arriving after the
+    receiver's round handed its pending ball over. Every receiver ends
+    every step in the state of the per-entry merge."""
+    now = [0]
+    nodes = [
+        _build(node_id, bound, clock, now)
+        for node_id, bound in enumerate(TTL_BOUNDS)
+    ]
+    earlier: List[Ball] = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=6), label="rounds")):
+        now[0] += 1
+        entries = data.draw(entry_lists, label="base")
+        base = list({event.id: (event, ttl) for event, ttl in entries}.values())
+        sent: List[Ball] = []
+        senders = data.draw(st.integers(min_value=1, max_value=6), label="senders")
+        for _ in range(senders):
+            kind = data.draw(st.sampled_from(VARIANTS), label="variant")
+            sent.append(_variant(data, kind, base, sent))
+        if earlier:
+            sent.append(data.draw(st.sampled_from(earlier), label="late"))
+        copies = [(ball, index) for ball in sent for index in range(len(nodes))]
+        for ball, index in data.draw(st.permutations(copies), label="order"):
+            component, _, model = nodes[index]
+            if data.draw(st.booleans(), label="broadcast first"):
+                assert component.broadcast("b") == model.broadcast("b", now[0])
+            component.receive_ball(ball)
+            model.receive(ball)
+            _agree(component, model)
+        for component, transport, model in nodes:
+            component.round_tick()
+            expected, _ = model.round()
+            _agree(component, model)
+            (whole,) = transport.ordered
+            assert list(whole.ttls.items()) == expected
+            transport.ordered.clear()
+            transport.clear()
+        earlier.extend(sent)
+
+
 class _ReadEvents(dict):
     """A ball's events map that records every event read out of it."""
 
@@ -266,9 +343,10 @@ class _ReadEvents(dict):
 
 
 class TestShortcutIsTaken:
-    """The property above cannot see *which* path ran; a recording
-    oracle and events map can: a ball updates the clock once, with its
-    largest timestamp, and the shortcut reads no event out of it."""
+    """The properties above cannot see *which* path ran; a recording
+    oracle, events map and TTL map can: a ball updates the clock once,
+    with its largest timestamp, the shortcut reads no event out of it,
+    and a ball merged since the last round is not even compared."""
 
     def _component(self, ttl: int = 5):
         oracle = ManualOracle(ttl=ttl)
@@ -316,6 +394,29 @@ class TestShortcutIsTaken:
         assert oracle.updates == [max(POOL[0].ts, POOL[1].ts)] * 2 + [POOL[2].ts] * 2
         assert component._next_ttls == {POOL[0].id: 1, POOL[2].id: 2}
         assert component.stats.entries_expired == 2
+
+    def test_a_ball_merged_this_round_is_known_by_identity(self):
+        class Compared(dict):
+            """A TTL map that counts the comparisons made with it."""
+
+            count = 0
+
+            def __eq__(self, other):
+                Compared.count += 1
+                return dict.__eq__(self, other)
+
+        component, _ = self._component()
+        ball = _shared([(POOL[0], 1), (POOL[3], 2)])
+        ball.ttls = Compared(ball.ttls)
+        component.receive_ball(ball)  # merged
+        assert Compared.count == 1
+        component.receive_ball(ball)
+        assert Compared.count == 1  # the same object: not compared
+        component.round_tick()  # pending handed over: nothing is known
+        component.receive_ball(ball)
+        assert Compared.count == 2
+        assert component._next_ttls == {POOL[0].id: 1, POOL[3].id: 2}
+        assert component.stats.balls_received == 3
 
     def test_empty_shared_ball_touches_nothing(self):
         component, oracle = self._component()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import EpToConfig, record
+from repro.core.dissemination import DisseminationComponent
 from repro.core.errors import MembershipError
 from repro.core.event import Ball, Event
 from repro.core.process import EpToProcess
@@ -200,7 +201,7 @@ class TestInboxDispatch:
         # the classes before the cluster exists (an eager process and
         # a Cyclon view do not speak lazy or overlay; giving them the
         # handler is what makes them the owning layer here).
-        monkeypatch.setattr(EpToProcess, "on_ball", recorder("ball"))
+        monkeypatch.setattr(DisseminationComponent, "receive_ball", recorder("ball"))
         monkeypatch.setattr(
             EpToProcess, "on_lazy_message", recorder("lazy"), raising=False
         )
@@ -230,9 +231,12 @@ class TestInboxDispatch:
 
     def test_stray_traffic_is_dropped_not_taken_for_a_ball(self, monkeypatch):
         # Uniform PSS, eager, no sync: nobody here speaks overlay, lazy
-        # or anti-entropy, and none of it may fall through to on_ball.
+        # or anti-entropy, and none of it may fall through to the ball
+        # inbox, which is the dissemination component's receive_ball.
         balls = []
-        monkeypatch.setattr(EpToProcess, "on_ball", lambda self, ball: balls.append(ball))
+        monkeypatch.setattr(
+            DisseminationComponent, "receive_ball", lambda self, ball: balls.append(ball)
+        )
         sim, network, cluster = build_cluster(3)
         strays = [
             message

@@ -27,9 +27,9 @@ class TestScheduling:
         assert fired == ["a", "b", "c"]
 
     def test_tie_never_compares_the_actions(self):
-        # Heap entries are ``[time, seq, action]`` lists compared in C;
-        # ``seq`` is unique, so two actions due at one tick are never
-        # compared with each other (most callables cannot be).
+        # Actions due at one tick wait in that tick's bucket in the
+        # order they were scheduled; they are never compared with each
+        # other (most callables cannot be).
         class Uncomparable:
             def __init__(self, label):
                 self.label = label
@@ -71,6 +71,27 @@ class TestScheduling:
         sim.schedule(10, first)
         sim.run()
         assert fired == [("first", 10), ("second", 15)]
+
+    def test_an_action_for_the_running_tick_runs_after_those_queued(self):
+        sim = Simulator()
+        fired = []
+
+        def first():
+            fired.append("first")
+            sim.schedule(0, lambda: fired.append("scheduled by first"))
+            sim.schedule_at(5, lambda: fired.append("at 5 by first"))
+
+        sim.schedule(5, first)
+        sim.schedule(5, lambda: fired.append("second"))
+        sim.schedule(6, lambda: fired.append("next tick"))
+        sim.run()
+        assert fired == [
+            "first",
+            "second",
+            "scheduled by first",
+            "at 5 by first",
+            "next tick",
+        ]
 
     def test_schedule_in_past_rejected(self):
         sim = Simulator()
@@ -188,6 +209,34 @@ class TestRunBounds:
         sim.run(max_events=1)
         assert fired == [0, 1, 2, 3] and sim.executed == 4
 
+    def test_a_run_stopped_inside_a_tick_resumes_where_it_stopped(self):
+        sim = Simulator()
+        fired = []
+        for index in range(4):
+            sim.schedule(5, lambda index=index: fired.append(index))
+        with pytest.raises(SimulationError):
+            sim.run(max_events=2)
+        assert fired == [0, 1] and sim.pending == 2 and sim.now() == 5
+        assert sim.step() and fired == [0, 1, 2]
+        sim.run()
+        assert fired == [0, 1, 2, 3] and sim.pending == 0
+
+    def test_an_action_that_raises_has_run(self):
+        sim = Simulator()
+        fired = []
+
+        def boom():
+            raise RuntimeError("boom")
+
+        sim.schedule(5, lambda: fired.append("before"))
+        sim.schedule(5, boom)
+        sim.schedule(5, lambda: fired.append("after"))
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert fired == ["before"] and sim.pending == 1
+        sim.run()
+        assert fired == ["before", "after"] and sim.executed == 3
+
     def test_run_not_reentrant(self):
         sim = Simulator()
         errors = []
@@ -201,6 +250,22 @@ class TestRunBounds:
         sim.schedule(1, nested)
         sim.run()
         assert len(errors) == 1
+
+    def test_step_not_reentrant(self):
+        sim = Simulator()
+        errors = []
+
+        def nested():
+            try:
+                sim.step()
+            except SimulationError as exc:
+                errors.append(exc)
+
+        sim.schedule(1, nested)
+        sim.schedule(1, lambda: errors.append("second"))
+        assert sim.step() and len(errors) == 1
+        sim.run()
+        assert errors[1:] == ["second"]
 
     def test_step_returns_false_when_empty(self):
         sim = Simulator()

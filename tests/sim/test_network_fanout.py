@@ -4,7 +4,10 @@ nothing else different from that many one-destination sends.
 ``send(src, dst, m)`` is ``send_many(src, (dst,), m)``; a fan-out is
 compared with the same destinations sent one by one, and both with
 :class:`PerCopyNetwork` below, which spells a send out per copy and
-gives every copy its own calendar entry.
+gives every copy its own calendar entry. Delivered balls are compared
+by value: on the fault-free path a round's ball equal to one sent
+earlier in the same tick travels as that one
+(:class:`TestEqualBallsTravelAsOne`).
 """
 
 from __future__ import annotations
@@ -327,6 +330,104 @@ def test_ball_in_flight_is_never_mutated_and_keeps_its_senders_map(monkeypatch):
         assert list(live.items()) == [(eid, t) for eid, t in as_sent[1] if t < 3]
         expired += gone
     assert expired > 0
+
+
+def test_a_ball_inbox_takes_the_balls_and_only_them():
+    class OtherBall(Ball):
+        pass
+
+    sim = Simulator(seed=1)
+    net = SimNetwork(sim, latency=FixedLatency(1))
+    got = []
+    net.register(0, lambda src, message: got.append(("handler", src, message)))
+    net.register(
+        1,
+        lambda src, message: got.append(("handler", src, message)),
+        lambda ball: got.append(("on_ball", ball)),
+    )
+    ball, other = _ball(3, 0), OtherBall({}, {})
+    for dst in (0, 1):
+        for message in (ball, "control", other):
+            net.send(3, dst, message)
+    sim.run()
+    assert got == [
+        ("handler", 3, ball),
+        ("handler", 3, "control"),
+        ("handler", 3, other),
+        ("on_ball", ball),
+        ("handler", 3, "control"),
+        ("handler", 3, other),
+    ]
+    assert net.stats.delivered == 6
+
+
+class TestEqualBallsTravelAsOne:
+    """On the fault-free fixed-latency path, a round's ball equal to one
+    sent earlier in the same tick — same ids, TTLs and order, the same
+    event objects — is delivered as that one; anything less is not."""
+
+    EVENTS = [
+        Event(id=(9, seq), ts=seq, source_id=9, payload=seq) for seq in range(3)
+    ]
+
+    @classmethod
+    def _shared(cls, ttls, events=None):
+        events = events or cls.EVENTS
+        return Ball(
+            {event.id: event for event in events},
+            {event.id: ttl for event, ttl in zip(events, ttls)},
+            shared=True,
+        )
+
+    def _arrivals(self, sends, latency="fixed", loss=0.0):
+        """*sends*: ``(tick, src, ball)``; returns what node 0 got."""
+        sim, net, log = _world(latency, loss, 0.0, False, seed=2)
+        for tick, src, ball in sends:
+            sim.schedule_at(
+                tick, lambda src=src, ball=ball: net.send_many(src, [0], ball)
+            )
+        sim.run()
+        return [message for _, node, _, message in log if node == 0]
+
+    def test_an_equal_ball_of_the_same_tick_arrives_as_the_first(self):
+        first, equal = self._shared([1, 2, 3]), self._shared([1, 2, 3])
+        got = self._arrivals([(4, 1, first), (4, 2, equal)])
+        assert got[0] is first and got[1] is first
+
+    @pytest.mark.parametrize(
+        "second",
+        [
+            pytest.param(lambda c: c._shared([1, 2, 4]), id="another ttl"),
+            pytest.param(lambda c: c._shared([1, 2]), id="fewer entries"),
+            pytest.param(
+                lambda c: c._shared([3, 2, 1], c.EVENTS[::-1]), id="another order"
+            ),
+            pytest.param(
+                lambda c: c._shared(
+                    [1, 2, 3],
+                    [Event(e.id, e.ts, 9, payload="forged") for e in c.EVENTS],
+                ),
+                id="other event objects",
+            ),
+            pytest.param(
+                lambda c: Ball.of(zip(c.EVENTS, [1, 2, 3])), id="one receiver"
+            ),
+        ],
+    )
+    def test_anything_less_arrives_as_sent(self, second):
+        first, other = self._shared([1, 2, 3]), second(self)
+        got = self._arrivals([(4, 1, first), (4, 2, other)])
+        assert got[0] is first and got[1] is other
+
+    def test_equal_balls_of_another_tick_arrive_as_sent(self):
+        first, later = self._shared([1, 2, 3]), self._shared([1, 2, 3])
+        got = self._arrivals([(4, 1, first), (5, 2, later)])
+        assert got[0] is first and got[1] is later
+
+    def test_a_faulty_path_sends_the_object_it_is_given(self):
+        first, equal = self._shared([1, 2, 3]), self._shared([1, 2, 3])
+        got = self._arrivals([(4, 1, first), (4, 2, equal)], latency="uniform")
+        assert sorted(map(id, got)) == sorted([id(first), id(equal)])
 
 
 class TestDeliveryChangesTheArrival:

@@ -20,9 +20,9 @@ import pytest
 
 from repro.auth import SignedBall
 from repro.core import EpToConfig
+from repro.core.dissemination import DisseminationComponent
 from repro.core.errors import ConfigurationError
 from repro.core.event import Ball, Event
-from repro.core.process import EpToProcess
 from repro.lazy.process import LazyEpToProcess
 from repro.lazy.protocol import LAZY_MESSAGE_TYPES
 from repro.pss import BRAHMS_MESSAGE_TYPES, HYPARVIEW_MESSAGE_TYPES
@@ -173,9 +173,10 @@ SHAPES = {
     "eager/uniform": ("uniform", "eager", False, set()),
 }
 
-#: (class, method, the layer it is the entry of)
+#: (class, method, the layer it is the entry of). An eager stack hands
+#: a ball straight to its dissemination component.
 HANDLERS = (
-    (EpToProcess, "on_ball", "ball"),
+    (DisseminationComponent, "receive_ball", "ball"),
     (LazyEpToProcess, "on_ball", "ball"),
     (LazyEpToProcess, "on_lazy_message", "lazy"),
     (CyclonPss, "handle_request", "cyclon_request"),
