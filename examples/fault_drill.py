@@ -6,11 +6,15 @@ the cluster (recovering later), partition the network and heal it,
 then a loss burst — is interpreted twice:
 
 1. against the **discrete-event simulator** (`SimFaultInjector`,
-   rounds = simulator ticks), checked with the Table 1 spec checker;
+   rounds = simulator ticks);
 2. against the **asyncio runtime** (`AsyncFaultInjector`,
    rounds = wall-clock milliseconds), where a `NodeSupervisor` also
-   self-heals an *extra*, unscheduled crash with exponential backoff,
-   checked with the survivor checker.
+   self-heals an *extra*, unscheduled crash with exponential backoff.
+
+Both halves are judged by the one Table 1 checker
+(`repro.metrics.checker`), which returns one `SpecReport`:
+`check_run` reads the simulator's delivery collector, and
+`check_survivors` reads the asyncio cluster's per-node journals.
 
 Finally the Lemma 7 feedback loop (`ObservedConditions` →
 `adapt_config`) recomputes K/TTL from the conditions the run actually
@@ -33,9 +37,8 @@ from repro.faults import (
     ObservedConditions,
     SimFaultInjector,
     adapt_config,
-    check_survivors,
 )
-from repro.metrics import check_run
+from repro.metrics import check_run, check_survivors
 from repro.sim import ClusterConfig, SimCluster, SimNetwork, Simulator
 from repro.runtime import AsyncCluster
 

@@ -94,10 +94,11 @@ __getattr__, __dir__, __all__ = _lazy_exports(
         ),
         ".faults": (
             "AsyncFaultInjector", "FaultSchedule", "NodeSupervisor",
-            "ObservedConditions", "SimFaultInjector", "SurvivorReport",
-            "adapt_config", "check_survivors",
+            "ObservedConditions", "SimFaultInjector", "adapt_config",
         ),
-        ".metrics": ("DeliveryCollector", "SpecReport", "check_run"),
+        ".metrics": (
+            "DeliveryCollector", "SpecReport", "check_run", "check_survivors",
+        ),
         ".pss": ("CyclonPss", "MembershipDirectory", "UniformViewPss"),
         ".service": (
             "BackpressureError", "BroadcastService", "ServiceCluster",

@@ -51,7 +51,7 @@ from ..auth import HmacAuthenticator, KeyRing
 from ..faults.schedule import ByzantineNodes, FaultSchedule, ScrambleState
 from ..faults.interpreter import FaultStats
 from ..faults.sim_injector import SimFaultInjector
-from ..metrics.checker import AuthenticityReport, SpecReport, check_authenticity, check_run
+from ..metrics.checker import SpecReport, check_authenticity, check_run
 from ..metrics.collector import DeliveryCollector
 from ..metrics.trace import load_delivery_log
 from ..sim.cluster import ClusterConfig, SimCluster
@@ -101,8 +101,9 @@ class DrillResult:
     byzantine_nodes: int = 0
     #: State-scrambled node count (``ScrambleState`` actions).
     scrambled: int = 0
-    #: Authenticity scan over the correct nodes (hostile runs only).
-    authenticity: Optional[AuthenticityReport] = None
+    #: Content scan over every non-hostile node, scrambled ones
+    #: included (hostile runs only).
+    authenticity: Optional[SpecReport] = None
     #: Ball entries the fabric rejected at admission (auth runs only).
     dropped_bad_signature: int = 0
     dropped_unknown_key: int = 0
@@ -172,7 +173,13 @@ class DrillResult:
                 f"unsigned={self.dropped_unsigned}"
             )
         if self.authenticity is not None:
-            lines.append(self.authenticity.summary())
+            scan = self.authenticity
+            lines.append(
+                f"authenticity={'OK' if scan.ok else 'VIOLATED'} "
+                f"forged={len(scan.forged_deliveries)} "
+                f"equivocated={len(scan.equivocated_events)} "
+                f"deliveries={scan.checked_deliveries}"
+            )
         if self.sync_enabled:
             lines.append(
                 f"sync: rounds={self.sync_rounds} "
@@ -299,7 +306,7 @@ def run_drill(
         report = check_run(
             collector, correct_nodes=survivors, exclude_nodes=scrambled_ids
         )
-        authenticity: Optional[AuthenticityReport] = None
+        authenticity: Optional[SpecReport] = None
         if fingerprints:
             correct = set(collector.sequences()) - byzantine_ids
             authenticity = check_authenticity(collector, correct_nodes=correct)

@@ -34,7 +34,7 @@ a ≥0.99-rate loss burst) are recorded as *at risk*: a fully cut
 publisher's events can die with their TTL, which is the partition's
 cost, not a protocol bug. The verdict therefore requires every live
 host to deliver every not-at-risk event, and runs
-:func:`~repro.faults.verify.check_survivors` per topic over the hosts
+:func:`~repro.metrics.checker.check_survivors` per topic over the hosts
 that were never partition-isolated on it (respawned hosts are checked
 on their post-restart suffix, as everywhere else).
 
@@ -65,7 +65,7 @@ from ..faults.schedule import (
     LossBurst,
     PartitionNetwork,
 )
-from ..faults.verify import SurvivorReport, check_survivors
+from ..metrics.checker import SpecReport, check_survivors
 from ..runtime.udp import UdpNetwork
 from ..service import ServiceCluster
 from ..sync.config import SyncConfig
@@ -154,7 +154,7 @@ class TopicVerdict:
     delivered_converged: bool
     isolated_hosts: Tuple[int, ...]
     recovered_hosts: Tuple[int, ...]
-    report: SurvivorReport
+    report: SpecReport
 
     @property
     def ok(self) -> bool:

@@ -11,9 +11,10 @@ the asyncio runtime
 wall-clock timers).
 Self-healing comes from
 :class:`~repro.faults.supervisor.NodeSupervisor` (backoff restarts of
-crashed nodes), post-mortems from
-:func:`~repro.faults.verify.check_survivors`, and parameter feedback
-from the Lemma 7 helpers in :mod:`repro.faults.adaptive`.
+crashed nodes) and parameter feedback from the Lemma 7 helpers in
+:mod:`repro.faults.adaptive`. A drill's outcome is judged by the one
+Table 1 checker, :mod:`repro.metrics.checker`: ``check_run`` on a
+simulator's collector, ``check_survivors`` on per-node journals.
 """
 
 from .. import _lazy_exports
@@ -37,6 +38,5 @@ __getattr__, __dir__, __all__ = _lazy_exports(
         ),
         ".sim_injector": ("SimFaultInjector",),
         ".supervisor": ("NodeSupervisor", "SupervisorStats"),
-        ".verify": ("SurvivorReport", "check_survivors"),
     },
 )

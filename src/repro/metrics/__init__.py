@@ -7,9 +7,8 @@ __getattr__, __dir__, __all__ = _lazy_exports(
     {
         ".cdf": ("DelaySummary", "cdf_at", "cdf_points", "percentile"),
         ".checker": (
-            "AuthenticityReport", "SpecReport", "check_authenticity",
-            "check_integrity", "check_pairwise_order", "check_run",
-            "check_total_order", "check_validity",
+            "SpecReport", "check_authenticity", "check_pairwise_order",
+            "check_run", "check_survivors", "check_total_order",
         ),
         ".collector": (
             "BroadcastRecord", "DeliveryCollector", "DeliveryRecord",

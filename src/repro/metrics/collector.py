@@ -6,16 +6,17 @@ the absence of holes and order violations. :class:`DeliveryCollector`
 records every broadcast and delivery in a run and derives:
 
 * the delay samples that back all the CDF figures (6, 7a, 7b, 8, 9, 10);
-* per-process delivery sequences for the total-order checker;
-* hole accounting restricted to processes "that remained in the system
-  long enough" (paper §6, churn experiments).
+* per-process delivery sequences for the Table 1 checker
+  (:mod:`repro.metrics.checker`, which also counts holes);
+* the processes "that remained in the system long enough" (paper §6,
+  churn experiments), whose holes the churn figures report.
 """
 
 from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set
 
 from ..core.event import Event, EventId, OrderKey
 from ..sync.protocol import canonical_event_bytes
@@ -200,62 +201,3 @@ class DeliveryCollector:
             ):
                 stable.add(node_id)
         return stable
-
-    def holes(self, nodes: Sequence[int] | Set[int] | None = None) -> List[Tuple[int, EventId]]:
-        """Missing deliveries: ``(node, event)`` pairs with a hole.
-
-        A *hole* at process ``p`` for event ``e`` exists when ``p``
-        delivered some event ordered after ``e`` but never delivered
-        ``e`` itself (paper §2: holes in the sequence of delivered
-        events). Only events delivered by at least one checked node are
-        considered — an event that vanished entirely (e.g. its
-        broadcaster was churned out before relaying it) violates no
-        property, since agreement is conditional on *some* process
-        delivering. Restricting *nodes* to :meth:`stable_nodes`
-        reproduces the churn experiments' accounting; ``None`` checks
-        every process that delivered anything.
-        """
-        if nodes is None:
-            nodes = set(self._sequences)
-        holes: List[Tuple[int, EventId]] = []
-        delivered_by_any: Set[EventId] = set()
-        for node_id in nodes:
-            delivered_by_any |= self._delivered_sets.get(node_id, set())
-        # Events each node *should* have: all events ordered before its
-        # last delivered key that somebody actually delivered.
-        all_events = sorted(
-            (
-                rec
-                for rec in self._broadcasts.values()
-                if rec.event.id in delivered_by_any
-            ),
-            key=lambda rec: rec.event.order_key,
-        )
-        for node_id in nodes:
-            seq = self._sequences.get(node_id, [])
-            if not seq:
-                continue
-            last_key = max(seq)
-            delivered = self._delivered_sets.get(node_id, set())
-            for record in all_events:
-                if record.event.order_key > last_key:
-                    break
-                if record.event.id not in delivered:
-                    holes.append((node_id, record.event.id))
-        return holes
-
-    def undelivered_events(self, nodes: Sequence[int] | Set[int]) -> List[Tuple[int, EventId]]:
-        """Every ``(node, event)`` pair that never delivered, hole or not.
-
-        Unlike :meth:`holes` this also counts events after a node's last
-        delivery (useful for agreement accounting at run end, once the
-        system has quiesced).
-        """
-        missing: List[Tuple[int, EventId]] = []
-        event_ids = self.known_broadcast_ids()
-        for node_id in nodes:
-            delivered = self._delivered_sets.get(node_id, set())
-            for event_id in event_ids:
-                if event_id not in delivered:
-                    missing.append((node_id, event_id))
-        return missing

@@ -5,7 +5,7 @@ A :class:`ServiceCluster` is N :class:`~repro.service.BroadcastService`
 hosts over one shared fabric — the multi-topic analogue of
 :class:`~repro.runtime.cluster.AsyncCluster`, with the same crash /
 respawn / wait vocabulary plus per-topic fault helpers and a per-topic
-:func:`~repro.faults.verify.check_survivors` wrapper. Every host
+:func:`~repro.metrics.checker.check_survivors` wrapper. Every host
 subscribes to every topic opened through the cluster; partial
 subscription setups should drive :class:`BroadcastService` directly.
 """
@@ -228,10 +228,10 @@ class ServiceCluster:
         )
 
     def check_topic(self, topic: int):
-        """Run :func:`~repro.faults.verify.check_survivors` over one
+        """Run :func:`~repro.metrics.checker.check_survivors` over one
         topic's per-host histories — total order, agreement, recovered
         suffixes and content checks, scoped to that topic alone."""
-        from ..faults.verify import check_survivors
+        from ..metrics.checker import check_survivors
 
         recovered = {
             hid

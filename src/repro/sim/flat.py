@@ -1108,8 +1108,8 @@ class FlatCluster:
     def as_collector(self) -> DeliveryCollector:
         """Rebuild a :class:`~repro.metrics.collector.DeliveryCollector`.
 
-        Lets every existing metrics checker (``check_run``, hole/
-        agreement scans, CDF reports) consume a flat run unchanged.
+        Lets the Table 1 checker (``check_run``) and the CDF reports
+        consume a flat run unchanged.
         Requires ``record="sequences"``.
         """
         self._require_sequences("as_collector")

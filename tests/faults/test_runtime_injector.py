@@ -23,8 +23,8 @@ from repro.faults import (
     FaultSchedule,
     LatencySpike,
     PartitionNetwork,
-    check_survivors,
 )
+from repro.metrics import check_survivors
 from repro.runtime import AsyncCluster
 from repro.runtime.udp import UdpNetwork
 

@@ -98,7 +98,8 @@ class TestSelfStabOnTheAsyncioRuntime:
 
         from repro.auth import HmacAuthenticator, KeyRing
         from repro.core import EpToConfig
-        from repro.faults import AsyncFaultInjector, ScrambleState, check_survivors
+        from repro.faults import AsyncFaultInjector, ScrambleState
+        from repro.metrics import check_survivors
         from repro.runtime import AsyncCluster, AsyncNetwork
         from repro.sync import SyncConfig
 

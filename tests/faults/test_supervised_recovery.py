@@ -13,7 +13,8 @@ from __future__ import annotations
 import asyncio
 
 from repro.core import EpToConfig
-from repro.faults import NodeSupervisor, check_survivors, supervisor_adaptation
+from repro.faults import NodeSupervisor, supervisor_adaptation
+from repro.metrics import check_survivors
 from repro.runtime import AsyncCluster
 
 

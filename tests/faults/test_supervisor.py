@@ -5,7 +5,8 @@ from __future__ import annotations
 import asyncio
 
 from repro.core import EpToConfig
-from repro.faults import NodeSupervisor, check_survivors
+from repro.faults import NodeSupervisor
+from repro.metrics import check_survivors
 from repro.runtime import AsyncCluster
 
 

@@ -1,9 +1,10 @@
-"""Tests for the survivor total-order/agreement checker (repro.faults.verify)."""
+"""Tests for the journal entry point of the Table 1 checker
+(repro.metrics.checker.check_survivors) after a fault scenario."""
 
 from __future__ import annotations
 
 from repro.core.event import Event
-from repro.faults import check_survivors
+from repro.metrics.checker import check_survivors
 
 
 def ev(src: int, seq: int, ts: int, payload=None):
@@ -41,8 +42,8 @@ class TestSurvivors:
         deliveries = {0: [A, B, C], 1: [A, C]}
         report = check_survivors(deliveries, survivors=[0, 1])
         assert not report.ok
-        assert len(report.agreement_violations) == 1
-        assert "never delivered" in report.agreement_violations[0]
+        assert len(report.missed) == 1
+        assert report.missed == [(1, B.id)]
 
     def test_empty_cluster_is_vacuously_ok(self):
         assert check_survivors({}, survivors=[]).ok
@@ -72,17 +73,18 @@ class TestRecovered:
             deliveries, survivors=[0], recovered=[9], restart_indices={9: [1]}
         )
         assert not report.ok
-        assert any("recovered" in v for v in report.order_violations)
+        assert any("node 9" in v for v in report.order_violations)
 
     def test_recovered_conflicting_with_survivor_flagged(self):
         """Figure 1b: the recovered node orders two common events the
-        opposite way from a survivor — even though its own suffix is
-        internally increasing by delivery position, the pairwise check
-        catches it."""
+        opposite way from a survivor. Its suffix ``[C, B]`` is not
+        increasing in the order key, so the per-node order scan flags
+        it; no pairwise comparison with the survivor is needed."""
         deliveries = {0: [A, B, C], 9: [C, B]}
         report = check_survivors(
             deliveries, survivors=[0], recovered=[9], restart_indices={9: [0]}
         )
+        assert any("node 9" in v for v in report.order_violations)
         assert not report.ok
 
     def test_recovered_defaults_to_whole_journal_without_indices(self):

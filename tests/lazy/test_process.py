@@ -16,6 +16,7 @@ from repro.core import EpToConfig
 from repro.core.errors import ConfigurationError
 from repro.lazy.process import LazyEpToProcess
 from repro.lazy.protocol import PayloadResponse
+from repro.metrics import check_run
 from repro.sim import ClusterConfig, FixedLatency, SimCluster, SimNetwork, Simulator
 from repro.sync.config import SyncConfig
 
@@ -62,7 +63,7 @@ class TestDelivery:
             sim.schedule_at(50 + i * 100, lambda p=payload, nd=i: cluster.broadcast_from(nd, p))
         sim.run(until=6000)
         assert cluster.collector.delivery_count == 3 * 6
-        assert not cluster.collector.holes()
+        assert not check_run(cluster.collector).holes
         for node_id in cluster.alive_ids():
             got = sorted(
                 (event.source_id, event.payload["value"]) for event in delivered[node_id]

@@ -1,16 +1,17 @@
-"""Tests for content fingerprinting and the authenticity checker
-(repro.metrics.collector fingerprints, repro.metrics.checker)."""
+"""Tests for content fingerprinting and the authenticity checks
+(repro.metrics.collector fingerprints, repro.metrics.checker), through
+the collector and the journal entry points alike."""
 
 from __future__ import annotations
 
 import dataclasses
 
 from repro.core.event import Event
-from repro.faults import check_survivors
 from repro.metrics import (
     DeliveryCollector,
     check_authenticity,
     check_run,
+    check_survivors,
     event_fingerprint,
 )
 
@@ -130,7 +131,7 @@ class TestSurvivorContentChecks:
             deliveries, survivors=[2, 3], broadcasts={event.id: event}
         )
         assert len(checked.forged_deliveries) == 1
-        assert len(checked.equivocation_violations) == 1
+        assert len(checked.equivocated_events) == 1
         assert not checked.ok
 
     def test_byzantine_nodes_excluded_from_all_checks(self):

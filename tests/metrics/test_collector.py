@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.metrics.checker import check_run
 from repro.metrics.collector import DeliveryCollector
 
 from ..conftest import make_event
@@ -74,6 +75,8 @@ class TestLifetimes:
 
 
 class TestHoles:
+    """Holes over a collector, as the Table 1 checker counts them."""
+
     def test_no_holes_when_everyone_delivers_everything(self, collector):
         events = [make_event(src=s, ts=s) for s in (1, 2, 3)]
         for e in events:
@@ -81,7 +84,7 @@ class TestHoles:
         for node in (0, 1):
             for e in events:
                 collector.record_delivery(node, e, 10)
-        assert collector.holes() == []
+        assert check_run(collector).holes == []
 
     def test_hole_detected_for_skipped_event(self, collector):
         a = make_event(src=1, ts=1)
@@ -91,7 +94,7 @@ class TestHoles:
         collector.record_delivery(0, a, 10)
         collector.record_delivery(0, b, 10)
         collector.record_delivery(1, b, 10)  # node 1 missed `a`
-        assert collector.holes() == [(1, a.id)]
+        assert check_run(collector).holes == [(1, a.id)]
 
     def test_trailing_misses_are_not_holes(self, collector):
         # Node 1 simply hasn't caught up past event a; no event after
@@ -103,7 +106,7 @@ class TestHoles:
         collector.record_delivery(0, a, 10)
         collector.record_delivery(0, b, 10)
         collector.record_delivery(1, a, 10)
-        assert collector.holes() == []
+        assert check_run(collector).holes == []
 
     def test_vanished_events_do_not_count(self, collector):
         # An event nobody delivered (broadcaster churned out) is not a
@@ -114,7 +117,8 @@ class TestHoles:
         collector.record_broadcast(b, 0)
         for node in (0, 1):
             collector.record_delivery(node, b, 10)
-        assert collector.holes() == []
+        report = check_run(collector)
+        assert report.holes == [] and report.missed == []
 
     def test_restricting_to_node_subset(self, collector):
         a = make_event(src=1, ts=1)
@@ -124,14 +128,18 @@ class TestHoles:
         collector.record_delivery(0, a, 10)
         collector.record_delivery(0, b, 10)
         collector.record_delivery(1, b, 10)  # hole at 1
-        assert collector.holes(nodes={0}) == []
-        assert collector.holes(nodes={0, 1}) == [(1, a.id)]
+        assert check_run(collector, correct_nodes={0}).holes == []
+        assert check_run(collector, correct_nodes={0, 1}).holes == [(1, a.id)]
 
     def test_undelivered_events_counts_trailing_too(self, collector):
+        # An event some node delivered and node 1 did not is missed by
+        # node 1 even past its last delivery, which quiescence must drain.
         a = make_event(src=1, ts=1)
         b = make_event(src=2, ts=2)
         for e in (a, b):
             collector.record_broadcast(e, 0)
+        collector.record_delivery(0, a, 10)
+        collector.record_delivery(0, b, 10)
         collector.record_delivery(1, a, 10)
-        missing = collector.undelivered_events({1})
+        missing = check_run(collector).missed
         assert (1, b.id) in missing

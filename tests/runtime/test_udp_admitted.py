@@ -18,7 +18,7 @@ from repro.auth import BallGuard, HmacAuthenticator, KeyRing
 from repro.core import EpToConfig
 from repro.core.event import Ball, Event
 from repro.faults import ByzantineRouter
-from repro.faults.verify import check_survivors
+from repro.metrics.checker import check_survivors
 from repro.pss.cyclon import CyclonRequest
 from repro.runtime import codec
 from repro.runtime.cluster import AsyncCluster

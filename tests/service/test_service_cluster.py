@@ -146,7 +146,7 @@ class TestPerTopicFaults:
             # the partition swallowed — that is the partition's cost,
             # not a bug).
             assert cluster.check_topic(2).ok
-            from repro.faults.verify import check_survivors
+            from repro.metrics.checker import check_survivors
 
             majority = check_survivors(
                 {h: cluster.hosts[h].deliveries(1) for h in range(1, 6)},

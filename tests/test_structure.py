@@ -1,13 +1,14 @@
-"""Structural guard: what a node is made of and what a fault action
-means are each written in one module, and a ball has one shape.
+"""Structural guard: what a node is made of, what a fault action means
+and what Table 1 means are each written in one module, and a ball has
+one shape.
 
 Read off the syntax tree of every module under ``src/repro`` — not off
 its formatting. A host that grows its own copy of the node wiring (a
 fourth constructor of the process, a second dispatch chain, another
-recover-and-reopen) or of the fault interpreter fails here, and so does
-a second shape of ball, a ball found by testing for a tuple, or the
-return of a bench driver, byte estimate or second performance harness
-the end-to-end benchmark replaced.
+recover-and-reopen), of the fault interpreter or of a Table 1 scan
+fails here, and so does a second shape of ball, a ball found by testing
+for a tuple, or the return of a bench driver, byte estimate or second
+performance harness the end-to-end benchmark replaced.
 """
 
 from __future__ import annotations
@@ -266,6 +267,31 @@ def test_no_module_finds_a_ball_by_testing_for_a_tuple():
     assert modules_where(checks_type_tuple) == set()
 
 
+#: Table 1 is judged by one module: the survivor checker and the report
+#: classes it and the authenticity scan had stay deleted, and each scan
+#: is written once.
+CHECKER = "metrics/checker.py"
+RETIRED_CHECKS = ("SurvivorReport", "AuthenticityReport")
+
+
+def writes(text: str) -> Callable[[ast.Module], bool]:
+    """Whether a module has a string constant (or f-string part)
+    containing *text*."""
+    return lambda tree: any(
+        isinstance(node, ast.Constant)
+        and isinstance(node.value, str)
+        and text in node.value
+        for node in ast.walk(tree)
+    )
+
+
+def test_table_one_is_judged_in_one_module():
+    assert "faults/verify.py" not in MODULES
+    assert modules_where(mentions(*RETIRED_CHECKS)) == set()
+    assert modules_where(writes("delivered forged content")) == {CHECKER}
+    assert modules_where(writes("non-increasing order keys")) == {CHECKER}
+
+
 def test_the_guard_sees_what_it_guards():
     """The rules above are not vacuous: the names they look for exist
     where they are allowed to."""
@@ -285,3 +311,6 @@ def test_the_guard_sees_what_it_guards():
     assert "entries_relayed" in fields_of("DisseminationStats")
     assert "mode" in fields_of("ExperimentSpec")
     assert "experiments/service_drill.py" in MODULES
+    # The checker's scans are found by the strings they write.
+    assert writes("twice")(MODULES[CHECKER])
+    assert writes("forged content")(ast.parse('f"node {n} delivered forged content"'))
