@@ -26,7 +26,9 @@ import the codec, and the codec
 turns every ``ValueError`` raised here into a ``CodecError``) need it.
 The fields keep the ranges of the fixed-width layout they replaced, and
 every varint has exactly one, minimal, encoding of at most ten bytes —
-so equal records are equal bytes.
+so equal records are equal bytes. The size functions at the bottom
+measure the codec's varint framing for the modules that estimate what
+they ship without encoding it (the lazy pull, the sync responder).
 """
 
 from __future__ import annotations
@@ -62,6 +64,11 @@ def uvarint_nbytes(value: int) -> int:
     return (value.bit_length() + 6) // 7 or 1
 
 
+def zvarint_nbytes(value: int) -> int:
+    """``len(zvarints(value))``, without building it."""
+    return (((value << 1) ^ (value >> 63)).bit_length() + 6) // 7 or 1
+
+
 def read_uvarint(data, offset: int, what: str) -> Tuple[int, int]:
     """One unsigned varint of *data* at *offset*: ``(value, offset
     past it)``.
@@ -87,7 +94,14 @@ def read_uvarint(data, offset: int, what: str) -> Tuple[int, int]:
             raise ValueError(f"over-long varint in {what}")
 
 
-def _read_zigzag(data, offset: int, what: str) -> Tuple[int, int]:
+def read_zvarint(data, offset: int, what: str) -> Tuple[int, int]:
+    """One zigzag varint of *data* at *offset*, an i64: ``(value,
+    offset past it)``.
+
+    Raises:
+        ValueError: As :func:`read_uvarint`, and on a value outside the
+            i64 range.
+    """
     value, offset = read_uvarint(data, offset, what)
     if value >> 64:
         raise ValueError(f"{what} overflows the i64 range")
@@ -137,7 +151,7 @@ def wire_record(event: Event) -> WireRecord:
     """
     wire = event._wire
     if wire is None or wire[0] is None or not wire[1]:
-        head = _head(event.ts, event.source_id, event.id[1])
+        head = zvarints(event.ts, event.source_id, event.id[1])
         try:
             payload = payload_json(event.payload)
             record = head + payload
@@ -165,12 +179,12 @@ def wire_head(event: Event) -> bytes:
     wire = event._wire
     if wire is None or not wire[0]:
         if event.payload is None:
-            head = _head(event.ts, event.source_id, event.id[1])
+            head = zvarints(event.ts, event.source_id, event.id[1])
             object.__setattr__(event, "_wire", (head, 0, len(head)))
             return head
         wire = wire_record(event)
         if wire[0] is False:
-            return _head(event.ts, event.source_id, event.id[1])
+            return zvarints(event.ts, event.source_id, event.id[1])
     record, payload_nbytes, head_nbytes = wire
     return record[:head_nbytes] if payload_nbytes else record
 
@@ -187,9 +201,11 @@ def wire_sizes(event: Event) -> WireRecord:
     if wire is not None and not wire[1]:
         return (None, _NULL_NBYTES, wire[2])
     if wire is None:
-        head = 0  # the three zigzag varints' bytes, as uvarint_nbytes
-        for value in (event.ts, event.source_id, event.id[1]):
-            head += (((value << 1) ^ (value >> 63)).bit_length() + 6) // 7 or 1
+        head = (
+            zvarint_nbytes(event.ts)
+            + zvarint_nbytes(event.source_id)
+            + zvarint_nbytes(event.id[1])
+        )
         try:
             payload = len(payload_json(event.payload))
             record = None
@@ -201,7 +217,7 @@ def wire_sizes(event: Event) -> WireRecord:
     return wire
 
 
-def _head(*fields: int) -> bytes:
+def zvarints(*fields: int) -> bytes:
     """The zigzag varints of *fields*: each signed i64 mapped onto an
     unsigned one (0, -1, 1, -2, … → 0, 1, 2, 3, …, so small magnitudes
     of either sign stay short), then written as a :func:`uvarint`. One
@@ -225,9 +241,9 @@ def _head(*fields: int) -> bytes:
 
 def _read_head(record) -> Tuple[int, int, int, int]:
     """``(ts, source, seq, offset past them)`` of a record's head."""
-    ts, at = _read_zigzag(record, 0, "record ts")
-    source, at = _read_zigzag(record, at, "record source")
-    seq, at = _read_zigzag(record, at, "record seq")
+    ts, at = read_zvarint(record, 0, "record ts")
+    source, at = read_zvarint(record, at, "record source")
+    seq, at = read_zvarint(record, at, "record seq")
     return ts, source, seq, at
 
 
@@ -262,3 +278,31 @@ def parse_head(head: bytes) -> Event:
     event = Event(id=(source, seq), ts=ts, source_id=source)
     object.__setattr__(event, "_wire", (head, 0, at))
     return event
+
+
+# ----------------------------------------------------------------------
+# The codec's framing, sized
+# ----------------------------------------------------------------------
+
+#: ``magic "EP" | version u8 | kind u8``: the fixed start of a datagram.
+HEADER_PREFIX_NBYTES = 4
+
+
+def header_nbytes(sender: int, count: int) -> int:
+    """Bytes of a datagram header (:mod:`repro.runtime.codec`):
+    ``magic | version | kind | sender zvarint | count uvarint``."""
+    return HEADER_PREFIX_NBYTES + zvarint_nbytes(sender) + uvarint_nbytes(count)
+
+
+def pair_nbytes(pair: Tuple[int, int]) -> int:
+    """Bytes of an event id or a watermark on the wire: ``source
+    zvarint | seq zvarint``."""
+    return zvarint_nbytes(pair[0]) + zvarint_nbytes(pair[1])
+
+
+def framed_record_nbytes(event: Event) -> int:
+    """Bytes of ``record_len uvarint | record`` — how a sync chunk and a
+    pull response carry *event* — from :func:`wire_sizes`, so nothing
+    is built to measure it."""
+    _, payload, head = wire_sizes(event)
+    return uvarint_nbytes(head + payload) + head + payload

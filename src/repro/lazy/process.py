@@ -39,24 +39,16 @@ from ..core.errors import ConfigurationError
 from ..core.event import Ball, Event
 from ..core.interfaces import PeerSampler, Transport
 from ..core.process import EpToProcess
-from ..core.record import uvarint_nbytes, wire_sizes
+from ..core.record import (
+    framed_record_nbytes,
+    header_nbytes,
+    pair_nbytes,
+    uvarint_nbytes,
+    wire_sizes,
+)
 from .protocol import IdBall, PayloadRequest, PayloadResponse
 from .pull import PullManager
 from .store import PayloadStore
-
-# Wire-size estimates mirroring the codec's layouts of kinds 9–11 (kept
-# local: the codec imports this package's protocol module, so importing
-# the codec from here would be circular; tests/runtime/test_wire_sizes.py
-# pins each to what the codec emits). One datagram header, one event id
-# (source i64 + seq i64), the request head (req_id u32) and the
-# response head (req_id u32 + missing_count u32). An id-ball entry has
-# no fixed size: it is ``uvarint ttl | uvarint head_len | head``, the
-# head being the event record's three varints (_id_entry_nbytes).
-HEADER_BYTES = 16
-EVENT_ID_BYTES = 16
-REQUEST_HEAD_BYTES = 4
-RESPONSE_HEAD_BYTES = 8
-RESPONSE_EVENT_BYTES = 28  # ts i64 + source i64 + seq i64 + payload_len u32
 
 #: Default payload retention, in rounds, as a multiple of the TTL. The
 #: ordering window is ~2*TTL (dissemination plus stabilization); twice
@@ -90,11 +82,40 @@ class LazyStats:
     payload_bytes: int = 0
 
 
+# The wire sizes of kinds 9–11, estimated with the size functions of
+# repro.core.record (the codec imports this package's protocol module,
+# so importing the codec from here would be circular;
+# tests/runtime/test_wire_sizes.py pins each to what the codec emits).
+
+
 def _id_entry_nbytes(event: Event, ttl: int) -> int:
     """The bytes of *event*'s id-ball entry at *ttl*: ``uvarint ttl |
     uvarint head_len | head``. A head is three varints of at most ten
     bytes, so its length takes one byte."""
     return uvarint_nbytes(ttl) + 1 + wire_sizes(event)[2]
+
+
+def _request_nbytes(sender: int, request: PayloadRequest) -> int:
+    """The bytes of *request* from *sender*: the header, ``req_id
+    uvarint`` and one pair per id."""
+    return (
+        header_nbytes(sender, len(request.ids))
+        + uvarint_nbytes(request.req_id)
+        + sum(map(pair_nbytes, request.ids))
+    )
+
+
+def _response_nbytes(sender: int, response: PayloadResponse) -> int:
+    """The bytes of *response* from *sender*: the header, ``req_id
+    uvarint | missing uvarint``, one framed record per event and one
+    pair per missing id."""
+    return (
+        header_nbytes(sender, len(response.events))
+        + uvarint_nbytes(response.req_id)
+        + uvarint_nbytes(len(response.missing))
+        + sum(map(framed_record_nbytes, response.events))
+        + sum(map(pair_nbytes, response.missing))
+    )
 
 
 class _MetadataTransport:
@@ -134,7 +155,7 @@ class _MetadataTransport:
         fan = len(dsts)
         owner.lazy_stats.id_balls_sent += fan
         owner.lazy_stats.metadata_bytes += fan * (
-            HEADER_BYTES
+            header_nbytes(src, len(events))
             + sum(map(_id_entry_nbytes, events.values(), ball.ttls.values()))
         )
 
@@ -227,11 +248,7 @@ class LazyEpToProcess:
         self.process.on_round()
         self.store.gc(self._round_no)
         for dst, request in self.pull.collect(self._round_no):
-            self.lazy_stats.metadata_bytes += (
-                HEADER_BYTES
-                + REQUEST_HEAD_BYTES
-                + EVENT_ID_BYTES * len(request.ids)
-            )
+            self.lazy_stats.metadata_bytes += _request_nbytes(self.node_id, request)
             self._transport.send(self.node_id, dst, request)
 
     def resume_sequence(self, next_seq: int) -> None:
@@ -286,24 +303,15 @@ class LazyEpToProcess:
         self.lazy_stats.payloads_served += len(events)
         self.lazy_stats.payloads_missing += len(missing)
         self.lazy_stats.responses_sent += 1
+        response = PayloadResponse(
+            req_id=request.req_id, events=tuple(events), missing=tuple(missing)
+        )
+        payload = sum(wire_sizes(event)[1] for event in events)
+        self.lazy_stats.payload_bytes += payload
         self.lazy_stats.metadata_bytes += (
-            HEADER_BYTES
-            + RESPONSE_HEAD_BYTES
-            + RESPONSE_EVENT_BYTES * len(events)
-            + EVENT_ID_BYTES * len(missing)
+            _response_nbytes(self.node_id, response) - payload
         )
-        self.lazy_stats.payload_bytes += sum(
-            wire_sizes(event)[1] for event in events
-        )
-        self._transport.send(
-            self.node_id,
-            src,
-            PayloadResponse(
-                req_id=request.req_id,
-                events=tuple(events),
-                missing=tuple(missing),
-            ),
-        )
+        self._transport.send(self.node_id, src, response)
 
     def on_payload_response(self, src: int, response: PayloadResponse) -> None:
         """A pull answered: store the payloads, release the gate."""

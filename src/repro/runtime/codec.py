@@ -3,41 +3,43 @@
 A compact, dependency-free binary encoding for everything EpTO and
 Cyclon put on the wire, used by the UDP transport. Deliberately **not**
 pickle: decoding untrusted bytes must never execute code, so the format
-is fixed-layout structs and varints plus JSON-encoded payloads.
+is bytes, varints and JSON-encoded payloads.
 
-Layout (fixed-width integers big-endian; ``uvarint`` is unsigned LEB128,
-``zvarint`` a zigzag-mapped signed one — :mod:`repro.core.record`):
+Layout (``uvarint`` is unsigned LEB128, ``zvarint`` a zigzag-mapped
+signed one — :mod:`repro.core.record`; the two fixed-width integers,
+``mac_len`` and the checksum, are big-endian):
 
 ```
-header:   magic "EP" | version u8 | kind u8 | sender i64 | count u32
+header:   magic "EP" | version u8 | kind u8 | sender zvarint |
+          count uvarint
 record:   ts zvarint | source zvarint | seq zvarint |     (the head)
           payload (UTF-8 JSON, the rest of the record)
+pair:     source zvarint | seq zvarint     (an event id, a watermark)
+key:      ts zvarint | source zvarint | seq zvarint    (an order key)
+framed:   record_len uvarint | record
 ball:     count x { ttl uvarint | record_len uvarint | record }
 signed:   count x { ttl uvarint | record_len uvarint | record |
                     epoch uvarint | mac_len u8 | mac }
-cyclon:   count x { peer i64 | age i32 }
+cyclon:   count x { peer zvarint | age zvarint }
 digest:   flags u8 (bit0 has-last-key, bit1 reply) |
-          [ last_key 3 x i64 ] | count x { source i64 | seq i64 }
-request:  req_id u32 | max_events u32 | max_bytes u32 |
-          flags u8 (bit0 has-after) | [ after 3 x i64 ] |
-          count x { source i64 | seq i64 }
-chunk:    req_id u32 | flags u8 (bit0 more, bit1 has-peer-last) |
-          [ peer_last 3 x i64 ] | checksum u32 |
-          count x { ts i64 | source i64 | seq i64 |
-                    payload_len u32 | payload (UTF-8 JSON) }
-envelope: count x { topic u32 | inner_len u32 |
+          [ last_key key ] | count x pair
+request:  req_id uvarint | max_events uvarint | max_bytes uvarint |
+          flags u8 (bit0 has-after) | [ after key ] | count x pair
+chunk:    req_id uvarint | flags u8 (bit0 more, bit1 has-peer-last) |
+          [ peer_last key ] | checksum u32 | count x framed
+envelope: count x { topic uvarint | inner_len uvarint |
                     inner (one complete datagram, kinds 1–7, 9–11) }
 id_ball:  count x { ttl uvarint | head_len uvarint | head }
-pull_req: req_id u32 | count x { source i64 | seq i64 }
-pull_resp:req_id u32 | missing u32 |
-          count x { ts i64 | source i64 | seq i64 |
-                    payload_len u32 | payload (UTF-8 JSON) } |
-          missing x { source i64 | seq i64 }
+pull_req: req_id uvarint | count x pair
+pull_resp:req_id uvarint | missing uvarint | count x framed |
+          missing x pair
 ```
 
 ``count`` is entries for balls, id-balls and cyclon views, watermark
 pairs for digests and requests, events for chunks and pull responses,
-ids for pull requests, frames for topic envelopes.
+ids for pull requests, frames for topic envelopes. A header is 6 bytes
+for a sender in ``[-64, 63]`` and a count below 128, and at most
+:data:`HEADER_SIZE`.
 
 Every ball entry is a TTL around an event's *record* or a part of it:
 a plain entry carries the record, a signed entry the record followed by
@@ -45,29 +47,35 @@ the epoch and MAC of its signature, and an id-ball entry only the
 record's *head* — a plain entry whose record has no payload bytes. A
 record is built once per event (:func:`repro.core.record.wire_record`)
 and kept on it — an event decoded off the wire keeps the bytes it
-arrived in, so a relay forwards them verbatim. Its fields keep the
-ranges of the fixed-width layout they replaced (``ts``, source and
-sequence i64, TTL a non-negative i32, epoch a u32), every varint has
-one minimal form of at most ten bytes, and anything else is refused; so
-equal entries are equal bytes, which is what lets a receiver's
-:class:`AdmittedEntries` key all three ball kinds by them.
+arrived in, so a relay forwards them verbatim. A sync chunk and a pull
+response carry the same record, framed by its length, so a node that
+serves an event it pulled forwards it verbatim too. Every varint keeps
+the range of the fixed-width field it replaced — ``ts``, source,
+sequence and sender i64; TTL a non-negative i32; Cyclon age i32; epoch,
+count, ``req_id``, ``max_events``, ``max_bytes``, topic, ``inner_len``
+and the missing count u32 — and has one minimal form of at most ten
+bytes; anything else is refused. So equal entries are equal bytes,
+which is what lets a receiver's :class:`AdmittedEntries` key all three
+ball kinds by them.
 
 Every ball kind — plain (1), signed (7) and id-ball (9) — encodes from
 and decodes to one :class:`~repro.core.event.Ball` (``{event id:
 Event}`` and ``{event id: ttl}`` in wire order), bare or wrapped with
 its signatures or as metadata. A wire ball that names an event id twice
 is refused: no honest sender ships one, since a ball is a map. A
-fixed-width field keeps the range of its layout — i64 for ``ts``, source
-and sequence, the range :mod:`repro.core.record` keeps a record's
-fields in — and a value outside it is refused with :class:`CodecError`
-like any other message that cannot be encoded.
+message with a field outside its range is refused with
+:class:`CodecError` like any other message that cannot be encoded.
 
-Versioning: there is one header version (7: version 6 carried the
-fixed-width signed entry ``ts i64 | source i64 | seq i64 | ttl i32 |
-epoch u32 | mac_len u8 | mac | payload_len u32 | payload`` and id-ball
-entry ``ts i64 | source i64 | seq i64 | ttl i32``; version 5 the
-fixed-width plain one) and every kind — inner envelope frames
-included — is written under it; any other value raises the
+Versioning: there is one header version (8: version 7 carried the
+fixed-width header ``magic | version u8 | kind u8 | sender i64 | count
+u32``, frame heads ``topic u32 | inner_len u32``, ids, watermarks and
+order keys as i64s, Cyclon entries ``peer i64 | age i32``, u32
+``req_id``/``max_events``/``max_bytes``/missing count, and chunk and
+pull-response events ``ts i64 | source i64 | seq i64 | payload_len u32
+| payload``; version 6 the fixed-width signed and id-ball entries;
+version 5 the fixed-width plain one) and every kind — inner envelope
+frames included — is written under it; the version byte sits at a
+fixed offset, before any varint, so any other value raises the
 distinguishable :class:`CodecVersionError`, so transports count
 traffic from an incompatible peer apart from line noise. There is no
 capability byte: the kind byte already says what one would, and a kind
@@ -90,7 +98,6 @@ truncated).
 
 from __future__ import annotations
 
-import json
 import struct
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -101,14 +108,18 @@ from ..auth.authenticator import EventSignature, SignedBall
 from ..core.errors import TransportError
 from ..core.event import Ball, Event
 from ..core.record import (
+    HEADER_PREFIX_NBYTES,
     WireRecord,
+    header_nbytes,
     parse_head,
     parse_record,
-    payload_json,
     read_uvarint,
+    read_zvarint,
     uvarint,
+    uvarint_nbytes,
     wire_head,
     wire_record,
+    zvarints,
 )
 from ..lazy.protocol import IdBall, PayloadRequest, PayloadResponse
 from ..pss.cyclon import CyclonRequest, CyclonResponse
@@ -123,38 +134,30 @@ from ..sync.protocol import (
 MAX_DATAGRAM = 60_000
 
 _MAGIC = b"EP"
-_VERSION = 7
+_VERSION = 8
 
-#: Largest topic id the frame layout can carry (topic is a u32).
-MAX_TOPIC_ID = 0xFFFFFFFF
+_U32_MAX = 0xFFFFFFFF
+_I32_MIN, _I32_MAX = -(1 << 31), (1 << 31) - 1
+
+#: Largest topic id the frame layout can carry (topic keeps the u32
+#: range).
+MAX_TOPIC_ID = _U32_MAX
 
 #: Largest MAC the signed-entry layout can carry (mac_len is a u8).
 MAX_MAC_LEN = 255
 
-_HEADER = struct.Struct("!2sBBqI")
 _KIND_OFFSET = 3  # magic 2s | version u8 | kind u8
+_SMALLEST_HEADER = HEADER_PREFIX_NBYTES + 2  # a one-byte sender and count
 _MAX_TTL = 0x7FFFFFFF  # a ball entry's TTL keeps the i32 range
-_MAX_EPOCH = 0xFFFFFFFF  # a signed entry's epoch keeps the u32 range
+_MAX_EPOCH = _U32_MAX  # a signed entry's epoch keeps the u32 range
 _NOTHING_KNOWN: Dict[Any, Any] = {}  # the records of a decode without a table
-_CYCLON_ENTRY = struct.Struct("!qi")
-_ORDER_KEY = struct.Struct("!qqq")
-_PAIR = struct.Struct("!qq")  # (source, seq): an event id or a watermark
-_DIGEST_FLAGS = struct.Struct("!B")
-_REQUEST_HEAD = struct.Struct("!IIIB")  # req_id, max_events, max_bytes, flags
-_CHUNK_HEAD = struct.Struct("!IB")  # req_id, flags
-_EVENT_RECORD = struct.Struct("!qqqI")  # ts, source, seq, payload_len
 _CHECKSUM = struct.Struct("!I")
-_FRAME_HEAD = struct.Struct("!II")  # topic, inner_len
-_PULL_REQ_HEAD = struct.Struct("!I")  # req_id
-_PULL_RESP_HEAD = struct.Struct("!II")  # req_id, missing count
 
-#: Bytes of the datagram header, of one envelope frame head, and the
-#: offset of the header's ``count`` field — for the modules that size
-#: envelopes (:mod:`repro.service.demux`) or corrupt a count on purpose
-#: (:meth:`repro.runtime.udp.UdpNetwork.set_corruption`).
-HEADER_SIZE = _HEADER.size
-FRAME_HEAD_SIZE = _FRAME_HEAD.size
-COUNT_OFFSET = _HEADER.size - struct.calcsize("!I")
+#: The most bytes a datagram header takes: a sender at the i64 ends and
+#: a count at the u32 end. Headers are varints, so this is a bound —
+#: what :mod:`repro.service.demux` reserves for an envelope's header
+#: before it knows the envelope's frame count.
+HEADER_SIZE = header_nbytes(-(1 << 63), _U32_MAX)
 
 
 @dataclass(frozen=True)
@@ -405,16 +408,39 @@ def _encode_into(sender: int, message: WireMessage, buffer: bytearray) -> int:
     row = _ROW_OF_TYPE.get(type(message))
     if row is None:
         raise CodecError(f"cannot encode message of type {type(message).__name__}")
-    try:
-        buffer += _HEADER.pack(_MAGIC, _VERSION, row.kind, sender, row.count(message))
-        payload_bytes = row.encode_body(message, buffer)
-    except struct.error as exc:
-        raise CodecError(
-            f"a field of a kind-{row.kind} message is outside its "
-            f"fixed-width range: {exc}"
-        ) from exc
+    buffer += _header(row.kind, sender, row.count(message))
+    payload_bytes = row.encode_body(message, buffer)
     _check_cap(len(buffer), "encoded message")
     return payload_bytes
+
+
+def _header(kind: int, sender: int, count: int) -> bytes:
+    """The datagram header: ``magic | version | kind | sender zvarint |
+    count uvarint``."""
+    if 0 <= sender < 0x40 and 0 <= count < 0x80:  # one byte each: nearly always
+        return _MAGIC + bytes((_VERSION, kind, sender << 1, count))
+    return (
+        _MAGIC
+        + bytes((_VERSION, kind))
+        + _i64s("sender", sender)
+        + _u32("count", count)
+    )
+
+
+def _u32(what: str, value: int) -> bytes:
+    """*value* as a uvarint, refused outside the u32 range of the
+    fixed-width field it replaced."""
+    if not 0 <= value <= _U32_MAX:
+        raise CodecError(f"{what} {value} is outside the u32 range")
+    return uvarint(value)
+
+
+def _i64s(what: str, *values: int) -> bytes:
+    """*values* as zigzag varints, refused outside the i64 range."""
+    try:
+        return zvarints(*values)
+    except OverflowError as exc:
+        raise CodecError(f"{what}: {exc}") from None
 
 
 def _check_cap(size: int, what: str) -> None:
@@ -456,10 +482,16 @@ def assemble_envelope(host: int, frames) -> bytes:
             datagram is itself an envelope (envelopes cannot nest) or
             the envelope exceeds :data:`MAX_DATAGRAM`.
     """
-    header = _HEADER.pack(_MAGIC, _VERSION, _ENVELOPE_KIND, host, len(frames))
+    header = _header(_ENVELOPE_KIND, host, len(frames))
     datagram = b"".join([header, *_frame_parts(frames)])
     _check_cap(len(datagram), "assembled envelope")
     return datagram
+
+
+def frame_nbytes(topic: int, inner_nbytes: int) -> int:
+    """Bytes one frame adds to an envelope: ``topic uvarint |
+    inner_len uvarint`` and the *inner_nbytes* of its datagram."""
+    return uvarint_nbytes(topic) + uvarint_nbytes(inner_nbytes) + inner_nbytes
 
 
 def _frame_parts(frames) -> list:
@@ -472,13 +504,13 @@ def _frame_parts(frames) -> list:
                 f"topic id {topic} of frame {index + 1} is outside the "
                 f"u32 range"
             )
-        if len(inner) < _HEADER.size:
+        if len(inner) < _SMALLEST_HEADER:
             raise CodecError(
                 f"frame {index + 1} is {len(inner)} bytes, not a datagram"
             )
         if inner[_KIND_OFFSET] == _ENVELOPE_KIND:
             raise CodecError("topic envelopes cannot nest")
-        parts.append(_FRAME_HEAD.pack(topic, len(inner)))
+        parts.append(uvarint(topic) + uvarint(len(inner)))
         parts.append(inner)
     return parts
 
@@ -514,18 +546,57 @@ def decode(
     """
     if table is not None and topic is None and table.pending:
         table._clear_pending()
-    if len(datagram) < _HEADER.size:
+    if len(datagram) < _SMALLEST_HEADER:
         raise CodecError(f"datagram too short ({len(datagram)} bytes)")
-    magic, version, kind, sender, count = _HEADER.unpack_from(datagram)
-    if magic != _MAGIC:
-        raise CodecError(f"bad magic {magic!r}")
+    if datagram[:2] != _MAGIC:
+        raise CodecError(f"bad magic {bytes(datagram[:2])!r}")
+    # The version before any varint: a header of another version may
+    # lay out what follows its kind byte differently.
+    version = datagram[2]
     if version != _VERSION:
         raise CodecVersionError(f"unsupported version {version}")
-    row = _ROW_OF_KIND.get(kind)
+    row = _ROW_OF_KIND.get(datagram[_KIND_OFFSET])
     if row is None:
-        raise CodecError(f"unknown message kind {kind}")
+        raise CodecError(f"unknown message kind {datagram[_KIND_OFFSET]}")
+    sender = datagram[4]
+    count = datagram[5]
+    if (sender | count) < 0x80:  # one byte each: nearly always
+        sender = (sender >> 1) ^ -(sender & 1)
+        start = _SMALLEST_HEADER
+    else:
+        sender, at = _read_i64(datagram, HEADER_PREFIX_NBYTES, "header sender")
+        count, start = _read_u32(datagram, at, "header count")
     view = datagram if isinstance(datagram, memoryview) else memoryview(datagram)
-    return sender, row.decode_body(view[_HEADER.size :], count, table, topic)
+    return sender, row.decode_body(view[start:], count, table, topic)
+
+
+def count_span(datagram) -> Tuple[int, int]:
+    """``(start, end)`` of the header's count in a well-formed
+    *datagram*: what :meth:`repro.runtime.udp.UdpNetwork.set_corruption`
+    rewrites."""
+    _, start = _read_i64(datagram, HEADER_PREFIX_NBYTES, "header sender")
+    return start, _read_u32(datagram, start, "header count")[1]
+
+
+def _read_u32(data, offset: int, what: str) -> Tuple[int, int]:
+    """A uvarint of *data* at *offset* that keeps the u32 range of the
+    fixed-width field it replaced: ``(value, offset past it)``."""
+    try:
+        value, offset = read_uvarint(data, offset, what)
+    except ValueError as exc:
+        raise CodecError(str(exc)) from exc
+    if value > _U32_MAX:
+        raise CodecError(f"{what} {value} overflows the u32 range")
+    return value, offset
+
+
+def _read_i64(data, offset: int, what: str) -> Tuple[int, int]:
+    """A zigzag varint of *data* at *offset*, an i64: ``(value, offset
+    past it)``."""
+    try:
+        return read_zvarint(data, offset, what)
+    except ValueError as exc:
+        raise CodecError(str(exc)) from exc
 
 
 # ----------------------------------------------------------------------
@@ -550,41 +621,11 @@ def _record_of(event: Event) -> WireRecord:
     return wire
 
 
-def _payload_bytes(event: Event) -> bytes:
-    """An event's payload as the UTF-8 JSON the wire carries — the tail
-    of its full record when a ball entry built one, else serialized
-    here: the other kinds build no record, so an event that only ever
-    travels in a sync chunk or in a pull response is not made to keep
-    one."""
-    wire = event._wire
-    if wire is not None and wire[0] and wire[1]:
-        record, payload_nbytes, _ = wire
-        return record[len(record) - payload_nbytes :]
-    try:
-        return payload_json(event.payload)
-    except (TypeError, ValueError) as exc:
-        raise _not_json(event) from exc
-
-
 def _not_json(event: Event) -> CodecError:
     return CodecError(
         f"payload of event {event.id} is not JSON-serializable "
         f"({type(event.payload).__name__})"
     )
-
-
-def _json_payload(raw, label: str):
-    """Parse a JSON payload from any bytes-like slice.
-
-    ``str(raw, "utf-8")`` reads through the buffer protocol, so a
-    ``memoryview`` slice parses without an intermediate ``bytes`` copy;
-    the parsed payload is an owned object with no reference into the
-    source buffer.
-    """
-    try:
-        return json.loads(str(raw, "utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise CodecError(f"{label}: {exc}") from exc
 
 
 def _ttl_outside(ttl: int, event: Event) -> CodecError:
@@ -895,15 +936,6 @@ def _encode_topic_envelope_into(
     return payload_total
 
 
-def _read(layout: struct.Struct, body, offset: int, what: str) -> Tuple[tuple, int]:
-    """Unpack *layout* at *offset*; returns its fields and the offset
-    past them, refusing a body that ends first."""
-    end = offset + layout.size
-    if end > len(body):
-        raise CodecError(f"truncated {what}")
-    return layout.unpack_from(body, offset), end
-
-
 def _expect_end(body, offset: int, what: str) -> None:
     if offset != len(body):
         raise CodecError(f"{len(body) - offset} trailing bytes after {what}")
@@ -916,16 +948,15 @@ def _decode_topic_envelope(
     frames = []
     offset = 0
     for _ in range(count):
-        (topic, inner_len), start = _read(
-            _FRAME_HEAD, body, offset, "topic frame header"
-        )
+        topic, offset = _read_u32(body, offset, "topic frame topic")
+        inner_len, start = _read_u32(body, offset, "topic frame length")
         offset = start + inner_len
         if offset > len(body):
             raise CodecError("truncated topic frame body")
         inner = body[start:offset]
         # Reject nesting before recursing: the kind byte sits at a
         # fixed header offset, so a bomb is refused without parsing.
-        if len(inner) >= _HEADER.size and inner[_KIND_OFFSET] == _ENVELOPE_KIND:
+        if len(inner) > _KIND_OFFSET and inner[_KIND_OFFSET] == _ENVELOPE_KIND:
             raise CodecError("topic envelopes cannot nest")
         frame_sender, frame_message = decode(inner, table, topic)
         frames.append((topic, frame_sender, frame_message))
@@ -933,65 +964,76 @@ def _decode_topic_envelope(
     return TopicEnvelope(frames=tuple(frames))
 
 
-def _encode_events_into(
+def _encode_records_into(
     events, buffer: bytearray, trailer: int, what: str
 ) -> int:
-    """Append one ``ts | source | seq | payload_len | payload`` record
-    per event; returns the payload bytes. *trailer* is what the message
-    still has to append after its events, counted against the cap."""
+    """Append one ``record_len | record`` per event — the record it
+    keeps, forwarded verbatim; returns the payload bytes. *trailer* is
+    what the message still has to append after its events, counted
+    against the cap."""
     size = len(buffer) + trailer
     payload_total = 0
     for index, event in enumerate(events):
-        payload = _payload_bytes(event)
-        size += _EVENT_RECORD.size + len(payload)
+        record, payload_nbytes, _ = _record_of(event)
+        length = uvarint(len(record))
+        size += len(length) + len(record)
         if size > MAX_DATAGRAM:
             raise _crosses_cap(f"{what} event", index, len(events), event, size)
-        buffer += _EVENT_RECORD.pack(
-            event.ts, event.source_id, event.seq, len(payload)
-        )
-        buffer += payload
-        payload_total += len(payload)
+        buffer += length
+        buffer += record
+        payload_total += payload_nbytes
     return payload_total
 
 
-def _decode_events(body, offset: int, count: int, what: str) -> Tuple[tuple, int]:
-    """Read *count* event records from *offset*; returns the events and
-    the offset past them."""
-    header, corrupt = f"{what} event header", f"corrupt {what} payload"
+def _decode_records(body, offset: int, count: int, what: str) -> Tuple[tuple, int]:
+    """Read *count* framed records from *offset*; returns their events —
+    each keeping its record, so serving it again ships these bytes —
+    and the offset past them."""
     events = []
     for _ in range(count):
-        (ts, source, seq, payload_len), start = _read(
-            _EVENT_RECORD, body, offset, header
-        )
-        offset = start + payload_len
+        length, start = _read_u32(body, offset, f"{what} record length")
+        offset = start + length
         if offset > len(body):
-            raise CodecError(f"truncated {what} event payload")
-        payload = _json_payload(body[start:offset], corrupt)
-        events.append(
-            Event(id=(source, seq), ts=ts, source_id=source, payload=payload)
-        )
+            raise CodecError(f"truncated {what} record")
+        try:
+            events.append(parse_record(bytes(body[start:offset])))
+        except ValueError as exc:
+            raise CodecError(f"corrupt {what} record: {exc}") from exc
     return tuple(events), offset
 
 
-def _encode_pairs_into(pairs, buffer: bytearray) -> None:
+def _encode_pairs_into(pairs, buffer: bytearray, what: str) -> None:
     for source, seq in pairs:
-        buffer += _PAIR.pack(source, seq)
+        buffer += _i64s(what, source, seq)
 
 
 def _decode_pairs(body, offset: int, count: int, what: str) -> Tuple[tuple, int]:
     """Read *count* ``(source, seq)`` pairs from *offset*; returns them
     and the offset past them."""
-    end = offset + count * _PAIR.size
-    if end > len(body):
+    if 2 * count > len(body) - offset:  # a pair takes two bytes at least
         raise CodecError(f"truncated {what}")
-    return tuple(_PAIR.iter_unpack(body[offset:end])), end
+    pairs = []
+    for _ in range(count):
+        source, offset = _read_i64(body, offset, what)
+        seq, offset = _read_i64(body, offset, what)
+        pairs.append((source, seq))
+    return tuple(pairs), offset
 
 
 def _decode_order_key(body, offset: int, present: int, what: str):
     """An optional order key: ``(key or None, offset past it)``."""
     if not present:
         return None, offset
-    return _read(_ORDER_KEY, body, offset, what)
+    ts, offset = _read_i64(body, offset, what)
+    source, offset = _read_i64(body, offset, what)
+    seq, offset = _read_i64(body, offset, what)
+    return (ts, source, seq), offset
+
+
+def _flags(body, offset: int, what: str) -> int:
+    if offset >= len(body):
+        raise CodecError(f"truncated {what}")
+    return body[offset]
 
 
 def _encode_sync_digest_into(message: SyncDigest, buffer: bytearray) -> int:
@@ -999,17 +1041,17 @@ def _encode_sync_digest_into(message: SyncDigest, buffer: bytearray) -> int:
     flags = (0x01 if digest.last_key is not None else 0) | (
         0x02 if message.reply else 0
     )
-    buffer += _DIGEST_FLAGS.pack(flags)
+    buffer.append(flags)
     if digest.last_key is not None:
-        buffer += _ORDER_KEY.pack(*digest.last_key)
-    _encode_pairs_into(digest.watermarks, buffer)
+        buffer += _i64s("sync digest order key", *digest.last_key)
+    _encode_pairs_into(digest.watermarks, buffer, "sync digest watermark")
     return 0
 
 
 def _decode_sync_digest(body, count: int, *_) -> SyncDigest:
-    (flags,), offset = _read(_DIGEST_FLAGS, body, 0, "sync digest flags")
+    flags = _flags(body, 0, "sync digest flags")
     last_key, offset = _decode_order_key(
-        body, offset, flags & 0x01, "sync digest order key"
+        body, 1, flags & 0x01, "sync digest order key"
     )
     watermarks, offset = _decode_pairs(
         body, offset, count, "sync digest watermarks"
@@ -1022,22 +1064,23 @@ def _decode_sync_digest(body, count: int, *_) -> SyncDigest:
 
 
 def _encode_sync_request_into(message: SyncRequest, buffer: bytearray) -> int:
-    flags = 0x01 if message.after is not None else 0
-    buffer += _REQUEST_HEAD.pack(
-        message.req_id & 0xFFFFFFFF, message.max_events, message.max_bytes, flags
-    )
+    buffer += _u32("sync request req_id", message.req_id & _U32_MAX)
+    buffer += _u32("sync request max_events", message.max_events)
+    buffer += _u32("sync request max_bytes", message.max_bytes)
+    buffer.append(0x01 if message.after is not None else 0)
     if message.after is not None:
-        buffer += _ORDER_KEY.pack(*message.after)
-    _encode_pairs_into(message.watermarks, buffer)
+        buffer += _i64s("sync request cursor", *message.after)
+    _encode_pairs_into(message.watermarks, buffer, "sync request watermark")
     return 0
 
 
 def _decode_sync_request(body, count: int, *_) -> SyncRequest:
-    (req_id, max_events, max_bytes, flags), offset = _read(
-        _REQUEST_HEAD, body, 0, "sync request header"
-    )
+    req_id, offset = _read_u32(body, 0, "sync request req_id")
+    max_events, offset = _read_u32(body, offset, "sync request max_events")
+    max_bytes, offset = _read_u32(body, offset, "sync request max_bytes")
+    flags = _flags(body, offset, "sync request flags")
     after, offset = _decode_order_key(
-        body, offset, flags & 0x01, "sync request cursor"
+        body, offset + 1, flags & 0x01, "sync request cursor"
     )
     watermarks, offset = _decode_pairs(
         body, offset, count, "sync request watermarks"
@@ -1053,23 +1096,28 @@ def _decode_sync_request(body, count: int, *_) -> SyncRequest:
 
 
 def _encode_sync_chunk_into(message: SyncChunk, buffer: bytearray) -> int:
-    flags = (0x01 if message.more else 0) | (
-        0x02 if message.peer_last is not None else 0
+    buffer += _u32("sync chunk req_id", message.req_id & _U32_MAX)
+    buffer.append(
+        (0x01 if message.more else 0)
+        | (0x02 if message.peer_last is not None else 0)
     )
-    buffer += _CHUNK_HEAD.pack(message.req_id & 0xFFFFFFFF, flags)
     if message.peer_last is not None:
-        buffer += _ORDER_KEY.pack(*message.peer_last)
-    buffer += _CHECKSUM.pack(message.checksum & 0xFFFFFFFF)
-    return _encode_events_into(message.events, buffer, 0, "sync-chunk")
+        buffer += _i64s("sync chunk peer key", *message.peer_last)
+    buffer += _CHECKSUM.pack(message.checksum & _U32_MAX)
+    return _encode_records_into(message.events, buffer, 0, "sync-chunk")
 
 
 def _decode_sync_chunk(body, count: int, *_) -> SyncChunk:
-    (req_id, flags), offset = _read(_CHUNK_HEAD, body, 0, "sync chunk header")
+    req_id, offset = _read_u32(body, 0, "sync chunk req_id")
+    flags = _flags(body, offset, "sync chunk flags")
     peer_last, offset = _decode_order_key(
-        body, offset, flags & 0x02, "sync chunk peer key"
+        body, offset + 1, flags & 0x02, "sync chunk peer key"
     )
-    (checksum,), offset = _read(_CHECKSUM, body, offset, "sync chunk checksum")
-    events, offset = _decode_events(body, offset, count, "sync chunk")
+    end = offset + _CHECKSUM.size
+    if end > len(body):
+        raise CodecError("truncated sync chunk checksum")
+    (checksum,) = _CHECKSUM.unpack_from(body, offset)
+    events, offset = _decode_records(body, end, count, "sync chunk")
     _expect_end(body, offset, "sync chunk")
     return SyncChunk(
         req_id=req_id,
@@ -1082,29 +1130,32 @@ def _decode_sync_chunk(body, count: int, *_) -> SyncChunk:
 
 def _encode_cyclon_into(message, buffer: bytearray) -> int:
     for peer, age in message.entries:
-        buffer += _CYCLON_ENTRY.pack(peer, age)
+        if not _I32_MIN <= age <= _I32_MAX:
+            raise CodecError(f"cyclon age {age} is outside the i32 range")
+        buffer += _i64s("cyclon entry", peer, age)
     return 0
 
 
 def _decode_cyclon(message_type, body, count: int, *_):
-    expected = count * _CYCLON_ENTRY.size
-    if len(body) != expected:
-        raise CodecError(
-            f"cyclon body is {len(body)} bytes, expected {expected}"
-        )
-    return message_type(entries=tuple(_CYCLON_ENTRY.iter_unpack(body)))
+    # An entry is a pair, its second member an age in the i32 range.
+    entries, offset = _decode_pairs(body, 0, count, "cyclon entries")
+    _expect_end(body, offset, "cyclon view")
+    for _, age in entries:
+        if not _I32_MIN <= age <= _I32_MAX:
+            raise CodecError(f"cyclon age {age} overflows the i32 range")
+    return message_type(entries=entries)
 
 
 def _encode_payload_request_into(
     message: PayloadRequest, buffer: bytearray
 ) -> int:
-    buffer += _PULL_REQ_HEAD.pack(message.req_id & 0xFFFFFFFF)
-    _encode_pairs_into(message.ids, buffer)
+    buffer += _u32("payload-request req_id", message.req_id & _U32_MAX)
+    _encode_pairs_into(message.ids, buffer, "payload-request id")
     return 0
 
 
 def _decode_payload_request(body, count: int, *_) -> PayloadRequest:
-    (req_id,), offset = _read(_PULL_REQ_HEAD, body, 0, "payload-request header")
+    req_id, offset = _read_u32(body, 0, "payload-request req_id")
     ids, offset = _decode_pairs(body, offset, count, "payload-request ids")
     _expect_end(body, offset, "payload request")
     return PayloadRequest(req_id=req_id, ids=ids)
@@ -1113,24 +1164,23 @@ def _decode_payload_request(body, count: int, *_) -> PayloadRequest:
 def _encode_payload_response_into(
     message: PayloadResponse, buffer: bytearray
 ) -> int:
-    buffer += _PULL_RESP_HEAD.pack(
-        message.req_id & 0xFFFFFFFF, len(message.missing)
+    missing = bytearray()
+    _encode_pairs_into(message.missing, missing, "payload-response missing id")
+    buffer += _u32("payload-response req_id", message.req_id & _U32_MAX)
+    buffer += _u32("payload-response missing count", len(message.missing))
+    payload_total = _encode_records_into(
+        message.events, buffer, len(missing), "payload-response"
     )
-    payload_total = _encode_events_into(
-        message.events,
-        buffer,
-        len(message.missing) * _PAIR.size,
-        "payload-response",
-    )
-    _encode_pairs_into(message.missing, buffer)
+    buffer += missing
     return payload_total
 
 
 def _decode_payload_response(body, count: int, *_) -> PayloadResponse:
-    (req_id, missing_count), offset = _read(
-        _PULL_RESP_HEAD, body, 0, "payload-response header"
+    req_id, offset = _read_u32(body, 0, "payload-response req_id")
+    missing_count, offset = _read_u32(
+        body, offset, "payload-response missing count"
     )
-    events, offset = _decode_events(body, offset, count, "payload-response")
+    events, offset = _decode_records(body, offset, count, "payload-response")
     missing, offset = _decode_pairs(
         body, offset, missing_count, "payload-response missing ids"
     )

@@ -23,10 +23,11 @@ Fault injection surface (driven by
 * :meth:`UdpNetwork.set_loss_burst` drops outgoing datagrams with a
   given probability for a wall-clock window;
 * :meth:`UdpNetwork.set_corruption` mangles outgoing datagrams with a
-  given probability (garbled magic, truncation, or a corrupted entry
-  count), exercising the receiver-side ``dropped_malformed`` defence
-  with real bytes on real sockets, in the spirit of update diffusion
-  under Byzantine payload corruption (Malkhi et al.);
+  given probability (garbled magic, truncation, or an entry count
+  rewritten in a form the codec never writes), exercising the
+  receiver-side ``dropped_malformed`` defence with real bytes on real
+  sockets, in the spirit of update diffusion under Byzantine payload
+  corruption (Malkhi et al.);
 * :meth:`UdpNetwork.set_latency_spike` defers ``sendto`` calls for a
   wall-clock window — real sockets cannot stretch the wire, but a
   sender-side delay is indistinguishable to the receiver, so the full
@@ -69,11 +70,11 @@ from ..auth.authenticator import SignedBall
 from ..core.errors import MembershipError
 from ..core.event import Ball
 from .codec import (
-    COUNT_OFFSET,
     AdmittedEntries,
     CodecError,
     CodecVersionError,
     TopicEnvelope,
+    count_span,
     decode,
     encode_into,
     last_encode_payload_bytes,
@@ -280,6 +281,30 @@ class _RawEndpoint:
 #: stretch; one millisecond is large against loopback and small against
 #: any realistic round interval.
 DEFAULT_SPIKE_BASE = 0.001
+
+
+def _garble_magic(datagram: bytes, rng: random.Random) -> bytes:
+    """Instant decode rejection."""
+    return b"XX" + datagram[2:]
+
+
+def _truncate(datagram: bytes, rng: random.Random) -> bytes:
+    """A datagram cut short in transit: every count it carries now
+    promises more than the bytes left."""
+    return datagram[: rng.randrange(1, len(datagram))]
+
+
+def _non_minimal_count(datagram: bytes, rng: random.Random) -> bytes:
+    """The header's count, same value, rewritten one byte longer: its
+    last byte given a continuation bit and a zero byte after it. A
+    varint has one minimal form and decode refuses any other."""
+    _, end = count_span(datagram)
+    return datagram[: end - 1] + bytes((datagram[end - 1] | 0x80, 0)) + datagram[end:]
+
+
+#: The ways :meth:`UdpNetwork.set_corruption` mangles a datagram, each
+#: ``(datagram, rng) -> bytes`` that decode must refuse.
+_CORRUPTIONS = (_garble_magic, _truncate, _non_minimal_count)
 
 
 class UdpNetwork:
@@ -720,17 +745,8 @@ class UdpNetwork:
     def _corrupt(self, datagram) -> bytes:
         """Mangle a copy of *datagram* so the receiving codec must
         reject it; the pooled source buffer is never touched."""
-        datagram = bytes(datagram)
-        mode = self._rng.randrange(3)
-        if mode == 0:
-            # Garble the magic: instant decode rejection.
-            return b"XX" + datagram[2:]
-        if mode == 1 and len(datagram) > 1:
-            # Truncate: simulates a datagram cut short in transit.
-            return datagram[: self._rng.randrange(1, len(datagram))]
-        # Flip the entry count high (its most significant byte): the
-        # body length no longer matches.
-        return datagram[:COUNT_OFFSET] + b"\xff" + datagram[COUNT_OFFSET + 1 :]
+        corrupt = _CORRUPTIONS[self._rng.randrange(len(_CORRUPTIONS))]
+        return corrupt(bytes(datagram), self._rng)
 
     def _crosses_partition(self, src: int, dst: int) -> bool:
         if not self._partitioned:

@@ -54,8 +54,9 @@ from ..runtime.codec import CodecError, MAX_DATAGRAM, TopicEnvelope
 #: to its registered node, identical to the fabric-level contract.
 ChannelHandler = Callable[[int, Any], None]
 
-_ENVELOPE_OVERHEAD = codec.HEADER_SIZE  # outer header
-_FRAME_OVERHEAD = codec.FRAME_HEAD_SIZE  # topic u32 + inner_len u32
+#: The outer header's bytes, reserved before the envelope's frame count
+#: is known: the header's bound, so an envelope never crosses the cap.
+_ENVELOPE_OVERHEAD = codec.HEADER_SIZE
 
 
 @dataclass(slots=True)
@@ -295,7 +296,7 @@ class TopicDemux:
                 if inner is None:
                     self.stats.dropped_unencodable += len(dsts)
                     continue
-                frame_size = _FRAME_OVERHEAD + len(inner[0])
+                frame_size = codec.frame_nbytes(frame[0], len(inner[0]))
                 if packed and size + frame_size > MAX_DATAGRAM:
                     bundle.append((dsts, packed))
                     packed = []
@@ -336,7 +337,10 @@ class TopicDemux:
             datagram = codec.encode(sender, message)
         except CodecError:
             return None
-        if _ENVELOPE_OVERHEAD + _FRAME_OVERHEAD + len(datagram) > MAX_DATAGRAM:
+        # Sized for any topic: the result is shared by every topic the
+        # message rides on.
+        frame_size = codec.frame_nbytes(codec.MAX_TOPIC_ID, len(datagram))
+        if _ENVELOPE_OVERHEAD + frame_size > MAX_DATAGRAM:
             return None
         return datagram, codec.last_encode_payload_bytes()
 

@@ -33,15 +33,12 @@ from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from ..core.errors import StorageError
 from ..core.event import Event, OrderKey
+from ..core.record import framed_record_nbytes, wire_sizes
 
-#: Canonical per-event frame: big-endian (ts, source, seq, payload_len).
-#: The same layout the codec puts on the wire for chunk events.
+#: Canonical per-event frame: big-endian (ts, source, seq, payload_len),
+#: the prefix of the bytes the checksum and a MAC cover. Not a wire
+#: layout: a chunk carries each event's record.
 _EVENT_FRAME = struct.Struct("!qqqI")
-
-#: Fixed per-event framing cost on the wire (ts, source, seq, payload
-#: length) — the payload JSON comes on top. Kept in sync with the codec
-#: struct so responder-side size caps match what the codec will emit.
-EVENT_WIRE_OVERHEAD = _EVENT_FRAME.size
 
 #: Watermark vector as sorted, immutable ``(source_id, max_seq)`` pairs.
 Watermarks = Tuple[Tuple[int, int], ...]
@@ -155,13 +152,17 @@ SYNC_MESSAGE_TYPES = (SyncDigest, SyncRequest, SyncChunk)
 
 
 def event_wire_cost(event: Event) -> int:
-    """Encoded size of one event inside a chunk (framing + payload).
+    """Encoded size of one event inside a chunk: its record and the
+    record's length (:func:`~repro.core.record.framed_record_nbytes`),
+    what a responder caps a chunk's bytes by.
 
     Raises:
         StorageError: If the payload is not JSON-serializable (such an
             event could never have been journaled or encoded).
     """
-    return EVENT_WIRE_OVERHEAD + len(_canonical_payload(event))
+    if wire_sizes(event)[0] is False:
+        raise StorageError(f"payload of event {event.id} is not JSON-serializable")
+    return framed_record_nbytes(event)
 
 
 def canonical_event_bytes(event: Event) -> bytes:

@@ -24,6 +24,8 @@ import pytest
 
 from repro.runtime.codec import CodecError
 
+from .header import with_count
+
 
 def truncations(wire: bytes) -> Iterator[bytes]:
     """Every proper prefix of *wire*, the empty one included."""
@@ -37,8 +39,8 @@ def trailing_garbage(wire: bytes) -> tuple:
 
 def inflated_count(wire: bytes) -> bytes:
     """*wire* claiming far more entries than it carries (the header's
-    count is the u32 at bytes 12–15 of ``!2sBBqI``)."""
-    return wire[:12] + (2**31).to_bytes(4, "big") + wire[16:]
+    count, a uvarint after the sender)."""
+    return with_count(wire, 2**31)
 
 
 def bit_flips(wire: bytes, rounds: int = 400, seed: int = 0xC0DEC) -> Iterator[bytes]:

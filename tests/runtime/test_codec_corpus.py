@@ -21,6 +21,7 @@ event id twice is refused, and the fabric counts it as malformed.
 from __future__ import annotations
 
 import asyncio
+import random
 import typing
 
 import pytest
@@ -33,9 +34,9 @@ from repro.auth import (
     SignedBall,
 )
 from repro.core.event import Ball, Event
-from repro.lazy.protocol import IdBall, PayloadRequest, PayloadResponse
+from repro.lazy.protocol import PayloadRequest, PayloadResponse
 from repro.pss.cyclon import CyclonRequest, CyclonResponse
-from repro.runtime import codec
+from repro.runtime import codec, udp
 from repro.runtime.codec import CodecError, CodecVersionError, TopicEnvelope
 from repro.runtime.udp import UdpNetwork
 from repro.sync.protocol import (
@@ -49,6 +50,15 @@ from repro.sync.protocol import (
 from repro.core.record import uvarint
 
 from ..conftest import id_ball
+from .header import (
+    FUTURE_VERSION,
+    VERSION,
+    body_of,
+    header_end,
+    pack_header,
+    varint_end,
+    with_count,
+)
 from .hostile import (
     assert_all_rejected,
     assert_only_codec_errors,
@@ -134,12 +144,15 @@ INPUTS = [bytes, bytearray, memoryview]
 
 #: Every header version but the one (versions 1–4 were never deployed;
 #: 5 carried the fixed-width plain ball entry, 6 the fixed-width signed
-#: and id-ball entries).
-FOREIGN_VERSIONS = (0, 1, 2, 3, 4, 5, 6, 8, 255)
+#: and id-ball entries, 7 the fixed-width header and framing).
+FOREIGN_VERSIONS = (0, 1, 2, 3, 4, 5, 6, 7, FUTURE_VERSION, 255)
 
-#: Where the inner header's version byte sits in a one-frame envelope:
-#: outer header (16) + frame head (8) + magic (2).
-_INNER_VERSION_OFFSET = 16 + 8 + 2
+
+def _inner_version_offset(envelope) -> int:
+    """Where the first inner header's version byte sits in *envelope*:
+    past the outer header, the frame's topic and length, and the magic."""
+    at = varint_end(envelope, varint_end(envelope, header_end(envelope)))
+    return at + 2
 
 
 def _receivers(wire, as_input):
@@ -168,9 +181,9 @@ def test_the_corpus_covers_the_kind_table():
     "name, message, sender, wire", CORPUS, ids=[case[0] for case in CORPUS]
 )
 def test_round_trips_under_the_one_version(name, message, sender, wire):
-    assert wire[:2] == b"EP" and wire[2] == 7
+    assert wire[:2] == b"EP" and wire[2] == VERSION
     if name.endswith("-framed"):
-        assert wire[_INNER_VERSION_OFFSET] == 7
+        assert wire[_inner_version_offset(wire)] == VERSION
     assert codec.decode(wire) == (sender, message)
     assert checked_decode(wire, warm_table(wire)) == (sender, message)
 
@@ -194,13 +207,34 @@ def test_bit_flips_only_ever_raise_codec_errors(wire, as_input):
 @pytest.mark.parametrize("wire", WIRES)
 def test_a_foreign_version_is_a_version_error(wire):
     offsets = [2]
-    if wire[3] == 8 and len(wire) > _INNER_VERSION_OFFSET:
-        offsets.append(_INNER_VERSION_OFFSET)  # the first inner frame's
+    if wire[3] == 8 and len(wire) > header_end(wire):
+        offsets.append(_inner_version_offset(wire))  # the first inner frame's
     for decode in _receivers(wire, bytes):
         for offset in offsets:
             for version in FOREIGN_VERSIONS:
                 with pytest.raises(CodecVersionError):
                     decode(_stamped(wire, offset, version))
+
+
+#: What :meth:`UdpNetwork.set_corruption` does to a datagram, and what
+#: each refusal says (a cut may end anywhere, so its refusal varies).
+CORRUPTIONS = {
+    "garbled magic": (udp._CORRUPTIONS[0], "bad magic"),
+    "truncated": (udp._CORRUPTIONS[1], None),
+    "non-minimal count": (udp._CORRUPTIONS[2], "non-minimal"),
+}
+
+
+@pytest.mark.parametrize("mode", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("wire", WIRES)
+def test_every_corruption_mode_of_the_fabric_is_refused(wire, mode):
+    corrupt, refusal = CORRUPTIONS[mode]
+    rng = random.Random(mode)
+    for decode in _receivers(wire, bytes):
+        for _ in range(8):
+            # pytest.raises lets any other exception through.
+            with pytest.raises(CodecError, match=refusal):
+                decode(corrupt(wire, rng))
 
 
 def test_an_unknown_kind_under_the_one_version_is_malformed():
@@ -217,7 +251,7 @@ def test_the_fabric_counts_foreign_versions_apart_from_noise():
         for index, (_, _, _, wire) in enumerate(CORPUS)
     ]
     framed_ball = codec.encode(9, TopicEnvelope(frames=((_FRAME_TOPIC, 7, _ball()),)))
-    foreign.append(_stamped(framed_ball, _INNER_VERSION_OFFSET, 4))
+    foreign.append(_stamped(framed_ball, _inner_version_offset(framed_ball), 4))
 
     async def scenario():
         network = UdpNetwork()
@@ -238,14 +272,10 @@ def test_the_fabric_counts_foreign_versions_apart_from_noise():
     assert stats.dropped_malformed == 0
 
 
-#: An empty message of each ball kind: its header is every datagram's.
-_EMPTY = {1: Ball({}, {}), 7: SignedBall(Ball({}, {}), ()), 9: IdBall(Ball({}, {}))}
-
-
 def _datagram(kind: int, body: bytes) -> bytes:
     """A one-entry datagram of ball *kind* from sender 7 with a
     hand-written *body*."""
-    return codec.encode(7, _EMPTY[kind])[:12] + (1).to_bytes(4, "big") + body
+    return pack_header(kind, 7, 1) + body
 
 
 #: ``ts 10 | source 1 | seq 0`` as zigzag varints: a record's head.
@@ -354,8 +384,7 @@ def test_damaged_varints_are_codec_errors(kind, body, refusal, framed):
 def _twice(once: bytes) -> bytes:
     """*once*, a one-entry ball datagram, with its entry laid twice: a
     ball that names one id twice, which no :class:`Ball` can hold."""
-    body = once[codec.HEADER_SIZE :]
-    return once[: codec.COUNT_OFFSET] + (2).to_bytes(4, "big") + body + body
+    return with_count(once, 2) + body_of(once)
 
 
 #: One-entry datagrams of the three ball kinds.

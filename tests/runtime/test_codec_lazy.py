@@ -28,6 +28,7 @@ from repro.runtime.codec import CodecError, CodecVersionError, TopicEnvelope
 
 from ..conftest import RecordingTransport, StaticPeerSampler, id_ball
 
+from .header import FUTURE_VERSION, body_of, header_end, pack_header
 from .hostile import (
     assert_all_rejected,
     assert_only_codec_errors,
@@ -142,7 +143,7 @@ class TestMetaEventsNeverLeak:
 
     def test_a_relayed_meta_event_ships_its_head_verbatim(self):
         event, relayed = self._relayed_meta_event()
-        assert codec.encode(2, relayed)[16:] == b"\x03\x03\x14\x02\x00"
+        assert body_of(codec.encode(2, relayed)) == b"\x03\x03\x14\x02\x00"
         assert event._wire == (b"\x14\x02\x00", 0, 3)
 
     @pytest.mark.parametrize(
@@ -162,10 +163,10 @@ class TestMetaEventsNeverLeak:
         _, decoded = codec.decode(wire)
         assert decoded == message
         # Once the full record is built, an id-ball still ships the head.
-        assert codec.encode(2, relayed)[16:] == b"\x03\x03\x14\x02\x00"
+        assert body_of(codec.encode(2, relayed)) == b"\x03\x03\x14\x02\x00"
 
     def test_a_plain_entry_without_a_payload_is_refused(self):
-        wire = codec.encode(2, Ball.of([]))[:12] + (1).to_bytes(4, "big")
+        wire = pack_header(1, 2, 1)
         with pytest.raises(CodecError, match="corrupt ball entry"):
             codec.decode(wire + b"\x03\x03\x14\x02\x00")
 
@@ -194,7 +195,7 @@ class TestVersionGate:
     @pytest.mark.parametrize("build", _BUILDERS, ids=_IDS)
     def test_unknown_version_raises_version_error(self, build):
         wire = bytearray(codec.encode(1, build()))
-        wire[2] = 8  # a future header version
+        wire[2] = FUTURE_VERSION
         with pytest.raises(CodecVersionError):
             codec.decode(bytes(wire))
 
@@ -225,11 +226,12 @@ class TestHostileBytes:
 
     def test_ttl_beyond_i32_rejected(self):
         wire = codec.encode(1, id_ball((10, 1, 0, 0)))
-        # Header is 16 bytes, and an id-ball entry starts with its
-        # uvarint TTL: widen it past the i32 range (a TTL cannot be
+        # An id-ball entry starts with its uvarint TTL, right after the
+        # header: widen it past the i32 range (a TTL cannot be
         # negative).
-        assert wire[16] == 0
-        wire = wire[:16] + uvarint(1 << 31) + wire[17:]
+        at = header_end(wire)
+        assert wire[at] == 0
+        wire = wire[:at] + uvarint(1 << 31) + wire[at + 1 :]
         with pytest.raises(CodecError, match="i32 range"):
             codec.decode(wire)
 

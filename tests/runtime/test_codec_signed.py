@@ -36,6 +36,7 @@ from repro.sync.protocol import (
     events_checksum,
 )
 
+from .header import FUTURE_VERSION, header_end
 from .hostile import (
     assert_all_rejected,
     assert_only_codec_errors,
@@ -99,9 +100,8 @@ class TestRoundTrip:
         _, received = codec.decode(wire)
         # Relaying serializes no payload again: the records are the
         # bytes the entries arrived in.
-        monkeypatch.setattr(codec, "payload_json", None)
         monkeypatch.setattr("repro.core.record.payload_json", None)
-        assert codec.encode(1, received)[16:] == wire[16:]
+        assert codec.encode(1, received) == wire
 
     def test_plain_kinds_still_decode(self):
         ball = _signed_ball().ball
@@ -112,7 +112,7 @@ class TestRoundTrip:
 class TestVersionGate:
     def test_unknown_version_raises_version_error(self):
         wire = bytearray(codec.encode(1, _signed_ball()))
-        wire[2] = 8  # a future header version
+        wire[2] = FUTURE_VERSION
         with pytest.raises(CodecVersionError):
             codec.decode(bytes(wire))
 
@@ -148,10 +148,11 @@ class TestHostileBytes:
         wire = codec.encode(
             1, SignedBall(Ball.of([(event, 0)]), signatures=(None,))
         )
-        # Header is 16 bytes, and a signed entry starts with its uvarint
-        # TTL: widen it past the i32 range (a TTL cannot be negative).
-        assert wire[16] == 0
-        wire = wire[:16] + uvarint(1 << 31) + wire[17:]
+        # A signed entry starts with its uvarint TTL, right after the
+        # header: widen it past the i32 range (a TTL cannot be negative).
+        at = header_end(wire)
+        assert wire[at] == 0
+        wire = wire[:at] + uvarint(1 << 31) + wire[at + 1 :]
         with pytest.raises(CodecError, match="i32 range"):
             self.decode(wire)
 

@@ -17,7 +17,6 @@ round-trip through the codec so the demux can count it.
 from __future__ import annotations
 
 import random
-import struct
 
 import pytest
 
@@ -34,6 +33,7 @@ from repro.sync.protocol import (
     events_checksum,
 )
 
+from .header import FUTURE_VERSION, pack_frame, pack_header
 from .hostile import (
     assert_all_rejected,
     assert_only_codec_errors,
@@ -166,14 +166,14 @@ def _inner_datagrams(envelope):
 
 
 def _packed_by_hand(host, frames):
-    """The envelope layout written out: header ``magic | version u8 |
-    kind u8 | sender i64 | count u32``, then per frame ``topic u32 |
-    inner_len u32 | inner``. ``encode`` of an envelope goes through the
-    codec's own assembler, so comparing those two proves nothing; this
-    is what catches a layout slip in it."""
-    wire = struct.pack("!2sBBqI", b"EP", 7, 8, host, len(frames))
+    """The envelope layout written out by hand (``header.py``): the
+    header, then per frame ``topic uvarint | inner_len uvarint |
+    inner``. ``encode`` of an envelope goes through the codec's own
+    assembler, so comparing those two proves nothing; this is what
+    catches a layout slip in it."""
+    wire = pack_header(8, host, len(frames))
     for topic, inner in frames:
-        wire += struct.pack("!II", topic, len(inner)) + inner
+        wire += pack_frame(topic, inner)
     return wire
 
 
@@ -217,12 +217,13 @@ class TestAssembledEnvelope:
             [(_event(seq=i, payload="x" * 1000), 1) for i in range(30)]
         )
         inner = codec.encode(1, big)
-        fits = codec.MAX_DATAGRAM // (len(inner) + 8)
+        fits = codec.MAX_DATAGRAM // len(pack_frame(0, inner))
         codec.assemble_envelope(1, [(t, inner) for t in range(fits)])
         with pytest.raises(CodecError, match="datagram cap"):
             codec.assemble_envelope(1, [(t, inner) for t in range(fits + 1)])
-        # Exactly at the cap passes, one byte over does not.
-        room = codec.MAX_DATAGRAM - 16 - 8
+        # Exactly at the cap passes, one byte over does not: the header,
+        # then topic 0 and a three-byte inner length.
+        room = codec.MAX_DATAGRAM - len(pack_header(8, 1, 1)) - 1 - 3
         exact = codec.encode(1, _ball(1)).ljust(room, b"\0")
         assert len(codec.assemble_envelope(1, [(0, exact)])) == codec.MAX_DATAGRAM
         with pytest.raises(CodecError, match="datagram cap"):
@@ -232,7 +233,7 @@ class TestAssembledEnvelope:
 class TestVersionGate:
     def test_unknown_version_raises_version_error(self):
         wire = bytearray(codec.encode(1, _mixed_envelope()))
-        wire[2] = 8  # a future header version
+        wire[2] = FUTURE_VERSION
         with pytest.raises(CodecVersionError):
             codec.decode(bytes(wire))
 

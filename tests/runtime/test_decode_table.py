@@ -26,6 +26,7 @@ from repro.runtime import codec
 from repro.runtime.codec import AdmittedEntries, CodecError, TopicEnvelope
 
 from ..conftest import id_ball, pairs
+from .header import body_of, header_end, with_count
 from .warm_table import checked_decode, warm_table
 
 
@@ -56,8 +57,8 @@ def _signed_key(wire):
     """The table key of the one entry of a bare signed datagram whose
     TTL and record length take a byte each: the epoch and MAC after its
     record."""
-    length = wire[codec.HEADER_SIZE + 1]
-    return bytes(wire[codec.HEADER_SIZE + 2 + length :])
+    at = header_end(wire)
+    return bytes(wire[at + 2 + wire[at + 1] :])
 
 
 def _nothing_staged(table):
@@ -137,7 +138,7 @@ class TestRepeatsReuseTheRememberedObjects:
         )
         for kind, body in ((1, head), (9, record)):
             empty = Ball({}, {}) if kind == 1 else IdBall(Ball({}, {}))
-            wire = codec.encode(1, empty)[:12] + (1).to_bytes(4, "big")
+            wire = with_count(codec.encode(1, empty), 1)
             wire += b"\x02" + uvarint(len(body)) + body
             with pytest.raises(CodecError):
                 checked_decode(wire, table)
@@ -242,7 +243,8 @@ class TestWholeDatagramFirst:
         wire = codec.encode(1, _ball(_event(), ttl=0))
         table = warm_table(wire)
         # The TTL is the entry's first byte: widen it past the i32 range.
-        wire = wire[:16] + uvarint(1 << 31) + wire[17:]
+        at = header_end(wire)
+        wire = wire[:at] + uvarint(1 << 31) + wire[at + 1 :]
         with pytest.raises(CodecError, match="i32 range"):
             checked_decode(wire, table)
 
@@ -393,8 +395,8 @@ def _ball_wire(draw):
             for entry, signature in zip(entries, signatures)
         ]
         empty = SignedBall(Ball({}, {}), ())
-    head = codec.encode(sender, empty)[:12] + len(singles).to_bytes(4, "big")
-    return head + b"".join(codec.encode(sender, one)[16:] for one in singles)
+    head = with_count(codec.encode(sender, empty), len(singles))
+    return head + b"".join(body_of(codec.encode(sender, one)) for one in singles)
 
 
 _WIRE = st.one_of(
@@ -419,10 +421,10 @@ def _datagram(draw):
             wire[draw(st.integers(0, len(wire) - 1))] ^= 1 << draw(st.integers(0, 7))
     elif damage == "grow":
         wire += draw(st.binary(min_size=1, max_size=4))
-    elif damage == "ttl" and len(wire) > 16:
+    elif damage == "ttl" and len(wire) > header_end(wire):
         # The first entry of a bare ball: its TTL grows a continuation
         # byte.
-        wire[16] |= 0x80
+        wire[header_end(wire)] |= 0x80
     return bytes(wire)
 
 

@@ -15,6 +15,7 @@ from repro.pss.base import MembershipDirectory
 from repro.pss.uniform import UniformViewPss
 
 from ..conftest import first_event
+from .header import FUTURE_VERSION
 
 
 def run(coro):
@@ -498,7 +499,7 @@ class TestAuthenticatedUdp:
             from repro.runtime import codec
 
             wire = bytearray(codec.encode(2, a_ball("x")))
-            wire[2] = 9  # future header version
+            wire[2] = FUTURE_VERSION
             host, port = network._addresses[1]  # noqa: SLF001 - test rig
             network._transports[2].sendto(bytes(wire), (host, port))  # noqa: SLF001
             await asyncio.sleep(0.05)

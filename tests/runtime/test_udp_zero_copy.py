@@ -29,6 +29,7 @@ from repro.runtime.codec import CodecError, CodecVersionError, decode
 from repro.runtime.udp import UdpNetwork
 
 from ..conftest import first_event
+from .header import FUTURE_VERSION
 from .warm_table import checked_decode, warm_table
 
 
@@ -111,7 +112,7 @@ class TestCodecFuzz:
 
     def test_version_flip_is_a_version_rejection_not_malformed(self):
         wire = bytearray(_plain_wire())
-        wire[2] = 9  # future header version
+        wire[2] = FUTURE_VERSION
         with pytest.raises(CodecVersionError):
             self.decode(memoryview(wire))
 
@@ -206,7 +207,7 @@ class TestFabricHostility:
 
     def test_flipped_version_counts_bad_version_over_udp(self):
         wire = bytearray(_plain_wire())
-        wire[2] = 8  # a future header version
+        wire[2] = FUTURE_VERSION
         inbox, stats = self._scenario([wire])
         assert inbox == []
         assert stats.dropped_bad_version == 1

@@ -58,6 +58,7 @@ from repro.runtime import codec
 from repro.runtime.codec import AdmittedEntries, CodecError, TopicEnvelope
 
 from ..conftest import RecordingTransport, StaticPeerSampler, pairs
+from .header import body_of, header_end, pack_frame, pack_header, with_count
 from .warm_table import checked_decode
 
 TTL_BOUND = 4
@@ -111,7 +112,7 @@ _step = st.one_of(
 def _ball_wire(entries, sender: int = 7) -> bytes:
     """The kind-1 datagram of *entries* as any sender could write it —
     an id named twice included, which no :class:`Ball` can hold."""
-    header = codec.encode(sender, Ball({}, {}))[:12] + len(entries).to_bytes(4, "big")
+    header = pack_header(1, sender, len(entries))
     records = [(ttl, wire_record(event)[0]) for event, ttl in entries]
     wire = header + b"".join(uvarint(ttl) + uvarint(len(r)) + r for ttl, r in records)
     if not _names_an_id_twice(entries):
@@ -138,9 +139,9 @@ def _decoded(frames, size=None) -> list:
     if frames[0][0] is None:
         refused = size is not None or _names_an_id_twice(frames[0][1])
         return [] if refused else frames
-    complete, end = [], codec.HEADER_SIZE
+    complete, end = [], header_end(_wire(frames))
     for topic, entries in frames:
-        end += codec.FRAME_HEAD_SIZE + len(_ball_wire(entries))
+        end += len(pack_frame(topic, _ball_wire(entries)))
         if (size is not None and end > size) or _names_an_id_twice(entries):
             break
         complete.append((topic, entries))
@@ -347,8 +348,8 @@ def _kind_wire(kind: int, entries, sender: int = 7) -> bytes:
     else:
         singles = [IdBall(Ball.of([entry])) for entry, _ in entries]
         empty = IdBall(Ball({}, {}))
-    head = codec.encode(sender, empty)[:12] + len(entries).to_bytes(4, "big")
-    return head + b"".join(codec.encode(sender, one)[16:] for one in singles)
+    head = with_count(codec.encode(sender, empty), len(entries))
+    return head + b"".join(body_of(codec.encode(sender, one)) for one in singles)
 
 
 def _kind_datagram(kind: int, frames) -> bytes:

@@ -8,6 +8,9 @@ its encoding is pinned by length and SHA-256. A pin changes only with
 a deliberate change of the wire format (and its header version). Header
 version 7 moved every pin; beyond the version byte, only kinds 7 and 9
 (varint signed and id-ball entries) and 8, which frames them, changed.
+Header version 8 moved every pin again: the header and every framing
+integer became varints, and chunk and pull-response events their
+framed records.
 """
 
 from __future__ import annotations
@@ -95,17 +98,17 @@ SAMPLES = {
 
 #: kind -> (datagram length, SHA-256 of ``codec.encode(7, SAMPLES[kind])``).
 GOLDEN = {
-    1: (192, "cfdc5c9a5f74e894aa550e9deff79db0901b53335e50a0f19ea6e70c7ffef98e"),
-    2: (40, "833d4ffdd8b5cd8f12ae7bddd73338971e15882fca689c29ba9adc2b4878e97a"),
-    3: (28, "0d71e5fe1ebcd3a2abc265335d9bea953ff61ec34082bb893cb3723165fb285d"),
-    4: (73, "be49586912994aea3d47d03f98cbab2a2320ba4001a65cf2cde52ab373212663"),
-    5: (85, "4eacf9f09004ce111d40e4ea46585015d1a0d8bf9723d90001a91d3a05a8e44a"),
-    6: (277, "82dec926732f58eb16dc31af8cc75c081815f8f2f37403deeed4bc9a3b45c3ac"),
-    7: (230, "4e97db1baa9caca1fa20f2486ec2556c05059ba76aab1dc8dbc45846f71caf47"),
-    8: (483, "a8c2df2977aaae797f4d070cbf904cd41fadf6407fede46b3b093af661b4e0f7"),
-    9: (47, "8903bb355d7fbb70e0fa2d1bdfed014a48e3383223cc52ac7d41a68df743f665"),
-    10: (52, "ac245654814b9e3f182f1218f219c199bebbae737d33e59d2789f5f0cb21d451"),
-    11: (284, "76c322a75688224bb5c8d28baf15807a4fb877489568157148e1b8c1b82e3e85"),
+    1: (182, "62905696d0eb5384817a5c52de953fea631913611b0f1e0c55ef1fcbb69e4e7a"),
+    2: (10, "1e8f67262d759a0f4869221656a86f87a1a90d7021a9de4f69908c0916d36f2e"),
+    3: (8, "37e97384bec4d1a139464d652b272e5c98f2372115962fe7ef000479c3126bed"),
+    4: (14, "925076fd7602d6800238eb498ee1d99bec59a0ebc2234d2399bcf1652a6d42b4"),
+    5: (20, "73a4b3c42273959bf3db0f2debb6d854c2a31fbde9131e90b77d485601a2e1a8"),
+    6: (189, "d56e66e6ea23043d599b9e616af55f36f46cd965fd928611647e25a324c6e7da"),
+    7: (220, "58e954eaad8ddc7f0983972727df4a95913828dbabfd9ac1d405022a1f8eb0bf"),
+    8: (427, "85b2bfca6cd707402f91f6adda7d76c1efc61b5645298ff142639bfad26705b8"),
+    9: (37, "91dd02162909611489ae71616ef61f00bb7c018bc5bd689c479be23ed557d589"),
+    10: (13, "dca17290b6c06dda67bc7c84ac89a1d5b37ce4f787195bf848e3cbe868d4e6e3"),
+    11: (188, "92c967db8b492933dc85648315df5084a2e4a89ff1c29ea62b3097da4db5b277"),
 }
 
 

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import asyncio
 import random
-import struct
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +16,8 @@ from repro.runtime import codec
 from repro.runtime.codec import MAX_DATAGRAM, TopicEnvelope
 from repro.runtime.transport import AsyncNetwork
 from repro.service.demux import TopicDemux
+
+from ..runtime.header import pack_frame, pack_header
 
 
 def _ball(src=1, seq=0, payload=None):
@@ -314,14 +315,13 @@ def _flush_counting_encodes(demux):
 
 def _packed_by_hand(host, frames):
     """*host*'s envelope of ``(topic, sender, message)`` *frames*, laid
-    out with ``struct.pack``: header ``magic | version u8 | kind u8 |
-    sender i64 | count u32``, then ``topic u32 | inner_len u32 | inner``
-    per frame. The object encoder goes through the assembler the demux
-    uses, so only this catches a layout slip in it."""
-    wire = struct.pack("!2sBBqI", b"EP", 7, 8, host, len(frames))
+    out by hand (``tests/runtime/header.py``): the header, then ``topic
+    uvarint | inner_len uvarint | inner`` per frame. The object encoder
+    goes through the assembler the demux uses, so only this catches a
+    layout slip in it."""
+    wire = pack_header(8, host, len(frames))
     for topic, sender, message in frames:
-        inner = codec.encode(sender, message)
-        wire += struct.pack("!II", topic, len(inner)) + inner
+        wire += pack_frame(topic, codec.encode(sender, message))
     return wire
 
 
@@ -435,10 +435,12 @@ class TestEncodeOncePerFlush:
             demux = TopicDemux(fabric, host_id=0)
             good = _ball()
             nested = TopicEnvelope(frames=((1, 0, _ball()),))
-            # Encodes on its own, but not beside an envelope's headers.
-            brim = _ball(payload="x" * (MAX_DATAGRAM - 40))
-            overhead = codec.HEADER_SIZE + codec.FRAME_HEAD_SIZE
-            assert MAX_DATAGRAM - overhead < len(codec.encode(0, brim)) <= MAX_DATAGRAM
+            # Encodes on its own, but not beside the envelope header's
+            # bound and a frame head for any topic.
+            brim = _ball(payload="x" * (MAX_DATAGRAM - 20))
+            size = len(codec.encode(0, brim))
+            frame_head = codec.frame_nbytes(codec.MAX_TOPIC_ID, size) - size
+            assert MAX_DATAGRAM - codec.HEADER_SIZE - frame_head < size <= MAX_DATAGRAM
             for message in (nested, brim, {1, 2}, good):
                 demux.channel(10).send_many(0, [1, 2], message)
             demux.flush()

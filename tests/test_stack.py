@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import asyncio
 import random
-import struct
 from dataclasses import MISSING, fields
 
 import pytest
@@ -37,6 +36,8 @@ from repro.sim import ClusterConfig, FixedLatency, SimCluster, SimNetwork, Simul
 from repro.stack import NodeStack, _drop, build_pss, open_journal
 from repro.sync import SyncConfig, SyncManager
 from repro.sync.protocol import DeliveryDigest, SyncChunk, SyncDigest, SyncRequest
+
+from .runtime.header import pack_header
 
 
 def _config(**overrides):
@@ -300,7 +301,7 @@ class TestCarriedKindsAreRouted:
 
     def test_an_envelope_refuses_exactly_the_envelope_kind(self):
         for row in codec._KINDS:
-            inner = struct.pack("!2sBBqI", b"EP", 7, row.kind, 1, 0)
+            inner = pack_header(row.kind, 1, 0)
             if row.message_type is TopicEnvelope:
                 with pytest.raises(codec.CodecError, match="nest"):
                     codec.assemble_envelope(0, [(0, inner)])
