@@ -1,4 +1,4 @@
-"""Peer sampling service interfaces (paper §2, Jelasity et al. [17]).
+"""Ground-truth membership for the peer sampling services (paper §2).
 
 EpTO assumes "a peer sampling service (PSS) providing a uniform random
 sample of other processes". Two implementations are provided:
@@ -11,27 +11,14 @@ sample of other processes". Two implementations are provided:
   (paper Figure 9).
 
 Both satisfy the minimal :class:`repro.core.interfaces.PeerSampler`
-protocol the EpTO core consumes.
+protocol the EpTO core consumes. This module holds what they share:
+the :class:`MembershipDirectory` the uniform view samples from and
+Cyclon bootstraps from.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence, runtime_checkable
-
-from ..core.interfaces import PeerSampler
-
-
-@runtime_checkable
-class PeerSamplingService(PeerSampler, Protocol):
-    """A PSS as seen by the hosting runtime (lifecycle included)."""
-
-    def sample(self, k: int) -> Sequence[int]:
-        """Up to *k* uniformly random peer ids (never the caller's)."""
-        ...
-
-    def view_snapshot(self) -> Sequence[int]:
-        """Current view contents, for metrics and debugging."""
-        ...
+from typing import Sequence
 
 
 class MembershipDirectory:

@@ -11,7 +11,7 @@ from ..core.config import EpToConfig
 from ..core.errors import MembershipError
 from ..core.event import Event
 from ..pss.base import MembershipDirectory
-from ..stack import build_pss, open_journal, reopen_journal, validate_modes
+from ..stack import PSS_KINDS, build_pss, open_journal, reopen_journal, validate_modes
 from .node import AsyncEpToNode
 from .transport import AsyncNetwork
 
@@ -88,7 +88,7 @@ class AsyncCluster:
         storage_fsync: str = "rotate",
         sync: Optional[SyncConfig] = None,
     ) -> None:
-        if pss not in ("uniform", "cyclon"):
+        if pss not in PSS_KINDS:
             raise MembershipError(f"unknown PSS kind {pss!r}")
         validate_modes(config, sync, storage_dir is not None, expected_size)
         self.config = config

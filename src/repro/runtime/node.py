@@ -119,8 +119,8 @@ class AsyncEpToNode:
         if self._task is None or self._task.done():
             self._task = loop.create_task(self._round_loop())
             self._task.add_done_callback(self._on_round_task_done)
-        # Any self-maintaining PSS (Cyclon, HyParView, Brahms) gets a
-        # shuffle task; the idealized uniform view has no shuffle.
+        # Cyclon gets a shuffle task; the idealized uniform view has
+        # no shuffle.
         if callable(getattr(self.stack.pss, "shuffle", None)) and (
             self._shuffle_task is None or self._shuffle_task.done()
         ):

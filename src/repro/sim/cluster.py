@@ -84,10 +84,8 @@ class ClusterConfig:
 
     Attributes:
         epto: EpTO algorithm configuration shared by every node.
-        pss: ``"uniform"`` (idealized, paper default), ``"cyclon"``
-            (realistic, paper Figure 9), ``"hyparview"`` (two-tier
-            views with reactive repair) or ``"brahms"``
-            (Byzantine-resilient sampling); see docs/OVERLAY.md.
+        pss: ``"uniform"`` (idealized, paper default) or ``"cyclon"``
+            (realistic, paper Figure 9); see docs/OVERLAY.md.
         drift: Round-period drift model (paper default: 1% uniform).
         cyclon_view_size: Cyclon view capacity; defaults to
             ``2 * fanout`` so the view always has enough entries to
@@ -337,9 +335,8 @@ class SimCluster:
         ]
         shuffle_fn = getattr(pss, "shuffle", None)
         if callable(shuffle_fn):
-            # Any self-maintaining PSS (Cyclon, HyParView, Brahms)
-            # shares the shuffle cadence; the idealized uniform view
-            # has no shuffle and needs no task.
+            # Cyclon shuffles on this cadence; the idealized uniform
+            # view has no shuffle and needs no task.
             period = config.cyclon_period or interval
             tasks.append(
                 PeriodicTask(

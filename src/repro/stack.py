@@ -16,7 +16,8 @@ decided here, once:
   the respawn hold-gate;
 * :func:`open_journal` / :func:`reopen_journal` — how a node's durable
   history is opened and how it comes back from disk;
-* :func:`build_pss` — the four peer sampling services.
+* :func:`build_pss` — the two peer sampling services the paper
+  evaluates: the idealized uniform view and Cyclon.
 
 Hosts keep only what is theirs: timers, sockets, collectors,
 subscriptions.
@@ -50,7 +51,7 @@ if TYPE_CHECKING:  # pragma: no cover - hints only; a layer loads when built
     from .sync.manager import SyncManager
 
 #: The peer sampling services :func:`build_pss` knows (docs/OVERLAY.md).
-PSS_KINDS = ("uniform", "cyclon", "hyparview", "brahms")
+PSS_KINDS = ("uniform", "cyclon")
 
 
 def validate_modes(
@@ -125,14 +126,6 @@ def _routes() -> Iterator[Tuple[Tuple[type, ...], str, str]]:
 
         yield (CyclonRequest,), "pss", "handle_request"
         yield (CyclonResponse,), "pss", "handle_response"
-    if _loaded("pss.hyparview"):
-        from .pss.hyparview import HYPARVIEW_MESSAGE_TYPES
-
-        yield HYPARVIEW_MESSAGE_TYPES, "pss", "handle_message"
-    if _loaded("pss.brahms"):
-        from .pss.brahms import BRAHMS_MESSAGE_TYPES
-
-        yield BRAHMS_MESSAGE_TYPES, "pss", "handle_message"
     if _loaded("lazy.protocol"):
         from .lazy.protocol import LAZY_MESSAGE_TYPES
 
@@ -432,10 +425,10 @@ def build_pss(
 
     Args:
         kind: One of :data:`PSS_KINDS`.
-        fanout: The EpTO fanout K; view sizes default from it so a view
-            always has enough entries to serve a K-sized sample.
+        fanout: The EpTO fanout K; the view size defaults from it so a
+            view always has enough entries to serve a K-sized sample.
         directory: Ground-truth membership — the idealized uniform
-            view samples from it, the others bootstrap from it
+            view samples from it, Cyclon bootstraps from it
             (simplified join: an introducer sample of the current
             membership).
         fabric: Where the overlay's own messages are sent.
@@ -443,8 +436,7 @@ def build_pss(
         bootstrap_rng: The randomness the introducer sample is drawn
             from — the host's own stream on the cluster hosts (default:
             *rng*).
-        view_size: Cyclon/Brahms view capacity (default ``2 * fanout``);
-            a floor on HyParView's active view (default ``fanout + 1``).
+        view_size: Cyclon view capacity (default ``2 * fanout``).
         shuffle_size: Cyclon entries exchanged per shuffle (default
             half the view, the original paper's recommendation).
     """
@@ -453,38 +445,20 @@ def build_pss(
 
         return UniformViewPss(node_id, directory, rng)
 
+    if kind != "cyclon":
+        raise MembershipError(f"unknown PSS kind {kind!r}")
+    from .pss.cyclon import CyclonPss
+
     def send(dst: int, message: Any) -> None:
         fabric.send(node_id, dst, message)
 
-    if kind == "cyclon":
-        from .pss.cyclon import CyclonPss
-
-        size = view_size or 2 * fanout
-        pss: Any = CyclonPss(
-            node_id=node_id,
-            view_size=size,
-            shuffle_size=shuffle_size or max(1, size // 2),
-            send=send,
-            rng=rng,
-        )
-    elif kind == "hyparview":
-        from .pss.hyparview import HyParViewPss
-
-        active = max(fanout + 1, view_size or 0)
-        size = 4 * active
-        pss = HyParViewPss(
-            node_id=node_id,
-            active_size=active,
-            passive_size=size,
-            send=send,
-            rng=rng,
-        )
-    elif kind == "brahms":
-        from .pss.brahms import BrahmsPss
-
-        size = view_size or 2 * fanout
-        pss = BrahmsPss(node_id=node_id, view_size=size, send=send, rng=rng)
-    else:
-        raise MembershipError(f"unknown PSS kind {kind!r}")
+    size = view_size or 2 * fanout
+    pss = CyclonPss(
+        node_id=node_id,
+        view_size=size,
+        shuffle_size=shuffle_size or max(1, size // 2),
+        send=send,
+        rng=rng,
+    )
     pss.bootstrap(directory.sample(bootstrap_rng or rng, size, exclude=node_id))
     return pss

@@ -3,7 +3,7 @@
 The lazy subsystem reorders *bytes*, never *events*: for the identical
 seeded workload, a ``mode="lazy"`` cluster must deliver the same total
 order as a ``mode="eager"`` one. Exact per-node sequence equality
-cannot be demanded once loss or realistic overlays are in play — the
+cannot be demanded once loss or the Cyclon overlay is in play — the
 two modes draw different amounts of network randomness, and bootstrap
 view lag at small n produces (identical-looking) early holes in *both*
 modes — so the check is the total-order contract itself:
@@ -13,7 +13,7 @@ modes — so the check is the total-order contract itself:
 * across modes, the longest sequences are identical (same events, same
   total order).
 
-Run across 28 seeded configurations including loss and churn.
+Run across 26 seeded configurations including loss and churn.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def _run_mode(mode, seed, loss=0.0, churn=False, pss="uniform"):
     )
     cluster = SimCluster(sim, network, config)
     cluster.add_nodes(N)
-    # Broadcasts start after a few rounds so realistic overlays mix;
+    # Broadcasts start after a few rounds so Cyclon views mix;
     # broadcasters are nodes 0..EVENTS-1.
     for i in range(EVENTS):
         sim.schedule_at(
@@ -83,11 +83,10 @@ CONFIGS = (
     # 16 clean/lossy uniform-PSS seeds ...
     [(seed, 0.0, False, "uniform") for seed in range(1, 9)]
     + [(seed, 0.05, False, "uniform") for seed in range(9, 17)]
-    # ... 4 heavier-loss, 4 churn, 4 realistic-overlay configurations.
+    # ... 4 heavier-loss, 4 churn, 2 Cyclon-overlay configurations.
     + [(seed, 0.15, False, "uniform") for seed in range(17, 21)]
     + [(seed, 0.05, True, "uniform") for seed in range(21, 25)]
-    + [(25, 0.0, False, "cyclon"), (26, 0.0, False, "hyparview")]
-    + [(27, 0.0, False, "brahms"), (28, 0.05, True, "cyclon")]
+    + [(25, 0.0, False, "cyclon"), (28, 0.05, True, "cyclon")]
 )
 
 

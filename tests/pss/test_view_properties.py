@@ -1,14 +1,13 @@
-"""Property-based tests (hypothesis) for the overlay PSS family.
+"""Property-based tests (hypothesis) for the Cyclon view under a lossy
+network pumped to quiescence.
 
-Generalizes ``test_cyclon_properties.py`` to every realistic overlay
-the cluster can mount — Cyclon, HyParView and Brahms — and drives small
-universes through arbitrary interleavings of maintenance ticks, message
-losses and node crashes. The structural invariants that must survive
-any schedule:
+Where ``test_cyclon_properties.py`` drops a shuffle's two messages by
+schedule, this file lets every message cascade and survive with
+probability ``1 - loss``, over a denser bootstrap, with a crash. The
+structural invariants that must survive any schedule:
 
 * no view ever contains its owner, duplicates, or unknown nodes, or
   exceeds its capacity;
-* HyParView's active and passive views stay disjoint;
 * ``sample(k)`` never returns the owner or duplicates;
 * loss and crashes never corrupt state (maintenance keeps working).
 """
@@ -16,71 +15,22 @@ any schedule:
 from __future__ import annotations
 
 import random
-from typing import Dict
+from typing import Dict, List
 
 from hypothesis import given, settings, strategies as st
 
-from repro.pss.brahms import BrahmsPss
-from repro.pss.cyclon import CyclonPss, CyclonRequest, CyclonResponse
-from repro.pss.hyparview import HyParViewPss
+from repro.pss.cyclon import CyclonPss, CyclonRequest
 
 NODES = 8
 VIEW_SIZE = 4
 
-#: Bound on cascaded deliveries per step (joins fan out; walks forward).
+#: Bound on cascaded deliveries per step.
 MAX_PUMPED = 400
-
-
-def _make_cyclon(node_id, outbox):
-    return CyclonPss(
-        node_id=node_id,
-        view_size=VIEW_SIZE,
-        shuffle_size=2,
-        send=lambda dst, msg, nid=node_id: outbox.append((nid, dst, msg)),
-        rng=random.Random(node_id),
-    )
-
-
-def _make_hyparview(node_id, outbox):
-    return HyParViewPss(
-        node_id=node_id,
-        active_size=VIEW_SIZE,
-        passive_size=2 * VIEW_SIZE,
-        send=lambda dst, msg, nid=node_id: outbox.append((nid, dst, msg)),
-        rng=random.Random(node_id),
-    )
-
-
-def _make_brahms(node_id, outbox):
-    return BrahmsPss(
-        node_id=node_id,
-        view_size=VIEW_SIZE,
-        send=lambda dst, msg, nid=node_id: outbox.append((nid, dst, msg)),
-        rng=random.Random(node_id),
-    )
-
-
-FAMILIES = {
-    "cyclon": _make_cyclon,
-    "hyparview": _make_hyparview,
-    "brahms": _make_brahms,
-}
-
-
-def _deliver(node, src, message):
-    """Route one message regardless of the family's handler spelling."""
-    if isinstance(message, CyclonRequest):
-        node.handle_request(src, message)
-    elif isinstance(message, CyclonResponse):
-        node.handle_response(src, message)
-    else:
-        node.handle_message(src, message)
 
 
 @st.composite
 def schedules(draw):
-    """(family, [(actor, loss_seed)], crash_at, crash_node)."""
-    family = draw(st.sampled_from(sorted(FAMILIES)))
+    """([(actor, loss_seed)], crash_at, crash_node, loss)."""
     steps = draw(st.integers(min_value=1, max_value=40))
     schedule = [
         (
@@ -94,14 +44,20 @@ def schedules(draw):
     )
     crash_node = draw(st.integers(min_value=0, max_value=NODES - 1))
     loss = draw(st.sampled_from([0.0, 0.2, 0.5]))
-    return family, schedule, crash_at, crash_node, loss
+    return schedule, crash_at, crash_node, loss
 
 
-def run_universe(family, schedule, crash_at, crash_node, loss):
-    outbox: list = []
-    make = FAMILIES[family]
-    nodes: Dict[int, object] = {
-        node_id: make(node_id, outbox) for node_id in range(NODES)
+def run_universe(schedule, crash_at, crash_node, loss):
+    outbox: List[tuple] = []
+    nodes: Dict[int, CyclonPss] = {
+        node_id: CyclonPss(
+            node_id=node_id,
+            view_size=VIEW_SIZE,
+            shuffle_size=2,
+            send=lambda dst, msg, nid=node_id: outbox.append((nid, dst, msg)),
+            rng=random.Random(node_id),
+        )
+        for node_id in range(NODES)
     }
     for node_id in range(NODES):
         nodes[node_id].bootstrap(
@@ -114,8 +70,8 @@ def run_universe(family, schedule, crash_at, crash_node, loss):
         if actor not in nodes:
             continue
         nodes[actor].shuffle()
-        # Pump the message queue to quiescence: handshakes and walks
-        # cascade, each hop surviving the network with prob 1 - loss.
+        # Pump the message queue to quiescence, each message surviving
+        # the network with prob 1 - loss.
         coin = random.Random(loss_seed)
         pumped = 0
         while outbox and pumped < MAX_PUMPED:
@@ -123,42 +79,30 @@ def run_universe(family, schedule, crash_at, crash_node, loss):
             src, dst, message = outbox.pop(0)
             if coin.random() < loss or dst not in nodes:
                 continue
-            _deliver(nodes[dst], src, message)
+            if isinstance(message, CyclonRequest):
+                nodes[dst].handle_request(src, message)
+            else:
+                nodes[dst].handle_response(src, message)
         outbox.clear()
     return nodes
-
-
-def _views_of(node):
-    """Every capped view the family exposes, as (label, view, cap)."""
-    if isinstance(node, HyParViewPss):
-        return [
-            ("active", node.active_view(), node.active_size),
-            ("passive", node.passive_view(), node.passive_size),
-        ]
-    return [("view", node.view_snapshot(), VIEW_SIZE)]
 
 
 @settings(max_examples=120, deadline=None)
 @given(schedules())
 def test_view_structural_invariants(batch):
-    family, schedule, crash_at, crash_node, loss = batch
-    nodes = run_universe(family, schedule, crash_at, crash_node, loss)
+    nodes = run_universe(*batch)
     for node in nodes.values():
-        for label, view, cap in _views_of(node):
-            assert node.node_id not in view, (family, label)
-            assert len(view) == len(set(view)), (family, label)
-            assert len(view) <= cap, (family, label)
-            assert all(0 <= peer < NODES for peer in view), (family, label)
-    if family == "hyparview":
-        for node in nodes.values():
-            assert not set(node.active_view()) & set(node.passive_view())
+        view = node.view_snapshot()
+        assert node.node_id not in view
+        assert len(view) == len(set(view))
+        assert len(view) <= VIEW_SIZE
+        assert all(0 <= peer < NODES for peer in view)
 
 
 @settings(max_examples=120, deadline=None)
 @given(schedules())
 def test_sample_never_self_never_duplicates(batch):
-    family, schedule, crash_at, crash_node, loss = batch
-    nodes = run_universe(family, schedule, crash_at, crash_node, loss)
+    nodes = run_universe(*batch)
     for node in nodes.values():
         for k in (1, 3, NODES):
             sample = node.sample(k)
@@ -172,7 +116,6 @@ def test_sample_never_self_never_duplicates(batch):
 def test_maintenance_survives_any_schedule(batch):
     """After any loss/crash schedule, every survivor can still run its
     maintenance tick without raising (no corrupted pending state)."""
-    family, schedule, crash_at, crash_node, loss = batch
-    nodes = run_universe(family, schedule, crash_at, crash_node, loss)
+    nodes = run_universe(*batch)
     for node in nodes.values():
         node.shuffle()  # must not raise

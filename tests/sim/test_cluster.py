@@ -11,7 +11,6 @@ from repro.core.event import Ball, Event
 from repro.core.process import EpToProcess
 from repro.lazy.protocol import IdBall, PayloadRequest, PayloadResponse
 from repro.metrics import DeliveryCollector
-from repro.pss import BrahmsPush, JoinRequest
 from repro.pss.cyclon import CyclonPss, CyclonRequest, CyclonResponse
 from repro.pss.uniform import UniformViewPss
 from repro.sim import ClusterConfig, FixedLatency, SimCluster, SimNetwork, Simulator
@@ -175,8 +174,6 @@ class TestInboxDispatch:
         ("ball", SHARED),
         ("cyclon_request", CyclonRequest(entries=())),
         ("cyclon_response", CyclonResponse(entries=())),
-        ("overlay", JoinRequest()),
-        ("overlay", BrahmsPush()),
         ("lazy", IdBall(Ball({}, {}))),
         ("lazy", PayloadRequest(req_id=1, ids=())),
         ("lazy", PayloadResponse(req_id=1, events=())),
@@ -198,18 +195,15 @@ class TestInboxDispatch:
 
         # The stack builds its dispatch table from the handlers its
         # layers have when the node is wired, so the recorders go on
-        # the classes before the cluster exists (an eager process and
-        # a Cyclon view do not speak lazy or overlay; giving them the
-        # handler is what makes them the owning layer here).
+        # the classes before the cluster exists (an eager process does
+        # not speak lazy; giving it the handler is what makes it the
+        # owning layer here).
         monkeypatch.setattr(DisseminationComponent, "receive_ball", recorder("ball"))
         monkeypatch.setattr(
             EpToProcess, "on_lazy_message", recorder("lazy"), raising=False
         )
         monkeypatch.setattr(CyclonPss, "handle_request", recorder("cyclon_request"))
         monkeypatch.setattr(CyclonPss, "handle_response", recorder("cyclon_response"))
-        monkeypatch.setattr(
-            CyclonPss, "handle_message", recorder("overlay"), raising=False
-        )
         monkeypatch.setattr(SyncManager, "on_message", recorder("sync"))
         sim = Simulator(seed=11)
         network = SimNetwork(sim, latency=FixedLatency(5))
@@ -222,7 +216,7 @@ class TestInboxDispatch:
         cluster.add_nodes(3)
         for _, message in self.MESSAGES:
             network.send(1, 0, message)
-        sim.run(until=5)  # FixedLatency(5): all twelve have landed, no round yet
+        sim.run(until=5)  # FixedLatency(5): all ten have landed, no round yet
         assert len(calls) == len(self.MESSAGES)
         for (kind, args), (expected, sent) in zip(calls, self.MESSAGES):
             assert kind == expected
@@ -230,7 +224,7 @@ class TestInboxDispatch:
             assert args[:-1] == (() if kind == "ball" else (1,))
 
     def test_stray_traffic_is_dropped_not_taken_for_a_ball(self, monkeypatch):
-        # Uniform PSS, eager, no sync: nobody here speaks overlay, lazy
+        # Uniform PSS, eager, no sync: nobody here speaks Cyclon, lazy
         # or anti-entropy, and none of it may fall through to the ball
         # inbox, which is the dissemination component's receive_ball.
         balls = []
@@ -241,7 +235,7 @@ class TestInboxDispatch:
         strays = [
             message
             for kind, message in self.MESSAGES
-            if kind in ("overlay", "lazy", "sync")
+            if kind in ("cyclon_request", "cyclon_response", "lazy", "sync")
         ]
         for message in strays + [self.BALL, self.SHARED]:
             network.send(1, 0, message)

@@ -77,8 +77,6 @@ UNUSED_BY_EAGER_UDP = (
     "experiments",
     "analysis",
     "storage",
-    "pss.hyparview",
-    "pss.brahms",
     "lazy.process",
     "lazy.pull",
     "lazy.store",
@@ -215,7 +213,7 @@ class TestConfiguredLayers:
             f"repro.{name}" for name in (*layers, "storage.recovery")
         }
         assert seen["respawned"] == built
-        unused = ("sim", "lazy.process", "pss.cyclon", "pss.hyparview")
+        unused = ("sim", "lazy.process", "pss.cyclon")
         assert under(built, *unused) == set()
 
     def test_lazy_mode_loads_the_pull_layer_when_built(self):
@@ -244,7 +242,7 @@ class TestConfiguredLayers:
         assert lazy <= seen["built"]
         assert seen["ran"] == seen["built"]
 
-    @pytest.mark.parametrize("kind", ["uniform", "cyclon", "hyparview", "brahms"])
+    @pytest.mark.parametrize("kind", ["uniform", "cyclon"])
     def test_only_the_overlay_being_built_is_loaded(self, kind):
         seen = run_script(
             """
@@ -266,7 +264,7 @@ class TestConfiguredLayers:
             """,
             kind,
         )
-        overlays = ("pss.uniform", "pss.cyclon", "pss.hyparview", "pss.brahms")
+        overlays = ("pss.uniform", "pss.cyclon")
         assert under(seen["ran"], *overlays) == {f"repro.pss.{kind}"}
 
 

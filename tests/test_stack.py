@@ -24,11 +24,8 @@ from repro.core.errors import ConfigurationError
 from repro.core.event import Ball, Event
 from repro.lazy.process import LazyEpToProcess
 from repro.lazy.protocol import LAZY_MESSAGE_TYPES
-from repro.pss import BRAHMS_MESSAGE_TYPES, HYPARVIEW_MESSAGE_TYPES
 from repro.pss.base import MembershipDirectory
-from repro.pss.brahms import BrahmsPss
 from repro.pss.cyclon import CyclonPss, CyclonRequest, CyclonResponse
-from repro.pss.hyparview import HyParViewPss
 from repro.runtime import AsyncCluster, AsyncEpToNode, AsyncNetwork, codec
 from repro.runtime.codec import TopicEnvelope
 from repro.service import BroadcastService, ServiceCluster
@@ -156,8 +153,6 @@ MESSAGES = (
         ("cyclon_request", CyclonRequest(entries=())),
         ("cyclon_response", CyclonResponse(entries=())),
     ]
-    + [("overlay", _blank(kind)) for kind in HYPARVIEW_MESSAGE_TYPES]
-    + [("overlay", _blank(kind)) for kind in BRAHMS_MESSAGE_TYPES]
     + [("lazy", _blank(kind)) for kind in LAZY_MESSAGE_TYPES]
     + [
         ("sync", SyncDigest(DeliveryDigest(last_key=None))),
@@ -169,8 +164,7 @@ MESSAGES = (
 #: stack shape -> (pss kind, mode, sync?, the layers such a stack holds)
 SHAPES = {
     "eager/cyclon/sync": ("cyclon", "eager", True, {"cyclon_request", "cyclon_response", "sync"}),
-    "lazy/hyparview": ("hyparview", "lazy", False, {"overlay", "lazy"}),
-    "eager/brahms": ("brahms", "eager", False, {"overlay"}),
+    "lazy/cyclon": ("cyclon", "lazy", False, {"cyclon_request", "cyclon_response", "lazy"}),
     "eager/uniform": ("uniform", "eager", False, set()),
 }
 
@@ -182,8 +176,6 @@ HANDLERS = (
     (LazyEpToProcess, "on_lazy_message", "lazy"),
     (CyclonPss, "handle_request", "cyclon_request"),
     (CyclonPss, "handle_response", "cyclon_response"),
-    (HyParViewPss, "handle_message", "overlay"),
-    (BrahmsPss, "handle_message", "overlay"),
     (SyncManager, "on_message", "sync"),
 )
 

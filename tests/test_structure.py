@@ -7,8 +7,9 @@ its formatting. A host that grows its own copy of the node wiring (a
 fourth constructor of the process, a second dispatch chain, another
 recover-and-reopen), of the fault interpreter or of a Table 1 scan
 fails here, and so does a second shape of ball, a ball found by testing
-for a tuple, or the return of a bench driver, byte estimate or second
-performance harness the end-to-end benchmark replaced.
+for a tuple, the return of a bench driver, byte estimate or second
+performance harness the end-to-end benchmark replaced, or a peer
+sampling service beyond the two the paper evaluates.
 """
 
 from __future__ import annotations
@@ -252,6 +253,26 @@ def test_the_second_performance_surface_stays_deleted():
     assert [path for path in RETIRED_HARNESS if (REPO / path).exists()] == []
     assert "analysis/profiling.py" not in MODULES
     assert modules_where(mentions("time_callable", "profile_callable")) == set()
+
+
+#: The peer sampling services the paper evaluates: the idealized uniform
+#: view and Cyclon (Figure 9). HyParView and Brahms stay deleted until
+#: one comes back with a wire kind, a UDP test and a drill row.
+PSS_MODULES = {"pss/__init__.py", "pss/base.py", "pss/uniform.py", "pss/cyclon.py"}
+
+
+def assigned(tree: ast.Module, name: str) -> object:
+    """The literal a module assigns to *name* at its top level."""
+    for node in tree.body:
+        targets = node.targets if isinstance(node, ast.Assign) else []
+        if any(isinstance(t, ast.Name) and t.id == name for t in targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(name)
+
+
+def test_the_paper_overlays_are_the_only_overlays():
+    assert {path for path in MODULES if path.startswith("pss/")} == PSS_MODULES
+    assert assigned(MODULES[STACK], "PSS_KINDS") == ("uniform", "cyclon")
 
 
 def test_every_ball_entry_is_written_on_the_event_record():
