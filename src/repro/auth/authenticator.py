@@ -60,7 +60,6 @@ class EventSignature:
     mac: bytes
 
 
-@dataclass(frozen=True, slots=True)
 class SignedBall:
     """A ball in wire form: the :class:`~repro.core.event.Ball` plus one
     optional signature per entry.
@@ -68,22 +67,40 @@ class SignedBall:
     ``signatures[i]`` authenticates the ball's ``i``-th event (``None``
     = the sender attached no MAC for that entry — a verifying receiver
     counts and drops it, a non-verifying one just strips it).
+
+    A plain slotted class, not a frozen dataclass: the codec builds one
+    per signed datagram received, and a frozen dataclass pays an
+    ``object.__setattr__`` per field. Neither field is reassigned once
+    built.
     """
 
-    ball: Ball
-    signatures: Tuple[Optional[EventSignature], ...]
+    __slots__ = ("ball", "signatures")
 
-    def __post_init__(self) -> None:
-        if len(self.ball) != len(self.signatures):
+    def __init__(
+        self, ball: Ball, signatures: Tuple[Optional[EventSignature], ...]
+    ) -> None:
+        if len(ball.ttls) != len(signatures):
             raise AuthError(
-                f"signed ball has {len(self.ball)} entries but "
-                f"{len(self.signatures)} signatures"
+                f"signed ball has {len(ball)} entries but "
+                f"{len(signatures)} signatures"
             )
+        self.ball = ball
+        self.signatures = signatures
 
     @property
     def entries(self) -> Ball:
         """The ball, sized by its entries."""
         return self.ball
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SignedBall):
+            return NotImplemented
+        return self.ball == other.ball and self.signatures == other.signatures
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"SignedBall(ball={self.ball!r}, signatures={self.signatures!r})"
 
 
 class HmacAuthenticator:

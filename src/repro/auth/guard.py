@@ -56,7 +56,7 @@ from .authenticator import (
 DEFAULT_CACHE_SIZE = 1 << 16
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class AdmitCounts:
     """Per-verdict tally for one admitted ball."""
 
@@ -68,6 +68,11 @@ class AdmitCounts:
     def rejected(self) -> int:
         """Total entries dropped by admission."""
         return self.bad_signature + self.unknown_key + self.unsigned
+
+
+#: The tally of a ball admitted whole: nearly every ball, so it is one
+#: object, never built per ball.
+_ADMITTED_WHOLE = AdmitCounts()
 
 
 class BallGuard:
@@ -153,42 +158,42 @@ class BallGuard:
         signatures: Tuple[Optional[EventSignature], ...],
         table=None,
     ) -> Tuple[Ball, AdmitCounts]:
-        counts = AdmitCounts()
-        dropped: Set[EventId] = set()
+        # Runs once per received ball, and nearly every ball is admitted
+        # whole: nothing is allocated until an entry is refused.
         authenticator = self.authenticator
+        dropped: Optional[Set[EventId]] = None
+        bad_signature = unknown_key = unsigned = 0
         events = ball.events
         for event, signature in zip(events.values(), signatures):
             if signature is None:
-                counts.unsigned += 1
+                unsigned += 1
             else:
                 if table is not None and table.holds(event, signature):
-                    verdict = (
-                        VERDICT_OK
-                        if authenticator.keyring.accepts(
-                            event.source_id, signature.epoch
-                        )
-                        else VERDICT_UNKNOWN_KEY
-                    )
+                    if authenticator.keyring.accepts(event.source_id, signature.epoch):
+                        continue
+                    unknown_key += 1
                 else:
                     verdict = authenticator.verify(event, signature)
-                    if verdict == VERDICT_OK and table is not None:
-                        table.remember(event)
-                if verdict == VERDICT_OK:
-                    continue
-                if verdict == VERDICT_UNKNOWN_KEY:
-                    counts.unknown_key += 1
-                else:
-                    assert verdict == VERDICT_BAD_SIGNATURE
-                    counts.bad_signature += 1
+                    if verdict == VERDICT_OK:
+                        if table is not None:
+                            table.remember(event)
+                        continue
+                    if verdict == VERDICT_UNKNOWN_KEY:
+                        unknown_key += 1
+                    else:
+                        assert verdict == VERDICT_BAD_SIGNATURE
+                        bad_signature += 1
+            if dropped is None:
+                dropped = set()
             dropped.add(event.id)
-        if not dropped:
-            return ball, counts
+        if dropped is None:
+            return ball, _ADMITTED_WHOLE
         return (
             Ball(
                 {eid: event for eid, event in events.items() if eid not in dropped},
                 {eid: ttl for eid, ttl in ball.ttls.items() if eid not in dropped},
             ),
-            counts,
+            AdmitCounts(bad_signature, unknown_key, unsigned),
         )
 
     # ------------------------------------------------------------------

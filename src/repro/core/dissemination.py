@@ -189,11 +189,12 @@ class DisseminationComponent:
         bound = self.config.ttl
         splits = ball._splits
         if splits is None:
-            self._merge(ttls, ball.events, bound)
+            merge = ttls
         else:
             live, expired = splits.get(bound) or ball.split(bound)
             if expired:
                 stats.entries_expired += expired
+            merge = None
             absorbed = self._absorbed
             if absorbed.get(id(live)) is not live:
                 next_ttls = self._next_ttls
@@ -202,34 +203,34 @@ class DisseminationComponent:
                 ):
                     pass  # teaches nothing
                 elif next_ttls or expired:
-                    self._merge(live, ball.events, bound)
+                    merge = live
                 else:
                     # Nothing pending and nothing dropped: the maps are
                     # the merge, in C.
                     next_ttls.update(live)
                     self._next_events.update(ball.events)
                 absorbed[id(live)] = live
+        if merge:
+            # Max-merge in ball order, dropping and counting the entries
+            # at or past the bound (Algorithm 1 lines 12–18).
+            next_ttls = self._next_ttls
+            next_events = self._next_events
+            events = ball.events
+            expired = 0
+            for event_id, ttl in merge.items():
+                if ttl >= bound:
+                    expired += 1
+                    continue
+                known = next_ttls.get(event_id)
+                if known is None:
+                    next_events[event_id] = events[event_id]
+                    next_ttls[event_id] = ttl
+                elif ttl > known:
+                    next_ttls[event_id] = ttl
+            if expired:
+                stats.entries_expired += expired
         if self._clock_needs_updates and ttls:
             self.oracle.update_clock(ball.max_ts)
-
-    def _merge(self, ttls: dict, events: dict, bound: int) -> None:
-        """Max-merge *ttls* (``{event id: ttl}``, in ball order; the
-        events in *events*) into nextBall, dropping and counting the
-        entries at or past *bound* (Algorithm 1 lines 12–18)."""
-        next_ttls = self._next_ttls
-        next_events = self._next_events
-        expired = 0
-        for event_id, ttl in ttls.items():
-            if ttl >= bound:
-                expired += 1
-                continue
-            known = next_ttls.get(event_id)
-            if known is None:
-                next_events[event_id] = events[event_id]
-                next_ttls[event_id] = ttl
-            elif ttl > known:
-                next_ttls[event_id] = ttl
-        self.stats.entries_expired += expired
 
     def round_tick(self) -> None:
         """Execute one relay round (Algorithm 1 lines 20–28).

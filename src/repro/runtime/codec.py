@@ -134,6 +134,7 @@ from ..sync.protocol import (
 MAX_DATAGRAM = 60_000
 
 _MAGIC = b"EP"
+_MAGIC_0, _MAGIC_1 = _MAGIC
 _VERSION = 8
 
 _U32_MAX = 0xFFFFFFFF
@@ -151,6 +152,7 @@ _SMALLEST_HEADER = HEADER_PREFIX_NBYTES + 2  # a one-byte sender and count
 _MAX_TTL = 0x7FFFFFFF  # a ball entry's TTL keeps the i32 range
 _MAX_EPOCH = _U32_MAX  # a signed entry's epoch keeps the u32 range
 _NOTHING_KNOWN: Dict[Any, Any] = {}  # the records of a decode without a table
+_BELOW_I64 = -(1 << 63) - 1  # below every ts an entry can carry
 _CHECKSUM = struct.Struct("!I")
 
 #: The most bytes a datagram header takes: a sender at the i64 ends and
@@ -219,8 +221,10 @@ class CodecVersionError(CodecError):
 #: fresh ids cannot push records out there.
 ADMITTED_CAPACITY = 1 << 14
 
-#: The kinds whose entries :class:`AdmittedEntries` remembers.
+#: The kinds whose entries :class:`AdmittedEntries` remembers: the ball
+#: kinds, which :func:`decode` reads itself.
 _PLAIN, _SIGNED, _IDS = 1, 7, 9
+_BALL_KINDS = frozenset((_PLAIN, _SIGNED, _IDS))
 
 
 class AdmittedEntries:
@@ -548,16 +552,20 @@ def decode(
         table._clear_pending()
     if len(datagram) < _SMALLEST_HEADER:
         raise CodecError(f"datagram too short ({len(datagram)} bytes)")
-    if datagram[:2] != _MAGIC:
+    if datagram[0] != _MAGIC_0 or datagram[1] != _MAGIC_1:
         raise CodecError(f"bad magic {bytes(datagram[:2])!r}")
     # The version before any varint: a header of another version may
     # lay out what follows its kind byte differently.
     version = datagram[2]
     if version != _VERSION:
         raise CodecVersionError(f"unsupported version {version}")
-    row = _ROW_OF_KIND.get(datagram[_KIND_OFFSET])
-    if row is None:
-        raise CodecError(f"unknown message kind {datagram[_KIND_OFFSET]}")
+    kind = datagram[_KIND_OFFSET]
+    if kind in _BALL_KINDS:
+        row = None
+    else:
+        row = _ROW_OF_KIND.get(kind)
+        if row is None:
+            raise CodecError(f"unknown message kind {kind}")
     sender = datagram[4]
     count = datagram[5]
     if (sender | count) < 0x80:  # one byte each: nearly always
@@ -566,6 +574,23 @@ def decode(
     else:
         sender, at = _read_i64(datagram, HEADER_PREFIX_NBYTES, "header sender")
         count, start = _read_u32(datagram, at, "header count")
+    if row is None:
+        # A ball kind, nearly every datagram: its entry loop reads one
+        # bytes copy of the whole datagram from where the header ends.
+        data = bytes(datagram)
+        if kind == _PLAIN:
+            ball = _decode_entries(
+                data, start, count, table, topic, _PLAIN, parse_record, "ball"
+            )
+        elif kind == _SIGNED:
+            ball = _decode_signed_ball(data, start, count, table, topic)
+        else:
+            ball = IdBall(
+                _decode_entries(
+                    data, start, count, table, topic, _IDS, parse_head, "id-ball"
+                )
+            )
+        return sender, ball
     view = datagram if isinstance(datagram, memoryview) else memoryview(datagram)
     return sender, row.decode_body(view[start:], count, table, topic)
 
@@ -683,7 +708,8 @@ def _encode_id_ball_into(message: IdBall, buffer: bytearray) -> int:
 
 
 def _decode_entries(
-    body,
+    data: bytes,
+    offset: int,
     count: int,
     table: Optional[AdmittedEntries],
     topic: Optional[int],
@@ -692,39 +718,39 @@ def _decode_entries(
     what: str,
 ) -> Ball:
     """The ball of *count* entries ``uvarint ttl | uvarint length |
-    record``, each record read by *parse* — a plain ball's
+    record`` that fill *data* from *offset* to its end, each record
+    read by *parse* — a plain ball's
     (:func:`~repro.core.record.parse_record`) or an id-ball's
-    (:func:`~repro.core.record.parse_head`)."""
+    (:func:`~repro.core.record.parse_head`). The ball's
+    :attr:`~repro.core.event.Ball.max_ts` is taken on the way."""
     # The loop runs once per copy of every event (K·TTL per node), so
     # everything it can do once per ball it does here. A copy whose
     # record the table holds costs the slice that is its key and one
     # lookup: no field of it is unpacked, and nothing is built per
-    # entry but the key.
+    # entry but the key. Each record is one bytes slice of *data* (a
+    # slice of a view would be a view to copy again).
     known = (table.records[kind] if table is not None else _NOTHING_KNOWN).get
-    # One copy of the body, so that each record is one bytes slice (a
-    # slice of a view is a view to copy again).
-    body = bytes(body)
-    size = len(body)
+    size = len(data)
     first_sights = 0
     events = {}
     ttls = {}
-    offset = 0
+    max_ts = _BELOW_I64
     try:
         for _ in range(count):
-            ttl = body[offset]
-            length = body[offset + 1]
+            ttl = data[offset]
+            length = data[offset + 1]
             if (ttl | length) < 0x80:  # one byte each: nearly always
                 start = offset + 2
-            elif ttl < 0x80 and 0 < (high := body[offset + 2]) < 0x80:
+            elif ttl < 0x80 and 0 < (high := data[offset + 2]) < 0x80:
                 # A minimal two-byte length: a record of 128 B to 16 kB.
                 length = (length & 0x7F) | high << 7
                 start = offset + 3
             else:
-                ttl, start, length = _long_entry_head(body, offset)
+                ttl, start, length = _long_entry_head(data, offset)
             offset = start + length
             if offset > size:
                 raise CodecError(f"{what} entry record runs past the datagram")
-            record = body[start:offset]
+            record = data[start:offset]
             key = record if topic is None else (record, topic)
             event = known(key)
             if event is None:
@@ -736,35 +762,26 @@ def _decode_entries(
                     first_sights += 1
                     table.pending.setdefault((kind, key), event)
             event_id = event.id
-            if event_id in ttls:
-                raise _named_twice(event_id)
             events[event_id] = event
             ttls[event_id] = ttl
+            ts = event.ts
+            if ts > max_ts:
+                max_ts = ts
     except IndexError:  # the body ended inside an entry's TTL or length
         raise CodecError(f"truncated {what} entry") from None
-    _expect_end(body, offset, what)
+    _expect_end(data, offset, what)
+    if len(ttls) != count:
+        raise _named_twice(what)
     if table is not None:
         table.hits += count - first_sights
         table.misses += first_sights
-    return Ball(events, ttls)
+    return Ball(events, ttls, False, max_ts if events else 0)
 
 
-def _decode_ball(
-    body, count: int, table: Optional[AdmittedEntries], topic: Optional[int]
-) -> Ball:
-    return _decode_entries(body, count, table, topic, _PLAIN, parse_record, "ball")
-
-
-def _decode_id_ball(
-    body, count: int, table: Optional[AdmittedEntries], topic: Optional[int]
-) -> IdBall:
-    return IdBall(
-        _decode_entries(body, count, table, topic, _IDS, parse_head, "id-ball")
-    )
-
-
-def _named_twice(event_id) -> CodecError:
-    return CodecError(f"ball names event {event_id} twice")
+def _named_twice(what: str) -> CodecError:
+    # Told by the size of the ball's map once every entry is read: a
+    # map cannot name an id twice, so one did if it holds fewer.
+    return CodecError(f"{what} names an event id twice")
 
 
 def _long_entry_head(body, offset: int) -> Tuple[int, int, int]:
@@ -826,62 +843,65 @@ def _encode_signed_ball_into(message: SignedBall, buffer: bytearray) -> int:
 
 
 def _decode_signed_ball(
-    body, count: int, table: Optional[AdmittedEntries], topic: Optional[int]
+    data: bytes,
+    offset: int,
+    count: int,
+    table: Optional[AdmittedEntries],
+    topic: Optional[int],
 ) -> SignedBall:
     # As _decode_entries; a hit is the very content — signature
     # included — that was parsed before.
     known = (table.records[_SIGNED] if table is not None else _NOTHING_KNOWN).get
-    body = bytes(body)
-    size = len(body)
+    size = len(data)
     first_sights = 0
     events = {}
     ttls = {}
     signatures = []
-    offset = 0
+    max_ts = _BELOW_I64
     try:
         for _ in range(count):
-            ttl = body[offset]
-            length = body[offset + 1]
+            ttl = data[offset]
+            length = data[offset + 1]
             if (ttl | length) < 0x80:
                 start = offset + 2
-            elif ttl < 0x80 and 0 < (high := body[offset + 2]) < 0x80:
+            elif ttl < 0x80 and 0 < (high := data[offset + 2]) < 0x80:
                 # A two-byte length, as _decode_entries: most payloads
                 # that are worth signing are past 127 bytes.
                 length = (length & 0x7F) | high << 7
                 start = offset + 3
             else:
-                ttl, start, length = _long_entry_head(body, offset)
+                ttl, start, length = _long_entry_head(data, offset)
             end = start + length
             if end > size:
                 raise CodecError("signed ball entry record runs past the datagram")
-            epoch = body[end]
+            epoch = data[end]
             at = end + 1
             if epoch >= 0x80:
-                epoch, at = _long_epoch(body, end)
+                epoch, at = _long_epoch(data, end)
             mac_start = at + 1
-            offset = mac_start + body[at]
+            offset = mac_start + data[at]
             if offset > size:
                 raise CodecError("signed ball entry MAC runs past the datagram")
             # Keyed by the epoch and MAC, a digest of the content, so
             # the lookup hashes a few bytes, not the payload; the record
             # is then compared in place.
-            tail = body[end:offset]
+            tail = data[end:offset]
             key = tail if topic is None else (tail, topic)
             known_entry = known(key)
             if (
                 known_entry is not None
                 and len(known_entry[0]) == length
-                and body.startswith(known_entry[0], start)
+                and data.startswith(known_entry[0], start)
             ):
                 _, event, signature = known_entry
             else:
-                record = body[start:end]
+                record = data[start:end]
                 try:
                     event = parse_record(record)
                 except ValueError as exc:
                     raise CodecError(f"corrupt signed ball entry: {exc}") from exc
                 signature = (
-                    EventSignature(epoch=epoch, mac=body[mac_start:offset])
+                    EventSignature(epoch=epoch, mac=data[mac_start:offset])
                     if offset > mac_start
                     else None
                 )
@@ -891,18 +911,23 @@ def _decode_signed_ball(
                     if topic is None:
                         table.staged[event.id] = key
             event_id = event.id
-            if event_id in ttls:
-                raise _named_twice(event_id)
             events[event_id] = event
             ttls[event_id] = ttl
             signatures.append(signature)
-    except IndexError:  # the body ended inside a TTL, length, epoch or mac_len
+            ts = event.ts
+            if ts > max_ts:
+                max_ts = ts
+    except IndexError:  # the data ended inside a TTL, length, epoch or mac_len
         raise CodecError("truncated signed ball entry") from None
-    _expect_end(body, offset, "signed ball")
+    _expect_end(data, offset, "signed ball")
+    if len(ttls) != count:
+        raise _named_twice("signed ball")
     if table is not None:
         table.hits += count - first_sights
         table.misses += first_sights
-    return SignedBall(Ball(events, ttls), tuple(signatures))
+    return SignedBall(
+        Ball(events, ttls, False, max_ts if events else 0), tuple(signatures)
+    )
 
 
 def _long_epoch(body, offset: int) -> Tuple[int, int]:
@@ -1205,10 +1230,11 @@ class _Kind(NamedTuple):
     #: appends the body to a buffer; returns its JSON payload bytes.
     encode_body: Callable[[Any, bytearray], int]
     #: ``(body, count, table, topic)`` -> message; the receiver's table
-    #: and the frame's topic are for the kinds that carry ball entries
-    #: (the envelope hands its frames the table and each its topic) —
-    #: a decoder takes what it has no use for as ``*_``.
-    decode_body: Callable[..., Any]
+    #: is for the envelope, which hands it to each of its frames with
+    #: the frame's topic — a decoder takes what it has no use for as
+    #: ``*_``. ``None`` for the ball kinds: :func:`decode` runs their
+    #: entry loops itself, straight off the datagram.
+    decode_body: Optional[Callable[..., Any]]
 
 
 def _entries(message) -> int:
@@ -1218,7 +1244,7 @@ def _entries(message) -> int:
 #: Every kind the codec can carry — the only place one is declared.
 #: Adding a kind is one row plus its two body functions.
 _KINDS = (
-    _Kind(1, Ball, len, _encode_ball_into, _decode_ball),
+    _Kind(1, Ball, len, _encode_ball_into, None),
     _Kind(2, CyclonRequest, _entries,
           _encode_cyclon_into, partial(_decode_cyclon, CyclonRequest)),
     _Kind(3, CyclonResponse, _entries,
@@ -1229,10 +1255,10 @@ _KINDS = (
           _encode_sync_request_into, _decode_sync_request),
     _Kind(6, SyncChunk, lambda message: len(message.events),
           _encode_sync_chunk_into, _decode_sync_chunk),
-    _Kind(7, SignedBall, _entries, _encode_signed_ball_into, _decode_signed_ball),
+    _Kind(7, SignedBall, _entries, _encode_signed_ball_into, None),
     _Kind(8, TopicEnvelope, lambda message: len(message.frames),
           _encode_topic_envelope_into, _decode_topic_envelope),
-    _Kind(9, IdBall, _entries, _encode_id_ball_into, _decode_id_ball),
+    _Kind(9, IdBall, _entries, _encode_id_ball_into, None),
     _Kind(10, PayloadRequest, lambda message: len(message.ids),
           _encode_payload_request_into, _decode_payload_request),
     _Kind(11, PayloadResponse, lambda message: len(message.events),
