@@ -25,8 +25,10 @@ aging in Algorithm 2 lines 6–7 must tick every round). See DESIGN.md.
 A second one: the ball a round ships is cut at the node's own TTL
 bound — the entries aged to it, which every receiver with that bound
 drops on arrival (line 13), are not sent, except one *clock carrier*
-under the logical clock (see :meth:`DisseminationComponent._cut`). The
-ordering component still gets the whole aged ball.
+under the logical clock, and that one only beside an entry still below
+the bound: a round with nothing live to relay sends nothing there (see
+:meth:`DisseminationComponent._cut`). The ordering component still
+gets the whole aged ball.
 """
 
 from __future__ import annotations
@@ -49,9 +51,11 @@ class DisseminationStats:
     """Counters exposed for instrumentation and experiments.
 
     They count balls and entries, per receiver where a ball fans out:
-    ``entries_relayed`` counts the entries shipped, after the cut at the
-    TTL bound (:meth:`DisseminationComponent.round_tick`), not those
-    handed to the ordering component. Bytes are counted only where a
+    ``balls_sent`` counts the balls put on the wire, not the rounds
+    with something to order, and ``entries_relayed`` the entries
+    shipped, after the cut at the TTL bound
+    (:meth:`DisseminationComponent.round_tick`), not those handed to the
+    ordering component. Bytes are counted only where a
     wire carries them, by the UDP fabric
     (:class:`repro.runtime.udp.UdpStats`) and the lazy pull
     (:class:`repro.lazy.LazyStats`).
@@ -246,8 +250,10 @@ class DisseminationComponent:
         it cut at this node's TTL bound (:meth:`_cut`): an entry aged to
         the bound is one every receiver with that bound drops unread
         (line 13). Under the logical clock one such entry may stay, as
-        the carrier of the ball's largest timestamp. A ball the cut
-        leaves empty (global clock only) is still sent. The shipped ball
+        the carrier of the ball's largest timestamp, but never alone: a
+        round whose cut keeps no entry below the bound sends nothing
+        there, though it still draws its peers. A ball the cut leaves
+        empty under the global clock is still sent. The shipped ball
         is never mutated, so a single instance is shared among all
         ``K`` receivers; when nothing is cut it is the ordered ball
         itself, its events map being the pending one handed over.
@@ -269,23 +275,27 @@ class DisseminationComponent:
                 shipped = self._cut(ball, bound)
             else:
                 ball = shipped = Ball(events, ttls, shared=True)
+            # The peers are drawn whether or not the round sends, so the
+            # sampler's random stream does not depend on the cut.
             peers = self.peer_sampler.sample(self.config.fanout)
-            if self._send_many is not None:
-                self._send_many(self.node_id, peers, shipped)
-            else:
-                for peer in peers:
-                    self.transport.send(self.node_id, peer, shipped)
-            fan = len(peers)
-            self.stats.balls_sent += fan
-            self.stats.entries_relayed += len(shipped.ttls) * fan
+            if shipped is not None:
+                if self._send_many is not None:
+                    self._send_many(self.node_id, peers, shipped)
+                else:
+                    for peer in peers:
+                        self.transport.send(self.node_id, peer, shipped)
+                fan = len(peers)
+                self.stats.balls_sent += fan
+                self.stats.entries_relayed += len(shipped.ttls) * fan
         else:
             ball = Ball(events, next_ttls)  # both empty
         # Refinement: order/age every round, not only on non-empty
         # balls (see module docstring).
         self.order_events(ball)
 
-    def _cut(self, ball: Ball, bound: int) -> Ball:
-        """*ball* without its entries at ``ttl >= bound``, in ball order.
+    def _cut(self, ball: Ball, bound: int) -> Ball | None:
+        """*ball* without its entries at ``ttl >= bound``, in ball order,
+        or ``None`` when the round sends nothing.
 
         Under the logical clock the expired entry with the largest
         ``ts`` (the first such in ball order) stays when that ``ts``
@@ -293,7 +303,11 @@ class DisseminationComponent:
         then reaches the clock the whole ball would have left, from an
         entry its source signed. A receiver with the same bound drops
         this *clock carrier* as expired, so it ends the step as if fed
-        the whole ball.
+        the whole ball. When no entry stays below the bound the carrier
+        would travel alone, and the round sends nothing: a receiver it
+        could still move has a clock below the carrier's ``ts``, so it
+        never merged that event, or anything as new, at a live TTL (see
+        docs/ALGORITHM.md, *A round with nothing live to relay*).
         """
         ttls, events = ball.ttls, ball.events
         # Few entries reach the bound in a round (those aged from
@@ -304,6 +318,8 @@ class DisseminationComponent:
             if ttl >= bound:
                 del live[event_id], kept[event_id]
         if self._clock_needs_updates:
+            if not live:
+                return None
             top = max(map(_TS, events.values()))
             # Usually a kept entry holds it: expired entries are the
             # oldest, so their timestamps tend to be the smallest.

@@ -240,10 +240,31 @@ def zvarints(*fields: int) -> bytes:
 
 
 def _read_head(record) -> Tuple[int, int, int, int]:
-    """``(ts, source, seq, offset past them)`` of a record's head."""
-    ts, at = read_zvarint(record, 0, "record ts")
-    source, at = read_zvarint(record, at, "record source")
-    seq, at = read_zvarint(record, at, "record seq")
+    """``(ts, source, seq, offset past them)`` of a record's head.
+
+    A one-byte varint (a value in [-64, 63]: most sources, early
+    sequence numbers) is read in line, where it can be neither
+    truncated, non-minimal nor out of range; every other field, and
+    every error, is :func:`read_zvarint`'s.
+    """
+    end = len(record)
+    byte = record[0] if end else 0x80
+    if byte < 0x80:
+        ts, at = (byte >> 1) ^ -(byte & 1), 1
+    else:
+        ts, at = read_zvarint(record, 0, "record ts")
+    byte = record[at] if at < end else 0x80
+    if byte < 0x80:
+        source = (byte >> 1) ^ -(byte & 1)
+        at += 1
+    else:
+        source, at = read_zvarint(record, at, "record source")
+    byte = record[at] if at < end else 0x80
+    if byte < 0x80:
+        seq = (byte >> 1) ^ -(byte & 1)
+        at += 1
+    else:
+        seq, at = read_zvarint(record, at, "record seq")
     return ts, source, seq, at
 
 

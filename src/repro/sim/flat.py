@@ -760,6 +760,11 @@ class FlatCluster:
                             count += 1
                 else:
                     peers = directory.sample(node_rng, fanout, exclude=node)
+                if logical and not live:
+                    # Only the clock carrier would ship: the peers are
+                    # drawn, but the round sends nothing
+                    # (DisseminationComponent._cut).
+                    peers = []
                 sent += len(peers)
                 if filtered:
                     # SimNetwork.send's checks and draws, in its order;

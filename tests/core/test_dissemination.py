@@ -205,6 +205,35 @@ class TestRoundTick:
         component.round_tick()
         assert transport.sent == []
 
+    @pytest.mark.parametrize("clock", ["global", "logical"])
+    def test_a_round_with_nothing_live_to_relay(self, clock):
+        # Every pending entry ages to the bound: under the logical clock
+        # only the clock carrier would ship, so the round sends nothing;
+        # the global clock's cut ships an empty ball. Both draw peers
+        # and order the whole aged ball.
+        component, transport, sampler, _, ordered = build(ttl=3, clock=clock)
+        event = make_event(src=9, ts=7)
+        component.receive_ball(Ball.of([(event, 2)]))
+        component.round_tick()
+        assert sampler.calls == [2]
+        assert ordered[0].ttls == {event.id: 3}
+        stats = component.stats
+        assert stats.entries_relayed == 0
+        if clock == "logical":
+            assert transport.sent == [] and stats.balls_sent == 0
+        else:
+            assert [ball.ttls for _, _, ball in transport.sent] == [{}, {}]
+            assert stats.balls_sent == 2
+
+    def test_the_carrier_ships_beside_a_live_entry(self):
+        component, transport, *_ = build(ttl=3, clock="logical")
+        old, young = make_event(src=9, ts=7), make_event(src=8, ts=2)
+        component.receive_ball(Ball.of([(old, 2), (young, 0)]))
+        component.round_tick()
+        ball = transport.sent[0][2]
+        assert ball.ttls == {old.id: 3, young.id: 1}
+        assert ball.max_ts == 7
+
 
 class TestStats:
     def test_counters(self):

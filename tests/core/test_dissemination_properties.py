@@ -12,7 +12,9 @@ assert its structural invariants:
 * ``nextBall`` never holds two entries for one event id;
 * every non-empty ball handed to the ordering component is put on the
   wire that round, cut at the TTL bound: the same entries in the same
-  order, minus those aged to the bound, plus the clock carrier;
+  order, minus those aged to the bound, plus the clock carrier; under
+  the logical clock, only a ball with an entry below the bound is, so
+  the carrier never travels alone;
 * a receiver with the same bound fed a round's shipped ball ends every
   step where a twin fed the whole ball ends: the same nextBall, in the
   same order, and the same logical clock.
@@ -93,14 +95,25 @@ def _foreign(entries) -> Ball:
     )
 
 
-def _rounds(transport: RecordingTransport, ordered: List[Ball]) -> List[tuple]:
+def _sends(ball: Ball, logical: bool) -> bool:
+    """Whether the round that orders *ball* puts one on the wire: any
+    non-empty ball under the global clock, one with an entry below the
+    bound under the logical clock (the clock carrier never ships alone)."""
+    if logical:
+        return any(ttl < TTL for ttl in ball.ttls.values())
+    return bool(ball)
+
+
+def _rounds(
+    transport: RecordingTransport, ordered: List[Ball], logical: bool
+) -> List[tuple]:
     """``(ordered ball, shipped ball)`` of every round that sent: the
     ``K`` peers of a round get one object."""
     shipped = []
     for _, _, ball in transport.sent:
         if not shipped or shipped[-1] is not ball:
             shipped.append(ball)
-    sending = [ball for ball in ordered if ball]
+    sending = [ball for ball in ordered if _sends(ball, logical)]
     assert len(shipped) == len(sending)
     return list(zip(sending, shipped))
 
@@ -134,7 +147,7 @@ clocks = st.sampled_from(["global", "logical"])
 @given(clocks, action_sequences())
 def test_never_relays_expired_events(clock, actions):
     _, transport, ordered = run_schedule(actions, clock)
-    for whole, ball in _rounds(transport, ordered):
+    for whole, ball in _rounds(transport, ordered, clock == "logical"):
         # Aging happens before sending, so TTLs are at most TTL (queued
         # strictly below, plus one increment) ...
         assert whole.max_ttl <= TTL
@@ -167,7 +180,7 @@ def test_no_duplicate_ids_in_sent_balls(actions):
 def test_wire_and_ordering_see_the_same_rounds(clock, actions):
     logical = clock == "logical"
     _, transport, ordered = run_schedule(actions, clock)
-    for whole, ball in _rounds(transport, ordered):
+    for whole, ball in _rounds(transport, ordered, logical):
         assert list(ball.ttls.items()) == _cut(whole, logical)
         assert list(ball.events) == list(ball.ttls)
         assert all(ball.events[eid] is whole.events[eid] for eid in ball.events)
@@ -288,7 +301,7 @@ def test_a_receiver_fed_the_cut_ball_ends_where_the_whole_ball_leaves_it(clock, 
             ordered.clear()
             sender.round_tick()
             if sent.sent:
-                (whole, ball), = _rounds(sent, ordered)
+                (whole, ball), = _rounds(sent, ordered, clock == "logical")
                 if data.draw(st.booleans(), label="as wire"):
                     # One receiver per object, as a decoded datagram.
                     whole = Ball(dict(whole.events), dict(whole.ttls))

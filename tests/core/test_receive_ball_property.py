@@ -14,8 +14,9 @@ written out below: the same pending ``{event id: ttl}`` in the same
 insertion order (it is the next ball's entry order), the same next ball,
 the same logical clock and the same :class:`DisseminationStats`. A round
 hands its ordering component every pending entry aged, and ships them
-cut at its own bound (with the clock carrier on a logical clock); the
-model writes out both. Either node may merge what the other shipped, so
+cut at its own bound (with the clock carrier on a logical clock, which
+never travels alone: a logical-clock round with no entry below the
+bound sends nothing); the model writes out both. Either node may merge what the other shipped, so
 a receiver whose bound exceeds its sender's is checked entry by entry
 too. A second property plays whole fan-out rounds: many senders' balls,
 equal, the very same object, sub- and supersets, raised and expired,
@@ -94,15 +95,18 @@ class Model:
             if self.logical:
                 self.clock = max(self.clock, event.ts)
 
-    def round(self) -> Tuple[List[Tuple[tuple, int]], List[Tuple[tuple, int]]]:
+    def round(self) -> Tuple[List[Tuple[tuple, int]], List[Tuple[tuple, int]] | None]:
         """The round's ``(ordered, shipped)`` entries: every pending
         entry aged, and those of them still below the bound plus, on a
         logical clock, the clock carrier: the first expired entry of the
-        largest ``ts``, when every kept entry's ``ts`` is smaller."""
+        largest ``ts``, when every kept entry's ``ts`` is smaller.
+        *shipped* is ``None`` when the round sends nothing: an empty
+        ball, or on a logical clock no entry below the bound."""
         self.stats.rounds += 1
         ball = [(eid, ttl + 1) for eid, ttl in self.pending.items()]
         shipped = [(eid, ttl) for eid, ttl in ball if ttl < self.ttl_bound]
         expired = [(eid, ttl) for eid, ttl in ball if ttl >= self.ttl_bound]
+        sends = bool(shipped) if self.logical else bool(ball)
         if self.logical and expired:
             ts = {eid: self.events[eid].ts for eid, _ in ball}
             carrier = expired[0]
@@ -113,11 +117,11 @@ class Model:
                 shipped = [
                     entry for entry in ball if entry in shipped or entry == carrier
                 ]
-        if ball:
+        if sends:
             self.stats.balls_sent += FANOUT
             self.stats.entries_relayed += FANOUT * len(shipped)
         self.pending, self.events = {}, {}
-        return ball, shipped
+        return ball, shipped if sends else None
 
 
 class _Recording(RecordingTransport):
@@ -222,7 +226,7 @@ def test_receive_ball_equals_per_entry_merge(clock, data):
             (whole,) = transport.ordered
             transport.ordered.clear()
             assert list(whole.ttls.items()) == expected
-            if not expected:
+            if shipped is None:
                 assert not transport.sent
                 continue
             ball = transport.sent[0][2]

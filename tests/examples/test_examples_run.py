@@ -16,6 +16,15 @@ import pytest
 
 EXAMPLES_DIR = Path(__file__).resolve().parents[2] / "examples"
 SCRIPTS = sorted(EXAMPLES_DIR.glob("*.py"))
+#: Lines a script's output must hold, for a script that runs several
+#: parts: each part printed its verdict.
+EXPECTED_LINES = {
+    "replicated_kv_store": (
+        "     epto: 1 distinct replica states -> CONSISTENT",
+        "kv topic           : CONVERGED",
+        "audit topic        : CONVERGED",
+    ),
+}
 
 
 def test_examples_directory_found():
@@ -38,3 +47,6 @@ def test_example_runs_clean(script: Path):
         f"stderr:\n{result.stderr}"
     )
     assert result.stdout.strip(), f"{script.name} printed nothing"
+    lines = result.stdout.splitlines()
+    for line in EXPECTED_LINES.get(script.stem, ()):
+        assert line in lines, f"{script.name} did not print {line!r}"

@@ -27,7 +27,7 @@ The model is the per-entry path: each datagram is the list of ``(event,
 ttl)`` entries it was written from, merged entry by entry (Algorithm 1,
 lines 11–19). A round counts as relayed the entries it ships: those
 that age to below the bound and, on a logical clock, the clock carrier
-(``DisseminationComponent._cut``). A ball that names an id twice is refused the way a
+(``DisseminationComponent._cut``), which never ships alone. A ball that names an id twice is refused the way a
 truncated datagram is: the frames of an envelope decoded before it were
 counted, and nothing reaches the node. Its table counts a copy as
 a hit when the very bytes of its ``ts``, source, sequence and payload
@@ -209,10 +209,12 @@ class Model:
     def round(self) -> None:
         """Count what the round ships: the pending entries that age to
         below the bound, plus on a logical clock the one carrying the
-        largest ``ts`` when only expired entries carry it."""
+        largest ``ts`` when only expired entries carry it. On a logical
+        clock a round with no entry below the bound ships nothing."""
         self.stats.rounds += 1
-        if self.pending:
-            shipped = [eid for eid, ttl in self.pending.items() if ttl + 1 < TTL_BOUND]
+        shipped = [eid for eid, ttl in self.pending.items() if ttl + 1 < TTL_BOUND]
+        sends = shipped if self.logical else self.pending
+        if sends:
             top = max(event.ts for event in self.events.values())
             carrier = self.logical and all(self.events[eid].ts < top for eid in shipped)
             self.stats.balls_sent += FANOUT

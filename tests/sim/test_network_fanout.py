@@ -281,7 +281,10 @@ def test_ball_in_flight_is_never_mutated_and_keeps_its_senders_map(monkeypatch):
     3 makes entries expire. A round ships its ball cut at the bound, but
     under the logical clock the cut keeps a clock carrier, which
     receivers drop as expired: so the per-bound ``live`` maps derived
-    from the ball are covered as well as the map itself.
+    from the ball are covered as well as the map itself. A carrier
+    travels only beside an entry still below the bound, so the schedule
+    mixes ages and timestamps: node ``k`` stamps ``k + 1`` events at
+    once, and a round later node ``k + 4`` stamps one more.
     """
     built = {}  # id(ball) -> (ball, its map, entries and map as sent)
     received = []
@@ -318,7 +321,9 @@ def test_ball_in_flight_is_never_mutated_and_keeps_its_senders_map(monkeypatch):
     cluster = SimCluster(sim, net, config)
     cluster.add_nodes(8)
     for node in range(4):
-        sim.schedule_at(5 + node, lambda node=node: cluster.broadcast_from(node, node))
+        for _ in range(node + 1):
+            sim.schedule_at(5 + node, lambda node=node: cluster.broadcast_from(node, node))
+        sim.schedule_at(25 + node, lambda node=node: cluster.broadcast_from(node + 4, node))
     sim.run(until=10 * 20)
 
     assert len(built) > 8 and len(received) > 3 * len(built) - 8
