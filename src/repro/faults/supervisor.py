@@ -3,8 +3,8 @@
 :class:`NodeSupervisor` watches every node of an
 :class:`~repro.runtime.cluster.AsyncCluster` and resurrects the ones
 that die — whether killed by fault injection
-(:meth:`AsyncEpToNode.crash`) or by their own round task raising (the
-node's done-callback flags the corpse). Restarts use exponential
+(:meth:`AsyncEpToNode.crash`) or by their own round timer raising (the
+node crashes itself and is flagged as a corpse). Restarts use exponential
 backoff with a cap, the classic supervision discipline: a process that
 keeps dying right after restart gets geometrically rarer retries, and
 one that stays healthy long enough earns its backoff reset. A node

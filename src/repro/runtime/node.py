@@ -2,8 +2,9 @@
 
 The exact same :class:`repro.core.process.EpToProcess` object that runs
 under the discrete-event simulator is driven here by real timers: a
-round task awaiting ``round_interval`` (with optional drift jitter) and
-an inbox callback wired to an :class:`~repro.runtime.transport.AsyncNetwork`.
+round timer re-armed every ``round_interval`` (with optional drift
+jitter) and an inbox callback wired to an
+:class:`~repro.runtime.transport.AsyncNetwork`.
 Nothing in the core is aware of the substitution — the demonstration
 the paper's §8.5 calls for.
 
@@ -35,6 +36,58 @@ if TYPE_CHECKING:  # pragma: no cover - hints only
 def _monotonic_millis() -> int:
     """Monotonic wall time in milliseconds (global-clock source)."""
     return int(time.monotonic() * 1000)
+
+
+class _Periodic:
+    """One periodic duty of a node as a loop timer, not a sleeping task.
+
+    *body* runs when the timer fires and the timer then re-arms itself
+    with ``loop.call_later(delay())``: one :class:`asyncio.TimerHandle`
+    alive at a time, and no task, future or extra loop pass per period.
+    *delay* is called before every wait, so a jittered round draws its
+    jitter where a sleeping loop did (draw, wait, run, draw, ...). An
+    exception from *body* stops the timer and is handed to *on_error*.
+    """
+
+    __slots__ = ("_loop", "_body", "_delay", "_on_error", "_handle")
+
+    def __init__(
+        self,
+        loop: asyncio.AbstractEventLoop,
+        body: Callable[[], None],
+        delay: Callable[[], float],
+        on_error: Callable[[Exception], None],
+    ) -> None:
+        self._loop = loop
+        self._body = body
+        self._delay = delay
+        self._on_error = on_error
+        self._handle: Optional[asyncio.TimerHandle] = loop.call_later(
+            delay(), self._fire
+        )
+
+    def _fire(self) -> None:
+        handle = self._handle
+        try:
+            self._body()
+        except Exception as exc:
+            self._handle = None
+            self._on_error(exc)
+            return
+        # The body may have cancelled this timer (a crash or stop from
+        # inside the round); only a timer still armed re-arms.
+        if self._handle is handle:
+            self._handle = self._loop.call_later(self._delay(), self._fire)
+
+    def cancel(self) -> None:
+        """Stop for good: the pending firing, if any, never runs."""
+        if self._handle is not None:
+            self._handle.cancel()
+            self._handle = None
+
+    def done(self) -> bool:
+        """Whether this timer will never fire again."""
+        return self._handle is None
 
 
 class AsyncEpToNode:
@@ -102,9 +155,9 @@ class AsyncEpToNode:
         )
         self.process: Any = self.stack.process
         self.sync_manager: Optional[SyncManager] = self.stack.sync_manager
-        self._task: Optional[asyncio.Task] = None
-        self._shuffle_task: Optional[asyncio.Task] = None
-        self._sync_task: Optional[asyncio.Task] = None
+        self._round_timer: Optional[_Periodic] = None
+        self._shuffle_timer: Optional[_Periodic] = None
+        self._sync_timer: Optional[_Periodic] = None
         self._crashed = False
         network.register(node_id, self.stack.handle_message)
 
@@ -113,41 +166,47 @@ class AsyncEpToNode:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Start the periodic round (and Cyclon shuffle) tasks."""
+        """Arm the periodic round (and Cyclon shuffle, and anti-entropy)
+        timers."""
         loop = asyncio.get_running_loop()
         self._crashed = False
-        if self._task is None or self._task.done():
-            self._task = loop.create_task(self._round_loop())
-            self._task.add_done_callback(self._on_round_task_done)
-        # Cyclon gets a shuffle task; the idealized uniform view has
+        interval_s = self.config.round_interval / 1000.0
+
+        def every_round() -> float:
+            return interval_s
+
+        if not self.running:
+            self._round_timer = _Periodic(
+                loop, self.stack.on_round, self._round_delay, self._on_round_failure
+            )
+        # Cyclon gets a shuffle timer; the idealized uniform view has
         # no shuffle.
         if callable(getattr(self.stack.pss, "shuffle", None)) and (
-            self._shuffle_task is None or self._shuffle_task.done()
+            self._shuffle_timer is None or self._shuffle_timer.done()
         ):
-            self._shuffle_task = loop.create_task(self._shuffle_loop())
+            self._shuffle_timer = _Periodic(
+                loop, self._shuffle, every_round, self._report("shuffle")
+            )
+        # The manager counts rounds itself (probe every interval_rounds,
+        # request timeouts in rounds), so it is ticked once per round
+        # interval — same time base as the simulator's PeriodicTask.
         if self.sync_manager is not None and (
-            self._sync_task is None or self._sync_task.done()
+            self._sync_timer is None or self._sync_timer.done()
         ):
-            self._sync_task = loop.create_task(self._sync_loop())
+            self._sync_timer = _Periodic(
+                loop, self._sync, every_round, self._report("sync")
+            )
 
     async def stop(self) -> None:
-        """Cancel the periodic tasks and leave the network."""
-        for attr in ("_task", "_shuffle_task", "_sync_task"):
-            task = getattr(self, attr)
-            if task is not None:
-                task.cancel()
-                try:
-                    await task
-                except asyncio.CancelledError:
-                    pass
-                setattr(self, attr, None)
+        """Cancel the periodic timers and leave the network."""
+        self._cancel_timers()
         self._crashed = False
         self.network.unregister(self.node_id)
 
     def crash(self) -> None:
         """Simulate abrupt process death (fault injection).
 
-        Kills the periodic tasks and drops the inbox without the
+        Kills the periodic timers and drops the inbox without the
         orderly shutdown of :meth:`stop`. The node object survives so a
         :class:`repro.faults.supervisor.NodeSupervisor` (or
         :meth:`repro.runtime.cluster.AsyncCluster.respawn_node`) can
@@ -155,32 +214,47 @@ class AsyncEpToNode:
         identity.
         """
         self._crashed = True
-        for attr in ("_task", "_shuffle_task", "_sync_task"):
-            task = getattr(self, attr)
-            if task is not None:
-                task.cancel()
+        self._cancel_timers()
         self.network.unregister(self.node_id)
+
+    def _cancel_timers(self) -> None:
+        for timer in (self._round_timer, self._shuffle_timer, self._sync_timer):
+            if timer is not None:
+                timer.cancel()
 
     @property
     def running(self) -> bool:
-        """Whether the round loop is active."""
-        return self._task is not None and not self._task.done()
+        """Whether the round timer is armed."""
+        return self._round_timer is not None and not self._round_timer.done()
 
     @property
     def crashed(self) -> bool:
-        """Whether the node died (injected crash or round-task error)
-        rather than being deliberately stopped."""
+        """Whether the node died (injected crash or a round that
+        raised) rather than being deliberately stopped."""
         return self._crashed
 
-    def _on_round_task_done(self, task: asyncio.Task) -> None:
-        # Self-detection of an unexpected death: a round task that
-        # finishes with an exception (not a cancellation) means the
-        # process is effectively dead — die like an injected crash:
-        # leave the network so peers' sends fail like against a crashed
-        # process, stop shuffling and probing, and flag the corpse for
-        # the supervisor.
-        if not task.cancelled() and task.exception() is not None:
-            self.crash()
+    def _on_round_failure(self, exc: Exception) -> None:
+        # Self-detection of an unexpected death: a round that raises
+        # means the process is effectively dead — die like an injected
+        # crash: leave the network so peers' sends fail like against a
+        # crashed process, stop shuffling and probing, and flag the
+        # corpse for the supervisor.
+        self.crash()
+
+    def _report(self, duty: str) -> Callable[[Exception], None]:
+        """The error hook of a shuffle or sync timer: its own timer has
+        stopped, and the loop's exception handler hears why (as it
+        would of a task whose exception nobody retrieved)."""
+
+        def report(exc: Exception) -> None:
+            asyncio.get_running_loop().call_exception_handler(
+                {
+                    "message": f"node {self.node_id}: {duty} timer failed",
+                    "exception": exc,
+                }
+            )
+
+        return report
 
     # ------------------------------------------------------------------
     # EpTO surface
@@ -199,35 +273,23 @@ class AsyncEpToNode:
     # Internals
     # ------------------------------------------------------------------
 
-    async def _round_loop(self) -> None:
+    def _round_delay(self) -> float:
         interval_s = self.config.round_interval / 1000.0
-        while True:
-            sleep_for = interval_s
-            if self._drift_fraction > 0.0:
-                jitter = self._rng.uniform(-self._drift_fraction, self._drift_fraction)
-                sleep_for = max(0.001, interval_s * (1.0 + jitter))
-            await asyncio.sleep(sleep_for)
-            self.stack.on_round()
+        if self._drift_fraction > 0.0:
+            jitter = self._rng.uniform(-self._drift_fraction, self._drift_fraction)
+            return max(0.001, interval_s * (1.0 + jitter))
+        return interval_s
 
-    async def _shuffle_loop(self) -> None:
-        interval_s = self.config.round_interval / 1000.0
-        while True:
-            await asyncio.sleep(interval_s)
-            self.stack.pss.shuffle()  # type: ignore[attr-defined]
+    def _shuffle(self) -> None:
+        self.stack.pss.shuffle()  # type: ignore[attr-defined]
 
-    async def _sync_loop(self) -> None:
-        # The manager counts rounds itself (probe every interval_rounds,
-        # request timeouts in rounds), so it is ticked once per round
-        # interval — same time base as the simulator's PeriodicTask.
-        interval_s = self.config.round_interval / 1000.0
-        while True:
-            await asyncio.sleep(interval_s)
-            self.sync_manager.on_round()
+    def _sync(self) -> None:
+        self.sync_manager.on_round()  # type: ignore[union-attr]
 
     async def catch_up(self, max_rounds: float | None = None) -> bool:
         """Run blocking anti-entropy until converged or out of budget.
 
-        Drives the sync manager directly — round tasks need not be
+        Drives the sync manager directly — round timers need not be
         running, which is the point: a respawned node repairs its
         TTL-outliving gap *before* rejoining dissemination, so epidemic
         deliveries cannot advance its order mark past the still-missing

@@ -44,17 +44,20 @@ that outlives the dispatch — corrupted, or deferred by a latency spike
 (fault drills) — takes an owned copy.
 
 Endpoints (docs/PERFORMANCE.md *Wire path*): by default every node
-owns a raw non-blocking socket watched by the event loop. A datagram
-out is one ``socket.sendto`` — Algorithm 1 draws a fresh peer sample
-every round, so a fan-out is K of them over the one encoded buffer —
-and a readiness callback reads **one** datagram with ``recv_into`` into
+owns a raw non-blocking socket. A datagram out is one ``socket.sendto``
+— Algorithm 1 draws a fresh peer sample every round, so a fan-out is K
+of them over the one encoded buffer. Inbound, the fabric keeps its raw
+sockets in one ``select.epoll`` of its own and the event loop watches
+only that descriptor: **one** readiness callback per fabric polls it
+and, for each ready socket, reads one datagram with ``recv_into`` into
 the fabric's single receive arena and hands the codec a zero-copy
-``memoryview`` of it, consumed before the next read (readiness is
-level-triggered: a socket that holds more calls back). On loops that
-cannot watch a file descriptor (Proactor) the fabric falls back to
-asyncio datagram endpoints automatically; ``batch=False`` forces them
-(the reference of the equivalence tests). ``stats.syscalls_send`` /
-``stats.syscalls_recv`` count the ``sendto`` and ``recv_into`` calls.
+``memoryview`` of it, consumed before the next read (the inner epoll is
+level-triggered: a socket that holds more is reported again). Where
+``select.epoll`` is missing, or the loop cannot watch a descriptor
+(Proactor), the fabric falls back to asyncio datagram endpoints
+automatically; ``batch=False`` forces them (the reference of the
+equivalence tests). ``stats.syscalls_send`` / ``stats.syscalls_recv``
+count the ``sendto`` and ``recv_into`` calls.
 """
 
 from __future__ import annotations
@@ -62,6 +65,7 @@ from __future__ import annotations
 import asyncio
 import errno
 import random
+import select
 import socket
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
@@ -178,34 +182,28 @@ _ARENA_SIZE = 65_535
 
 
 class _RawEndpoint:
-    """A raw non-blocking UDP socket driven straight off the event loop.
+    """A raw non-blocking UDP socket read through its fabric's epoll.
 
-    Replaces the asyncio datagram transport on loops that can watch a
-    file descriptor. Every send is one ``socket.sendto``; every
-    readiness callback reads one datagram into the fabric's receive
-    arena and hands it on as a zero-copy ``memoryview`` valid only for
-    the duration of the handler call. Exposes the slice of the
-    transport surface the fabric and its tests rely on: ``sendto`` /
-    ``is_closing`` / ``close``.
+    Replaces the asyncio datagram transport where the fabric can watch
+    its sockets itself. Every send is one ``socket.sendto``; every time
+    the fabric's readiness callback finds this socket ready it reads one
+    datagram into the fabric's receive arena and hands it on as a
+    zero-copy ``memoryview`` valid only for the duration of the handler
+    call. Exposes the slice of the transport surface the fabric and its
+    tests rely on: ``sendto`` / ``is_closing`` / ``close``.
     """
 
     is_raw = True
 
     def __init__(
-        self,
-        network: "UdpNetwork",
-        node_id: int,
-        sock: socket.socket,
-        loop: asyncio.AbstractEventLoop,
+        self, network: "UdpNetwork", node_id: int, sock: socket.socket
     ) -> None:
         self._network = network
         self._node_id = node_id
         self._sock = sock
-        self._loop = loop
+        self._fd = sock.fileno()
         self._closed = False
-        # Raises NotImplementedError on loops without FD watching
-        # (Proactor); the caller falls back to asyncio endpoints.
-        loop.add_reader(sock.fileno(), self._on_readable)
+        network._watch(self._fd, self._on_readable)
 
     def sendto(self, data, address) -> None:
         """Ship one datagram now; kernel refusals are counted drops."""
@@ -239,11 +237,11 @@ class _RawEndpoint:
                 stats.bytes_sent += size
 
     def _on_readable(self) -> None:
-        # One datagram per callback. Nine wake-ups in ten find exactly
-        # one under EpTO's traffic (docs/PERFORMANCE.md *Wire path*),
-        # so a drain loop mostly buys a second syscall that reads
-        # EAGAIN; readiness is level-triggered, and a socket that
-        # holds more calls back.
+        # One datagram per readiness. Nine in ten find exactly one
+        # under EpTO's traffic (docs/PERFORMANCE.md *Wire path*), so a
+        # drain loop mostly buys a second syscall that reads EAGAIN;
+        # the fabric's epoll is level-triggered, and a socket that
+        # holds more is reported again.
         if self._closed:
             return
         network = self._network
@@ -268,10 +266,9 @@ class _RawEndpoint:
         if self._closed:
             return
         self._closed = True
-        try:
-            self._loop.remove_reader(self._sock.fileno())
-        except (OSError, ValueError):  # pragma: no cover - loop closed
-            pass
+        # Out of the epoll before the descriptor is freed: a closed fd
+        # cannot be unregistered, and its number may be reused at once.
+        self._network._unwatch(self._fd)
         self._sock.close()
 
 
@@ -379,9 +376,8 @@ class UdpNetwork:
         # per process would not.
         self._admitted: Dict[int, AdmittedEntries] = {}
         # Callbacks run at the top of close(), before any socket dies:
-        # layers stacked on the fabric (the multi-topic service demux)
-        # use this to cancel their periodic tasks while the loop can
-        # still process the cancellations — see docs/SERVICE.md.
+        # layers stacked on the fabric (the multi-topic service) use
+        # this to cancel their round timers first — see docs/SERVICE.md.
         self._close_listeners: List[Callable[[], None]] = []
         # Endpoint per node: _RawEndpoint on raw sockets, else an
         # asyncio DatagramTransport — both expose sendto/is_closing/
@@ -400,6 +396,12 @@ class UdpNetwork:
         # else can read (one event loop, no await in between).
         self._arena = bytearray(_ARENA_SIZE)
         self._arena_view = memoryview(self._arena)
+        # The raw sockets' own epoll, the one descriptor the loop
+        # watches for all of them (created by the first raw open), and
+        # each watched fd's read callback.
+        self._epoll: Optional[Any] = None
+        self._poll_loop: Optional[asyncio.AbstractEventLoop] = None
+        self._readers: Dict[int, Callable[[], None]] = {}
         # Partition: node id -> group label (None group is implicit).
         self._partition: Dict[int, object] = {}
         self._partitioned = False
@@ -781,8 +783,11 @@ class UdpNetwork:
         return self._addresses[node_id]
 
     def _open_raw(self, node_id: int, loop) -> Optional[_RawEndpoint]:
-        """Bind a raw socket, or ``None`` if this loop cannot watch
-        file descriptors (asyncio endpoints then serve the whole run)."""
+        """Bind a raw socket, or ``None`` where the fabric cannot watch
+        its own sockets (asyncio endpoints then serve the whole run)."""
+        if self._poll_loop is not loop and not self._watch_epoll(loop):
+            self._raw_sockets = False
+            return None
         sock = socket.socket(socket.AF_INET, socket.SOCK_DGRAM)
         try:
             sock.setsockopt(
@@ -793,16 +798,49 @@ class UdpNetwork:
         try:
             sock.bind((self.host, 0))
             sock.setblocking(False)
-            return _RawEndpoint(self, node_id, sock, loop)
-        except NotImplementedError:
-            # Proactor-style loops have no add_reader; use asyncio
-            # endpoints for this and every later socket.
-            sock.close()
-            self._raw_sockets = False
-            return None
+            return _RawEndpoint(self, node_id, sock)
         except OSError:
             sock.close()
             raise
+
+    def _watch_epoll(self, loop) -> bool:
+        """Have *loop* watch the fabric's epoll (created on first use);
+        ``False`` without ``select.epoll`` or on a loop that cannot
+        watch a descriptor (Proactor)."""
+        epoll = self._epoll
+        if epoll is None:
+            epoll_class = getattr(select, "epoll", None)
+            if epoll_class is None:  # pragma: no cover - not Linux
+                return False
+            epoll = epoll_class()
+        try:
+            loop.add_reader(epoll.fileno(), self._on_ready)
+        except NotImplementedError:
+            if self._epoll is None:
+                epoll.close()
+            return False
+        self._epoll, self._poll_loop = epoll, loop
+        return True
+
+    def _watch(self, fd: int, on_readable: Callable[[], None]) -> None:
+        self._epoll.register(fd, select.EPOLLIN)  # type: ignore[union-attr]
+        self._readers[fd] = on_readable
+
+    def _unwatch(self, fd: int) -> None:
+        self._readers.pop(fd, None)
+        if self._epoll is not None:
+            self._epoll.unregister(fd)
+
+    def _on_ready(self) -> None:
+        """The fabric's one readiness callback: one read for each raw
+        socket ready now. A socket closed by an earlier handler of the
+        same batch is no longer in :attr:`_readers`, and its endpoint
+        tests ``_closed`` before reading anyway."""
+        readers = self._readers
+        for fd, _ in self._epoll.poll(0):  # type: ignore[union-attr]
+            on_readable = readers.get(fd)
+            if on_readable is not None:
+                on_readable()
 
     async def open_all(self) -> None:
         """Bind a socket for every registered node."""
@@ -816,18 +854,19 @@ class UdpNetwork:
         The hook for layers stacked on the fabric — the multi-topic
         service registers its :meth:`~repro.service.BroadcastService.abort`
         here, so closing the fabric under a live service cancels the
-        service's periodic tasks first and the final loop tick can
-        retire them (no "Task was destroyed but it is pending"
-        warnings). Listeners run once and are then forgotten.
+        service's round timer before any socket closes, and no round
+        fires against a dead socket. Listeners run once and are then
+        forgotten.
         """
         self._close_listeners.append(callback)
 
     async def close(self) -> None:
         """Close every socket and forget every inbox.
 
-        Close listeners (stacked layers such as the multi-topic service
-        demux) run first, so their tasks are cancelled while the loop
-        below can still process the cancellations. After ``close()``
+        Close listeners (stacked layers such as the multi-topic service)
+        run first, so their timers are cancelled before any socket
+        closes; then the sockets, and the epoll that watched them, are
+        closed. After ``close()``
         the fabric is inert: stale node ids can be re-registered
         without collisions, and late sends are counted as
         ``dropped_unopened``.
@@ -837,6 +876,13 @@ class UdpNetwork:
             callback()
         for node_id in list(self._transports):
             self._transports.pop(node_id).close()
+        if self._epoll is not None:
+            try:
+                self._poll_loop.remove_reader(self._epoll.fileno())  # type: ignore[union-attr]
+            except (OSError, ValueError, RuntimeError):  # pragma: no cover - loop closed
+                pass
+            self._epoll.close()
+            self._epoll = self._poll_loop = None
         self._addresses.clear()
         self._handlers.clear()
         self._admitted.clear()

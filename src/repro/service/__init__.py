@@ -4,7 +4,7 @@ The service multiplexes any number of independent EpTO topics over a
 single fabric endpoint per host (docs/SERVICE.md): a
 :class:`~repro.service.demux.TopicDemux` frames each topic's traffic
 into :class:`~repro.runtime.codec.TopicEnvelope` datagrams, a
-:class:`BroadcastService` runs one round task ticking every topic's
+:class:`BroadcastService` runs one round timer ticking every topic's
 engine (so cross-topic balls batch into shared datagrams), and clients
 use ``await service.publish(topic, payload)`` plus bounded async
 subscriptions. :class:`ServiceCluster` orchestrates N hosts for tests

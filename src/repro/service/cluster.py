@@ -138,7 +138,7 @@ class ServiceCluster:
                 await open_socket(host_id)
 
     def start_all(self) -> None:
-        """Start every host's round task."""
+        """Start every host's round timer."""
         for service in self.hosts.values():
             service.start()
 

@@ -17,7 +17,7 @@ schedules one flush per event-loop tick (``call_soon``); the flush
 packs every destination's pending frames into as few
 :class:`~repro.runtime.codec.TopicEnvelope` datagrams as fit the
 :data:`~repro.runtime.codec.MAX_DATAGRAM` cap. Because the service
-ticks all of a host's topics from one round task, a round's balls for
+ticks all of a host's topics from one round timer, a round's balls for
 *every* topic to the same peer coalesce into one datagram.
 
 A message is encoded once per flush. The bytes that size a frame are

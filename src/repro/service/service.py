@@ -9,7 +9,7 @@ anti-entropy :class:`~repro.sync.SyncManager` — so topics never share
 ordering state: a slow or partitioned topic cannot delay another's
 deliveries.
 
-What *is* shared is the clock and the wire. One round task per host
+What *is* shared is the clock and the wire. One round timer per host
 ticks every topic's round in the same event-loop iteration, so the
 fan-outs of all topics coalesce through the demux into shared
 :class:`~repro.runtime.codec.TopicEnvelope` datagrams — each ball
@@ -230,12 +230,14 @@ class BroadcastService:
         # be set by how fast each tick runs — latency as a function of
         # CPU speed. Seeded per host, so a respawn keeps it.
         self._phase = random.Random(f"{seed}:phase:{host_id}").random()
-        self._round_task: Optional[asyncio.Task] = None
+        self._round_timer: Optional[asyncio.TimerHandle] = None
+        # Per-topic absolute due times of the round timer (see
+        # _arm_round_timer); rebuilt by every start().
+        self._next_due: Dict[int, float] = {}
         self._crashed = False
-        # A fabric teardown (UdpNetwork.close()) aborts the round task
-        # *before* sockets close, so its cancellation is retired inside
-        # close()'s final loop turn — no "Task was destroyed but it is
-        # pending!" warnings from shutting a live service down.
+        # A fabric teardown (UdpNetwork.close()) aborts the round timer
+        # *before* sockets close, so no round runs against a dead
+        # socket.
         add_listener = getattr(network, "add_close_listener", None)
         if add_listener is not None:
             add_listener(self.abort)
@@ -269,7 +271,7 @@ class BroadcastService:
         journal = None
         if self.storage_dir is not None:
             journal = open_journal(self.topic_storage_dir(topic), self.storage_fsync)
-        # A running round task needs no notification — it iterates the
+        # A running round timer needs no notification — it reads the
         # topic map afresh every tick, so the new topic joins next round.
         state = self._provision(topic, directory, journal, on_deliver)
         state.round_interval = round_interval
@@ -414,16 +416,15 @@ class BroadcastService:
     # ------------------------------------------------------------------
 
     def start(self) -> None:
-        """Start the single per-host round task ticking every topic."""
+        """Arm the single per-host round timer ticking every topic."""
         self._crashed = False
-        if self._round_task is None or self._round_task.done():
-            self._round_task = asyncio.get_running_loop().create_task(
-                self._round_loop()
-            )
+        if self._round_timer is None:
+            self._next_due = {}
+            self._arm_round_timer()
 
     @property
     def running(self) -> bool:
-        return self._round_task is not None and not self._round_task.done()
+        return self._round_timer is not None
 
     @property
     def crashed(self) -> bool:
@@ -437,57 +438,71 @@ class BroadcastService:
         )
         return interval / 1000.0
 
-    async def _round_loop(self) -> None:
+    def _arm_round_timer(self) -> None:
         # Per-topic absolute due times: topics on the default interval
         # (scheduled in the same loop iteration) share due times and
         # keep ticking together — cross-topic envelope batching stays
-        # intact — while an overridden topic runs its own cadence. A
-        # due time advances from the previous *due* time, not from when
-        # the tick happened to run, so neither a slow tick nor a late
-        # wake-up stretches the period (the paper assumes rounds of
-        # equal duration; Lemma 5 charges any spread to TTL).
+        # intact — while an overridden topic runs its own cadence. The
+        # one host timer is set for the earliest of them.
         loop = asyncio.get_running_loop()
-        default_s = self.config.round_interval / 1000.0
-        next_due: Dict[int, float] = {}
-        while True:
-            now = loop.time()
-            for topic in list(next_due):
-                if topic not in self.topics:
-                    del next_due[topic]
-            for topic, state in self.topics.items():
-                if topic not in next_due:
-                    next_due[topic] = now + self._phase * self._interval_s(state)
-            if not next_due:
-                await asyncio.sleep(default_s)
+        now = loop.time()
+        next_due = self._next_due
+        for topic in list(next_due):
+            if topic not in self.topics:
+                del next_due[topic]
+        for topic, state in self.topics.items():
+            if topic not in next_due:
+                next_due[topic] = now + self._phase * self._interval_s(state)
+        if next_due:
+            self._round_timer = loop.call_at(
+                min(next_due.values()), self._on_round_timer
+            )
+        else:
+            self._round_timer = loop.call_later(
+                self.config.round_interval / 1000.0, self._on_round_timer
+            )
+
+    def _on_round_timer(self) -> None:
+        # A due time advances from the previous *due* time, not from
+        # when the tick happened to run, so neither a slow tick nor a
+        # late wake-up stretches the period (the paper assumes rounds
+        # of equal duration; Lemma 5 charges any spread to TTL).
+        timer = self._round_timer
+        now = asyncio.get_running_loop().time()
+        next_due = self._next_due
+        due = [topic for topic, at in next_due.items() if at <= now]
+        if due:
+            try:
+                self._tick_topics(due)
+            except Exception:
+                self._round_timer = None  # the host's rounds stop here
+                raise
+        for topic in due:
+            state = self.topics.get(topic)
+            if state is None:
+                next_due.pop(topic, None)
                 continue
-            delay = min(next_due.values()) - now
-            if delay > 0:
-                await asyncio.sleep(delay)
-            now = loop.time()
-            due = [topic for topic, at in next_due.items() if at <= now]
-            self._tick_topics(due)
-            for topic in due:
-                state = self.topics.get(topic)
-                if state is None:
-                    next_due.pop(topic, None)
-                    continue
-                interval = self._interval_s(state)
-                at = next_due[topic] + interval
-                if at <= now:
-                    # A stall of a whole interval or more: the rounds it
-                    # swallowed are skipped, not fired back to back —
-                    # in whole intervals, so the host keeps its phase.
-                    # Hosts of one process all wake from one stall in
-                    # the same instant; re-anchoring at "now" would
-                    # hand every one of them the same phase.
-                    at += interval * ((now - at) // interval + 1)
-                next_due[topic] = at
+            interval = self._interval_s(state)
+            at = next_due[topic] + interval
+            if at <= now:
+                # A stall of a whole interval or more: the rounds it
+                # swallowed are skipped, not fired back to back — in
+                # whole intervals, so the host keeps its phase. Hosts
+                # of one process all wake from one stall in the same
+                # instant; re-anchoring at "now" would hand every one
+                # of them the same phase.
+                at += interval * ((now - at) // interval + 1)
+            next_due[topic] = at
+        # A tick that aborted, crashed or restarted this host has
+        # already cancelled or replaced this timer.
+        if self._round_timer is timer:
+            self._arm_round_timer()
 
     def tick(self) -> None:
         """One service round: every topic's EpTO round plus its sync
         round, all in one loop iteration.
 
-        Ticking topics together — instead of one timer task per topic —
+        Ticking topics together — instead of one timer per topic —
         is what makes cross-topic batching real: every topic's fan-out
         lands in the demux's pending queue before its end-of-tick
         flush, so one peer receives one envelope carrying all topics'
@@ -510,7 +525,7 @@ class BroadcastService:
             drained.set()
 
     def crash(self) -> None:
-        """Abrupt host death (fault injection): kill the round task,
+        """Abrupt host death (fault injection): kill the round timer,
         drop the socket/handler, leave every topic's directory.
 
         Journals are deliberately *not* closed — a real crash would not
@@ -524,16 +539,15 @@ class BroadcastService:
         self.demux.detach()  # drops the fabric inbox (closes a UDP socket)
 
     def abort(self) -> None:
-        """Synchronously cancel the round task (idempotent).
+        """Synchronously cancel the round timer (idempotent).
 
         This is the fabric's close listener: it runs inside
-        ``UdpNetwork.close()`` *before* transports are torn down, so the
-        cancellation is collected by the loop turn ``close()`` already
-        awaits, leaving no pending-task warnings behind.
+        ``UdpNetwork.close()`` *before* transports are torn down, so no
+        round fires against a closed socket.
         """
-        if self._round_task is not None:
-            self._round_task.cancel()
-            self._round_task = None
+        if self._round_timer is not None:
+            self._round_timer.cancel()
+            self._round_timer = None
 
     async def respawn(self) -> None:
         """Bring a crashed host back under the same identity.
@@ -583,16 +597,9 @@ class BroadcastService:
         self.start()
 
     async def close(self) -> None:
-        """Orderly shutdown: cancel the round task, leave every topic,
+        """Orderly shutdown: cancel the round timer, leave every topic,
         close journals and subscriptions, detach from the fabric."""
-        task = self._round_task
-        self._round_task = None
-        if task is not None:
-            task.cancel()
-            try:
-                await task
-            except asyncio.CancelledError:
-                pass
+        self.abort()
         for topic in list(self.topics):
             await self.close_topic(topic)
         self.demux.detach()

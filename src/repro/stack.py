@@ -154,7 +154,9 @@ class NodeStack:
         journal: Optional :class:`~repro.storage.journal.DeliveryJournal`.
             Every delivery is journaled before ``on_deliver`` runs, and
             a post-respawn re-delivery of an event already in the
-            durable history is dropped without reaching it.
+            durable history is dropped without reaching it. Under the
+            logical clock a journal that already holds deliveries (a
+            respawn) starts the clock at the newest delivered ``ts``.
         sync: Optional anti-entropy parameters (requires *journal*); the
             stack then holds a :class:`~repro.sync.SyncManager` the
             host ticks once per round interval.
@@ -228,6 +230,15 @@ class NodeStack:
                 rng=rng,
                 system_size_hint=system_size_hint,
             )
+        last = journal.last_delivered_key if journal is not None else None
+        dissemination = getattr(self.process, "dissemination", None)
+        if last is not None and dissemination is not None:
+            # A respawn from a journal: a logical clock resumes above
+            # everything this identity delivered before the crash, or
+            # its next broadcast would be stamped below events peers
+            # have delivered, and they would discard it as late. (The
+            # global clock's update is a no-op.)
+            dissemination.oracle.update_clock(last[0])
         self.sync_manager: Optional[SyncManager] = None
         if sync is not None and hasattr(self.process, "ordering"):
             # Only EpTO-shaped processes can apply repaired events in

@@ -6,7 +6,7 @@ transport- and scheduler-agnostic: the hosting fabric calls
 incoming sync message to :meth:`SyncManager.on_message`; the manager
 talks back through an injected ``send(dst, message)`` callable. The
 simulator drives it from a :class:`~repro.sim.engine.PeriodicTask`
-(fully deterministic), the asyncio runtime from a background task.
+(fully deterministic), the asyncio runtime from a round timer.
 
 State machine (one session at a time, deliberately):
 

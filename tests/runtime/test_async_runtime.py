@@ -289,7 +289,7 @@ class TestAsyncCluster:
             node.process.on_round = explode
             died = await cluster.wait_until(lambda: node.crashed, timeout=5.0)
             await asyncio.sleep(0)  # let the cancellations land
-            tasks = (node._task, node._shuffle_task, node._sync_task)
+            tasks = (node._round_timer, node._shuffle_timer, node._sync_timer)
             tasks_done = [task is not None and task.done() for task in tasks]
             sent_after = []
             send = cluster.network.send
@@ -312,6 +312,155 @@ class TestAsyncCluster:
         assert died and not registered
         assert tasks_done == [True, True, True]
         assert sent_after == []
+
+
+class TestRoundTimers:
+    """A node's round, shuffle and anti-entropy duties are loop timers,
+    each re-armed by its own firing."""
+
+    def _counted_node(self, tmp_path):
+        """A started four-node cyclon cluster with anti-entropy, and a
+        counter of how often node 3's round, shuffle and sync fire."""
+        from repro.sync import SyncConfig
+
+        cluster = AsyncCluster(
+            small_config(),
+            pss="cyclon",
+            seed=4,
+            storage_dir=tmp_path,
+            sync=SyncConfig(interval_rounds=1.0),
+        )
+        cluster.add_nodes(4)
+        node = cluster.nodes[3]
+        fired = {"round": 0, "shuffle": 0, "sync": 0}
+
+        def counting(duty, body):
+            def wrapped(*args):
+                fired[duty] += 1
+                return body(*args)
+
+            return wrapped
+
+        node.process.on_round = counting("round", node.process.on_round)
+        node.stack.pss.shuffle = counting("shuffle", node.stack.pss.shuffle)
+        node.sync_manager.on_round = counting("sync", node.sync_manager.on_round)
+        cluster.start_all()
+        return cluster, node, fired
+
+    async def _close(self, cluster):
+        for node in cluster.nodes.values():
+            if node.running:
+                await node.stop()
+        for journal in cluster.journals.values():
+            journal.close()
+
+    @pytest.mark.parametrize("end", ["stop", "crash"])
+    def test_no_timer_fires_after_stop_or_crash(self, tmp_path, end):
+        async def scenario():
+            cluster, node, fired = self._counted_node(tmp_path)
+            await cluster.wait_until(
+                lambda: min(fired.values()) >= 3, timeout=5.0
+            )
+            if end == "stop":
+                await node.stop()
+            else:
+                node.crash()
+            before = dict(fired)
+            await asyncio.sleep(8 * 0.015)  # eight round intervals
+            after = dict(fired)
+            running = node.running
+            await self._close(cluster)
+            return before, after, running
+
+        before, after, running = run(scenario())
+        assert min(before.values()) >= 3
+        assert after == before
+        assert not running
+
+    def test_a_round_that_crashes_its_node_is_its_last(self):
+        async def scenario():
+            cluster = AsyncCluster(small_config(), seed=4)
+            node = cluster.add_node()
+            rounds = []
+
+            def on_round():  # e.g. a delivery callback that kills the node
+                rounds.append(None)
+                node.crash()
+
+            node.process.on_round = on_round
+            node.start()
+            await cluster.wait_until(lambda: rounds, timeout=5.0)
+            await asyncio.sleep(8 * 0.015)
+            return len(rounds), node.running, node.crashed
+
+        assert run(scenario()) == (1, False, True)
+
+    def test_a_failing_shuffle_stops_only_its_own_timer(self, tmp_path):
+        async def scenario():
+            cluster, node, fired = self._counted_node(tmp_path)
+            reported = []
+            loop = asyncio.get_running_loop()
+            loop.set_exception_handler(lambda _, context: reported.append(context))
+
+            def explode():
+                fired["shuffle"] += 1
+                raise RuntimeError("cosmic ray")
+
+            node.stack.pss.shuffle = explode
+            await cluster.wait_until(lambda: fired["shuffle"] >= 1, timeout=5.0)
+            rounds, syncs = fired["round"], fired["sync"]
+            await asyncio.sleep(8 * 0.015)
+            outcome = (
+                fired["shuffle"],
+                fired["round"] - rounds,
+                fired["sync"] - syncs,
+                node.running,
+                node.crashed,
+            )
+            await self._close(cluster)
+            return outcome, reported
+
+        (shuffles, rounds, syncs, running, crashed), reported = run(scenario())
+        assert shuffles == 1
+        assert rounds >= 3 and syncs >= 3
+        assert running and not crashed
+        assert [str(context["exception"]) for context in reported] == ["cosmic ray"]
+
+    def test_round_delays_are_the_seeded_jitter_stream(self):
+        import random
+
+        async def scenario():
+            cluster = AsyncCluster(
+                small_config(round_interval=20), drift_fraction=0.1, seed=9
+            )
+            node = cluster.add_node()
+            finished = asyncio.Event()
+            rounds = []
+
+            def on_round():  # draws nothing: the jitter is the only draw
+                rounds.append(None)
+                if len(rounds) == 6:
+                    finished.set()
+
+            node.process.on_round = on_round
+            loop = asyncio.get_running_loop()
+            delays = []
+            call_later = loop.call_later
+
+            def recording(delay, callback, *args):
+                delays.append(delay)
+                return call_later(delay, callback, *args)
+
+            loop.call_later = recording
+            node.start()
+            await finished.wait()  # no timer of its own
+            await node.stop()
+            return node.node_id, delays[:6]
+
+        node_id, delays = run(scenario())
+        rng = random.Random(f"9:async:{node_id}")
+        expected = [0.02 * (1.0 + rng.uniform(-0.1, 0.1)) for _ in range(6)]
+        assert delays == pytest.approx(expected, abs=0, rel=1e-12)
 
 
 class TestLateJoin:

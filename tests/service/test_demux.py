@@ -6,7 +6,7 @@ import asyncio
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.auth import EventSignature, SignedBall
 from repro.core.errors import MembershipError
@@ -470,6 +470,12 @@ _events = st.builds(
     _payloads,
 )
 _entries = st.tuples(_events, st.integers(0, 30))
+
+
+def _big_event(seq):
+    return Event(id=(0, seq), ts=0, source_id=0, payload="x" * 20_000)
+
+
 _balls = st.lists(
     _entries, max_size=3, unique_by=lambda entry: entry[0].id  # each id once
 ).map(Ball.of)
@@ -520,24 +526,41 @@ _sends = st.lists(
 class TestAssembledEnvelopes:
     @settings(max_examples=60, deadline=None)
     @given(_sends)
+    # Three entries of 20 000 characters: a ball no envelope can carry.
+    @example(
+        [
+            (0, Ball.of([]), [1]),
+            (0, Ball.of((_big_event(seq), 0) for seq in range(3)), [1]),
+        ]
+    )
     def test_equal_the_object_encoder_byte_for_byte(self, sends):
         """Whatever a tick sends, each envelope on the wire is
         ``codec.encode(host, TopicEnvelope(its frames))`` — and the
         layout written out by hand — every frame
         reaches its destination in order, packing is greedy and a
-        message is encoded once."""
+        message is encoded once. A message no envelope can carry
+        reaches no destination and is counted in
+        ``dropped_unencodable`` once per destination."""
 
         async def scenario():
             fabric = _WireFabric()
             demux = TopicDemux(fabric, host_id=7)
             expected = {}
+            unencodable = 0
             for topic, message, dsts in sends:
                 demux.channel(topic).send_many(7, dsts, message)
+                if TopicDemux._encode_frame(7, message) is None:  # noqa: SLF001
+                    unencodable += len(dsts)
+                    continue
                 for dst in dsts:
                     expected.setdefault(dst, []).append((topic, 7, message))
             real = codec.encode
             seen = _flush_counting_encodes(demux)
             assert sorted(map(id, seen)) == sorted({id(m) for _, m, _ in sends})
+            assert demux.stats.dropped_unencodable == unencodable
+            if not expected:
+                assert fabric.bundles == []
+                return
             (items,) = fabric.bundles
             arrived = {}
             for dsts, datagram, payload_bytes in items:

@@ -1,6 +1,6 @@
 """Round cadence of :class:`BroadcastService` against a fake clock.
 
-The paper assumes rounds of equal duration. The host's round loop must
+The paper assumes rounds of equal duration. The host's round timer must
 therefore keep its period whatever a tick costs and however late the
 loop wakes it, must not fire the rounds a long stall swallowed, and
 hosts started in one instant must not share a phase.
@@ -20,14 +20,25 @@ from repro.service import service as service_module
 DELTA = 0.1  # seconds; EpToConfig carries it in milliseconds
 
 
-class FakeTime:
-    """Stands in for ``asyncio`` inside ``repro.service.service``: its
-    loop clock only moves when the round loop sleeps (by the requested
-    delay plus whatever lateness the test queued) or a tick "costs"."""
+class _FakeTimer:
+    def __init__(self, when, callback, args):
+        self.when, self.callback, self.args = when, callback, args
+        self.cancelled = False
+
+    def cancel(self):
+        self.cancelled = True
+
+
+class FakeLoop:
+    """Stands in for ``asyncio`` inside ``repro.service.service``, and for
+    the loop the host's round timer is set on: its clock only moves when
+    a timer waits (to the time it was set for, plus whatever lateness
+    the test queued) or a tick "costs". A timer fires on the next turn
+    of the real loop."""
 
     def __init__(self) -> None:
         self.now = 1000.0
-        self.late: list[float] = []  # oversleep of the next sleeps, in order
+        self.late: list[float] = []  # oversleep of the next waits, in order
 
     def __getattr__(self, name):
         return getattr(asyncio, name)
@@ -38,10 +49,20 @@ class FakeTime:
     def time(self) -> float:
         return self.now
 
-    async def sleep(self, delay, result=None):
-        self.now += delay + (self.late.pop(0) if self.late else 0.0)
-        await asyncio.sleep(0)
-        return result
+    def call_at(self, when, callback, *args):
+        timer = _FakeTimer(when, callback, args)
+        asyncio.get_running_loop().call_soon(self._fire, timer)
+        return timer
+
+    def call_later(self, delay, callback, *args):
+        return self.call_at(self.now + delay, callback, *args)
+
+    def _fire(self, timer):
+        if timer.cancelled:
+            return
+        if timer.when > self.now:
+            self.now = timer.when + (self.late.pop(0) if self.late else 0.0)
+        timer.callback(*timer.args)
 
 
 def _host(network, host_id=0, seed=5):
@@ -54,7 +75,7 @@ def _record_ticks(host, clock, tick_cost=0.0):
     and then "cost" *tick_cost* seconds (a number, or a function of the
     round's ordinal); returns the list the times are appended to."""
     times = []
-    tick = host._tick_topics  # noqa: SLF001 - the round loop's own entry
+    tick = host._tick_topics  # noqa: SLF001 - the round timer's own entry
 
     def timed_tick(topics):
         times.append(clock.now)
@@ -77,7 +98,7 @@ async def _tick_times(host, clock, rounds, tick_cost=0.0):
 
 @pytest.fixture
 def clock(monkeypatch):
-    fake = FakeTime()
+    fake = FakeLoop()
     monkeypatch.setattr(service_module, "asyncio", fake)
     return fake
 
@@ -168,9 +189,30 @@ class TestPeriod:
         assert slow >= 4 and abs(fast - 5 * slow) <= 5
 
 
+    def test_a_tick_that_aborts_its_host_is_its_last(self, clock):
+        async def scenario():
+            host = _host(AsyncNetwork(seed=5))
+            host.open_topic(1)
+            ticks = []
+            tick = host._tick_topics  # noqa: SLF001
+
+            def aborting_tick(topics):
+                ticks.append(clock.now)
+                tick(topics)
+                host.abort()
+
+            host._tick_topics = aborting_tick  # noqa: SLF001
+            host.start()
+            for _ in range(20):
+                await asyncio.sleep(0)
+            return len(ticks), host.running
+
+        assert asyncio.run(scenario()) == (1, False)
+
+
 class TestStartPhase:
     def _first_tick_offset(self, clock, host_id, seed, respawn=False):
-        """Fake-clock seconds from starting a host's round loop — by
+        """Fake-clock seconds from starting a host's round timer — by
         ``start()``, or by ``respawn()`` after a crash — to its first
         round."""
 
