@@ -235,16 +235,18 @@ class AsyncEpToNode:
 
     def _on_round_failure(self, exc: Exception) -> None:
         # Self-detection of an unexpected death: a round that raises
-        # means the process is effectively dead — die like an injected
-        # crash: leave the network so peers' sends fail like against a
-        # crashed process, stop shuffling and probing, and flag the
-        # corpse for the supervisor.
+        # means the process is effectively dead. The loop's exception
+        # handler hears why, as it does of a failing shuffle or sync;
+        # then die like an injected crash: leave the network so peers'
+        # sends fail like against a crashed process, stop shuffling and
+        # probing, and flag the corpse for the supervisor.
+        self._report("round")(exc)
         self.crash()
 
     def _report(self, duty: str) -> Callable[[Exception], None]:
-        """The error hook of a shuffle or sync timer: its own timer has
-        stopped, and the loop's exception handler hears why (as it
-        would of a task whose exception nobody retrieved)."""
+        """The error hook of a failed timer: its own timer has stopped,
+        and the loop's exception handler hears why (as it would of a
+        task whose exception nobody retrieved)."""
 
         def report(exc: Exception) -> None:
             asyncio.get_running_loop().call_exception_handler(

@@ -27,11 +27,14 @@ This module re-hosts the *same algorithm* in flat per-node state:
   cost per copy. Event content (key, payload) lives once, in the
   cluster's broadcast table; a pending ball and every ball in flight
   is a plain ``{event id: ttl}`` dict, built once per node-round,
-  shared by all its receivers and never mutated; a copy that teaches
-  its receiver nothing — in lockstep rounds every copy after the first
-  — is recognised by one C-level dict-view subset test; and the K
-  sends of a node-round are one calendar entry carrying the
-  destination list.
+  shared by all its receivers and never mutated. Senders of one
+  round batch whose balls are equal ship one shared dict, and each
+  node remembers the balls it has merged since its last round, so a
+  copy it has merged before costs one dict lookup (at n = 4096 in
+  lockstep rounds, all senders of a tick ship about 8.5 distinct
+  balls among them); and the K sends of a node-round are one
+  calendar entry carrying the destination list. The ordering state
+  of a pending event is one int, its birth round.
 
 **Bit-for-bit equivalence with the object engine is a hard contract**,
 enforced by ``tests/sim/test_flat_equivalence.py`` through
@@ -439,8 +442,15 @@ class FlatCluster:
         self._issued: List[int] = []  # broadcast sequence counter
         self._clock_value: List[int] = []  # logical clock (Alg. 4)
         self._next_ball: List[Optional[dict]] = []  # eid -> ttl
+        # The live maps merged into the pending ball since the node's
+        # last round, by id: the pending ball holds each of their
+        # entries at that TTL or above, so a copy of one teaches nothing.
+        self._absorbed: List[Optional[dict]] = []  # id(live) -> live
         self._ord_rounds: List[int] = []
-        self._received: List[Optional[dict]] = []  # eid -> [key, ttl, round]
+        # Pending events by birth round, ``round received - ttl``: the
+        # TTL at round r is ``r - born`` (the object engine's _births);
+        # the order key is read from _broadcasts.
+        self._received: List[Optional[dict]] = []  # eid -> born
         self._frontier: List[Optional[dict]] = []  # due round -> [eid, ...]
         self._queued: List[Optional[list]] = []  # min-heap of (key, eid)
         self._ready: List[Optional[list]] = []  # min-heap of (key, eid)
@@ -503,6 +513,7 @@ class FlatCluster:
         # process object here).
         self._node_rng[node_id] = None
         self._next_ball[node_id] = None
+        self._absorbed[node_id] = None
         self._received[node_id] = None
         self._frontier[node_id] = None
         self._queued[node_id] = None
@@ -582,6 +593,7 @@ class FlatCluster:
             self._issued.append(0)
             self._clock_value.append(0)
             self._next_ball.append(None)
+            self._absorbed.append(None)
             self._ord_rounds.append(0)
             self._received.append(None)
             self._frontier.append(None)
@@ -607,6 +619,7 @@ class FlatCluster:
         self._issued[node_id] = int(resume_sequence) if resume_sequence else 0
         self._clock_value[node_id] = 0
         self._next_ball[node_id] = {}
+        self._absorbed[node_id] = {}
         self._ord_rounds[node_id] = 0
         self._received[node_id] = {}
         self._frontier[node_id] = {}
@@ -662,6 +675,7 @@ class FlatCluster:
         expiry_heads = self._expiry_head
         frontiers = self._frontier
         readies = self._ready
+        absorbed = self._absorbed
         prune_window = self._prune_window
         no_drift = self._no_drift
         interval = self._interval
@@ -702,6 +716,11 @@ class FlatCluster:
         k = fanout if fanout < avail else avail
         sparse = k * 3 < avail
         nbits = pool_n.bit_length()
+        # The batch's shipped balls by content: a sender whose live map
+        # equals one already shipped ships that one
+        # (SimNetwork._same_ball), so its receivers meet again an
+        # object they have merged.
+        interned: Dict[tuple, dict] = {}
 
         index = start
         end = len(bucket)
@@ -715,6 +734,11 @@ class FlatCluster:
             if incarnations[node] != incarnation:
                 continue  # node removed/respawned since this fire queued
             node_rng = node_rngs[node]
+            # The round hands the pending ball over, so what the memo
+            # vouches for goes with it — even when the ball is empty.
+            memo = absorbed[node]
+            if memo:
+                memo.clear()
             nb = next_balls[node]
             if nb:
                 # Age the pending ball. ``ball`` (every entry) is what
@@ -788,6 +812,10 @@ class FlatCluster:
                                 dsts.append(dst)
                 else:
                     dsts = peers
+                if dsts:
+                    live = interned.setdefault(
+                        (tuple(live), tuple(live.values())), live
+                    )
                 # One calendar entry per (ball, arrival tick). sim._push,
                 # inlined: the heap only grows on fresh ticks.
                 if latency_sample is not None:
@@ -802,10 +830,16 @@ class FlatCluster:
                             ]
                             heappush(ticks, tick)
                             continue
-                        # A round body is atomic: if this ball already
+                        # A round body is atomic: if this round already
                         # has an entry at that tick, it is the last one.
+                        # Another sender's entry may carry the same
+                        # shared ball, but not its source or clock.
                         last = slot[-1]
-                        if last[0] == _OP_BALL and last[3] is live:
+                        if (
+                            last[0] == _OP_BALL
+                            and last[3] is live
+                            and last[1] == node
+                        ):
                             last[2].append(dst)
                         else:
                             slot.append((_OP_BALL, node, [dst], live, max_ts))
@@ -843,7 +877,7 @@ class FlatCluster:
                 self._merge_ball(node, ball, rounds)
             due = frontiers[node].pop(rounds, None)
             if due:
-                self._promote(node, due, rounds)
+                self._promote(node, due)
             if readies[node]:
                 self._deliver_ready(node)
 
@@ -882,13 +916,20 @@ class FlatCluster:
         partition, so the run is a batch for the same reason a run of
         round fires is. A copy is merged into the receiver's pending
         ball by max-TTL per event, and the common cases cost no
-        Python-level loop: an empty pending ball takes the whole of
-        ``live`` in its order, and a copy whose every ``(event, ttl)``
-        the receiver already holds is skipped by the dict-view subset
-        test, which reads exactly the state the merge would have
-        written — there is no memo to invalidate.
+        Python-level loop. A ``live`` map the receiver has merged since
+        its last round (:attr:`_absorbed`, emptied by every round of
+        the node and dropped with it) is skipped with one lookup: the
+        pending ball only grows between rounds, so it still holds each
+        of its entries at that TTL or above. Any other copy is merged
+        and remembered: an empty pending ball takes the whole of
+        ``live`` in its order, a copy whose every ``(event, ttl)`` the
+        receiver already holds is skipped by a dict-view subset test,
+        and the rest go entry by entry. Every copy applies its own
+        ``max_ts``: senders sharing one ``live`` may carry different
+        clocks.
         """
         alive = self._alive
+        absorbed = self._absorbed
         next_ball = self._next_ball
         clock_value = self._clock_value
         net = self.network
@@ -904,6 +945,7 @@ class FlatCluster:
             index += 1
             _op, src, dsts, live, max_ts = entry
             copies += len(dsts)
+            live_id = id(live)
             live_items = live.items()
             for dst in dsts:
                 if not alive[dst]:
@@ -912,15 +954,20 @@ class FlatCluster:
                 if partitioned and partition_get(src) != partition_get(dst):
                     cut += 1
                     continue
-                nb = next_ball[dst]
-                if not nb:
-                    nb.update(live)
-                elif not live_items <= nb.items():
-                    nb_get = nb.get
-                    for eid, ttl in live_items:
-                        old = nb_get(eid)
-                        if old is None or ttl > old:
-                            nb[eid] = ttl
+                # The memo holds the map itself, so its id cannot be
+                # reused by another object while it is there.
+                memo = absorbed[dst]
+                if live_id not in memo:
+                    memo[live_id] = live
+                    nb = next_ball[dst]
+                    if not nb:
+                        nb.update(live)
+                    elif not live_items <= nb.items():
+                        nb_get = nb.get
+                        for eid, ttl in live_items:
+                            old = nb_get(eid)
+                            if old is None or ttl > old:
+                                nb[eid] = ttl
                 if max_ts is not None and max_ts > clock_value[dst]:
                     clock_value[dst] = max_ts
         stats = net.stats
@@ -934,7 +981,20 @@ class FlatCluster:
     # ------------------------------------------------------------------
 
     def _merge_ball(self, node: int, ball: dict, now: int) -> None:
-        received = self._received[node]
+        """Merge one round's ball into the pending events (Alg. 2
+        lines 8-14), over birth rounds as
+        :meth:`OrderingComponent._merge_ball
+        <repro.core.ordering.OrderingComponent._merge_ball>` does.
+
+        A copy raises a pending event's TTL exactly when it was born
+        later, ``now - ttl < born``; any other copy of a pending event
+        costs one lookup. Such a copy skips the delivered and late
+        guards, because a pending event is never delivered nor at or
+        below the order mark. The object engine must guard again after
+        an external delivery or a custom oracle's refusal; the flat
+        engine has neither.
+        """
+        births = self._received[node]
         delivered_ids = self._delivered_ids[node]
         ready_ids = self._ready_ids[node]
         frontier = self._frontier[node]
@@ -943,21 +1003,19 @@ class FlatCluster:
         ttl_bound = self._ttl
         last_key = self._last_key[node]
         for eid, ttl in ball.items():
-            if eid in delivered_ids:
-                self.discarded_duplicates += 1
-                continue
-            # The order key comes from this node's own record; the
-            # broadcast table is read on first sight only.
-            record = received.get(eid)
-            key = broadcasts[eid][0] if record is None else record[0]
-            if key <= last_key:
-                self.discarded_late += 1
-                continue
-            if record is None:
-                received[eid] = [key, ttl, now]
+            born = births.get(eid)
+            if born is None:
+                if eid in delivered_ids:
+                    self.discarded_duplicates += 1
+                    continue
+                key = broadcasts[eid][0]
+                if key <= last_key:
+                    self.discarded_late += 1
+                    continue
+                births[eid] = now - ttl
                 due = now + ttl_bound - ttl + 1
                 if due <= now:
-                    self._promote(node, (eid,), now)
+                    self._promote(node, (eid,))
                 else:
                     slot = frontier.get(due)
                     if slot is None:
@@ -965,48 +1023,35 @@ class FlatCluster:
                     else:
                         slot.append(eid)
                     heappush(queued, (key, eid))
-            else:
-                # Rebase the stored TTL to this round, then max-merge.
-                aged = record[1] + (now - record[2])
-                if eid in ready_ids:
-                    record[1] = aged if aged >= ttl else ttl
-                    record[2] = now
-                    continue
-                old_due = now + ttl_bound - aged + 1
-                merged = aged if aged >= ttl else ttl
-                record[1] = merged
-                record[2] = now
-                new_due = now + ttl_bound - merged + 1
-                if new_due < old_due:
-                    target = new_due if new_due > now else now
+            elif now - ttl < born:
+                # Deliverable earlier than first scheduled; the old
+                # frontier entry goes stale. A ready event is
+                # deliverable already.
+                births[eid] = now - ttl
+                if eid not in ready_ids:
+                    due = now + ttl_bound - ttl + 1
+                    target = due if due > now else now
                     slot = frontier.get(target)
                     if slot is None:
                         frontier[target] = [eid]
                     else:
                         slot.append(eid)
 
-    def _promote(self, node: int, bucket: Sequence, now: int) -> None:
-        received = self._received[node]
+    def _promote(self, node: int, bucket: Sequence) -> None:
+        """Make the due events of *bucket* ready.
+
+        An event is due at ``born + TTL + 1`` or later, and its birth
+        round only moves earlier, so at its due round its TTL is past
+        the bound: with no custom oracle there is nothing to refuse.
+        """
+        births = self._received[node]
         ready_ids = self._ready_ids[node]
         ready = self._ready[node]
-        ttl_bound = self._ttl
+        broadcasts = self._broadcasts
         for eid in bucket:
-            record = received.get(eid)
-            if record is None or eid in ready_ids:
-                continue
-            aged = record[1] + (now - record[2])
-            record[1] = aged
-            record[2] = now
-            if aged > ttl_bound:
+            if eid in births and eid not in ready_ids:
                 ready_ids.add(eid)
-                heappush(ready, (record[0], eid))
-            else:
-                frontier = self._frontier[node]
-                slot = frontier.get(now + 1)
-                if slot is None:
-                    frontier[now + 1] = [eid]
-                else:
-                    slot.append(eid)
+                heappush(ready, (broadcasts[eid][0], eid))
 
     def _deliver_ready(self, node: int) -> None:
         received = self._received[node]

@@ -144,7 +144,12 @@ class TestStandardDrill:
 
     def test_respawned_node_resumes_its_sequence(self):
         """A recovered node must not reuse ``(source, seq)`` event ids:
-        its replacement process resumes the predecessor's counter."""
+        its replacement process resumes the predecessor's counter.
+
+        The wait asks the survivors for both lives' events and the
+        journal-less replacement for its own only: EpTO owes it nothing
+        broadcast before it came up, and "first-life" reaches it only
+        if it beats the peers' last relays of that event."""
 
         async def scenario():
             cluster = AsyncCluster(small_config(), seed=4)
@@ -157,10 +162,14 @@ class TestStandardDrill:
             injector = AsyncFaultInjector(cluster, schedule, seed=4)
             await injector.run()
             second = cluster.nodes[0].broadcast("second-life")
+
+            def delivered(node_id: int) -> set:
+                return {event.id for event in cluster.deliveries[node_id]}
+
             ok = await cluster.wait_until(
-                lambda: all(
-                    len(cluster.deliveries[nid]) >= 2
-                    for nid in cluster.live_ids()
+                lambda: second.id in delivered(0)
+                and all(
+                    {first.id, second.id} <= delivered(nid) for nid in (1, 2, 3, 4)
                 ),
                 timeout=10.0,
             )

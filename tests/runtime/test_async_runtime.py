@@ -265,13 +265,18 @@ class TestAsyncCluster:
         run(scenario())
 
     def test_node_whose_round_task_dies_goes_silent(self, tmp_path):
-        """A round task that raises is a crash: the shuffle and the
-        anti-entropy task die with it, and nothing leaves the node
-        afterwards (a corpse that kept probing would run a second sync
-        manager under its id once a supervisor respawned it)."""
+        """A round task that raises is a crash: the loop's exception
+        handler hears why, the shuffle and the anti-entropy task die
+        with it, and nothing leaves the node afterwards (a corpse that
+        kept probing would run a second sync manager under its id once
+        a supervisor respawned it)."""
         from repro.sync import SyncConfig
 
         async def scenario():
+            reported = []
+            asyncio.get_running_loop().set_exception_handler(
+                lambda _, context: reported.append(context)
+            )
             cluster = AsyncCluster(
                 small_config(),
                 pss="cyclon",
@@ -306,12 +311,16 @@ class TestAsyncCluster:
             for journal in cluster.journals.values():
                 journal.close()
             registered = cluster.network.is_registered(node.node_id)
-            return died, tasks_done, sent_after, registered
+            return died, tasks_done, sent_after, registered, reported
 
-        died, tasks_done, sent_after, registered = run(scenario())
+        died, tasks_done, sent_after, registered, reported = run(scenario())
         assert died and not registered
         assert tasks_done == [True, True, True]
         assert sent_after == []
+        assert len(reported) == 1
+        assert reported[0]["message"] == "node 3: round timer failed"
+        exc = reported[0]["exception"]
+        assert isinstance(exc, RuntimeError) and str(exc) == "cosmic ray"
 
 
 class TestRoundTimers:

@@ -344,3 +344,64 @@ def test_unfiltered_send_path_equals_filtered_path(latency):
     assert filtered.network.stats == plain.network.stats
     assert plain.network.stats.dropped_dead > 0
     assert plain.delivered_total >= 8 * 19
+
+
+# ----------------------------------------------------------------------
+# Copy memo: the balls a node merged since its last round
+# ----------------------------------------------------------------------
+
+
+def test_copy_memo_is_emptied_by_every_round_and_stays_bounded():
+    """Every round of a node empties its memo, whether or not its
+    pending ball is empty, and crash and respawn drop it.
+
+    Under the global clock a round whose entries all reach the TTL
+    still ships its empty live map. After the last broadcast the run
+    stays quiet for long enough that every node merges such empty balls
+    and then has nothing pending: a memo emptied only by rounds that
+    relay something would keep them for good. Between its rounds a node
+    hears each of its ``n - 1`` peers at most once, so no memo ever
+    holds more than ``n - 1`` balls.
+    """
+    n = 12
+    config = _config(fanout=4, ttl=5, interval=20)
+    sim = FlatEngine(seed=5)
+    cluster = FlatCluster(sim, FlatNetwork(sim, latency=FixedLatency(1)), config)
+    cluster.add_nodes(n)
+    memos = cluster._absorbed
+    seen = {"rounds": 0, "largest": 0, "empty_balls": 0}
+    run_rounds = cluster._run_round_batch
+    receive_balls = cluster._receive_ball_batch
+
+    def rounds_then_check(bucket, start):
+        seen["largest"] = max(
+            [seen["largest"]] + [len(memo) for memo in memos if memo is not None]
+        )
+        consumed = run_rounds(bucket, start)
+        for _op, node, incarnation in bucket[start : start + consumed]:
+            if cluster._incarnation[node] == incarnation:
+                assert memos[node] == {}
+                seen["rounds"] += 1
+        return consumed
+
+    def receive_and_count(bucket, start):
+        consumed, copies = receive_balls(bucket, start)
+        seen["empty_balls"] += sum(
+            1 for entry in bucket[start : start + consumed] if not entry[3]
+        )
+        return consumed, copies
+
+    cluster._run_round_batch = rounds_then_check
+    cluster._receive_ball_batch = receive_and_count
+    for r in range(1, 5):
+        sim.schedule_at(r * 20 + 3, lambda nd=r: cluster.broadcast_from(nd))
+    sim.schedule_at(50, lambda: cluster.crash_node(7))
+    sim.run(until=55)
+    assert memos[7] is None
+    sim.schedule_at(70, lambda: cluster.respawn_node(7))
+    sim.schedule_at(75, lambda: cluster.broadcast_from(7))
+    sim.run(until=200 * 20)
+    assert seen["rounds"] >= 190 * n
+    assert seen["empty_balls"] > 0
+    assert 0 < seen["largest"] <= n - 1
+    assert all(memo == {} for memo in memos)
