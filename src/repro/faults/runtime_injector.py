@@ -129,7 +129,7 @@ class AsyncFaultInjector(FaultInterpreter):
             node = self.cluster.nodes.get(node_id)
             if node is None or not node.crashed:
                 continue  # a supervisor beat us to it, or it was removed
-            (await self.cluster.respawn_node(node_id)).start()
+            await self.cluster.respawn_node(node_id)
             back.append(node_id)
         self._respawned(back, text)
 

@@ -36,7 +36,6 @@ from typing import Callable, Dict, Optional, Set
 
 from ..core.config import EpToConfig
 from ..runtime.cluster import AsyncCluster
-from ..runtime.node import AsyncEpToNode
 
 
 @dataclass(slots=True)
@@ -178,10 +177,7 @@ class NodeSupervisor:
             if self._adapt is not None:
                 config = self._adapt(self.cluster)
                 self.adapted_configs[node_id] = config
-            replacement: AsyncEpToNode = await self.cluster.respawn_node(
-                node_id, config=config
-            )
-            replacement.start()
+            await self.cluster.respawn_node(node_id, config=config)
             attempt = self.stats.attempts.get(node_id, 0) + 1
             self.stats.attempts[node_id] = attempt
             self.stats.restarted += 1

@@ -11,7 +11,7 @@ from ..core.config import EpToConfig
 from ..core.errors import MembershipError
 from ..core.event import Event
 from ..pss.base import MembershipDirectory
-from ..stack import PSS_KINDS, build_pss, open_journal, reopen_journal, validate_modes
+from ..stack import PSS_KINDS, build_pss, open_journal, respawn, validate_modes
 from .node import AsyncEpToNode
 from .transport import AsyncNetwork
 
@@ -72,7 +72,8 @@ class AsyncCluster:
             anti-entropy catch-up protocol on every node (requires
             ``storage_dir``). Respawned nodes then run a blocking
             catch-up against a peer's delivery log *before* rejoining
-            dissemination, closing the TTL gap for long outages
+            dissemination, closing the TTL gap for long outages, and
+            are held until the in-flight window has closed
             (docs/SYNC.md).
     """
 
@@ -216,22 +217,17 @@ class AsyncCluster:
     async def respawn_node(
         self, node_id: int, config: EpToConfig | None = None
     ) -> AsyncEpToNode:
-        """Replace a crashed node with a fresh process of the same id.
+        """Replace a crashed node with a fresh, started process of the
+        same id, through :func:`repro.stack.respawn` (which tells the
+        whole recovery story: from disk, same sequence, held).
 
         The replacement keeps the node's delivery journal and user
-        callback, resumes the predecessor's broadcast sequence (so
-        event ids stay unique), re-registers with the network fabric
-        and the PSS directory, and — on socket-backed fabrics — rebinds
-        its socket. The caller starts it (``node.start()``).
-
-        On a cluster with ``storage_dir``, the replacement first runs
-        :func:`repro.storage.recovery.recover` over the corpse's
-        directory: its broadcast sequence resumes from the maximum of
-        the in-memory corpse counter and the durable record, its fresh
-        journal inherits the recovered dedupe watermark (so re-gossiped
-        pre-crash events never reach the callback again), and the
-        :class:`~repro.storage.recovery.RecoveredState` is appended to
-        :attr:`recoveries` for the caller to restore application state
+        callback; on socket-backed fabrics its socket is rebound. With
+        anti-entropy it runs one blocking catch-up against a peer's
+        delivery log before its timers start, and the hold then counts
+        its own rounds; broadcast from it once ``node.stack.held`` is
+        false (docs/SYNC.md). Recovery outcomes accumulate in
+        :attr:`recoveries`, for the caller to restore application state
         from.
 
         Args:
@@ -249,28 +245,25 @@ class AsyncCluster:
         self.restart_indices.setdefault(node_id, []).append(
             len(self.deliveries[node_id])
         )
-        journal = None
-        resume_seq = corpse.stack.issued_sequence
-        if self.storage_dir is not None:
-            journal, recovered, resume_seq = reopen_journal(
-                node_id,
-                self.node_storage_dir(node_id),
-                self.storage_fsync,
-                resume_seq,
-                corpse=self.journals.get(node_id),
-            )
+        recovered = respawn(
+            node_id,
+            corpse.stack.issued_sequence,
+            lambda journal: self._provision(node_id, config, journal).stack,
+            directory=self.node_storage_dir(node_id) if self.storage_dir else None,
+            fsync=self.storage_fsync,
+            corpse=self.journals.get(node_id),
+        )
+        if recovered is not None:
             self.recoveries.setdefault(node_id, []).append(recovered)
-        node = self._provision(node_id, config=config, journal=journal)
-        node.stack.resume_sequence(resume_seq)
+        node = self.nodes[node_id]
         open_socket = getattr(self.network, "open", None)
         if open_socket is not None:
             await open_socket(node_id)
-        if node.sync_manager is not None:
-            # Repair the TTL-outliving gap before the caller starts the
-            # round loop: epidemic deliveries to a still-catching-up
-            # node could advance its order mark past the unfetched
-            # suffix, turning a transient outage into permanent holes.
-            await node.catch_up()
+        # Repair the TTL-outliving gap before the round loop starts (a
+        # no-op without anti-entropy); the hold then covers what is
+        # still in flight.
+        await node.catch_up()
+        node.start()
         return node
 
     def start_all(self) -> None:

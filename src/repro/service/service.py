@@ -47,7 +47,7 @@ from ..core.errors import MembershipError, ReproError
 from ..core.event import Event
 from ..pss.base import MembershipDirectory
 from ..runtime.node import AsyncEpToNode
-from ..stack import build_pss, open_journal, reopen_journal, validate_modes
+from ..stack import build_pss, open_journal, respawn, validate_modes
 from ..sync.config import SyncConfig
 from .demux import TopicDemux
 
@@ -365,14 +365,19 @@ class BroadcastService:
         the default) or raises :class:`BackpressureError` immediately
         (``wait=False``) — the buffer is what the next round's ball
         carries, so an unbounded buffer would mean unbounded datagrams.
+        A topic held after a respawn counts as full: its rounds ship
+        nothing until the gate opens, and an event stamped before then
+        would reach peers too late to be ordered (docs/SYNC.md).
         """
         state = self._state(topic)
-        while state.node.process.dissemination.next_ball_size >= self.max_pending:
+        while state.node.stack.held or (
+            state.node.process.dissemination.next_ball_size >= self.max_pending
+        ):
             if not wait:
                 self.stats.publish_rejected += 1
                 raise BackpressureError(
-                    f"topic {topic} has {self.max_pending} events pending "
-                    f"dissemination on host {self.host_id}"
+                    f"topic {topic} on host {self.host_id} is held after a respawn "
+                    f"or has {self.max_pending} events pending dissemination"
                 )
             self.stats.publish_blocked += 1
             await state.round_drained.wait()
@@ -550,16 +555,12 @@ class BroadcastService:
             self._round_timer = None
 
     async def respawn(self) -> None:
-        """Bring a crashed host back under the same identity.
-
-        Per topic: seal the pre-crash journal (two-writer guard),
-        recover the durable state, resume the broadcast sequence at
-        ``max(corpse counter, durable record)`` so event ids stay
-        unique, then — once every topic is re-provisioned — run
-        blocking anti-entropy catch-up per topic *before* restarting
-        the round loop (the same crash-consistency order
-        :class:`~repro.runtime.cluster.AsyncCluster` uses for single
-        nodes, applied per topic).
+        """Bring a crashed host back under the same identity and start
+        it: every topic comes back through :func:`repro.stack.respawn`
+        (from its own journal, same sequence, held), between the
+        tenant's ``on_pre_recover`` and ``on_recover`` hooks; then each
+        topic runs its blocking anti-entropy catch-up before the round
+        timer restarts.
         """
         if self.running:
             raise MembershipError(f"host {self.host_id} is still running")
@@ -570,30 +571,26 @@ class BroadcastService:
         for topic, state in self.topics.items():
             state.restart_indices.append(len(state.deliveries))
             corpse = state.node
-            resume_seq = corpse.stack.issued_sequence
-            journal = None
-            if self.storage_dir is not None:
-                if state.on_pre_recover is not None:
-                    state.on_pre_recover()
-                journal, recovered, resume_seq = reopen_journal(
-                    self.host_id,
-                    self.topic_storage_dir(topic),
-                    self.storage_fsync,
-                    resume_seq,
-                    corpse=corpse.journal,
-                    machine=state.machine,
-                )
+            if self.storage_dir is not None and state.on_pre_recover is not None:
+                state.on_pre_recover()
+            recovered = respawn(
+                self.host_id,
+                corpse.stack.issued_sequence,
+                lambda journal: self._provision(
+                    topic, state.directory, journal, state.on_deliver, state=state
+                ).node.stack,
+                directory=self.topic_storage_dir(topic) if self.storage_dir else None,
+                fsync=self.storage_fsync,
+                corpse=corpse.journal,
+                machine=state.machine,
+            )
+            if recovered is not None:
                 state.recoveries.append(recovered)
                 if state.on_recover is not None:
                     state.on_recover(recovered)
-            self._provision(
-                topic, state.directory, journal, state.on_deliver, state=state
-            )
-            state.node.stack.resume_sequence(resume_seq)
         self._crashed = False
         for state in self.topics.values():
-            if state.node.sync_manager is not None:
-                await state.node.catch_up()
+            await state.node.catch_up()
         self.start()
 
     async def close(self) -> None:

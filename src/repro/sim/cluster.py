@@ -36,10 +36,11 @@ from ..metrics.collector import DeliveryCollector
 from ..pss.base import MembershipDirectory
 from ..stack import (
     PSS_KINDS,
+    RESPAWN_HOLD_SLACK_ROUNDS,  # noqa: F401 - re-exported for benchmarks/e2e
     NodeStack,
     build_pss,
     open_journal,
-    reopen_journal,
+    respawn,
     validate_modes,
 )
 from .drift import DriftModel, UniformDrift
@@ -66,16 +67,6 @@ class GossipProcess(Protocol):
 #: Builds a hosted process. Receives everything the cluster provisions
 #: per node; returns the process object.
 ProcessFactory = Callable[..., GossipProcess]
-
-#: Default slack, in rounds, added on top of the TTL for the respawn
-#: catch-up gate (docs/SYNC.md). A respawned sync-enabled node holds its
-#: epidemic rounds for ``ttl + slack`` rounds: ``ttl`` covers the full
-#: dissemination window of any event broadcast before the gate opened,
-#: and the slack absorbs round-phase offsets, period drift, and the
-#: network latency tail (up to several round durations under the
-#: PlanetLab model) so every such event has reached peers' delivery
-#: logs before the node starts relaying again.
-RESPAWN_HOLD_SLACK_ROUNDS = 6
 
 
 @dataclass(slots=True)
@@ -107,9 +98,6 @@ class ClusterConfig:
             relay-generation counts (safety is unaffected — stability
             counts relay generations, not wall time). See the phase
             ablation benchmark.
-        respawn_hold_slack: Rounds added on top of the TTL for the
-            respawn catch-up gate of sync-enabled nodes (defaults to
-            :data:`RESPAWN_HOLD_SLACK_ROUNDS`; see its docs for why 6).
     """
 
     epto: EpToConfig
@@ -120,21 +108,12 @@ class ClusterConfig:
     cyclon_period: Optional[int] = None
     expected_size: Optional[int] = None
     round_phase: str = "synchronized"
-    respawn_hold_slack: int = RESPAWN_HOLD_SLACK_ROUNDS
 
     def __post_init__(self) -> None:
         if self.pss not in PSS_KINDS:
             raise MembershipError(f"unknown PSS kind {self.pss!r}")
         if self.round_phase not in ("synchronized", "staggered"):
             raise MembershipError(f"unknown round phase {self.round_phase!r}")
-        if self.respawn_hold_slack < 0:
-            raise MembershipError(
-                f"respawn_hold_slack must be >= 0, got {self.respawn_hold_slack}"
-            )
-
-    def respawn_hold_rounds(self) -> int:
-        """Rounds a respawned sync-enabled node gates its epidemic rounds."""
-        return self.epto.ttl + self.respawn_hold_slack
 
 
 class _ClusterNode:
@@ -269,10 +248,10 @@ class SimCluster:
         self,
         node_id: int,
         journal: "DeliveryJournal | None",
-        resume_seq: Optional[int] = None,
+        respawned: bool = False,
     ) -> int:
-        """Wire up and start a process under *node_id* — fresh, or a
-        respawn resuming its predecessor's sequence at *resume_seq*."""
+        """Wire up and start a process under *node_id*, fresh or
+        respawned."""
         config = self.config
         node_rng = self.sim.fork_rng(f"node:{node_id}")
         pss = build_pss(
@@ -303,10 +282,6 @@ class SimCluster:
             sync=self.sync,
             process_factory=self._process_factory,
         )
-        respawned = resume_seq is not None
-        if respawned:
-            stack.resume_sequence(resume_seq)
-            stack.hold(config.respawn_hold_rounds())
         if journal is not None:
             self.journals[node_id] = journal
         sync_manager = stack.sync_manager
@@ -399,22 +374,10 @@ class SimCluster:
         self._crashed[node_id] = issued
 
     def respawn_node(self, node_id: int) -> int:
-        """Replace a crashed node with a fresh process of the same id.
-
-        The replacement resumes the predecessor's broadcast sequence
-        (event ids stay unique — the same guarantee
-        :meth:`repro.runtime.cluster.AsyncCluster.respawn_node` gives
-        the asyncio runtime), re-registers with the network and the PSS
-        directory, and starts a new round timer. Its *ordering* state
-        always starts empty, exactly like a real process restarted
-        after a crash; on a cluster with ``storage_dir``, the durable
-        history does not — :func:`repro.storage.recovery.recover` runs
-        over the corpse's directory first, the broadcast sequence
-        resumes from the maximum of the in-memory and durable records,
-        and the fresh journal inherits the recovered dedupe watermark
-        so re-gossiped pre-crash events never reach the collector (or
-        the replicas above it) twice. Recovery outcomes accumulate in
-        :attr:`recoveries`.
+        """Replace a crashed node with a fresh process of the same id,
+        started and held, through :func:`repro.stack.respawn` (which
+        tells the whole recovery story). Recovery outcomes accumulate
+        in :attr:`recoveries`.
         """
         try:
             issued = self._crashed.pop(node_id)
@@ -422,13 +385,18 @@ class SimCluster:
             raise MembershipError(
                 f"node {node_id} has not crashed (or already respawned)"
             ) from None
-        journal = None
-        if self.storage_dir is not None:
-            journal, recovered, issued = reopen_journal(
-                node_id, self.node_storage_dir(node_id), self.storage_fsync, issued
-            )
+        recovered = respawn(
+            node_id,
+            issued,
+            lambda journal: self.stack_of(
+                self._start_node(node_id, journal, respawned=True)
+            ),
+            directory=self.node_storage_dir(node_id) if self.storage_dir else None,
+            fsync=self.storage_fsync,
+        )
+        if recovered is not None:
             self.recoveries.setdefault(node_id, []).append(recovered)
-        return self._start_node(node_id, journal, resume_seq=issued)
+        return node_id
 
     def crashed_ids(self) -> Sequence[int]:
         """Ids crashed via :meth:`crash_node` and not yet respawned."""

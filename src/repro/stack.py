@@ -14,8 +14,10 @@ decided here, once:
   (ball test first, then one ``{type: handler}`` table built from the
   layers this stack holds), ``broadcast`` and the round function with
   the respawn hold-gate;
-* :func:`open_journal` / :func:`reopen_journal` — how a node's durable
-  history is opened and how it comes back from disk;
+* :func:`open_journal` — how a node's durable history is opened;
+* :func:`respawn` — the one way a crashed node comes back: from disk,
+  under its own broadcast sequence, held until the epidemic that went
+  on without it has finished;
 * :func:`build_pss` — the two peer sampling services the paper
   evaluates: the idealized uniform view and Cyclon.
 
@@ -52,6 +54,15 @@ if TYPE_CHECKING:  # pragma: no cover - hints only; a layer loads when built
 
 #: The peer sampling services :func:`build_pss` knows (docs/OVERLAY.md).
 PSS_KINDS = ("uniform", "cyclon")
+
+#: Slack, in rounds, added on top of the TTL for the respawn hold
+#: (:func:`respawn`, docs/SYNC.md). ``ttl`` covers the full
+#: dissemination window of any event broadcast before the gate opens;
+#: the slack absorbs round-phase offsets, period drift and the network
+#: latency tail (up to several round durations under the PlanetLab
+#: model), so every such event has reached peers' delivery logs before
+#: the node relays again.
+RESPAWN_HOLD_SLACK_ROUNDS = 6
 
 
 def validate_modes(
@@ -323,32 +334,42 @@ class NodeStack:
     def on_round(self) -> None:
         """One epidemic round — unless :meth:`hold` armed the respawn
         gate and it is still closed."""
-        if self._hold_rounds is not None:
+        hold = self._hold_rounds
+        if hold is not None:
             self._held_for += 1
             manager = self.sync_manager
-            ready = manager.caught_up and self._held_for >= self._hold_rounds
-            if not ready and self._held_for < manager.config.catch_up_rounds:
+            ready = manager.caught_up and self._held_for >= hold
+            if not ready and self._held_for < max(hold, manager.config.catch_up_rounds):
                 return
             self._hold_rounds = None
         self.process.on_round()
 
-    def hold(self, rounds: float) -> None:
+    def hold(self) -> None:
         """Arm the respawn catch-up gate (docs/SYNC.md): :meth:`on_round`
-        does nothing until anti-entropy reports convergence AND *rounds*
-        round ticks have passed — the in-flight horizon, after which
+        does nothing until anti-entropy reports convergence AND ``ttl +``
+        :data:`RESPAWN_HOLD_SLACK_ROUNDS` round ticks have passed (the
+        process's own TTL) — the in-flight horizon, after which
         every event broadcast before the gate opens has finished
         disseminating and reached peers' delivery logs, so it arrives
         here through contiguous sync pulls instead of a partially
         observed TTL window. Balls are still received during the hold
         (they only accumulate state); the node just neither relays nor
         delivers, so its order mark cannot advance past a still-missing
-        event. One-way latch, bounded by the catch-up budget so an
-        unservable gap (every peer also gone) degrades to the ungated
-        behaviour instead of parking the node forever. A stack without
-        a sync manager has nothing to wait for and is not held."""
+        event. One-way latch. The gate gives up after
+        ``max(horizon, catch_up_rounds)`` held rounds: the catch-up
+        budget bounds the wait for convergence, never the horizon, so
+        an unservable gap (every peer also gone) degrades to the
+        ungated behaviour instead of parking the node forever. A stack
+        without a sync manager has nothing to wait for and is not held.
+        :func:`respawn` arms it."""
         if self.sync_manager is not None:
-            self._hold_rounds = rounds
+            self._hold_rounds = self.process.config.ttl + RESPAWN_HOLD_SLACK_ROUNDS
             self._held_for = 0
+
+    @property
+    def held(self) -> bool:
+        """Whether the respawn gate is still closed."""
+        return self._hold_rounds is not None
 
     @property
     def issued_sequence(self) -> int:
@@ -356,14 +377,6 @@ class NodeStack:
         kind that has none — the unordered baselines)."""
         dissemination = getattr(self.process, "dissemination", None)
         return getattr(dissemination, "issued_sequence", 0)
-
-    def resume_sequence(self, next_seq: int) -> None:
-        """Same-identity restart: never reissue a used ``(source, seq)``
-        event id (see ``EventIdGenerator.resume``). Process kinds
-        without a sequence have nothing to resume."""
-        resume = getattr(self.process, "resume_sequence", None)
-        if resume is not None:
-            resume(next_seq)
 
 
 # ----------------------------------------------------------------------
@@ -383,37 +396,63 @@ def open_journal(
     return DeliveryJournal(directory, fsync=fsync, resume=resume)
 
 
-def reopen_journal(
+def respawn(
     node_id: int,
-    directory: Union[str, Path],
-    fsync: str,
     issued: int,
+    build: Callable[["DeliveryJournal | None"], NodeStack],
+    directory: Union[str, Path, None] = None,
+    fsync: str = "rotate",
     corpse: "DeliveryJournal | None" = None,
     machine: "StateMachine | None" = None,
-) -> Tuple["DeliveryJournal", "RecoveredState", int]:
-    """Bring a crashed node's durable history back: seal, recover,
-    resume, reopen.
+) -> "RecoveredState | None":
+    """Bring a crashed node back under its own identity — the one way
+    back, for every host (the simulator, ``AsyncCluster``, each topic
+    of a ``BroadcastService``).
 
-    The corpse's journal object survives a simulated crash (in-process
-    fault injection never runs ``close()``), so it is sealed before the
-    successor opens the log — the two-writer guard. Then
-    :func:`repro.storage.recovery.recover` replays snapshot + log
-    suffix (into *machine*, when given), the broadcast sequence resumes
-    from the maximum of the in-memory counter *issued* and the durable
-    record, and the fresh journal inherits the recovered dedupe
-    watermark so re-gossiped pre-crash events never reach the
-    application twice.
+    1. From disk, when the host has storage (*directory*): the corpse's
+       journal survives an in-process crash (fault injection never runs
+       ``close()``), so it is sealed before the successor opens the log
+       — the two-writer guard. :func:`repro.storage.recovery.recover`
+       replays snapshot + log suffix (into *machine*, when given), and
+       the fresh journal inherits the recovered dedupe watermark, so
+       re-gossiped pre-crash events never reach the application twice.
+    2. *build* makes the host's node over that journal (``None``
+       without storage) and returns its stack. Its ordering state
+       starts empty, as a real restarted process's does.
+    3. The broadcast sequence resumes at the larger of *issued* (the
+       corpse's in-memory counter) and the durable record, so no
+       ``(source, seq)`` id is ever reused (see
+       ``EventIdGenerator.resume``; a process kind without a sequence
+       has nothing to resume).
+    4. The stack is held (:meth:`NodeStack.hold`) for ``ttl +``
+       :data:`RESPAWN_HOLD_SLACK_ROUNDS` of its own rounds and until
+       anti-entropy reports ``caught_up``: it receives but neither
+       relays nor delivers epidemically, so it can deliver nothing
+       newer than an event that finished its relays while it was down
+       (docs/SYNC.md). Without a sync manager there is nothing to wait
+       for and the node is not held.
+
+    The host keeps only its own work: timers, sockets, blocking
+    catch-up, bookkeeping.
 
     Returns:
-        ``(journal, recovered, resume_seq)``.
+        What recovery found on disk, or ``None`` without storage.
     """
-    from .storage.recovery import recover
+    journal = recovered = None
+    if directory is not None:
+        from .storage.recovery import recover
 
-    if corpse is not None and not corpse.closed:
-        corpse.close()
-    recovered = recover(node_id, directory, machine=machine)
-    journal = open_journal(directory, fsync, resume=recovered)
-    return journal, recovered, max(issued, recovered.next_seq)
+        if corpse is not None and not corpse.closed:
+            corpse.close()
+        recovered = recover(node_id, directory, machine=machine)
+        journal = open_journal(directory, fsync, resume=recovered)
+        issued = max(issued, recovered.next_seq)
+    stack = build(journal)
+    resume = getattr(stack.process, "resume_sequence", None)
+    if resume is not None:
+        resume(issued)
+    stack.hold()
+    return recovered
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,8 @@ import pytest
 from repro.core import EpToConfig
 from repro.core.errors import MembershipError
 from repro.sim import ClusterConfig, SimCluster, SimNetwork, Simulator
-from repro.stack import NodeStack
+from repro.stack import RESPAWN_HOLD_SLACK_ROUNDS, NodeStack, respawn
+from repro.sync.config import SyncConfig
 
 from ..conftest import build_small_world, make_event
 
@@ -68,61 +69,72 @@ class TestCrashRespawn:
 
 
 class TestRespawnHoldGate:
-    """The respawn round-gate length is a named, documented parameter."""
+    """The respawn hold: ``ttl + RESPAWN_HOLD_SLACK_ROUNDS`` of the
+    node's own rounds, and ``caught_up``, armed by the one respawn
+    procedure every host calls."""
 
-    def _config(self, **overrides):
-        return ClusterConfig(
-            epto=EpToConfig(fanout=3, ttl=6, round_interval=10), **overrides
-        )
+    class _Process:
+        def __init__(self, config):
+            self.config = config
+            self.rounds = 0
+
+        def on_ball(self, ball):
+            pass
+
+        def on_round(self):
+            self.rounds += 1
+
+    class _Manager:
+        def __init__(self, caught_up=True, **budget):
+            self.caught_up = caught_up
+            self.config = SyncConfig(**budget)
+
+    def _respawned(self, ttl, manager):
+        """A stack brought back by :func:`repro.stack.respawn`, its
+        process and sync manager stand-ins."""
+        config = EpToConfig(fanout=3, ttl=ttl, round_interval=10)
+        process = self._Process(config)
+        stacks = []
+
+        def build(journal):
+            assert journal is None  # no storage: nothing to recover
+            stack = NodeStack(
+                0,
+                config,
+                pss=None,
+                fabric=None,
+                on_deliver=None,
+                time_source=None,
+                rng=None,
+                process_factory=lambda **wiring: process,
+            )
+            stack.sync_manager = manager
+            stacks.append(stack)
+            return stack
+
+        assert respawn(0, 0, build) is None
+        return stacks[0], process
+
+    @staticmethod
+    def _rounds_until_open(stack, process, limit=500):
+        for held in range(1, limit + 1):
+            stack.on_round()
+            if process.rounds:
+                return held
+        raise AssertionError(f"still held after {limit} rounds")
 
     def test_default_hold_is_ttl_plus_named_slack(self):
-        from repro.sim.cluster import RESPAWN_HOLD_SLACK_ROUNDS
+        from repro.sim.cluster import RESPAWN_HOLD_SLACK_ROUNDS as reexported
 
-        config = self._config()
         assert RESPAWN_HOLD_SLACK_ROUNDS == 6
-        assert config.respawn_hold_slack == RESPAWN_HOLD_SLACK_ROUNDS
-        assert config.respawn_hold_rounds() == 6 + RESPAWN_HOLD_SLACK_ROUNDS
-
-    def test_slack_is_overridable_and_validated(self):
-        assert self._config(respawn_hold_slack=0).respawn_hold_rounds() == 6
-        assert self._config(respawn_hold_slack=10).respawn_hold_rounds() == 16
-        with pytest.raises(MembershipError):
-            self._config(respawn_hold_slack=-1)
+        assert reexported is RESPAWN_HOLD_SLACK_ROUNDS  # benchmarks/e2e reads it there
+        stack, process = self._respawned(6, self._Manager())
+        assert self._rounds_until_open(stack, process) == 6 + RESPAWN_HOLD_SLACK_ROUNDS
 
     def test_gate_opens_after_exactly_hold_rounds(self):
-        """`NodeStack.hold` holds `on_round` for the configured count,
-        no magic left."""
-
-        class _Process:
-            def __init__(self):
-                self.rounds = 0
-
-            def on_ball(self, ball):
-                pass
-
-            def on_round(self):
-                self.rounds += 1
-
-        class _Manager:
-            caught_up = True
-
-            class config:
-                catch_up_rounds = 1000
-
-        hold = self._config(respawn_hold_slack=4).respawn_hold_rounds()
-        process = _Process()
-        stack = NodeStack(
-            0,
-            self._config().epto,
-            pss=None,
-            fabric=None,
-            on_deliver=None,
-            time_source=None,
-            rng=None,
-            process_factory=lambda **wiring: process,
-        )
-        stack.sync_manager = _Manager()
-        stack.hold(hold)
+        """Held for ``ttl + slack`` rounds exactly, then open for good."""
+        stack, process = self._respawned(6, self._Manager(catch_up_rounds=1000))
+        hold = 6 + RESPAWN_HOLD_SLACK_ROUNDS
         for _ in range(hold - 1):
             stack.on_round()
         assert process.rounds == 0  # still held
@@ -130,6 +142,26 @@ class TestRespawnHoldGate:
         assert process.rounds == 1  # opens on round `hold` exactly
         stack.on_round()
         assert process.rounds == 2  # and stays open
+
+    def test_catch_up_budget_never_cuts_the_horizon_short(self):
+        """At ttl=40 the horizon (46 rounds) outlasts the default
+        catch-up budget (40): the gate still holds the whole horizon."""
+        manager = self._Manager()
+        assert manager.config.catch_up_rounds == 40
+        stack, process = self._respawned(40, manager)
+        assert self._rounds_until_open(stack, process) == 40 + RESPAWN_HOLD_SLACK_ROUNDS
+
+    def test_budget_bounds_only_the_wait_for_convergence(self):
+        """A node that never hears ``caught_up`` (every peer gone) is
+        released at ``max(horizon, catch_up_rounds)``."""
+        stack, process = self._respawned(6, self._Manager(caught_up=False))
+        assert self._rounds_until_open(stack, process) == 40
+        stack, process = self._respawned(40, self._Manager(caught_up=False))
+        assert self._rounds_until_open(stack, process) == 40 + RESPAWN_HOLD_SLACK_ROUNDS
+
+    def test_a_stack_without_sync_is_not_held(self):
+        stack, process = self._respawned(6, None)
+        assert self._rounds_until_open(stack, process) == 1
 
 
 class TestSendMany:

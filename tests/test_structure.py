@@ -5,11 +5,12 @@ one shape.
 Read off the syntax tree of every module under ``src/repro`` — not off
 its formatting. A host that grows its own copy of the node wiring (a
 fourth constructor of the process, a second dispatch chain, another
-recover-and-reopen), of the fault interpreter or of a Table 1 scan
-fails here, and so does a second shape of ball, a ball found by testing
-for a tuple, the return of a bench driver, byte estimate or second
-performance harness the end-to-end benchmark replaced, or a peer
-sampling service beyond the two the paper evaluates.
+recover-and-reopen, its own resume or respawn hold), of the fault
+interpreter or of a Table 1 scan fails here, and so does a second
+shape of ball, a ball found by testing for a tuple, the return of a
+bench driver, byte estimate or second performance harness the
+end-to-end benchmark replaced, or a peer sampling service beyond the
+two the paper evaluates.
 """
 
 from __future__ import annotations
@@ -110,6 +111,25 @@ def test_one_module_recovers_a_node_from_disk():
         )
 
     assert modules_where(imports_recover, outside=("storage/",)) == {STACK}
+
+
+def calls(*methods: str) -> Callable[[ast.Module], bool]:
+    """Whether the module calls a method of one of these names."""
+    return lambda tree: any(
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr in methods
+        for node in ast.walk(tree)
+    )
+
+
+def test_one_module_resumes_and_holds_a_respawned_node():
+    """Every host comes back through ``repro.stack.respawn``; none
+    resumes a sequence or arms the hold on its own (the processes only
+    hand ``resume_sequence`` down to their dissemination layer)."""
+    assert modules_where(
+        calls("hold", "resume_sequence"), outside=("core/", "lazy/")
+    ) == {STACK}
 
 
 def test_one_module_routes_the_wire_kinds():
@@ -319,6 +339,8 @@ def test_the_guard_sees_what_it_guards():
     assert using("EpToProcess")(MODULES["lazy/process.py"])
     assert using("DeliveryJournal")(MODULES[STACK])
     assert not using("DeliveryJournal")(MODULES["sim/cluster.py"])  # annotations only
+    assert calls("resume_sequence")(MODULES["core/process.py"])
+    assert not calls("hold")(ast.parse("stack.hold"))  # read, not called
     assert ("isinstance", "load_scenario") in set(
         uses(MODULES["experiments/service_drill.py"])
     )
