@@ -33,7 +33,7 @@ from typing import Any, Callable, Dict, List
 from ..core.clock import StabilityOracle, make_oracle
 from ..core.config import EpToConfig
 from ..core.dissemination import DisseminationComponent
-from ..core.event import Ball, Event, EventId, EventRecord
+from ..core.event import Ball, Event, EventId
 from ..core.interfaces import PeerSampler, Transport
 
 
@@ -65,7 +65,9 @@ class StabilityOrderedProcess:
             oracle = make_oracle(config.clock, config.ttl, time_source)
         self.oracle = oracle
         self._on_deliver = on_deliver
-        self._received: Dict[EventId, EventRecord] = {}
+        # Known-but-undelivered events and the TTL of each (same keys).
+        self._received: Dict[EventId, Event] = {}
+        self._ttls: Dict[EventId, int] = {}
         self._delivered: set[EventId] = set()
         self.delivered_count = 0
         self.dissemination = DisseminationComponent(
@@ -85,26 +87,27 @@ class StabilityOrderedProcess:
         15-26 (deliverable/queued split) removed — the rule Pbcast's
         synchronous model permits.
         """
-        for record in self._received.values():
-            record.age()
-        for event, ttl in zip(ball.events.values(), ball.ttls.values()):
-            if event.id in self._delivered:
+        ttls = {event_id: ttl + 1 for event_id, ttl in self._ttls.items()}
+        self._ttls = ttls
+        for event_id, ttl in ball.ttls.items():
+            if event_id in self._delivered:
                 continue
-            record = self._received.get(event.id)
-            if record is not None:
-                record.merge_ttl(ttl)
-            else:
-                self._received[event.id] = EventRecord(event, ttl)
+            known = ttls.get(event_id)
+            if known is None:
+                self._received[event_id] = ball.events[event_id]
+                ttls[event_id] = ttl
+            elif ttl > known:
+                ttls[event_id] = ttl
 
-        stable: List[EventRecord] = [
-            record
-            for record in self._received.values()
-            if self.oracle.is_deliverable(record)
+        bound = self.oracle.ttl
+        stable: List[Event] = [
+            self._received[event_id]
+            for event_id, ttl in ttls.items()
+            if ttl > bound
         ]
-        stable.sort(key=lambda record: record.event.order_key)
-        for record in stable:
-            event = record.event
-            del self._received[event.id]
+        stable.sort(key=lambda event: event.order_key)
+        for event in stable:
+            del self._received[event.id], ttls[event.id]
             self._delivered.add(event.id)
             self.delivered_count += 1
             self._on_deliver(event)

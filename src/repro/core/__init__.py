@@ -25,8 +25,7 @@ __getattr__, __dir__, __all__ = _lazy_exports(
             "ReproError", "SimulationError", "TransportError",
         ),
         ".event": (
-            "Ball", "Event", "EventId", "EventIdGenerator", "EventRecord",
-            "OrderKey",
+            "Ball", "Event", "EventId", "EventIdGenerator", "OrderKey",
         ),
         ".interfaces": ("PeerSampler", "Transport"),
         ".ordering": ("OrderingComponent", "OrderingStats"),

@@ -1,19 +1,20 @@
 """Stability oracles: global clock (Algorithm 3) and logical clock (Algorithm 4).
 
-The stability oracle answers three questions for the EpTO components:
+The stability oracle gives the EpTO components the notion of time:
 
+* ``ttl`` — the stability threshold: an event is deliverable once it
+  has been relayed for more than ``ttl`` rounds, so that, with high
+  probability, every correct process has received it (the rule itself,
+  ``ttl > TTL``, is applied by :mod:`repro.core.ordering`);
 * ``get_clock()`` — timestamp to stamp on a freshly broadcast event;
 * ``update_clock(ts)`` — observe the timestamp of a received event
-  (a no-op for the global clock, a Lamport merge for the logical one);
-* ``is_deliverable(record)`` — has this event been relayed long enough
-  (``ttl > TTL``) that, with high probability, every correct process
-  has received it?
+  (a no-op for the global clock, a Lamport merge for the logical one).
 
 The paper first presents the algorithm with a *global clock* (e.g. GPS
 or atomic clocks as used by Spanner) purely for didactic purposes, then
 relaxes it to plain Lamport scalar clocks at the cost of doubling the
-TTL (paper §5.1, Lemma 4). Both oracles share the ``ttl > TTL``
-stability rule; they differ only in how timestamps are produced and
+TTL (paper §5.1, Lemma 4). The ``ttl > TTL`` stability rule is the
+same under both; they differ only in how timestamps are produced and
 merged, and in the TTL value the deployment should configure (see
 :mod:`repro.core.params`).
 """
@@ -23,22 +24,13 @@ from __future__ import annotations
 from typing import Callable, Protocol, runtime_checkable
 
 from .errors import ConfigurationError
-from .event import EventRecord
 
 
 @runtime_checkable
 class StabilityOracle(Protocol):
-    """Interface between the EpTO components and the notion of time.
-
-    Implementations must be cheap: ``is_deliverable`` is called for
-    every received-but-undelivered event on every round.
-    """
+    """Interface between the EpTO components and the notion of time."""
 
     ttl: int
-
-    def is_deliverable(self, record: EventRecord) -> bool:
-        """Return ``True`` once *record* is stable (``ttl > TTL``)."""
-        ...
 
     def get_clock(self) -> int:
         """Return the timestamp for a new broadcast."""
@@ -69,10 +61,6 @@ class GlobalClockOracle:
         self.ttl = _check_ttl(ttl)
         self._time_source = time_source
 
-    def is_deliverable(self, record: EventRecord) -> bool:
-        """An event is stable once it has aged strictly past the TTL."""
-        return record.ttl > self.ttl
-
     def get_clock(self) -> int:
         """Read the global clock (Algorithm 3, ``getClock``)."""
         return int(self._time_source())
@@ -97,24 +85,16 @@ class LogicalClockOracle:
         ttl: Stability threshold in rounds — pass the *doubled* value
             from :func:`repro.core.params.min_ttl` with
             ``clock="logical"``.
-        initial: Starting value of the logical clock (paper uses 0; the
-            Figure 4 walkthrough starts at 1).
     """
 
-    def __init__(self, ttl: int, initial: int = 0) -> None:
+    def __init__(self, ttl: int) -> None:
         self.ttl = _check_ttl(ttl)
-        if initial < 0:
-            raise ConfigurationError(f"initial clock must be >= 0, got {initial}")
-        self._logical_clock = initial
+        self._logical_clock = 0
 
     @property
     def logical_clock(self) -> int:
         """Current value of the Lamport clock (read-only)."""
         return self._logical_clock
-
-    def is_deliverable(self, record: EventRecord) -> bool:
-        """An event is stable once it has aged strictly past the TTL."""
-        return record.ttl > self.ttl
 
     def get_clock(self) -> int:
         """Increment then return the clock (Algorithm 4, ``getClock``)."""

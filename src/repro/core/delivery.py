@@ -18,10 +18,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, List, Sequence
+from typing import Any, Iterable, List, Tuple
 
 from .errors import ConfigurationError
-from .event import Event, EventRecord
+from .event import Event
 
 
 @dataclass(frozen=True, slots=True)
@@ -129,20 +129,22 @@ class StabilityEstimator:
         idx = min(rounds, self.max_rounds)
         return self._p_stable[idx]
 
-    def estimate(self, record: EventRecord) -> StabilityEstimate:
-        """Build a :class:`StabilityEstimate` for a pending record."""
+    def estimate(self, event: Event, ttl: int) -> StabilityEstimate:
+        """Build a :class:`StabilityEstimate` for a pending *event*
+        relayed for *ttl* rounds."""
         return StabilityEstimate(
-            event=record.event,
-            ttl=record.ttl,
-            probability_stable=self.probability_stable(record.ttl),
-            expected_coverage=self.coverage_after(record.ttl),
+            event=event,
+            ttl=ttl,
+            probability_stable=self.probability_stable(ttl),
+            expected_coverage=self.coverage_after(ttl),
         )
 
     def estimate_all(
-        self, records: Sequence[EventRecord] | List[EventRecord]
+        self, pending: Iterable[Tuple[Event, int]]
     ) -> List[StabilityEstimate]:
-        """Estimate every record, sorted by descending stability."""
-        estimates = [self.estimate(record) for record in records]
+        """Estimate every ``(event, ttl)`` pair, sorted by descending
+        stability."""
+        estimates = [self.estimate(event, ttl) for event, ttl in pending]
         estimates.sort(key=lambda e: (-e.probability_stable, e.event.order_key))
         return estimates
 

@@ -120,10 +120,6 @@ class DisseminationComponent:
         # Only logical clocks react to update_clock; skip the per-entry
         # call entirely for global clocks (hot path at scale).
         self._clock_needs_updates = config.clock == "logical"
-        # Fan-out path: transports offering send_many ship one ball to
-        # all K peers in a single call (encode-once on wire fabrics);
-        # plain transports get K individual send calls.
-        self._send_many = getattr(transport, "send_many", None)
 
     @property
     def next_ball_size(self) -> int:
@@ -279,11 +275,7 @@ class DisseminationComponent:
             # sampler's random stream does not depend on the cut.
             peers = self.peer_sampler.sample(self.config.fanout)
             if shipped is not None:
-                if self._send_many is not None:
-                    self._send_many(self.node_id, peers, shipped)
-                else:
-                    for peer in peers:
-                        self.transport.send(self.node_id, peer, shipped)
+                self.transport.send_many(self.node_id, peers, shipped)
                 fan = len(peers)
                 self.stats.balls_sent += fan
                 self.stats.entries_relayed += len(shipped.ttls) * fan

@@ -20,27 +20,14 @@ class Transport(Protocol):
     """Unreliable, unordered, one-way message channel.
 
     EpTO needs nothing stronger: no acknowledgments, retransmissions or
-    connections (paper §1.1). ``send`` must not raise on loss — losing
+    connections (paper §1.1). Sending must not raise on loss — losing
     messages is the network model's job, not an error.
-    """
 
-    def send(self, src: int, dst: int, ball: Ball) -> None:
-        """Best-effort delivery of *ball* from *src* to *dst*."""
-        ...
-
-
-@runtime_checkable
-class FanoutTransport(Protocol):
-    """A transport that can ship one ball to many peers at once.
-
-    EpTO's round tick sends the *same* immutable ball to ``K`` peers.
-    A transport that serializes (or otherwise prepares) messages can
-    amortize that work across the fan-out — e.g. the UDP fabric encodes
-    the datagram once and ``sendto``s the same bytes to every
-    destination. The dissemination component uses this surface when the
-    transport offers it and falls back to ``K`` individual
-    :meth:`Transport.send` calls otherwise, so plain transports (and
-    test doubles) keep working unchanged.
+    EpTO's round tick sends the *same* immutable ball to ``K`` peers,
+    always through :meth:`send_many`, so a fabric that serializes (or
+    otherwise prepares) messages amortizes that work across the fan-out
+    — e.g. the UDP fabric encodes the datagram once and ``sendto``s the
+    same bytes to every destination.
     """
 
     def send(self, src: int, dst: int, ball: Ball) -> None:

@@ -3,8 +3,10 @@
 Moves events from the ``received`` map to the ``delivered`` set while
 preserving total order. An event may be delivered once:
 
-1. the stability oracle deems it deliverable (it has been relayed for
-   more than TTL rounds, so w.h.p. every correct process knows it), and
+1. it is stable: it has been relayed for more than TTL rounds
+   (``ttl > TTL``, the oracle's ``ttl``), so w.h.p. every correct
+   process knows it — the paper's ``isDeliverable``, the same under
+   both oracles; and
 2. no *non-deliverable* event in ``received`` precedes it in the total
    order — otherwise delivering it now could forever block that earlier
    event (a total-order violation).
@@ -38,23 +40,22 @@ deliverable records, rescan again for the minimum queued order key.
 This version does amortized work proportional to what *changes* per
 round instead:
 
-* **Lazy aging** — records store the round they were (re)based at and
-  derive their TTL on demand (:meth:`EventRecord.ttl_at`); nothing is
-  touched on quiet rounds.
-* **Deliverability frontier** — with the shipped oracles an event's
-  deliverability round is known the moment it is received
-  (``received_round + TTL - ttl + 1``), so records are bucketed by
-  that round and promoted O(1) when it arrives. Promotion re-checks
-  ``oracle.is_deliverable`` and reschedules one round ahead if a
-  custom oracle disagrees, so correctness never depends on the
-  prediction. (The schedule does assume ``oracle.ttl`` is fixed for
-  the life of the component — true of both shipped oracles; dynamic
-  reconfiguration happens via process restart.)
+* **Lazy aging** — a pending event is its birth round,
+  ``received_round - ttl``: its TTL at round ``r`` is ``r - born``, so
+  nothing is touched on quiet rounds.
+* **Deliverability frontier** — an event's deliverability round is
+  known the moment it is received (``born + TTL + 1``), so events are
+  bucketed by that round and promoted O(1) when it arrives. A later
+  copy can only move the birth round earlier, which reschedules the
+  event earlier, so at its bucket's round an event is always stable.
+  (The schedule assumes ``oracle.ttl`` is fixed for the life of the
+  component — true of both oracles; dynamic reconfiguration happens
+  via process restart.)
 * **Lazy-deletion min-heap of queued keys** — the "earliest
   non-deliverable order key" guard is answered by a heap whose stale
   heads (promoted or delivered ids) are popped amortized O(1), not by
   a full scan.
-* **Ready heap** — deliverable-but-blocked records wait in a second
+* **Ready heap** — deliverable-but-blocked events wait in a second
   heap; each round pops only what actually gets delivered.
 
 A round with an empty ball and nothing newly stable is O(1); a round
@@ -71,11 +72,11 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Iterable, List, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Sequence, Tuple
 
 from .clock import StabilityOracle
 from .errors import OrderingInvariantError
-from .event import Ball, Event, EventId, EventRecord, OrderKey
+from .event import Ball, Event, EventId, OrderKey
 
 #: Signature of the application delivery callback.
 DeliverCallback = Callable[[Event], None]
@@ -99,7 +100,8 @@ class OrderingComponent:
     """Per-process ordering state machine (Algorithm 2).
 
     Args:
-        oracle: Stability oracle (``isDeliverable``).
+        oracle: Stability oracle; its ``ttl`` is the stability
+            threshold (an event is deliverable once ``ttl > TTL``).
         deliver: Callback receiving each event, in total order.
         deliver_out_of_order: Optional callback for the paper §8.2
             *tagged delivery* extension — events whose in-order
@@ -118,18 +120,18 @@ class OrderingComponent:
         self.deliver = deliver
         self.deliver_out_of_order = deliver_out_of_order
         self.stats = OrderingStats()
-        # received: known but not yet delivered events (lazy TTLs).
-        self._received: dict[EventId, EventRecord] = {}
-        # Each pending record's birth round, ``received_round - ttl``
-        # (same keys as ``_received``; see :meth:`_merge_ball`).
+        # received: known but not yet delivered events, and each one's
+        # birth round ``received_round - ttl`` (same keys): its TTL at
+        # round r is ``r - born`` (see :meth:`_merge_ball`).
+        self._received: dict[EventId, Event] = {}
         self._births: dict[EventId, int] = {}
         # Frontier: round -> ids predicted to become deliverable then.
         self._frontier: dict[int, List[EventId]] = {}
-        # Min-heap of (order_key, id) over records not yet deliverable.
+        # Min-heap of (order_key, id) over events not yet deliverable.
         # Lazy deletion: entries whose id was promoted or delivered are
         # skipped when the heap head is inspected.
         self._queued_heap: List[Tuple[OrderKey, EventId]] = []
-        # Deliverable-but-blocked records, in order-key order.
+        # Deliverable-but-blocked events, in order-key order.
         self._ready_heap: List[Tuple[OrderKey, EventId]] = []
         self._ready_ids: set[EventId] = set()
         # Recently delivered ids; entries expire once no further copy
@@ -137,14 +139,11 @@ class OrderingComponent:
         self._delivered_ids: set[EventId] = set()
         self._delivered_expiry: Deque[tuple[int, EventId]] = deque()
         self._last_delivered_key: OrderKey = _MINUS_INFINITY_KEY
-        # Whether the order mark may have passed a pending record, so
+        # Whether the order mark may have passed a pending event, so
         # copies of pending events must go through the delivered and
         # late guards (see :meth:`_merge_ball`): after an external
-        # delivery, until discard_obsolete_pending; and for good once
-        # the oracle refused a record stable on arrival, which no heap
-        # orders.
+        # delivery, until discard_obsolete_pending.
         self._mark_passed_pending = False
-        self._refused_stable = False
         # Tagged-delivery dedup (§8.2): remember recently tagged ids so
         # further copies of the same late event are not re-tagged. A
         # copy can only keep arriving while the event is still being
@@ -168,17 +167,16 @@ class OrderingComponent:
         """Order key of the most recently delivered event."""
         return self._last_delivered_key
 
-    def pending_records(self) -> Iterable[EventRecord]:
-        """Snapshot of the received-but-undelivered records.
-
-        Lazy TTLs are materialized to the current round first, so
-        ``record.ttl`` reads as if the paper's eager aging had run.
-        """
+    def pending(self) -> List[Tuple[Event, int]]:
+        """The received-but-undelivered events, each with its TTL at the
+        current round (``now - born``: what the paper's eager aging
+        would show)."""
         now = self.stats.rounds
-        records = list(self._received.values())
-        for record in records:
-            record.rebase(now)
-        return records
+        births = self._births
+        return [
+            (event, now - births[event_id])
+            for event_id, event in self._received.items()
+        ]
 
     def is_delivered(self, event_id: EventId) -> bool:
         """Whether *event_id* was delivered within the retention window.
@@ -206,18 +204,18 @@ class OrderingComponent:
         self._prune_delivered()
 
         # Lines 6-7 (lazy form): previously received events age by
-        # derivation — no per-record sweep happens here.
+        # derivation — no per-event sweep happens here.
 
         # Lines 8-14: merge the ball into `received`.
         if ball.ttls:
             self._merge_ball(ball, now)
 
-        # Promote records whose deliverability round arrived.
+        # Promote events whose deliverability round arrived.
         bucket = self._frontier.pop(now, None)
         if bucket:
-            self._promote(bucket, now)
+            self._promote(bucket)
 
-        # Lines 15-30 (heap form): deliver every ready record ordered
+        # Lines 15-30 (heap form): deliver every ready event ordered
         # before the earliest still-queued key, in total order.
         if self._ready_heap:
             self._deliver_ready()
@@ -229,23 +227,20 @@ class OrderingComponent:
     def _merge_ball(self, ball: Ball, now: int) -> None:
         """Merge one round's ball into ``received`` (lines 8-14).
 
-        The record arithmetic of :class:`EventRecord` is spelled out
-        inline, over the birth rounds: a known record's TTL at *now*
-        (``ttl_at``) is ``now - born``, so a copy raises it exactly when
-        it was born later, ``now - ttl < born``. Only then does the
-        record change, and its due round ``now + TTL - ttl + 1`` move
-        earlier; any other copy of a known event costs one lookup.
-        Nothing here delivers, so the order mark is read once.
+        The merge runs over the birth rounds: a pending event's TTL at
+        *now* is ``now - born``, so a copy raises it (the max-merge of
+        lines 10-12) exactly when it was born later, ``now - ttl <
+        born``. Only then does the birth round change, and the due
+        round ``now + TTL - ttl + 1`` move earlier; any other copy of a
+        pending event costs one lookup. Nothing here delivers, so the
+        order mark is read once.
 
-        A pending record is neither delivered nor at or below the order
+        A pending event is neither delivered nor at or below the order
         mark: :meth:`_deliver_ready` delivers in key order below every
         queued key, and a copy at or below the mark is never admitted.
-        So a copy of a pending event skips both guards. Two things break
-        that: :meth:`deliver_external` advancing the mark past pending
-        records, until :meth:`discard_obsolete_pending` drops them; and
-        a custom oracle refusing a record stable on arrival, which is
-        then in neither heap, so the mark may pass it. Copies are
-        guarded again from then on.
+        So a copy of a pending event skips both guards, except after
+        :meth:`deliver_external` advanced the mark past pending events,
+        until :meth:`discard_obsolete_pending` drops them.
         """
         received = self._received
         births = self._births
@@ -255,7 +250,7 @@ class OrderingComponent:
         events = ball.events
         ttl_bound = self.oracle.ttl
         last_key = self._last_delivered_key
-        guarded = self._mark_passed_pending or self._refused_stable
+        guarded = self._mark_passed_pending
         for event_id, ttl in ball.ttls.items():
             born = births.get(event_id)
             if born is None or guarded:
@@ -269,53 +264,44 @@ class OrderingComponent:
                     self._handle_late_event(event)
                     continue
             if born is None:
-                received[event_id] = EventRecord(event, ttl, now)
+                received[event_id] = event
                 births[event_id] = now - ttl
                 due = now + ttl_bound - ttl + 1
                 if due <= now:
                     # Stable on arrival (relayed past the TTL already).
-                    self._promote([event_id], now)
-                    if event_id not in ready_ids:
-                        self._refused_stable = True
+                    self._promote((event_id,))
                 else:
                     frontier.setdefault(due, []).append(event_id)
                     heapq.heappush(self._queued_heap, (key, event_id))
             elif now - ttl < born:
-                # The copy aged further elsewhere: the record becomes
+                # The copy aged further elsewhere: the event becomes
                 # deliverable earlier than first scheduled. The old
                 # bucket entry goes stale and is skipped. (A ready
-                # record is deliverable already; a larger TTL changes
+                # event is deliverable already; a larger TTL changes
                 # nothing.)
-                record = received[event_id]
-                record.ttl = ttl
-                record.received_round = now
                 births[event_id] = now - ttl
                 if event_id not in ready_ids:
                     due = now + ttl_bound - ttl + 1
                     frontier.setdefault(max(due, now), []).append(event_id)
 
-    def _promote(self, bucket: List[EventId], now: int) -> None:
-        """Move newly deliverable ids from queued to ready."""
+    def _promote(self, bucket: Sequence[EventId]) -> None:
+        """Move the due ids of *bucket* from queued to ready.
+
+        An event is due at ``born + TTL + 1`` or later, and its birth
+        round only moves earlier, so at its due round its TTL is past
+        the bound (``ttl > TTL``): nothing is refused.
+        """
         received = self._received
         ready_ids = self._ready_ids
-        is_deliverable = self.oracle.is_deliverable
         for event_id in bucket:
-            record = received.get(event_id)
-            if record is None or event_id in ready_ids:
-                continue  # delivered meanwhile, or rescheduled twice
-            record.rebase(now)
-            if is_deliverable(record):
-                ready_ids.add(event_id)
-                heapq.heappush(
-                    self._ready_heap, (record.event.order_key, event_id)
-                )
-            else:
-                # A custom oracle departing from the ttl > TTL rule:
-                # keep the record queued and ask again next round.
-                self._frontier.setdefault(now + 1, []).append(event_id)
+            event = received.get(event_id)
+            if event is None or event_id in ready_ids:
+                continue  # delivered meanwhile, or rescheduled earlier
+            ready_ids.add(event_id)
+            heapq.heappush(self._ready_heap, (event.order_key, event_id))
 
     def _min_queued_key(self) -> Optional[OrderKey]:
-        """Smallest order key among non-deliverable records (lazy heap).
+        """Smallest order key among non-deliverable events (lazy heap).
 
         Heads whose id was promoted or delivered are discarded as they
         surface — each entry is popped at most once over its lifetime,
@@ -332,14 +318,14 @@ class OrderingComponent:
         return None
 
     def _deliver_ready(self) -> None:
-        """Deliver ready records ordered before every queued key."""
+        """Deliver ready events ordered before every queued key."""
         ready_heap = self._ready_heap
         received = self._received
         min_queued_key = self._min_queued_key()
         while ready_heap:
             key, event_id = ready_heap[0]
             if event_id not in received:
-                # Stale head: the record was removed between rounds by
+                # Stale head: the event was removed between rounds by
                 # an external (anti-entropy) delivery.
                 heapq.heappop(ready_heap)
                 continue
@@ -348,13 +334,12 @@ class OrderingComponent:
                 # could violate total order once it stabilizes.
                 break
             heapq.heappop(ready_heap)
-            record = received.pop(event_id)
+            event = received.pop(event_id)
             self._births.pop(event_id, None)
             self._ready_ids.discard(event_id)
-            event = record.event
             if key <= self._last_delivered_key:
                 # An external delivery advanced the order mark past this
-                # record while it sat ready; in-order delivery is no
+                # event while it sat ready; in-order delivery is no
                 # longer possible, so it takes the late-event path.
                 self._handle_late_event(event)
                 continue
@@ -371,7 +356,7 @@ class OrderingComponent:
 
         Used by :mod:`repro.sync` to apply events fetched from a peer's
         delivery log. The event was already delivered — hence stable —
-        on the serving peer, so the TTL oracle is bypassed entirely; the
+        on the serving peer, so the stability rule is bypassed; the
         only checks are the duplicate and total-order guards that every
         delivery goes through. The caller is responsible for presenting
         events in ``(ts, srcId, seq)`` order (the order the serving log
@@ -402,28 +387,28 @@ class OrderingComponent:
         return True
 
     def discard_obsolete_pending(self) -> int:
-        """Drop pending records the order mark has moved past.
+        """Drop pending events the order mark has moved past.
 
         After a batch of external deliveries, epidemic copies still
         sitting in ``received`` with keys at or below the new mark can
         never be delivered in order; they would each surface later as a
         late event anyway. Clearing them eagerly keeps the queued-key
-        guard from blocking ready events behind records that are
-        already history. Returns the number of records discarded (each
+        guard from blocking ready events behind events that are
+        already history. Returns the number of events discarded (each
         is routed through the late-event path, so §8.2 tagging still
         applies).
         """
         mark = self._last_delivered_key
         stale = [
             event_id
-            for event_id, record in self._received.items()
-            if record.event.order_key <= mark
+            for event_id, event in self._received.items()
+            if event.order_key <= mark
         ]
         for event_id in stale:
-            record = self._received.pop(event_id)
+            event = self._received.pop(event_id)
             self._births.pop(event_id, None)
             self._ready_ids.discard(event_id)
-            self._handle_late_event(record.event)
+            self._handle_late_event(event)
         self._mark_passed_pending = False
         return len(stale)
 

@@ -47,8 +47,8 @@ class EpToProcess:
         rng: Randomness for peer selection; pass a seeded generator for
             reproducible simulations.
         oracle: Pre-built stability oracle; overrides ``config.clock``
-            and ``time_source`` when supplied (used by tests to inject
-            custom oracles).
+            and ``time_source`` when supplied (used by tests to control
+            the clock).
         system_size_hint: Expected system size ``n``; only needed when
             ``config.expose_stability`` is set, to parameterize the
             §8.4 stability estimator.
@@ -148,7 +148,7 @@ class EpToProcess:
             raise ConfigurationError(
                 "peek() requires EpToConfig.expose_stability=True"
             )
-        return self._estimator.estimate_all(list(self.ordering.pending_records()))
+        return self._estimator.estimate_all(self.ordering.pending())
 
     @property
     def pending_count(self) -> int:

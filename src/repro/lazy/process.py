@@ -143,13 +143,7 @@ class _MetadataTransport:
             for event_id, event in ball.events.items()
         }
         id_ball = IdBall(Ball(events, ball.ttls, shared=ball.shared))
-        transport = owner._transport
-        send_many = getattr(transport, "send_many", None)
-        if send_many is not None:
-            send_many(src, dsts, id_ball)
-        else:
-            for dst in dsts:
-                transport.send(src, dst, id_ball)
+        owner._transport.send_many(src, dsts, id_ball)
         # Measured after the send: a wire fabric encoded the ball, and
         # the heads it built are what the estimate reads.
         fan = len(dsts)

@@ -991,8 +991,7 @@ class FlatCluster:
         costs one lookup. Such a copy skips the delivered and late
         guards, because a pending event is never delivered nor at or
         below the order mark. The object engine must guard again after
-        an external delivery or a custom oracle's refusal; the flat
-        engine has neither.
+        an external (anti-entropy) delivery; the flat engine has none.
         """
         births = self._received[node]
         delivered_ids = self._delivered_ids[node]
@@ -1042,7 +1041,9 @@ class FlatCluster:
 
         An event is due at ``born + TTL + 1`` or later, and its birth
         round only moves earlier, so at its due round its TTL is past
-        the bound: with no custom oracle there is nothing to refuse.
+        the bound (``ttl > TTL``): nothing is refused, as in
+        :meth:`OrderingComponent._promote
+        <repro.core.ordering.OrderingComponent._promote>`.
         """
         births = self._received[node]
         ready_ids = self._ready_ids[node]

@@ -373,7 +373,10 @@ def epto_chunk_applier(process: "EpToProcess") -> Callable[[Sequence[Event]], in
     delivered (hence stable) on the serving peer, so they go straight
     through :meth:`OrderingComponent.deliver_external` in chunk order —
     which is ``(ts, srcId, seq)`` order — and land in the journal/
-    application callback exactly like an epidemic delivery. Afterwards
+    application callback exactly like an epidemic delivery. Each event's
+    timestamp is merged into the oracle, as Algorithm 4 merges every
+    timestamp a node learns, so the node's next broadcast is stamped
+    above what it delivered (a no-op on the global clock). Afterwards
     any pending epidemic copies the repair made obsolete are discarded
     so the ordering component never attempts a second, out-of-order
     delivery of the same region.
@@ -381,8 +384,10 @@ def epto_chunk_applier(process: "EpToProcess") -> Callable[[Sequence[Event]], in
 
     def apply(events: Iterable[Event]) -> int:
         ordering = process.ordering
+        update_clock = process.oracle.update_clock
         applied = 0
         for event in events:
+            update_clock(event.ts)
             if ordering.deliver_external(event):
                 applied += 1
         ordering.discard_obsolete_pending()

@@ -8,7 +8,7 @@ from typing import Any, List, Tuple
 
 import pytest
 
-from repro.core import Ball, EpToConfig, Event, EventRecord
+from repro.core import Ball, EpToConfig, Event
 from repro.lazy.protocol import IdBall
 from repro.metrics import check_run
 from repro.sim import ClusterConfig, FixedLatency, SimCluster, SimNetwork, Simulator
@@ -41,11 +41,6 @@ def id_ball(*entries: Tuple[int, int, int, int]) -> IdBall:
     )
 
 
-def make_record(src: int = 0, seq: int = 0, ts: int = 0, ttl: int = 0) -> EventRecord:
-    """Build a mutable record around a test event."""
-    return EventRecord(make_event(src=src, seq=seq, ts=ts), ttl=ttl)
-
-
 class RecordingTransport:
     """Transport that captures every send for inspection."""
 
@@ -54,6 +49,10 @@ class RecordingTransport:
 
     def send(self, src: int, dst: int, ball: Any) -> None:
         self.sent.append((src, dst, ball))
+
+    def send_many(self, src: int, dsts, ball: Any) -> None:
+        for dst in dsts:
+            self.send(src, dst, ball)
 
     def balls_to(self, dst: int) -> List[Any]:
         return [ball for _, d, ball in self.sent if d == dst]
@@ -81,9 +80,6 @@ class ManualOracle:
         self.ttl = ttl
         self.clock = clock
         self.updates: List[int] = []
-
-    def is_deliverable(self, record: EventRecord) -> bool:
-        return record.ttl > self.ttl
 
     def get_clock(self) -> int:
         return self.clock

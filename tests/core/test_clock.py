@@ -7,8 +7,6 @@ import pytest
 from repro.core.clock import GlobalClockOracle, LogicalClockOracle, make_oracle
 from repro.core.errors import ConfigurationError
 
-from ..conftest import make_record
-
 
 class TestGlobalClockOracle:
     def test_reads_time_source(self):
@@ -22,11 +20,6 @@ class TestGlobalClockOracle:
         oracle = GlobalClockOracle(ttl=3, time_source=lambda: 5)
         oracle.update_clock(10_000)
         assert oracle.get_clock() == 5  # unchanged
-
-    def test_deliverable_strictly_above_ttl(self):
-        oracle = GlobalClockOracle(ttl=3, time_source=lambda: 0)
-        assert not oracle.is_deliverable(make_record(ttl=3))
-        assert oracle.is_deliverable(make_record(ttl=4))
 
     def test_rejects_bad_ttl(self):
         with pytest.raises(ConfigurationError):
@@ -53,19 +46,6 @@ class TestLogicalClockOracle:
         oracle.update_clock(7)
         assert oracle.get_clock() == 8
 
-    def test_initial_value(self):
-        oracle = LogicalClockOracle(ttl=2, initial=1)
-        assert oracle.logical_clock == 1
-        assert oracle.get_clock() == 2
-
-    def test_deliverable_strictly_above_ttl(self):
-        oracle = LogicalClockOracle(ttl=5)
-        assert not oracle.is_deliverable(make_record(ttl=5))
-        assert oracle.is_deliverable(make_record(ttl=6))
-
-    def test_rejects_negative_initial(self):
-        with pytest.raises(ConfigurationError):
-            LogicalClockOracle(ttl=1, initial=-1)
 
 
 class TestMakeOracle:

@@ -11,7 +11,7 @@ from repro.core.delivery import (
 )
 from repro.core.errors import ConfigurationError
 
-from ..conftest import make_event, make_record
+from ..conftest import make_event
 
 
 class TestStabilityEstimator:
@@ -48,15 +48,17 @@ class TestStabilityEstimator:
 
     def test_estimate_record(self):
         est = StabilityEstimator(n=100, fanout=10)
-        estimate = est.estimate(make_record(ttl=8))
+        event = make_event()
+        estimate = est.estimate(event, 8)
+        assert estimate.event is event
         assert estimate.ttl == 8
         assert 0.0 <= estimate.probability_stable <= 1.0
         assert 0.0 <= estimate.expected_coverage <= 1.0
 
     def test_estimate_all_sorted_by_stability(self):
         est = StabilityEstimator(n=100, fanout=10)
-        records = [make_record(seq=i, ttl=i) for i in range(6)]
-        estimates = est.estimate_all(records)
+        pending = [(make_event(seq=i), i) for i in range(6)]
+        estimates = est.estimate_all(pending)
         probs = [e.probability_stable for e in estimates]
         assert probs == sorted(probs, reverse=True)
 

@@ -1,8 +1,8 @@
 """Encode-once fan-out at the dissemination layer.
 
-A round's ball is identical for every peer, so a transport exposing
-``send_many`` receives one call with the peer list (and can serialize
-once); plain ``send``-only transports keep the per-peer loop.
+A round's ball is identical for every peer, so the transport receives
+one ``send_many`` call with the peer list (and can serialize once).
+Every transport fans out: ``send_many`` is part of the protocol.
 """
 
 from __future__ import annotations
@@ -11,13 +11,13 @@ from typing import Any, List, Tuple
 
 from repro.core.config import EpToConfig
 from repro.core.dissemination import DisseminationComponent
-from repro.core.interfaces import FanoutTransport, Transport
+from repro.core.interfaces import Transport
 
 from ..conftest import ManualOracle, RecordingTransport, StaticPeerSampler
 
 
 class FanoutRecordingTransport(RecordingTransport):
-    """Transport advertising the batched fan-out surface."""
+    """Transport recording each fan-out call as one batch."""
 
     def __init__(self) -> None:
         super().__init__()
@@ -41,12 +41,18 @@ def build(transport, fanout=3):
     )
 
 
+class SendOnly:
+    """A channel without the fan-out surface."""
+
+    def send(self, src: int, dst: int, ball: Any) -> None:
+        pass
+
+
 class TestFanoutProtocol:
-    def test_protocols_distinguish_batched_transports(self):
+    def test_a_transport_fans_out(self):
         assert isinstance(FanoutRecordingTransport(), Transport)
-        assert isinstance(FanoutRecordingTransport(), FanoutTransport)
         assert isinstance(RecordingTransport(), Transport)
-        assert not isinstance(RecordingTransport(), FanoutTransport)
+        assert not isinstance(SendOnly(), Transport)
 
 
 class TestEncodeOnceFanout:
@@ -71,24 +77,3 @@ class TestEncodeOnceFanout:
         balls = [ball for _, _, ball in transport.sent]
         assert len(balls) == 3
         assert all(ball is balls[0] for ball in balls)
-
-    def test_send_only_transport_falls_back_to_per_peer_loop(self):
-        transport = RecordingTransport()
-        component = build(transport)
-        component.broadcast("payload")
-        component.round_tick()
-
-        assert [dst for _, dst, _ in transport.sent] == [1, 2, 3]
-        assert component.stats.balls_sent == 3
-
-    def test_fallback_and_fanout_ship_identical_balls(self):
-        plain, batched = RecordingTransport(), FanoutRecordingTransport()
-        for transport in (plain, batched):
-            component = build(transport)
-            component.broadcast("same")
-            component.round_tick()
-        plain_balls = [ball for _, _, ball in plain.sent]
-        batched_balls = [ball for _, _, ball in batched.sent]
-        assert [list(ball.ttls.items()) for ball in plain_balls] == [
-            list(ball.ttls.items()) for ball in batched_balls
-        ]

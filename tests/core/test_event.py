@@ -7,7 +7,7 @@ import dataclasses
 
 import pytest
 
-from repro.core.event import Ball, Event, EventIdGenerator, EventRecord
+from repro.core.event import Ball, Event, EventIdGenerator
 from repro.core.record import uvarint, uvarint_nbytes, wire_record, wire_sizes
 
 from ..conftest import make_event
@@ -125,21 +125,6 @@ class TestBall:
         assert shared.split(3) == alone.split(3) == ({(1, 0): 0}, 1)
         assert shared.split(3) is shared.split(3)  # taken once per bound
         assert alone.split(3) is not alone.split(3)  # one receiver: not kept
-
-
-class TestEventRecord:
-    def test_age_increments(self):
-        record = EventRecord(make_event(), ttl=0)
-        record.age()
-        record.age()
-        assert record.ttl == 2
-
-    def test_merge_keeps_larger(self):
-        record = EventRecord(make_event(), ttl=3)
-        record.merge_ttl(5)
-        assert record.ttl == 5
-        record.merge_ttl(2)
-        assert record.ttl == 5
 
 
 class TestEventIdGenerator:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.clock import GlobalClockOracle, LogicalClockOracle
 from repro.core.errors import OrderingInvariantError
 from repro.core.event import Ball
 from repro.core.ordering import OrderingComponent
@@ -48,6 +49,26 @@ class TestAgingAndStability:
         # A later copy already aged past the TTL elsewhere.
         component.order_events(Ball.of([entry(ts=1, ttl=3)]))
         assert len(delivered) == 1
+
+    @pytest.mark.parametrize(
+        "oracle",
+        [
+            lambda: GlobalClockOracle(ttl=3, time_source=lambda: 0),
+            lambda: LogicalClockOracle(ttl=3),
+        ],
+        ids=["global", "logical"],
+    )
+    def test_deliverable_strictly_above_ttl(self, oracle):
+        # Algorithm 2's isDeliverable is ttl > TTL under both oracles.
+        delivered: list = []
+        component = OrderingComponent(oracle(), delivered.append)
+        at_bound, past_bound = entry(seq=0, ts=1, ttl=3), entry(seq=1, ts=2, ttl=4)
+        component.order_events(Ball.of([at_bound]))
+        assert delivered == []  # ttl 3 == TTL: not stable yet
+        component.order_events(EMPTY)  # aged to 4
+        assert delivered == [at_bound[0]]
+        component.order_events(Ball.of([past_bound]))  # stable on arrival
+        assert delivered == [at_bound[0], past_bound[0]]
 
     def test_empty_rounds_still_age(self):
         component, delivered, _ = build(ttl=1)

@@ -11,18 +11,23 @@ Table 1 invariants that must hold under *any* schedule:
 * only events that appeared in some ball are delivered;
 * two components fed the same event set (in any order, any
   duplication) deliver identical sequences once everything stabilizes.
+
+Beyond the invariants, the component is held round by round to a
+paper-literal Algorithm 2 (:class:`_PaperAlgorithm2`): the lazy aging,
+frontier and heaps must deliver, tag and count exactly what eager aging
+and a full rescan each round do.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import heapq
-from typing import List
+from typing import Dict, List, Tuple
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.event import Ball, Event, EventRecord
-from repro.core.ordering import OrderingComponent
+from repro.core.event import Ball, Event, EventId, OrderKey
+from repro.core.ordering import OrderingComponent, OrderingStats
 
 from ..conftest import ManualOracle
 
@@ -230,122 +235,202 @@ def test_tagged_stream_never_overlaps_ordered_stream(batch):
     assert set(e.id for e in delivered).isdisjoint(e.id for e in tagged)
 
 
-class _SpelledOutMerge(OrderingComponent):
-    """Reference: ``_merge_ball`` spelled with the record's own methods
-    (``ttl_at``, ``rebase``, ``merge_ttl``), comparing the due round
-    before and after the merge."""
+class _PaperAlgorithm2:
+    """Reference: Algorithm 2 as the paper writes it, eager every round.
+
+    Every pending event ages by one each round (lines 6-7); a ball's
+    copies pass the delivered and late guards (line 9, on the full order
+    key) and are max-merged (lines 10-12); ``isDeliverable`` is
+    ``ttl > TTL``; the deliverable events ordered before every
+    non-deliverable one are delivered in key order (lines 15-30). Late
+    events take the §8.2 tagged path. Beside the paper: the delivered
+    and tagged ids are forgotten after ``2*TTL + 2`` rounds, and
+    ``deliver_external`` and ``discard_obsolete_pending`` do what the
+    component documents.
+    """
+
+    def __init__(self, ttl: int, deliver, deliver_out_of_order) -> None:
+        self.ttl = ttl
+        self.deliver = deliver
+        self.deliver_out_of_order = deliver_out_of_order
+        self.stats = OrderingStats()
+        self.received: Dict[EventId, List] = {}  # id -> [event, ttl]
+        self.delivered: Dict[EventId, int] = {}  # id -> round delivered
+        self.tagged: Dict[EventId, int] = {}  # id -> round tagged
+        self.last_delivered_key: OrderKey = (-1, -1, -1)
+
+    def pending(self) -> List[Tuple[Event, int]]:
+        return [(event, ttl) for event, ttl in self.received.values()]
+
+    def order_events(self, ball: Ball) -> None:
+        self.stats.rounds += 1
+        horizon = self.stats.rounds - (2 * self.ttl + 2)
+        self.delivered = {i: r for i, r in self.delivered.items() if r >= horizon}
+        self.tagged = {i: r for i, r in self.tagged.items() if r >= horizon}
+        for entry in self.received.values():
+            entry[1] += 1
+        for event, ttl in zip(ball.events.values(), ball.ttls.values()):
+            if self._admit(event):
+                known = self.received.setdefault(event.id, [event, ttl])
+                known[1] = max(known[1], ttl)
+        min_queued = min(
+            (e.order_key for e, ttl in self.received.values() if not ttl > self.ttl),
+            default=None,
+        )
+        ready = sorted(
+            (e for e, ttl in self.received.values() if ttl > self.ttl),
+            key=lambda e: e.order_key,
+        )
+        for event in ready:
+            if min_queued is not None and event.order_key >= min_queued:
+                break
+            del self.received[event.id]
+            if event.order_key <= self.last_delivered_key:
+                self._late(event)
+            else:
+                self._deliver(event)
+
+    def deliver_external(self, event: Event) -> bool:
+        if not self._admit(event):
+            return False
+        self.received.pop(event.id, None)
+        self._deliver(event)
+        return True
+
+    def discard_obsolete_pending(self) -> int:
+        stale = [
+            event
+            for event, _ in self.received.values()
+            if event.order_key <= self.last_delivered_key
+        ]
+        for event in stale:
+            del self.received[event.id]
+            self._late(event)
+        return len(stale)
+
+    def _admit(self, event: Event) -> bool:
+        if event.id in self.delivered:
+            self.stats.discarded_duplicates += 1
+            return False
+        if event.order_key <= self.last_delivered_key:
+            self._late(event)
+            return False
+        return True
+
+    def _deliver(self, event: Event) -> None:
+        self.last_delivered_key = event.order_key
+        self.delivered[event.id] = self.stats.rounds
+        self.stats.delivered += 1
+        self.deliver(event)
+
+    def _late(self, event: Event) -> None:
+        self.stats.discarded_late += 1
+        if event.id not in self.tagged:
+            self.tagged[event.id] = self.stats.rounds
+            self.stats.tagged_out_of_order += 1
+            self.deliver_out_of_order(event)
+
+
+class _FirstSeenTtl(OrderingComponent):
+    """Mutant: a copy of a pending event never raises its TTL — the
+    first-seen TTL is kept instead of the max (Algorithm 2 line 11)."""
 
     def _merge_ball(self, ball: Ball, now: int) -> None:
-        ttl_bound = self.oracle.ttl
-        for event, ttl in zip(ball.events.values(), ball.ttls.values()):
-            event_id = event.id
-            if event_id in self._delivered_ids:
-                self.stats.discarded_duplicates += 1
-                continue
-            if event.order_key <= self._last_delivered_key:
-                self._handle_late_event(event)
-                continue
-            record = self._received.get(event_id)
-            if record is not None:
-                if event_id in self._ready_ids:
-                    record.rebase(now)
-                    record.merge_ttl(ttl)
-                    continue
-                old_due = now + ttl_bound - record.ttl_at(now) + 1
-                record.rebase(now)
-                record.merge_ttl(ttl)
-                new_due = now + ttl_bound - record.ttl + 1
-                if new_due < old_due:
-                    self._frontier.setdefault(max(new_due, now), []).append(event_id)
-            else:
-                record = EventRecord(event, ttl, now)
-                self._received[event_id] = record
-                due = now + ttl_bound - ttl + 1
-                if due <= now:
-                    self._promote([event_id], now)
-                else:
-                    self._frontier.setdefault(due, []).append(event_id)
-                    heapq.heappush(self._queued_heap, (event.order_key, event_id))
+        births = self._births
+        ttls = {
+            event_id: min(ttl, now - births[event_id]) if event_id in births else ttl
+            for event_id, ttl in ball.ttls.items()
+        }
+        super()._merge_ball(Ball(ball.events, ttls), now)
 
 
-class _Reluctant(ManualOracle):
-    """A custom oracle departing from the ``ttl > TTL`` rule: it holds
-    back some records it would deem stable, so promotions reschedule
-    (and the merge meets records the frontier did not predict)."""
-
-    def is_deliverable(self, record: EventRecord) -> bool:
-        held = (record.event.seq + record.received_round) % 3 == 0
-        return record.ttl > self.ttl and not held
-
-
-def _state(component: OrderingComponent):
-    # A record's TTL as Algorithm 2 reads it at the current round: the
-    # merge leaves a record that a copy does not raise un-rebased, so
-    # its stored fields may differ from the reference's while the TTL
-    # they derive is the same.
-    now = component.stats.rounds
-    return (
-        {eid: r.ttl_at(now) for eid, r in component._received.items()},
-        {due: list(ids) for due, ids in component._frontier.items()},
-        list(component._queued_heap),
-        list(component._ready_heap),
-        set(component._ready_ids),
-        component.last_delivered_key,
-        dataclasses.asdict(component.stats),
-    )
-
-
-@settings(max_examples=300, deadline=None)
-@given(
-    schedules(),
-    st.data(),
-    st.sampled_from([ManualOracle, _Reluctant]),
-    st.integers(min_value=1, max_value=4),
-)
-def test_inlined_merge_equals_the_record_methods(batch, data, oracle, ttl):
-    """The inlined ``_merge_ball`` leaves every record's TTL at the
-    current round, the frontier buckets, both heaps and the delivered
-    and tagged streams as the reference does, round by round, whatever
-    arrives: copies again at higher, equal and lower TTLs,
-    stable-on-arrival copies (some a reluctant oracle refuses), late and
-    duplicate copies after external deliveries — with and without
-    ``discard_obsolete_pending`` after them, so copies of pending
-    records meet an order mark that passed them and one that did not —
-    empty rounds."""
-    pool, schedule = batch
-    streams = {}
-    components = []
-    for cls in (OrderingComponent, _SpelledOutMerge):
-        delivered: List[Event] = []
-        tagged: List[Event] = []
-        streams[cls] = (delivered, tagged)
-        components.append(
-            cls(oracle(ttl=ttl), delivered.append, deliver_out_of_order=tagged.append)
-        )
-    ours, reference = components
+@st.composite
+def interleavings(draw):
+    """A TTL, an event pool and a list of steps: external deliveries,
+    ``discard_obsolete_pending`` calls (what the anti-entropy applier
+    does after a chunk) and rounds — each schedule ball repeated, then
+    an echo of copies aged further elsewhere (up to past a ready
+    event's TTL), then empty rounds until everything stabilizes."""
+    ttl = draw(st.integers(min_value=1, max_value=4))
+    pool, schedule = draw(schedules())
     indices = st.integers(min_value=0, max_value=len(pool) - 1)
+    steps: list = []
     for ball in schedule:
-        for _ in range(data.draw(st.integers(min_value=0, max_value=2))):
-            event = pool[data.draw(indices)]
-            assert ours.deliver_external(event) == reference.deliver_external(event)
-        if data.draw(st.booleans()):
-            # What the anti-entropy applier does after a chunk.
-            assert ours.discard_obsolete_pending() == (
-                reference.discard_obsolete_pending()
-            )
-            assert _state(ours) == _state(reference)
-        # A copy that aged further elsewhere, up to past a ready record's.
-        echo = data.draw(
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            steps.append(("external", pool[draw(indices)]))
+        if draw(st.booleans()):
+            steps.append(("discard", None))
+        echo = draw(
             st.dictionaries(indices, st.integers(min_value=0, max_value=3 * ttl + 4))
         )
         echo_ball = Ball.of([(pool[index], aged) for index, aged in echo.items()])
-        repeats = data.draw(st.integers(min_value=1, max_value=3))
-        for arriving in [ball] * repeats + [echo_ball]:
-            ours.order_events(arriving)
-            reference.order_events(arriving)
-            assert _state(ours) == _state(reference)
-    for _ in range(3 * ttl + 6):
-        ours.order_events(Ball({}, {}))
-        reference.order_events(Ball({}, {}))
-        assert _state(ours) == _state(reference)
-    assert streams[OrderingComponent] == streams[_SpelledOutMerge]
+        repeats = draw(st.integers(min_value=1, max_value=3))
+        steps.extend(("round", arriving) for arriving in [ball] * repeats + [echo_ball])
+    steps.extend(("round", Ball({}, {})) for _ in range(3 * ttl + 6))
+    return ttl, steps
+
+
+def _observed(component, delivered: List[Event], tagged: List[Event]):
+    return (
+        {event.id: ttl for event, ttl in component.pending()},
+        component.last_delivered_key,
+        dataclasses.asdict(component.stats),
+        list(delivered),
+        list(tagged),
+    )
+
+
+def _step(component, kind: str, arg):
+    if kind == "external":
+        return component.deliver_external(arg)
+    if kind == "discard":
+        return component.discard_obsolete_pending()
+    return component.order_events(arg)
+
+
+def _lockstep(cls, ttl: int, steps) -> None:
+    """Run *cls* and the reference over *steps*, asserting after each
+    that both return the same, and hold the same pending ``{id: ttl}``,
+    order mark, stats and delivered and tagged streams."""
+    ours_out: List[Event] = []
+    ours_tagged: List[Event] = []
+    ref_out: List[Event] = []
+    ref_tagged: List[Event] = []
+    ours = cls(
+        ManualOracle(ttl=ttl), ours_out.append, deliver_out_of_order=ours_tagged.append
+    )
+    reference = _PaperAlgorithm2(ttl, ref_out.append, ref_tagged.append)
+    for kind, arg in steps:
+        assert _step(ours, kind, arg) == _step(reference, kind, arg), (kind, arg)
+        assert _observed(ours, ours_out, ours_tagged) == _observed(
+            reference, ref_out, ref_tagged
+        ), (kind, arg)
+
+
+@settings(max_examples=300, deadline=None)
+@given(interleavings())
+def test_matches_paper_literal_algorithm_2(case):
+    """The component delivers, tags and counts as the paper-literal
+    Algorithm 2 does, round by round, whatever arrives: copies again at
+    higher, equal and lower TTLs, stable-on-arrival copies, late and
+    duplicate copies after external deliveries — with and without
+    ``discard_obsolete_pending`` after them, so copies of pending events
+    meet an order mark that passed them and one that did not — and
+    empty rounds."""
+    ttl, steps = case
+    _lockstep(OrderingComponent, ttl, steps)
+
+
+def test_the_reference_catches_a_first_seen_ttl_mutant():
+    """The reference is sensitive to the max-merge: a component that
+    keeps a pending event's first-seen TTL fails the lockstep the round
+    a copy aged further elsewhere arrives."""
+    event = Event(id=(0, 0), ts=1, source_id=0)
+    steps = [
+        ("round", Ball.of([(event, 0)])),
+        ("round", Ball.of([(event, 2)])),
+        ("round", Ball({}, {})),
+    ]
+    _lockstep(OrderingComponent, 2, steps)
+    with pytest.raises(AssertionError):
+        _lockstep(_FirstSeenTtl, 2, steps)

@@ -9,8 +9,9 @@ recover-and-reopen, its own resume or respawn hold), of the fault
 interpreter or of a Table 1 scan fails here, and so does a second
 shape of ball, a ball found by testing for a tuple, the return of a
 bench driver, byte estimate or second performance harness the
-end-to-end benchmark replaced, or a peer sampling service beyond the
-two the paper evaluates.
+end-to-end benchmark replaced, a peer sampling service beyond the
+two the paper evaluates, or a stability predicate, record type or
+send-only transport the core no longer has.
 """
 
 from __future__ import annotations
@@ -263,6 +264,36 @@ def test_what_the_e2e_benchmark_measures_stays_deleted():
         assert fields_of(class_name) & deleted == set(), class_name
 
 
+#: Extension points of the core that no shipped code supplied: a
+#: pluggable stability predicate (Algorithm 2's ``isDeliverable`` is
+#: ``ttl > TTL`` under both oracles, applied by the ordering component),
+#: the per-process record it read, and a transport without ``send_many``.
+DELETED_EXTENSION_POINTS = {"is_deliverable", "EventRecord", "FanoutTransport"}
+
+
+def probes(attribute: str) -> Callable[[ast.Module], bool]:
+    """Whether a module asks whether an object has *attribute*: a
+    ``getattr`` or ``hasattr`` naming it."""
+
+    def found(tree: ast.Module) -> bool:
+        return any(
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr")
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value == attribute
+            for node in ast.walk(tree)
+        )
+
+    return found
+
+
+def test_stability_is_one_rule_and_every_transport_fans_out():
+    assert modules_where(mentions(*DELETED_EXTENSION_POINTS)) == set()
+    assert modules_where(probes("send_many")) == set()
+
+
 #: ``benchmarks/e2e`` is the one performance harness: the micro-harness,
 #: the results file it committed and its timing helpers stay deleted.
 REPO = SRC.parents[1]
@@ -345,6 +376,10 @@ def test_the_guard_sees_what_it_guards():
         uses(MODULES["experiments/service_drill.py"])
     )
     # The fabrics and the inbox find a ball by its one type.
+    assert mentions("is_deliverable")(ast.parse("oracle.is_deliverable(record)"))
+    assert mentions("EventRecord")(ast.parse("class EventRecord: pass"))
+    assert probes("send_many")(ast.parse('getattr(transport, "send_many", None)'))
+    assert not probes("send_many")(ast.parse("transport.send_many(0, [1], ball)"))
     assert using("Ball")(MODULES[STACK])
     assert using("Ball")(MODULES["sim/network.py"])
     assert mentions("Ball")(MODULES["core/event.py"])
