@@ -14,6 +14,9 @@ Package layout
 - :mod:`repro.sim` — the discrete-event simulation substrate used by
   the paper's evaluation: engine, network (latency/loss/partitions),
   churn, drift, cluster orchestration.
+- :mod:`repro.fabric` — the faults every message fabric applies
+  (partitions, hostile relays, loss bursts, latency spikes,
+  corruption), each defined once.
 - :mod:`repro.pss` — peer sampling: idealized uniform view and Cyclon.
 - :mod:`repro.broadcast` — baselines: unordered balls-and-bins and
   per-source FIFO epidemic broadcast.

@@ -46,28 +46,6 @@ class Transport(Protocol):
 
 
 @runtime_checkable
-class FaultableNetwork(Protocol):
-    """A network fabric that supports partition fault injection.
-
-    Both the simulated network (:class:`repro.sim.network.SimNetwork`)
-    and the asyncio fabrics (:class:`repro.runtime.transport.AsyncNetwork`,
-    :class:`repro.runtime.udp.UdpNetwork`) expose this surface, which is
-    what lets one declarative fault schedule
-    (:class:`repro.faults.schedule.FaultSchedule`) drive any of them.
-    Partition labels are opaque: only same-group nodes can communicate,
-    and nodes absent from the mapping share the implicit ``None`` group.
-    """
-
-    def set_partition(self, groups: dict) -> None:
-        """Split the network; only same-group nodes can talk."""
-        ...
-
-    def heal_partition(self) -> None:
-        """Restore full connectivity."""
-        ...
-
-
-@runtime_checkable
 class PeerSampler(Protocol):
     """Peer sampling service view (paper §2, [17]).
 

@@ -16,7 +16,8 @@ surface (:class:`~repro.runtime.transport.AsyncNetwork` or
 Fabric capabilities differ, so the schedule is validated against the
 fabric up front (:meth:`AsyncFaultInjector.run` raises
 :class:`~repro.core.errors.FaultInjectionError` before touching
-anything). Latency spikes run on both fabrics:
+anything). Latency spikes run on both fabrics by the one rule of
+:class:`repro.fabric.LatencySpikes`:
 :class:`~repro.runtime.transport.AsyncNetwork` stretches its simulated
 delay, and :class:`~repro.runtime.udp.UdpNetwork` defers ``sendto``
 sender-side (observationally identical to a slower wire).

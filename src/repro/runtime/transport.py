@@ -14,17 +14,13 @@ datagram socket is a matter of implementing the same three-method
 surface (``register`` / ``unregister`` / ``send``).
 
 Fault injection surface (driven by
-:class:`repro.faults.runtime_injector.AsyncFaultInjector`):
-
-* :meth:`AsyncNetwork.set_partition` / :meth:`AsyncNetwork.heal_partition`
-  mirror :class:`repro.sim.network.SimNetwork`; partition membership is
-  checked at send *and* delivery time, so messages in flight when a
-  partition forms are lost like on a real network.
-* :meth:`AsyncNetwork.set_loss_burst` raises the loss rate for a
-  wall-clock window (a loss *burst*), counted separately from baseline
-  loss so experiments can attribute drops.
-* :meth:`AsyncNetwork.set_latency_spike` multiplies the mean latency
-  for a window.
+:class:`repro.faults.runtime_injector.AsyncFaultInjector`): every fault
+of :class:`repro.fabric.LoopFaults` — partitions, hostile relays, loss
+bursts and latency spikes, each defined there once for every fabric.
+Partition membership is checked at send *and* delivery time, so
+messages in flight when a partition forms are lost like on a real
+network. A latency spike stretches the fabric's own ``latency``, or
+:data:`repro.fabric.DEFAULT_SPIKE_BASE` when that is zero.
 """
 
 from __future__ import annotations
@@ -36,6 +32,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Optional
 
 from ..core.errors import MembershipError
 from ..core.event import Ball
+from ..fabric import LoopFaults
 
 if TYPE_CHECKING:  # pragma: no cover - hints only; built with an authenticator
     from ..auth.guard import BallGuard
@@ -74,7 +71,7 @@ class AsyncNetworkStats:
         )
 
 
-class AsyncNetwork:
+class AsyncNetwork(LoopFaults):
     """In-process asyncio network with latency, loss and fault injection.
 
     Args:
@@ -97,6 +94,7 @@ class AsyncNetwork:
         seed: int = 0,
         authenticator=None,
     ) -> None:
+        super().__init__()
         self.latency = latency
         self.loss_rate = loss_rate
         self.stats = AsyncNetworkStats()
@@ -105,17 +103,8 @@ class AsyncNetwork:
             from ..auth.guard import BallGuard
 
             self._guard = BallGuard(authenticator)
-        self._adversary = None
         self._handlers: Dict[int, AsyncMessageHandler] = {}
         self._rng = random.Random(seed)
-        # Partition: node id -> group label (None group is implicit).
-        self._partition: Dict[int, object] = {}
-        self._partitioned = False
-        # Fault windows, in loop.time() seconds.
-        self._burst_rate = 0.0
-        self._burst_until = 0.0
-        self._spike_factor = 1.0
-        self._spike_until = 0.0
 
     def register(self, node_id: int, handler: AsyncMessageHandler) -> None:
         """Attach *handler* as the inbox of *node_id*."""
@@ -130,56 +119,6 @@ class AsyncNetwork:
     def is_registered(self, node_id: int) -> bool:
         """Whether *node_id* currently has an inbox."""
         return node_id in self._handlers
-
-    # ------------------------------------------------------------------
-    # Fault injection
-    # ------------------------------------------------------------------
-
-    def set_partition(self, groups: Dict[int, object]) -> None:
-        """Partition the network: only same-group nodes can talk.
-
-        Args:
-            groups: Mapping from node id to an arbitrary group label.
-                Nodes absent from the mapping share the implicit
-                ``None`` group.
-        """
-        self._partition = dict(groups)
-        self._partitioned = True
-
-    def heal_partition(self) -> None:
-        """Remove any partition; full connectivity is restored."""
-        self._partition = {}
-        self._partitioned = False
-
-    def set_loss_burst(self, rate: float, duration: float) -> None:
-        """Drop messages with probability *rate* for *duration* seconds.
-
-        While the burst window is open the burst rate applies on top of
-        (checked after) the baseline ``loss_rate``; burst drops are
-        counted in ``stats.dropped_burst``.
-        """
-        self._burst_rate = float(rate)
-        self._burst_until = asyncio.get_running_loop().time() + duration
-
-    def set_latency_spike(self, factor: float, duration: float) -> None:
-        """Multiply the mean latency by *factor* for *duration* seconds."""
-        self._spike_factor = float(factor)
-        self._spike_until = asyncio.get_running_loop().time() + duration
-
-    def set_adversary(self, router) -> None:
-        """Install a hostile-behavior router (see
-        :class:`repro.faults.byzantine.ByzantineRouter`): balls sent by
-        its hostile nodes are transformed per destination."""
-        self._adversary = router
-
-    def clear_adversary(self) -> None:
-        """Remove any installed hostile-behavior router."""
-        self._adversary = None
-
-    def _crosses_partition(self, src: int, dst: int) -> bool:
-        if not self._partitioned:
-            return False
-        return self._partition.get(src) != self._partition.get(dst)
 
     # ------------------------------------------------------------------
     # Sending
@@ -197,14 +136,11 @@ class AsyncNetwork:
             return
         loop = asyncio.get_running_loop()
         now = loop.time()
-        if now < self._burst_until and self._rng.random() < self._burst_rate:
+        if self._burst_drops(now):
             self.stats.dropped_burst += 1
             return
-        latency = self.latency
-        if now < self._spike_until:
-            latency *= self._spike_factor
-        if latency > 0.0:
-            delay = latency * self._rng.uniform(0.5, 1.5)
+        delay = self._send_delay(now)
+        if delay > 0.0:
             loop.call_later(delay, self._deliver, src, dst, message)
         else:
             loop.call_soon(self._deliver, src, dst, message)

@@ -16,21 +16,21 @@ Sends to nodes whose socket is not open yet are counted as drops — UDP
 gives no delivery guarantee anyway, and EpTO is built for exactly that.
 
 Fault injection surface (driven by
-:class:`repro.faults.runtime_injector.AsyncFaultInjector`):
+:class:`repro.faults.runtime_injector.AsyncFaultInjector`): every fault
+of :class:`repro.fabric.WireFaults`, each defined there once for every
+fabric, applied sender-side:
 
-* :meth:`UdpNetwork.set_partition` / :meth:`UdpNetwork.heal_partition`
-  drop datagrams crossing partition groups at send time;
-* :meth:`UdpNetwork.set_loss_burst` drops outgoing datagrams with a
-  given probability for a wall-clock window;
-* :meth:`UdpNetwork.set_corruption` mangles outgoing datagrams with a
-  given probability (garbled magic, truncation, or an entry count
-  rewritten in a form the codec never writes), exercising the
-  receiver-side ``dropped_malformed`` defence with real bytes on real
-  sockets, in the spirit of update diffusion under Byzantine payload
-  corruption (Malkhi et al.);
-* :meth:`UdpNetwork.set_latency_spike` defers ``sendto`` calls for a
-  wall-clock window — real sockets cannot stretch the wire, but a
-  sender-side delay is indistinguishable to the receiver, so the full
+* partitions and loss bursts drop datagrams at send time;
+* a corruption window mangles outgoing datagrams with a given
+  probability (garbled magic, truncation, or an entry count rewritten
+  in a form the codec never writes — the mangling is this module's),
+  exercising the receiver-side ``dropped_malformed`` defence with real
+  bytes on real sockets, in the spirit of update diffusion under
+  Byzantine payload corruption (Malkhi et al.);
+* a latency spike defers ``sendto`` calls by
+  :data:`~repro.fabric.DEFAULT_SPIKE_BASE` times its factor — real
+  sockets cannot stretch the wire, but a sender-side delay is
+  indistinguishable to the receiver, so the full
   :class:`~repro.faults.schedule.FaultSchedule` vocabulary runs over
   genuine UDP.
 
@@ -55,7 +55,7 @@ the fabric's single receive arena and hands the codec a zero-copy
 level-triggered: a socket that holds more is reported again). Where
 ``select.epoll`` is missing, or the loop cannot watch a descriptor
 (Proactor), the fabric falls back to asyncio datagram endpoints
-automatically; ``batch=False`` forces them (the reference of the
+automatically; ``raw_sockets=False`` forces them (the reference of the
 equivalence tests). ``stats.syscalls_send`` / ``stats.syscalls_recv``
 count the ``sendto`` and ``recv_into`` calls.
 """
@@ -73,6 +73,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 from ..auth.authenticator import SignedBall
 from ..core.errors import MembershipError
 from ..core.event import Ball
+from ..fabric import WireFaults
 from .codec import (
     AdmittedEntries,
     CodecError,
@@ -272,14 +273,6 @@ class _RawEndpoint:
         self._sock.close()
 
 
-#: Base sender-side delay (seconds) a latency spike multiplies when the
-#: fabric's own artificial ``latency`` is zero. Real loopback latency
-#: is effectively unmeasurable, so spikes need a non-zero unit to
-#: stretch; one millisecond is large against loopback and small against
-#: any realistic round interval.
-DEFAULT_SPIKE_BASE = 0.001
-
-
 def _garble_magic(datagram: bytes, rng: random.Random) -> bytes:
     """Instant decode rejection."""
     return b"XX" + datagram[2:]
@@ -304,20 +297,13 @@ def _non_minimal_count(datagram: bytes, rng: random.Random) -> bytes:
 _CORRUPTIONS = (_garble_magic, _truncate, _non_minimal_count)
 
 
-class UdpNetwork:
+class UdpNetwork(WireFaults):
     """Loopback UDP fabric hosting any number of in-process nodes.
 
     Args:
         host: Interface to bind (default loopback).
         seed: Seed for the fault-injection randomness (loss bursts,
-            corruption, latency jitter).
-        latency: Optional artificial sender-side mean delay in seconds
-            applied to every outgoing datagram (each send draws a
-            uniformly random delay in ``[0.5, 1.5] * latency``). Real
-            sockets cannot stretch the wire, but delaying ``sendto``
-            is observationally identical to the receiver — this is
-            what lets :class:`~repro.faults.schedule.LatencySpike`
-            actions run over genuine UDP.
+            corruption, latency-spike jitter).
         authenticator: Optional
             :class:`~repro.auth.authenticator.HmacAuthenticator`. When
             set, outgoing balls are sealed and shipped as signed balls
@@ -330,43 +316,28 @@ class UdpNetwork:
             any frame. ``None`` (default) keeps the fabric tolerant: it
             still *reads* signed balls from authenticating peers,
             stripping the signatures.
-        batch: Which endpoints carry the datagrams (the name dates
-            from the syscall-batching tiers this fabric once had).
-            ``"auto"`` (default) or ``True`` binds raw non-blocking
-            sockets, falling back to asyncio endpoints on loops that
-            cannot watch file descriptors. ``False`` forces the asyncio
-            datagram endpoints (the equivalence reference). Anything
-            else — the former tier names included — raises
-            ``ValueError``.
+        raw_sockets: ``True`` (default) binds raw non-blocking sockets,
+            falling back to asyncio endpoints on loops that cannot watch
+            file descriptors. ``False`` forces the asyncio datagram
+            endpoints (the equivalence reference).
     """
 
     def __init__(
         self,
         host: str = "127.0.0.1",
         seed: int = 0,
-        latency: float = 0.0,
         authenticator=None,
-        batch: object = "auto",
+        raw_sockets: bool = True,
     ) -> None:
+        super().__init__()
         self.host = host
-        self.latency = float(latency)
         self.stats = UdpStats()
-        if batch is False:
-            self._raw_sockets = False
-        elif batch is True or batch == "auto":
-            self._raw_sockets = True
-        else:
-            raise ValueError(
-                f"batch={batch!r}: the sendmmsg/sendmsg/sendto tiers are "
-                "gone; pass 'auto' or True (raw sockets, plain sendto) or "
-                "False (asyncio endpoints)"
-            )
+        self._raw_sockets = raw_sockets
         self._guard: Optional[BallGuard] = None
         if authenticator:
             from ..auth.guard import BallGuard
 
             self._guard = BallGuard(authenticator)
-        self._adversary = None
         self._handlers: Dict[int, UdpMessageHandler] = {}
         # What each registered node has admitted so far: decode reuses
         # the objects of a byte-identical repeat and the guard skips its
@@ -402,16 +373,6 @@ class UdpNetwork:
         self._epoll: Optional[Any] = None
         self._poll_loop: Optional[asyncio.AbstractEventLoop] = None
         self._readers: Dict[int, Callable[[], None]] = {}
-        # Partition: node id -> group label (None group is implicit).
-        self._partition: Dict[int, object] = {}
-        self._partitioned = False
-        # Fault windows, in loop.time() seconds (None = open-ended).
-        self._burst_rate = 0.0
-        self._burst_until = 0.0
-        self._corrupt_rate = 0.0
-        self._corrupt_until: Optional[float] = 0.0
-        self._spike_factor = 1.0
-        self._spike_until = 0.0
 
     # ------------------------------------------------------------------
     # AsyncNetwork-compatible surface
@@ -501,7 +462,9 @@ class UdpNetwork:
     def _fan_out(self, src: int, dsts, datagram) -> None:
         """Ship one encoded *datagram* to every id in *dsts*."""
         endpoint = self._transports.get(src)
-        if not getattr(endpoint, "is_raw", False) or not self._fault_free():
+        if not getattr(endpoint, "is_raw", False) or not self._fault_free(
+            asyncio.get_running_loop().time()
+        ):
             for dst in dsts:
                 self._dispatch(src, dst, datagram)
             return
@@ -596,15 +559,11 @@ class UdpNetwork:
             return None
         loop = asyncio.get_running_loop()
         now = loop.time()
-        if (
-            self._burst_rate > 0.0
-            and now < self._burst_until
-            and self._rng.random() < self._burst_rate
-        ):
+        if self._burst_drops(now):
             self.stats.dropped_burst += 1
             return None
         payload: Any = datagram
-        if self._corruption_active() and self._rng.random() < self._corrupt_rate:
+        if self._corrupts(now):
             payload = self._corrupt(datagram)
             self.stats.corrupted += 1
         delay = self._send_delay(now)
@@ -621,44 +580,10 @@ class UdpNetwork:
     def _transmit(self, endpoint, payload, address) -> None:
         """Hand one datagram to *endpoint*, keeping the syscall and
         byte counters honest for both endpoint flavors."""
-        if getattr(endpoint, "is_raw", False):
-            endpoint.sendto(payload, address)
-        else:
-            endpoint.sendto(payload, address)
+        endpoint.sendto(payload, address)
+        if not getattr(endpoint, "is_raw", False):
             self.stats.syscalls_send += 1
             self.stats.bytes_sent += len(payload)
-
-    def _fault_free(self) -> bool:
-        """Whether every send-side fault surface is idle right now —
-        the condition under which routing a destination draws nothing
-        from the fault RNG and cannot drop, corrupt, or defer."""
-        if self._partitioned or self.latency > 0.0:
-            return False
-        if self._corruption_active():
-            return False
-        if self._burst_rate > 0.0 or self._spike_until > 0.0:
-            now = asyncio.get_running_loop().time()
-            if self._burst_rate > 0.0 and now < self._burst_until:
-                return False
-            if now < self._spike_until:
-                return False
-        return True
-
-    def _send_delay(self, now: float) -> float:
-        """Sender-side artificial delay for a datagram sent at *now*.
-
-        Returns zero on the default fast path (no artificial latency,
-        no active spike). During a spike the base latency — or
-        :data:`DEFAULT_SPIKE_BASE` on an otherwise-zero-latency fabric
-        — is multiplied by the spike factor and jittered ±50%, matching
-        :meth:`repro.runtime.transport.AsyncNetwork.send` semantics.
-        """
-        latency = self.latency
-        if now < self._spike_until:
-            latency = (latency or DEFAULT_SPIKE_BASE) * self._spike_factor
-        if latency <= 0.0:
-            return 0.0
-        return latency * self._rng.uniform(0.5, 1.5)
 
     def _sendto_later(self, src: int, datagram: bytes, address) -> None:
         """Fire a delayed send; the sender may have died meanwhile."""
@@ -668,92 +593,11 @@ class UdpNetwork:
             return
         self._transmit(endpoint, datagram, address)
 
-    # ------------------------------------------------------------------
-    # Fault injection
-    # ------------------------------------------------------------------
-
-    def set_adversary(self, router) -> None:
-        """Install a hostile-behavior router (see
-        :class:`repro.faults.byzantine.ByzantineRouter`): balls sent by
-        its hostile nodes are transformed per destination before
-        encoding, modeling Byzantine relays on real sockets."""
-        self._adversary = router
-
-    def clear_adversary(self) -> None:
-        """Remove any installed hostile-behavior router."""
-        self._adversary = None
-
-    def set_partition(self, groups: Dict[int, object]) -> None:
-        """Partition the fabric: datagrams crossing groups are dropped.
-
-        Args:
-            groups: Mapping from node id to an arbitrary group label.
-                Nodes absent from the mapping share the implicit
-                ``None`` group.
-        """
-        self._partition = dict(groups)
-        self._partitioned = True
-
-    def heal_partition(self) -> None:
-        """Remove any partition; full connectivity is restored."""
-        self._partition = {}
-        self._partitioned = False
-
-    def set_loss_burst(self, rate: float, duration: float) -> None:
-        """Drop outgoing datagrams with probability *rate* for
-        *duration* seconds (counted in ``stats.dropped_burst``)."""
-        self._burst_rate = float(rate)
-        self._burst_until = asyncio.get_running_loop().time() + duration
-
-    def set_corruption(self, rate: float, duration: float | None = None) -> None:
-        """Corrupt outgoing datagrams with probability *rate*.
-
-        Corrupted datagrams still hit the wire — the receiving node's
-        codec must reject them (``stats.dropped_malformed``) without
-        crashing. *duration* limits the window in seconds; ``None``
-        keeps corrupting until :meth:`clear_corruption`.
-        """
-        self._corrupt_rate = float(rate)
-        if duration is None:
-            self._corrupt_until = None
-        else:
-            self._corrupt_until = asyncio.get_running_loop().time() + duration
-
-    def set_latency_spike(self, factor: float, duration: float) -> None:
-        """Delay outgoing datagrams for *duration* seconds.
-
-        Sender-side spike: every ``sendto`` in the window is deferred
-        by ``latency * factor`` (jittered ±50%), where a zero
-        configured latency falls back to :data:`DEFAULT_SPIKE_BASE`.
-        This completes the :class:`~repro.faults.schedule.FaultSchedule`
-        vocabulary over real sockets — the receiver observes stretched
-        delivery times exactly as if the wire itself had slowed.
-        """
-        self._spike_factor = float(factor)
-        self._spike_until = asyncio.get_running_loop().time() + duration
-
-    def clear_corruption(self) -> None:
-        """Stop corrupting datagrams."""
-        self._corrupt_rate = 0.0
-        self._corrupt_until = 0.0
-
-    def _corruption_active(self) -> bool:
-        if self._corrupt_rate <= 0.0:
-            return False
-        if self._corrupt_until is None:
-            return True
-        return asyncio.get_running_loop().time() < self._corrupt_until
-
     def _corrupt(self, datagram) -> bytes:
         """Mangle a copy of *datagram* so the receiving codec must
         reject it; the pooled source buffer is never touched."""
         corrupt = _CORRUPTIONS[self._rng.randrange(len(_CORRUPTIONS))]
         return corrupt(bytes(datagram), self._rng)
-
-    def _crosses_partition(self, src: int, dst: int) -> bool:
-        if not self._partitioned:
-            return False
-        return self._partition.get(src) != self._partition.get(dst)
 
     # ------------------------------------------------------------------
     # Socket lifecycle

@@ -31,12 +31,15 @@ goes to the fabric through
 ``benchmarks/e2e`` measures the packing as
 ``service.demux.frames_per_envelope``.
 
-Per-topic fault surface: a channel can be partitioned or put under a
-loss burst *independently of other topics on the same socket* — the
-scenario ``scenarios/multi_topic_drill.json`` partitions one topic's
-publisher while a second topic on the very same hosts stays clean.
-Checks run at enqueue time (sender side), mirroring the fabric-level
-fault semantics.
+Per-topic fault surface: a channel is a fabric of its own to a fault
+schedule. It inherits :class:`repro.fabric.Partitions` and
+:class:`repro.fabric.LossBursts` — the very rules every other fabric
+applies — so a topic can be partitioned or put under a loss burst
+*independently of other topics on the same socket*: the scenario
+``scenarios/multi_topic_drill.json`` partitions one topic's publisher
+while a second topic on the very same hosts stays clean. Checks run at
+enqueue time (sender side), and a channel's burst draws from its
+demux's seeded RNG.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.errors import MembershipError
+from ..fabric import LossBursts, Partitions
 from ..runtime import codec
 from ..runtime.codec import CodecError, MAX_DATAGRAM, TopicEnvelope
 
@@ -81,7 +85,7 @@ class DemuxStats:
     non_envelope_received: int = 0
 
 
-class TopicChannel:
+class TopicChannel(Partitions, LossBursts):
     """One topic's view of the shared endpoint.
 
     Implements the network surface :class:`~repro.runtime.node.AsyncEpToNode`
@@ -93,15 +97,12 @@ class TopicChannel:
     """
 
     def __init__(self, demux: "TopicDemux", topic: int) -> None:
+        super().__init__()
         self.topic = topic
         self._demux = demux
+        self._rng = demux._rng
         self.handler: Optional[ChannelHandler] = None
         self._handler_id: Optional[int] = None
-        # Per-topic fault state (sender-side, like the fabric's).
-        self._partition: Dict[int, object] = {}
-        self._partitioned = False
-        self._burst_rate = 0.0
-        self._burst_until = 0.0
 
     # -- network surface -------------------------------------------------
 
@@ -137,38 +138,6 @@ class TopicChannel:
         frame = (self.topic, src, message)
         for dst in dsts:
             self._demux.enqueue(self, dst, frame)
-
-    # -- per-topic fault surface -----------------------------------------
-
-    def set_partition(self, groups: Dict[int, object]) -> None:
-        """Partition *this topic only*: frames crossing groups are
-        dropped at enqueue while every other topic's traffic between
-        the same hosts keeps flowing."""
-        self._partition = dict(groups)
-        self._partitioned = True
-
-    def heal_partition(self) -> None:
-        """Restore this topic's full connectivity."""
-        self._partition = {}
-        self._partitioned = False
-
-    def set_loss_burst(self, rate: float, duration: float) -> None:
-        """Drop this topic's outgoing frames with probability *rate*
-        for *duration* seconds."""
-        self._burst_rate = float(rate)
-        self._burst_until = asyncio.get_running_loop().time() + duration
-
-    def crosses_partition(self, src: int, dst: int) -> bool:
-        if not self._partitioned:
-            return False
-        return self._partition.get(src) != self._partition.get(dst)
-
-    def burst_drops(self, now: float, rng: random.Random) -> bool:
-        return (
-            self._burst_rate > 0.0
-            and now < self._burst_until
-            and rng.random() < self._burst_rate
-        )
 
 
 class TopicDemux:
@@ -242,11 +211,11 @@ class TopicDemux:
             self.stats.dropped_closed += 1
             return
         self.stats.frames_sent += 1
-        if channel.crosses_partition(frame[1], dst):
+        if channel._crosses_partition(frame[1], dst):
             self.stats.dropped_partition += 1
             return
         loop = asyncio.get_running_loop()
-        if channel.burst_drops(loop.time(), self._rng):
+        if channel._burst_drops(loop.time()):
             self.stats.dropped_burst += 1
             return
         self._pending.setdefault(dst, []).append(frame)

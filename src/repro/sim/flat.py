@@ -64,6 +64,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.errors import MembershipError, SimulationError
 from ..core.event import Event, OrderKey
+from ..fabric import Partitions
 from ..metrics.collector import DeliveryCollector
 from ..pss.base import MembershipDirectory
 from .cluster import ClusterConfig
@@ -297,7 +298,7 @@ class FlatEngine:
         )
 
 
-class FlatNetwork:
+class FlatNetwork(Partitions):
     """Message-fabric state for :class:`FlatCluster`.
 
     Holds exactly the knobs the object fabric
@@ -308,6 +309,9 @@ class FlatNetwork:
     themselves are inlined into :class:`FlatCluster` for speed; this
     object is the mutable control surface
     :class:`~repro.faults.sim_injector.SimFaultInjector` manipulates.
+    Partitions are :class:`repro.fabric.Partitions`: a verb replaces the
+    group map whole, and a batch reads ``_partitioned`` and binds
+    ``_partition.get`` together when it starts.
     """
 
     __slots__ = (
@@ -329,6 +333,7 @@ class FlatNetwork:
         loss_rate: float = 0.0,
         duplicate_rate: float = 0.0,
     ) -> None:
+        super().__init__()
         self.sim = sim
         self.latency = latency if latency is not None else FixedLatency(1)
         self.loss_rate = float(loss_rate)
@@ -336,19 +341,6 @@ class FlatNetwork:
         self.stats = NetworkStats()
         self._loss_rng = sim.fork_rng("network.loss")
         self._latency_rng = sim.fork_rng("network.latency")
-        self._partition: Dict[int, object] = {}
-        self._partitioned = False
-
-    def set_partition(self, groups: Dict[int, object]) -> None:
-        """Partition the network: only same-group nodes can talk."""
-        self._partition.clear()
-        self._partition.update(groups)
-        self._partitioned = True
-
-    def heal_partition(self) -> None:
-        """Remove any partition; full connectivity is restored."""
-        self._partition.clear()
-        self._partitioned = False
 
     def set_adversary(self, router: object) -> None:
         """Unsupported: Byzantine runs need the object engine."""

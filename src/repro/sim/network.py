@@ -32,6 +32,7 @@ from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Sequence, Tuple
 
 from ..core.errors import MembershipError
 from ..core.event import Ball
+from ..fabric import HostileRelays, Partitions
 from .engine import Simulator
 from .latency import FixedLatency, LatencyModel
 
@@ -77,7 +78,7 @@ class NetworkStats:
         return self.delivered / self.sent if self.sent else 1.0
 
 
-class SimNetwork:
+class SimNetwork(Partitions, HostileRelays):
     """Message router over a :class:`~repro.sim.engine.Simulator`.
 
     Args:
@@ -105,6 +106,7 @@ class SimNetwork:
         duplicate_rate: float = 0.0,
         authenticator=None,
     ) -> None:
+        super().__init__()
         self.sim = sim
         self.latency = latency if latency is not None else FixedLatency(1)
         self.loss_rate = float(loss_rate)
@@ -115,16 +117,10 @@ class SimNetwork:
             from ..auth.guard import BallGuard
 
             self._guard = BallGuard(authenticator)
-        self._adversary = None
         # node id -> (handler, ball inbox or None).
         self._inboxes: Dict[int, Tuple[MessageHandler, Optional[BallHandler]]] = {}
         self._loss_rng = sim.fork_rng("network.loss")
         self._latency_rng = sim.fork_rng("network.latency")
-        # Partition: node id -> group label. Nodes in different groups
-        # cannot exchange messages; unlabelled nodes are in group None
-        # together.
-        self._partition: Dict[int, object] = {}
-        self._partitioned = False
         # One bound method for every arrival scheduled.
         self._deliver_arrival = self._deliver
         # The shared balls sent at tick ``_sent_at``, by their entries.
@@ -167,46 +163,6 @@ class SimNetwork:
     def registered_count(self) -> int:
         """Number of attached nodes."""
         return len(self._inboxes)
-
-    # ------------------------------------------------------------------
-    # Partitions
-    # ------------------------------------------------------------------
-
-    def set_partition(self, groups: Dict[int, object]) -> None:
-        """Partition the network: only same-group nodes can talk.
-
-        Args:
-            groups: Mapping from node id to an arbitrary group label.
-                Nodes absent from the mapping share the implicit
-                ``None`` group.
-        """
-        self._partition = dict(groups)
-        self._partitioned = True
-
-    def heal_partition(self) -> None:
-        """Remove any partition; full connectivity is restored."""
-        self._partition = {}
-        self._partitioned = False
-
-    def _crosses_partition(self, src: int, dst: int) -> bool:
-        if not self._partitioned:
-            return False
-        return self._partition.get(src) != self._partition.get(dst)
-
-    # ------------------------------------------------------------------
-    # Hostile behavior
-    # ------------------------------------------------------------------
-
-    def set_adversary(self, router) -> None:
-        """Install a hostile-behavior router (see
-        :class:`repro.faults.byzantine.ByzantineRouter`): balls sent by
-        its hostile nodes are transformed per destination before
-        delivery is scheduled."""
-        self._adversary = router
-
-    def clear_adversary(self) -> None:
-        """Remove any installed hostile-behavior router."""
-        self._adversary = None
 
     # ------------------------------------------------------------------
     # Sending

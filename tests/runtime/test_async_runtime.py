@@ -66,13 +66,6 @@ class TestAsyncNetwork:
         with pytest.raises(MembershipError):
             network.register(1, lambda s, m: None)
 
-    def test_implements_faultable_network_protocol(self):
-        from repro.core.interfaces import FaultableNetwork
-        from repro.runtime.udp import UdpNetwork
-
-        assert isinstance(AsyncNetwork(), FaultableNetwork)
-        assert isinstance(UdpNetwork(), FaultableNetwork)
-
 
 class TestAsyncNetworkFaults:
     def test_partition_drops_cross_group_messages(self):

@@ -1,9 +1,9 @@
 """UDP fabric endpoints: raw sockets vs asyncio endpoints.
 
 The two endpoint kinds of :class:`~repro.runtime.udp.UdpNetwork`
-(``batch="auto"``: raw non-blocking sockets, plain ``sendto`` and one
-``recv_into`` per readiness callback; ``batch=False``: asyncio datagram
-endpoints) must be observationally identical — same delivered
+(``raw_sockets=True``: raw non-blocking sockets, plain ``sendto`` and
+one ``recv_into`` per readiness callback; ``raw_sockets=False``: asyncio
+datagram endpoints) must be observationally identical — same delivered
 sequences, same ``UdpStats``, syscall counters included now that both
 pay one call per datagram. The equivalence class at the bottom is the
 acceptance criterion: a real EpTO cluster over raw sockets delivers
@@ -43,22 +43,22 @@ def small_config(**overrides):
 
 
 #: Both endpoint kinds: asyncio endpoints, then raw sockets.
-MODES = [False, "auto"]
+MODES = [False, True]
 
 ROUNDS = 5
 PEERS = (1, 2, 3, 4)
 
 
-async def _fanout_scenario(batch):
+async def _fanout_scenario(raw_sockets):
     """Five encode-once fan-outs from node 0 to four peers."""
-    network = UdpNetwork(seed=7, batch=batch)
+    network = UdpNetwork(seed=7, raw_sockets=raw_sockets)
     inboxes = {nid: [] for nid in PEERS}
     for nid in inboxes:
         network.register(nid, lambda src, msg, n=nid: inboxes[n].append(msg))
     network.register(0, lambda src, msg: None)
     await network.open_all()
     raw = getattr(network._transports[0], "is_raw", False)  # noqa: SLF001
-    assert raw == (batch is not False)
+    assert raw == raw_sockets
     # All rounds are issued before the loop runs the readers, so each
     # peer's socket holds a burst of five.
     for r in range(ROUNDS):
@@ -75,9 +75,9 @@ async def _fanout_scenario(batch):
 class TestTierMatrix:
     """What is left of the tier matrix: the two endpoint kinds."""
 
-    @pytest.mark.parametrize("batch", MODES)
-    def test_identical_delivery_every_mode(self, batch):
-        stats, inboxes = run(_fanout_scenario(batch))
+    @pytest.mark.parametrize("raw_sockets", MODES)
+    def test_identical_delivery_every_mode(self, raw_sockets):
+        stats, inboxes = run(_fanout_scenario(raw_sockets))
         expected = [f"round-{r}" for r in range(ROUNDS)]
         for box in inboxes.values():
             assert [first_event(msg).payload for msg in box] == expected
@@ -108,24 +108,11 @@ class TestTierMatrix:
         assert len(set(views.values())) == 1, views
 
     def test_raw_sockets_pay_one_syscall_per_datagram(self):
-        stats, _ = run(_fanout_scenario("auto"))
+        stats, _ = run(_fanout_scenario(True))
         assert stats.syscalls_send == ROUNDS * len(PEERS)
         assert stats.syscalls_recv == stats.delivered == ROUNDS * len(PEERS)
         assert stats.bytes_sent == stats.bytes_received > 0
         assert stats.payload_bytes_sent + stats.metadata_bytes_sent == stats.bytes_sent
-
-    def test_forcing_unavailable_tier_raises(self):
-        """The tiers are gone, and so are their names."""
-        for tier in ("sendmmsg", "sendmsg", "sendto", "recvmmsg", "recv_into"):
-            with pytest.raises(ValueError, match="tiers are gone"):
-                UdpNetwork(batch=tier)
-
-    def test_only_three_values_select_an_endpoint_kind(self):
-        for batch in ("auto", True, False):
-            UdpNetwork(batch=batch)
-        for batch in (None, "", "raw", 2):
-            with pytest.raises(ValueError):
-                UdpNetwork(batch=batch)
 
 
 class TestSendRefusal:
@@ -195,10 +182,10 @@ class TestDeferredSends:
         # A deferred send outlives the dispatch that encoded it, and
         # every encode reuses the fabric's one buffer: the datagram
         # must own its bytes by the time the timer fires.
-        for batch in MODES:
+        for raw_sockets in MODES:
 
             async def scenario():
-                network = UdpNetwork(seed=4, batch=batch)
+                network = UdpNetwork(seed=4, raw_sockets=raw_sockets)
                 inbox = []
                 network.register(1, lambda src, msg: inbox.append(msg))
                 network.register(2, lambda src, msg: None)
@@ -223,9 +210,9 @@ class TestTransportEquivalence:
     """Acceptance criterion: raw sockets deliver bit-identical total
     order to the asyncio-endpoint transport."""
 
-    def _cluster_run(self, batch):
+    def _cluster_run(self, raw_sockets):
         async def scenario():
-            network = UdpNetwork(seed=11, batch=batch)
+            network = UdpNetwork(seed=11, raw_sockets=raw_sockets)
             cluster = AsyncCluster(small_config(), network=network, seed=11)
             cluster.add_nodes(6)
             await network.open_all()
@@ -244,7 +231,7 @@ class TestTransportEquivalence:
 
     def test_raw_sockets_match_asyncio_endpoints(self):
         ok_base, baseline = self._cluster_run(False)
-        ok_new, candidate = self._cluster_run("auto")
+        ok_new, candidate = self._cluster_run(True)
         assert ok_base and ok_new
         baseline_orders = {tuple(seq) for seq in baseline.values()}
         candidate_orders = {tuple(seq) for seq in candidate.values()}

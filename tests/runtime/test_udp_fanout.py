@@ -5,7 +5,8 @@ from __future__ import annotations
 import asyncio
 
 from repro.core.event import Ball, Event
-from repro.runtime.udp import DEFAULT_SPIKE_BASE, UdpNetwork
+from repro.fabric import DEFAULT_SPIKE_BASE
+from repro.runtime.udp import UdpNetwork
 
 from ..conftest import first_event
 
@@ -112,23 +113,6 @@ class TestLatencySpike:
 
         assert run(scenario()) == 0
 
-    def test_configured_latency_delays_without_spike(self):
-        async def scenario():
-            network = UdpNetwork(seed=1, latency=0.002)
-            inbox = []
-            network.register(1, lambda src, msg: inbox.append(msg))
-            network.register(2, lambda src, msg: None)
-            await network.open_all()
-            network.send(2, 1, a_ball())
-            delayed = network.stats.delayed
-            await asyncio.sleep(0.05)
-            await network.close()
-            return delayed, inbox
-
-        delayed, inbox = run(scenario())
-        assert delayed == 1
-        assert len(inbox) == 1
-
     def test_delayed_send_after_close_is_counted_dropped(self):
         async def scenario():
             network = UdpNetwork(seed=2)
@@ -152,12 +136,12 @@ class TestSendBundle:
     ``sendto`` per destination, nothing encoded, the byte split taken
     from the caller."""
 
-    def _scenario(self, batch="auto", partition=None):
+    def _scenario(self, raw_sockets=True, partition=None):
         from repro.runtime import codec
         from repro.runtime.codec import TopicEnvelope
 
         async def scenario():
-            network = UdpNetwork(batch=batch)
+            network = UdpNetwork(raw_sockets=raw_sockets)
             inboxes = {nid: [] for nid in (1, 2, 3)}
             for nid in inboxes:
                 network.register(nid, lambda src, msg, n=nid: inboxes[n].append(msg))
@@ -179,8 +163,8 @@ class TestSendBundle:
         return run(scenario())
 
     def test_one_sendto_per_destination_and_nothing_encoded_again(self):
-        for batch in ("auto", False):
-            stats, inboxes = self._scenario(batch)
+        for raw_sockets in (True, False):
+            stats, inboxes = self._scenario(raw_sockets)
             assert stats.encoded_datagrams == 2  # distinct datagrams shipped
             assert stats.sent == stats.syscalls_send == stats.delivered == 4
             assert stats.payload_bytes_sent + stats.metadata_bytes_sent == stats.bytes_sent

@@ -149,6 +149,10 @@ class TestEntryPoints:
         for label in ("import", "built"):
             assert under(seen[label], "smr", "sim") == set(), label
 
+    def test_the_fault_surface_loads_no_fabric_or_driver(self):
+        seen = run_script("import repro.fabric\nloaded('import')")
+        assert seen["import"] == {"repro", "repro.fabric"}
+
     def test_experiment_help_loads_no_driver(self):
         seen = run_script(
             """

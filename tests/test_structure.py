@@ -11,7 +11,9 @@ shape of ball, a ball found by testing for a tuple, the return of a
 bench driver, byte estimate or second performance harness the
 end-to-end benchmark replaced, a peer sampling service beyond the
 two the paper evaluates, or a stability predicate, record type or
-send-only transport the core no longer has.
+send-only transport the core no longer has. A fabric that grows its
+own partition map, fault window or fault verb fails here too: each
+fault is defined once, in ``repro/fabric.py``.
 """
 
 from __future__ import annotations
@@ -364,6 +366,35 @@ def test_table_one_is_judged_in_one_module():
     assert modules_where(writes("non-increasing order keys")) == {CHECKER}
 
 
+#: Each fault's state, verbs and rule live in one module; the fabrics
+#: inherit them (docs/FAULTS.md).
+FABRIC = "fabric.py"
+FAULT_DEFINITIONS = {
+    "_crosses_partition",
+    "set_partition",
+    "heal_partition",
+    "set_loss_burst",
+    "set_latency_spike",
+    "set_corruption",
+}
+
+
+def defines(*names: str) -> Callable[[ast.Module], bool]:
+    """Whether a module defines a function or method named one of
+    *names*."""
+    return lambda tree: any(
+        isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.name in names
+        for node in ast.walk(tree)
+    )
+
+
+def test_each_fault_is_defined_in_one_module():
+    assert modules_where(defines(*FAULT_DEFINITIONS)) == {FABRIC}
+    for name in FAULT_DEFINITIONS:
+        assert defines(name)(MODULES[FABRIC]), name
+
+
 def test_the_guard_sees_what_it_guards():
     """The rules above are not vacuous: the names they look for exist
     where they are allowed to."""
@@ -392,3 +423,6 @@ def test_the_guard_sees_what_it_guards():
     # The checker's scans are found by the strings they write.
     assert writes("twice")(MODULES[CHECKER])
     assert writes("forged content")(ast.parse('f"node {n} delivered forged content"'))
+    # A fault verb is found where it is defined, not where it is called.
+    assert defines("heal_partition")(ast.parse("class N:\n def heal_partition(self): pass"))
+    assert not defines("heal_partition")(MODULES["faults/interpreter.py"])
