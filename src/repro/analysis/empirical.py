@@ -24,7 +24,6 @@ from typing import List, Sequence
 
 from ..core.errors import ConfigurationError
 from .ballsbins import simulate_gossip_coverage
-from .bounds import log10_p_hole_fixed_process
 
 
 @dataclass(frozen=True, slots=True)
@@ -67,10 +66,6 @@ class HoleEstimate:
         center = p + z * z / (2.0 * n)
         margin = z * math.sqrt((p * (1.0 - p) + z * z / (4.0 * n)) / n)
         return min(1.0, (center + margin) / denom)
-
-    def log10_bound(self, c: float) -> float:
-        """The Figure 3a analytic bound at the matching ``c``."""
-        return log10_p_hole_fixed_process(self.n, c)
 
 
 def estimate_hole_probability(

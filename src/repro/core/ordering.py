@@ -178,15 +178,6 @@ class OrderingComponent:
             for event_id, event in self._received.items()
         ]
 
-    def is_delivered(self, event_id: EventId) -> bool:
-        """Whether *event_id* was delivered within the retention window.
-
-        Ids older than the ``2*TTL + 2``-round window are forgotten
-        (their copies can no longer arrive); such ids report ``False``
-        here but are still rejected by the order-key test.
-        """
-        return event_id in self._delivered_ids
-
     # ------------------------------------------------------------------
     # Algorithm 2
     # ------------------------------------------------------------------

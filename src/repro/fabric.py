@@ -31,7 +31,8 @@ DEFAULT_SPIKE_BASE = 0.001
 
 class Partitions:
     """Only nodes in the same group can talk; a fabric counts what
-    :meth:`_crosses_partition` stops in ``dropped_partition``."""
+    :meth:`_crosses_partition` stops in ``dropped_partition``, checked
+    at send and again at arrival (docs/FAULTS.md)."""
 
     __slots__ = ()  # FlatNetwork is slotted: it names the two slots
 

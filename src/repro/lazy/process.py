@@ -50,11 +50,16 @@ from .protocol import IdBall, PayloadRequest, PayloadResponse
 from .pull import PullManager
 from .store import PayloadStore
 
-#: Default payload retention, in rounds, as a multiple of the TTL. The
-#: ordering window is ~2*TTL (dissemination plus stabilization); twice
-#: that again absorbs pull retries under loss and the latency tail.
+#: Payload retention, in rounds: ``RETENTION_TTL_FACTOR * ttl +
+#: RETENTION_SLACK_ROUNDS``. The ordering window is ~2*TTL
+#: (dissemination plus stabilization); twice that again absorbs pull
+#: retries under loss and the latency tail.
 RETENTION_TTL_FACTOR = 4
 RETENTION_SLACK_ROUNDS = 16
+
+#: Rounds before an unanswered pull request is retried at the next
+#: advertiser.
+PULL_TIMEOUT_ROUNDS = 2
 
 
 @dataclass(slots=True)
@@ -158,14 +163,10 @@ class LazyEpToProcess:
     """One lazy-mode EpTO participant.
 
     Accepts the same keyword surface as
-    :class:`~repro.core.process.EpToProcess` (so the hosting runtimes
-    can build either from one call site) plus the lazy knobs.
-
-    Args:
-        retention_rounds: Payload retention window; defaults to
-            ``RETENTION_TTL_FACTOR * ttl + RETENTION_SLACK_ROUNDS``.
-        pull_timeout_rounds: Rounds before an unanswered pull request
-            is retried at the next advertiser.
+    :class:`~repro.core.process.EpToProcess`, so the hosting runtimes
+    can build either from one call site. Payloads are retained for
+    ``RETENTION_TTL_FACTOR * ttl + RETENTION_SLACK_ROUNDS`` rounds, and
+    a pull unanswered for :data:`PULL_TIMEOUT_ROUNDS` rounds is retried.
     """
 
     def __init__(
@@ -180,8 +181,6 @@ class LazyEpToProcess:
         rng: random.Random | None = None,
         oracle: StabilityOracle | None = None,
         system_size_hint: int | None = None,
-        retention_rounds: int | None = None,
-        pull_timeout_rounds: int = 2,
     ) -> None:
         if config.tagged_delivery:
             raise ConfigurationError(
@@ -192,14 +191,10 @@ class LazyEpToProcess:
         self.config = config
         self._transport = transport
         self._user_deliver = on_deliver
-        if retention_rounds is None:
-            retention_rounds = (
-                RETENTION_TTL_FACTOR * config.ttl + RETENTION_SLACK_ROUNDS
-            )
-        self.store = PayloadStore(retention_rounds)
-        self.pull = PullManager(
-            node_id, timeout_rounds=pull_timeout_rounds, rng=rng
+        self.store = PayloadStore(
+            RETENTION_TTL_FACTOR * config.ttl + RETENTION_SLACK_ROUNDS
         )
+        self.pull = PullManager(node_id, timeout_rounds=PULL_TIMEOUT_ROUNDS, rng=rng)
         self.lazy_stats = LazyStats()
         self._held: Deque[Event] = collections.deque()
         self._round_no = 0

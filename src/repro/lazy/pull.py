@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from ..core.event import EventId
 from .protocol import PayloadRequest
@@ -96,10 +96,6 @@ class PullManager:
     def pending_count(self) -> int:
         """Ids whose payload has not arrived yet."""
         return len(self._pending)
-
-    def pending_ids(self) -> Sequence[EventId]:
-        """Snapshot of the wanted ids."""
-        return tuple(self._pending)
 
     def is_pending(self, event_id: EventId) -> bool:
         return event_id in self._pending

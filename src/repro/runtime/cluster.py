@@ -11,7 +11,7 @@ from ..core.config import EpToConfig
 from ..core.errors import MembershipError
 from ..core.event import Event
 from ..pss.base import MembershipDirectory
-from ..stack import PSS_KINDS, build_pss, open_journal, respawn, validate_modes
+from ..stack import build_pss, open_journal, respawn, validate_modes
 from .node import AsyncEpToNode
 from .transport import AsyncNetwork
 
@@ -89,9 +89,7 @@ class AsyncCluster:
         storage_fsync: str = "rotate",
         sync: Optional[SyncConfig] = None,
     ) -> None:
-        if pss not in PSS_KINDS:
-            raise MembershipError(f"unknown PSS kind {pss!r}")
-        validate_modes(config, sync, storage_dir is not None, expected_size)
+        validate_modes(config, sync, storage_dir is not None, expected_size, pss)
         self.config = config
         self.network = network if network is not None else AsyncNetwork(seed=seed)
         self.pss_kind = pss

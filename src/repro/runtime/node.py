@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 
 from ..core.config import EpToConfig
 from ..core.event import Event
-from ..stack import NodeStack
+from ..stack import CATCH_UP_ROUNDS, NodeStack
 from .transport import AsyncNetwork
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
@@ -288,7 +288,7 @@ class AsyncEpToNode:
     def _sync(self) -> None:
         self.sync_manager.on_round()  # type: ignore[union-attr]
 
-    async def catch_up(self, max_rounds: float | None = None) -> bool:
+    async def catch_up(self) -> bool:
         """Run blocking anti-entropy until converged or out of budget.
 
         Drives the sync manager directly — round timers need not be
@@ -296,17 +296,16 @@ class AsyncEpToNode:
         TTL-outliving gap *before* rejoining dissemination, so epidemic
         deliveries cannot advance its order mark past the still-missing
         suffix. Returns whether the node caught up (a digest exchange
-        concluded with no peer ahead) within ``max_rounds`` round
-        intervals (default: ``sync_config.catch_up_rounds``).
+        concluded with no peer ahead) within
+        :data:`~repro.stack.CATCH_UP_ROUNDS` round intervals.
         """
         manager = self.sync_manager
         if manager is None:
             return True
-        budget = max_rounds if max_rounds is not None else manager.config.catch_up_rounds
         interval_s = self.config.round_interval / 1000.0
         manager.kick()
         rounds = 0
-        while rounds < budget:
+        while rounds < CATCH_UP_ROUNDS:
             manager.on_round()
             rounds += 1
             await asyncio.sleep(interval_s)

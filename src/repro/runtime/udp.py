@@ -20,7 +20,9 @@ Fault injection surface (driven by
 of :class:`repro.fabric.WireFaults`, each defined there once for every
 fabric, applied sender-side:
 
-* partitions and loss bursts drop datagrams at send time;
+* partitions drop datagrams at send time, and a spike-deferred
+  datagram again when its ``sendto`` fires; loss bursts drop at send
+  time;
 * a corruption window mangles outgoing datagrams with a given
   probability (garbled magic, truncation, or an entry count rewritten
   in a form the codec never writes — the mangling is this module's),
@@ -572,7 +574,7 @@ class UdpNetwork(WireFaults):
             # the timer fires.
             self.stats.delayed += 1
             loop.call_later(
-                delay, self._sendto_later, src, bytes(payload), address
+                delay, self._sendto_later, src, dst, bytes(payload), address
             )
             return None
         return payload, address
@@ -585,8 +587,12 @@ class UdpNetwork(WireFaults):
             self.stats.syscalls_send += 1
             self.stats.bytes_sent += len(payload)
 
-    def _sendto_later(self, src: int, datagram: bytes, address) -> None:
-        """Fire a delayed send; the sender may have died meanwhile."""
+    def _sendto_later(self, src: int, dst: int, datagram: bytes, address) -> None:
+        """Fire a delayed send; a partition may have formed or the
+        sender died meanwhile."""
+        if self._crosses_partition(src, dst):
+            self.stats.dropped_partition += 1
+            return
         endpoint = self._transports.get(src)
         if endpoint is None or endpoint.is_closing():
             self.stats.dropped_unopened += 1

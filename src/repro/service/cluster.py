@@ -41,8 +41,6 @@ class ServiceCluster:
             journals under ``storage_dir/host-<h>/topic-<t>/``.
         sync: Optional anti-entropy configuration (requires
             ``storage_dir``).
-        max_pending / queue_depth: Forwarded to every host (see
-            :class:`BroadcastService`).
     """
 
     def __init__(
@@ -52,8 +50,6 @@ class ServiceCluster:
         storage_dir: Union[str, Path, None] = None,
         storage_fsync: str = "rotate",
         sync: Optional[SyncConfig] = None,
-        max_pending: int = 64,
-        queue_depth: int = 1024,
         expected_size: Optional[int] = None,
         seed: int = 0,
     ) -> None:
@@ -63,8 +59,6 @@ class ServiceCluster:
         self.storage_dir = Path(storage_dir) if storage_dir is not None else None
         self.storage_fsync = storage_fsync
         self.sync = sync
-        self.max_pending = max_pending
-        self.queue_depth = queue_depth
         self.expected_size = expected_size
         self.seed = seed
         #: topic -> shared membership directory (one per topic, shared
@@ -97,8 +91,6 @@ class ServiceCluster:
             else None,
             storage_fsync=self.storage_fsync,
             sync=self.sync,
-            max_pending=self.max_pending,
-            queue_depth=self.queue_depth,
             expected_size=self.expected_size,
             seed=self.seed,
         )

@@ -239,13 +239,19 @@ class TopicDemux:
         in any envelope (non-JSON payload, too large for the cap beside
         the envelope's own headers) is dropped here and counted, per
         frame, exactly as the fabric would have counted
-        ``dropped_encode``.
+        ``dropped_encode``. A frame whose topic was partitioned after
+        it was queued is dropped here, as the other fabrics drop a
+        message in flight when a partition forms.
         """
         self._flush_scheduled = False
         if self._closed or not self._pending:
             self._pending.clear()
             return
         pending, self._pending = self._pending, {}
+        for channel in self.channels.values():
+            if channel._partitioned:
+                self._drop_partitioned(pending)
+                break
         groups: Dict[Tuple[int, ...], List[int]] = {}
         for dst, frames in pending.items():
             groups.setdefault(tuple(map(id, frames)), []).append(dst)
@@ -295,6 +301,23 @@ class TopicDemux:
             payload_bytes = sum(payload for _, (_, payload) in packed)
             items.append((dsts, datagram, payload_bytes))
         send_bundle(self.host_id, items)
+
+    def _drop_partitioned(self, pending: Dict[int, List[Tuple[int, int, Any]]]) -> None:
+        """Take out of *pending* every frame its topic's partition now
+        stops, counted in ``dropped_partition``."""
+        channels = self.channels
+        for dst, frames in list(pending.items()):
+            kept = []
+            for frame in frames:
+                channel = channels.get(frame[0])
+                if channel is not None and channel._crosses_partition(frame[1], dst):
+                    self.stats.dropped_partition += 1
+                else:
+                    kept.append(frame)
+            if kept:
+                pending[dst] = kept
+            else:
+                del pending[dst]
 
     @staticmethod
     def _encode_frame(sender: int, message: Any) -> Optional[Tuple[bytes, int]]:

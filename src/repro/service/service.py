@@ -51,11 +51,19 @@ from ..stack import build_pss, open_journal, respawn, validate_modes
 from ..sync.config import SyncConfig
 from .demux import TopicDemux
 
+#: Backpressure threshold: a publish finding the topic's next ball
+#: already at this many events blocks (or fails fast) until a round
+#: drains it.
+MAX_PENDING = 64
+
+#: Buffer bound of a subscription opened without its own ``maxlen``.
+QUEUE_DEPTH = 1024
+
 
 class BackpressureError(ReproError):
     """A non-blocking publish found the topic's dissemination buffer
     full (``publish(..., wait=False)`` with the next ball already at
-    the service's ``max_pending`` cap)."""
+    :data:`MAX_PENDING` events)."""
 
 
 @dataclass(slots=True)
@@ -187,10 +195,6 @@ class BroadcastService:
             live under ``storage_dir/topic-<id>/``.
         sync: Optional anti-entropy configuration applied to every
             journaled topic (requires ``storage_dir``).
-        max_pending: Backpressure threshold — a publish finding the
-            topic's next ball already at this many events blocks (or
-            fails fast) until a round drains it.
-        queue_depth: Buffer bound for new subscriptions.
         expected_size: Per-topic system-size hint forwarded to engines.
         seed: Base seed for this host's randomness.
     """
@@ -204,8 +208,6 @@ class BroadcastService:
         storage_dir: Union[str, Path, None] = None,
         storage_fsync: str = "rotate",
         sync: Optional[SyncConfig] = None,
-        max_pending: int = 64,
-        queue_depth: int = 1024,
         expected_size: Optional[int] = None,
         seed: int = 0,
     ) -> None:
@@ -217,8 +219,6 @@ class BroadcastService:
         self.storage_dir = Path(storage_dir) if storage_dir is not None else None
         self.storage_fsync = storage_fsync
         self.sync = sync
-        self.max_pending = max_pending
-        self.queue_depth = queue_depth
         self.expected_size = expected_size
         self.seed = seed
         self.stats = ServiceStats()
@@ -360,7 +360,7 @@ class BroadcastService:
     ) -> Event:
         """EpTO-broadcast *payload* on *topic*, under backpressure.
 
-        When the topic's next ball already holds ``max_pending`` events
+        When the topic's next ball already holds :data:`MAX_PENDING` events
         the publish waits for rounds to drain the buffer (``wait=True``,
         the default) or raises :class:`BackpressureError` immediately
         (``wait=False``) — the buffer is what the next round's ball
@@ -371,13 +371,13 @@ class BroadcastService:
         """
         state = self._state(topic)
         while state.node.stack.held or (
-            state.node.process.dissemination.next_ball_size >= self.max_pending
+            state.node.process.dissemination.next_ball_size >= MAX_PENDING
         ):
             if not wait:
                 self.stats.publish_rejected += 1
                 raise BackpressureError(
                     f"topic {topic} on host {self.host_id} is held after a respawn "
-                    f"or has {self.max_pending} events pending dissemination"
+                    f"or has {MAX_PENDING} events pending dissemination"
                 )
             self.stats.publish_blocked += 1
             await state.round_drained.wait()
@@ -387,10 +387,11 @@ class BroadcastService:
 
     def subscribe(self, topic: int, maxlen: int | None = None) -> Subscription:
         """A new bounded async iterator over *topic*'s total order
-        (deliveries from this point on)."""
+        (deliveries from this point on), buffering up to *maxlen* events
+        (default :data:`QUEUE_DEPTH`)."""
         state = self._state(topic)
         subscription = Subscription(
-            self, topic, maxlen if maxlen is not None else self.queue_depth
+            self, topic, maxlen if maxlen is not None else QUEUE_DEPTH
         )
         state.subscriptions.append(subscription)
         return subscription

@@ -35,7 +35,6 @@ from ..core.event import Ball, Event
 from ..metrics.collector import DeliveryCollector
 from ..pss.base import MembershipDirectory
 from ..stack import (
-    PSS_KINDS,
     RESPAWN_HOLD_SLACK_ROUNDS,  # noqa: F401 - re-exported for benchmarks/e2e
     NodeStack,
     build_pss,
@@ -76,15 +75,10 @@ class ClusterConfig:
     Attributes:
         epto: EpTO algorithm configuration shared by every node.
         pss: ``"uniform"`` (idealized, paper default) or ``"cyclon"``
-            (realistic, paper Figure 9); see docs/OVERLAY.md.
+            (realistic, paper Figure 9); see docs/OVERLAY.md. Cyclon
+            takes its view and shuffle sizes from :func:`build_pss` and
+            shuffles once per round interval.
         drift: Round-period drift model (paper default: 1% uniform).
-        cyclon_view_size: Cyclon view capacity; defaults to
-            ``2 * fanout`` so the view always has enough entries to
-            serve a fanout-sized sample.
-        cyclon_shuffle_size: Entries exchanged per shuffle; defaults to
-            half the view size, the original paper's recommendation.
-        cyclon_period: Ticks between shuffles; defaults to the EpTO
-            round interval.
         expected_size: System-size hint forwarded to processes that
             need it (the §8.4 stability estimator).
         round_phase: ``"synchronized"`` starts every node's round timer
@@ -103,15 +97,11 @@ class ClusterConfig:
     epto: EpToConfig
     pss: str = "uniform"
     drift: DriftModel = field(default_factory=lambda: UniformDrift(0.01))
-    cyclon_view_size: Optional[int] = None
-    cyclon_shuffle_size: Optional[int] = None
-    cyclon_period: Optional[int] = None
     expected_size: Optional[int] = None
     round_phase: str = "synchronized"
 
     def __post_init__(self) -> None:
-        if self.pss not in PSS_KINDS:
-            raise MembershipError(f"unknown PSS kind {self.pss!r}")
+        validate_modes(self.epto, None, False, self.expected_size, self.pss)
         if self.round_phase not in ("synchronized", "staggered"):
             raise MembershipError(f"unknown round phase {self.round_phase!r}")
 
@@ -174,7 +164,11 @@ class SimCluster:
         sync: Optional[SyncConfig] = None,
     ) -> None:
         validate_modes(
-            config.epto, sync, storage_dir is not None, config.expected_size
+            config.epto,
+            sync,
+            storage_dir is not None,
+            config.expected_size,
+            config.pss,
         )
         self.sim = sim
         self.network = network
@@ -262,8 +256,6 @@ class SimCluster:
             self.network,
             node_rng,
             bootstrap_rng=self._rng,
-            view_size=config.cyclon_view_size,
-            shuffle_size=config.cyclon_shuffle_size,
         )
 
         def record(event: Event) -> None:
@@ -310,15 +302,14 @@ class SimCluster:
         ]
         shuffle_fn = getattr(pss, "shuffle", None)
         if callable(shuffle_fn):
-            # Cyclon shuffles on this cadence; the idealized uniform
-            # view has no shuffle and needs no task.
-            period = config.cyclon_period or interval
+            # Cyclon shuffles once per round interval; the idealized
+            # uniform view has no shuffle and needs no task.
             tasks.append(
                 PeriodicTask(
                     self.sim,
                     shuffle_fn,
-                    period_source=lambda: period,
-                    initial_delay=self._rng.randrange(max(1, period)),
+                    period_source=lambda: interval,
+                    initial_delay=self._rng.randrange(max(1, interval)),
                 )
             )
         if sync_manager is not None:

@@ -67,6 +67,7 @@ from ..core.event import Event, OrderKey
 from ..fabric import Partitions
 from ..metrics.collector import DeliveryCollector
 from ..pss.base import MembershipDirectory
+from ..stack import validate_modes
 from .cluster import ClusterConfig
 from .drift import NoDrift
 from .latency import FixedLatency, LatencyModel
@@ -375,7 +376,8 @@ class FlatCluster:
         config: The same :class:`~repro.sim.cluster.ClusterConfig` the
             object engine takes. Restricted to the idealized uniform
             PSS and the plain (untagged, no stability estimator) EpTO
-            configuration; anything else raises ``MembershipError``.
+            configuration; :func:`~repro.stack.validate_modes` refuses
+            anything else with ``ConfigurationError``.
         record: ``"sequences"`` (default) keeps full per-node delivery
             sequences and a global delivery log — what the differential
             harness and :meth:`as_collector` need. ``"stats"`` keeps
@@ -391,16 +393,9 @@ class FlatCluster:
         config: ClusterConfig,
         record: str = "sequences",
     ) -> None:
-        if config.pss != "uniform":
-            raise MembershipError(
-                f"flat engine supports only the uniform PSS, got {config.pss!r}; "
-                "use SimCluster for cyclon runs"
-            )
-        if config.epto.tagged_delivery or config.epto.expose_stability:
-            raise MembershipError(
-                "flat engine does not support tagged_delivery/expose_stability; "
-                "use SimCluster for the §8.2/§8.4 extensions"
-            )
+        validate_modes(
+            config.epto, None, False, config.expected_size, config.pss, flat=True
+        )
         if record not in ("sequences", "stats"):
             raise MembershipError(f"unknown record mode {record!r}")
         self.sim = sim

@@ -114,16 +114,16 @@ class PlanetLabLatency:
 
     A two-component mixture:
 
-    * with probability ``p_near`` (default 10%), a short uniform
-      latency in ``[5, 30]`` ticks — the nearby-node mass that puts the
-      5th percentile at ≈ 15 ticks;
-    * otherwise, a log-normal body ``LogNormal(mu, sigma)`` fitted so
+    * with probability ``P_NEAR`` (10%), a short uniform latency in
+      ``[5, 30]`` ticks — the nearby-node mass that puts the 5th
+      percentile at ≈ 15 ticks;
+    * otherwise, a log-normal body ``LogNormal(MU, SIGMA)`` fitted so
       the mixture matches the published median (≈ 125), 95th percentile
       (≈ 366), mean (≈ 157) and standard deviation (≈ 119).
 
-    Samples are capped at ``cap`` (default 800 ticks, the figure's
-    x-axis limit) — about 6.4x the round duration, matching the paper's
-    "up to six times the round duration in the worst case".
+    Samples are capped at ``CAP`` (800 ticks, the figure's x-axis
+    limit) — about 6.4x the round duration, matching the paper's "up
+    to six times the round duration in the worst case".
     """
 
     #: Fitted constants (see class docstring; validated by the Figure 5
@@ -135,25 +135,11 @@ class PlanetLabLatency:
     SIGMA = 0.62
     CAP = 800
 
-    def __init__(
-        self,
-        p_near: float = P_NEAR,
-        mu: float = MU,
-        sigma: float = SIGMA,
-        cap: int = CAP,
-    ) -> None:
-        if not 0.0 <= p_near < 1.0:
-            raise ConfigurationError(f"p_near must be in [0, 1), got {p_near}")
-        self.p_near = p_near
-        self.mu = mu
-        self.sigma = sigma
-        self.cap = cap
-
     def sample(self, rng: random.Random, src: int, dst: int) -> int:
-        if rng.random() < self.p_near:
+        if rng.random() < self.P_NEAR:
             return rng.randint(self.NEAR_LOW, self.NEAR_HIGH)
-        value = int(round(rng.lognormvariate(self.mu, self.sigma)))
-        return max(1, min(self.cap, value))
+        value = int(round(rng.lognormvariate(self.MU, self.SIGMA)))
+        return max(1, min(self.CAP, value))
 
     def percentiles(self, rng: random.Random, points: Sequence[float], draws: int = 20000) -> list[float]:
         """Monte-Carlo percentile estimates (used by tests/benchmarks)."""

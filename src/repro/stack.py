@@ -6,9 +6,10 @@ topic — chooses a *fabric* (anything with ``send`` / ``send_many``:
 clock and a source of randomness. Everything else about a node is
 decided here, once:
 
-* :func:`validate_modes` — which combinations of mode, journal and
-  anti-entropy are refused, with one exception type and one message
-  each, so every host refuses them at construction;
+* :func:`validate_modes` — which combinations of mode, journal,
+  anti-entropy, peer sampling and engine are refused, with one
+  exception type and one message each, so every host refuses them at
+  construction;
 * :class:`NodeStack` — journal dedupe ahead of the delivery callback,
   the eager or lazy process, the optional sync manager, the one inbox
   (ball test first, then one ``{type: handler}`` table built from the
@@ -64,18 +65,28 @@ PSS_KINDS = ("uniform", "cyclon")
 #: the node relays again.
 RESPAWN_HOLD_SLACK_ROUNDS = 6
 
+#: Budget, in rounds, of a respawned node's wait for anti-entropy to
+#: report ``caught_up``: the blocking ``AsyncEpToNode.catch_up`` and the
+#: hold's wait for convergence (:meth:`NodeStack.hold`). When it is
+#: spent the node rejoins dissemination anyway and keeps repairing in
+#: the background.
+CATCH_UP_ROUNDS = 40.0
+
 
 def validate_modes(
     config: EpToConfig,
     sync: Optional[SyncConfig],
     durable: bool,
     system_size_hint: Optional[int],
+    pss: str = "uniform",
+    flat: bool = False,
 ) -> None:
-    """Refuse the mode combinations no host supports (docs/API.md).
+    """Refuse the combinations no host supports (docs/API.md).
 
     Called by every cluster/service constructor and by
     :class:`NodeStack`, so a bad combination fails before any node
-    exists, identically on every host.
+    exists, identically on every host. No host refuses a combination
+    anywhere else.
 
     Args:
         config: The EpTO configuration the nodes will run.
@@ -83,10 +94,32 @@ def validate_modes(
         durable: Whether nodes journal their deliveries (a cluster's
             ``storage_dir``, a stack's ``journal``).
         system_size_hint: The expected system size handed to processes.
+        pss: The peer sampling service kind (:data:`PSS_KINDS`).
+        flat: Whether the host is the flat simulator
+            (:class:`~repro.sim.flat.FlatCluster`), which runs only the
+            uniform PSS and the plain, untagged configuration.
 
     Raises:
+        MembershipError: On an unknown PSS kind.
         ConfigurationError: On any refused combination.
     """
+    if pss not in PSS_KINDS:
+        raise MembershipError(f"unknown PSS kind {pss!r}")
+    if flat and pss != "uniform":
+        raise ConfigurationError(
+            f"the flat engine supports only the uniform PSS, got {pss!r}; "
+            "use SimCluster for cyclon runs"
+        )
+    if flat and config.tagged_delivery:
+        raise ConfigurationError(
+            "the flat engine does not support tagged_delivery; use "
+            "SimCluster for the §8.2 extension"
+        )
+    if flat and config.expose_stability:
+        raise ConfigurationError(
+            "the flat engine does not support expose_stability; use "
+            "SimCluster for the §8.4 extension"
+        )
     if sync is not None and not durable:
         raise ConfigurationError(
             "anti-entropy sync requires durable journals (it exchanges "
@@ -339,7 +372,7 @@ class NodeStack:
             self._held_for += 1
             manager = self.sync_manager
             ready = manager.caught_up and self._held_for >= hold
-            if not ready and self._held_for < max(hold, manager.config.catch_up_rounds):
+            if not ready and self._held_for < max(hold, CATCH_UP_ROUNDS):
                 return
             self._hold_rounds = None
         self.process.on_round()
@@ -355,8 +388,8 @@ class NodeStack:
         observed TTL window. Balls are still received during the hold
         (they only accumulate state); the node just neither relays nor
         delivers, so its order mark cannot advance past a still-missing
-        event. One-way latch. The gate gives up after
-        ``max(horizon, catch_up_rounds)`` held rounds: the catch-up
+        event. One-way latch. The gate gives up after ``max(horizon,``
+        :data:`CATCH_UP_ROUNDS` ``)`` held rounds: the catch-up
         budget bounds the wait for convergence, never the horizon, so
         an unservable gap (every peer also gone) degrades to the
         ungated behaviour instead of parking the node forever. A stack
@@ -468,15 +501,16 @@ def build_pss(
     fabric: Transport,
     rng: random.Random,
     bootstrap_rng: Optional[random.Random] = None,
-    view_size: Optional[int] = None,
-    shuffle_size: Optional[int] = None,
 ) -> PeerSampler:
     """Build the peer sampling service of *node_id*.
 
     Args:
-        kind: One of :data:`PSS_KINDS`.
-        fanout: The EpTO fanout K; the view size defaults from it so a
-            view always has enough entries to serve a K-sized sample.
+        kind: One of :data:`PSS_KINDS` (the host checked it with
+            :func:`validate_modes`).
+        fanout: The EpTO fanout K. A Cyclon view holds ``2 * K``
+            entries, so it always has enough to serve a K-sized sample,
+            and a shuffle exchanges half of them, the original paper's
+            recommendation.
         directory: Ground-truth membership — the idealized uniform
             view samples from it, Cyclon bootstraps from it
             (simplified join: an introducer sample of the current
@@ -486,27 +520,22 @@ def build_pss(
         bootstrap_rng: The randomness the introducer sample is drawn
             from — the host's own stream on the cluster hosts (default:
             *rng*).
-        view_size: Cyclon view capacity (default ``2 * fanout``).
-        shuffle_size: Cyclon entries exchanged per shuffle (default
-            half the view, the original paper's recommendation).
     """
     if kind == "uniform":
         from .pss.uniform import UniformViewPss
 
         return UniformViewPss(node_id, directory, rng)
 
-    if kind != "cyclon":
-        raise MembershipError(f"unknown PSS kind {kind!r}")
     from .pss.cyclon import CyclonPss
 
     def send(dst: int, message: Any) -> None:
         fabric.send(node_id, dst, message)
 
-    size = view_size or 2 * fanout
+    size = 2 * fanout
     pss = CyclonPss(
         node_id=node_id,
         view_size=size,
-        shuffle_size=shuffle_size or max(1, size // 2),
+        shuffle_size=size // 2,
         send=send,
         rng=rng,
     )

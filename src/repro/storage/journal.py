@@ -34,6 +34,10 @@ from .recovery import LOG_SUBDIR, RecoveredState
 from .snapshot import Snapshot, SnapshotStore
 
 
+#: Snapshots a journal's store keeps.
+SNAPSHOT_RETAIN = 2
+
+
 @dataclass(slots=True)
 class JournalStats:
     """Counters of one journal incarnation."""
@@ -54,7 +58,6 @@ class DeliveryJournal:
         fsync: Log durability policy
             (:data:`repro.storage.log.FSYNC_POLICIES`).
         segment_max_bytes: Log segment rotation threshold.
-        snapshot_retain: Snapshots kept by the store.
         resume: Recovery outcome to continue from
             (:func:`repro.storage.recovery.recover`); seeds the dedupe
             watermark, sequence counter and applied count. ``None``
@@ -68,12 +71,11 @@ class DeliveryJournal:
         directory: Union[str, Path],
         fsync: str = "rotate",
         segment_max_bytes: int = 1 << 20,
-        snapshot_retain: int = 2,
         resume: Optional[RecoveredState] = None,
     ) -> None:
         self.directory = Path(directory)
         self.stats = JournalStats()
-        self.snapshots = SnapshotStore(self.directory, retain=snapshot_retain)
+        self.snapshots = SnapshotStore(self.directory, retain=SNAPSHOT_RETAIN)
         self.log = DeliveryLog(
             self.directory / LOG_SUBDIR,
             segment_max_bytes=segment_max_bytes,

@@ -1,10 +1,30 @@
-"""Tuning knobs for the anti-entropy catch-up protocol."""
+"""The anti-entropy catch-up protocol's one setting and its constants."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from ..core.errors import ConfigurationError
+
+#: Hard cap on events per ``SYNC_CHUNK``.
+CHUNK_MAX_EVENTS = 64
+
+#: Soft cap on encoded event bytes per chunk: the first qualifying
+#: event is always sent, so a single oversized payload cannot wedge a
+#: session. Below the transport datagram limit minus header room.
+CHUNK_MAX_BYTES = 32_000
+
+#: Rounds to wait for the chunk answering a request (or the digest
+#: answering a probe) before retrying.
+REQUEST_TIMEOUT_ROUNDS = 2.0
+
+#: Resend attempts per request before the pull session is aborted (a
+#: fresh probe starts over).
+MAX_RETRIES = 4
+
+#: Multiplier applied to the request timeout after each retry
+#: (exponential backoff).
+BACKOFF_FACTOR = 2.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -16,43 +36,10 @@ class SyncConfig:
             (the fabrics convert to ticks/seconds with the node's round
             interval). Catch-up after recovery ignores this and starts
             immediately.
-        chunk_max_events: Hard cap on events per ``SYNC_CHUNK``.
-        chunk_max_bytes: Soft cap on encoded event bytes per chunk
-            (the first qualifying event is always sent, so a single
-            oversized payload cannot wedge a session). Keep below the
-            transport datagram limit minus header room.
-        request_timeout_rounds: Rounds to wait for the chunk answering
-            a request (or the digest answering a probe) before retrying.
-        max_retries: Resend attempts per request before the pull
-            session is aborted (a fresh probe will start over).
-        backoff_factor: Multiplier applied to the timeout after each
-            retry (exponential backoff).
-        catch_up_rounds: Upper bound, in round units, on the blocking
-            post-recovery catch-up phase; when exhausted the node
-            rejoins dissemination anyway and continues repairing in the
-            background.
     """
 
     interval_rounds: float = 4.0
-    chunk_max_events: int = 64
-    chunk_max_bytes: int = 32_000
-    request_timeout_rounds: float = 2.0
-    max_retries: int = 4
-    backoff_factor: float = 2.0
-    catch_up_rounds: float = 40.0
 
     def __post_init__(self) -> None:
         if self.interval_rounds <= 0:
             raise ConfigurationError("interval_rounds must be positive")
-        if self.chunk_max_events < 1:
-            raise ConfigurationError("chunk_max_events must be at least 1")
-        if self.chunk_max_bytes < 1:
-            raise ConfigurationError("chunk_max_bytes must be at least 1")
-        if self.request_timeout_rounds <= 0:
-            raise ConfigurationError("request_timeout_rounds must be positive")
-        if self.max_retries < 0:
-            raise ConfigurationError("max_retries must be non-negative")
-        if self.backoff_factor < 1.0:
-            raise ConfigurationError("backoff_factor must be at least 1.0")
-        if self.catch_up_rounds < 0:
-            raise ConfigurationError("catch_up_rounds must be non-negative")

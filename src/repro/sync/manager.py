@@ -40,11 +40,18 @@ therefore repairs whichever side is behind.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, Iterable, Optional, Sequence, TYPE_CHECKING
+from dataclasses import dataclass
+from typing import Callable, Iterable, Optional, Sequence, TYPE_CHECKING
 
 from ..core.event import Event, OrderKey
-from .config import SyncConfig
+from .config import (
+    BACKOFF_FACTOR,
+    CHUNK_MAX_BYTES,
+    CHUNK_MAX_EVENTS,
+    MAX_RETRIES,
+    REQUEST_TIMEOUT_ROUNDS,
+    SyncConfig,
+)
 from .protocol import (
     DeliveryDigest,
     SyncChunk,
@@ -84,9 +91,6 @@ class SyncStats:
     events_served: int = 0
     bytes_fetched: int = 0
     bytes_served: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass
@@ -173,7 +177,7 @@ class SyncManager:
             return
         if self._probe_waiting is not None:
             self._probe_waiting += 1
-            if self._probe_waiting >= self.config.request_timeout_rounds:
+            if self._probe_waiting >= REQUEST_TIMEOUT_ROUNDS:
                 # The probed peer never answered (down, or the datagram
                 # was lost). Unlike requests there is no backoff: probes
                 # are tiny and idempotent, so just ask someone else.
@@ -302,8 +306,8 @@ class SyncManager:
                 req_id=session.req_id,
                 after=session.cursor,
                 watermarks=freeze_watermarks(self.journal.source_watermarks),
-                max_events=self.config.chunk_max_events,
-                max_bytes=self.config.chunk_max_bytes,
+                max_events=CHUNK_MAX_EVENTS,
+                max_bytes=CHUNK_MAX_BYTES,
             ),
         )
 
@@ -350,7 +354,7 @@ class SyncManager:
         self._send(peer, SyncDigest(self.local_digest(), reply=True))
 
     def _retry_or_abort(self, session: _PullSession) -> None:
-        if session.retries >= self.config.max_retries:
+        if session.retries >= MAX_RETRIES:
             self.stats.sessions_aborted += 1
             self._session = None
             # Re-probe (a freshly sampled peer) at the next round.
@@ -362,8 +366,8 @@ class SyncManager:
         self._send_request(session)
 
     def _timeout_rounds(self, retries: int) -> int:
-        scale = self.config.backoff_factor**retries
-        return max(1, math.ceil(self.config.request_timeout_rounds * scale))
+        scale = BACKOFF_FACTOR**retries
+        return max(1, math.ceil(REQUEST_TIMEOUT_ROUNDS * scale))
 
 
 def epto_chunk_applier(process: "EpToProcess") -> Callable[[Sequence[Event]], int]:

@@ -14,14 +14,18 @@ import pytest
 
 from repro.core import EpToConfig
 from repro.core.errors import ConfigurationError
-from repro.lazy.process import LazyEpToProcess
+from repro.lazy.process import (
+    RETENTION_SLACK_ROUNDS,
+    RETENTION_TTL_FACTOR,
+    LazyEpToProcess,
+)
 from repro.lazy.protocol import PayloadResponse
 from repro.metrics import check_run
 from repro.sim import ClusterConfig, FixedLatency, SimCluster, SimNetwork, Simulator
 from repro.sync.config import SyncConfig
 
 
-def build_lazy_cluster(n=6, pss="uniform", seed=11, fanout=3, ttl=6, retention=None):
+def build_lazy_cluster(n=6, pss="uniform", seed=11, fanout=3, ttl=6):
     """A lazy-mode cluster whose per-node deliveries (full events) are
     recorded via a process factory, since the collector keeps keys only."""
     sim = Simulator(seed=seed)
@@ -47,7 +51,6 @@ def build_lazy_cluster(n=6, pss="uniform", seed=11, fanout=3, ttl=6, retention=N
             time_source=time_source,
             rng=rng,
             system_size_hint=n,
-            retention_rounds=retention,
         )
 
     cluster = SimCluster(sim, network, config, process_factory=factory)
@@ -103,9 +106,11 @@ class TestDelivery:
 
 class TestPayloadGate:
     def test_gate_holds_deliveries_while_responses_are_lost(self):
-        # Retention must outlive the engineered outage (the default
-        # window would rightly evict the payload mid-blackout).
-        sim, network, cluster, delivered = build_lazy_cluster(n=6, retention=500)
+        # The blackout ends inside the retention window (ttl 6, rounds
+        # of 100 ticks), so the payload is still there to pull after it.
+        blackout_ends = 2500
+        assert blackout_ends < (RETENTION_TTL_FACTOR * 6 + RETENTION_SLACK_ROUNDS) * 100
+        sim, network, cluster, delivered = build_lazy_cluster(n=6)
         original = network.send
 
         def dropping(src, dst, msg):
@@ -115,7 +120,7 @@ class TestPayloadGate:
 
         network.send = dropping  # type: ignore[method-assign]
         sim.schedule_at(50, lambda: cluster.broadcast_from(0, "held-hostage"))
-        sim.run(until=4000)
+        sim.run(until=blackout_ends)
         # Ordering finished everywhere, but only the source (which holds
         # its own payload) could pass the gate.
         assert delivered[0] and delivered[0][0].payload == "held-hostage"

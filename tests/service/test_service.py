@@ -14,6 +14,7 @@ from repro.service import (
     ServiceCluster,
     Subscription,
 )
+from repro.service.service import MAX_PENDING
 
 
 def _config(n=4, interval=15):
@@ -101,36 +102,36 @@ class TestPublishSubscribe:
 class TestBackpressure:
     def test_fail_fast_publish_raises(self):
         async def scenario():
-            cluster = _cluster(max_pending=3)
+            cluster = _cluster()
             cluster.open_topic(1)
             cluster.add_hosts(4)
             # Round task not started: the buffer can only fill up.
-            for i in range(3):
+            for i in range(MAX_PENDING):
                 await cluster.publish(1, 0, i, wait=False)
             with pytest.raises(BackpressureError):
                 await cluster.publish(1, 0, "over", wait=False)
             assert cluster.hosts[0].stats.publish_rejected == 1
-            assert cluster.hosts[0].stats.published == 3
+            assert cluster.hosts[0].stats.published == MAX_PENDING
             await cluster.close_all()
 
         _run(scenario())
 
     def test_blocking_publish_waits_for_a_round(self):
         async def scenario():
-            cluster = _cluster(max_pending=2)
+            cluster = _cluster()
             cluster.open_topic(1)
             cluster.add_hosts(4)
             host = cluster.hosts[0]
-            await cluster.publish(1, 0, "a")
-            await cluster.publish(1, 0, "b")
-            blocked = asyncio.ensure_future(cluster.publish(1, 0, "c"))
+            for i in range(MAX_PENDING):
+                await cluster.publish(1, 0, i)
+            blocked = asyncio.ensure_future(cluster.publish(1, 0, "over"))
             await asyncio.sleep(0.05)
             assert not blocked.done()  # round task not running yet
             assert host.stats.publish_blocked >= 1
             cluster.start_all()
             await asyncio.wait_for(blocked, timeout=5)
-            assert host.stats.published == 3
-            assert await cluster.wait_for_topic(1, 3, timeout=10)
+            assert host.stats.published == MAX_PENDING + 1
+            assert await cluster.wait_for_topic(1, MAX_PENDING + 1, timeout=10)
             await cluster.close_all()
 
         _run(scenario())

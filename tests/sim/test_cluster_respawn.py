@@ -7,8 +7,7 @@ import pytest
 from repro.core import EpToConfig
 from repro.core.errors import MembershipError
 from repro.sim import ClusterConfig, SimCluster, SimNetwork, Simulator
-from repro.stack import RESPAWN_HOLD_SLACK_ROUNDS, NodeStack, respawn
-from repro.sync.config import SyncConfig
+from repro.stack import CATCH_UP_ROUNDS, RESPAWN_HOLD_SLACK_ROUNDS, NodeStack, respawn
 
 from ..conftest import build_small_world, make_event
 
@@ -85,9 +84,8 @@ class TestRespawnHoldGate:
             self.rounds += 1
 
     class _Manager:
-        def __init__(self, caught_up=True, **budget):
+        def __init__(self, caught_up=True):
             self.caught_up = caught_up
-            self.config = SyncConfig(**budget)
 
     def _respawned(self, ttl, manager):
         """A stack brought back by :func:`repro.stack.respawn`, its
@@ -133,7 +131,7 @@ class TestRespawnHoldGate:
 
     def test_gate_opens_after_exactly_hold_rounds(self):
         """Held for ``ttl + slack`` rounds exactly, then open for good."""
-        stack, process = self._respawned(6, self._Manager(catch_up_rounds=1000))
+        stack, process = self._respawned(6, self._Manager())
         hold = 6 + RESPAWN_HOLD_SLACK_ROUNDS
         for _ in range(hold - 1):
             stack.on_round()
@@ -146,14 +144,13 @@ class TestRespawnHoldGate:
     def test_catch_up_budget_never_cuts_the_horizon_short(self):
         """At ttl=40 the horizon (46 rounds) outlasts the default
         catch-up budget (40): the gate still holds the whole horizon."""
-        manager = self._Manager()
-        assert manager.config.catch_up_rounds == 40
-        stack, process = self._respawned(40, manager)
+        assert CATCH_UP_ROUNDS == 40
+        stack, process = self._respawned(40, self._Manager())
         assert self._rounds_until_open(stack, process) == 40 + RESPAWN_HOLD_SLACK_ROUNDS
 
     def test_budget_bounds_only_the_wait_for_convergence(self):
         """A node that never hears ``caught_up`` (every peer gone) is
-        released at ``max(horizon, catch_up_rounds)``."""
+        released at ``max(horizon, CATCH_UP_ROUNDS)``."""
         stack, process = self._respawned(6, self._Manager(caught_up=False))
         assert self._rounds_until_open(stack, process) == 40
         stack, process = self._respawned(40, self._Manager(caught_up=False))

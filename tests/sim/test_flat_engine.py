@@ -15,7 +15,7 @@ import math
 import pytest
 
 from repro.core.config import EpToConfig
-from repro.core.errors import MembershipError, SimulationError
+from repro.core.errors import ConfigurationError, MembershipError, SimulationError
 from repro.metrics import check_run
 from repro.sim import (
     ClusterConfig,
@@ -140,7 +140,7 @@ def test_engine_fork_rng_is_deterministic_per_label():
 def test_cluster_rejects_cyclon_pss():
     sim = FlatEngine(seed=1)
     net = FlatNetwork(sim)
-    with pytest.raises(MembershipError):
+    with pytest.raises(ConfigurationError, match="flat engine"):
         FlatCluster(sim, net, _config(pss="cyclon"))
 
 
@@ -148,11 +148,14 @@ def test_cluster_rejects_tagged_delivery_and_stability():
     for override in ({"tagged_delivery": True}, {"expose_stability": True}):
         sim = FlatEngine(seed=1)
         net = FlatNetwork(sim)
+        # The size hint keeps expose_stability's own requirement met,
+        # so what is refused is the engine.
         config = ClusterConfig(
             epto=EpToConfig(fanout=4, ttl=8, round_interval=20, **override),
             drift=NoDrift(),
+            expected_size=8,
         )
-        with pytest.raises(MembershipError):
+        with pytest.raises(ConfigurationError, match="flat engine"):
             FlatCluster(sim, net, config)
 
 

@@ -112,10 +112,6 @@ class TestPlanetLabLatency:
     def test_capped(self, samples):
         assert max(samples) <= PlanetLabLatency.CAP
 
-    def test_rejects_bad_mixture_weight(self):
-        with pytest.raises(ConfigurationError):
-            PlanetLabLatency(p_near=1.0)
-
 
 class TestFactory:
     def test_builds_by_name(self):

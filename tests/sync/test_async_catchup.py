@@ -33,12 +33,7 @@ def small_config(**overrides):
 
 
 def sync_config():
-    return SyncConfig(
-        interval_rounds=2.0,
-        request_timeout_rounds=2.0,
-        max_retries=8,
-        catch_up_rounds=80.0,
-    )
+    return SyncConfig(interval_rounds=2.0)
 
 
 async def outage_past_the_ttl(cluster):

@@ -10,7 +10,7 @@ from __future__ import annotations
 from repro.core.event import Event
 from repro.storage.journal import DeliveryJournal
 from repro.storage.recovery import recover
-from repro.sync.config import SyncConfig
+from repro.sync.config import CHUNK_MAX_EVENTS, SyncConfig
 from repro.sync.manager import SyncManager
 
 
@@ -20,7 +20,7 @@ def event(ts: int, src: int, seq: int, payload=None) -> Event:
 
 EVENTS = tuple(event(ts, 2, ts, {"n": ts}) for ts in range(6))
 
-FAST = SyncConfig(interval_rounds=1.0, request_timeout_rounds=1.0)
+FAST = SyncConfig(interval_rounds=1.0)
 
 
 class Sampler:
@@ -130,16 +130,17 @@ class TestSyncThenRestart:
         """Crash mid-session: the partial repairs are durable and the
         next life's pull fetches only the remaining suffix."""
         registry = {}
+        # More than one chunk's worth, so the pull takes two requests.
+        events = tuple(
+            event(ts, 2, ts, {"n": ts}) for ts in range(CHUNK_MAX_EVENTS + 4)
+        )
         journal_b = DeliveryJournal(tmp_path / "b", fsync="never")
-        for item in EVENTS:
+        for item in events:
             journal_b.record_delivery(item)
         wire(1, journal_b, [0], registry)
 
-        # Apply only the first chunk by capping events per chunk and
-        # dropping the follow-up request (simulates crashing mid-pull).
-        import dataclasses
-
-        config = dataclasses.replace(FAST, chunk_max_events=2)
+        # Apply only the first chunk by dropping the follow-up request
+        # (simulates crashing mid-pull).
         journal_a = DeliveryJournal(tmp_path / "a", fsync="never")
         sent = {"requests": 0}
 
@@ -157,15 +158,15 @@ class TestSyncThenRestart:
         def apply(fetched):
             return sum(1 for item in fetched if journal_a.record_delivery(item))
 
-        manager_a = SyncManager(0, journal_a, send, Sampler([1]), apply, config)
+        manager_a = SyncManager(0, journal_a, send, Sampler([1]), apply, FAST)
         registry[0] = manager_a
         manager_a.kick()
         manager_a.on_round()
-        assert manager_a.stats.events_repaired == 2
+        assert manager_a.stats.events_repaired == CHUNK_MAX_EVENTS
         journal_a.close()
 
         recovered = recover(0, tmp_path / "a")
-        assert recovered.last_delivered_key == EVENTS[1].order_key
+        assert recovered.last_delivered_key == events[CHUNK_MAX_EVENTS - 1].order_key
         journal_a2 = DeliveryJournal(
             tmp_path / "a", resume=recovered, fsync="never"
         )
@@ -175,7 +176,7 @@ class TestSyncThenRestart:
 
         assert manager_a2.caught_up
         # Only the remaining four events cross the wire the second time.
-        assert manager_a2.stats.events_repaired == len(EVENTS) - 2
-        assert journal_a2.last_delivered_key == EVENTS[-1].order_key
+        assert manager_a2.stats.events_repaired == 4
+        assert journal_a2.last_delivered_key == events[-1].order_key
         journal_a2.close()
         journal_b.close()

@@ -14,7 +14,13 @@ import dataclasses
 from repro.core.event import Event
 from repro.runtime import codec
 from repro.storage.journal import DeliveryJournal
-from repro.sync.config import SyncConfig
+from repro.sync.config import (
+    BACKOFF_FACTOR,
+    CHUNK_MAX_EVENTS,
+    MAX_RETRIES,
+    REQUEST_TIMEOUT_ROUNDS,
+    SyncConfig,
+)
 from repro.sync.manager import SyncManager
 from repro.sync.protocol import SyncChunk, SyncRequest, events_checksum
 
@@ -25,12 +31,14 @@ def event(ts: int, src: int, seq: int, payload=None) -> Event:
 
 EVENTS = tuple(event(ts, 0, ts, {"n": ts}) for ts in range(5))
 
-FAST = SyncConfig(
-    interval_rounds=1.0,
-    request_timeout_rounds=1.0,
-    max_retries=3,
-    backoff_factor=1.0,
-)
+#: Two full chunks and one event over: a pull of these takes three
+#: request/chunk pairs.
+MANY = tuple(event(ts, 0, ts, {"n": ts}) for ts in range(2 * CHUNK_MAX_EVENTS + 1))
+
+#: The request timeout, in whole rounds, before any backoff.
+TIMEOUT = int(REQUEST_TIMEOUT_ROUNDS)
+
+FAST = SyncConfig(interval_rounds=1.0)
 
 
 class Sampler:
@@ -63,7 +71,7 @@ class Router:
 
         return send
 
-    def node(self, tmp_path, node_id, peers, config=FAST, events=()):
+    def node(self, tmp_path, node_id, peers, events=()):
         journal = DeliveryJournal(tmp_path / f"n{node_id}", fsync="never")
         for item in events:
             journal.record_delivery(item)
@@ -81,7 +89,7 @@ class Router:
             self.sender(node_id),
             Sampler(peers) if not isinstance(peers, Sampler) else peers,
             apply,
-            config,
+            FAST,
         )
         self.managers[node_id] = manager
         return manager
@@ -121,16 +129,15 @@ class TestPullSession:
 
     def test_pagination_walks_the_suffix_in_chunks(self, tmp_path):
         router = Router()
-        config = dataclasses.replace(FAST, chunk_max_events=2)
-        a = router.node(tmp_path, 0, [1], config=config)
-        b = router.node(tmp_path, 1, [0], config=config, events=EVENTS)
+        a = router.node(tmp_path, 0, [1])
+        b = router.node(tmp_path, 1, [0], events=MANY)
 
         a.kick()
         a.on_round()
 
         assert a.caught_up
-        assert a.stats.events_repaired == len(EVENTS)
-        # 5 events in chunks of 2 → three request/chunk pairs.
+        assert a.stats.events_repaired == len(MANY)
+        # 2 * CHUNK_MAX_EVENTS + 1 events → three request/chunk pairs.
         assert a.stats.requests_sent == 3
         assert a.stats.chunks_received == 3
         assert b.stats.chunks_sent == 3
@@ -173,7 +180,10 @@ class TestLossAndRetry:
 
         a.kick()
         a.on_round()  # probe, session start, first chunk lost
+        for _ in range(TIMEOUT - 1):
+            a.on_round()
         assert a.session_active
+        assert a.stats.timeouts == 0  # the timeout has not run out yet
         a.on_round()  # timeout → retry → chunk delivered → confirm
 
         assert a.caught_up
@@ -184,19 +194,23 @@ class TestLossAndRetry:
         assert b.stats.requests_served == 2
 
     def test_backoff_stretches_the_retry_timeout(self, tmp_path):
+        assert BACKOFF_FACTOR > 1.0
+        stretched = int(REQUEST_TIMEOUT_ROUNDS * BACKOFF_FACTOR)
         router = Router()
-        config = dataclasses.replace(FAST, backoff_factor=2.0)
-        a = router.node(tmp_path, 0, [1], config=config)
-        router.node(tmp_path, 1, [0], config=config, events=EVENTS)
+        a = router.node(tmp_path, 0, [1])
+        router.node(tmp_path, 1, [0], events=EVENTS)
         drop_chunks_to(router, 0, 2)
 
         a.kick()
         a.on_round()  # chunk 1 lost
-        a.on_round()  # 1 round waited → timeout 1, retry 1 (chunk 2 lost)
-        a.on_round()  # backoff doubled the window: not yet a timeout
+        for _ in range(TIMEOUT):
+            a.on_round()  # ... timeout 1, retry 1 (chunk 2 lost)
+        assert a.stats.timeouts == 1
+        for _ in range(stretched - 1):
+            a.on_round()  # backoff stretched the window: not yet a timeout
         assert a.stats.timeouts == 1
         assert a.stats.retries == 1
-        a.on_round()  # 2 rounds waited → timeout 2, retry 2 → success
+        a.on_round()  # stretched window waited → timeout 2, retry 2 → success
 
         assert a.caught_up
         assert a.stats.timeouts == 2
@@ -205,21 +219,22 @@ class TestLossAndRetry:
 
     def test_session_aborts_after_max_retries(self, tmp_path):
         router = Router()
-        config = dataclasses.replace(FAST, max_retries=1)
-        a = router.node(tmp_path, 0, [1], config=config)
-        router.node(tmp_path, 1, [0], config=config, events=EVENTS)
+        a = router.node(tmp_path, 0, [1])
+        router.node(tmp_path, 1, [0], events=EVENTS)
         drop_chunks_to(router, 0, -1)  # drop every chunk
 
         a.kick()
         a.on_round()  # chunk lost
-        a.on_round()  # timeout → retry (lost again)
-        a.on_round()  # timeout → retries exhausted → abort
+        for _ in range(1000):  # timeouts and retries, each lost again
+            if not a.session_active:
+                break
+            a.on_round()
 
         assert not a.session_active
         assert not a.caught_up
         assert a.stats.sessions_aborted == 1
-        assert a.stats.retries == 1
-        assert a.stats.timeouts == 2
+        assert a.stats.retries == MAX_RETRIES
+        assert a.stats.timeouts == MAX_RETRIES + 1
         assert a.stats.events_repaired == 0
 
         # The next round starts over with a fresh probe and converges.
@@ -230,14 +245,15 @@ class TestLossAndRetry:
 
     def test_probe_timeout_reprobes_a_fresh_peer(self, tmp_path):
         router = Router()
-        config = dataclasses.replace(FAST, request_timeout_rounds=2.0)
         sampler = Sampler([9], [1])  # first sample: a dead peer
-        a = router.node(tmp_path, 0, sampler, config=config)
-        router.node(tmp_path, 1, [0], config=config, events=EVENTS)
+        a = router.node(tmp_path, 0, sampler)
+        router.node(tmp_path, 1, [0], events=EVENTS)
 
         a.kick()
         a.on_round()  # probe node 9 → silence
-        a.on_round()
+        for _ in range(TIMEOUT - 1):
+            a.on_round()
+        assert a.stats.probe_timeouts == 0
         a.on_round()  # timeout → re-probe node 1 → converge
 
         assert a.caught_up
@@ -296,9 +312,8 @@ class TestCorruptionAndStaleness:
         router.transform = lambda src, dst, message: codec.decode(
             codec.encode(src, message)
         )[1]
-        config = dataclasses.replace(FAST, chunk_max_events=2)
-        a = router.node(tmp_path, 0, [1], config=config)
-        router.node(tmp_path, 1, [0], config=config, events=EVENTS)
+        a = router.node(tmp_path, 0, [1])
+        router.node(tmp_path, 1, [0], events=MANY)
         a._next_req_id = 0xFFFFFFFF
 
         a.kick()
@@ -307,7 +322,7 @@ class TestCorruptionAndStaleness:
         assert a.caught_up
         assert a.stats.requests_sent == 3  # ids 0xFFFFFFFF, 0, 1
         assert a.stats.stale_chunks == 0
-        assert a.stats.events_repaired == len(EVENTS)
+        assert a.stats.events_repaired == len(MANY)
 
     def test_non_sync_message_falls_through(self, tmp_path):
         router = Router()

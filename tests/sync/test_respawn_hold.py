@@ -25,7 +25,7 @@ from repro.core import EpToConfig
 from repro.metrics import check_survivors
 from repro.runtime import AsyncCluster, AsyncNetwork
 from repro.service import BackpressureError, ServiceCluster
-from repro.stack import RESPAWN_HOLD_SLACK_ROUNDS, NodeStack
+from repro.stack import CATCH_UP_ROUNDS, RESPAWN_HOLD_SLACK_ROUNDS, NodeStack
 from repro.sync.config import SyncConfig
 
 N = 6
@@ -33,7 +33,7 @@ VICTIM = 2
 TOPIC = 1
 TTL = 5
 HOLD = TTL + RESPAWN_HOLD_SLACK_ROUNDS
-BUDGET = SyncConfig().catch_up_rounds
+BUDGET = CATCH_UP_ROUNDS
 
 
 def config() -> EpToConfig:

@@ -2,8 +2,9 @@
 
 Five fabrics carry EpTO's traffic and one fault schedule drives them
 all (docs/FAULTS.md). A partition drops crossing sends and counts them
-in ``dropped_partition`` on all five, and a heal restores delivery; a
-loss burst at rate 1 drops every send on the three asyncio fabrics; a
+in ``dropped_partition`` on all five, and a heal restores delivery; on
+the asyncio fabrics it also drops a message already in flight when it
+forms; a loss burst at rate 1 drops every send on the three asyncio fabrics; a
 latency spike delays delivery on ``AsyncNetwork`` and ``UdpNetwork``,
 zero-latency ones included; and every fabric offers exactly the fault
 verbs the table in docs/FAULTS.md lists for it — no verb it ignores.
@@ -148,6 +149,28 @@ def test_partition_drops_crossing_sends_and_heal_restores_them(name):
     dropped, payloads = asyncio.run(scenario())
     assert dropped == 1
     assert payloads == ["healed"]
+
+
+@pytest.mark.parametrize("name", LOOP_RIGS)
+def test_a_partition_drops_a_message_already_in_flight(name):
+    """The rule is checked at send and again on arrival. In flight
+    means deferred by a latency spike on the two fabrics that have
+    spikes, and queued for the demux's flush, later in the same loop
+    tick, on a topic channel."""
+
+    async def scenario():
+        rig = await LOOP_RIGS[name]()
+        if name != "TopicChannel":
+            rig.fabric.set_latency_spike(50.0, 60.0)
+        rig.send(a_ball("in flight"))
+        rig.fabric.set_partition({0: "a"})
+        await asyncio.sleep(0.2)
+        await rig.close()
+        return rig.stats.dropped_partition, rig.inbox
+
+    dropped, inbox = asyncio.run(scenario())
+    assert dropped == 1
+    assert inbox == []
 
 
 def test_partition_on_the_object_simulator():

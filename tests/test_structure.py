@@ -13,7 +13,9 @@ end-to-end benchmark replaced, a peer sampling service beyond the
 two the paper evaluates, or a stability predicate, record type or
 send-only transport the core no longer has. A fabric that grows its
 own partition map, fault window or fault verb fails here too: each
-fault is defined once, in ``repro/fabric.py``.
+fault is defined once, in ``repro/fabric.py``. And what a caller can set
+is pinned: a new configuration field or constructor keyword shows up
+here as a diff.
 """
 
 from __future__ import annotations
@@ -426,3 +428,132 @@ def test_the_guard_sees_what_it_guards():
     # A fault verb is found where it is defined, not where it is called.
     assert defines("heal_partition")(ast.parse("class N:\n def heal_partition(self): pass"))
     assert not defines("heal_partition")(MODULES["faults/interpreter.py"])
+    # A method's parameters are read after self, keyword-only ones too.
+    assert parameters_of(STACK, "NodeStack", "__init__")[:2] == ("node_id", "config")
+    assert parameters_of("service/service.py", "BroadcastService", "publish") == (
+        "topic",
+        "payload",
+        "wait",
+    )
+
+
+# ----------------------------------------------------------------------
+# The settable surface
+# ----------------------------------------------------------------------
+
+#: Every field of the configuration objects.
+CONFIG_FIELDS = {
+    "EpToConfig": {
+        "fanout",
+        "ttl",
+        "round_interval",
+        "clock",
+        "tagged_delivery",
+        "expose_stability",
+        "mode",
+    },
+    "ClusterConfig": {"epto", "pss", "drift", "expected_size", "round_phase"},
+    "SyncConfig": {"interval_rounds"},
+}
+
+#: (module, class, method) -> its parameters after ``self``, in order.
+#: Sizes, timeouts and caps no caller sets are module constants.
+PARAMETERS = {
+    ("sim/cluster.py", "SimCluster", "__init__"): (
+        "sim",
+        "network",
+        "config",
+        "collector",
+        "process_factory",
+        "storage_dir",
+        "storage_fsync",
+        "sync",
+    ),
+    ("runtime/cluster.py", "AsyncCluster", "__init__"): (
+        "config",
+        "network",
+        "pss",
+        "drift_fraction",
+        "seed",
+        "expected_size",
+        "storage_dir",
+        "storage_fsync",
+        "sync",
+    ),
+    ("service/cluster.py", "ServiceCluster", "__init__"): (
+        "config",
+        "network",
+        "storage_dir",
+        "storage_fsync",
+        "sync",
+        "expected_size",
+        "seed",
+    ),
+    ("service/service.py", "BroadcastService", "__init__"): (
+        "host_id",
+        "config",
+        "network",
+        "directories",
+        "storage_dir",
+        "storage_fsync",
+        "sync",
+        "expected_size",
+        "seed",
+    ),
+    ("runtime/node.py", "AsyncEpToNode", "__init__"): (
+        "node_id",
+        "config",
+        "network",
+        "peer_sampler",
+        "on_deliver",
+        "on_out_of_order",
+        "drift_fraction",
+        "seed",
+        "system_size_hint",
+        "journal",
+        "sync_config",
+    ),
+    ("runtime/node.py", "AsyncEpToNode", "catch_up"): (),
+    ("lazy/process.py", "LazyEpToProcess", "__init__"): (
+        "node_id",
+        "config",
+        "peer_sampler",
+        "transport",
+        "on_deliver",
+        "on_out_of_order",
+        "time_source",
+        "rng",
+        "oracle",
+        "system_size_hint",
+    ),
+    ("storage/journal.py", "DeliveryJournal", "__init__"): (
+        "directory",
+        "fsync",
+        "segment_max_bytes",
+        "resume",
+    ),
+    ("sim/latency.py", "PlanetLabLatency", "__init__"): (),
+}
+
+
+def parameters_of(module: str, class_name: str, method: str) -> Tuple[str, ...]:
+    """The parameters after ``self`` of *class_name*.*method* in
+    *module*; none when the class defines no such method."""
+    for cls in ast.walk(MODULES[module]):
+        if isinstance(cls, ast.ClassDef) and cls.name == class_name:
+            for node in cls.body:
+                if (
+                    isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name == method
+                ):
+                    arguments = node.args.args[1:] + node.args.kwonlyargs
+                    return tuple(argument.arg for argument in arguments)
+            return ()
+    raise LookupError(f"{module}: no class {class_name}")
+
+
+def test_the_settable_surface_is_pinned():
+    for class_name, names in CONFIG_FIELDS.items():
+        assert fields_of(class_name) == names, class_name
+    for where, names in PARAMETERS.items():
+        assert parameters_of(*where) == names, where
