@@ -35,7 +35,6 @@ from typing import Any, Callable, Deque, List
 
 from ..core.clock import StabilityOracle
 from ..core.config import EpToConfig
-from ..core.errors import ConfigurationError
 from ..core.event import Ball, Event
 from ..core.interfaces import PeerSampler, Transport
 from ..core.process import EpToProcess
@@ -182,11 +181,6 @@ class LazyEpToProcess:
         oracle: StabilityOracle | None = None,
         system_size_hint: int | None = None,
     ) -> None:
-        if config.tagged_delivery:
-            raise ConfigurationError(
-                "tagged_delivery is not supported in lazy mode (the gate "
-                "would reorder the out-of-order stream)"
-            )
         self.node_id = node_id
         self.config = config
         self._transport = transport

@@ -22,19 +22,23 @@ This module re-hosts the *same algorithm* in flat per-node state:
   (:meth:`FlatCluster._run_round_batch`,
   :meth:`FlatCluster._receive_ball_batch`) with hot values hoisted
   into locals once per run of like calendar entries;
-* nothing is allocated per *copy* of an event. A push epidemic hands
-  every node each event about K*TTL times, so the engine's cost is its
-  cost per copy. Event content (key, payload) lives once, in the
-  cluster's broadcast table; a pending ball and every ball in flight
-  is a plain ``{event id: ttl}`` dict, built once per node-round,
-  shared by all its receivers and never mutated. Senders of one
-  round batch whose balls are equal ship one shared dict, and each
-  node remembers the balls it has merged since its last round, so a
-  copy it has merged before costs one dict lookup (at n = 4096 in
-  lockstep rounds, all senders of a tick ship about 8.5 distinct
-  balls among them); and the K sends of a node-round are one
-  calendar entry carrying the destination list. The ordering state
-  of a pending event is one int, its birth round.
+* the engine pays per ball, not per *copy* of an event, though a
+  push epidemic hands every node each event about K*TTL times. Event
+  content (key, payload) lives once, in the cluster's broadcast table;
+  a pending ball and every ball in flight is a plain ``{event id:
+  ttl}`` dict. Equal balls of one round batch ship as one shared dict
+  (at n = 4096 in lockstep rounds, about 8.5 per tick), the K sends of
+  a node-round are one calendar entry, a receive batch merges each
+  ball once per distinct receiver, and a node skips a ball it has
+  merged since its last round with one lookup. A node that received
+  one ball whole holds it as its pending ball, aged once per round
+  batch for all its holders. A shared dict is never written: a merge
+  or a broadcast into one copies it first, and a round resets the
+  pending ball to the shared empty dict. The ordering state of a
+  pending event is one int, its birth round. A receive batch may merge
+  a node's balls out of arrival order; nothing observable reads a
+  pending ball's insertion order (delivery goes by order key, and peer
+  sampling never reads the ball).
 
 **Bit-for-bit equivalence with the object engine is a hard contract**,
 enforced by ``tests/sim/test_flat_equivalence.py`` through
@@ -59,6 +63,7 @@ docs/PERFORMANCE.md for when to choose which engine.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from heapq import heappop, heappush
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -80,6 +85,10 @@ __all__ = ["FlatEngine", "FlatHandle", "FlatCluster", "FlatNetwork"]
 _OP_CALL = 0  # (_OP_CALL, [action-or-None])
 _OP_ROUND = 1  # (_OP_ROUND, node_id, incarnation)
 _OP_BALL = 2  # (_OP_BALL, src, [dst, ...], live, max_ts)
+
+#: The pending ball of every node that has received nothing since its
+#: round; like every shared ball, never written.
+_EMPTY_BALL: Dict[Any, int] = {}
 
 #: Order key smaller than every real key (mirrors ordering.py).
 _MINUS_INFINITY_KEY: OrderKey = (-1, -1, -1)
@@ -560,7 +569,11 @@ class FlatCluster:
         self._issued[node_id] = seq + 1
         eid = (node_id, seq)
         key = (ts, node_id, seq)
-        self._next_ball[node_id][eid] = 0
+        nb = self._next_ball[node_id]
+        if not nb or id(nb) in self._absorbed[node_id]:
+            # A shared pending ball: write into a copy.
+            nb = self._next_ball[node_id] = dict(nb)
+        nb[eid] = 0
         self._broadcasts[eid] = (key, self.sim._time, payload)
         return Event(id=eid, ts=ts, source_id=node_id, payload=payload)
 
@@ -605,7 +618,7 @@ class FlatCluster:
         self._node_rng[node_id] = node_rng
         self._issued[node_id] = int(resume_sequence) if resume_sequence else 0
         self._clock_value[node_id] = 0
-        self._next_ball[node_id] = {}
+        self._next_ball[node_id] = _EMPTY_BALL
         self._absorbed[node_id] = {}
         self._ord_rounds[node_id] = 0
         self._received[node_id] = {}
@@ -708,6 +721,9 @@ class FlatCluster:
         # (SimNetwork._same_ball), so its receivers meet again an
         # object they have merged.
         interned: Dict[tuple, dict] = {}
+        # id(shared pending ball) -> (it, ball, live, max_ts); holding
+        # the ball keeps its id from being reused within the batch.
+        aged: Dict[int, tuple] = {}
 
         index = start
         end = len(bucket)
@@ -721,11 +737,6 @@ class FlatCluster:
             if incarnations[node] != incarnation:
                 continue  # node removed/respawned since this fire queued
             node_rng = node_rngs[node]
-            # The round hands the pending ball over, so what the memo
-            # vouches for goes with it — even when the ball is empty.
-            memo = absorbed[node]
-            if memo:
-                memo.clear()
             nb = next_balls[node]
             if nb:
                 # Age the pending ball. ``ball`` (every entry) is what
@@ -733,20 +744,29 @@ class FlatCluster:
                 # entries still below the TTL — the same object when
                 # none expired) is what receivers merge. Both are built
                 # here, shared by all K sends and any duplicates, and
-                # never mutated afterwards.
-                ball = {eid: ttl + 1 for eid, ttl in nb.items()}
-                nb.clear()
-                if max(ball.values()) < ttl_bound:
-                    live = ball
+                # never mutated afterwards. A pending ball still in the
+                # memo is a live map received whole and shared with
+                # every node that did the same: it is aged once.
+                held = aged.get(id(nb))
+                if held is None:
+                    ball = {eid: ttl + 1 for eid, ttl in nb.items()}
+                    if max(ball.values()) < ttl_bound:
+                        live = ball
+                    else:
+                        live = {e: t for e, t in ball.items() if t < ttl_bound}
+                    live = interned.setdefault(
+                        (tuple(live), tuple(live.values())), live
+                    )
+                    # The logical clock (Alg. 4) max-merges every entry's
+                    # timestamp, expired ones included: taken once per
+                    # ball.
+                    max_ts = None
+                    if logical:
+                        max_ts = max([broadcasts[eid][0][0] for eid in ball])
+                    if id(nb) in absorbed[node]:
+                        aged[id(nb)] = (nb, ball, live, max_ts)
                 else:
-                    live = {
-                        eid: ttl for eid, ttl in ball.items() if ttl < ttl_bound
-                    }
-                # The logical clock (Alg. 4) max-merges every entry's
-                # timestamp, expired ones included: taken once per ball.
-                max_ts = None
-                if logical:
-                    max_ts = max([broadcasts[eid][0][0] for eid in ball])
+                    _nb, ball, live, max_ts = held
                 # Peer sampling, inlined from MembershipDirectory.sample
                 # for the sparse rejection branch. The getrandbits loop
                 # is byte-for-byte CPython's Random._randbelow, so it
@@ -799,10 +819,6 @@ class FlatCluster:
                                 dsts.append(dst)
                 else:
                     dsts = peers
-                if dsts:
-                    live = interned.setdefault(
-                        (tuple(live), tuple(live.values())), live
-                    )
                 # One calendar entry per (ball, arrival tick). sim._push,
                 # inlined: the heap only grows on fresh ticks.
                 if latency_sample is not None:
@@ -841,6 +857,12 @@ class FlatCluster:
                         slot.append((_OP_BALL, node, dsts, live, max_ts))
             else:
                 ball = None
+            # The round hands the pending ball over, so what the memo
+            # vouches for goes with it — even when the ball is empty.
+            next_balls[node] = _EMPTY_BALL
+            memo = absorbed[node]
+            if memo:
+                memo.clear()
 
             # -- ordering round (OrderingComponent.order_events) -------
             rounds = ord_rounds[node] + 1
@@ -896,24 +918,26 @@ class FlatCluster:
     ) -> Tuple[int, int]:
         """Deliver a maximal run of consecutive ``_OP_BALL`` entries.
 
-        Fabric checks + the Algorithm 1 receive merge, once per
-        destination of every entry in ``bucket[start:]`` up to the
-        first non-ball entry; returns ``(entries consumed, copies)``.
-        A merge neither schedules work nor touches membership or the
-        partition, so the run is a batch for the same reason a run of
-        round fires is. A copy is merged into the receiver's pending
-        ball by max-TTL per event, and the common cases cost no
-        Python-level loop. A ``live`` map the receiver has merged since
-        its last round (:attr:`_absorbed`, emptied by every round of
-        the node and dropped with it) is skipped with one lookup: the
-        pending ball only grows between rounds, so it still holds each
-        of its entries at that TTL or above. Any other copy is merged
-        and remembered: an empty pending ball takes the whole of
-        ``live`` in its order, a copy whose every ``(event, ttl)`` the
-        receiver already holds is skipped by a dict-view subset test,
-        and the rest go entry by entry. Every copy applies its own
-        ``max_ts``: senders sharing one ``live`` may carry different
-        clocks.
+        Fabric checks + the Algorithm 1 receive merge for every copy of
+        the entries in ``bucket[start:]`` up to the first non-ball
+        entry; returns ``(entries consumed, copies)``. A merge neither
+        schedules work nor touches membership or the partition, so the
+        run is a batch for the same reason a run of round fires is. The
+        entries are grouped by what a copy's effect depends on besides
+        its receiver (``live``, and the sender's ``max_ts`` and
+        partition group), and the body runs once per distinct receiver
+        of a group; a receiver that is dead or across the partition
+        drops, and counts, every copy it was sent. A ``live`` map the
+        receiver has merged since its last round (:attr:`_absorbed`,
+        emptied by every round of the node and dropped with it) is
+        skipped with one lookup: the pending ball only grows between
+        rounds, so it still holds each of its entries at that TTL or
+        above. Any other copy is merged by max-TTL per event and
+        remembered: an empty pending ball becomes ``live`` itself
+        (copied before anything writes into it), a copy whose every
+        ``(event, ttl)`` the receiver already holds is skipped by a
+        dict-view subset test, and the rest go entry by entry. Every
+        group applies its own ``max_ts``.
         """
         alive = self._alive
         absorbed = self._absorbed
@@ -923,6 +947,10 @@ class FlatCluster:
         partitioned = net._partitioned
         partition_get = net._partition.get
         copies = dead = cut = 0
+        # One entry per ball (with the sender's clock and group where
+        # those can differ): a ball met again becomes a merged entry,
+        # op None, whose destination list is the engine's own.
+        groups: Dict[Any, tuple] = {}
         index = start
         end = len(bucket)
         while index < end:
@@ -930,16 +958,39 @@ class FlatCluster:
             if entry[0] != _OP_BALL:
                 break
             index += 1
-            _op, src, dsts, live, max_ts = entry
+            dsts = entry[2]
             copies += len(dsts)
+            key = id(entry[3])
+            if partitioned or entry[4] is not None:
+                key = (key, entry[4], partition_get(entry[1]))
+            group = groups.get(key)
+            if group is None:
+                groups[key] = entry
+            elif group[0] == _OP_BALL:
+                groups[key] = (None, group[1], group[2] + dsts) + group[3:]
+            else:
+                group[2].extend(dsts)
+        for op, src, dests, live, max_ts in groups.values():
             live_id = id(live)
             live_items = live.items()
-            for dst in dsts:
-                if not alive[dst]:
-                    dead += 1  # died while the ball was in flight
-                    continue
-                if partitioned and partition_get(src) != partition_get(dst):
-                    cut += 1
+            src_group = partition_get(src)
+            times = None
+            # A calendar entry's destinations are one fan-out (repeated
+            # only by duplicate copies); a merged entry's are visited
+            # once per distinct receiver.
+            for dst in dests if op else set(dests):
+                if not alive[dst] or (
+                    partitioned and partition_get(dst) != src_group
+                ):
+                    # A dropped receiver drops every copy it was sent.
+                    dropped = 1
+                    if op is None:
+                        times = times or Counter(dests)
+                        dropped = times[dst]
+                    if alive[dst]:
+                        cut += dropped
+                    else:
+                        dead += dropped  # died while the ball was in flight
                     continue
                 # The memo holds the map itself, so its id cannot be
                 # reused by another object while it is there.
@@ -948,8 +999,10 @@ class FlatCluster:
                     memo[live_id] = live
                     nb = next_ball[dst]
                     if not nb:
-                        nb.update(live)
+                        next_ball[dst] = live  # shared until written
                     elif not live_items <= nb.items():
+                        if id(nb) in memo:
+                            nb = next_ball[dst] = dict(nb)
                         nb_get = nb.get
                         for eid, ttl in live_items:
                             old = nb_get(eid)

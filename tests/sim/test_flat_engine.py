@@ -25,7 +25,7 @@ from repro.sim import (
     UniformDrift,
     UniformLatency,
 )
-from repro.sim.flat import _OP_BALL, FlatCluster, FlatEngine, FlatNetwork
+from repro.sim.flat import _EMPTY_BALL, _OP_BALL, FlatCluster, FlatEngine, FlatNetwork
 
 
 def _config(
@@ -408,3 +408,76 @@ def test_copy_memo_is_emptied_by_every_round_and_stays_bounded():
     assert seen["empty_balls"] > 0
     assert 0 < seen["largest"] <= n - 1
     assert all(memo == {} for memo in memos)
+
+
+# ----------------------------------------------------------------------
+# Shared maps: a shipped live map, and a received one a node holds as
+# its pending ball, are never written
+# ----------------------------------------------------------------------
+
+
+def test_shared_balls_are_never_written():
+    """After every batch, no live map a round shipped and no received
+    map a node holds as its pending ball has changed, and the shared
+    empty pending ball is still empty.
+
+    Broadcasts land a few ticks after each round's balls, so they meet
+    pending balls that are received maps. After the first broadcasts
+    the run goes quiet: under the global clock a round whose entries
+    all reach the TTL still ships its empty live map, and receivers hold
+    it. Broadcasts after that tail, a crash and a respawn follow.
+    """
+    n = 10
+    config = _config(fanout=3, ttl=4, interval=20)
+    sim = FlatEngine(seed=7)
+    cluster = FlatCluster(sim, FlatNetwork(sim, latency=FixedLatency(1)), config)
+    cluster.add_nodes(n)
+    watched = {}  # id(map) -> (the map, its entries when first seen)
+    seen = {"batches": 0, "empty_shipped": 0, "into_shared": 0}
+    run_rounds = cluster._run_round_batch
+    receive_balls = cluster._receive_ball_batch
+
+    def watch(ball):
+        if id(ball) not in watched:
+            watched[id(ball)] = (ball, list(ball.items()))
+            seen["empty_shipped"] += not ball
+
+    def unchanged():
+        seen["batches"] += 1
+        assert _EMPTY_BALL == {}
+        for ball, entries in watched.values():
+            assert list(ball.items()) == entries
+
+    def rounds_then_check(bucket, start):
+        consumed = run_rounds(bucket, start)
+        for entry in _ball_entries(sim):
+            watch(entry[3])
+        unchanged()
+        return consumed
+
+    def receive_then_check(bucket, start):
+        result = receive_balls(bucket, start)
+        for node in cluster.alive_ids():
+            if id(cluster._next_ball[node]) in cluster._absorbed[node]:
+                watch(cluster._next_ball[node])
+        unchanged()
+        return result
+
+    def broadcast(node):
+        seen["into_shared"] += id(cluster._next_ball[node]) in cluster._absorbed[node]
+        cluster.broadcast_from(node)
+
+    cluster._run_round_batch = rounds_then_check
+    cluster._receive_ball_batch = receive_then_check
+    for r in list(range(1, 5)) + list(range(20, 24)) + list(range(34, 38)):
+        for node in (r % n, (3 * r + 1) % n):
+            sim.schedule_at(r * 20 + 5, lambda nd=node: broadcast(nd))
+    sim.schedule_at(25 * 20 + 5, lambda: cluster.crash_node(7))
+    sim.schedule_at(27 * 20 + 5, lambda: cluster.respawn_node(7))
+    sim.schedule_at(28 * 20 + 5, lambda: broadcast(7))
+    sim.run(until=50 * 20)
+    assert seen["batches"] >= 2 * 49
+    assert seen["empty_shipped"] > 0
+    assert seen["into_shared"] > 0
+    assert cluster.delivered_total > 0
+    unchanged()

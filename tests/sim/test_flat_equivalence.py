@@ -14,10 +14,11 @@ schedules (including crash/respawn under both recovery modes) and one
 deliver every event in one order.  CI can
 trim the per-group seed count with ``EPTO_DIFF_SEEDS=<k>`` (the
 ``flat-equivalence`` job runs with ``EPTO_DIFF_SEEDS=2``); locally the
-full matrix runs by default.  A hypothesis test then samples the
-scenario space at random — because :class:`DifferentialScenario` is a
-flat value object, any divergence shrinks to a minimal pasteable
-reproducer automatically.
+full matrix runs by default.  One more scenario pins a reproducer the
+random walk found.  A hypothesis test then samples the scenario space
+at random (``EPTO_DIFF_EXAMPLES`` scenarios, 15 by default, 50 in CI)
+— because :class:`DifferentialScenario` is a flat value object, any
+divergence shrinks to a minimal pasteable reproducer automatically.
 """
 
 from __future__ import annotations
@@ -105,6 +106,23 @@ def _matrix() -> list:
 @pytest.mark.parametrize("scenario", _matrix())
 def test_engines_bit_identical(scenario: DifferentialScenario) -> None:
     assert_engines_equivalent(scenario)
+
+
+#: Under the global clock a round whose entries all reach the TTL still
+#: ships its empty live map. A receiver may hold a received map as its
+#: pending ball; its next broadcast must write into a copy, never into
+#: the map the sender's other receivers hold. An engine that kept such
+#: a map past the receiver's round and then wrote into it sent 84
+#: messages here against the object engine's 62.
+EMPTY_BALL_HELD = DifferentialScenario(
+    seed=0, n=8, fanout=2, ttl=4, round_interval=20, clock="global",
+    round_phase="synchronized", drift_fraction=0.0, latency=("fixed", 2),
+    broadcast_rate=0.05, broadcast_rounds=8,
+)
+
+
+def test_a_held_empty_ball_is_never_written() -> None:
+    assert_engines_equivalent(EMPTY_BALL_HELD)
 
 
 def test_paper_fanout_run_delivers_every_event_everywhere() -> None:

@@ -16,6 +16,17 @@ the same insertion order* — the order is the next ball's entry order —
 and the same logical clock. A sender whose every entry ages to the
 bound sends nothing under the logical clock (the clock carrier never
 travels alone), so the model merges no clock from that round.
+
+A second property hands one batch of ball entries to several receivers
+at once, as a calendar tick does: entries that share one live map, with
+different senders' clocks, copies to a dead receiver and across a
+partition, and broadcasts into a receiver whose pending ball is a map it
+received whole. Each receiver must end with the per-entry model's
+``{event: ttl}`` and clock, the network counters must equal counting
+copy by copy, no node outside the batch may see its pending ball move,
+and no shared map may change. The engine may merge a receiver's entries
+in another order than the batch's (it groups them by map), so the
+multi-receiver property compares contents, not insertion order.
 """
 
 from __future__ import annotations
@@ -24,7 +35,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from repro.core.config import EpToConfig
 from repro.sim import ClusterConfig, FixedLatency, NoDrift
-from repro.sim.flat import _OP_BALL, _OP_ROUND, FlatCluster, FlatEngine, FlatNetwork
+from repro.sim.flat import (
+    _EMPTY_BALL,
+    _OP_BALL,
+    _OP_ROUND,
+    FlatCluster,
+    FlatEngine,
+    FlatNetwork,
+)
 
 TTL = 4
 RECEIVER = 0
@@ -75,15 +93,15 @@ steps = st.lists(
 )
 
 
-def _cluster() -> FlatCluster:
+def _cluster(nodes: int = 3, pool: list = POOL) -> FlatCluster:
     config = ClusterConfig(
         epto=EpToConfig(fanout=2, ttl=TTL, round_interval=20, clock="logical"),
         drift=NoDrift(),
     )
     sim = FlatEngine(seed=1)
     cluster = FlatCluster(sim, FlatNetwork(sim, latency=FixedLatency(1)), config)
-    cluster.add_nodes(3)
-    for eid in POOL:
+    cluster.add_nodes(nodes)
+    for eid in pool:
         assert cluster.broadcast_from(eid[0]).id == eid
     return cluster
 
@@ -188,3 +206,160 @@ def test_receive_merge_equals_algorithm_1(walk) -> None:
             last = (entries, ships)
         assert list(cluster._next_ball[RECEIVER].items()) == list(model.items())
         assert cluster._clock_value[RECEIVER] == clock
+
+
+#: The several-receiver property: three receivers, three senders whose
+#: events the live maps carry (the senders never receive).
+RECEIVERS = (0, 1, 2)
+RELAYS = (3, 4, 5)
+RELAYED = [(sender, seq) for sender in RELAYS for seq in range(2)]
+
+#: Three live maps, each entry below the TTL as a shipped map's are; an
+#: entry names one by index, so entries share map objects.
+live_maps = st.lists(
+    st.lists(
+        st.tuples(st.sampled_from(RELAYED), st.integers(min_value=1, max_value=TTL - 1)),
+        max_size=4,
+        unique_by=lambda pair: pair[0],
+    ),
+    min_size=3,
+    max_size=3,
+)
+#: (sender, destinations with repeats, which map, the sender's clock)
+ball_entry = st.tuples(
+    st.sampled_from(RELAYS),
+    st.lists(st.sampled_from(RECEIVERS), min_size=1, max_size=4),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=9),
+)
+batch_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("batch"), st.lists(ball_entry, min_size=1, max_size=6)),
+        st.tuples(st.just("broadcast"), st.sampled_from(RECEIVERS)),
+        st.tuples(st.just("round"), st.sampled_from(RECEIVERS)),
+        # Crash a live receiver, or respawn a crashed one.
+        st.tuples(st.just("crash"), st.sampled_from(RECEIVERS)),
+        st.tuples(
+            st.just("partition"),
+            st.lists(st.sampled_from("ab"), min_size=6, max_size=6),
+        ),
+        st.tuples(st.just("heal")),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(live_maps, batch_steps)
+# A map two senders share with different clocks, held by two receivers;
+# a broadcast into one; the map again, to both and to a third receiver.
+@example(
+    [[((3, 0), 1), ((4, 1), 2)], [((5, 0), 3)], []],
+    [
+        ("batch", [(3, [0, 1, 0], 0, 2), (4, [1], 0, 7), (5, [2], 1, 4)]),
+        ("broadcast", 0),
+        ("batch", [(5, [0, 1, 2], 0, 5), (3, [0], 1, 1)]),
+    ],
+)
+# A dead receiver and a partition, in one batch with a live receiver.
+@example(
+    [[((3, 0), 1)], [((4, 0), 2)], [((5, 1), 1)]],
+    [
+        ("crash", 2),
+        ("partition", list("aabaab")),
+        ("batch", [(3, [0, 1, 2, 2], 0, 3), (4, [0, 1, 1], 1, 6)]),
+        ("heal",),
+        ("crash", 2),
+        ("batch", [(5, [2, 0], 2, 8)]),
+    ],
+)
+def test_one_batch_to_several_receivers_equals_algorithm_1(lives, walk) -> None:
+    cluster = _cluster(nodes=6, pool=RELAYED)
+    stats = cluster.network.stats
+    maps = [dict(live) for live in lives]
+    shipped = [list(live.items()) for live in maps]
+    model: dict = {node: {} for node in RECEIVERS}  # None once crashed
+    clock = {node: 0 for node in RECEIVERS}
+    labels: dict = {}
+    partitioned = False
+    for step in walk:
+        kind = step[0]
+        if kind == "broadcast":
+            node = step[1]
+            if model[node] is None:
+                continue
+            event = cluster.broadcast_from(node)
+            clock[node] += 1
+            assert event.ts == clock[node]
+            model[node][event.id] = 0
+        elif kind == "round":
+            node = step[1]
+            if model[node] is None:
+                continue
+            fire = (_OP_ROUND, node, cluster._incarnation[node])
+            assert cluster._run_round_batch([fire], 0) == 1
+            assert cluster._next_ball[node] is _EMPTY_BALL
+            assert cluster._absorbed[node] == {}
+            model[node] = {}
+        elif kind == "crash":
+            node = step[1]
+            if model[node] is None:
+                cluster.respawn_node(node)
+                model[node], clock[node] = {}, 0
+            else:
+                cluster.crash_node(node)
+                model[node] = None
+                labels.pop(node, None)  # a removed node leaves its group
+        elif kind == "partition":
+            labels = dict(enumerate(step[1]))
+            partitioned = True
+            cluster.network.set_partition(labels)
+        elif kind == "heal":
+            labels, partitioned = {}, False
+            cluster.network.heal_partition()
+        else:
+            entries = [
+                (_OP_BALL, src, list(dsts), maps[which], ts)
+                for src, dsts, which, ts in step[1]
+            ]
+            before = list(cluster._next_ball)
+            counted = (stats.delivered, stats.dropped_dead, stats.dropped_partition)
+            delivered = dead = cut = 0
+            reached = set()
+            for _op, src, dsts, live, ts in entries:
+                for dst in dsts:
+                    if model[dst] is None:
+                        dead += 1
+                    elif partitioned and labels.get(src) != labels.get(dst):
+                        cut += 1
+                    else:
+                        delivered += 1
+                        reached.add(dst)
+                        pending = model[dst]
+                        for eid, ttl in live.items():
+                            if eid not in pending or pending[eid] < ttl:
+                                pending[eid] = ttl
+                        clock[dst] = max(clock[dst], ts)
+            # A trailing round fire ends the batch.
+            bucket = entries + [(_OP_ROUND, RELAYS[0], 0)]
+            consumed, copies = cluster._receive_ball_batch(bucket, 0)
+            assert (consumed, copies) == (len(entries), delivered + dead + cut)
+            assert (
+                stats.delivered - counted[0],
+                stats.dropped_dead - counted[1],
+                stats.dropped_partition - counted[2],
+            ) == (delivered, dead, cut)
+            for node, pending in enumerate(before):
+                if node not in reached:
+                    assert cluster._next_ball[node] is pending
+        cluster.sim._calendar.clear()
+        cluster.sim._ticks.clear()
+        for node in RECEIVERS:
+            if model[node] is None:
+                assert cluster._next_ball[node] is None
+                continue
+            assert cluster._next_ball[node] == model[node]
+            assert cluster._clock_value[node] == clock[node]
+        assert [list(live.items()) for live in maps] == shipped
+        assert _EMPTY_BALL == {}
