@@ -22,23 +22,24 @@ This module re-hosts the *same algorithm* in flat per-node state:
   (:meth:`FlatCluster._run_round_batch`,
   :meth:`FlatCluster._receive_ball_batch`) with hot values hoisted
   into locals once per run of like calendar entries;
-* the engine pays per ball, not per *copy* of an event, though a
-  push epidemic hands every node each event about K*TTL times. Event
-  content (key, payload) lives once, in the cluster's broadcast table;
-  a pending ball and every ball in flight is a plain ``{event id:
-  ttl}`` dict. Equal balls of one round batch ship as one shared dict
-  (at n = 4096 in lockstep rounds, about 8.5 per tick), the K sends of
-  a node-round are one calendar entry, a receive batch merges each
-  ball once per distinct receiver, and a node skips a ball it has
-  merged since its last round with one lookup. A node that received
-  one ball whole holds it as its pending ball, aged once per round
-  batch for all its holders. A shared dict is never written: a merge
-  or a broadcast into one copies it first, and a round resets the
-  pending ball to the shared empty dict. The ordering state of a
-  pending event is one int, its birth round. A receive batch may merge
-  a node's balls out of arrival order; nothing observable reads a
-  pending ball's insertion order (delivery goes by order key, and peer
-  sampling never reads the ball).
+* the engine pays per ball, not per *copy* of an event, where balls
+  repeat: a push epidemic hands every node each event about K*TTL
+  times. Event content (key, payload) lives once, in the cluster's
+  broadcast table; a pending ball and every ball in flight is a plain
+  ``{event id: ttl}`` dict. Equal balls of one round batch ship as one
+  shared dict (at n = 4096 in lockstep rounds, about 8.5 per tick),
+  the K sends of a node-round share one calendar entry per arrival
+  tick, under a fixed latency a receive batch merges each ball once
+  per distinct receiver, and a node skips a ball it has merged since
+  its last round with one lookup. A node that received one ball whole
+  holds it as its pending ball, aged once per round batch for all its
+  holders. A shared dict is never written: a merge or a broadcast into
+  one copies it first, and a round resets the pending ball to the
+  shared empty dict. The ordering state of a pending event is one
+  int, its birth round. A receive batch may merge a node's balls out
+  of arrival order; nothing observable reads a pending ball's
+  insertion order (delivery goes by order key, and peer sampling
+  never reads the ball).
 
 **Bit-for-bit equivalence with the object engine is a hard contract**,
 enforced by ``tests/sim/test_flat_equivalence.py`` through
@@ -922,13 +923,14 @@ class FlatCluster:
         the entries in ``bucket[start:]`` up to the first non-ball
         entry; returns ``(entries consumed, copies)``. A merge neither
         schedules work nor touches membership or the partition, so the
-        run is a batch for the same reason a run of round fires is. The
-        entries are grouped by what a copy's effect depends on besides
-        its receiver (``live``, and the sender's ``max_ts`` and
-        partition group), and the body runs once per distinct receiver
-        of a group; a receiver that is dead or across the partition
-        drops, and counts, every copy it was sent. A ``live`` map the
-        receiver has merged since its last round (:attr:`_absorbed`,
+        run is a batch for the same reason a run of round fires is.
+        Under :class:`FixedLatency` the entries are grouped by what a
+        copy's effect depends on besides its receiver (``live``, and the
+        sender's ``max_ts`` and partition group), and the body runs once
+        per distinct receiver of a group; a receiver that is dead or
+        across the partition drops, and counts, every copy it was sent.
+        Under a sampled latency the body runs per entry. A ``live`` map
+        the receiver has merged since its last round (:attr:`_absorbed`,
         emptied by every round of the node and dropped with it) is
         skipped with one lookup: the pending ball only grows between
         rounds, so it still holds each of its entries at that TTL or
@@ -937,7 +939,7 @@ class FlatCluster:
         (copied before anything writes into it), a copy whose every
         ``(event, ttl)`` the receiver already holds is skipped by a
         dict-view subset test, and the rest go entry by entry. Every
-        group applies its own ``max_ts``.
+        entry or group applies its own ``max_ts``.
         """
         alive = self._alive
         absorbed = self._absorbed
@@ -947,33 +949,36 @@ class FlatCluster:
         partitioned = net._partitioned
         partition_get = net._partition.get
         copies = dead = cut = 0
-        # One entry per ball (with the sender's clock and group where
-        # those can differ): a ball met again becomes a merged entry,
-        # op None, whose destination list is the engine's own.
-        groups: Dict[Any, tuple] = {}
         index = start
         end = len(bucket)
-        while index < end:
-            entry = bucket[index]
-            if entry[0] != _OP_BALL:
-                break
+        while index < end and bucket[index][0] == _OP_BALL:
             index += 1
-            dsts = entry[2]
-            copies += len(dsts)
-            key = id(entry[3])
-            if partitioned or entry[4] is not None:
-                key = (key, entry[4], partition_get(entry[1]))
-            group = groups.get(key)
-            if group is None:
-                groups[key] = entry
-            elif group[0] == _OP_BALL:
-                groups[key] = (None, group[1], group[2] + dsts) + group[3:]
-            else:
-                group[2].extend(dsts)
-        for op, src, dests, live, max_ts in groups.values():
+        run: Any = bucket[start:index]
+        if type(net.latency) is FixedLatency:
+            # A tick's senders ship a few shared balls, each sent to K
+            # peers: a ball met again becomes a merged entry, op None,
+            # whose destination list is the engine's own. Under a
+            # sampled latency an entry is about one copy and a ball
+            # rarely repeats within a run, so grouping would only cost.
+            groups: Dict[Any, tuple] = {}
+            for entry in run:
+                key = id(entry[3])
+                if partitioned or entry[4] is not None:
+                    key = (key, entry[4], partition_get(entry[1]))
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = entry
+                elif group[0] == _OP_BALL:
+                    merged = group[2] + entry[2]
+                    groups[key] = (None, group[1], merged) + group[3:]
+                else:
+                    group[2].extend(entry[2])
+            run = groups.values()
+        for op, src, dests, live, max_ts in run:
+            copies += len(dests)
             live_id = id(live)
             live_items = live.items()
-            src_group = partition_get(src)
+            src_group = partition_get(src) if partitioned else None
             times = None
             # A calendar entry's destinations are one fan-out (repeated
             # only by duplicate copies); a merged entry's are visited

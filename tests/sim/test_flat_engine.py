@@ -416,7 +416,10 @@ def test_copy_memo_is_emptied_by_every_round_and_stays_bounded():
 # ----------------------------------------------------------------------
 
 
-def test_shared_balls_are_never_written():
+@pytest.mark.parametrize(
+    "latency", [FixedLatency(1), UniformLatency(1, 3)], ids=["fixed", "sampled"]
+)
+def test_shared_balls_are_never_written(latency):
     """After every batch, no live map a round shipped and no received
     map a node holds as its pending ball has changed, and the shared
     empty pending ball is still empty.
@@ -425,12 +428,13 @@ def test_shared_balls_are_never_written():
     pending balls that are received maps. After the first broadcasts
     the run goes quiet: under the global clock a round whose entries
     all reach the TTL still ships its empty live map, and receivers hold
-    it. Broadcasts after that tail, a crash and a respawn follow.
+    it. Broadcasts after that tail, a crash and a respawn follow. A
+    sampled latency receives entry by entry instead of by group.
     """
     n = 10
     config = _config(fanout=3, ttl=4, interval=20)
     sim = FlatEngine(seed=7)
-    cluster = FlatCluster(sim, FlatNetwork(sim, latency=FixedLatency(1)), config)
+    cluster = FlatCluster(sim, FlatNetwork(sim, latency=latency), config)
     cluster.add_nodes(n)
     watched = {}  # id(map) -> (the map, its entries when first seen)
     seen = {"batches": 0, "empty_shipped": 0, "into_shared": 0}

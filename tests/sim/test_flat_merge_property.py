@@ -24,17 +24,20 @@ partition, and broadcasts into a receiver whose pending ball is a map it
 received whole. Each receiver must end with the per-entry model's
 ``{event: ttl}`` and clock, the network counters must equal counting
 copy by copy, no node outside the batch may see its pending ball move,
-and no shared map may change. The engine may merge a receiver's entries
-in another order than the batch's (it groups them by map), so the
-multi-receiver property compares contents, not insertion order.
+and no shared map may change. It runs under a fixed latency, where the
+engine groups a batch's entries by map and so may merge a receiver's
+entries in another order than the batch's, and under a sampled one,
+where it receives entry by entry; the property compares contents, not
+insertion order.
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from repro.core.config import EpToConfig
-from repro.sim import ClusterConfig, FixedLatency, NoDrift
+from repro.sim import ClusterConfig, FixedLatency, NoDrift, UniformLatency
 from repro.sim.flat import (
     _EMPTY_BALL,
     _OP_BALL,
@@ -93,13 +96,15 @@ steps = st.lists(
 )
 
 
-def _cluster(nodes: int = 3, pool: list = POOL) -> FlatCluster:
+def _cluster(
+    nodes: int = 3, pool: list = POOL, latency: object = FixedLatency(1)
+) -> FlatCluster:
     config = ClusterConfig(
         epto=EpToConfig(fanout=2, ttl=TTL, round_interval=20, clock="logical"),
         drift=NoDrift(),
     )
     sim = FlatEngine(seed=1)
-    cluster = FlatCluster(sim, FlatNetwork(sim, latency=FixedLatency(1)), config)
+    cluster = FlatCluster(sim, FlatNetwork(sim, latency=latency), config)
     cluster.add_nodes(nodes)
     for eid in pool:
         assert cluster.broadcast_from(eid[0]).id == eid
@@ -250,6 +255,9 @@ batch_steps = st.lists(
 )
 
 
+@pytest.mark.parametrize(
+    "latency", [FixedLatency(1), UniformLatency(1, 3)], ids=["fixed", "sampled"]
+)
 @settings(max_examples=200, deadline=None)
 @given(live_maps, batch_steps)
 # A map two senders share with different clocks, held by two receivers;
@@ -274,8 +282,10 @@ batch_steps = st.lists(
         ("batch", [(5, [2, 0], 2, 8)]),
     ],
 )
-def test_one_batch_to_several_receivers_equals_algorithm_1(lives, walk) -> None:
-    cluster = _cluster(nodes=6, pool=RELAYED)
+def test_one_batch_to_several_receivers_equals_algorithm_1(
+    latency, lives, walk
+) -> None:
+    cluster = _cluster(nodes=6, pool=RELAYED, latency=latency)
     stats = cluster.network.stats
     maps = [dict(live) for live in lives]
     shipped = [list(live.items()) for live in maps]
